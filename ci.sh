@@ -29,10 +29,15 @@ cargo test -q --offline --test chaos_recovery
 # allocation-free, the placer catalog DP allocation-bounded per state, the
 # untraced decode step of the batching core (the gateway engine in its vLLM
 # configuration) limited to amortized block-table doubling, a pre-sized
-# driver running that engine must never re-grow its event arena, and one gateway
-# admission step must do backlog-independent work (allocations and
-# scheduler-key comparisons flat from a 1k to a 10k backlog, all five
-# policies) — all asserted by the hot_path test binary.
+# driver running that engine must never re-grow its event arena, an idle
+# scale-style server (gateway + AQUA offloader, no informer) must get zero
+# tick calls over a 40,000 s tail while its processed-event count still
+# includes every fast-forwarded tick round (assert_idle_server_is_never_ticked),
+# a pop from 64k events pushed into the queue's past must cost at most 8x a
+# pop from 1k (assert_out_of_order_fill_pops_stay_logarithmic, best of five
+# batches), and one gateway admission step must do backlog-independent work
+# (allocations and scheduler-key comparisons flat from a 1k to a 10k
+# backlog, all five policies) — all asserted by the hot_path test binary.
 cargo test -q --offline -p aqua-bench --test hot_path
 # Trace-export acceptance: one short traced experiment, run twice under
 # AQUA_TRACE, must write a non-empty Chrome trace and JSONL journal, and

@@ -50,8 +50,9 @@ pub const GPUS_PER_SERVER: usize = 8;
 /// Sim-time heartbeat period, seconds.
 pub const HEARTBEAT_PERIOD_SECS: u64 = 60;
 
-/// Rough driver events per request, used for queue pre-sizing and the
-/// events-proportional sweep cost hints.
+/// Relative weight of one request in the events-proportional sweep cost
+/// hints ([`ScaleSpec::expected_events`]). It is a weight, not a count of
+/// driver events, and sizes no queue: the driver queues arrivals only.
 pub const EVENTS_PER_REQUEST: u64 = 8;
 
 /// One scale-cluster configuration.
@@ -111,10 +112,11 @@ impl ScaleSpec {
         self.rate > 1.0
     }
 
-    /// Expected driver events across the cluster (for cost hints). An
-    /// oversaturated point re-queues and re-examines work it cannot admit
-    /// yet, so backlog-building traces cost extra events per request
-    /// relative to an undersaturated trace that drains as it arrives.
+    /// Relative cost of the point across the cluster, for the sweep's cost
+    /// hints: only ratios between points matter. An oversaturated point
+    /// re-queues and re-examines work it cannot admit yet, so
+    /// backlog-building traces weigh extra per request relative to an
+    /// undersaturated trace that drains as it arrives.
     pub fn expected_events(&self) -> u64 {
         let per_request = if self.oversaturated() {
             EVENTS_PER_REQUEST + EVENTS_PER_REQUEST / 2
@@ -266,8 +268,8 @@ impl ServerShard {
         }
         engine = engine.with_offloader(ctx.offloader(OffloadKind::Aqua, GpuId(0)));
 
-        let mut driver =
-            Driver::for_expected_events(spec.requests_per_server * EVENTS_PER_REQUEST as usize);
+        // The queue holds arrivals only (in-flight steps wait outside it).
+        let mut driver = Driver::for_expected_events(mix.trace.len() + 1);
         let mut auditor = None;
         if spec.audited && server == 0 {
             let (start_s, end_s) = spec.crash_window();
@@ -436,7 +438,8 @@ pub struct ScaleRun {
     pub windows: u64,
     /// Cross-shard messages exchanged.
     pub messages: u64,
-    /// Driver events processed across all servers.
+    /// Driver events processed across all servers, idle-tick rounds the
+    /// drivers fast-forwarded included.
     pub sim_events: u64,
     /// Trace events journalled across all shards.
     pub journal_events: usize,
@@ -449,13 +452,17 @@ pub struct ScaleRun {
 }
 
 impl ScaleRun {
-    /// Simulator events per wall-clock second.
+    /// Simulator events per wall-clock second. The count includes idle-tick
+    /// rounds the drivers skip without firing, which cost almost nothing,
+    /// so this rate rises whenever a change skips more rounds, even with an
+    /// unchanged per-event loop: compare wall time for loop speed.
     pub fn events_per_sec(&self) -> f64 {
         self.sim_events as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 
     /// The non-deterministic perf summary (wall, events/s, RSS). Keep this
-    /// out of anything compared across lane counts.
+    /// out of anything compared across lane counts. Its events/s is
+    /// [`ScaleRun::events_per_sec`], fast-forwarded tick rounds included.
     pub fn perf_line(&self) -> String {
         format!(
             "scale-cluster perf: lanes={} wall={:.2}s events/s={:.0} peak_rss_mib={}",

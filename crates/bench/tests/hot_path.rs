@@ -1,7 +1,8 @@
-//! Hot-path gates, checked through a counting global allocator and the
-//! gateway's scheduler-key comparison counter.
+//! Hot-path gates, checked through a counting global allocator, the
+//! gateway's scheduler-key comparison counter and, for one cost ratio, the
+//! wall clock.
 //!
-//! Five guarantees: the untraced transfer-schedule path performs zero heap
+//! Seven guarantees: the untraced transfer-schedule path performs zero heap
 //! allocations per transfer — the budget behind Figure 11's sub-5% producer
 //! overhead (it allocated up to four strings per transfer before lane
 //! interning and the dense `PortStats` table); the placer's catalog DP
@@ -9,29 +10,39 @@
 //! mixed solve; the untraced decode step's only heap traffic is amortized
 //! block-table doubling; a driver pre-sized with
 //! `Driver::for_expected_events` never re-grows its event arena mid-run;
-//! and one gateway admission round does work independent of backlog depth
-//! (the incremental scheduler indices, checked for every policy via
+//! a scale-style server idling out a 40,000 s horizon is never ticked (the
+//! driver fast-forwards its no-op tick rounds yet still counts them); an
+//! event queue filled out of time order pops in logarithmic, not linear,
+//! time; and one gateway admission round does work independent of backlog
+//! depth (the incremental scheduler indices, checked for every policy via
 //! allocation and key-comparison counters at backlogs of 1,000 vs 10,000).
 //!
 //! The allocation counter is process-wide, so the gates run one after
 //! another from a plain `main` (`harness = false`) rather than on the test
 //! harness's worker threads. Run with `cargo test -p aqua-bench --test
-//! hot_path`. Per-operation timings live in the `benchmark/` crate.
+//! hot_path`. Per-operation timings live in the `benchmark/` crate; the one
+//! timed gate here compares a ratio, the best of five batches each side.
 
 use aqua_bench::fig14_placer::mixed_instance;
+use aqua_bench::setup::{OffloadKind, ServerCtx};
 use aqua_engines::driver::{Driver, Engine};
 use aqua_engines::request::InferenceRequest;
+use aqua_engines::vllm::PreemptionPolicy;
 use aqua_gateway::engine::{GatewayConfig, GatewayEngine};
 use aqua_gateway::scheduler::{sched_comparisons, PolicyKind};
+use aqua_metrics::requests::RequestRecord;
 use aqua_models::zoo;
 use aqua_placer::solver::solve_optimal_stats;
+use aqua_sim::event::EventQueue;
 use aqua_sim::gpu::{GpuId, GpuSpec};
-use aqua_sim::time::SimTime;
+use aqua_sim::link::bytes::gib;
+use aqua_sim::time::{SimDuration, SimTime};
 use aqua_sim::topology::ServerTopology;
 use aqua_sim::transfer::{TransferEngine, TransferPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// A pass-through allocator that counts every allocation, so the gates
 /// below can observe the hot paths directly.
@@ -219,6 +230,154 @@ fn assert_presized_driver_never_regrows() {
     );
 }
 
+/// Forwards every `Engine` call, the no-op-tick declaration included, and
+/// counts steps and ticks.
+struct CountingEngine<E> {
+    inner: E,
+    steps: u64,
+    ticks: u64,
+}
+
+impl<E: Engine> Engine for CountingEngine<E> {
+    fn submit(&mut self, req: InferenceRequest, now: SimTime) {
+        self.inner.submit(req, now)
+    }
+
+    fn has_work(&self) -> bool {
+        self.inner.has_work()
+    }
+
+    fn step(&mut self, now: SimTime) -> SimTime {
+        self.steps += 1;
+        self.inner.step(now)
+    }
+
+    fn tick(&mut self, now: SimTime) {
+        self.ticks += 1;
+        self.inner.tick(now)
+    }
+
+    fn idle_tick_is_noop(&self) -> bool {
+        self.inner.idle_tick_is_noop()
+    }
+
+    fn drain_completions(&mut self) -> Vec<RequestRecord> {
+        self.inner.drain_completions()
+    }
+}
+
+/// A `scale_cluster` server (gateway plus AQUA offloader over static peer
+/// leases, no informer) that has drained its trace must sit out the
+/// 40,000 s idle tail without one `tick` call: its rounds are no-ops, so
+/// the driver fast-forwards them instead of firing 400,000 of them.
+/// `processed_events` must still count every round, because scale
+/// heartbeats journal it and every digest depends on it.
+fn assert_idle_server_is_never_ticked() {
+    const REQUESTS: u64 = 16;
+    const TAIL_SECS: u64 = 40_000;
+    let geom = *zoo::codellama_34b().llm_geometry().unwrap();
+    let ctx = ServerCtx::eight_gpu();
+    for g in 1..8 {
+        ctx.static_lease(GpuId(g), gib(10));
+    }
+    let gateway = GatewayEngine::new(
+        geom,
+        GpuSpec::a100_80g(),
+        PolicyKind::SjfBucket,
+        GatewayConfig {
+            kv_pool_bytes: gib(3),
+            preemption: PreemptionPolicy::Swap,
+            max_outstanding_per_tenant: 8,
+            ..GatewayConfig::default()
+        },
+    )
+    .with_offloader(ctx.offloader(OffloadKind::Aqua, GpuId(0)));
+    let mut e = CountingEngine {
+        inner: gateway,
+        steps: 0,
+        ticks: 0,
+    };
+    let mut driver = Driver::for_expected_events(REQUESTS as usize + 1);
+    driver.schedule_trace(
+        0,
+        (0..REQUESTS).map(|i| {
+            let at = SimTime::from_secs(2 * i);
+            (at, InferenceRequest::text(i, 512, 64))
+        }),
+    );
+    let drained = SimTime::from_secs(2 * REQUESTS + 60);
+    driver.run(&mut [&mut e], drained);
+    assert!(
+        driver.next_event_time().is_none(),
+        "the trace must drain before the idle tail"
+    );
+    let busy_ticks = e.ticks;
+    let horizon = drained + SimDuration::from_secs(TAIL_SECS);
+    driver.run(&mut [&mut e], horizon);
+    let idle_ticks = e.ticks - busy_ticks;
+    assert_eq!(
+        idle_ticks, 0,
+        "an idle server with no informer was ticked {idle_ticks} times over {TAIL_SECS} s"
+    );
+    // Every 100 ms grid instant in [0, horizon] is one round, fired or not.
+    let rounds = horizon.as_nanos() / 100_000_000 + 1;
+    assert_eq!(
+        driver.processed_events(),
+        REQUESTS + e.steps + rounds,
+        "arrivals + steps + tick rounds"
+    );
+    assert_eq!(e.drain_completions().len() as u64, REQUESTS);
+    eprintln!(
+        "hot_path: idle scale server: 0 ticks over a {TAIL_SECS} s tail, {} events \
+         ({REQUESTS} arrivals + {} steps + {rounds} tick rounds)",
+        driver.processed_events(),
+        e.steps
+    );
+}
+
+/// Nanoseconds per pop while draining `entries` events that were all pushed
+/// into the queue's past (earlier than the last popped time), in
+/// descending time order: the best of five batches, so a slow host period
+/// inflates no ratio.
+fn past_pop_ns(entries: u64) -> f64 {
+    (0..5)
+        .map(|_| {
+            let mut q = EventQueue::with_capacity(entries as usize + 1);
+            q.push(SimTime::from_nanos(entries + 1), 0);
+            black_box(q.pop());
+            for i in 0..entries {
+                q.push(SimTime::from_nanos(entries - i), i);
+            }
+            let start = Instant::now();
+            while let Some(e) = q.pop() {
+                black_box(e);
+            }
+            start.elapsed().as_nanos() as f64 / entries as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Pushes into the past (earlier than the last popped time) are rare, but
+/// a queue filled out of time order must not make each pop scan them all:
+/// they wait in a `(time, seq)` min-heap, so a pop costs O(log n). Per-pop
+/// cost at 64,000 past entries may be at most 8× the cost at 1,000; the
+/// linear scan for the earliest past entry that this replaced was ~64×
+/// (100–200 µs per pop once such a queue was deep).
+fn assert_out_of_order_fill_pops_stay_logarithmic() {
+    let small = past_pop_ns(1_000);
+    let big = past_pop_ns(64_000);
+    assert!(
+        big <= 8.0 * small,
+        "a pop from 64,000 past entries cost {big:.0} ns vs {small:.0} ns from 1,000 \
+         (bound 8x): pushes into the past are scanned, not heap-ordered"
+    );
+    eprintln!(
+        "hot_path: out-of-order fill: pop {small:.0} ns at 1k past entries, \
+         {big:.0} ns at 64k ({:.1}x, bound 8x)",
+        big / small
+    );
+}
+
 /// One gateway `step()` (an admission round of `max_batch` picks plus a
 /// decode iteration) with `backlog` queued requests: returns the heap
 /// allocations and scheduler key comparisons it performed.
@@ -285,5 +444,7 @@ fn main() {
     assert_placer_solve_allocation_bounded();
     assert_untraced_decode_step_is_allocation_lean();
     assert_presized_driver_never_regrows();
+    assert_idle_server_is_never_ticked();
+    assert_out_of_order_fill_pops_stay_logarithmic();
     assert_gateway_admit_is_backlog_independent();
 }

@@ -393,6 +393,10 @@ impl Engine for CfsEngine {
         cursor
     }
 
+    fn idle_tick_is_noop(&self) -> bool {
+        true
+    }
+
     fn drain_completions(&mut self) -> Vec<RequestRecord> {
         std::mem::take(&mut self.completions)
     }

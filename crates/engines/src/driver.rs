@@ -14,6 +14,16 @@
 //! key among the queue's head and the occupied slots. A decode iteration
 //! therefore costs no queue push or pop, yet ties break exactly as if every
 //! step completion were a queued event.
+//!
+//! Idle ticks fire on a fixed grid (every 100 ms by default) whether or not
+//! any engine needs them. A round in which every engine is mid-step, or is
+//! idle with no work and declares its tick a no-op
+//! ([`Engine::idle_tick_is_noop`]), changes nothing but the clock, so the
+//! driver fast-forwards a whole run of such rounds at once: up to the next
+//! event or the horizon. Skipped rounds still count in
+//! [`Driver::processed_events`] and advance the tick grid exactly as
+//! firing them one by one would, so long idle horizons cost O(1) instead of
+//! one loop iteration per 100 ms of simulated time.
 
 use crate::request::InferenceRequest;
 use aqua_metrics::requests::RequestRecord;
@@ -36,7 +46,17 @@ pub trait Engine {
 
     /// Periodic control hook invoked while the engine is idle (used by
     /// AQUA informers to donate/reclaim memory even when no requests flow).
+    /// Rounds that [`Engine::idle_tick_is_noop`] lets the driver
+    /// fast-forward never reach this hook.
     fn tick(&mut self, _now: SimTime) {}
+
+    /// Returns `true` if [`Engine::tick`] never changes anything while the
+    /// engine is idle with no work, so the driver may skip idle tick rounds
+    /// instead of firing them. The default is `false`: a wrapper that
+    /// forwards `tick` but not this query keeps being ticked.
+    fn idle_tick_is_noop(&self) -> bool {
+        false
+    }
 
     /// Removes and returns records of requests completed so far.
     fn drain_completions(&mut self) -> Vec<RequestRecord>;
@@ -84,7 +104,9 @@ struct Ev(usize, InferenceRequest);
 pub struct Driver {
     events: EventQueue<Ev>,
     tick_interval: SimDuration,
-    next_tick: SimTime,
+    /// The next instant on the idle-tick grid; `None` once the grid has
+    /// run past [`SimTime::MAX`].
+    next_tick: Option<SimTime>,
     /// Each engine's in-flight step as `(completion, seq)`, `None` while the
     /// engine is idle. `seq` comes from [`EventQueue::take_seq`], so the key
     /// orders against queued arrivals as a queued completion would. Drivers
@@ -100,7 +122,8 @@ pub struct Driver {
     /// audit).
     last_time: SimTime,
     /// Total events processed (arrivals, step completions and idle-tick
-    /// rounds), the denominator behind the `scale_cluster` events/s report.
+    /// rounds, fast-forwarded ones included), the denominator behind the
+    /// `scale_cluster` events/s report.
     processed: u64,
 }
 
@@ -122,7 +145,7 @@ impl Driver {
         Driver {
             events: EventQueue::with_capacity(capacity),
             tick_interval: SimDuration::from_millis(100),
-            next_tick: SimTime::ZERO,
+            next_tick: Some(SimTime::ZERO),
             steps: Vec::new(),
             crash_windows: Vec::new(),
             auditor: None,
@@ -154,7 +177,8 @@ impl Driver {
 
     /// Total events processed so far: arrivals and step completions (each
     /// counted once, although completions never enter the queue) plus
-    /// idle-tick rounds.
+    /// idle-tick rounds. A fast-forwarded round counts as if it had fired,
+    /// so the total does not depend on which engines declare a no-op tick.
     pub fn processed_events(&self) -> u64 {
         self.processed
     }
@@ -247,12 +271,15 @@ impl Driver {
             let step = self.earliest_step();
             let done = step.filter(|&(_, key)| queued.is_none_or(|q| key < q));
             let next_event = done.map_or(queued, |(_, key)| Some(key)).map(|(t, _)| t);
-            let next = next_event.map_or(self.next_tick, |t| t.min(self.next_tick));
+            // Once the tick grid runs past `SimTime::MAX`, only events are left.
+            let Some(next) = next_event.into_iter().chain(self.next_tick).min() else {
+                break;
+            };
             if next > end {
                 break;
             }
             self.processed += 1;
-            if let Some(now) = next_event.filter(|&t| t <= self.next_tick) {
+            if let Some(now) = next_event.filter(|&t| self.next_tick.is_none_or(|tick| t <= tick)) {
                 if let Some(aud) = &self.auditor {
                     aud.check_monotonic("driver.events", self.last_time, now);
                 }
@@ -276,20 +303,60 @@ impl Driver {
                     }
                 }
             } else {
-                let now = self.next_tick;
+                // A round no engine acts in changes only the clock, and
+                // nothing changes before the next event, so the rounds up to
+                // it (and not after `end`) are skipped at once, each counted
+                // as if it had fired.
+                let idle = self.idle_round_is_noop(engines);
+                let now = if idle {
+                    self.last_tick_before(next, next_event, end)
+                } else {
+                    next
+                };
+                self.processed += (now - next).as_nanos() / self.tick_interval.as_nanos();
                 if let Some(aud) = &self.auditor {
                     aud.check_monotonic("driver.ticks", self.last_time, now);
                 }
                 self.last_time = self.last_time.max(now);
-                for i in 0..engines.len() {
-                    if self.steps[i].is_none() && self.crashed_until(i, now).is_none() {
-                        engines[i].tick(now);
-                        self.maybe_start(engines, i, now);
+                if !idle {
+                    for i in 0..engines.len() {
+                        if self.steps[i].is_none() && self.crashed_until(i, now).is_none() {
+                            engines[i].tick(now);
+                            self.maybe_start(engines, i, now);
+                        }
                     }
                 }
-                self.next_tick = now + self.tick_interval;
+                self.next_tick = now
+                    .as_nanos()
+                    .checked_add(self.tick_interval.as_nanos())
+                    .map(SimTime::from_nanos);
             }
         }
+    }
+
+    /// Whether a tick round now would do nothing: every engine is mid-step,
+    /// or idle with no work and a no-op tick. Nothing changes that until
+    /// the next event, so the same holds for every round before it.
+    fn idle_round_is_noop(&self, engines: &[&mut dyn Engine]) -> bool {
+        engines
+            .iter()
+            .zip(&self.steps)
+            .all(|(e, step)| step.is_some() || (e.idle_tick_is_noop() && !e.has_work()))
+    }
+
+    /// The last instant of the tick grid `first + k·interval` that is
+    /// before `next_event` and not after `end`, given `first` is both.
+    fn last_tick_before(
+        &self,
+        first: SimTime,
+        next_event: Option<SimTime>,
+        end: SimTime,
+    ) -> SimTime {
+        // `next_event > first`, so it is at least 1 ns.
+        let limit = next_event.map_or(end, |t| end.min(SimTime::from_nanos(t.as_nanos() - 1)));
+        let interval = self.tick_interval.as_nanos();
+        let rounds = (limit - first).as_nanos() / interval;
+        SimTime::from_nanos(first.as_nanos() + rounds * interval)
     }
 
     fn maybe_start(&mut self, engines: &mut [&mut dyn Engine], i: usize, now: SimTime) {
@@ -320,12 +387,15 @@ impl Default for Driver {
 mod tests {
     use super::*;
 
-    /// A trivial engine that takes a fixed time per request.
+    /// A trivial engine that takes a fixed time per request. Its tick only
+    /// counts, so it may declare the tick a no-op (`noop_tick`) or not; the
+    /// driver must behave the same either way.
     struct FixedEngine {
         pending: Vec<(InferenceRequest, SimTime)>,
         per_req: SimDuration,
         done: Vec<RequestRecord>,
         ticks: usize,
+        noop_tick: bool,
     }
 
     impl FixedEngine {
@@ -335,6 +405,7 @@ mod tests {
                 per_req: SimDuration::from_millis(ms),
                 done: Vec::new(),
                 ticks: 0,
+                noop_tick: false,
             }
         }
     }
@@ -360,6 +431,9 @@ mod tests {
         }
         fn tick(&mut self, _now: SimTime) {
             self.ticks += 1;
+        }
+        fn idle_tick_is_noop(&self) -> bool {
+            self.noop_tick
         }
         fn drain_completions(&mut self) -> Vec<RequestRecord> {
             std::mem::take(&mut self.done)
@@ -528,6 +602,9 @@ mod tests {
         fn tick(&mut self, now: SimTime) {
             self.note("tick", 0, now);
         }
+        fn idle_tick_is_noop(&self) -> bool {
+            self.inner.idle_tick_is_noop()
+        }
         fn drain_completions(&mut self) -> Vec<RequestRecord> {
             self.inner.drain_completions()
         }
@@ -645,5 +722,120 @@ mod tests {
         let mut engines: Vec<&mut dyn Engine> = vec![&mut e];
         driver.run(&mut engines, SimTime::from_secs(1));
         assert_eq!(e.drain_completions().len(), 5);
+    }
+
+    /// What one run of [`fast_forward_scenario`] shows from outside: the
+    /// engines' log in global order, each engine's completions, and
+    /// `processed_events` and `next_event_time` after every `run` call.
+    type Observed = (
+        Vec<(usize, &'static str, u64, u64)>,
+        Vec<Vec<RequestRecord>>,
+        Vec<(u64, Option<SimTime>)>,
+    );
+
+    /// Two engines of 100 ms steps over 10 s, run once per horizon in
+    /// `ends`. Engine 0 holds a request through a crash window whose
+    /// off-grid end leaves a tick round to restart it; engine 1 gets one
+    /// arrival re-queued out of its own crash window, one exactly on a tick
+    /// instant (so its step also ends on one, where a skip must stop), and
+    /// one after a long idle gap. `noop_tick[i]` is what engine `i`
+    /// declares.
+    fn fast_forward_scenario(noop_tick: [bool; 2], ends: &[SimTime]) -> Observed {
+        let mut driver = Driver::new();
+        let auditor = aqua_sim::audit::Auditor::collecting();
+        driver.set_auditor(auditor.clone());
+        for id in 0..3 {
+            driver.schedule_arrival(0, SimTime::ZERO, InferenceRequest::text(id, 1, 1));
+        }
+        driver.crash_window(0, SimTime::from_millis(150), SimTime::from_millis(1_250));
+        driver.schedule_arrival(1, SimTime::from_secs(3), InferenceRequest::text(10, 1, 1));
+        driver.crash_window(1, SimTime::from_secs(2), SimTime::from_millis(2_550));
+        driver.schedule_arrival(
+            1,
+            SimTime::from_millis(2_100),
+            InferenceRequest::text(11, 1, 1),
+        );
+        driver.schedule_arrival(
+            1,
+            SimTime::from_millis(7_770),
+            InferenceRequest::text(12, 1, 1),
+        );
+        let log = Log::default();
+        let mut es: Vec<LogEngine> = (0..2).map(|i| LogEngine::new(i, 100, &log)).collect();
+        for (e, noop) in es.iter_mut().zip(noop_tick) {
+            e.inner.noop_tick = noop;
+        }
+        let mut clocks = Vec::new();
+        {
+            let mut refs: Vec<&mut dyn Engine> =
+                es.iter_mut().map(|e| e as &mut dyn Engine).collect();
+            for &end in ends {
+                driver.run(&mut refs, end);
+                clocks.push((driver.processed_events(), driver.next_event_time()));
+            }
+        }
+        assert!(auditor.is_clean(), "the timeline never ran backwards");
+        let done = es.iter_mut().map(|e| e.drain_completions()).collect();
+        (log.take(), done, clocks)
+    }
+
+    /// `fast_forward_scenario` must look the same whichever engines
+    /// declare a no-op tick as when every round fires, apart from the
+    /// ticks of the no-op engines.
+    fn assert_fast_forward_is_invisible(ends: &[SimTime]) {
+        let ticks = |o: &Observed| o.0.iter().filter(|&&(_, a, _, _)| a == "tick").count();
+        let fired = fast_forward_scenario([false, false], ends);
+        assert_eq!(fired.1.iter().map(Vec::len).sum::<usize>(), 6);
+        for noop in [[true, true], [true, false], [false, true]] {
+            let mut skipped = fast_forward_scenario(noop, ends);
+            // Fast-forwarded rounds never reach the engines.
+            assert!(ticks(&skipped) < ticks(&fired), "{noop:?}");
+            let mut expected = fired.clone();
+            for o in [&mut skipped, &mut expected] {
+                o.0.retain(|&(i, action, _, _)| action != "tick" || !noop[i]);
+            }
+            assert_eq!(skipped, expected, "no-op ticks {noop:?}");
+        }
+    }
+
+    #[test]
+    fn fast_forward_matches_ticking_every_round() {
+        assert_fast_forward_is_invisible(&[SimTime::from_secs(10)]);
+    }
+
+    #[test]
+    fn fast_forward_matches_ticking_every_round_in_windows() {
+        // PDES lanes run each exclusive window `[.., u)` as `run(u - 1 ns)`;
+        // the cuts land before, on and between tick instants and events.
+        let before = |ms: u64| SimTime::from_nanos(ms * 1_000_000 - 1);
+        assert_fast_forward_is_invisible(&[
+            before(350),
+            before(1_250),
+            before(1_300),
+            before(2_550),
+            before(3_000),
+            before(5_000),
+            SimTime::from_secs(5),
+            before(7_770),
+            before(10_000),
+            SimTime::from_secs(10),
+        ]);
+    }
+
+    #[test]
+    fn idle_run_to_the_end_of_time_returns() {
+        let mut driver = Driver::new();
+        driver.schedule_arrival(0, SimTime::from_secs(5), InferenceRequest::text(0, 1, 1));
+        let mut e = FixedEngine::new(100);
+        e.noop_tick = true;
+        driver.run(&mut [&mut e], SimTime::MAX);
+        // The arrival, its step, and every 100 ms grid instant up to
+        // `SimTime::MAX`; the grid then runs out instead of wrapping.
+        let rounds = u64::MAX / 100_000_000 + 1;
+        assert_eq!(driver.processed_events(), 2 + rounds);
+        assert_eq!(driver.next_event_time(), None);
+        assert_eq!(e.drain_completions().len(), 1);
+        driver.run(&mut [&mut e], SimTime::MAX);
+        assert_eq!(driver.processed_events(), 2 + rounds);
     }
 }

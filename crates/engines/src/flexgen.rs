@@ -293,6 +293,10 @@ impl Engine for FlexGenEngine {
         end
     }
 
+    fn idle_tick_is_noop(&self) -> bool {
+        true
+    }
+
     fn drain_completions(&mut self) -> Vec<RequestRecord> {
         std::mem::take(&mut self.completions)
     }

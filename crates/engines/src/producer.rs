@@ -185,6 +185,10 @@ impl Engine for ProducerEngine {
         let _ = self.run_informer(now);
     }
 
+    fn idle_tick_is_noop(&self) -> bool {
+        self.informer.is_none()
+    }
+
     fn drain_completions(&mut self) -> Vec<RequestRecord> {
         std::mem::take(&mut self.completions)
     }

@@ -1066,6 +1066,10 @@ impl Engine for GatewayEngine {
         let _ = self.run_informer(now);
     }
 
+    fn idle_tick_is_noop(&self) -> bool {
+        self.informer.is_none()
+    }
+
     fn drain_completions(&mut self) -> Vec<RequestRecord> {
         std::mem::take(&mut self.completions)
     }

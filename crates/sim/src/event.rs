@@ -20,13 +20,14 @@
 //! `peek_time` O(1).
 //!
 //! It is *monotone-optimised*, not monotone-restricted: pushing an event
-//! earlier than the last popped time falls back to a small overflow list,
-//! so the API stays total. The unit tests check random push/pop
+//! earlier than the last popped time falls back to an overflow min-heap on
+//! `(time, seq)`, so the API stays total and such pushes and pops cost
+//! O(log n). The unit tests check random push/pop
 //! interleavings against a `BinaryHeap` of `(time, seq)`-ordered entries.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::VecDeque;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Number of radix buckets for `u64` nanosecond keys: one per possible
 /// highest-differing-bit position.
@@ -76,15 +77,15 @@ struct Entry<T> {
 /// * If any bucket is non-empty, `front` is non-empty — enforced by eager
 ///   redistribution after every mutation — so `peek_time` is O(1).
 /// * `past` holds the (in practice empty) set of entries pushed earlier
-///   than `last`; its members always precede everything else in pop order
-///   because `last` only advances.
+///   than `last`, as a min-heap of `(time, seq, slot)`; its members always
+///   precede everything else in pop order because `last` only advances.
 #[derive(Debug, Clone)]
 struct Radix<T> {
     slots: Vec<Option<Entry<T>>>,
     free: Vec<u32>,
     front: VecDeque<u32>,
     buckets: Vec<Vec<u32>>,
-    past: Vec<u32>,
+    past: BinaryHeap<Reverse<(u64, u64, u32)>>,
     /// Nanosecond timestamp the bucket indices are relative to: the time of
     /// the bucket-zero entries, which is the last popped (or redistributed)
     /// time.
@@ -99,7 +100,7 @@ impl<T> Radix<T> {
             free: Vec::new(),
             front: VecDeque::new(),
             buckets: vec![Vec::new(); RADIX_BUCKETS],
-            past: Vec::new(),
+            past: BinaryHeap::new(),
             last: 0,
             len: 0,
         }
@@ -140,11 +141,6 @@ impl<T> Radix<T> {
             .as_nanos()
     }
 
-    #[inline]
-    fn slot_seq(&self, idx: u32) -> u64 {
-        self.slots[idx as usize].as_ref().expect("live slot").seq
-    }
-
     fn alloc(&mut self, entry: Entry<T>) -> u32 {
         if let Some(idx) = self.free.pop() {
             self.slots[idx as usize] = Some(entry);
@@ -163,10 +159,10 @@ impl<T> Radix<T> {
     }
 
     fn push(&mut self, entry: Entry<T>) {
-        let t = entry.time.as_nanos();
+        let (t, seq) = (entry.time.as_nanos(), entry.seq);
         let idx = self.alloc(entry);
         match t.cmp(&self.last) {
-            Ordering::Less => self.past.push(idx),
+            Ordering::Less => self.past.push(Reverse((t, seq, idx))),
             // `seq` is globally increasing, so appending keeps `front`
             // sorted by seq.
             Ordering::Equal => self.front.push_back(idx),
@@ -180,20 +176,10 @@ impl<T> Radix<T> {
         self.len += 1;
     }
 
-    /// Index of the entry in `past` with the smallest `(time, seq)`, if any.
-    fn past_min(&self) -> Option<usize> {
-        self.past
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &idx)| (self.slot_time(idx), self.slot_seq(idx)))
-            .map(|(pos, _)| pos)
-    }
-
     fn pop(&mut self) -> Option<(SimTime, T)> {
         // Everything in `past` fires before `last`, hence before any front
         // or bucket entry (whose times are >= `last`).
-        if let Some(pos) = self.past_min() {
-            let idx = self.past.swap_remove(pos);
+        if let Some(Reverse((_, _, idx))) = self.past.pop() {
             let e = self.take(idx);
             self.len -= 1;
             return Some((e.time, e.payload));
@@ -212,8 +198,8 @@ impl<T> Radix<T> {
     }
 
     fn peek_key(&self) -> Option<(SimTime, u64)> {
-        let idx = match self.past_min() {
-            Some(pos) => self.past[pos],
+        let idx = match self.past.peek() {
+            Some(&Reverse((_, _, idx))) => idx,
             None => *self.front.front()?,
         };
         let e = self.slots[idx as usize].as_ref().expect("live slot");
@@ -447,6 +433,29 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_nanos(50), 3)));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(150), 2)));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn descending_pushes_into_the_past_drain_in_oracle_order() {
+        // After one pop, every push lands in the past; filled in descending
+        // time (with ties), they must still drain in `(time, seq)` order.
+        const EVENTS: u64 = 64_000;
+        let mut q = EventQueue::new();
+        let mut oracle = HeapOracle::default();
+        let top = SimTime::from_nanos(EVENTS);
+        q.push(top, u64::MAX);
+        oracle.push(top, u64::MAX);
+        assert_eq!(q.pop(), oracle.pop());
+        for id in 0..EVENTS {
+            let t = SimTime::from_nanos((EVENTS - id) / 2);
+            q.push(t, id);
+            oracle.push(t, id);
+        }
+        while !oracle.heap.is_empty() {
+            assert_eq!(q.peek_key(), oracle.peek_key());
+            assert_eq!(q.pop(), oracle.pop());
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! plain strings for entity names (lanes, GPUs, engines) so the vocabulary
 //! does not depend on any upper crate's id types.
 //!
-//! The canonical encoding ([`TraceEvent::to_json_line`]) is a single JSON
+//! The canonical encoding ([`TraceEvent::write_json_line`]) is a single JSON
 //! object per event with a stable field order; the determinism digest in
 //! [`crate::tracer::JournalTracer`] hashes exactly these bytes, so two runs
 //! agree on the digest iff they emitted byte-identical journals.
@@ -14,7 +14,7 @@
 //! Each event is declared once, as one row of the table at the bottom of
 //! this module: the variant and its docs, its journal name, its fields and
 //! its Chrome rendering. The enum, [`TraceEvent::name`], [`TraceEvent::at`],
-//! [`TraceEvent::to_json_line`] and the event's entry in
+//! [`TraceEvent::write_json_line`] and the event's entry in
 //! [`chrome_trace`](crate::chrome::chrome_trace) are all generated from that
 //! row, so a new event is one new row. A row's field order is the journal's
 //! byte order, which the digests hash: reordering fields changes every digest
@@ -100,15 +100,32 @@ pub(crate) trait Field {
     fn encode(&self, out: &mut String);
 }
 
+/// Appends the decimal digits of `v`, written back to front into a stack
+/// buffer (a journal line holds several integers, and `fmt` costs more than
+/// the digits).
+fn push_digits(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
+}
+
 impl Field for u64 {
     fn encode(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
+        push_digits(out, *self);
     }
 }
 
 impl Field for u32 {
     fn encode(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
+        push_digits(out, u64::from(*self));
     }
 }
 
@@ -119,11 +136,23 @@ impl Field for SimTime {
     }
 }
 
-/// Non-finite values map to `0`, so the line stays valid JSON.
+/// Finite values are written as `{:?}` writes them; non-finite values map to
+/// `0`, so the line stays valid JSON.
+///
+/// Most gauges are whole numbers (bytes, counts), so a non-negative integral
+/// value below 1e16 takes a fast path: its integer digits plus `.0`. That is
+/// exactly what `{:?}` prints there, because every multiple of ten below 1e16
+/// is itself an `f64`, so no shorter digit string rounds to the value. From
+/// 1e16 on `{:?}` switches to exponent form, and `-0.0` keeps its sign, so
+/// both stay on the slow path.
 impl Field for f64 {
     fn encode(&self, out: &mut String) {
-        if self.is_finite() {
-            let _ = write!(out, "{self:?}");
+        let v = *self;
+        if v.is_sign_positive() && v < 1e16 && v.fract() == 0.0 {
+            push_digits(out, v as u64);
+            out.push_str(".0");
+        } else if v.is_finite() {
+            let _ = write!(out, "{v:?}");
         } else {
             out.push('0');
         }
@@ -254,25 +283,32 @@ macro_rules! trace_events {
                 }
             }
 
-            /// Serialises the event as one canonical JSON line (no trailing newline).
+            /// Appends the event's canonical JSON line (no trailing newline) to
+            /// `out`.
             ///
             /// Field order is fixed per variant and times are integer nanoseconds, so
             /// the output is byte-stable across runs and platforms — the property the
             /// determinism digest relies on.
-            pub fn to_json_line(&self) -> String {
-                let mut out = String::with_capacity(96);
+            pub fn write_json_line(&self, out: &mut String) {
                 match self {
                     $(
                         TraceEvent::$variant { $($field),* } => {
                             out.push_str(concat!("{\"event\":\"", $name, "\""));
                             $(
                                 out.push_str(concat!(",\"", stringify!($field), "\":"));
-                                $field.encode(&mut out);
+                                $field.encode(out);
                             )*
                         }
                     )*
                 }
                 out.push('}');
+            }
+
+            /// The event's canonical JSON line (no trailing newline), as written by
+            /// [`TraceEvent::write_json_line`].
+            pub fn to_json_line(&self) -> String {
+                let mut out = String::with_capacity(96);
+                self.write_json_line(&mut out);
                 out
             }
 
@@ -901,6 +937,28 @@ mod tests {
             v.get("detail").and_then(|v| v.as_str()),
             Some("quote \" slash \\ newline \n")
         );
+    }
+
+    #[test]
+    fn f64_encoding_matches_debug_formatting() {
+        // Every integer below 100,000, every power of two and of ten up to
+        // 1e20, and each one's neighbours one ulp either side: the fast
+        // path's edges (0, 1e16, 2^53 and 2^54) and the slow path around it.
+        let mut values: Vec<f64> = (0..100_000).map(f64::from).collect();
+        let powers = (-20..=66)
+            .map(|e| 2f64.powi(e))
+            .chain((-20..=20).map(|e| 10f64.powi(e)));
+        for p in powers {
+            values.extend([p, p.next_down(), p.next_up()]);
+        }
+        let mut out = String::new();
+        for v in values {
+            for v in [v, -v] {
+                out.clear();
+                v.encode(&mut out);
+                assert_eq!(out, format!("{v:?}"), "bits {:#x}", v.to_bits());
+            }
+        }
     }
 
     #[test]

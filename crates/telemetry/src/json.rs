@@ -10,8 +10,18 @@
 use std::collections::BTreeMap;
 
 /// Appends `s` to `out` with JSON string escaping applied.
+///
+/// Names and labels almost never need escaping, so the bytes up to the
+/// first one that does (all of `s`, usually) are pushed whole; only the rest
+/// goes through the per-character path.
 pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
+    let clean = s
+        .bytes()
+        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
+        .unwrap_or(s.len());
+    // The byte at `clean` is ASCII, so it starts a character.
+    out.push_str(&s[..clean]);
+    for c in s[clean..].chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
@@ -284,6 +294,39 @@ mod tests {
         assert!(parse("{} extra").is_err());
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,2,").is_err());
+    }
+
+    /// The per-character escaping `escape_into` falls back to.
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn escape_matches_the_char_by_char_path_for_every_ascii_byte() {
+        for b in 0u8..0x80 {
+            let c = char::from(b);
+            for s in [c.to_string(), format!("lane{c}"), format!("{c}gpu0✓{c}")] {
+                let mut fast = String::from("prefix");
+                escape_into(&mut fast, &s);
+                assert_eq!(
+                    fast,
+                    format!("prefix{}", escape_by_char(&s)),
+                    "byte {b:#04x}"
+                );
+            }
+        }
     }
 
     #[test]

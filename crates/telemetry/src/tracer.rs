@@ -6,10 +6,10 @@
 //! event is ever built — no strings, no allocation, just one virtual call
 //! returning `false`.
 //!
-//! [`JournalTracer`] buffers every event, folds its canonical JSON line into
-//! a rolling 64-bit FNV-1a digest, and can serialise the journal as JSONL or
-//! as a Chrome trace. The digest makes "did these two runs do exactly the
-//! same thing?" a single `u64` comparison.
+//! [`JournalTracer`] buffers every event, folds its canonical JSON line
+//! (encoded into one reused buffer) into a rolling 64-bit FNV-1a digest, and
+//! can serialise the journal as JSONL or as a Chrome trace. The digest makes
+//! "did these two runs do exactly the same thing?" a single `u64` comparison.
 
 use crate::chrome::chrome_trace;
 use crate::event::TraceEvent;
@@ -113,6 +113,20 @@ struct Journal {
     events: Vec<TraceEvent>,
     digest: u64,
     emitted: usize,
+    /// The line being hashed, reused by every emit so encoding allocates
+    /// only while the longest line so far grows it.
+    line: String,
+}
+
+impl Journal {
+    fn new(capacity: usize) -> Self {
+        Journal {
+            events: Vec::with_capacity(capacity),
+            digest: FNV_OFFSET,
+            emitted: 0,
+            line: String::new(),
+        }
+    }
 }
 
 /// A tracer that buffers every event and maintains a determinism digest.
@@ -154,11 +168,7 @@ impl JournalTracer {
     /// so long instrumented runs do not re-grow the buffer mid-simulation.
     pub fn with_capacity(capacity: usize) -> Self {
         JournalTracer {
-            inner: Mutex::new(Journal {
-                events: Vec::with_capacity(capacity),
-                digest: FNV_OFFSET,
-                emitted: 0,
-            }),
+            inner: Mutex::new(Journal::new(capacity)),
             registry: Registry::new(),
             keep_events: true,
         }
@@ -170,11 +180,7 @@ impl JournalTracer {
     /// point; [`JournalTracer::events`] returns an empty vector.
     pub fn digest_only() -> Self {
         JournalTracer {
-            inner: Mutex::new(Journal {
-                events: Vec::new(),
-                digest: FNV_OFFSET,
-                emitted: 0,
-            }),
+            inner: Mutex::new(Journal::new(0)),
             registry: Registry::new(),
             keep_events: false,
         }
@@ -212,7 +218,7 @@ impl JournalTracer {
         let inner = self.inner.lock().unwrap();
         let mut out = String::new();
         for e in &inner.events {
-            out.push_str(&e.to_json_line());
+            e.write_json_line(&mut out);
             out.push('\n');
         }
         out
@@ -242,10 +248,15 @@ impl Tracer for JournalTracer {
     }
 
     fn emit(&self, event: TraceEvent) {
-        let line = event.to_json_line();
-        let mut inner = self.inner.lock().unwrap();
-        inner.digest = fnv1a(inner.digest, line.as_bytes());
-        inner.digest = fnv1a(inner.digest, b"\n");
+        let mut guard = self
+            .inner
+            .lock()
+            .expect("a panicking emit poisoned the journal");
+        let inner = &mut *guard;
+        inner.line.clear();
+        event.write_json_line(&mut inner.line);
+        inner.line.push('\n');
+        inner.digest = fnv1a(inner.digest, inner.line.as_bytes());
         inner.emitted += 1;
         if self.keep_events {
             inner.events.push(event);

@@ -546,6 +546,67 @@ fn journal_lines_are_pinned() {
     }
 }
 
+/// A gauge sample of `value`.
+fn gauge(value: f64) -> TraceEvent {
+    TraceEvent::Gauge {
+        name: "g".into(),
+        value,
+        at: t(7),
+    }
+}
+
+/// Gauge values on both sides of the integral fast path's edges (zero and
+/// its sign, fractions, 1e16, and even integers past 2^53), and strings
+/// with and without characters to escape, each pinned to its journal line.
+#[test]
+fn number_and_string_encodings_are_pinned() {
+    let cases = [
+        (
+            gauge(0.0),
+            r#"{"event":"gauge","name":"g","value":0.0,"at":7}"#,
+        ),
+        (
+            gauge(-0.0),
+            r#"{"event":"gauge","name":"g","value":-0.0,"at":7}"#,
+        ),
+        (
+            gauge(0.5),
+            r#"{"event":"gauge","name":"g","value":0.5,"at":7}"#,
+        ),
+        (
+            gauge(1e15),
+            r#"{"event":"gauge","name":"g","value":1000000000000000.0,"at":7}"#,
+        ),
+        (
+            gauge(9_999_999_999_999_998.0),
+            r#"{"event":"gauge","name":"g","value":9999999999999998.0,"at":7}"#,
+        ),
+        (
+            gauge(1e16),
+            r#"{"event":"gauge","name":"g","value":1e16,"at":7}"#,
+        ),
+        (
+            gauge(1e-5),
+            r#"{"event":"gauge","name":"g","value":1e-5,"at":7}"#,
+        ),
+        (
+            gauge(2f64.powi(53) + 2.0),
+            r#"{"event":"gauge","name":"g","value":9007199254740994.0,"at":7}"#,
+        ),
+        (
+            TraceEvent::CoordinatorVerb {
+                verb: "s0/gpu1 ✓".into(),
+                detail: "s0/gpu1 \\ \"✓\"\u{1}".into(),
+                at: t(7),
+            },
+            r#"{"event":"coordinator_verb","verb":"s0/gpu1 ✓","detail":"s0/gpu1 \\ \"✓\"\u0001","at":7}"#,
+        ),
+    ];
+    for (event, line) in cases {
+        assert_eq!(event.to_json_line(), line);
+    }
+}
+
 #[test]
 fn chrome_entries_are_pinned() {
     for (event, _, entry) in rows() {
