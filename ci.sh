@@ -35,9 +35,12 @@ cargo test -q --offline --test chaos_recovery
 # includes every fast-forwarded tick round (assert_idle_server_is_never_ticked),
 # a pop from 64k events pushed into the queue's past must cost at most 8x a
 # pop from 1k (assert_out_of_order_fill_pops_stay_logarithmic, best of five
-# batches), and one gateway admission step must do backlog-independent work
+# batches), one gateway admission step must do backlog-independent work
 # (allocations and scheduler-key comparisons flat from a 1k to a 10k
-# backlog, all five policies) — all asserted by the hot_path test binary.
+# backlog, all five policies), and 10k digest-only journal emits of a gauge,
+# a transfer completion and a gateway completion must allocate nothing
+# (assert_digest_only_emit_is_allocation_free) — all asserted by the
+# hot_path test binary.
 cargo test -q --offline -p aqua-bench --test hot_path
 # Trace-export acceptance: one short traced experiment, run twice under
 # AQUA_TRACE, must write a non-empty Chrome trace and JSONL journal, and

@@ -322,8 +322,7 @@ impl ServerShard {
 
     fn run_to(&mut self, end: SimTime) {
         let ServerShard { driver, engine, .. } = self;
-        let mut engines: Vec<&mut dyn Engine> = vec![engine];
-        driver.run(&mut engines, end);
+        driver.run(&mut [engine as &mut dyn Engine], end);
     }
 
     fn advance(&mut self, until: Option<SimTime>, inbox: Vec<Msg<ScaleMsg>>) -> Vec<Msg<ScaleMsg>> {

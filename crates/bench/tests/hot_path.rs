@@ -2,7 +2,7 @@
 //! gateway's scheduler-key comparison counter and, for one cost ratio, the
 //! wall clock.
 //!
-//! Seven guarantees: the untraced transfer-schedule path performs zero heap
+//! Eight guarantees: the untraced transfer-schedule path performs zero heap
 //! allocations per transfer — the budget behind Figure 11's sub-5% producer
 //! overhead (it allocated up to four strings per transfer before lane
 //! interning and the dense `PortStats` table); the placer's catalog DP
@@ -13,9 +13,11 @@
 //! a scale-style server idling out a 40,000 s horizon is never ticked (the
 //! driver fast-forwards its no-op tick rounds yet still counts them); an
 //! event queue filled out of time order pops in logarithmic, not linear,
-//! time; and one gateway admission round does work independent of backlog
+//! time; one gateway admission round does work independent of backlog
 //! depth (the incremental scheduler indices, checked for every policy via
-//! allocation and key-comparison counters at backlogs of 1,000 vs 10,000).
+//! allocation and key-comparison counters at backlogs of 1,000 vs 10,000);
+//! and a digest-only journal emit allocates nothing (the event is hashed
+//! from its fields, interned labels and all).
 //!
 //! The allocation counter is process-wide, so the gates run one after
 //! another from a plain `main` (`harness = false`) rather than on the test
@@ -39,6 +41,7 @@ use aqua_sim::link::bytes::gib;
 use aqua_sim::time::{SimDuration, SimTime};
 use aqua_sim::topology::ServerTopology;
 use aqua_sim::transfer::{TransferEngine, TransferPlan};
+use aqua_telemetry::{JournalTracer, Lane, TraceEvent, Tracer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -439,6 +442,58 @@ fn assert_gateway_admit_is_backlog_independent() {
     }
 }
 
+/// A digest-only journal hashes each event straight from its fields: no
+/// line buffer, no `fmt` into a `String`, no interned label copied. After
+/// a warm-up long enough for each label to find its skip table, 10k emits
+/// each of a gauge (interned name, integral and fractional values, so the
+/// `f64` slow path runs too), a transfer completion and a gateway
+/// completion must leave the allocation counter untouched.
+fn assert_digest_only_emit_is_allocation_free() {
+    let journal = JournalTracer::digest_only();
+    let gauge = Lane::from("gateway:fcfs:aqua.queue_depth");
+    let lane = Lane::from("nvlink-egress:gpu0");
+    let gateway = Lane::from("gateway:fcfs:aqua");
+    let emit_round = |i: u64| {
+        journal.emit(TraceEvent::Gauge {
+            name: gauge.clone(),
+            value: i as f64 / if i.is_multiple_of(2) { 1.0 } else { 3.0 },
+            at: SimTime::from_nanos(i),
+        });
+        journal.emit(TraceEvent::TransferCompleted {
+            server: 0,
+            lane: lane.clone(),
+            bytes: i << 20,
+            chunks: 1,
+            start: SimTime::from_nanos(i),
+            end: SimTime::from_nanos(2 * i),
+        });
+        journal.emit(TraceEvent::GatewayCompleted {
+            gateway: gateway.clone(),
+            request: i,
+            output_tokens: i % 512,
+            at: SimTime::from_nanos(3 * i),
+        });
+    };
+    for i in 0..1_000 {
+        emit_round(i);
+    }
+    const EMITS: u64 = 10_000;
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for i in 0..EMITS {
+        emit_round(i);
+    }
+    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        allocs, 0,
+        "digest-only journal made {allocs} allocations over {EMITS} rounds of three emits"
+    );
+    black_box(journal.digest());
+    eprintln!(
+        "hot_path: digest-only journal: 0 allocations over {} emits",
+        3 * EMITS
+    );
+}
+
 fn main() {
     assert_untraced_schedule_is_allocation_free();
     assert_placer_solve_allocation_bounded();
@@ -447,4 +502,5 @@ fn main() {
     assert_idle_server_is_never_ticked();
     assert_out_of_order_fill_pops_stay_logarithmic();
     assert_gateway_admit_is_backlog_independent();
+    assert_digest_only_emit_is_allocation_free();
 }

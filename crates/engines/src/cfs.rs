@@ -12,6 +12,7 @@
 //!   by ~50% (Figure 1b); over NVLink via AQUA it nearly vanishes.
 
 use crate::driver::Engine;
+use crate::gauges::GaugeCache;
 use crate::kvcache::{PagedKvCache, DEFAULT_BLOCK_TOKENS};
 use crate::northbound::{EngineStats, MemoryElastic};
 use crate::offload::Offloader;
@@ -23,6 +24,11 @@ use aqua_sim::gpu::GpuSpec;
 use aqua_sim::link::bytes::gib;
 use aqua_sim::time::SimTime;
 use aqua_telemetry::{null_tracer, trace, SharedTracer, TraceEvent};
+
+/// The one gauge a traced CFS engine journals, `<scope>.outstanding`, at
+/// position [`OUTSTANDING`].
+const GAUGES: [&str; 1] = ["outstanding"];
+const OUTSTANDING: usize = 0;
 
 /// Configuration of a [`CfsEngine`].
 #[derive(Debug, Clone)]
@@ -97,7 +103,7 @@ pub struct CfsEngine {
     slices: u64,
     tracer: SharedTracer,
     scope: String,
-    last_outstanding_gauge: Option<f64>,
+    gauges: GaugeCache,
 }
 
 impl std::fmt::Debug for CfsEngine {
@@ -133,7 +139,7 @@ impl CfsEngine {
             slices: 0,
             tracer: null_tracer(),
             scope: "cfs".to_owned(),
-            last_outstanding_gauge: None,
+            gauges: GaugeCache::new("cfs", &GAUGES),
         }
     }
 
@@ -143,6 +149,7 @@ impl CfsEngine {
     pub fn with_tracer(mut self, tracer: SharedTracer, scope: impl Into<String>) -> Self {
         self.tracer = tracer;
         self.scope = scope.into();
+        self.gauges = GaugeCache::new(&self.scope, &GAUGES);
         self
     }
 
@@ -379,12 +386,10 @@ impl Engine for CfsEngine {
         );
         if self.tracer.enabled() {
             let outstanding = self.seqs.len() as f64;
-            if self.last_outstanding_gauge != Some(outstanding) {
-                self.last_outstanding_gauge = Some(outstanding);
-                let name = format!("{}.outstanding", self.scope);
-                self.tracer.gauge(&name, outstanding);
+            if let Some(name) = self.gauges.changed(OUTSTANDING, outstanding) {
+                self.tracer.gauge(name, outstanding);
                 self.tracer.emit(TraceEvent::Gauge {
-                    name,
+                    name: name.clone(),
                     value: outstanding,
                     at: cursor,
                 });

@@ -4,41 +4,36 @@
 //! scheduler iteration, but only when the value changed. The naive pattern —
 //! `format!("{scope}.{suffix}")` into a `BTreeMap<String, f64>` per probe —
 //! allocates a scope-qualified name on every iteration just to discover the
-//! value is unchanged. [`GaugeCache`] interns each full gauge name once and
-//! answers the "did it change?" probe with a linear scan over the few
-//! registered suffixes, which is allocation-free on the (overwhelmingly
-//! common) unchanged path.
+//! value is unchanged. [`GaugeCache`] interns each full gauge name once, as
+//! a [`Lane`] the gauge event clones, and answers the "did it change?" probe
+//! by the gauge's position in the engine's fixed list, so a probe neither
+//! allocates nor compares strings.
 
-/// Interned `scope.suffix` gauge names with last-emitted values.
-#[derive(Debug, Clone, Default)]
+use aqua_telemetry::Lane;
+
+/// Interned `scope.suffix` gauge names with last-emitted values, indexed
+/// by the suffix's position in the list the cache was built from.
+#[derive(Debug, Clone)]
 pub struct GaugeCache {
-    entries: Vec<(&'static str, String, Option<f64>)>,
+    gauges: Vec<(Lane, Option<f64>)>,
 }
 
 impl GaugeCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
+    /// Interns `scope.suffix` for every suffix; no value is recorded yet.
+    pub fn new(scope: &str, suffixes: &[&str]) -> Self {
+        GaugeCache {
+            gauges: suffixes
+                .iter()
+                .map(|suffix| (Lane::from(format!("{scope}.{suffix}")), None))
+                .collect(),
+        }
     }
 
-    /// Forgets interned names (call when the scope string changes).
-    pub fn reset(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Records `value` for `scope.suffix` and returns the interned full name
-    /// if it differs from the previously recorded value, `None` when
-    /// unchanged. The first observation of a suffix always reports changed.
-    pub fn changed(&mut self, scope: &str, suffix: &'static str, value: f64) -> Option<&str> {
-        let idx = match self.entries.iter().position(|(s, _, _)| *s == suffix) {
-            Some(i) => i,
-            None => {
-                self.entries
-                    .push((suffix, format!("{scope}.{suffix}"), None));
-                self.entries.len() - 1
-            }
-        };
-        let (_, name, last) = &mut self.entries[idx];
+    /// Records `value` for the gauge at position `gauge` and returns its
+    /// interned full name if it differs from the previously recorded value,
+    /// `None` when unchanged. The first observation always reports changed.
+    pub fn changed(&mut self, gauge: usize, value: f64) -> Option<&Lane> {
+        let (name, last) = &mut self.gauges[gauge];
         if *last == Some(value) {
             None
         } else {
@@ -54,20 +49,20 @@ mod tests {
 
     #[test]
     fn reports_changes_only() {
-        let mut g = GaugeCache::new();
-        assert_eq!(g.changed("eng", "depth", 1.0), Some("eng.depth"));
-        assert_eq!(g.changed("eng", "depth", 1.0), None);
-        assert_eq!(g.changed("eng", "depth", 2.0), Some("eng.depth"));
-        // Independent suffixes do not interfere.
-        assert_eq!(g.changed("eng", "running", 2.0), Some("eng.running"));
-        assert_eq!(g.changed("eng", "depth", 2.0), None);
+        let mut g = GaugeCache::new("eng", &["depth", "running"]);
+        assert_eq!(g.changed(0, 1.0).unwrap(), "eng.depth");
+        assert_eq!(g.changed(0, 1.0), None);
+        assert_eq!(g.changed(0, 2.0).unwrap(), "eng.depth");
+        // Independent gauges do not interfere.
+        assert_eq!(g.changed(1, 2.0).unwrap(), "eng.running");
+        assert_eq!(g.changed(0, 2.0), None);
     }
 
     #[test]
-    fn reset_forgets_names_and_values() {
-        let mut g = GaugeCache::new();
-        assert!(g.changed("a", "x", 1.0).is_some());
-        g.reset();
-        assert_eq!(g.changed("b", "x", 1.0), Some("b.x"));
+    fn a_new_cache_forgets_names_and_values() {
+        let mut g = GaugeCache::new("a", &["x"]);
+        assert!(g.changed(0, 1.0).is_some());
+        g = GaugeCache::new("b", &["x"]);
+        assert_eq!(g.changed(0, 1.0).unwrap(), "b.x");
     }
 }

@@ -43,12 +43,20 @@ use aqua_sim::fault::{FaultKind, FaultPlan};
 use aqua_sim::gpu::{GpuId, GpuSpec};
 use aqua_sim::link::bytes::gib;
 use aqua_sim::time::SimTime;
-use aqua_telemetry::{null_tracer, trace, SharedTracer, TraceEvent};
+use aqua_telemetry::{null_tracer, trace, Lane, SharedTracer, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// KV pool a donating engine always retains: the paper's producer LLM
 /// keeps 5 GB "to stay responsive".
 pub const DONATION_FLOOR_BYTES: u64 = gib(5);
+
+/// The gauges a traced gateway journals each step, by position in
+/// [`GAUGES`].
+const QUEUE_DEPTH: usize = 0;
+const RUNNING: usize = 1;
+const KV_USED_BYTES: usize = 2;
+/// Gauge suffixes, journalled as `<scope>.<suffix>`.
+const GAUGES: [&str; 3] = ["queue_depth", "running", "kv_used_bytes"];
 
 /// Configuration of a [`GatewayEngine`].
 #[derive(Debug, Clone)]
@@ -197,7 +205,7 @@ pub struct GatewayEngine {
     iterations: u64,
     preemptions: u64,
     tracer: SharedTracer,
-    scope: String,
+    scope: Lane,
     gauges: GaugeCache,
     outcomes: OutcomeLog,
     /// GpuCrash windows affecting this gateway's GPU, sorted by start.
@@ -254,8 +262,8 @@ impl GatewayEngine {
             iterations: 0,
             preemptions: 0,
             tracer: null_tracer(),
-            scope: "gateway".to_owned(),
-            gauges: GaugeCache::new(),
+            scope: Lane::from("gateway"),
+            gauges: GaugeCache::new("gateway", &GAUGES),
             outcomes: OutcomeLog::new(),
             crash_windows: Vec::new(),
             next_crash: 0,
@@ -266,10 +274,10 @@ impl GatewayEngine {
     }
 
     /// Attaches a tracer; `scope` labels this gateway's events.
-    pub fn with_tracer(mut self, tracer: SharedTracer, scope: impl Into<String>) -> Self {
+    pub fn with_tracer(mut self, tracer: SharedTracer, scope: impl Into<Lane>) -> Self {
         self.tracer = tracer;
         self.scope = scope.into();
-        self.gauges.reset();
+        self.gauges = GaugeCache::new(&self.scope, &GAUGES);
         self
     }
 
@@ -448,13 +456,16 @@ impl GatewayEngine {
 
     /// Emits a gauge if its value changed. Callers check
     /// `tracer.enabled()` first, once per step.
-    fn emit_gauge(&mut self, suffix: &'static str, value: f64, at: SimTime) {
-        let Some(name) = self.gauges.changed(&self.scope, suffix, value) else {
+    fn emit_gauge(&mut self, gauge: usize, value: f64, at: SimTime) {
+        let Some(name) = self.gauges.changed(gauge, value) else {
             return;
         };
-        let name = name.to_owned();
-        self.tracer.gauge(&name, value);
-        self.tracer.emit(TraceEvent::Gauge { name, value, at });
+        self.tracer.gauge(name, value);
+        self.tracer.emit(TraceEvent::Gauge {
+            name: name.clone(),
+            value,
+            at,
+        });
     }
 
     /// Processes GpuCrash windows that opened since the last step.
@@ -654,7 +665,7 @@ impl GatewayEngine {
             trace!(
                 self.tracer,
                 TraceEvent::RequestAdmitted {
-                    engine: self.scope.clone(),
+                    engine: self.scope.to_string(),
                     request: seq.life.req.id.0,
                     waiting: self.pending.len() as u64,
                     at: now,
@@ -813,7 +824,7 @@ impl GatewayEngine {
             trace!(
                 self.tracer,
                 TraceEvent::RequestPreempted {
-                    engine: self.scope.clone(),
+                    engine: self.scope.to_string(),
                     request: victim.life.req.id.0,
                     policy: if swapping { "swap" } else { "recompute" }.to_owned(),
                     at: now,
@@ -948,9 +959,9 @@ impl Engine for GatewayEngine {
         self.admit(now);
         self.make_room_for_decode(now);
         if self.tracer.enabled() {
-            self.emit_gauge("queue_depth", self.pending.len() as f64, now);
-            self.emit_gauge("running", self.running.len() as f64, now);
-            self.emit_gauge("kv_used_bytes", self.kv.used_bytes() as f64, now);
+            self.emit_gauge(QUEUE_DEPTH, self.pending.len() as f64, now);
+            self.emit_gauge(RUNNING, self.running.len() as f64, now);
+            self.emit_gauge(KV_USED_BYTES, self.kv.used_bytes() as f64, now);
         }
         if self.running.is_empty() {
             // If the only schedulable work is backing off after a crash
@@ -1011,7 +1022,7 @@ impl Engine for GatewayEngine {
             if self.crashed_pending_restore.remove(&id) {
                 if let Some(aud) = &self.auditor {
                     aud.record(AuditViolation::TokenWithoutRestore {
-                        gateway: self.scope.clone(),
+                        gateway: self.scope.to_string(),
                         request: id,
                         at: end,
                     });

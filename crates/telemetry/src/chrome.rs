@@ -10,7 +10,8 @@
 //! event's name, category, lane and args come from its row of the event
 //! table in [`crate::event`].
 
-use crate::event::{Field, TraceEvent};
+use crate::encode::Field;
+use crate::event::TraceEvent;
 use crate::json::escape_into;
 use crate::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};

@@ -3,61 +3,114 @@
 //! Every observable action in the stack — a transfer hitting a link, a lease
 //! changing hands, a scheduler slice finishing — is one [`TraceEvent`]
 //! variant stamped with the [`SimTime`] at which it happened. Events carry
-//! plain strings for entity names (lanes, GPUs, engines) so the vocabulary
-//! does not depend on any upper crate's id types.
+//! plain strings, or interned [`Lane`] labels where one label recurs in
+//! millions of events, for entity names (lanes, GPUs, engines), so the
+//! vocabulary does not depend on any upper crate's id types.
 //!
 //! The canonical encoding ([`TraceEvent::write_json_line`]) is a single JSON
 //! object per event with a stable field order; the determinism digest in
-//! [`crate::tracer::JournalTracer`] hashes exactly these bytes, so two runs
-//! agree on the digest iff they emitted byte-identical journals.
+//! [`crate::tracer::JournalTracer`] hashes exactly these bytes
+//! ([`TraceEvent::fold_digest`], from the same generated encoder without
+//! rendering them), so two runs agree on the digest iff they emitted
+//! byte-identical journals.
 //!
 //! Each event is declared once, as one row of the table at the bottom of
 //! this module: the variant and its docs, its journal name, its fields and
 //! its Chrome rendering. The enum, [`TraceEvent::name`], [`TraceEvent::at`],
-//! [`TraceEvent::write_json_line`] and the event's entry in
+//! the encoder behind [`TraceEvent::write_json_line`] and
+//! [`TraceEvent::fold_digest`], and the event's entry in
 //! [`chrome_trace`](crate::chrome::chrome_trace) are all generated from that
 //! row, so a new event is one new row. A row's field order is the journal's
 //! byte order, which the digests hash: reordering fields changes every digest
 //! that journals the event.
 
 use crate::chrome::{Entry, Lanes};
-use crate::json::escape_into;
+use crate::encode::{Field, Fnv, Hot, Sink};
 use crate::time::SimTime;
-use std::fmt::Write;
+use crate::tracer::fnv1a;
 use std::sync::Arc;
 
-/// An interned lane label (e.g. `nvlink-egress:gpu0`).
+/// An interned label: a transfer lane (e.g. `nvlink-egress:gpu0`), a gauge
+/// name or a gateway scope.
 ///
-/// Transfer events fire once per port per transfer — millions of times in a
-/// long run — so their lane field is a reference-counted string: producers
-/// render the label once per port and clone the `Arc` per event, instead of
-/// calling `to_string()` on the hot path. The canonical JSON encoding is the
-/// plain string, so interning never changes a journal or its digest.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Lane(Arc<str>);
+/// These fields recur in millions of events, so they are reference-counted:
+/// producers render the label once (per port, gauge or gateway) and clone
+/// the `Arc` per event, instead of calling `to_string()` on the hot path.
+/// The canonical JSON encoding is the plain string, so interning never
+/// changes a journal or its digest; it only lets the digest fold a hot
+/// label's bytes in O(1), through a skip table its clones share.
+#[derive(Clone)]
+pub struct Lane(Arc<Label>);
+
+struct Label {
+    text: Box<str>,
+    /// Counts the label's folds into a digest, and holds its skip table
+    /// once it is hot.
+    hot: Hot,
+}
 
 impl Lane {
     /// The label text.
     pub fn as_str(&self) -> &str {
-        &self.0
+        &self.0.text
+    }
+
+    /// The label's [`Hot`] cell, shared by its clones.
+    pub(crate) fn hot(&self) -> &Hot {
+        &self.0.hot
     }
 }
 
 impl From<&str> for Lane {
     fn from(s: &str) -> Self {
-        Lane(Arc::from(s))
+        Lane::from(Box::<str>::from(s))
     }
 }
 
 impl From<String> for Lane {
     fn from(s: String) -> Self {
-        Lane(Arc::from(s))
+        Lane::from(s.into_boxed_str())
     }
 }
 
-impl From<Arc<str>> for Lane {
-    fn from(s: Arc<str>) -> Self {
-        Lane(s)
+impl From<Box<str>> for Lane {
+    fn from(text: Box<str>) -> Self {
+        Lane(Arc::new(Label {
+            text,
+            hot: Hot::new(),
+        }))
+    }
+}
+
+impl std::fmt::Debug for Lane {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Lane").field(&self.as_str()).finish()
+    }
+}
+
+impl PartialEq for Lane {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Lane {}
+
+impl std::hash::Hash for Lane {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl PartialOrd for Lane {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Lane {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
     }
 }
 
@@ -65,117 +118,31 @@ impl std::ops::Deref for Lane {
     type Target = str;
 
     fn deref(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
 impl AsRef<str> for Lane {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
 impl std::fmt::Display for Lane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
 impl PartialEq<str> for Lane {
     fn eq(&self, other: &str) -> bool {
-        &*self.0 == other
+        self.as_str() == other
     }
 }
 
 impl PartialEq<&str> for Lane {
     fn eq(&self, other: &&str) -> bool {
-        &*self.0 == *other
-    }
-}
-
-/// A field type of the event table: how its value is written into the
-/// canonical journal line (and into a Chrome entry's `args`).
-pub(crate) trait Field {
-    /// Appends the value's JSON encoding to `out`.
-    fn encode(&self, out: &mut String);
-}
-
-/// Appends the decimal digits of `v`, written back to front into a stack
-/// buffer (a journal line holds several integers, and `fmt` costs more than
-/// the digits).
-fn push_digits(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut start = buf.len();
-    loop {
-        start -= 1;
-        buf[start] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
-}
-
-impl Field for u64 {
-    fn encode(&self, out: &mut String) {
-        push_digits(out, *self);
-    }
-}
-
-impl Field for u32 {
-    fn encode(&self, out: &mut String) {
-        push_digits(out, u64::from(*self));
-    }
-}
-
-/// Times are integer nanoseconds.
-impl Field for SimTime {
-    fn encode(&self, out: &mut String) {
-        self.as_nanos().encode(out);
-    }
-}
-
-/// Finite values are written as `{:?}` writes them; non-finite values map to
-/// `0`, so the line stays valid JSON.
-///
-/// Most gauges are whole numbers (bytes, counts), so a non-negative integral
-/// value below 1e16 takes a fast path: its integer digits plus `.0`. That is
-/// exactly what `{:?}` prints there, because every multiple of ten below 1e16
-/// is itself an `f64`, so no shorter digit string rounds to the value. From
-/// 1e16 on `{:?}` switches to exponent form, and `-0.0` keeps its sign, so
-/// both stay on the slow path.
-impl Field for f64 {
-    fn encode(&self, out: &mut String) {
-        let v = *self;
-        if v.is_sign_positive() && v < 1e16 && v.fract() == 0.0 {
-            push_digits(out, v as u64);
-            out.push_str(".0");
-        } else if v.is_finite() {
-            let _ = write!(out, "{v:?}");
-        } else {
-            out.push('0');
-        }
-    }
-}
-
-impl Field for str {
-    fn encode(&self, out: &mut String) {
-        out.push('"');
-        escape_into(out, self);
-        out.push('"');
-    }
-}
-
-impl Field for String {
-    fn encode(&self, out: &mut String) {
-        self.as_str().encode(out);
-    }
-}
-
-impl Field for Lane {
-    fn encode(&self, out: &mut String) {
-        self.as_str().encode(out);
+        self.as_str() == *other
     }
 }
 
@@ -252,6 +219,7 @@ macro_rules! trace_events {
             $(
                 $(#[$vmeta:meta])*
                 $variant:ident = $name:literal, chrome($cname:tt, $cat:literal, $track:tt) {
+                    $(#[$f0meta:meta])* $field0:ident: $ty0:ty,
                     $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
                 }
             )*
@@ -261,7 +229,10 @@ macro_rules! trace_events {
         pub enum TraceEvent {
             $(
                 $(#[$vmeta])*
-                $variant { $( $(#[$fmeta])* $field: $ty, )* },
+                $variant {
+                    $(#[$f0meta])* $field0: $ty0,
+                    $( $(#[$fmeta])* $field: $ty, )*
+                },
             )*
         }
 
@@ -279,29 +250,54 @@ macro_rules! trace_events {
             #[allow(unused_variables)]
             pub fn at(&self) -> SimTime {
                 match self {
-                    $( TraceEvent::$variant { $($field),* } => stamp!([$($field)*] [$($field)*]), )*
+                    $(
+                        TraceEvent::$variant { $field0, $($field),* } =>
+                            stamp!([$field0 $($field)*] [$field0 $($field)*]),
+                    )*
                 }
             }
 
-            /// Appends the event's canonical JSON line (no trailing newline) to
-            /// `out`.
+            /// Writes the event's canonical JSON line (no trailing newline) to
+            /// `out`: the one encoder behind both the text and the digest.
             ///
             /// Field order is fixed per variant and times are integer nanoseconds, so
             /// the output is byte-stable across runs and platforms — the property the
-            /// determinism digest relies on.
-            pub fn write_json_line(&self, out: &mut String) {
+            /// determinism digest relies on. The constant prefix up to the first
+            /// field's value has a [`Hot`] cell, so once the variant is hot the
+            /// digest sink folds it in O(1).
+            pub(crate) fn encode_into<S: Sink>(&self, out: &mut S) {
                 match self {
                     $(
-                        TraceEvent::$variant { $($field),* } => {
-                            out.push_str(concat!("{\"event\":\"", $name, "\""));
+                        TraceEvent::$variant { $field0, $($field),* } => {
+                            const PREFIX: &str = concat!(
+                                "{\"event\":\"", $name, "\",\"", stringify!($field0), "\":"
+                            );
+                            static PREFIX_HOT: Hot = Hot::new();
+                            out.literal(PREFIX, &PREFIX_HOT);
+                            $field0.encode(out);
                             $(
-                                out.push_str(concat!(",\"", stringify!($field), "\":"));
+                                out.ascii(concat!(",\"", stringify!($field), "\":").as_bytes());
                                 $field.encode(out);
                             )*
                         }
                     )*
                 }
-                out.push('}');
+                out.ascii(b"}");
+            }
+
+            /// Appends the event's canonical JSON line (no trailing newline) to
+            /// `out`.
+            pub fn write_json_line(&self, out: &mut String) {
+                self.encode_into(out);
+            }
+
+            /// Folds the event's canonical JSON line and its newline into the
+            /// rolling FNV-1a `digest` without rendering the line:
+            /// `e.fold_digest(h) == fnv1a(h, (e.to_json_line() + "\n").as_bytes())`.
+            pub fn fold_digest(&self, digest: u64) -> u64 {
+                let mut fnv = Fnv(digest);
+                self.encode_into(&mut fnv);
+                fnv1a(fnv.0, b"\n")
             }
 
             /// The event's canonical JSON line (no trailing newline), as written by
@@ -316,12 +312,13 @@ macro_rules! trace_events {
             pub(crate) fn chrome_entry(&self, lanes: &mut Lanes) -> Entry<'_> {
                 match self {
                     $(
-                        TraceEvent::$variant { $($field),* } => {
+                        TraceEvent::$variant { $field0, $($field),* } => {
                             let mut entry = Entry::new(
                                 chrome_spec!(name $cname),
                                 $cat,
                                 [chrome_spec!(key $cname), chrome_spec!(key $track)],
                             );
+                            chrome_field!(entry, $field0, $field0);
                             $( chrome_field!(entry, $field, $field); )*
                             chrome_spec!(track entry lanes $track);
                             entry
@@ -559,8 +556,8 @@ trace_events! {
         }
         /// A sampled gauge (queue depth, free pool bytes, ...).
         Gauge = "gauge", chrome(name, "gauge", counter) {
-            /// Gauge name.
-            name: String,
+            /// Gauge name, interned by the emitting engine.
+            name: Lane,
             /// Sampled value.
             value: f64,
             /// Sample time.
@@ -654,8 +651,8 @@ trace_events! {
         }
         /// A request entered a serving gateway's admission queue.
         GatewayEnqueued = "gateway_enqueued", chrome("gateway-enqueued", "event", gateway) {
-            /// Gateway scope label.
-            gateway: String,
+            /// Gateway scope label, interned by the gateway.
+            gateway: Lane,
             /// Tenant the request belongs to.
             tenant: u64,
             /// Request id.
@@ -665,8 +662,8 @@ trace_events! {
         }
         /// A gateway scheduler picked a request for admission into the batch.
         RequestScheduled = "request_scheduled", chrome("scheduled", "event", gateway) {
-            /// Gateway scope label.
-            gateway: String,
+            /// Gateway scope label, interned by the gateway.
+            gateway: Lane,
             /// Scheduler policy name, e.g. `sjf+bucket`.
             policy: String,
             /// Request id.
@@ -678,8 +675,8 @@ trace_events! {
         }
         /// A gateway delivered the first output token of a request.
         FirstTokenEmitted = "first_token_emitted", chrome("first-token", "event", gateway) {
-            /// Gateway scope label.
-            gateway: String,
+            /// Gateway scope label, interned by the gateway.
+            gateway: Lane,
             /// Request id.
             request: u64,
             /// Delivery time.
@@ -687,8 +684,8 @@ trace_events! {
         }
         /// A gateway finished streaming a request's output.
         GatewayCompleted = "gateway_completed", chrome("gateway-completed", "event", gateway) {
-            /// Gateway scope label.
-            gateway: String,
+            /// Gateway scope label, interned by the gateway.
+            gateway: Lane,
             /// Request id.
             request: u64,
             /// Output tokens delivered.
@@ -698,8 +695,8 @@ trace_events! {
         }
         /// A gateway refused a request at the door under overload protection.
         RequestShed = "request_shed", chrome("request-shed", "event", gateway) {
-            /// Gateway scope label.
-            gateway: String,
+            /// Gateway scope label, interned by the gateway.
+            gateway: Lane,
             /// Tenant the request belongs to.
             tenant: u64,
             /// Request id.
@@ -711,8 +708,8 @@ trace_events! {
         }
         /// A gateway cancelled a request that blew a per-tenant deadline.
         RequestTimedOut = "request_timed_out", chrome("request-timed-out", "event", gateway) {
-            /// Gateway scope label.
-            gateway: String,
+            /// Gateway scope label, interned by the gateway.
+            gateway: Lane,
             /// Request id.
             request: u64,
             /// Deadline that was missed, `ttft` or `total`.
@@ -723,8 +720,8 @@ trace_events! {
         /// A GPU crash destroyed a running request's HBM KV state.
         RequestCrashAborted = "request_crash_aborted",
             chrome("request-crash-aborted", "event", gateway) {
-            /// Gateway scope label.
-            gateway: String,
+            /// Gateway scope label, interned by the gateway.
+            gateway: Lane,
             /// Request id.
             request: u64,
             /// Output tokens already delivered before the crash.
@@ -734,8 +731,8 @@ trace_events! {
         }
         /// A crash-aborted request was re-queued under its retry budget.
         RequestRetried = "request_retried", chrome("request-retried", "event", gateway) {
-            /// Gateway scope label.
-            gateway: String,
+            /// Gateway scope label, interned by the gateway.
+            gateway: Lane,
             /// Request id.
             request: u64,
             /// 1-based retry attempt number.
@@ -746,8 +743,8 @@ trace_events! {
         /// A crashed request's state came back: `swap` when KV survived in the
         /// offload store, `recompute` when the prefill had to be replayed.
         RequestRestored = "request_restored", chrome("request-restored", "event", gateway) {
-            /// Gateway scope label.
-            gateway: String,
+            /// Gateway scope label, interned by the gateway.
+            gateway: Lane,
             /// Request id.
             request: u64,
             /// Restore mode, `swap` or `recompute`.
@@ -759,8 +756,8 @@ trace_events! {
         }
         /// A gateway entered or left brownout (tightened batch-tenant caps).
         GatewayBrownout = "gateway_brownout", chrome("gateway-brownout", "event", gateway) {
-            /// Gateway scope label.
-            gateway: String,
+            /// Gateway scope label, interned by the gateway.
+            gateway: Lane,
             /// `enter` or `exit`.
             state: String,
             /// Admission queue depth at the transition.

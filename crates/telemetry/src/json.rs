@@ -9,31 +9,49 @@
 
 use std::collections::BTreeMap;
 
+/// The JSON escape sequence of byte `b`, or `None` when it stands for
+/// itself. Every byte that needs escaping is ASCII, so strings escape byte
+/// by byte: no such byte occurs inside a multi-byte character.
+pub(crate) fn escape_byte(b: u8) -> Option<&'static [u8]> {
+    /// `\u00XX` for every control byte.
+    static CONTROL: [[u8; 6]; 32] = {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut table = [[0u8; 6]; 32];
+        let mut b = 0;
+        while b < 32 {
+            table[b] = [b'\\', b'u', b'0', b'0', HEX[b >> 4], HEX[b & 0xf]];
+            b += 1;
+        }
+        table
+    };
+    match b {
+        b'"' => Some(b"\\\""),
+        b'\\' => Some(b"\\\\"),
+        b'\n' => Some(b"\\n"),
+        b'\r' => Some(b"\\r"),
+        b'\t' => Some(b"\\t"),
+        0..0x20 => Some(&CONTROL[usize::from(b)]),
+        _ => None,
+    }
+}
+
 /// Appends `s` to `out` with JSON string escaping applied.
 ///
-/// Names and labels almost never need escaping, so the bytes up to the
-/// first one that does (all of `s`, usually) are pushed whole; only the rest
-/// goes through the per-character path.
+/// Names and labels almost never need escaping, so the runs between bytes
+/// that do (all of `s`, usually) are pushed whole.
 pub fn escape_into(out: &mut String, s: &str) {
-    let clean = s
+    let mut rest = s;
+    while let Some((i, escape)) = rest
         .bytes()
-        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
-        .unwrap_or(s.len());
-    // The byte at `clean` is ASCII, so it starts a character.
-    out.push_str(&s[..clean]);
-    for c in s[clean..].chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+        .enumerate()
+        .find_map(|(i, b)| escape_byte(b).map(|escape| (i, escape)))
+    {
+        // The byte at `i` is ASCII, so it starts and ends a character.
+        out.push_str(&rest[..i]);
+        out.extend(escape.iter().map(|&b| char::from(b)));
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
 }
 
 /// A parsed JSON value.

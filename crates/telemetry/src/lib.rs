@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+mod encode;
 pub mod event;
 pub mod json;
 pub mod registry;

@@ -6,9 +6,10 @@
 //! event is ever built — no strings, no allocation, just one virtual call
 //! returning `false`.
 //!
-//! [`JournalTracer`] buffers every event, folds its canonical JSON line
-//! (encoded into one reused buffer) into a rolling 64-bit FNV-1a digest, and
-//! can serialise the journal as JSONL or as a Chrome trace. The digest makes
+//! [`JournalTracer`] buffers every event, folds its canonical JSON line into
+//! a rolling 64-bit FNV-1a digest straight from the event's fields (no line
+//! is rendered; see [`TraceEvent::fold_digest`]), and can serialise the
+//! journal as JSONL or as a Chrome trace. The digest makes
 //! "did these two runs do exactly the same thing?" a single `u64` comparison.
 
 use crate::chrome::chrome_trace;
@@ -113,9 +114,6 @@ struct Journal {
     events: Vec<TraceEvent>,
     digest: u64,
     emitted: usize,
-    /// The line being hashed, reused by every emit so encoding allocates
-    /// only while the longest line so far grows it.
-    line: String,
 }
 
 impl Journal {
@@ -124,7 +122,6 @@ impl Journal {
             events: Vec::with_capacity(capacity),
             digest: FNV_OFFSET,
             emitted: 0,
-            line: String::new(),
         }
     }
 }
@@ -253,10 +250,7 @@ impl Tracer for JournalTracer {
             .lock()
             .expect("a panicking emit poisoned the journal");
         let inner = &mut *guard;
-        inner.line.clear();
-        event.write_json_line(&mut inner.line);
-        inner.line.push('\n');
-        inner.digest = fnv1a(inner.digest, inner.line.as_bytes());
+        inner.digest = event.fold_digest(inner.digest);
         inner.emitted += 1;
         if self.keep_events {
             inner.events.push(event);

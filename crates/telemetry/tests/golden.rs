@@ -10,7 +10,8 @@
 
 use aqua_telemetry::chrome::chrome_trace;
 use aqua_telemetry::time::SimTime;
-use aqua_telemetry::TraceEvent;
+use aqua_telemetry::tracer::FNV_OFFSET;
+use aqua_telemetry::{fnv1a, TraceEvent};
 use std::collections::BTreeSet;
 
 /// The number of `TraceEvent` variants; with unique names, one row each.
@@ -557,10 +558,9 @@ fn gauge(value: f64) -> TraceEvent {
 
 /// Gauge values on both sides of the integral fast path's edges (zero and
 /// its sign, fractions, 1e16, and even integers past 2^53), and strings
-/// with and without characters to escape, each pinned to its journal line.
-#[test]
-fn number_and_string_encodings_are_pinned() {
-    let cases = [
+/// with and without characters to escape, each with its journal line.
+fn number_and_string_cases() -> Vec<(TraceEvent, &'static str)> {
+    vec![
         (
             gauge(0.0),
             r#"{"event":"gauge","name":"g","value":0.0,"at":7}"#,
@@ -601,9 +601,68 @@ fn number_and_string_encodings_are_pinned() {
             },
             r#"{"event":"coordinator_verb","verb":"s0/gpu1 ✓","detail":"s0/gpu1 \\ \"✓\"\u0001","at":7}"#,
         ),
-    ];
-    for (event, line) in cases {
+    ]
+}
+
+#[test]
+fn number_and_string_encodings_are_pinned() {
+    for (event, line) in number_and_string_cases() {
         assert_eq!(event.to_json_line(), line);
+    }
+}
+
+/// The journal digest folds each event straight from its fields, with
+/// constant prefixes and interned labels skipped by table once they are
+/// hot. From any state it must land exactly where hashing the rendered line
+/// and its newline does: every golden instance, the number and string
+/// cases, non-finite and fractional gauges, and interned labels that need
+/// escaping. Each event is folded from 129 states, enough for every prefix
+/// and label to turn hot, so both the byte path and the table path run.
+#[test]
+fn digest_fold_matches_the_rendered_line() {
+    let extra = [
+        gauge(f64::NAN),
+        gauge(f64::INFINITY),
+        gauge(f64::NEG_INFINITY),
+        gauge(-0.0),
+        gauge(1e16),
+        gauge(0.1),
+        gauge(-2.5),
+        gauge(123.456),
+        gauge(f64::MIN_POSITIVE),
+        gauge(-f64::MAX),
+        TraceEvent::Gauge {
+            name: "scope \"q\"\u{1f}.depth ✓".into(),
+            value: 12.0,
+            at: t(u64::MAX),
+        },
+        TraceEvent::GatewayCompleted {
+            gateway: "gw\\\n\t".into(),
+            request: 0,
+            output_tokens: u64::MAX,
+            at: t(0),
+        },
+    ];
+    let events = rows()
+        .into_iter()
+        .map(|(event, ..)| event)
+        .chain(
+            number_and_string_cases()
+                .into_iter()
+                .map(|(event, _)| event),
+        )
+        .chain(mixed_journal())
+        .chain(extra);
+    for event in events {
+        let line = event.to_json_line() + "\n";
+        let states = (0..128u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        for state in states.chain([FNV_OFFSET]) {
+            assert_eq!(
+                event.fold_digest(state),
+                fnv1a(state, line.as_bytes()),
+                "state {state:#x}, line {line}"
+            );
+        }
     }
 }
 

@@ -434,3 +434,54 @@ aqua_sim::check! {
         }
     }
 }
+
+/// The journal digest is folded from each event's fields, never from its
+/// rendered line, so over whole runs it must still equal the FNV-1a hash of
+/// the JSONL export. The chaos run journals transfers, leases, faults and
+/// failover; a small serving point adds the gauges and the gateway
+/// lifecycle. Both run through the sweep's per-thread `with_tracer` hook.
+#[test]
+fn journal_digest_is_the_hash_of_its_jsonl() {
+    use aqua::gateway::scheduler::PolicyKind;
+    use aqua_bench::chaos_degradation::{self, ChaosTimeline};
+    use aqua_bench::serve_schedulers::{self, ServeExperiment};
+    use aqua_bench::trace::with_tracer;
+    use aqua_telemetry::tracer::FNV_OFFSET;
+    use aqua_telemetry::{fnv1a, JournalTracer};
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+
+    let chaos = Arc::new(JournalTracer::new());
+    with_tracer(chaos.clone(), || {
+        chaos_degradation::run(&ChaosTimeline::default(), 10);
+    });
+    let serve = Arc::new(JournalTracer::new());
+    with_tracer(serve.clone(), || {
+        let cfg = ServeExperiment::at_rate(2.0, 32, 42);
+        serve_schedulers::run_policy(&cfg, PolicyKind::SjfBucket, true);
+    });
+    for (run, journal, kinds) in [
+        (
+            "chaos",
+            chaos,
+            &["transfer_completed", "lease_expired", "failover_engaged"][..],
+        ),
+        (
+            "serve",
+            serve,
+            &["gauge", "gateway_enqueued", "gateway_completed"][..],
+        ),
+    ] {
+        let seen: BTreeSet<&str> = journal.events().iter().map(|e| e.name()).collect();
+        for kind in kinds {
+            assert!(seen.contains(kind), "{run} journalled no {kind}: {seen:?}");
+        }
+        assert_eq!(
+            journal.digest(),
+            fnv1a(FNV_OFFSET, journal.to_jsonl().as_bytes()),
+            "{run}: digest of {} events is not the hash of their JSONL",
+            journal.len()
+        );
+        eprintln!("{run}: {} events of {} kinds", journal.len(), seen.len());
+    }
+}
