@@ -37,10 +37,12 @@ cargo test -q --offline --test chaos_recovery
 # pop from 1k (assert_out_of_order_fill_pops_stay_logarithmic, best of five
 # batches), one gateway admission step must do backlog-independent work
 # (allocations and scheduler-key comparisons flat from a 1k to a 10k
-# backlog, all five policies), and 10k digest-only journal emits of a gauge,
+# backlog, all five policies), 10k digest-only journal emits of a gauge,
 # a transfer completion and a gateway completion must allocate nothing
-# (assert_digest_only_emit_is_allocation_free) — all asserted by the
-# hot_path test binary.
+# (assert_digest_only_emit_is_allocation_free), and a quiet AQUA iteration
+# boundary with 64 tracked leases must cost at most 2x one with 1 lease
+# once the lease book has settled (assert_quiet_boundary_is_flat, best of
+# five batches) — all asserted by the hot_path test binary.
 cargo test -q --offline -p aqua-bench --test hot_path
 # Trace-export acceptance: one short traced experiment, run twice under
 # AQUA_TRACE, must write a non-empty Chrome trace and JSONL journal, and

@@ -1,8 +1,8 @@
 //! Hot-path gates, checked through a counting global allocator, the
-//! gateway's scheduler-key comparison counter and, for one cost ratio, the
-//! wall clock.
+//! gateway's scheduler-key comparison counter and, for two cost ratios,
+//! the wall clock.
 //!
-//! Eight guarantees: the untraced transfer-schedule path performs zero heap
+//! Nine guarantees: the untraced transfer-schedule path performs zero heap
 //! allocations per transfer — the budget behind Figure 11's sub-5% producer
 //! overhead (it allocated up to four strings per transfer before lane
 //! interning and the dense `PortStats` table); the placer's catalog DP
@@ -16,18 +16,23 @@
 //! time; one gateway admission round does work independent of backlog
 //! depth (the incremental scheduler indices, checked for every policy via
 //! allocation and key-comparison counters at backlogs of 1,000 vs 10,000);
-//! and a digest-only journal emit allocates nothing (the event is hashed
-//! from its fields, interned labels and all).
+//! a digest-only journal emit allocates nothing (the event is hashed
+//! from its fields, interned labels and all); and a quiet AQUA iteration
+//! boundary costs the same with 64 tracked leases as with one (its lease
+//! sweeps are skipped while the coordinator's book revision stands).
 //!
 //! The allocation counter is process-wide, so the gates run one after
 //! another from a plain `main` (`harness = false`) rather than on the test
 //! harness's worker threads. Run with `cargo test -p aqua-bench --test
-//! hot_path`. Per-operation timings live in the `benchmark/` crate; the one
-//! timed gate here compares a ratio, the best of five batches each side.
+//! hot_path`. Per-operation timings live in the `benchmark/` crate; the two
+//! timed gates here compare ratios, the best of five batches each side.
 
 use aqua_bench::fig14_placer::mixed_instance;
 use aqua_bench::setup::{OffloadKind, ServerCtx};
+use aqua_core::coordinator::{Coordinator, GpuRef};
+use aqua_core::offloader::AquaOffloader;
 use aqua_engines::driver::{Driver, Engine};
+use aqua_engines::offload::Offloader;
 use aqua_engines::request::InferenceRequest;
 use aqua_engines::vllm::PreemptionPolicy;
 use aqua_gateway::engine::{GatewayConfig, GatewayEngine};
@@ -43,7 +48,9 @@ use aqua_sim::topology::ServerTopology;
 use aqua_sim::transfer::{TransferEngine, TransferPlan};
 use aqua_telemetry::{JournalTracer, Lane, TraceEvent, Tracer};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::RefCell;
 use std::hint::black_box;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -494,6 +501,66 @@ fn assert_digest_only_emit_is_allocation_free() {
     );
 }
 
+/// Nanoseconds per `on_iteration_boundary` of an AQUA offloader tracking
+/// `leases` peer leases once its book has settled (no fault plan, failure
+/// config or auditor, nothing degraded, no DRAM bytes to promote): the
+/// best of five batches.
+fn quiet_boundary_ns(leases: usize) -> f64 {
+    const BOUNDARIES: u64 = 20_000;
+    let server = Rc::new(ServerTopology::nvswitch(leases + 1, GpuSpec::a100_80g()));
+    let transfers = Rc::new(RefCell::new(TransferEngine::new()));
+    let coordinator = Rc::new(Coordinator::new());
+    for g in 1..=leases {
+        coordinator.lease(GpuRef::single(GpuId(g)), gib(1));
+    }
+    let mut off = AquaOffloader::new(
+        GpuRef::single(GpuId(0)),
+        Rc::clone(&coordinator),
+        server,
+        transfers,
+    );
+    // Each lease holds exactly one region, so every swap lands on a fresh
+    // lease and the consumer ends up tracking all of them.
+    let mut now = SimTime::ZERO;
+    for _ in 0..leases {
+        now = off.swap_out(gib(1), 1, now);
+    }
+    assert_eq!(off.peer_total(), gib(leases as u64));
+    assert_eq!(off.dram_total(), 0);
+    // The first boundary sweeps the settled book and finds nothing.
+    off.on_iteration_boundary(now);
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            for i in 0..BOUNDARIES {
+                black_box(off.on_iteration_boundary(now + SimDuration::from_nanos(i)));
+            }
+            start.elapsed().as_nanos() as f64 / BOUNDARIES as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// A passive iteration boundary must cost the same however many leases the
+/// consumer tracks: once a sweep found nothing to act on, the stranded and
+/// reclaim sweeps are skipped until the coordinator's book revision moves,
+/// and nothing else on that path walks the leases. One boundary with 64
+/// tracked leases may cost at most 2x one with 1 lease; sweeping them
+/// every time was one lease-state and one pending-reclaim lookup per lease.
+fn assert_quiet_boundary_is_flat() {
+    let one = quiet_boundary_ns(1);
+    let many = quiet_boundary_ns(64);
+    assert!(
+        many <= 2.0 * one,
+        "a quiet boundary with 64 tracked leases cost {many:.0} ns vs {one:.0} ns with 1 \
+         (bound 2x): the lease sweeps run although the book has not moved"
+    );
+    eprintln!(
+        "hot_path: quiet iteration boundary: {one:.0} ns with 1 tracked lease, {many:.0} ns \
+         with 64 ({:.2}x, bound 2x)",
+        many / one
+    );
+}
+
 fn main() {
     assert_untraced_schedule_is_allocation_free();
     assert_placer_solve_allocation_bounded();
@@ -503,4 +570,5 @@ fn main() {
     assert_out_of_order_fill_pops_stay_logarithmic();
     assert_gateway_admit_is_backlog_independent();
     assert_digest_only_emit_is_allocation_free();
+    assert_quiet_boundary_is_flat();
 }

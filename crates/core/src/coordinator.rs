@@ -203,6 +203,13 @@ struct State {
     /// Per fault-plan window: (start applied, end applied). Control-plane
     /// windows are replayed exactly once each by `advance`.
     fault_applied: Vec<(bool, bool)>,
+    /// Book revision: bumped whenever a lease is created or the book is
+    /// cleared, a lease's `revoked`, `reclaiming` or `used` changes, or the
+    /// epoch or `down` flag changes — everything
+    /// [`Coordinator::lease_state`] and [`Coordinator::pending_reclaim`]
+    /// answer from. An unchanged revision means both answers are unchanged
+    /// for every lease.
+    revision: u64,
 }
 
 impl Default for State {
@@ -218,6 +225,7 @@ impl Default for State {
             recovered_at: None,
             first_regrant_at: None,
             fault_applied: Vec::new(),
+            revision: 0,
         }
     }
 }
@@ -321,6 +329,7 @@ impl Coordinator {
         }
         let id = LeaseId(st.next_lease);
         st.next_lease += 1;
+        st.revision += 1;
         st.leases.insert(
             id,
             Lease {
@@ -381,6 +390,14 @@ impl Coordinator {
             .is_none_or(|p| p.coordinator_reachable(gpu, at))
     }
 
+    /// The book revision: it changes whenever any lease's
+    /// [`Coordinator::lease_state`] or [`Coordinator::pending_reclaim`]
+    /// answer may have, so a consumer that found nothing to act on at one
+    /// revision may skip its lease sweeps until the revision moves.
+    pub fn book_revision(&self) -> u64 {
+        self.state.borrow().revision
+    }
+
     /// The current fencing epoch (starts at 1; bumped by every crash).
     pub fn epoch(&self) -> u64 {
         self.state.borrow().epoch
@@ -419,6 +436,7 @@ impl Coordinator {
                 .map(|l| l.total)
                 .sum::<u64>();
             st.leases.clear();
+            st.revision += 1;
             from = st.epoch;
             st.epoch += 1;
             to = st.epoch;
@@ -454,6 +472,7 @@ impl Coordinator {
                 return;
             }
             st.down = false;
+            st.revision += 1;
             st.recovered_at = Some(at);
             epoch = st.epoch;
         }
@@ -598,6 +617,7 @@ impl Coordinator {
             } else {
                 id = LeaseId(st.next_lease);
                 st.next_lease += 1;
+                st.revision += 1;
                 st.leases.insert(
                     id,
                     Lease {
@@ -666,6 +686,7 @@ impl Coordinator {
                 .min_by_key(|(_, l)| l.used)?;
             l.used += bytes;
             granted = (epoch, *eid);
+            st.revision += 1;
             if st.recovered_at.is_some() && st.first_regrant_at.is_none() {
                 st.first_regrant_at = Some(now);
             }
@@ -832,12 +853,15 @@ impl Coordinator {
     /// events cannot reorder between jobs/lanes configurations.
     pub fn advance(&self, now: SimTime) -> u64 {
         self.apply_control_plane_faults(now);
-        if self.state.borrow().down {
+        let (down, cfg) = {
+            let st = self.state.borrow();
+            (st.down, st.failure_config)
+        };
+        if down {
             // A crashed process sweeps nothing; its watchdog state died
             // with the lease book.
             return 0;
         }
-        let cfg = self.state.borrow().failure_config;
         if cfg.heartbeat_ttl.is_none() && cfg.reclaim_deadline.is_none() {
             return 0;
         }
@@ -897,6 +921,10 @@ impl Coordinator {
                     }
                 }
             }
+            // Every revocation above journals one event.
+            if !events.is_empty() {
+                st.revision += 1;
+            }
         }
         if let Some(prev) = regressed {
             self.audit(|| AuditViolation::TimeRegression {
@@ -954,10 +982,12 @@ impl Coordinator {
             .min_by_key(|(_, l)| l.used);
         if let Some((id, lease)) = best {
             lease.used += bytes;
-            AllocationSite::Peer {
+            let site = AllocationSite::Peer {
                 lease: *id,
                 gpu: lease.producer,
-            }
+            };
+            st.revision += 1;
+            site
         } else {
             AllocationSite::Dram
         }
@@ -972,6 +1002,7 @@ impl Coordinator {
         match st.leases.get_mut(&lease) {
             Some(l) if !l.revoked && !l.reclaiming && l.total - l.used >= bytes => {
                 l.used += bytes;
+                st.revision += 1;
                 true
             }
             _ => false,
@@ -1036,6 +1067,7 @@ impl Coordinator {
                 Some(l) => {
                     l.used -= bytes;
                     l.released_at = l.released_at.max(at);
+                    st.revision += 1;
                     Ok(())
                 }
             }
@@ -1052,6 +1084,7 @@ impl Coordinator {
     pub fn reclaim_request(&self, producer: GpuRef) {
         self.tracer().incr("coordinator.reclaim_request", 1);
         let mut st = self.state.borrow_mut();
+        st.revision += 1;
         for l in st.leases.values_mut() {
             if l.producer == producer && !l.revoked {
                 l.reclaiming = true;
@@ -1065,6 +1098,7 @@ impl Coordinator {
     pub fn reclaim_request_at(&self, producer: GpuRef, now: SimTime) {
         self.tracer().incr("coordinator.reclaim_request", 1);
         let mut st = self.state.borrow_mut();
+        st.revision += 1;
         let deadline = st.failure_config.reclaim_deadline;
         for l in st.leases.values_mut() {
             if l.producer == producer && !l.revoked {
@@ -1121,6 +1155,7 @@ impl Coordinator {
             .any(|l| l.producer == producer && !l.revoked && l.reclaiming && l.used > 0);
         let mut released_bytes = 0u64;
         let mut released_at = SimTime::ZERO;
+        let mut revoked = false;
         for l in st.leases.values_mut() {
             if l.producer != producer {
                 continue;
@@ -1142,7 +1177,11 @@ impl Coordinator {
                 l.revoked = true;
                 released_bytes += l.total;
                 released_at = released_at.max(l.released_at);
+                revoked = true;
             }
+        }
+        if revoked {
+            st.revision += 1;
         }
         if any_pending {
             ReclaimStatus::Pending
@@ -1519,6 +1558,57 @@ mod tests {
         c.reclaim_request(producer);
         assert_eq!(c.advance(SimTime::from_secs(1_000_000)), 0);
         assert_eq!(c.leased_bytes(), 100);
+    }
+
+    #[test]
+    fn book_revision_moves_with_what_the_sweeps_read() {
+        let c = Coordinator::new();
+        c.set_failure_config(FailureConfig::chaos());
+        let (consumer, producer) = refs();
+        let mut last = c.book_revision();
+        let mut moved = |c: &Coordinator| {
+            let now = c.book_revision();
+            std::mem::replace(&mut last, now) != now
+        };
+        let lease = c.lease(producer, 100);
+        assert!(moved(&c), "grant of a new lease");
+        c.lease(producer, 100);
+        c.heartbeat(producer, SimTime::from_secs(1));
+        c.advance(SimTime::from_secs(1));
+        assert!(!moved(&c), "extension, heartbeat and arming sweep");
+        assert!(c.allocate(consumer, 10).is_peer());
+        assert!(moved(&c), "allocate");
+        assert!(c.try_allocate_on(lease, 10));
+        assert!(moved(&c), "try_allocate_on");
+        assert!(!c.try_allocate_on(lease, 1_000));
+        assert!(c.free(lease, 1_000).is_err());
+        assert!(!moved(&c), "rejected verbs");
+        c.free(lease, 10).unwrap();
+        assert!(moved(&c), "free");
+        c.reclaim_request(producer);
+        assert!(moved(&c), "reclaim_request");
+        c.release(lease, 10, SimTime::from_secs(2)).unwrap();
+        assert!(moved(&c), "release");
+        assert!(matches!(
+            c.reclaim_status(producer),
+            ReclaimStatus::Released { .. }
+        ));
+        assert!(moved(&c), "reclaim_status revokes the drained lease");
+        c.lease(producer, 100);
+        assert!(moved(&c), "a new lease after the revoked one");
+        c.advance(SimTime::from_secs(3));
+        assert!(!moved(&c), "arming the new lease's watchdog");
+        c.advance(SimTime::from_secs(30));
+        assert!(moved(&c), "heartbeat expiry");
+        c.crash(SimTime::from_secs(31));
+        assert!(moved(&c), "crash");
+        c.recover(SimTime::from_secs(32));
+        assert!(moved(&c), "recover");
+        c.resync_report(producer, 100, c.epoch(), SimTime::from_secs(33))
+            .unwrap();
+        assert!(moved(&c), "resync of a new lease");
+        assert!(c.rehome(producer, 10, SimTime::from_secs(34)).is_some());
+        assert!(moved(&c), "rehome");
     }
 
     #[test]

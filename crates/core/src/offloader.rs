@@ -115,6 +115,12 @@ pub struct AquaOffloader {
     failovers: u64,
     /// Bytes stranded on revoked leases and re-materialised in DRAM.
     lost_bytes: u64,
+    /// The coordinator's book revision at the last boundary whose lease
+    /// sweeps found nothing to act on; `None` after a sweep that acted.
+    /// While the revision stays there, no tracked lease can have become
+    /// revoked, unknown or reclaiming, and every lease tracked since came
+    /// from an allocation that moved the revision.
+    quiet_revision: Option<u64>,
     label: String,
     tracer: SharedTracer,
     /// aqua-audit: local byte books are checked on every mutation.
@@ -161,6 +167,7 @@ impl AquaOffloader {
             retries: 0,
             failovers: 0,
             lost_bytes: 0,
+            quiet_revision: None,
             label: "aqua".to_owned(),
             tracer: null_tracer(),
             auditor: None,
@@ -497,6 +504,85 @@ impl AquaOffloader {
         let from_dram = remaining.min(self.dram_bytes);
         (from_peer, from_dram)
     }
+
+    /// Steps 1 and 2 of an iteration boundary, the lease sweeps; returns
+    /// when serving may resume. Records `revision` as quiet when neither
+    /// sweep finds anything to act on.
+    fn sweep_leases(&mut self, mut resume: SimTime, epoch_changed: bool, revision: u64) -> SimTime {
+        // 1. Stranded sweep: leases revoked underneath us (producer crash
+        // or blown reclaim deadline). The peer copy is gone; re-materialise
+        // the context in host DRAM, blocking, so no request is lost. Both
+        // sweeps filter before they act (no lease's state changes while a
+        // sweep runs), so a sweep that finds nothing allocates nothing.
+        let stranded: Vec<(LeaseId, GpuRef, u64)> = self
+            .peer_bytes
+            .iter()
+            .filter(|(l, _)| {
+                matches!(
+                    self.coordinator.lease_state(**l),
+                    LeaseState::Revoked | LeaseState::Unknown
+                )
+            })
+            .map(|(l, (g, b))| (*l, *g, *b))
+            .collect();
+        let mut quiet = stranded.is_empty();
+        for (lease, gpu, held) in stranded {
+            self.peer_bytes.remove(&lease);
+            // After a coordinator crash the peer copy is physically intact
+            // — only the metadata died. If the producer has re-registered
+            // in the new epoch, re-home the bytes onto its fresh lease
+            // instead of burning a PCIe rewrite.
+            if epoch_changed {
+                if let Some((_, new_lease)) = self.coordinator.rehome(gpu, held, resume) {
+                    let entry = self.peer_bytes.entry(new_lease).or_insert((gpu, 0));
+                    entry.1 += held;
+                    self.tracer.incr("offloader.rehomed_bytes", held);
+                    continue;
+                }
+            }
+            self.lost_bytes += held;
+            self.tracer.incr("offloader.stranded_bytes", held);
+            self.note_failover(&format!("peer:{gpu}"), "dram", held, resume);
+            // Rewrite the consumer's retained copy out to DRAM.
+            let end = self.pcie_to_host(self.consumer, held, resume);
+            self.dram_bytes += held;
+            self.enter_degraded(resume);
+            resume = resume.max(end);
+        }
+        // 2. Blocking release of any lease being reclaimed.
+        let reclaiming: Vec<LeaseId> = self
+            .peer_bytes
+            .keys()
+            .filter(|l| self.coordinator.pending_reclaim(**l) > 0)
+            .copied()
+            .collect();
+        quiet &= reclaiming.is_empty();
+        for lease in reclaiming {
+            let (gpu, held) = self.peer_bytes.remove(&lease).expect("tracked lease");
+            // Migrate producer HBM -> host DRAM over the producer's PCIe.
+            let end = self.pcie_to_host(gpu, held, resume);
+            if self.coordinator.release(lease, held, end).is_err() {
+                // Force-revoked while we migrated; the producer already got
+                // its memory back, our DRAM copy is still the live one.
+                self.tracer.incr("offloader.free_after_revoke", 1);
+            }
+            self.dram_bytes += held;
+            self.releases += 1;
+            self.tracer.incr("offloader.releases", 1);
+            trace!(
+                self.tracer,
+                TraceEvent::ReclaimReleased {
+                    producer: gpu.to_string(),
+                    lease: lease.0,
+                    bytes: held,
+                    at: end,
+                }
+            );
+            resume = resume.max(end);
+        }
+        self.quiet_revision = quiet.then_some(revision);
+        resume
+    }
 }
 
 impl Offloader for AquaOffloader {
@@ -700,74 +786,14 @@ impl Offloader for AquaOffloader {
                 }
             }
         }
-        // 1. Stranded sweep: leases revoked underneath us (producer crash
-        // or blown reclaim deadline). The peer copy is gone; re-materialise
-        // the context in host DRAM, blocking, so no request is lost. Both
-        // sweeps filter before they act (no lease's state changes while a
-        // sweep runs), so the common boundary allocates nothing.
-        let stranded: Vec<(LeaseId, GpuRef, u64)> = self
-            .peer_bytes
-            .iter()
-            .filter(|(l, _)| {
-                matches!(
-                    self.coordinator.lease_state(**l),
-                    LeaseState::Revoked | LeaseState::Unknown
-                )
-            })
-            .map(|(l, (g, b))| (*l, *g, *b))
-            .collect();
-        for (lease, gpu, held) in stranded {
-            self.peer_bytes.remove(&lease);
-            // After a coordinator crash the peer copy is physically intact
-            // — only the metadata died. If the producer has re-registered
-            // in the new epoch, re-home the bytes onto its fresh lease
-            // instead of burning a PCIe rewrite.
-            if epoch_changed {
-                if let Some((_, new_lease)) = self.coordinator.rehome(gpu, held, resume) {
-                    let entry = self.peer_bytes.entry(new_lease).or_insert((gpu, 0));
-                    entry.1 += held;
-                    self.tracer.incr("offloader.rehomed_bytes", held);
-                    continue;
-                }
-            }
-            self.lost_bytes += held;
-            self.tracer.incr("offloader.stranded_bytes", held);
-            self.note_failover(&format!("peer:{gpu}"), "dram", held, resume);
-            // Rewrite the consumer's retained copy out to DRAM.
-            let end = self.pcie_to_host(self.consumer, held, resume);
-            self.dram_bytes += held;
-            self.enter_degraded(resume);
-            resume = resume.max(end);
-        }
-        // 2. Blocking release of any lease being reclaimed.
-        let reclaiming: Vec<LeaseId> = self
-            .peer_bytes
-            .keys()
-            .filter(|l| self.coordinator.pending_reclaim(**l) > 0)
-            .copied()
-            .collect();
-        for lease in reclaiming {
-            let (gpu, held) = self.peer_bytes.remove(&lease).expect("tracked lease");
-            // Migrate producer HBM -> host DRAM over the producer's PCIe.
-            let end = self.pcie_to_host(gpu, held, resume);
-            if self.coordinator.release(lease, held, end).is_err() {
-                // Force-revoked while we migrated; the producer already got
-                // its memory back, our DRAM copy is still the live one.
-                self.tracer.incr("offloader.free_after_revoke", 1);
-            }
-            self.dram_bytes += held;
-            self.releases += 1;
-            self.tracer.incr("offloader.releases", 1);
-            trace!(
-                self.tracer,
-                TraceEvent::ReclaimReleased {
-                    producer: gpu.to_string(),
-                    lease: lease.0,
-                    bytes: held,
-                    at: end,
-                }
-            );
-            resume = resume.max(end);
+        // 1-2. The lease sweeps. They are skipped while the coordinator's
+        // book revision is still the one at which a sweep found nothing to
+        // act on, unless this boundary ends a dark period or sees an epoch
+        // change: no tracked lease's state or pending reclaim can have
+        // moved, and any lease tracked since came with a revision bump.
+        let revision = self.coordinator.book_revision();
+        if was_dark || epoch_changed || self.quiet_revision != Some(revision) {
+            resume = self.sweep_leases(resume, epoch_changed, revision);
         }
         // 3. Degraded mode ends only at a boundary, and promotion is
         // skipped while it lasts (new peer placements are suspect).
@@ -1319,6 +1345,109 @@ mod tests {
                 r#"{"event":"reclaim_released","producer":"s0/gpu2","lease":1,"bytes":2147483648,"at":20214789337}"#,
                 "\n",
             )
+        );
+    }
+
+    /// One coordinator (chaos watchdogs, journalled) and a consumer on
+    /// GPU 0 of a four-GPU NVSwitch server.
+    fn journalled_world() -> (
+        Rc<Coordinator>,
+        AquaOffloader,
+        Arc<aqua_telemetry::JournalTracer>,
+    ) {
+        let journal = Arc::new(aqua_telemetry::JournalTracer::new());
+        let server = Rc::new(ServerTopology::nvswitch(4, GpuSpec::a100_80g()));
+        let xfer = Rc::new(RefCell::new(TransferEngine::new()));
+        let coord = Rc::new(Coordinator::new());
+        coord.set_tracer(journal.clone());
+        coord.set_failure_config(crate::coordinator::FailureConfig::chaos());
+        let off = AquaOffloader::new(GpuRef::single(GpuId(0)), Rc::clone(&coord), server, xfer)
+            .with_tracer(journal.clone());
+        (coord, off, journal)
+    }
+
+    aqua_sim::check! {
+        /// Skipping the lease sweeps at an unchanged book revision is
+        /// exact: against a twin whose sweeps always run, every boundary
+        /// resumes at the same time and leaves the same byte books, and
+        /// the two journals are identical, across arbitrary interleavings
+        /// of swaps, grants, reclaims, heartbeats, watchdog expiries,
+        /// coordinator crashes and resyncs, and another consumer's
+        /// allocations.
+        #[test]
+        fn skipped_sweeps_match_always_sweeping(
+            ops in aqua_sim::check::vec((0u8..10, 1u64..64), 1..60)
+        ) {
+            let (coord_a, mut skipping, journal_a) = journalled_world();
+            let (coord_b, mut sweeping, journal_b) = journalled_world();
+            let mut now = SimTime::ZERO;
+            for (op, amount) in ops {
+                now += SimDuration::from_secs(1);
+                let producer = GpuRef::single(GpuId(1 + (amount % 3) as usize));
+                for (coord, off) in [(&coord_a, &mut skipping), (&coord_b, &mut sweeping)] {
+                    match op {
+                        0 => {
+                            off.swap_out(mib(amount * 64), 4, now);
+                        }
+                        1 => {
+                            off.swap_in(mib(amount * 32), 4, now);
+                        }
+                        2 => {
+                            coord.lease(producer, gib(amount % 8 + 1));
+                        }
+                        3 => coord.reclaim_request_at(producer, now),
+                        4 => coord.heartbeat(producer, now),
+                        5 => now += SimDuration::from_secs(amount % 16),
+                        6 => {
+                            coord.crash(now);
+                            coord.recover(now);
+                        }
+                        7 => {
+                            let _ = coord.resync_report(producer, gib(4), coord.epoch(), now);
+                        }
+                        8 => {
+                            let _ = coord.reclaim_status(producer);
+                        }
+                        _ => {
+                            let _ = coord.allocate(GpuRef::single(GpuId(3)), mib(amount * 16));
+                        }
+                    }
+                }
+                sweeping.quiet_revision = None;
+                let a = skipping.on_iteration_boundary(now);
+                let b = sweeping.on_iteration_boundary(now);
+                assert_eq!(a, b, "resume time");
+                assert_eq!(skipping.peer_bytes, sweeping.peer_bytes);
+                assert_eq!(skipping.dram_bytes, sweeping.dram_bytes);
+                assert_eq!(
+                    (skipping.releases, skipping.lost_bytes),
+                    (sweeping.releases, sweeping.lost_bytes)
+                );
+                assert_eq!(coord_a.used_bytes(), coord_b.used_bytes());
+            }
+            assert_eq!(journal_a.to_jsonl(), journal_b.to_jsonl());
+        }
+    }
+
+    #[test]
+    fn quiet_boundary_skips_its_sweeps_until_the_book_moves() {
+        let (coord, mut off, _) = journalled_world();
+        let producer = GpuRef::single(GpuId(1));
+        coord.lease(producer, gib(10));
+        off.swap_out(gib(1), 4, SimTime::ZERO);
+        off.on_iteration_boundary(SimTime::from_secs(1));
+        let settled = coord.book_revision();
+        assert_eq!(off.quiet_revision, Some(settled), "the sweep found nothing");
+        coord.heartbeat(producer, SimTime::from_secs(2));
+        off.on_iteration_boundary(SimTime::from_secs(2));
+        assert_eq!(coord.book_revision(), settled, "heartbeats leave the book");
+        coord.reclaim_request(producer);
+        assert_ne!(coord.book_revision(), settled);
+        off.on_iteration_boundary(SimTime::from_secs(3));
+        assert_eq!(off.releases(), 1, "the reclaim was seen at once");
+        assert_eq!(
+            off.quiet_revision, None,
+            "a sweep that acted records nothing"
         );
     }
 

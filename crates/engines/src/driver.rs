@@ -24,6 +24,45 @@
 //! [`Driver::processed_events`] and advance the tick grid exactly as
 //! firing them one by one would, so long idle horizons cost O(1) instead of
 //! one loop iteration per 100 ms of simulated time.
+//!
+//! # Decode runs
+//!
+//! A decoding engine's step completes, the loop processes that completion,
+//! and the same engine starts its next step at once — usually with nothing
+//! else in between. So when `step(s)` returns `t`, the driver calls
+//! `step(t)` itself, without a trip through the loop, while all of these
+//! hold:
+//!
+//! * `s < t ≤ end`, the current `run`'s horizon;
+//! * `t` is before the next queued arrival (one at exactly `t` was queued
+//!   before the step started, so its seq is smaller and it goes first);
+//! * `t` is before every other engine's in-flight completion (same seq
+//!   argument for ties);
+//! * every other engine is mid-step, or idle with no work and a no-op tick
+//!   — otherwise `t` must not pass the next tick instant, where those
+//!   engines act;
+//! * `t` is before this engine's next crash window opens;
+//! * the engine still `has_work()` at `t`.
+//!
+//! Proof sketch. Under these conditions the loop's next event after the
+//! step started at `s` is this step's completion: every other event has a
+//! later time or a larger key. The only other candidates are tick rounds
+//! before `t`; in each one this engine is mid-step and every other engine
+//! is mid-step or a no-op idle, so the round is one the fast-forward above
+//! would skip. Processing the completion calls exactly what the chain
+//! calls: the engine is up (no crash window opened), it has work, so
+//! `step(t)` starts and no tick fires. Nothing the chain skips can change a
+//! bound — arrivals are only queued by `schedule_arrival` and crash
+//! re-queues, other engines do not act, and an engine's `has_work` and
+//! `idle_tick_is_noop` answers change only through calls on that engine —
+//! so the bounds are computed once per run. Each chained step counts one processed event and draws one seq,
+//! as the loop would have; the tick rounds inside the run are still due
+//! when the loop resumes, and the fast-forward counts them then. So seqs,
+//! [`Driver::processed_events`], [`Driver::next_event_time`] and every
+//! engine call, in order and with its time, are what stepping through the
+//! loop gives (the golden `tests/driver_order.rs` pins them). A run starts
+//! only where no other engine still acts at the same instant: not inside a
+//! tick round, whose later engines tick at `now` after this one.
 
 use crate::request::InferenceRequest;
 use aqua_metrics::requests::RequestRecord;
@@ -37,6 +76,9 @@ pub trait Engine {
     fn submit(&mut self, req: InferenceRequest, now: SimTime);
 
     /// Returns `true` if a call to [`Engine::step`] would make progress.
+    /// The answer may change only through calls on this engine, never
+    /// through another engine's steps: the driver reads it once for a
+    /// whole decode run of another engine.
     fn has_work(&self) -> bool;
 
     /// Executes one iteration starting at `now`; returns its completion
@@ -53,7 +95,9 @@ pub trait Engine {
     /// Returns `true` if [`Engine::tick`] never changes anything while the
     /// engine is idle with no work, so the driver may skip idle tick rounds
     /// instead of firing them. The default is `false`: a wrapper that
-    /// forwards `tick` but not this query keeps being ticked.
+    /// forwards `tick` but not this query keeps being ticked. Like
+    /// [`Engine::has_work`], the answer may change only through calls on
+    /// this engine.
     fn idle_tick_is_noop(&self) -> bool {
         false
     }
@@ -286,10 +330,10 @@ impl Driver {
                 self.last_time = self.last_time.max(now);
                 if let Some((i, _)) = done {
                     self.steps[i] = None;
-                    self.maybe_start(engines, i, now);
+                    self.maybe_start(engines, i, now, Some(end));
                     if self.steps[i].is_none() && self.crashed_until(i, now).is_none() {
                         engines[i].tick(now);
-                        self.maybe_start(engines, i, now);
+                        self.maybe_start(engines, i, now, Some(end));
                     }
                 } else {
                     let (_, Ev(i, req)) = self.events.pop().expect("peeked");
@@ -299,7 +343,7 @@ impl Driver {
                         self.events.push(until, Ev(i, req));
                     } else {
                         engines[i].submit(req, now);
-                        self.maybe_start(engines, i, now);
+                        self.maybe_start(engines, i, now, Some(end));
                     }
                 }
             } else {
@@ -322,7 +366,8 @@ impl Driver {
                     for i in 0..engines.len() {
                         if self.steps[i].is_none() && self.crashed_until(i, now).is_none() {
                             engines[i].tick(now);
-                            self.maybe_start(engines, i, now);
+                            // The engines after `i` still tick at `now`.
+                            self.maybe_start(engines, i, now, None);
                         }
                     }
                 }
@@ -359,21 +404,86 @@ impl Driver {
         SimTime::from_nanos(first.as_nanos() + rounds * interval)
     }
 
-    fn maybe_start(&mut self, engines: &mut [&mut dyn Engine], i: usize, now: SimTime) {
+    /// Starts a step of engine `i` at `now` if it is up, idle and has
+    /// work, then chains its steps into a decode run (see the module doc)
+    /// while the loop would provably process nothing else first. `end` is
+    /// the horizon of the current `run`; `None` forbids a run, because
+    /// another engine still acts at `now`.
+    fn maybe_start(
+        &mut self,
+        engines: &mut [&mut dyn Engine],
+        i: usize,
+        now: SimTime,
+        end: Option<SimTime>,
+    ) {
         if self.crashed_until(i, now).is_some() {
             return;
         }
-        if self.steps[i].is_none() && engines[i].has_work() {
-            let mut done = engines[i].step(now);
-            if done <= now {
-                // Defensive: engines must advance time; clamp to 1 ns to
-                // guarantee global progress even if one misbehaves.
-                done = now + SimDuration::from_nanos(1);
-            }
-            // The seq is drawn where a queued completion would have been
-            // pushed, so it ties against arrivals exactly as one would.
-            self.steps[i] = Some((done, self.events.take_seq()));
+        if self.steps[i].is_some() || !engines[i].has_work() {
+            return;
         }
+        let mut start = now;
+        let mut done = engines[i].step(now);
+        if let Some(end) = end.filter(|&end| start < done && done <= end) {
+            let limit = self.run_limit(engines, i, now, end);
+            while start < done && done <= limit && engines[i].has_work() {
+                // The completion at `done` is processed here instead of by
+                // the loop: it counts and draws the seq its restart would.
+                self.processed += 1;
+                self.events.take_seq();
+                start = done;
+                done = engines[i].step(start);
+            }
+        }
+        if done <= start {
+            // Defensive: engines must advance time; clamp to 1 ns to
+            // guarantee global progress even if one misbehaves.
+            done = start + SimDuration::from_nanos(1);
+        }
+        // The seq is drawn where a queued completion would have been
+        // pushed, so it ties against arrivals exactly as one would.
+        self.steps[i] = Some((done, self.events.take_seq()));
+    }
+
+    /// The latest completion of engine `i`, which starts a step at `now`,
+    /// that the loop would process next, right after `now`: not after
+    /// `end`, before the next queued arrival and every other in-flight
+    /// completion (theirs carry smaller seqs, so a tie goes to them),
+    /// before `i`'s next crash window opens, and not after the next tick
+    /// round unless every other engine is mid-step or idle with no work
+    /// and a no-op tick (the rounds in between then change nothing and are
+    /// fast-forwarded when the loop resumes). Nothing before that instant
+    /// can change any of these bounds, so one computation serves the run.
+    fn run_limit(
+        &self,
+        engines: &[&mut dyn Engine],
+        i: usize,
+        now: SimTime,
+        end: SimTime,
+    ) -> SimTime {
+        let just_before = |t: SimTime| SimTime::from_nanos(t.as_nanos().saturating_sub(1));
+        let mut limit = end;
+        let arrival = self.events.peek_time();
+        let others = self.steps.iter().flatten().map(|&(t, _)| t);
+        let crash = self
+            .crash_windows
+            .iter()
+            .filter(|&&(e, start, _)| e == i && start > now)
+            .map(|&(_, start, _)| start);
+        for t in arrival.into_iter().chain(others).chain(crash) {
+            limit = limit.min(just_before(t));
+        }
+        let quiet = engines
+            .iter()
+            .zip(&self.steps)
+            .enumerate()
+            .all(|(j, (e, step))| {
+                j == i || step.is_some() || (e.idle_tick_is_noop() && !e.has_work())
+            });
+        if let (false, Some(tick)) = (quiet, self.next_tick) {
+            limit = limit.min(tick);
+        }
+        limit
     }
 }
 
@@ -454,6 +564,23 @@ mod tests {
         assert_eq!(recs[0].completion, SimTime::from_millis(100));
         assert_eq!(recs[1].completion, SimTime::from_millis(200));
         assert_eq!(recs[2].completion, SimTime::from_millis(300));
+    }
+
+    #[test]
+    fn decode_runs_draw_the_seqs_the_loop_would() {
+        // The steps at 100 and 200 ms chain in one decode run; each still
+        // counts one event and draws the seq its completion would have.
+        let mut driver = Driver::new().with_tick_interval(SimDuration::from_secs(1000));
+        for i in 0..3 {
+            driver.schedule_arrival(0, SimTime::ZERO, InferenceRequest::text(i, 1, 1));
+        }
+        let mut e = FixedEngine::new(100);
+        driver.run(&mut [&mut e], SimTime::from_secs(1));
+        assert_eq!(e.drain_completions().len(), 3);
+        // 3 arrivals + 3 completions + the tick round at t = 0.
+        assert_eq!(driver.processed_events(), 7);
+        // 3 arrival pushes + 3 step starts.
+        assert_eq!(driver.events.take_seq(), 6);
     }
 
     #[test]

@@ -184,6 +184,21 @@ pub struct GatewayEngine {
     /// live sequences (donation only gives away free blocks), which lets
     /// one decode step grow the whole pool in one pass.
     running: Vec<GateSeq>,
+    /// Context tokens of the running sequences not yet prefilled: the
+    /// prefill work of the next step.
+    unprefilled_tokens: u64,
+    /// The context limit of the last admission round, if that round ended
+    /// at a blocked or empty pop with a non-empty batch, under a policy
+    /// whose order does not change with time. Until something that can
+    /// change what a pop sees happens (an enqueue, unqueue or retire, a
+    /// brownout toggle, crash handling, the informer, a donation or a
+    /// reclaim — each clears it), a round at no higher a limit with no
+    /// backoff due would end the same way, so it is skipped.
+    admit_memo: Option<u64>,
+    /// The compute term of the decode cost per batch size (NaN until
+    /// first used), sized to `max_batch` up to a bound so `step` never
+    /// allocates for it.
+    decode_compute: Vec<f64>,
     /// Scratch for `step`: batch indices of sequences that finished this
     /// iteration, kept across steps so it never re-allocates.
     finished: Vec<usize>,
@@ -229,6 +244,9 @@ impl std::fmt::Debug for GatewayEngine {
 }
 
 impl GatewayEngine {
+    /// The largest batch size whose decode compute term is memoised.
+    const DECODE_COMPUTE_MEMO: usize = 4096;
+
     /// Creates a gateway hosting `geom` on `gpu`, admitting in `policy`
     /// order.
     pub fn new(geom: LlmGeometry, gpu: GpuSpec, policy: PolicyKind, config: GatewayConfig) -> Self {
@@ -246,6 +264,9 @@ impl GatewayEngine {
             pending: SlotArena::new(),
             pending_ids: BTreeMap::new(),
             running: Vec::new(),
+            unprefilled_tokens: 0,
+            admit_memo: None,
+            decode_compute: vec![f64::NAN; config.max_batch.min(Self::DECODE_COMPUTE_MEMO) + 1],
             finished: Vec::new(),
             completions: Vec::new(),
             streams: StreamLog::new(),
@@ -402,6 +423,7 @@ impl GatewayEngine {
 
     /// Releases a sequence's admission slot and KV commitment estimate.
     fn retire(&mut self, seq: &GateSeq) {
+        self.admit_memo = None;
         if seq.admitted_once {
             self.admission.on_complete(seq.tenant);
         }
@@ -430,6 +452,7 @@ impl GatewayEngine {
         let eligible_after = seq.eligible_after;
         let handle = self.pending.push_back(seq);
         self.pending_ids.insert(meta.id, handle);
+        self.admit_memo = None;
         if admitted_once {
             self.scheduler.on_requeue(meta, eligible_after, now);
         } else {
@@ -441,6 +464,7 @@ impl GatewayEngine {
     /// and the scheduler index (for paths other than `pop_next`, which
     /// already took its entry out of the index).
     fn unqueue_pending(&mut self, handle: u32) -> GateSeq {
+        self.admit_memo = None;
         let seq = self.pending.remove(handle);
         self.pending_ids.remove(&seq.life.req.id.0);
         let removed =
@@ -488,6 +512,8 @@ impl GatewayEngine {
     }
 
     fn on_gpu_crash(&mut self, now: SimTime) {
+        self.admit_memo = None;
+        self.unprefilled_tokens = 0;
         for mut victim in std::mem::take(&mut self.running) {
             let id = victim.life.req.id.0;
             self.kv.free_seq(victim.life.req.id);
@@ -565,6 +591,9 @@ impl GatewayEngine {
             let slo = self.config.slo.of(seq.tenant);
             if let Some(kind) = slo.missed(seq.life.arrival, seq.life.generated, now) {
                 let seq = self.running.remove(i);
+                if !seq.prefilled {
+                    self.unprefilled_tokens -= seq.life.context_tokens();
+                }
                 self.kv.free_seq(seq.life.req.id);
                 self.timeout_seq(seq, kind, now);
             } else {
@@ -612,6 +641,19 @@ impl GatewayEngine {
         if self.running.len() >= self.config.max_batch || self.pending.is_empty() {
             return;
         }
+        if let Some(memo) = self.admit_memo {
+            // Whatever empties the batch clears the memo, so the limit is
+            // the free KV tokens.
+            debug_assert!(!self.running.is_empty());
+            let limit = self.kv.free_blocks() * DEFAULT_BLOCK_TOKENS;
+            let backoff_due = self.scheduler.next_parked().is_some_and(|due| due <= now);
+            if limit <= memo && !backoff_due {
+                return;
+            }
+        }
+        // The limit of the pop that ends this round, if it was blocked or
+        // empty.
+        let mut ended_at: Option<u64> = None;
         // Idle-engine skips that can never fit sit out the rest of the
         // round here (matching the sort-based walk, which never revisits a
         // skipped entry) and rejoin the index afterwards.
@@ -627,7 +669,10 @@ impl GatewayEngine {
             };
             let meta = match self.scheduler.pop_next(now, &self.admission, context_limit) {
                 Pop::Popped(meta) => meta,
-                Pop::Blocked | Pop::Empty => break,
+                Pop::Blocked | Pop::Empty => {
+                    ended_at = Some(context_limit);
+                    break;
+                }
             };
             let handle = self.pending_ids[&meta.id];
             let head = &self
@@ -703,9 +748,16 @@ impl GatewayEngine {
                 seq.prefilled = true;
             } else {
                 seq.prefilled = false;
+                self.unprefilled_tokens += seq.life.context_tokens();
             }
             self.running.push(seq);
         }
+        let time_invariant = matches!(
+            self.policy,
+            PolicyKind::Fcfs | PolicyKind::Sjf | PolicyKind::SjfBucket
+        );
+        self.admit_memo =
+            ended_at.filter(|_| time_invariant && stashed.is_empty() && !self.running.is_empty());
         // Reinsert skipped picks. Keys recompute identically (same `now`,
         // same learned ratio), so the index order is as if they never left.
         for meta in stashed {
@@ -800,6 +852,7 @@ impl GatewayEngine {
         let Some(mut informer) = self.informer.take() else {
             return now;
         };
+        self.admit_memo = None;
         let resume = informer.control(self, now);
         self.informer = Some(informer);
         resume.max(now)
@@ -816,6 +869,9 @@ impl GatewayEngine {
                 return;
             }
             let mut victim = self.running.pop().expect("non-empty");
+            if !victim.prefilled {
+                self.unprefilled_tokens -= victim.life.context_tokens();
+            }
             self.kv.free_seq(victim.life.req.id);
             self.preemptions += 1;
             self.tracer.incr("gateway.preemptions", 1);
@@ -946,6 +1002,7 @@ impl Engine for GatewayEngine {
         self.handle_crashes(now);
         self.enforce_deadlines(now);
         if let Some(engaged) = self.admission.update_brownout(self.pending.len()) {
+            self.admit_memo = None;
             trace!(
                 self.tracer,
                 TraceEvent::GatewayBrownout {
@@ -988,16 +1045,27 @@ impl Engine for GatewayEngine {
             self.pending_swap_in = 0;
         }
 
-        let prefill_tokens: u64 = self
-            .running
-            .iter()
-            .filter(|s| !s.prefilled)
-            .map(|s| s.life.context_tokens())
-            .sum();
+        debug_assert_eq!(
+            self.unprefilled_tokens,
+            self.running
+                .iter()
+                .filter(|s| !s.prefilled)
+                .map(|s| s.life.context_tokens())
+                .sum::<u64>()
+        );
+        let prefill_tokens = std::mem::take(&mut self.unprefilled_tokens);
         let t_prefill = cost::llm_prefill_time(&self.geom, &self.gpu, prefill_tokens);
         let batch = self.running.len() as u64;
         let total_ctx = self.kv.total_context_tokens() + batch;
-        let t_decode = cost::llm_decode_step_time(&self.geom, &self.gpu, batch, total_ctx);
+        let compute = match self.decode_compute.get_mut(self.running.len()) {
+            Some(memo) if !memo.is_nan() => *memo,
+            Some(memo) => {
+                *memo = cost::llm_decode_compute_secs(&self.geom, &self.gpu, batch);
+                *memo
+            }
+            None => cost::llm_decode_compute_secs(&self.geom, &self.gpu, batch),
+        };
+        let t_decode = cost::llm_decode_step_time_from(&self.geom, &self.gpu, compute, total_ctx);
         let end = io_done + t_prefill + t_decode;
 
         self.kv
@@ -1019,7 +1087,8 @@ impl Engine for GatewayEngine {
             // journalled for it. Flag once, then clear so one planted bug
             // does not flood the journal.
             let id = seq.life.req.id.0;
-            if self.crashed_pending_restore.remove(&id) {
+            if !self.crashed_pending_restore.is_empty() && self.crashed_pending_restore.remove(&id)
+            {
                 if let Some(aud) = &self.auditor {
                     aud.record(AuditViolation::TokenWithoutRestore {
                         gateway: self.scope.to_string(),
@@ -1112,6 +1181,7 @@ impl MemoryElastic for GatewayEngine {
             .kv
             .capacity_bytes()
             .saturating_sub(DONATION_FLOOR_BYTES.max(self.kv.used_bytes()));
+        self.admit_memo = None;
         let granted = self.kv.donate_bytes(bytes.min(max_donation));
         self.donated_bytes += granted;
         self.tracer.incr("gateway.donated_bytes", granted);
@@ -1123,6 +1193,7 @@ impl MemoryElastic for GatewayEngine {
         // a partial reclaim loses no capacity.
         let block = self.kv.block_bytes();
         let bytes = bytes.min(self.donated_bytes) / block * block;
+        self.admit_memo = None;
         self.kv.reclaim_bytes(bytes);
         self.donated_bytes -= bytes;
         self.tracer.incr("gateway.reclaimed_bytes", bytes);
@@ -1550,6 +1621,39 @@ mod tests {
         // The plant only skips the restore journal entry — serving itself
         // still completes, which is exactly why the invariant is needed.
         assert_eq!(e.drain_completions().len(), 1);
+    }
+
+    #[test]
+    fn admission_memo_wakes_for_a_due_backoff() {
+        // After a crash, request 0 waits out its retry backoff while
+        // request 1 decodes and request 2 (larger than the pool) blocks
+        // the queue, so every round in between skips its pop on the memo.
+        // The round at which the backoff falls due must pop again and
+        // readmit request 0.
+        let plan =
+            FaultPlan::new().gpu_crash(GpuId(0), SimTime::from_secs(1), SimTime::from_secs(2));
+        let mut e = engine(PolicyKind::Fcfs, 512).with_fault_plan(&plan, GpuId(0));
+        e.submit(InferenceRequest::text(0, 100, 10_000), SimTime::ZERO);
+        let mut now = SimTime::ZERO;
+        while now < SimTime::from_secs(1) {
+            now = e.step(now);
+        }
+        let crash = now;
+        e.submit(InferenceRequest::text(1, 100, 100_000), now);
+        e.submit(InferenceRequest::text(2, 512 * 16, 10), now);
+        now = e.step(now);
+        assert_eq!((e.running_count(), e.queue_depth()), (1, 2));
+        assert!(
+            e.admit_memo.is_some(),
+            "the round ended at the blocked head"
+        );
+        let due = crash + e.config.retry.backoff_for(1);
+        while now < due {
+            now = e.step(now);
+            assert_eq!(e.running_count(), 1, "request 0 is still backing off");
+        }
+        e.step(now);
+        assert_eq!((e.running_count(), e.queue_depth()), (2, 1));
     }
 
     #[test]
@@ -2050,6 +2154,74 @@ mod tests {
                     _ => e.reclaim(geom.kv_bytes(arg)),
                 }
             }
+        }
+    }
+
+    aqua_sim::check! {
+        // The admission memo is exact: against a twin that pops every
+        // round, every step ends at the same time with the same batch,
+        // queue and preemptions, and the streams are identical, across
+        // random arrivals from three capped tenants, donations, reclaims
+        // and two GPU crashes (whose retries park on backoffs), for every
+        // policy.
+        #[test]
+        fn admission_memo_matches_popping_every_round(
+            ops in aqua_sim::check::vec((0u8..8, 1u64..100_000), 1..200),
+            policy_idx in 0usize..5,
+        ) {
+            let geom = *zoo::mistral_7b().llm_geometry().unwrap();
+            let plan = FaultPlan::new()
+                .gpu_crash(GpuId(0), SimTime::from_secs(3), SimTime::from_secs(4))
+                .gpu_crash(GpuId(0), SimTime::from_secs(9), SimTime::from_secs(10));
+            let tenants: BTreeMap<u64, u32> = (0..200).map(|id| (id, (id % 3) as u32)).collect();
+            let twin = || {
+                GatewayEngine::new(
+                    geom,
+                    GpuSpec::a100_80g(),
+                    PolicyKind::ALL[policy_idx],
+                    GatewayConfig {
+                        kv_pool_bytes: gib(1),
+                        max_outstanding_per_tenant: 2,
+                        ..GatewayConfig::default()
+                    },
+                )
+                .with_tenants(tenants.clone())
+                .with_fault_plan(&plan, GpuId(0))
+            };
+            let (mut memo, mut popping) = (twin(), twin());
+            let (mut now, mut next_id) = (SimTime::ZERO, 0);
+            for (op, arg) in ops {
+                match op {
+                    0 | 1 => {
+                        let req = InferenceRequest::text(next_id, arg % 2_500 + 1, arg % 200 + 1);
+                        memo.submit(req.clone(), now);
+                        popping.submit(req, now);
+                        next_id += 1;
+                    }
+                    2 if policy_idx < 3 => {
+                        let bytes = geom.kv_bytes(arg % 4_096);
+                        assert_eq!(memo.donate(bytes), popping.donate(bytes));
+                    }
+                    3 if policy_idx < 3 => {
+                        let bytes = geom.kv_bytes(arg % 4_096);
+                        memo.reclaim(bytes);
+                        popping.reclaim(bytes);
+                    }
+                    // Aging and Orca take no donations (see `donate`), so
+                    // those draws step too.
+                    _ => {
+                        popping.admit_memo = None;
+                        let end = memo.step(now);
+                        assert_eq!(end, popping.step(now));
+                        assert_eq!(memo.running_count(), popping.running_count());
+                        assert_eq!(memo.queue_depth(), popping.queue_depth());
+                        assert_eq!(memo.preemptions(), popping.preemptions());
+                        now = end.max(now + aqua_sim::time::SimDuration::from_millis(1));
+                    }
+                }
+            }
+            assert_eq!(memo.drain_completions(), popping.drain_completions());
+            assert_eq!(memo.drain_streams(), popping.drain_streams());
         }
     }
 }

@@ -54,10 +54,29 @@ pub fn llm_decode_step_time(
     if batch == 0 {
         return SimDuration::ZERO;
     }
+    let compute = llm_decode_compute_secs(geom, gpu, batch);
+    llm_decode_step_time_from(geom, gpu, compute, total_context_tokens)
+}
+
+/// The compute term of [`llm_decode_step_time`]: seconds of arithmetic
+/// for one decode step of `batch` sequences. It depends on the batch size
+/// only, so a caller stepping the same model may compute it once per size.
+pub fn llm_decode_compute_secs(geom: &LlmGeometry, gpu: &GpuSpec, batch: u64) -> f64 {
+    geom.forward_flops(batch) / gpu.effective_flops()
+}
+
+/// [`llm_decode_step_time`] of a non-empty batch whose compute term is
+/// `compute_secs` (from [`llm_decode_compute_secs`]): the step is bound by
+/// the slower of that and sweeping the weights plus the live context.
+pub fn llm_decode_step_time_from(
+    geom: &LlmGeometry,
+    gpu: &GpuSpec,
+    compute_secs: f64,
+    total_context_tokens: u64,
+) -> SimDuration {
     let bytes_swept = geom.weights_bytes() + geom.kv_bytes(total_context_tokens);
     let mem = bytes_swept as f64 / gpu.hbm_bandwidth;
-    let compute = geom.forward_flops(batch) / gpu.effective_flops();
-    LLM_ITER_OVERHEAD + SimDuration::from_secs_f64(mem.max(compute))
+    LLM_ITER_OVERHEAD + SimDuration::from_secs_f64(mem.max(compute_secs))
 }
 
 /// Decode throughput (tokens/s) at a steady batch size and total live

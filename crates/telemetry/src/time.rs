@@ -9,6 +9,21 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
+/// `x.round() as u64` for a non-negative, non-NaN `x`, without the libm
+/// call: below 2^52 the fraction `x - trunc(x)` is exact, so comparing it
+/// with one half rounds half away from zero exactly as `f64::round` does;
+/// from 2^52 up every `f64` is already an integer, and `as` saturates at
+/// `u64::MAX` (infinity included) either way.
+fn round_nanos(x: f64) -> u64 {
+    const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+    if x < TWO_POW_52 {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x as u64
+    }
+}
+
 /// A point in simulated time, in nanoseconds since the simulation epoch.
 ///
 /// # Example
@@ -57,7 +72,7 @@ impl SimTime {
     /// Creates a time from fractional seconds, rounding to the nearest
     /// nanosecond. Negative inputs clamp to the epoch.
     pub fn from_secs_f64(s: f64) -> Self {
-        SimTime((s.max(0.0) * 1e9).round() as u64)
+        SimTime(round_nanos(s.max(0.0) * 1e9))
     }
 
     /// Whole nanoseconds since the epoch.
@@ -121,7 +136,7 @@ impl SimDuration {
     /// Creates a duration from fractional seconds, rounding to the nearest
     /// nanosecond. Negative inputs clamp to zero.
     pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * 1e9).round() as u64)
+        SimDuration(round_nanos(s.max(0.0) * 1e9))
     }
 
     /// Whole nanoseconds in this span.
@@ -244,6 +259,99 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(1e-9), SimDuration::from_nanos(1));
         assert_eq!(SimTime::from_secs_f64(0.5).as_nanos(), 500_000_000);
+    }
+
+    /// `round_nanos` agrees with `f64::round` on its whole domain.
+    fn assert_rounds_like_libm(x: f64) {
+        assert_eq!(
+            round_nanos(x),
+            x.round() as u64,
+            "x = {x:e} ({:#x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn rounding_matches_libm_on_halves_in_every_binade() {
+        // Every k + 0.5 for small k, then k + 0.5 (an exact tie while
+        // k < 2^52, rounded to an integer above) and its neighbours for
+        // 4,096 k spread over each binade up to 2^53.
+        for k in 0..1u64 << 16 {
+            assert_rounds_like_libm(k as f64 + 0.5);
+        }
+        for e in 16..53 {
+            let base = 1u64 << e;
+            for j in 0..4_096u64 {
+                let k = base + j.wrapping_mul(0x9e37_79b9_7f4a_7c15) % base;
+                let half = k as f64 + 0.5;
+                for x in [
+                    half,
+                    f64::from_bits(half.to_bits() - 1),
+                    f64::from_bits(half.to_bits() + 1),
+                ] {
+                    assert_rounds_like_libm(x);
+                }
+            }
+        }
+    }
+
+    /// Both `from_secs_f64`s agree with the libm formula they replaced.
+    fn assert_converts_like_libm(s: f64) {
+        let libm = (s.max(0.0) * 1e9).round() as u64;
+        assert_eq!(SimTime::from_secs_f64(s).as_nanos(), libm, "s = {s:e}");
+        assert_eq!(SimDuration::from_secs_f64(s).as_nanos(), libm, "s = {s:e}");
+    }
+
+    #[test]
+    fn rounding_matches_libm_on_random_doubles() {
+        // SplitMix64 over raw bit patterns (every sign, NaN and infinity
+        // included) and over seconds spread across simulated horizons.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..200_000 {
+            let raw = f64::from_bits(next());
+            assert_converts_like_libm(raw);
+            if raw >= 0.0 {
+                assert_rounds_like_libm(raw);
+            }
+            let secs = (next() >> 11) as f64 / (1u64 << 53) as f64 * 1e4;
+            assert_converts_like_libm(secs);
+            assert_rounds_like_libm(secs * 1e9);
+        }
+    }
+
+    #[test]
+    fn rounding_edge_cases() {
+        let two_52 = (1u64 << 52) as f64;
+        for x in [
+            0.0,
+            0.49999999999999994,
+            0.5,
+            two_52,
+            f64::from_bits(two_52.to_bits() - 1),
+            f64::from_bits(two_52.to_bits() + 1),
+            (1u64 << 53) as f64,
+            u64::MAX as f64,
+            1e20,
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            assert_rounds_like_libm(x);
+            assert_converts_like_libm(x / 1e9);
+            assert_converts_like_libm(-x);
+        }
+        for s in [f64::NAN, -0.0, -1.0, f64::NEG_INFINITY, 1e10, 1e12] {
+            assert_converts_like_libm(s);
+        }
+        assert_eq!(SimTime::from_secs_f64(f64::NAN), SimTime::ZERO);
+        assert_eq!(SimTime::from_secs_f64(f64::INFINITY), SimTime::MAX);
+        assert_eq!(SimDuration::from_secs_f64(1e12).as_nanos(), u64::MAX);
     }
 
     #[test]
