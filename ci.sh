@@ -146,3 +146,6 @@ echo "$gw_plant_out" | grep -q "token_without_restore" || {
 echo "planted skipped restore caught and shrunk to a reproducer"
 cargo fmt --all --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# API docs with warnings denied: an intra-doc link to a deleted or private
+# item (or any other rustdoc warning) fails CI.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

@@ -10,8 +10,9 @@
 //!   dies, losing its entire lease book, and rebuilds after a delay with a
 //!   bumped epoch. Both sides run autonomously while it is down (consumer
 //!   swaps pin to DRAM, the informer skips its verbs), then reconstruct:
-//!   the informer re-registers its full inventory via `resync_report` and
-//!   stale-epoch verbs bounce off the fence.
+//!   the informer re-registers its full inventory via `resync_report`, and
+//!   every verb still naming the old epoch — a heartbeat, or a free of a
+//!   lease handle minted before the crash — bounces off the fence.
 //! * **Partition** ([`FaultKind::Partition`]): the coordinator stays up but
 //!   the producer cannot reach it. Its heartbeats lapse, the chaos TTL
 //!   expires the lease underneath the consumer, and the books re-converge

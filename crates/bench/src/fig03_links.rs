@@ -11,7 +11,7 @@ use aqua_engines::northbound::MemoryElastic;
 use aqua_engines::request::InferenceRequest;
 use aqua_metrics::table::Table;
 use aqua_models::zoo;
-use aqua_sim::link::{BandwidthModel, GIB};
+use aqua_sim::link::BandwidthModel;
 use aqua_sim::time::SimTime;
 
 /// One Figure-3a sample.
@@ -135,11 +135,6 @@ pub fn sharing_table(points: &[SharingPoint]) -> Table {
 /// Default buffer-size sweep: 4 KiB to 1 GiB.
 pub fn default_sizes() -> Vec<u64> {
     (12..=30).map(|e| 1u64 << e).collect()
-}
-
-/// Convenience: GIB export for binaries.
-pub fn gib_f64(bytes: u64) -> f64 {
-    bytes as f64 / GIB
 }
 
 #[cfg(test)]

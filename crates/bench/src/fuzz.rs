@@ -128,14 +128,13 @@ fn plant_double_free(ctx: &ServerCtx) {
 /// A buggy control plane planted for the fencing self-test: a producer's
 /// grant survives a coordinator crash, and after the rebuild its pre-crash
 /// inventory is pushed through the unfenced
-/// [`merge_resync`](aqua_core::coordinator::Coordinator::merge_resync)
+/// [`plant_stale_resync`](aqua_core::coordinator::Coordinator::plant_stale_resync)
 /// bypass instead of the fenced `/resync` verb. The audit must record
 /// `stale_epoch_accepted` at the merge and `double_grant_across_epochs`
 /// for the stale lease the bypass leaves live in the rebuilt book.
 fn plant_fencing_bypass(ctx: &ServerCtx) {
     let producer = GpuRef::single(GpuId(1));
-    let stale_epoch = ctx.coordinator.epoch();
-    let _ = ctx.coordinator.lease(producer, 256 << 20);
+    let stale = ctx.coordinator.lease(producer, 256 << 20);
     ctx.coordinator.crash(SimTime::from_secs(1));
     ctx.coordinator.recover(SimTime::from_secs(2));
     let current = ctx.coordinator.epoch();
@@ -143,7 +142,7 @@ fn plant_fencing_bypass(ctx: &ServerCtx) {
         .coordinator
         .resync_report(producer, 128 << 20, current, SimTime::from_secs(3));
     ctx.coordinator
-        .merge_resync(producer, 64 << 20, stale_epoch, SimTime::from_secs(4));
+        .plant_stale_resync(producer, 64 << 20, stale.epoch(), SimTime::from_secs(4));
 }
 
 /// Runs one point under full auditing, journalling into the ambient tracer

@@ -4,7 +4,7 @@
 //! points; this module parallelises *within* one large scenario. The
 //! scenario is cut into [`LaneShard`]s — per-server (or per-cell, or
 //! per-pair) simulations that exchange cross-shard events through the
-//! conservative [`Mailbox`](aqua_sim::pdes::Mailbox) protocol described in
+//! conservative [`Mailbox`] protocol described in
 //! [`aqua_sim::pdes`]. Shard `i` always runs on lane `i % lanes`, every
 //! shard journals into its own digest-only tracer, and per-shard digests
 //! fold **in shard index order** — so the combined digest, like `Sweep`'s,

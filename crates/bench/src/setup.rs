@@ -2,7 +2,7 @@
 //! engine builders matching the paper's testbeds.
 
 use aqua_core::coordinator::{Coordinator, GpuRef};
-use aqua_core::informer::{BatchInformer, LlmInformer, LlmInformerConfig};
+use aqua_core::informer::{LlmInformer, LlmInformerConfig};
 use aqua_core::offloader::AquaOffloader;
 use aqua_engines::cfs::{CfsConfig, CfsEngine};
 use aqua_engines::flexgen::{FlexGenConfig, FlexGenEngine};
@@ -181,16 +181,6 @@ impl ServerCtx {
     pub fn pair(&self, consumer: GpuId, producer: GpuId) {
         self.coordinator
             .pair(GpuRef::single(consumer), GpuRef::single(producer));
-    }
-
-    /// A diffusion/audio producer engine at its Figure 2 plateau batch,
-    /// with a batch informer donating its free memory.
-    pub fn producer_with_informer(&self, model: &ModelProfile, gpu: GpuId) -> ProducerEngine {
-        let engine = producer_engine(model);
-        engine.with_informer(Box::new(
-            BatchInformer::new(GpuRef::single(gpu), Rc::clone(&self.coordinator))
-                .with_tracer(self.tracer.clone()),
-        ))
     }
 
     /// An LLM producer (vLLM serving ShareGPT) with an llm-informer.

@@ -11,7 +11,7 @@
 //!
 //! Determinism is not assumed, it is *measured*: each point runs under its
 //! own digest-only [`JournalTracer`] (installed thread-locally via
-//! [`trace::with_tracer`](crate::trace::with_tracer)), and the per-point
+//! [`trace::with_tracer`]), and the per-point
 //! FNV-1a digests are folded **in point order** into a combined digest.
 //! Worker scheduling can change which thread runs a point and in what wall
 //! order, but never the combined digest — if it does, the simulation leaked

@@ -340,7 +340,7 @@ mod tests {
         let (mut lib, coord) = setup(4);
         let (id, t0) = lib.to_responsive_tensor(payload(512), SimTime::ZERO);
         let old_ptr = lib.to_torch_tensor(id).unwrap();
-        coord.reclaim_request(GpuRef::single(GpuId(1)));
+        coord.reclaim_request(GpuRef::single(GpuId(1)), t0);
         let resume = lib.respond(t0);
         assert!(resume > t0, "release blocks the consumer");
         // Old pointer is stale; the data moved to DRAM intact.
@@ -404,7 +404,7 @@ mod tests {
                 lib.to_responsive_tensor(payload(n), SimTime::ZERO);
             }
             for p in producers {
-                coord.reclaim_request(p);
+                coord.reclaim_request(p, SimTime::ZERO);
             }
             lib.respond(SimTime::from_secs(1));
             journal.events()

@@ -28,16 +28,19 @@
 //! [`Coordinator::set_fault_plan`]) wipes the in-memory lease book and
 //! bumps the epoch; recovery ([`Coordinator::recover`]) reconstructs the
 //! book from informer resync reports ([`Coordinator::resync_report`]) and
-//! offloader re-registration ([`Coordinator::rehome`]). Every grant carries
-//! `(epoch, lease_id)`, and the fenced verbs
-//! ([`Coordinator::free_fenced`], [`Coordinator::heartbeat_fenced`],
-//! [`Coordinator::resync_report`]) reject a stale epoch with
-//! [`AquaError::StaleEpoch`] instead of mutating the rebuilt book — writes
-//! are fenced structurally, because a pre-crash `(epoch, lease)` no longer
-//! exists in the rebuilt book and [`Coordinator::try_allocate_on`] refuses
-//! it. This makes split-brain double-grants impossible; the aqua-audit
-//! invariants `stale_epoch_accepted` and `double_grant_across_epochs`
-//! prove it on every audited run.
+//! offloader re-registration ([`Coordinator::rehome`]).
+//!
+//! Every [`LeaseId`] carries the epoch that minted it, and every verb that
+//! names a lease or an epoch is fenced on it: [`Coordinator::free`],
+//! [`Coordinator::free_at`], [`Coordinator::release`],
+//! [`Coordinator::try_allocate_on`], [`Coordinator::heartbeat`] and
+//! [`Coordinator::resync_report`] answer [`AquaError::ServiceUnavailable`]
+//! while the process is down and reject a stale epoch with
+//! [`AquaError::StaleEpoch`] (journaled as `stale_epoch_rejected`) instead
+//! of mutating the rebuilt book. There is no unfenced twin, so a caller
+//! cannot present the wrong epoch and split-brain double grants are
+//! impossible; the aqua-audit invariants `stale_epoch_accepted` and
+//! `double_grant_across_epochs` prove it on every audited run.
 
 use crate::error::AquaError;
 use aqua_sim::audit::{AuditViolation, SharedAuditor};
@@ -76,9 +79,33 @@ impl std::fmt::Display for GpuRef {
     }
 }
 
-/// Identifier of one memory lease (one producer's donation).
+/// Handle of one memory lease (one producer's donation): its id plus the
+/// coordinator epoch that granted it. Only the coordinator mints one, and
+/// every verb that takes a lease fences on its epoch. Ordered by id first
+/// (ids never repeat, across epochs too) and displayed as the bare id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct LeaseId(pub u64);
+pub struct LeaseId {
+    id: u64,
+    epoch: u64,
+}
+
+impl LeaseId {
+    /// The lease id, unique for the coordinator's lifetime.
+    pub fn id(self) -> u64 {
+        self.id
+    }
+
+    /// The coordinator epoch the lease was granted in.
+    pub fn epoch(self) -> u64 {
+        self.epoch
+    }
+}
+
+impl std::fmt::Display for LeaseId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.id)
+    }
+}
 
 /// Where the coordinator placed an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,22 +194,36 @@ struct Lease {
     /// arms the watchdog (leases are granted without a timestamp).
     last_heartbeat: Option<SimTime>,
     /// Absolute deadline for a reclaim in flight; armed by `advance` or
-    /// [`Coordinator::reclaim_request_at`].
+    /// [`Coordinator::reclaim_request`].
     reclaim_deadline: Option<SimTime>,
     /// A force-revoked lease still owes the producer one
     /// [`ReclaimStatus::Released`] report.
     pending_report: bool,
-    /// The coordinator epoch the grant belongs to. In a correctly fenced
-    /// control plane every live lease carries the current epoch; a live
-    /// lease from another epoch is the `double_grant_across_epochs`
-    /// violation.
-    epoch: u64,
+}
+
+impl Lease {
+    fn new(producer: GpuRef, total: u64, last_heartbeat: Option<SimTime>) -> Self {
+        Lease {
+            producer,
+            total,
+            used: 0,
+            reclaiming: false,
+            released_at: SimTime::ZERO,
+            revoked: false,
+            last_heartbeat,
+            reclaim_deadline: None,
+            pending_report: false,
+        }
+    }
 }
 
 #[derive(Debug)]
 struct State {
     next_lease: u64,
-    /// Keyed by id, so every walk of the book runs in lease-id order.
+    /// Keyed by id (then epoch), so every walk of the book runs in lease-id
+    /// order. In a correctly fenced control plane every live key carries
+    /// the current epoch; a live key from another epoch is the
+    /// `double_grant_across_epochs` violation.
     leases: BTreeMap<LeaseId, Lease>,
     /// Consumer → producer pairings established by AQUA-PLACER (§4:
     /// "Selecting which GPU will be the producer for a consumer GPU is
@@ -227,6 +268,20 @@ impl Default for State {
             fault_applied: Vec::new(),
             revision: 0,
         }
+    }
+}
+
+impl State {
+    /// Mints the next lease id in `epoch` and books `lease` under it.
+    fn insert(&mut self, epoch: u64, lease: Lease) -> LeaseId {
+        let id = LeaseId {
+            id: self.next_lease,
+            epoch,
+        };
+        self.next_lease += 1;
+        self.revision += 1;
+        self.leases.insert(id, lease);
+        id
     }
 }
 
@@ -303,48 +358,23 @@ impl Coordinator {
         }
     }
 
-    /// `/lease`: a producer offers `bytes` of its HBM. Returns the lease id.
-    /// Epoch-oblivious wrapper around [`Coordinator::grant`] for callers
-    /// that predate crash-recovery (static leases, legacy tests).
+    /// `/lease`: a producer offers `bytes` of its HBM. Returns the lease
+    /// handle, which carries the epoch the grant belongs to: every verb
+    /// that later names the lease is rejected with
+    /// [`AquaError::StaleEpoch`] once a crash bumps it.
     pub fn lease(&self, producer: GpuRef, bytes: u64) -> LeaseId {
-        self.grant(producer, bytes).1
-    }
-
-    /// `/lease` with the fencing epoch attached: a producer offers `bytes`
-    /// of its HBM and learns which epoch the grant belongs to. The fenced
-    /// verbs ([`Coordinator::free_fenced`],
-    /// [`Coordinator::heartbeat_fenced`]) must present this epoch later and
-    /// are rejected with [`AquaError::StaleEpoch`] once a crash bumps it.
-    pub fn grant(&self, producer: GpuRef, bytes: u64) -> (u64, LeaseId) {
         self.tracer().incr("coordinator.lease", 1);
         let mut st = self.state.borrow_mut();
         let epoch = st.epoch;
         // Extend an existing live lease from the same producer if present
         // (same epoch only — merging across epochs would be a fencing hole).
-        if let Some((id, lease)) = st.leases.iter_mut().find(|(_, l)| {
-            l.producer == producer && !l.revoked && !l.reclaiming && l.epoch == epoch
+        if let Some((id, lease)) = st.leases.iter_mut().find(|(id, l)| {
+            l.producer == producer && !l.revoked && !l.reclaiming && id.epoch == epoch
         }) {
             lease.total += bytes;
-            return (epoch, *id);
+            return *id;
         }
-        let id = LeaseId(st.next_lease);
-        st.next_lease += 1;
-        st.revision += 1;
-        st.leases.insert(
-            id,
-            Lease {
-                producer,
-                total: bytes,
-                used: 0,
-                reclaiming: false,
-                released_at: SimTime::ZERO,
-                revoked: false,
-                last_heartbeat: None,
-                reclaim_deadline: None,
-                pending_report: false,
-                epoch,
-            },
-        );
+        let id = st.insert(epoch, Lease::new(producer, bytes, None));
         // aqua-audit: the merge above must keep every producer at one live
         // non-reclaiming lease; ending up with two is a double grant.
         let double_granted = st
@@ -357,10 +387,10 @@ impl Coordinator {
         if double_granted {
             self.audit(|| AuditViolation::DoubleGrant {
                 producer: producer.to_string(),
-                lease: id.0,
+                lease: id.id,
             });
         }
-        (epoch, id)
+        id
     }
 
     /// Installs the failure-detection knobs (heartbeat TTL, reclaim
@@ -404,7 +434,8 @@ impl Coordinator {
     }
 
     /// Whether the process is down (crashed, rebuild not yet complete).
-    pub fn is_down(&self) -> bool {
+    #[cfg(test)]
+    fn is_down(&self) -> bool {
         self.state.borrow().down
     }
 
@@ -481,8 +512,23 @@ impl Coordinator {
         trace!(tracer, TraceEvent::CoordinatorRecovered { epoch, at });
     }
 
-    /// Journals a fencing rejection (counter + `stale_epoch_rejected`).
-    fn reject_stale(&self, verb: &str, held: u64, current: u64, at: SimTime) {
+    /// Down/epoch fencing shared by every verb that names an epoch: `Err`
+    /// while the process is down or when `held` is not the current epoch.
+    fn fence(&self, st: &State, verb: &str, held: u64, at: SimTime) -> Result<(), AquaError> {
+        if st.down || held != st.epoch {
+            return Err(self.reject(st, verb, held, at));
+        }
+        Ok(())
+    }
+
+    /// The fence's error, off the hot path. A stale epoch is journaled
+    /// (counter + `stale_epoch_rejected`).
+    #[cold]
+    fn reject(&self, st: &State, verb: &str, held: u64, at: SimTime) -> AquaError {
+        if st.down {
+            return AquaError::ServiceUnavailable;
+        }
+        let current = st.epoch;
         let tracer = self.tracer();
         tracer.incr("coordinator.stale_epoch_rejections", 1);
         trace!(
@@ -494,64 +540,7 @@ impl Coordinator {
                 at,
             }
         );
-    }
-
-    /// Down/epoch fencing shared by the fenced verbs: `Err` while the
-    /// process is down or when `held` is not the current epoch.
-    fn fence(&self, verb: &str, held: u64, at: SimTime) -> Result<(), AquaError> {
-        let (down, current) = {
-            let st = self.state.borrow();
-            (st.down, st.epoch)
-        };
-        if down {
-            return Err(AquaError::ServiceUnavailable);
-        }
-        if held != current {
-            self.reject_stale(verb, held, current, at);
-            return Err(AquaError::StaleEpoch { held, current });
-        }
-        Ok(())
-    }
-
-    /// `/heartbeat` with the fencing check: the producer presents the epoch
-    /// it believes is current. A stale liveness proof is worse than none —
-    /// a pre-crash heartbeat must never keep a rebuilt lease alive.
-    ///
-    /// # Errors
-    ///
-    /// [`AquaError::ServiceUnavailable`] while the process is down,
-    /// [`AquaError::StaleEpoch`] when `held_epoch` is not current (also
-    /// journaled as `stale_epoch_rejected`).
-    pub fn heartbeat_fenced(
-        &self,
-        producer: GpuRef,
-        now: SimTime,
-        held_epoch: u64,
-    ) -> Result<(), AquaError> {
-        self.fence("heartbeat", held_epoch, now)?;
-        self.heartbeat(producer, now);
-        Ok(())
-    }
-
-    /// `/free` with the fencing check: rejected with
-    /// [`AquaError::StaleEpoch`] when `held_epoch` predates a crash, so a
-    /// consumer whose view is stale can never mutate the rebuilt book.
-    ///
-    /// # Errors
-    ///
-    /// [`AquaError::ServiceUnavailable`] while down,
-    /// [`AquaError::StaleEpoch`] on an epoch mismatch, otherwise the
-    /// [`Coordinator::free`] contract.
-    pub fn free_fenced(
-        &self,
-        lease: LeaseId,
-        bytes: u64,
-        held_epoch: u64,
-        now: SimTime,
-    ) -> Result<(), AquaError> {
-        self.fence("free", held_epoch, now)?;
-        self.tracer().incr("coordinator.free", 1);
-        self.free_inner("free", lease, bytes, now)
+        AquaError::StaleEpoch { held, current }
     }
 
     /// `/resync`: a producer's informer re-registers its full donated
@@ -573,19 +562,34 @@ impl Coordinator {
         observed_epoch: u64,
         now: SimTime,
     ) -> Result<LeaseId, AquaError> {
-        self.fence("resync", observed_epoch, now)?;
+        self.fence(&self.state.borrow(), "resync", observed_epoch, now)?;
         Ok(self.merge_resync(producer, bytes, observed_epoch, now))
+    }
+
+    /// Fuzz self-test entry: merges a resync report stamped with
+    /// `report_epoch` *without* the fence [`Coordinator::resync_report`]
+    /// applies. A correct control plane never calls it; `aqua-repro fuzz
+    /// --plant-fence` does, to prove the audit catches the stale merge
+    /// (`stale_epoch_accepted`) and the cross-epoch lease it leaves live
+    /// (`double_grant_across_epochs`).
+    pub fn plant_stale_resync(
+        &self,
+        producer: GpuRef,
+        bytes: u64,
+        report_epoch: u64,
+        at: SimTime,
+    ) -> LeaseId {
+        self.merge_resync(producer, bytes, report_epoch, at)
     }
 
     /// Unfenced body of [`Coordinator::resync_report`]: merges a producer's
     /// reported inventory into the book, stamping the lease with
-    /// `report_epoch` exactly as claimed. A correct control plane only
-    /// reaches this through the fencing check, so an unfenced stale merge
-    /// records `stale_epoch_accepted`, and any live lease it leaves behind
-    /// from a non-current epoch records `double_grant_across_epochs`.
-    /// Public so the fuzz campaign can plant exactly that bypass and prove
-    /// the audit catches it.
-    pub fn merge_resync(
+    /// `report_epoch` exactly as claimed. Only the fenced verb and the
+    /// [`Coordinator::plant_stale_resync`] self-test reach it, so an
+    /// unfenced stale merge records `stale_epoch_accepted`, and any live
+    /// lease it leaves behind from a non-current epoch records
+    /// `double_grant_across_epochs`.
+    fn merge_resync(
         &self,
         producer: GpuRef,
         bytes: u64,
@@ -608,40 +612,23 @@ impl Coordinator {
             }
             // A resync carries the producer's *full* inventory, so it can
             // only grow an existing same-epoch lease, never shrink it.
-            if let Some((eid, l)) = st.leases.iter_mut().find(|(_, l)| {
-                l.producer == producer && !l.revoked && !l.reclaiming && l.epoch == report_epoch
+            if let Some((eid, l)) = st.leases.iter_mut().find(|(id, l)| {
+                l.producer == producer && !l.revoked && !l.reclaiming && id.epoch == report_epoch
             }) {
                 l.total = l.total.max(bytes);
                 l.last_heartbeat = Some(at);
                 id = *eid;
             } else {
-                id = LeaseId(st.next_lease);
-                st.next_lease += 1;
-                st.revision += 1;
-                st.leases.insert(
-                    id,
-                    Lease {
-                        producer,
-                        total: bytes,
-                        used: 0,
-                        reclaiming: false,
-                        released_at: SimTime::ZERO,
-                        revoked: false,
-                        last_heartbeat: Some(at),
-                        reclaim_deadline: None,
-                        pending_report: false,
-                        epoch: report_epoch,
-                    },
-                );
+                id = st.insert(report_epoch, Lease::new(producer, bytes, Some(at)));
             }
             // Any live lease now claiming a non-current epoch is the
             // split-brain the fencing exists to prevent.
             for (lease, l) in &st.leases {
-                if l.producer == producer && !l.revoked && l.epoch != current {
+                if l.producer == producer && !l.revoked && lease.epoch != current {
                     violations.push(AuditViolation::DoubleGrantAcrossEpochs {
                         producer: producer.to_string(),
-                        lease: lease.0,
-                        prior_epoch: l.epoch,
+                        lease: lease.id,
+                        prior_epoch: lease.epoch,
                         epoch: current,
                     });
                 }
@@ -660,12 +647,12 @@ impl Coordinator {
     /// Post-recovery re-registration of consumer bytes that still
     /// physically live on `producer`'s HBM: places them back onto the
     /// producer's current-epoch lease (least-loaded, ties by id) and
-    /// journals `lease_reconciled` with outcome `rehomed`. Returns the new
-    /// `(epoch, lease)`; `None` when the producer has not resynced yet or
+    /// journals `lease_reconciled` with outcome `rehomed`. Returns the
+    /// current-epoch lease; `None` when the producer has not resynced yet or
     /// lacks room — the caller must then migrate the bytes to DRAM.
-    pub fn rehome(&self, producer: GpuRef, bytes: u64, now: SimTime) -> Option<(u64, LeaseId)> {
+    pub fn rehome(&self, producer: GpuRef, bytes: u64, now: SimTime) -> Option<LeaseId> {
         self.tracer().incr("coordinator.rehome", 1);
-        let granted;
+        let lease;
         {
             let mut st = self.state.borrow_mut();
             if st.down {
@@ -673,19 +660,19 @@ impl Coordinator {
             }
             let epoch = st.epoch;
             // Least-loaded, ties by id: the first minimum in id order.
-            let (eid, l) = st
+            let (id, l) = st
                 .leases
                 .iter_mut()
-                .filter(|(_, l)| {
+                .filter(|(id, l)| {
                     l.producer == producer
                         && !l.revoked
                         && !l.reclaiming
-                        && l.epoch == epoch
+                        && id.epoch == epoch
                         && l.total - l.used >= bytes
                 })
                 .min_by_key(|(_, l)| l.used)?;
             l.used += bytes;
-            granted = (epoch, *eid);
+            lease = *id;
             st.revision += 1;
             if st.recovered_at.is_some() && st.first_regrant_at.is_none() {
                 st.first_regrant_at = Some(now);
@@ -696,14 +683,14 @@ impl Coordinator {
             tracer,
             TraceEvent::LeaseReconciled {
                 producer: producer.to_string(),
-                lease: granted.1 .0,
+                lease: lease.id,
                 bytes,
-                epoch: granted.0,
+                epoch: lease.epoch,
                 outcome: "rehomed".to_owned(),
                 at: now,
             }
         );
-        Some(granted)
+        Some(lease)
     }
 
     /// Applies the control-plane fault windows whose boundaries `now` has
@@ -781,14 +768,23 @@ impl Coordinator {
         }
     }
 
-    /// `/heartbeat`: a producer proves it is alive at `now`. Stamps every
-    /// live lease of `producer`. Cheap and journal-silent (counter only),
-    /// so informers can call it every control tick.
-    pub fn heartbeat(&self, producer: GpuRef, now: SimTime) {
-        self.tracer().incr("coordinator.heartbeat", 1);
+    /// `/heartbeat`: a producer proves it is alive at `now`, presenting the
+    /// epoch it believes is current. Stamps every live lease of `producer`.
+    /// Cheap and journal-silent (counter only), so informers can call it
+    /// every control tick. A stale liveness proof is worse than none — a
+    /// pre-crash heartbeat must never keep a rebuilt lease alive.
+    ///
+    /// # Errors
+    ///
+    /// [`AquaError::ServiceUnavailable`] while the process is down,
+    /// [`AquaError::StaleEpoch`] when `epoch` is not current (also
+    /// journaled as `stale_epoch_rejected`).
+    pub fn heartbeat(&self, producer: GpuRef, now: SimTime, epoch: u64) -> Result<(), AquaError> {
         let mut regressed: Option<SimTime> = None;
         {
             let mut st = self.state.borrow_mut();
+            self.fence(&st, "heartbeat", epoch, now)?;
+            self.tracer().incr("coordinator.heartbeat", 1);
             for l in st.leases.values_mut() {
                 if l.producer == producer && !l.revoked {
                     if l.last_heartbeat.is_some_and(|prev| now < prev) {
@@ -805,6 +801,7 @@ impl Coordinator {
                 next: now,
             });
         }
+        Ok(())
     }
 
     /// Observable state of a lease.
@@ -889,7 +886,7 @@ impl Coordinator {
                             l.pending_report = false;
                             events.push(TraceEvent::LeaseExpired {
                                 producer: l.producer.to_string(),
-                                lease: id.0,
+                                lease: id.id,
                                 stranded: l.used,
                                 at: now,
                             });
@@ -912,7 +909,7 @@ impl Coordinator {
                             l.released_at = l.released_at.max(d);
                             events.push(TraceEvent::LeaseForceRevoked {
                                 producer: l.producer.to_string(),
-                                lease: id.0,
+                                lease: id.id,
                                 stranded: l.used,
                                 at: now,
                             });
@@ -996,9 +993,16 @@ impl Coordinator {
     /// Tries to allocate `bytes` on a *specific* lease (consumer-side lease
     /// affinity: growing context stays with the producer already holding
     /// it, preserving AQUA-PLACER's one-producer-per-consumer pairing).
-    /// Returns `true` on success.
+    /// Returns `true` on success; a lease from another epoch (or any lease
+    /// while the process is down) takes nothing.
     pub fn try_allocate_on(&self, lease: LeaseId, bytes: u64) -> bool {
         let mut st = self.state.borrow_mut();
+        if self
+            .fence(&st, "allocate", lease.epoch, SimTime::ZERO)
+            .is_err()
+        {
+            return false;
+        }
         match st.leases.get_mut(&lease) {
             Some(l) if !l.revoked && !l.reclaiming && l.total - l.used >= bytes => {
                 l.used += bytes;
@@ -1010,24 +1014,40 @@ impl Coordinator {
     }
 
     /// `/free`: a consumer returns `bytes` previously allocated on `lease`
-    /// (after freeing or migrating the tensors away).
+    /// (after freeing or migrating the tensors away). The untimed form of
+    /// [`Coordinator::free_at`], stamped at [`SimTime::ZERO`].
     ///
     /// # Errors
     ///
-    /// [`AquaError::UnknownLease`] for an id the coordinator never issued,
-    /// [`AquaError::LeaseRevoked`] when the lease was revoked (e.g. by
-    /// heartbeat expiry) before the free arrived, and [`AquaError::OverFree`]
-    /// when `bytes` exceeds the lease's usage — the caller's bytes are
-    /// already gone in the first two cases and the third is a double-free.
+    /// As [`Coordinator::free_at`].
     pub fn free(&self, lease: LeaseId, bytes: u64) -> Result<(), AquaError> {
-        self.tracer().incr("coordinator.free", 1);
-        self.free_inner("free", lease, bytes, SimTime::ZERO)
+        self.free_at(lease, bytes, SimTime::ZERO)
     }
 
-    /// Shared body of [`Coordinator::free`] and [`Coordinator::release`]
-    /// with the aqua-audit hooks: an over-free of a live lease is a double
-    /// free, and a stale free of more bytes than a revoked lease ever held
-    /// means the caller's books were corrupt before the revocation raced it.
+    /// `/free` at simulated time `now`, fenced on the epoch `lease` was
+    /// granted in: a consumer whose view predates a crash can never mutate
+    /// the rebuilt book.
+    ///
+    /// # Errors
+    ///
+    /// [`AquaError::ServiceUnavailable`] while the process is down,
+    /// [`AquaError::StaleEpoch`] when `lease` was granted in an earlier
+    /// epoch, [`AquaError::UnknownLease`] for an id the coordinator never
+    /// issued, [`AquaError::LeaseRevoked`] when the lease was revoked (e.g.
+    /// by heartbeat expiry) before the free arrived, and
+    /// [`AquaError::OverFree`] when `bytes` exceeds the lease's usage — the
+    /// caller's bytes are already gone in the revoked and stale cases, and
+    /// an over-free is a double free.
+    pub fn free_at(&self, lease: LeaseId, bytes: u64, now: SimTime) -> Result<(), AquaError> {
+        self.tracer().incr("coordinator.free", 1);
+        self.free_inner("free", lease, bytes, now)
+    }
+
+    /// Shared fenced body of [`Coordinator::free_at`] and
+    /// [`Coordinator::release`] with the aqua-audit hooks: an over-free of
+    /// a live lease is a double free, and a stale free of more bytes than a
+    /// revoked lease ever held means the caller's books were corrupt before
+    /// the revocation raced it.
     fn free_inner(
         &self,
         verb: &str,
@@ -1038,13 +1058,14 @@ impl Coordinator {
         let mut violation: Option<AuditViolation> = None;
         let result = {
             let mut st = self.state.borrow_mut();
+            self.fence(&st, verb, lease.epoch, at)?;
             match st.leases.get_mut(&lease) {
                 None => Err(AquaError::UnknownLease(lease)),
                 Some(l) if l.revoked => {
                     if bytes > l.used {
                         violation = Some(AuditViolation::FreeAfterRevoke {
                             scope: verb.to_owned(),
-                            lease: lease.0,
+                            lease: lease.id,
                             at,
                         });
                     }
@@ -1053,7 +1074,7 @@ impl Coordinator {
                 Some(l) if l.used < bytes => {
                     violation = Some(AuditViolation::DoubleFree {
                         scope: verb.to_owned(),
-                        lease: lease.0,
+                        lease: lease.id,
                         used: l.used,
                         requested: bytes,
                         at,
@@ -1078,24 +1099,11 @@ impl Coordinator {
         result
     }
 
-    /// `/reclaim_request`: the producer wants its memory back. Marks every
-    /// live lease of `producer` as reclaiming; consumers observe it at their
+    /// `/reclaim_request`: the producer wants its memory back at `now`.
+    /// Marks every live lease of `producer` as reclaiming and arms the
+    /// reclaim deadline immediately; consumers observe the reclaim at their
     /// next `respond()` boundary.
-    pub fn reclaim_request(&self, producer: GpuRef) {
-        self.tracer().incr("coordinator.reclaim_request", 1);
-        let mut st = self.state.borrow_mut();
-        st.revision += 1;
-        for l in st.leases.values_mut() {
-            if l.producer == producer && !l.revoked {
-                l.reclaiming = true;
-            }
-        }
-    }
-
-    /// Timestamped `/reclaim_request` that also arms the reclaim deadline
-    /// immediately (instead of waiting for the next [`Coordinator::advance`]
-    /// sweep to notice the reclaim).
-    pub fn reclaim_request_at(&self, producer: GpuRef, now: SimTime) {
+    pub fn reclaim_request(&self, producer: GpuRef, now: SimTime) {
         self.tracer().incr("coordinator.reclaim_request", 1);
         let mut st = self.state.borrow_mut();
         st.revision += 1;
@@ -1126,9 +1134,9 @@ impl Coordinator {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Coordinator::free`]: unknown lease, revoked lease
-    /// (the bytes were already handed back by a forced revocation), or an
-    /// over-release.
+    /// Same contract as [`Coordinator::free_at`]: down, stale epoch,
+    /// unknown lease, revoked lease (the bytes were already handed back by
+    /// a forced revocation), or an over-release.
     pub fn release(&self, lease: LeaseId, bytes: u64, at: SimTime) -> Result<(), AquaError> {
         let tracer = self.tracer();
         tracer.incr("coordinator.release", 1);
@@ -1136,7 +1144,7 @@ impl Coordinator {
             tracer,
             TraceEvent::CoordinatorVerb {
                 verb: "release".to_owned(),
-                detail: format!("lease={} bytes={bytes}", lease.0),
+                detail: format!("lease={lease} bytes={bytes}"),
                 at,
             }
         );
@@ -1235,17 +1243,17 @@ impl Coordinator {
                 if l.revoked {
                     continue;
                 }
-                if l.epoch != epoch {
+                if id.epoch != epoch {
                     found.push(AuditViolation::DoubleGrantAcrossEpochs {
                         producer: l.producer.to_string(),
-                        lease: id.0,
-                        prior_epoch: l.epoch,
+                        lease: id.id,
+                        prior_epoch: id.epoch,
                         epoch,
                     });
                 }
                 if l.used > l.total {
                     found.push(AuditViolation::ByteConservation {
-                        scope: format!("lease:{}", id.0),
+                        scope: format!("lease:{id}"),
                         expected: l.total,
                         actual: l.used,
                         at,
@@ -1255,7 +1263,7 @@ impl Coordinator {
                     if live_producers.contains(&l.producer) {
                         found.push(AuditViolation::DoubleGrant {
                             producer: l.producer.to_string(),
-                            lease: id.0,
+                            lease: id.id,
                         });
                     }
                     live_producers.push(l.producer);
@@ -1355,7 +1363,7 @@ mod tests {
         c.allocate(consumer, 60);
         assert_eq!(c.reclaim_status(producer), ReclaimStatus::None);
 
-        c.reclaim_request(producer);
+        c.reclaim_request(producer, SimTime::ZERO);
         assert_eq!(c.pending_reclaim(lease), 60);
         assert_eq!(c.reclaim_status(producer), ReclaimStatus::Pending);
         // A reclaiming lease takes no new allocations.
@@ -1377,7 +1385,7 @@ mod tests {
         let c = Coordinator::new();
         let (_, producer) = refs();
         c.lease(producer, 50);
-        c.reclaim_request(producer);
+        c.reclaim_request(producer, SimTime::ZERO);
         assert!(matches!(
             c.reclaim_status(producer),
             ReclaimStatus::Released { bytes: 50, .. }
@@ -1392,7 +1400,7 @@ mod tests {
         let (consumer, producer) = refs();
         let lease = c.lease(producer, 100);
         c.allocate(consumer, 60);
-        c.reclaim_request(producer);
+        c.reclaim_request(producer, SimTime::ZERO);
         c.release(lease, 60, SimTime::from_secs(1)).unwrap();
         let reg = journal.registry();
         assert_eq!(reg.counter("coordinator.lease"), 1);
@@ -1409,10 +1417,8 @@ mod tests {
         use crate::error::AquaError;
 
         let c = Coordinator::new();
-        assert_eq!(
-            c.free(LeaseId(9), 1),
-            Err(AquaError::UnknownLease(LeaseId(9)))
-        );
+        let unknown = LeaseId { id: 9, epoch: 1 };
+        assert_eq!(c.free(unknown, 1), Err(AquaError::UnknownLease(unknown)));
         let (consumer, producer) = refs();
         let lease = c.lease(producer, 10);
         c.allocate(consumer, 4);
@@ -1426,8 +1432,8 @@ mod tests {
         );
         assert_eq!(c.used_bytes(), 4, "failed free must not change state");
         assert_eq!(
-            c.release(LeaseId(9), 1, SimTime::ZERO),
-            Err(AquaError::UnknownLease(LeaseId(9)))
+            c.release(unknown, 1, SimTime::ZERO),
+            Err(AquaError::UnknownLease(unknown))
         );
     }
 
@@ -1490,7 +1496,7 @@ mod tests {
 
         // First sweep arms the watchdog; nothing expires yet.
         assert_eq!(c.advance(SimTime::from_secs(1)), 0);
-        c.heartbeat(producer, SimTime::from_secs(5));
+        c.heartbeat(producer, SimTime::from_secs(5), 1).unwrap();
         assert_eq!(c.advance(SimTime::from_secs(10)), 0, "5s silence < 10s TTL");
         // 20s of silence blows the TTL.
         assert_eq!(c.advance(SimTime::from_secs(25)), 1);
@@ -1524,7 +1530,7 @@ mod tests {
         let (consumer, producer) = refs();
         let lease = c.lease(producer, 100);
         c.allocate(consumer, 70);
-        c.reclaim_request_at(producer, SimTime::from_secs(10));
+        c.reclaim_request(producer, SimTime::from_secs(10));
         assert_eq!(c.lease_state(lease), LeaseState::Reclaiming);
         assert_eq!(c.reclaim_status(producer), ReclaimStatus::Pending);
 
@@ -1555,7 +1561,7 @@ mod tests {
         let (consumer, producer) = refs();
         c.lease(producer, 100);
         c.allocate(consumer, 40);
-        c.reclaim_request(producer);
+        c.reclaim_request(producer, SimTime::ZERO);
         assert_eq!(c.advance(SimTime::from_secs(1_000_000)), 0);
         assert_eq!(c.leased_bytes(), 100);
     }
@@ -1573,7 +1579,7 @@ mod tests {
         let lease = c.lease(producer, 100);
         assert!(moved(&c), "grant of a new lease");
         c.lease(producer, 100);
-        c.heartbeat(producer, SimTime::from_secs(1));
+        c.heartbeat(producer, SimTime::from_secs(1), 1).unwrap();
         c.advance(SimTime::from_secs(1));
         assert!(!moved(&c), "extension, heartbeat and arming sweep");
         assert!(c.allocate(consumer, 10).is_peer());
@@ -1585,7 +1591,7 @@ mod tests {
         assert!(!moved(&c), "rejected verbs");
         c.free(lease, 10).unwrap();
         assert!(moved(&c), "free");
-        c.reclaim_request(producer);
+        c.reclaim_request(producer, SimTime::from_secs(2));
         assert!(moved(&c), "reclaim_request");
         c.release(lease, 10, SimTime::from_secs(2)).unwrap();
         assert!(moved(&c), "release");
@@ -1615,10 +1621,13 @@ mod tests {
     fn lease_state_tracks_the_lifecycle() {
         let c = Coordinator::new();
         let (_, producer) = refs();
-        assert_eq!(c.lease_state(LeaseId(0)), LeaseState::Unknown);
+        assert_eq!(
+            c.lease_state(LeaseId { id: 0, epoch: 1 }),
+            LeaseState::Unknown
+        );
         let lease = c.lease(producer, 10);
         assert_eq!(c.lease_state(lease), LeaseState::Live);
-        c.reclaim_request(producer);
+        c.reclaim_request(producer, SimTime::ZERO);
         assert_eq!(c.lease_state(lease), LeaseState::Reclaiming);
         c.reclaim_status(producer); // drained -> revoked
         assert_eq!(c.lease_state(lease), LeaseState::Revoked);
@@ -1631,8 +1640,8 @@ mod tests {
         c.set_tracer(journal.clone());
         let (consumer, producer) = refs();
         assert_eq!(c.epoch(), 1);
-        let (epoch, lease) = c.grant(producer, 100);
-        assert_eq!(epoch, 1);
+        let lease = c.lease(producer, 100);
+        assert_eq!(lease.epoch(), 1);
         c.allocate(consumer, 40);
 
         c.crash(SimTime::from_secs(10));
@@ -1683,59 +1692,101 @@ mod tests {
         assert_eq!(journal.registry().counter("coordinator.recoveries"), 1);
     }
 
+    /// Every fenced verb, handed a lease minted before a crash (or that
+    /// lease's epoch) after `recover`, rejects it with `StaleEpoch`, leaves
+    /// the book untouched and journals exactly one `stale_epoch_rejected`;
+    /// while the process is down the answer is `ServiceUnavailable`, and a
+    /// current-epoch handle passes the fence.
     #[test]
-    fn fenced_verbs_reject_stale_epochs() {
-        let journal = Arc::new(aqua_telemetry::JournalTracer::new());
-        let c = Coordinator::new();
-        c.set_tracer(journal.clone());
-        let (consumer, producer) = refs();
-        let (old_epoch, old_lease) = c.grant(producer, 100);
-        c.allocate(consumer, 40);
-        assert!(c
-            .heartbeat_fenced(producer, SimTime::from_secs(1), old_epoch)
-            .is_ok());
-        c.crash(SimTime::from_secs(2));
-        // Down: fenced verbs answer ServiceUnavailable, not StaleEpoch.
-        assert_eq!(
-            c.heartbeat_fenced(producer, SimTime::from_secs(3), old_epoch),
-            Err(AquaError::ServiceUnavailable)
-        );
-        c.recover(SimTime::from_secs(4));
-        assert_eq!(
-            c.heartbeat_fenced(producer, SimTime::from_secs(5), old_epoch),
-            Err(AquaError::StaleEpoch {
-                held: 1,
-                current: 2
-            })
-        );
-        assert_eq!(
-            c.free_fenced(old_lease, 40, old_epoch, SimTime::from_secs(6)),
-            Err(AquaError::StaleEpoch {
-                held: 1,
-                current: 2
-            })
-        );
-        assert_eq!(c.used_bytes(), 0, "stale verbs mutated nothing");
-        // Current-epoch verbs pass the fence.
-        let id = c
-            .resync_report(producer, 100, 2, SimTime::from_secs(7))
-            .unwrap();
-        assert!(c.try_allocate_on(id, 10));
-        assert!(c.free_fenced(id, 10, 2, SimTime::from_secs(8)).is_ok());
-        // Writes are fenced structurally: the pre-crash lease is gone.
-        assert!(!c.try_allocate_on(old_lease, 1));
-        let rejections = journal
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::StaleEpochRejected { .. }))
-            .count();
-        assert_eq!(rejections, 2);
-        assert_eq!(
-            journal
-                .registry()
-                .counter("coordinator.stale_epoch_rejections"),
-            2
-        );
+    fn fenced_verbs_reject_stale_handles() {
+        use aqua_telemetry::JournalTracer;
+
+        fn stale(e: AquaError) {
+            assert_eq!(
+                e,
+                AquaError::StaleEpoch {
+                    held: 1,
+                    current: 2
+                }
+            );
+        }
+        type Verb = fn(&Coordinator, LeaseId, GpuRef) -> bool;
+        // (journaled verb, call returning whether it was accepted)
+        let verbs: [(&str, Verb); 6] = [
+            ("free", |c, l, _| c.free(l, 40).map_err(stale).is_ok()),
+            ("free", |c, l, _| {
+                c.free_at(l, 40, SimTime::from_secs(6))
+                    .map_err(stale)
+                    .is_ok()
+            }),
+            ("release", |c, l, _| {
+                c.release(l, 40, SimTime::from_secs(6))
+                    .map_err(stale)
+                    .is_ok()
+            }),
+            ("allocate", |c, l, _| c.try_allocate_on(l, 1)),
+            ("heartbeat", |c, l, p| {
+                c.heartbeat(p, SimTime::from_secs(6), l.epoch())
+                    .map_err(stale)
+                    .is_ok()
+            }),
+            ("resync", |c, l, p| {
+                c.resync_report(p, 100, l.epoch(), SimTime::from_secs(6))
+                    .map_err(stale)
+                    .is_ok()
+            }),
+        ];
+        for (verb, call) in verbs {
+            let journal = Arc::new(JournalTracer::new());
+            let c = Coordinator::new();
+            c.set_tracer(journal.clone());
+            let (consumer, producer) = refs();
+            let old = c.lease(producer, 100);
+            c.allocate(consumer, 40);
+            assert!(c.heartbeat(producer, SimTime::from_secs(1), 1).is_ok());
+            c.crash(SimTime::from_secs(2));
+            // Down: fenced verbs answer ServiceUnavailable, not StaleEpoch.
+            assert_eq!(
+                c.heartbeat(producer, SimTime::from_secs(3), old.epoch()),
+                Err(AquaError::ServiceUnavailable)
+            );
+            assert_eq!(c.free(old, 40), Err(AquaError::ServiceUnavailable));
+            c.recover(SimTime::from_secs(4));
+            let fresh = c
+                .resync_report(producer, 100, 2, SimTime::from_secs(5))
+                .unwrap();
+            assert!(c.try_allocate_on(fresh, 10));
+            let book = (c.book_revision(), c.used_bytes(), c.leased_bytes());
+            let seen = journal.len();
+
+            assert!(!call(&c, old, producer), "{verb} accepted a stale handle");
+            assert_eq!(
+                (c.book_revision(), c.used_bytes(), c.leased_bytes()),
+                book,
+                "{verb}: stale verbs mutate nothing"
+            );
+            let rejections: Vec<TraceEvent> = journal
+                .events()
+                .into_iter()
+                .skip(seen)
+                .filter(|e| matches!(e, TraceEvent::StaleEpochRejected { .. }))
+                .collect();
+            assert!(
+                matches!(
+                    rejections.as_slice(),
+                    [TraceEvent::StaleEpochRejected { verb: v, held: 1, current: 2, .. }] if v == verb
+                ),
+                "{verb}: {rejections:?}"
+            );
+            assert_eq!(
+                journal
+                    .registry()
+                    .counter("coordinator.stale_epoch_rejections"),
+                1
+            );
+            // A current-epoch handle passes the fence.
+            assert!(c.free_at(fresh, 10, SimTime::from_secs(8)).is_ok());
+        }
     }
 
     /// Satellite regression: a resync report prepared against epoch N that
@@ -1745,7 +1796,7 @@ mod tests {
     fn resync_racing_second_crash_is_fenced_out() {
         let c = Coordinator::new();
         let (_, producer) = refs();
-        c.grant(producer, 100);
+        c.lease(producer, 100);
         c.crash(SimTime::from_secs(1));
         c.recover(SimTime::from_secs(2));
         // The informer observes epoch 2 and prepares its report…
@@ -1769,8 +1820,8 @@ mod tests {
         assert_eq!(c.leased_bytes(), 100);
     }
 
-    /// The planted-bug shape: bypassing the fence with a direct
-    /// `merge_resync` of a stale report must be caught by the audit as
+    /// The planted-bug shape: bypassing the fence with
+    /// `plant_stale_resync` of a stale report must be caught by the audit as
     /// `stale_epoch_accepted` plus `double_grant_across_epochs`, both at
     /// merge time and by the next `audit_books` sweep.
     #[test]
@@ -1781,7 +1832,7 @@ mod tests {
         let c = Coordinator::new();
         c.set_auditor(aud.clone());
         let (_, producer) = refs();
-        let (stale_epoch, _) = c.grant(producer, 100);
+        let stale = c.lease(producer, 100);
         c.crash(SimTime::from_secs(1));
         c.recover(SimTime::from_secs(2));
         // Legitimate resync in the new epoch…
@@ -1789,7 +1840,7 @@ mod tests {
             .unwrap();
         assert!(aud.is_clean());
         // …then the bypass merges the stale report anyway.
-        c.merge_resync(producer, 80, stale_epoch, SimTime::from_secs(4));
+        c.plant_stale_resync(producer, 80, stale.epoch(), SimTime::from_secs(4));
         let kinds: Vec<&str> = aud.violations().iter().map(|v| v.kind()).collect();
         assert!(kinds.contains(&"stale_epoch_accepted"), "{kinds:?}");
         assert!(kinds.contains(&"double_grant_across_epochs"), "{kinds:?}");
@@ -1820,7 +1871,7 @@ mod tests {
         let l0 = c.lease(p0, 100);
         let l1 = c.lease(p1, 100);
         let l2 = c.lease(p2, 100);
-        assert!((l0, l1, l2) == (LeaseId(0), LeaseId(1), LeaseId(2)));
+        assert_eq!([l0, l1, l2].map(LeaseId::id), [0, 1, 2]);
         c.pair(consumer, p0);
         c.allocate(consumer, 10);
         c.pair(consumer, p1);
@@ -1830,10 +1881,10 @@ mod tests {
         // Arm all watchdogs at t=0.
         c.advance(SimTime::ZERO);
         // Lease 0: producer stays alive but its reclaim blows the deadline.
-        c.reclaim_request_at(p0, SimTime::from_secs(1));
+        c.reclaim_request(p0, SimTime::from_secs(1));
         // Lease 1: reclaiming AND dead producer — TTL must win.
-        c.reclaim_request_at(p1, SimTime::from_secs(1));
-        c.heartbeat(p0, SimTime::from_secs(95));
+        c.reclaim_request(p1, SimTime::from_secs(1));
+        c.heartbeat(p0, SimTime::from_secs(95), 1).unwrap();
         // Lease 2: dead producer, no reclaim.
         assert_eq!(c.advance(SimTime::from_secs(100)), 3);
         let events: Vec<(&str, u64)> = journal
@@ -1863,7 +1914,7 @@ mod tests {
         let c = Coordinator::new();
         c.set_tracer(journal.clone());
         let (consumer, producer) = refs();
-        c.grant(producer, 100);
+        c.lease(producer, 100);
         c.allocate(consumer, 30);
         c.crash(SimTime::from_secs(1));
         // Down, and before the producer resyncs: nothing to re-home onto.
@@ -1873,8 +1924,8 @@ mod tests {
         let id = c
             .resync_report(producer, 100, 2, SimTime::from_secs(4))
             .unwrap();
-        let (epoch, lease) = c.rehome(producer, 30, SimTime::from_secs(5)).unwrap();
-        assert_eq!((epoch, lease), (2, id));
+        let lease = c.rehome(producer, 30, SimTime::from_secs(5)).unwrap();
+        assert_eq!((lease, lease.epoch()), (id, 2));
         assert_eq!(c.used_bytes(), 30, "orphaned bytes re-homed");
         // Too big to fit does not re-home.
         assert_eq!(c.rehome(producer, 80, SimTime::from_secs(6)), None);
@@ -1896,7 +1947,7 @@ mod tests {
         let c = Coordinator::new();
         c.set_tracer(journal.clone());
         let (_, producer) = refs();
-        c.grant(producer, 100);
+        c.lease(producer, 100);
         let plan = Arc::new(
             FaultPlan::new()
                 .coordinator_crash(SimTime::from_secs(10), SimDuration::from_secs(5))
@@ -1938,13 +1989,13 @@ mod tests {
     }
 
     aqua_sim::check! {
-        /// Satellite: arbitrary interleavings of grant / allocate / fenced
-        /// free / fenced heartbeat / crash / recover / resync+re-home never
-        /// honor a lease in two epochs, every stale fenced verb is rejected
-        /// with `StaleEpoch`, and the outcome accounting holds: every
-        /// consumer region orphaned by a crash ends exactly one of
-        /// reconciled (re-homed), locally revoked (dropped to DRAM), or is
-        /// still awaiting reconciliation when the run ends.
+        /// Satellite: arbitrary interleavings of lease / allocate / free /
+        /// heartbeat / crash / recover / resync+re-home never honor a lease
+        /// in two epochs, every stale fenced verb is rejected with
+        /// `StaleEpoch`, and the outcome accounting holds: every consumer
+        /// region orphaned by a crash ends exactly one of reconciled
+        /// (re-homed), locally revoked (dropped to DRAM), or is still
+        /// awaiting reconciliation when the run ends.
         #[test]
         fn epoch_fencing_interleavings_never_honor_a_lease_across_epochs(
             ops in aqua_sim::check::vec((0u8..8, 1u64..64), 1..100)
@@ -1952,10 +2003,11 @@ mod tests {
             let c = Coordinator::new();
             let (consumer, producer) = refs();
             let mut now = SimTime::ZERO;
-            // Consumer regions as (lease, bytes, epoch granted in).
-            let mut held: Vec<(LeaseId, u64, u64)> = Vec::new();
-            // Every (lease id, epoch) pair ever granted.
-            let mut granted: Vec<(LeaseId, u64)> = Vec::new();
+            // Consumer regions as (lease, bytes); the handle carries the
+            // epoch it was granted in.
+            let mut held: Vec<(LeaseId, u64)> = Vec::new();
+            // Every lease handle ever granted.
+            let mut granted: Vec<LeaseId> = Vec::new();
             let mut crossings = 0usize; // regions orphaned by a crash
             let mut reconciled = 0usize;
             let mut locally_revoked = 0usize;
@@ -1964,31 +2016,31 @@ mod tests {
                 match op {
                     0 => {
                         if !c.is_down() {
-                            let (e, id) = c.grant(producer, amount * 10);
-                            if !granted.contains(&(id, e)) {
-                                granted.push((id, e));
+                            let id = c.lease(producer, amount * 10);
+                            if !granted.contains(&id) {
+                                granted.push(id);
                             }
                         }
                     }
                     1 => {
                         if !c.is_down() {
-                            let e = c.epoch();
                             if let AllocationSite::Peer { lease, .. } =
                                 c.allocate(consumer, amount)
                             {
-                                held.push((lease, amount, e));
+                                assert_eq!(lease.epoch(), c.epoch());
+                                held.push((lease, amount));
                             }
                         }
                     }
                     2 => {
-                        if let Some((lease, bytes, e)) = held.pop() {
-                            match c.free_fenced(lease, bytes, e, now) {
+                        if let Some((lease, bytes)) = held.pop() {
+                            match c.free_at(lease, bytes, now) {
                                 Ok(()) => {} // released cleanly
                                 Err(AquaError::ServiceUnavailable) => {
-                                    held.push((lease, bytes, e)); // retry later
+                                    held.push((lease, bytes)); // retry later
                                 }
                                 Err(AquaError::StaleEpoch { held: h, current }) => {
-                                    assert!(h == e && current == c.epoch());
+                                    assert!(h == lease.epoch() && current == c.epoch());
                                     // Fenced out: the caller drops to DRAM.
                                     locally_revoked += 1;
                                 }
@@ -1997,7 +2049,7 @@ mod tests {
                         }
                     }
                     3 => {
-                        let r = c.heartbeat_fenced(producer, now, c.epoch());
+                        let r = c.heartbeat(producer, now, c.epoch());
                         if !c.is_down() {
                             assert!(r.is_ok());
                         }
@@ -2005,7 +2057,7 @@ mod tests {
                     4 => {
                         if !c.is_down() {
                             let e = c.epoch();
-                            crossings += held.iter().filter(|(_, _, ge)| *ge == e).count();
+                            crossings += held.iter().filter(|(l, _)| l.epoch() == e).count();
                             c.crash(now);
                         }
                     }
@@ -2017,12 +2069,12 @@ mod tests {
                             let e = c.epoch();
                             let _ = c.resync_report(producer, 1 << 20, e, now);
                             for r in held.iter_mut() {
-                                if r.2 == e {
+                                if r.0.epoch() == e {
                                     continue;
                                 }
                                 match c.rehome(producer, r.1, now) {
-                                    Some((ne, nl)) => {
-                                        *r = (nl, r.1, ne);
+                                    Some(lease) => {
+                                        r.0 = lease;
                                         reconciled += 1;
                                     }
                                     None => {
@@ -2031,17 +2083,17 @@ mod tests {
                                     }
                                 }
                             }
-                            held.retain(|(_, b, _)| *b > 0);
+                            held.retain(|(_, b)| *b > 0);
                         }
                     }
                     _ => {
                         // A stale fenced free must always bounce, leaving
                         // the book untouched.
-                        if let Some(&(lease, bytes, e)) = held.first() {
-                            if e != c.epoch() && !c.is_down() {
+                        if let Some(&(lease, bytes)) = held.first() {
+                            if lease.epoch() != c.epoch() && !c.is_down() {
                                 let before = c.used_bytes();
                                 assert!(matches!(
-                                    c.free_fenced(lease, bytes, e, now),
+                                    c.free_at(lease, bytes, now),
                                     Err(AquaError::StaleEpoch { .. })
                                 ));
                                 assert_eq!(c.used_bytes(), before);
@@ -2052,8 +2104,8 @@ mod tests {
                 // No lease is ever honored in two epochs: once the epoch
                 // moved on, a grant from an older epoch is gone from the
                 // book entirely.
-                for &(id, e) in &granted {
-                    if e != c.epoch() {
+                for &id in &granted {
+                    if id.epoch() != c.epoch() {
                         assert_eq!(c.lease_state(id), LeaseState::Unknown);
                         assert!(!c.try_allocate_on(id, 1));
                     }
@@ -2062,8 +2114,8 @@ mod tests {
                 // usage is exactly the current-epoch regions.
                 let model: u64 = held
                     .iter()
-                    .filter(|(_, _, e)| *e == c.epoch())
-                    .map(|(_, b, _)| *b)
+                    .filter(|(l, _)| l.epoch() == c.epoch())
+                    .map(|(_, b)| *b)
                     .sum();
                 assert_eq!(c.used_bytes(), model);
             }
@@ -2071,7 +2123,7 @@ mod tests {
             // exactly once (or is still pending at shutdown).
             let pending = held
                 .iter()
-                .filter(|(_, _, e)| *e != c.epoch())
+                .filter(|(l, _)| l.epoch() != c.epoch())
                 .count();
             assert_eq!(crossings, reconciled + locally_revoked + pending);
         }
@@ -2120,7 +2172,7 @@ mod tests {
                             assert!(c.free(lease, u64::MAX).is_err());
                         }
                     }
-                    3 => c.reclaim_request_at(producer, now),
+                    3 => c.reclaim_request(producer, now),
                     4 => {
                         if let Some((lease, bytes)) = held.pop() {
                             match c.release(lease, bytes, now) {

@@ -41,16 +41,15 @@ pub enum AquaError {
 impl std::fmt::Display for AquaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AquaError::UnknownLease(lease) => write!(f, "unknown lease {}", lease.0),
-            AquaError::LeaseRevoked(lease) => write!(f, "lease {} is revoked", lease.0),
+            AquaError::UnknownLease(lease) => write!(f, "unknown lease {lease}"),
+            AquaError::LeaseRevoked(lease) => write!(f, "lease {lease} is revoked"),
             AquaError::OverFree {
                 lease,
                 used,
                 requested,
             } => write!(
                 f,
-                "over-free on lease {}: {requested} bytes requested, {used} in use",
-                lease.0
+                "over-free on lease {lease}: {requested} bytes requested, {used} in use"
             ),
             AquaError::StaleEpoch { held, current } => {
                 write!(f, "stale epoch {held} (coordinator is at epoch {current})")
@@ -68,22 +67,28 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
+        use crate::coordinator::{Coordinator, GpuRef};
+        use aqua_sim::gpu::GpuId;
+
+        // The first lease a coordinator mints has id 0; errors print the
+        // bare id, not the epoch the handle carries.
+        let lease = Coordinator::new().lease(GpuRef::single(GpuId(1)), 10);
         let e = AquaError::OverFree {
-            lease: LeaseId(3),
+            lease,
             used: 10,
             requested: 12,
         };
         let s = e.to_string();
         assert!(
-            s.contains("lease 3") && s.contains("12") && s.contains("10"),
+            s.contains("lease 0") && s.contains("12") && s.contains("10"),
             "{s}"
         );
         assert!(AquaError::ServiceUnavailable
             .to_string()
             .contains("unavailable"));
         assert_eq!(
-            AquaError::UnknownLease(LeaseId(99)).to_string(),
-            "unknown lease 99"
+            AquaError::UnknownLease(lease).to_string(),
+            "unknown lease 0"
         );
         assert!(AquaError::StaleEpoch {
             held: 1,

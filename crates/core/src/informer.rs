@@ -50,15 +50,19 @@ pub const MIN_DONATION_BYTES: u64 = 512 * 1024 * 1024;
 pub struct BatchInformer {
     gpu: GpuRef,
     coordinator: Rc<Coordinator>,
+    /// The coordinator epoch at construction; every heartbeat presents it.
+    epoch: u64,
     tracer: SharedTracer,
 }
 
 impl BatchInformer {
     /// Creates a batch informer for the producer at `gpu`.
     pub fn new(gpu: GpuRef, coordinator: Rc<Coordinator>) -> Self {
+        let epoch = coordinator.epoch();
         BatchInformer {
             gpu,
             coordinator,
+            epoch,
             tracer: null_tracer(),
         }
     }
@@ -74,8 +78,15 @@ impl BatchInformer {
 impl Informer for BatchInformer {
     fn control(&mut self, engine: &mut dyn MemoryElastic, now: SimTime) -> SimTime {
         // Every control tick proves the producer alive to the coordinator's
-        // failure detector.
-        self.coordinator.heartbeat(self.gpu, now);
+        // failure detector. A fenced-out heartbeat (the coordinator is down
+        // or has moved to another epoch) donates nothing either.
+        if self
+            .coordinator
+            .heartbeat(self.gpu, now, self.epoch)
+            .is_err()
+        {
+            return now;
+        }
         let stats = engine.stats();
         if stats.donatable_bytes >= MIN_DONATION_BYTES {
             let granted = engine.donate(stats.donatable_bytes);
@@ -94,7 +105,7 @@ impl Informer for BatchInformer {
                     self.tracer,
                     TraceEvent::LeaseGranted {
                         producer: self.gpu.to_string(),
-                        lease: lease.0,
+                        lease: lease.id(),
                         bytes: granted,
                         at: now,
                     }
@@ -216,7 +227,8 @@ impl Informer for LlmInformer {
                                 gpu: self.gpu.to_string(),
                                 decision: format!(
                                     "resync-epoch epoch={current} lease={} bytes={}",
-                                    lease.0, stats.donated_bytes
+                                    lease.id(),
+                                    stats.donated_bytes
                                 ),
                                 at: now,
                             }
@@ -232,7 +244,7 @@ impl Informer for LlmInformer {
         }
         if self
             .coordinator
-            .heartbeat_fenced(self.gpu, now, self.epoch)
+            .heartbeat(self.gpu, now, self.epoch)
             .is_err()
         {
             // Raced another epoch bump between the sync above and the
@@ -272,7 +284,7 @@ impl Informer for LlmInformer {
                 if stats.pending_requests >= self.config.high_pending && stats.donated_bytes > 0 {
                     // Queue build-up: take the memory back (timestamped, so
                     // the reclaim deadline arms right now).
-                    self.coordinator.reclaim_request_at(self.gpu, now);
+                    self.coordinator.reclaim_request(self.gpu, now);
                     self.state = LlmState::Reclaiming;
                     self.reclaims_started += 1;
                     self.tracer.incr("informer.reclaims", 1);
@@ -320,7 +332,7 @@ impl Informer for LlmInformer {
                             self.tracer,
                             TraceEvent::LeaseGranted {
                                 producer: self.gpu.to_string(),
-                                lease: lease.0,
+                                lease: lease.id(),
                                 bytes: granted,
                                 at: now,
                             }

@@ -99,8 +99,10 @@ pub struct AquaOffloader {
     fault_plan: Option<Arc<FaultPlan>>,
     /// While set, new allocations are pinned to DRAM until this time.
     degraded_until: Option<SimTime>,
-    /// The coordinator epoch this consumer last synced with. Lease ids are
-    /// only honoured within the epoch that minted them (DESIGN §4.12).
+    /// The coordinator epoch this consumer last synced with. A change means
+    /// the book was rebuilt: deferred frees are dropped and stranded bytes
+    /// are re-homed (DESIGN §4.12). Frees are fenced on each lease's own
+    /// epoch, not on this one.
     epoch: u64,
     /// First boundary at which the coordinator was found unreachable, while
     /// the outage lasts.
@@ -178,12 +180,6 @@ impl AquaOffloader {
     /// reclaim releases and background promotions are journalled.
     pub fn with_tracer(mut self, tracer: SharedTracer) -> Self {
         self.tracer = tracer;
-        self
-    }
-
-    /// Overrides the failure-handling knobs.
-    pub fn with_policy(mut self, policy: FailoverPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -422,20 +418,17 @@ impl AquaOffloader {
         );
     }
 
-    /// Returns capacity to a lease, presenting our fencing epoch. While the
-    /// coordinator is unreachable the free is deferred (the data move
-    /// already happened; only the book-keeping waits for reconnection).
+    /// Returns capacity to a lease (fenced on the epoch the lease was
+    /// granted in). While the coordinator is unreachable the free is
+    /// deferred (the data move already happened; only the book-keeping
+    /// waits for reconnection).
     fn free_lease(&mut self, lease: LeaseId, bytes: u64, now: SimTime) {
         if !self.coordinator.reachable(self.consumer.gpu, now) {
             self.deferred_frees.push((lease, bytes));
             self.tracer.incr("offloader.deferred_frees", 1);
             return;
         }
-        if self
-            .coordinator
-            .free_fenced(lease, bytes, self.epoch, now)
-            .is_err()
-        {
+        if self.coordinator.free_at(lease, bytes, now).is_err() {
             // Revoked underneath us, or fenced out by an epoch bump; either
             // way the coordinator no longer counts these bytes against us.
             self.tracer.incr("offloader.free_after_revoke", 1);
@@ -467,7 +460,7 @@ impl AquaOffloader {
                     self.tracer,
                     TraceEvent::LeaseReconciled {
                         producer: gpu.to_string(),
-                        lease: lease.0,
+                        lease: lease.id(),
                         bytes: held,
                         epoch: self.epoch,
                         outcome: "local-revoke".to_owned(),
@@ -533,7 +526,7 @@ impl AquaOffloader {
             // in the new epoch, re-home the bytes onto its fresh lease
             // instead of burning a PCIe rewrite.
             if epoch_changed {
-                if let Some((_, new_lease)) = self.coordinator.rehome(gpu, held, resume) {
+                if let Some(new_lease) = self.coordinator.rehome(gpu, held, resume) {
                     let entry = self.peer_bytes.entry(new_lease).or_insert((gpu, 0));
                     entry.1 += held;
                     self.tracer.incr("offloader.rehomed_bytes", held);
@@ -573,7 +566,7 @@ impl AquaOffloader {
                 self.tracer,
                 TraceEvent::ReclaimReleased {
                     producer: gpu.to_string(),
-                    lease: lease.0,
+                    lease: lease.id(),
                     bytes: held,
                     at: end,
                 }
@@ -679,7 +672,7 @@ impl Offloader for AquaOffloader {
                 self.tracer,
                 TraceEvent::LeaseFreed {
                     consumer: self.consumer.to_string(),
-                    lease: lease.0,
+                    lease: lease.id(),
                     bytes: take,
                     at: now,
                 }
@@ -777,11 +770,7 @@ impl Offloader for AquaOffloader {
             self.epoch = current;
         } else if was_dark {
             for (lease, bytes) in std::mem::take(&mut self.deferred_frees) {
-                if self
-                    .coordinator
-                    .free_fenced(lease, bytes, self.epoch, resume)
-                    .is_err()
-                {
+                if self.coordinator.free_at(lease, bytes, resume).is_err() {
                     self.tracer.incr("offloader.free_after_revoke", 1);
                 }
             }
@@ -817,7 +806,7 @@ impl Offloader for AquaOffloader {
                         self.tracer,
                         TraceEvent::LeasePromoted {
                             consumer: self.consumer.to_string(),
-                            lease: lease.0,
+                            lease: lease.id(),
                             bytes: promote,
                             at: resume,
                         }
@@ -918,7 +907,7 @@ mod tests {
     fn reclaim_blocks_and_migrates_to_dram() {
         let (mut off, coord) = setup(10);
         off.swap_out(gib(4), 1, SimTime::ZERO);
-        coord.reclaim_request(GpuRef::single(GpuId(1)));
+        coord.reclaim_request(GpuRef::single(GpuId(1)), SimTime::ZERO);
         let t0 = SimTime::from_secs(1);
         let resume = off.on_iteration_boundary(t0);
         // 4 GiB over PCIe ≈ 170 ms: the consumer is blocked meanwhile.
@@ -960,7 +949,7 @@ mod tests {
 
         off.swap_out(gib(2), 1, SimTime::ZERO);
         off.swap_in(gib(2), 1, SimTime::from_secs(1));
-        coord.reclaim_request(GpuRef::single(GpuId(1)));
+        coord.reclaim_request(GpuRef::single(GpuId(1)), SimTime::from_secs(1));
         off.swap_out(gib(1), 1, SimTime::from_secs(2)); // reclaiming: lands in DRAM
         off.on_iteration_boundary(SimTime::from_secs(3));
 
@@ -1274,6 +1263,24 @@ mod tests {
         assert!(aud.is_clean(), "{:?}", aud.violations());
     }
 
+    /// Regression: an offloader that has not yet crossed a boundary since
+    /// a crash still frees a lease minted in the new epoch. The free is
+    /// fenced on the epoch the lease handle carries, not on the
+    /// offloader's last-synced epoch, so the epoch-2 lease does not leak.
+    #[test]
+    fn free_of_a_lease_minted_after_an_unseen_crash_lands() {
+        let (mut off, coord) = setup(0);
+        assert_eq!(off.epoch, 1);
+        coord.crash(SimTime::from_secs(1));
+        coord.recover(SimTime::from_secs(2));
+        coord.lease(GpuRef::single(GpuId(1)), gib(20));
+        off.swap_out(gib(2), 1, SimTime::from_secs(3));
+        assert_eq!(coord.used_bytes(), gib(2));
+        off.swap_in(gib(2), 1, SimTime::from_secs(4));
+        assert_eq!(off.peer_total(), 0);
+        assert_eq!(coord.used_bytes(), 0, "the epoch-2 lease leaked");
+    }
+
     /// One boundary over three tracked leases: the live one is untouched,
     /// the reclaiming one migrates to DRAM and is released, and the revoked
     /// one's bytes are re-materialised in DRAM. The journal is pinned line
@@ -1294,9 +1301,7 @@ mod tests {
             GpuRef::single(GpuId(2)),
             GpuRef::single(GpuId(3)),
         );
-        for p in [live, reclaiming, revoked] {
-            coord.lease(p, gib(10));
-        }
+        let leases = [live, reclaiming, revoked].map(|p| coord.lease(p, gib(10)));
         let mut off = AquaOffloader::new(GpuRef::single(GpuId(0)), Rc::clone(&coord), server, xfer)
             .with_tracer(journal.clone());
         // Least-loaded placement spreads the three regions over leases
@@ -1307,12 +1312,14 @@ mod tests {
         // The first boundary arms the heartbeat watchdog; then the third
         // producer goes silent past the 10 s TTL.
         off.on_iteration_boundary(SimTime::from_secs(1));
-        coord.heartbeat(live, SimTime::from_secs(15));
-        coord.heartbeat(reclaiming, SimTime::from_secs(15));
-        coord.reclaim_request(reclaiming);
+        coord.heartbeat(live, SimTime::from_secs(15), 1).unwrap();
+        coord
+            .heartbeat(reclaiming, SimTime::from_secs(15), 1)
+            .unwrap();
+        coord.reclaim_request(reclaiming, SimTime::from_secs(15));
         let resume = off.on_iteration_boundary(SimTime::from_secs(20));
 
-        assert_eq!(coord.lease_state(LeaseId(0)), LeaseState::Live);
+        assert_eq!(coord.lease_state(leases[0]), LeaseState::Live);
         assert_eq!(
             off.peer_total(),
             gib(1),
@@ -1395,8 +1402,10 @@ mod tests {
                         2 => {
                             coord.lease(producer, gib(amount % 8 + 1));
                         }
-                        3 => coord.reclaim_request_at(producer, now),
-                        4 => coord.heartbeat(producer, now),
+                        3 => coord.reclaim_request(producer, now),
+                        4 => {
+                            let _ = coord.heartbeat(producer, now, coord.epoch());
+                        }
                         5 => now += SimDuration::from_secs(amount % 16),
                         6 => {
                             coord.crash(now);
@@ -1438,10 +1447,10 @@ mod tests {
         off.on_iteration_boundary(SimTime::from_secs(1));
         let settled = coord.book_revision();
         assert_eq!(off.quiet_revision, Some(settled), "the sweep found nothing");
-        coord.heartbeat(producer, SimTime::from_secs(2));
+        coord.heartbeat(producer, SimTime::from_secs(2), 1).unwrap();
         off.on_iteration_boundary(SimTime::from_secs(2));
         assert_eq!(coord.book_revision(), settled, "heartbeats leave the book");
-        coord.reclaim_request(producer);
+        coord.reclaim_request(producer, SimTime::from_secs(2));
         assert_ne!(coord.book_revision(), settled);
         off.on_iteration_boundary(SimTime::from_secs(3));
         assert_eq!(off.releases(), 1, "the reclaim was seen at once");

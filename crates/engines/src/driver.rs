@@ -206,13 +206,6 @@ impl Driver {
         Self::with_event_capacity(expected_events.max(Self::DEFAULT_EVENT_CAPACITY))
     }
 
-    /// Reserves room for `additional` more pending events beyond the
-    /// current queue length (idempotent with what `schedule_trace` already
-    /// reserves from its iterator's size hint).
-    pub fn expect_events(&mut self, additional: usize) {
-        self.events.reserve(additional);
-    }
-
     /// Number of pending events the queue can hold without re-growing its
     /// entry storage (regression-asserted by the `hot_path` gates).
     pub fn event_capacity(&self) -> usize {

@@ -2,7 +2,7 @@
 //!
 //! vLLM reserves the HBM left after loading model weights as a pool of
 //! fixed-size blocks and maps each sequence's KV cache onto a **block
-//! table** (§2, [32]). Three properties matter to AQUA:
+//! table** (§2, \[32\]). Three properties matter to AQUA:
 //!
 //! * Admission control: a request is only admitted when enough blocks are
 //!   free for its prompt — otherwise it queues (the source of Figure 1a's

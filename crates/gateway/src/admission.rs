@@ -32,13 +32,6 @@ pub struct OverloadPolicy {
     pub brownout: Option<BrownoutConfig>,
 }
 
-impl OverloadPolicy {
-    /// Whether any protection is configured.
-    pub fn is_enabled(&self) -> bool {
-        self.queue_watermark.is_some() || self.kv_commit_bytes.is_some() || self.brownout.is_some()
-    }
-}
-
 /// Brownout: when the admission queue is deep, capped (batch) tenants are
 /// throttled to a tighter outstanding cap and their new arrivals are shed,
 /// spending batch throughput to keep interactive SLOs alive. Enter/exit

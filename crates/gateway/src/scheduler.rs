@@ -865,7 +865,7 @@ impl<Q: PolicyQueue> Scheduler for TenantIndex<Q> {
 /// These are the original `prioritize(&mut [QueuedMeta])` implementations;
 /// the serving path no longer calls them, but they stay as the executable
 /// specification: the differential tests in this module drain a
-/// [`TenantIndex`] against the corresponding oracle sort and require
+/// `TenantIndex` against the corresponding oracle sort and require
 /// identical sequences.
 pub mod oracle {
     use super::QueuedMeta;

@@ -60,23 +60,6 @@ impl std::fmt::Display for Summary {
     }
 }
 
-/// Total-function percentile: `None` for an empty slice instead of a panic.
-///
-/// Summaries over failure-heavy runs (every request shed, zero streams
-/// completed) hit the empty case routinely; callers that can render a
-/// missing value should use this instead of [`percentile_sorted`].
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 100]`.
-pub fn try_percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        None
-    } else {
-        Some(percentile_sorted(sorted, p))
-    }
-}
-
 /// Linearly interpolated percentile of an ascending-sorted slice.
 ///
 /// # Panics

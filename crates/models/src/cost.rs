@@ -15,7 +15,6 @@
 
 use crate::geometry::{AudioGeometry, DiffusionGeometry, LlmGeometry};
 use aqua_sim::gpu::GpuSpec;
-use aqua_sim::link::bytes::gib;
 use aqua_sim::time::SimDuration;
 
 /// Fixed per-iteration overhead of an LLM serving engine (scheduling,
@@ -187,16 +186,12 @@ where
     (0, 0.0, capacity)
 }
 
-/// Convenience: free HBM of an 80 GiB GPU after a given usage, saturating.
-pub fn free_of_80g(used: u64) -> u64 {
-    gib(80).saturating_sub(used)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::zoo;
     use aqua_sim::gpu::GpuSpec;
+    use aqua_sim::link::bytes::gib;
 
     fn a100() -> GpuSpec {
         GpuSpec::a100_80g()

@@ -16,7 +16,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 pub const DEFAULT_CASES: u32 = 256;
 
 /// How to draw and simplify one input: ranges of `u8`/`u32`/`u64`/`usize`/
-/// `f64`, [`AnyBool`], [`vec`] and tuples of up to five strategies.
+/// `f64`, [`AnyBool`], [`vec`](fn@vec) and tuples of up to five strategies.
 pub trait Strategy {
     type Value: Clone + Debug;
     fn draw(&self, rng: &mut StdRng) -> Self::Value;
@@ -72,7 +72,7 @@ impl Strategy for AnyBool {
     }
 }
 
-/// See [`vec`].
+/// See [`vec`](fn@vec).
 pub struct VecOf<S> {
     element: S,
     len: Range<usize>,

@@ -86,11 +86,6 @@ impl Cluster {
         &self.servers[s]
     }
 
-    /// Mutable access to one server.
-    pub fn server_mut(&mut self, s: usize) -> &mut ServerTopology {
-        &mut self.servers[s]
-    }
-
     /// Iterates over servers in index order.
     pub fn servers(&self) -> impl Iterator<Item = &ServerTopology> {
         self.servers.iter()

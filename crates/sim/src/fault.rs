@@ -315,11 +315,6 @@ impl FaultPlan {
         self.windows.is_empty()
     }
 
-    /// Whether any fault window covers `at`.
-    pub fn any_active(&self, at: SimTime) -> bool {
-        self.windows.iter().any(|w| w.active(at))
-    }
-
     fn port_gpu(port: PortId) -> GpuId {
         match port {
             PortId::NvlinkEgress(g)

@@ -25,7 +25,7 @@
 //!   GPUs); AQUA offloading is confined to each server's NVLink domain.
 //! * [`hash`] — a multiply-shift hasher for hot integer-keyed maps.
 //! * [`rng`] — the seeded generator every workload draws from, and
-//!   [`check`] — the seeded property-test harness built on it.
+//!   [`check`](mod@check) — the seeded property-test harness built on it.
 //!
 //! # Example
 //!

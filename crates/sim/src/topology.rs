@@ -141,11 +141,6 @@ impl ServerTopology {
         &self.gpus[id.0]
     }
 
-    /// Mutable access to a GPU (e.g. its HBM allocator).
-    pub fn gpu_mut(&mut self, id: GpuId) -> &mut Gpu {
-        &mut self.gpus[id.0]
-    }
-
     /// Iterates over the GPUs in id order.
     pub fn gpus(&self) -> impl Iterator<Item = &Gpu> {
         self.gpus.iter()

@@ -55,7 +55,7 @@ fn main() {
     );
 
     // The producer's load spikes: it reclaims.
-    coordinator.reclaim_request(producer);
+    coordinator.reclaim_request(producer, t);
     let resume = offloader.on_iteration_boundary(SimTime::from_secs(10));
     println!(
         "reclaim: consumer blocked until {} migrating to DRAM (location: {})",

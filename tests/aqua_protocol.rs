@@ -46,7 +46,7 @@ fn protocol_round_trip_with_transfers() {
     assert_eq!(coord.used_bytes(), 8 << 30);
 
     // Producer requests its memory back; consumer must migrate.
-    coord.reclaim_request(producer);
+    coord.reclaim_request(producer, t1);
     assert_eq!(coord.pending_reclaim(lease), 8 << 30);
     let resume = off.on_iteration_boundary(t1);
     assert!(resume > t1, "release blocks the consumer");
