@@ -144,8 +144,29 @@ echo "$gw_plant_out" | grep -q "token_without_restore" || {
   exit 1
 }
 echo "planted skipped restore caught and shrunk to a reproducer"
+# Public-surface guard: every `pub fn` under crates/*/src must be named in
+# some other .rs file of the workspace or the frozen benchmark (a lib.rs
+# re-export counts), or in a `$crate::` path of its own file's exported
+# macros, which callers expand. Anything else is private, `pub(crate)` or
+# `#[cfg(test)]`, where rustc's dead_code lint guards it.
+surface_dirs=(crates src tests examples benchmark/src)
+surface_offenders=$(
+  grep -rHoP --include='*.rs' '^\s*pub (const )?(unsafe )?fn \K\w+' crates/*/src | sort -u |
+    while IFS=: read -r file name; do
+      others=$(grep -rlw --include='*.rs' -- "$name" "${surface_dirs[@]}" | grep -vxF "$file" || true)
+      [ -n "$others" ] && continue
+      grep -qP "\\\$crate::[\w:]*\b$name\b" "$file" && continue
+      echo "  $file: pub fn $name"
+    done
+)
+if [ -n "$surface_offenders" ]; then
+  echo "FAIL: pub fns named only in their own file (make them private, pub(crate) or #[cfg(test)]):" >&2
+  echo "$surface_offenders" >&2
+  exit 1
+fi
+echo "every pub fn is named outside its own file"
 cargo fmt --all --check
-cargo clippy --workspace --all-targets --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings -D clippy::iter_over_hash_type
 # API docs with warnings denied: an intra-doc link to a deleted or private
 # item (or any other rustdoc warning) fails CI.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

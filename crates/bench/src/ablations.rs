@@ -22,7 +22,7 @@ use aqua_sim::transfer::TransferPlan;
 use aqua_workloads::longprompt::long_prompt_trace;
 
 /// Ablation 1: scattered vs coalesced transfer time over NVLink.
-pub fn coalescing_table() -> Table {
+fn coalescing_table() -> Table {
     let nv = BandwidthModel::nvlink_a100();
     let mut t = Table::new(
         "Ablation: coalesced vs scattered NVLink copies (gather/scatter kernels)",
@@ -60,7 +60,7 @@ pub fn coalescing_table() -> Table {
 }
 
 /// Ablation 2: CFS slice length sweep (AQUA backend).
-pub fn cfs_slice_table(slices: &[u64], count: usize, seed: u64) -> Table {
+fn cfs_slice_table(slices: &[u64], count: usize, seed: u64) -> Table {
     let mut t = Table::new(
         "Ablation: CFS slice length (tokens per slice, AQUA backend)",
         &["slice_tokens", "ttft_p90_s", "rct_p50_s"],
@@ -86,7 +86,7 @@ pub fn cfs_slice_table(slices: &[u64], count: usize, seed: u64) -> Table {
 
 /// Ablation 3: two consumers sharing one producer vs dedicated producers.
 /// Returns `(shared per-consumer tokens, dedicated per-consumer tokens)`.
-pub fn producer_sharing(window_secs: u64) -> (Vec<u64>, Vec<u64>) {
+fn producer_sharing(window_secs: u64) -> (Vec<u64>, Vec<u64>) {
     let run_pair = |dedicated: bool| -> Vec<u64> {
         let ctx = ServerCtx::eight_gpu();
         if dedicated {
@@ -128,7 +128,7 @@ pub fn producer_sharing(window_secs: u64) -> (Vec<u64>, Vec<u64>) {
 }
 
 /// Renders ablation 3.
-pub fn producer_sharing_table(window_secs: u64) -> Table {
+fn producer_sharing_table(window_secs: u64) -> Table {
     let (shared, dedicated) = producer_sharing(window_secs);
     let mut t = Table::new(
         "Ablation: one producer shared by two consumers vs 1:1 pairing",
@@ -149,7 +149,7 @@ pub fn producer_sharing_table(window_secs: u64) -> Table {
 
 /// Ablation 5: vLLM preemption policy (recompute vs swap) across offload
 /// backends, under KV pressure.
-pub fn preemption_table(count: usize, seed: u64) -> Table {
+fn preemption_table(count: usize, seed: u64) -> Table {
     use aqua_engines::vllm::PreemptionPolicy;
     use aqua_gateway::engine::{GatewayConfig, GatewayEngine};
     use aqua_gateway::scheduler::PolicyKind;
@@ -202,7 +202,7 @@ pub fn preemption_table(count: usize, seed: u64) -> Table {
 }
 
 /// Ablation 4: llm-informer high-water mark sweep.
-pub fn reclaim_threshold_table(highs: &[usize], tl: &Timeline, seed: u64) -> Table {
+fn reclaim_threshold_table(highs: &[usize], tl: &Timeline, seed: u64) -> Table {
     let mut t = Table::new(
         "Ablation: llm-informer reclaim threshold (pending requests)",
         &["high_pending", "consumer_tokens", "producer_rct_p95_s"],
@@ -226,7 +226,7 @@ pub fn reclaim_threshold_table(highs: &[usize], tl: &Timeline, seed: u64) -> Tab
 /// traffic raises cache hit rates, shrinking the loading cost AQUA
 /// accelerates — the uniform assignment of Figures 8/12 is AQUA's
 /// best case.
-pub fn lora_skew_table(skews: &[f64], count: usize, seed: u64) -> Table {
+fn lora_skew_table(skews: &[f64], count: usize, seed: u64) -> Table {
     use crate::setup::mistral_lora_vllm;
     use aqua_models::lora::LoraAdapter;
     use aqua_workloads::lora::lora_trace_skewed;

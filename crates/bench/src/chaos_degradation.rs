@@ -245,7 +245,7 @@ pub fn run_traced_audited(
 /// apples-to-apples yardstick for recovery. (The long-prompt job's
 /// per-token cost grows with its context, so the pre-fault rate overstates
 /// what even a healthy run does this late in the window.)
-pub fn run_nofault_recovery(tl: &ChaosTimeline, sample_secs: u64) -> f64 {
+fn run_nofault_recovery(tl: &ChaosTimeline, sample_secs: u64) -> f64 {
     let (ts, _) = run_consumer(tl, sample_secs, aqua_telemetry::null_tracer(), false, None);
     let (a, b) = tl.recovery_span();
     ts.mean_in(a, b).unwrap_or(0.0)
@@ -253,7 +253,7 @@ pub fn run_nofault_recovery(tl: &ChaosTimeline, sample_secs: u64) -> f64 {
 
 /// The consumer-only FlexGen baseline: same job, DRAM offload, no fault.
 /// This is the floor the degraded consumer is measured against.
-pub fn run_dram_baseline(tl: &ChaosTimeline, sample_secs: u64) -> f64 {
+fn run_dram_baseline(tl: &ChaosTimeline, sample_secs: u64) -> f64 {
     // Silenced: the baseline is an internal yardstick; an `AQUA_TRACE`
     // capture of the chaos experiment should witness the faulted run, not
     // this one.
@@ -331,7 +331,7 @@ pub fn table(report: &ChaosReport) -> Table {
 }
 
 /// The phase summary table (pre / fault / recovery vs the bounds).
-pub fn summary_table(report: &ChaosReport) -> Table {
+fn summary_table(report: &ChaosReport) -> Table {
     let mut t = Table::new(
         "Chaos summary: phase means vs acceptance bounds",
         &["phase", "tokens_per_s", "bound"],

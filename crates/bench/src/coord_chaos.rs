@@ -166,7 +166,7 @@ pub struct CoordChaosRun {
 
 impl CoordChaosRun {
     /// Chat goodput as a fraction of the fault-free twin.
-    pub fn goodput_ratio(&self) -> Option<f64> {
+    fn goodput_ratio(&self) -> Option<f64> {
         let twin = self.twin_chat.as_ref()?;
         if twin.goodput_tps() == 0.0 {
             return None;
@@ -259,7 +259,7 @@ pub fn run_cell(cfg: &CoordChaosConfig, cell: CoordCell) -> CoordChaosRun {
 
 /// Runs one cell, journalling into `tracer` and (optionally) under a
 /// runtime auditor. Faulted cells additionally run their fault-free twin
-/// journal-silent, so [`CoordChaosRun::goodput_ratio`] has its denominator;
+/// journal-silent, so `CoordChaosRun::goodput_ratio` has its denominator;
 /// the twin never touches `tracer`, keeping digests comparable across
 /// audited/unaudited and sweep/sharded paths.
 pub fn run_cell_traced(
@@ -294,7 +294,7 @@ pub fn render_cell(run: &CoordChaosRun) -> String {
 }
 
 /// Renders cells as the recovery table.
-pub fn cell_table(runs: &[CoordChaosRun], title: &str) -> Table {
+fn cell_table(runs: &[CoordChaosRun], title: &str) -> Table {
     let mut t = Table::new(
         title,
         &[

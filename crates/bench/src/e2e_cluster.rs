@@ -67,7 +67,7 @@ impl HostedModel {
     /// The signed `R_m` handed to AQUA-PLACER: consumers declare their
     /// deficit, producers their plateau excess (media) or donatable pool
     /// (LLMs under low traffic).
-    pub fn placement_spec(&self, name: String) -> ModelSpec {
+    fn placement_spec(&self, name: String) -> ModelSpec {
         match self {
             HostedModel::Consumer(ConsumerKind::LongPrompt) => ModelSpec::consumer(name, gib(12)),
             HostedModel::Consumer(ConsumerKind::Lora) => ModelSpec::consumer(name, gib(10)),
@@ -110,7 +110,7 @@ impl std::fmt::Display for Split {
 /// Builds the 16-model roster for a split (models sampled with replacement,
 /// like the paper: "Since there are fewer unique models than GPUs, we
 /// sample models with replacement").
-pub fn roster(split: Split) -> Vec<HostedModel> {
+fn roster(split: Split) -> Vec<HostedModel> {
     match split {
         Split::Balanced => vec![
             // 6 language models: 3 consumers + 3 producers.

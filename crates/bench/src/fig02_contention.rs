@@ -56,7 +56,7 @@ impl ModelKind {
 }
 
 /// Runs one modality's sweep (one Figure 2 sub-plot).
-pub fn run_model(kind: ModelKind, batches: &[u64]) -> Sweep {
+fn run_model(kind: ModelKind, batches: &[u64]) -> Sweep {
     let gpu = GpuSpec::a100_80g();
     match kind {
         ModelKind::Audio => {

@@ -106,7 +106,8 @@ pub fn table(result: &Fig07Result, window_secs: u64) -> Table {
 }
 
 /// Sanity helper: the OPT context truly exceeds the budget.
-pub fn context_exceeds_budget() -> bool {
+#[cfg(test)]
+fn context_exceeds_budget() -> bool {
     let geom = *zoo::opt_30b().llm_geometry().unwrap();
     geom.kv_bytes(aqua_workloads::longprompt::LONG_PROMPT_TOKENS) > CONTEXT_BUDGET
 }

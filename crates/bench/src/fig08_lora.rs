@@ -19,7 +19,7 @@ use aqua_sim::time::SimTime;
 use aqua_workloads::lora::lora_trace;
 
 /// The Figure 8 pool: 30 copies of the 320 MB Zephyr adapter.
-pub fn adapter_pool() -> Vec<LoraAdapter> {
+fn adapter_pool() -> Vec<LoraAdapter> {
     LoraAdapter::zephyr().synthesize_pool(30)
 }
 

@@ -104,7 +104,7 @@ pub fn table(results: &[Fig12Result]) -> Table {
 }
 
 /// The paper's two sizes.
-pub fn paper_sizes() -> [u64; 2] {
+fn paper_sizes() -> [u64; 2] {
     [mib(160), mib(320)]
 }
 

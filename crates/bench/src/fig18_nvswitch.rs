@@ -35,7 +35,8 @@ pub struct Fig18Result {
 
 impl Fig18Result {
     /// Worst consumer relative to the 2-GPU reference.
-    pub fn worst_relative(&self) -> f64 {
+    #[cfg(test)]
+    fn worst_relative(&self) -> f64 {
         let min = *self.per_consumer_tokens.iter().min().expect("4 consumers") as f64;
         min / self.two_gpu_reference as f64
     }

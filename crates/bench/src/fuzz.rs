@@ -422,7 +422,7 @@ impl GatewayFuzzPoint {
     }
 
     /// The scheduling policy this point runs.
-    pub fn policy_kind(&self) -> PolicyKind {
+    fn policy_kind(&self) -> PolicyKind {
         PolicyKind::ALL[self.policy % PolicyKind::ALL.len()]
     }
 
@@ -468,7 +468,7 @@ impl GatewayFuzzOutcome {
 
 /// Runs one gateway point under full auditing, journalling into the
 /// ambient tracer.
-pub fn run_gateway_point(p: &GatewayFuzzPoint) -> GatewayFuzzOutcome {
+fn run_gateway_point(p: &GatewayFuzzPoint) -> GatewayFuzzOutcome {
     use aqua_engines::vllm::PreemptionPolicy;
     use aqua_sim::link::bytes::gib;
     use aqua_workloads::tenants::tenant_trace;
@@ -581,7 +581,7 @@ pub fn run_gateway_point(p: &GatewayFuzzPoint) -> GatewayFuzzOutcome {
     }
 }
 
-/// [`run_gateway_point`] under a throwaway digest journal.
+/// `run_gateway_point` under a throwaway digest journal.
 pub fn run_gateway_point_quiet(p: &GatewayFuzzPoint) -> GatewayFuzzOutcome {
     crate::trace::with_tracer(Arc::new(JournalTracer::digest_only()), || {
         run_gateway_point(p)

@@ -72,7 +72,7 @@ impl ReproPoint {
     }
 
     /// The point's relative cost hint.
-    pub fn cost_hint(&self) -> u64 {
+    fn cost_hint(&self) -> u64 {
         self.cost_hint
     }
 

@@ -79,7 +79,7 @@ impl ScaleSpec {
     }
 
     /// Total requests across all servers.
-    pub fn total_requests(&self) -> usize {
+    fn total_requests(&self) -> usize {
         self.servers * self.requests_per_server
     }
 
@@ -100,7 +100,7 @@ impl ScaleSpec {
     /// The server's coordinator loses its lease book and bumps its epoch;
     /// the offloader's epoch-change sweep must migrate every stranded byte
     /// without tripping the audit or losing a stream.
-    pub fn coord_crash_window(&self) -> (u64, u64) {
+    fn coord_crash_window(&self) -> (u64, u64) {
         let start = self.crash_window().1;
         (start, start + 5)
     }

@@ -227,7 +227,7 @@ impl ChaosRun {
     /// Recovery time after the crash window, seconds: how long until every
     /// request that was in flight when the GPU died had fully streamed.
     /// `None` when the cell had no crash or nothing was in flight.
-    pub fn recovery_secs(&self) -> Option<f64> {
+    fn recovery_secs(&self) -> Option<f64> {
         let (start_s, end_s) = self.spec.crash?;
         let (start, end) = (SimTime::from_secs(start_s), SimTime::from_secs(end_s));
         self.streams
@@ -326,7 +326,7 @@ pub fn run_cell_traced(
 /// Every cell of the study, in suite order: goodput cells (load × mode)
 /// followed by the two crash-restore cells. This is the shard order of
 /// [`run_sharded`] and the point order of [`repro_points`].
-pub fn suite_cells() -> Vec<CellSpec> {
+fn suite_cells() -> Vec<CellSpec> {
     let mut cells = Vec::new();
     for &load in &LOAD_MULTIPLIERS {
         cells.push(CellSpec::protected(load));
@@ -364,7 +364,7 @@ pub fn render_cell(run: &ChaosRun) -> String {
 ///
 /// Cells never share simulator state, so they execute as decoupled shards —
 /// cell `i` on lane `i % lanes`, journalling into its own digest-only
-/// tracer — and their rendered tables are concatenated in [`suite_cells`]
+/// tracer — and their rendered tables are concatenated in `suite_cells`
 /// order. Output and the folded digest are identical at every lane count.
 /// With `audited`, the crash cells run under a collecting [`Auditor`] and
 /// panic the shard on any invariant violation.
@@ -407,7 +407,7 @@ pub fn run_sharded(
 }
 
 /// Renders goodput cells as the overload table.
-pub fn goodput_table(runs: &[ChaosRun], title: &str) -> Table {
+fn goodput_table(runs: &[ChaosRun], title: &str) -> Table {
     let mut t = Table::new(
         title,
         &[
@@ -439,7 +439,7 @@ pub fn goodput_table(runs: &[ChaosRun], title: &str) -> Table {
 }
 
 /// Renders crash cells as the recovery table.
-pub fn recovery_table(runs: &[ChaosRun], title: &str) -> Table {
+fn recovery_table(runs: &[ChaosRun], title: &str) -> Table {
     let mut t = Table::new(
         title,
         &[

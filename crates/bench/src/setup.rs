@@ -238,7 +238,8 @@ pub fn producer_engine(model: &ModelProfile) -> ProducerEngine {
 
 /// The KV pool left on an A100 after loading a model (the consumer-side
 /// default unless an experiment constrains it further).
-pub fn default_pool_bytes(model: &ModelProfile) -> u64 {
+#[cfg(test)]
+fn default_pool_bytes(model: &ModelProfile) -> u64 {
     let geom = model.llm_geometry().expect("LLM");
     GpuSpec::a100_80g()
         .hbm_bytes

@@ -128,7 +128,7 @@ impl AquaLib {
         use TensorLocation as L;
         let plan = TransferPlan::coalesced(bytes);
         let mut xfer = self.transfers.borrow_mut();
-        let hbm_bw = self.server.gpu(self.gpu.gpu).spec.hbm_bandwidth;
+        let hbm_bw = self.server.gpu_spec(self.gpu.gpu).hbm_bandwidth;
         let start = now + staging_time(bytes, hbm_bw); // gather/scatter kernel
         let end = match (from, to) {
             (L::LocalHbm, L::PeerGpu { gpu }) => {

@@ -123,7 +123,8 @@ pub enum AllocationSite {
 
 impl AllocationSite {
     /// Returns `true` when placed on a peer GPU's lease.
-    pub fn is_peer(&self) -> bool {
+    #[cfg(test)]
+    fn is_peer(&self) -> bool {
         matches!(self, AllocationSite::Peer { .. })
     }
 }

@@ -190,7 +190,8 @@ impl LlmInformer {
     }
 
     /// Number of reclaim cycles initiated.
-    pub fn reclaims_started(&self) -> u64 {
+    #[cfg(test)]
+    fn reclaims_started(&self) -> u64 {
         self.reclaims_started
     }
 }

@@ -64,7 +64,7 @@ pub mod prelude {
     };
     pub use crate::error::AquaError;
     pub use crate::informer::{BatchInformer, LlmInformer, LlmInformerConfig};
-    pub use crate::offloader::{AquaOffloader, FailoverPolicy};
+    pub use crate::offloader::AquaOffloader;
     pub use crate::tensor::{AquaTensor, TensorLocation, TensorTable};
 }
 

@@ -31,47 +31,19 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// How the offloader reacts when the fabric fails underneath a transfer.
-///
-/// The ladder is: retry the same path (transient flap), then fail over down
-/// the site ladder (same lease → sibling lease → host DRAM), then pin new
-/// allocations to DRAM for `degraded_window` so a dead link is not probed
-/// on every swap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailoverPolicy {
-    /// Retries per transfer before the ladder advances (exponential
-    /// backoff: `backoff`, `2*backoff`, ...).
-    pub retry_budget: u32,
-    /// Base backoff between retries.
-    pub backoff: SimDuration,
-    /// How long after a fabric failure new allocations stay pinned to
-    /// DRAM before peer placement is attempted again.
-    pub degraded_window: SimDuration,
-}
+// How the offloader reacts when the fabric fails underneath a transfer.
+// The ladder is: retry the same path (transient flap), then fail over down
+// the site ladder (same lease → sibling lease → host DRAM), then pin new
+// allocations to DRAM for `DEGRADED_WINDOW` so a dead link is not probed on
+// every swap.
 
-impl Default for FailoverPolicy {
-    fn default() -> Self {
-        FailoverPolicy {
-            retry_budget: 2,
-            backoff: SimDuration::from_millis(2),
-            degraded_window: SimDuration::from_secs(30),
-        }
-    }
-}
-
-impl FailoverPolicy {
-    /// Backoff before retry `attempt` (1-based): the base doubled per prior
-    /// attempt. A naive `backoff << (attempt - 1)` overflows `u64`
-    /// nanoseconds past attempt ~64 (and much earlier for large bases), so
-    /// the doubling saturates: pathological retry budgets wait out the rest
-    /// of simulated time instead of wrapping back to a tiny backoff and
-    /// hammering a dead link.
-    pub fn backoff_for(&self, attempt: u32) -> SimDuration {
-        let shift = attempt.saturating_sub(1);
-        let multiplier = 1u64.checked_shl(shift).unwrap_or(u64::MAX);
-        SimDuration::from_nanos(self.backoff.as_nanos().saturating_mul(multiplier))
-    }
-}
+/// Retries per transfer before the failover ladder advances.
+const RETRY_BUDGET: u32 = 2;
+/// Base of the exponential backoff between retries (`2 ms`, `4 ms`, ...).
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(2);
+/// How long after a fabric failure new allocations stay pinned to DRAM
+/// before peer placement is attempted again.
+const DEGRADED_WINDOW: SimDuration = SimDuration::from_secs(30);
 
 /// AQUA's fabric-accelerated offloader for one consumer GPU.
 ///
@@ -88,12 +60,8 @@ pub struct AquaOffloader {
     dram_bytes: u64,
     /// Cumulative bytes moved over the fabric (for reports).
     fabric_bytes_moved: u64,
-    /// Cumulative bytes moved over PCIe (fallback + releases).
-    pcie_bytes_moved: u64,
     /// Number of blocking release migrations performed.
     releases: u64,
-    /// Failure-handling knobs.
-    policy: FailoverPolicy,
     /// Injected fault schedule (for coordinator-stall latency); the
     /// transfer engine carries its own copy for the data plane.
     fault_plan: Option<Arc<FaultPlan>>,
@@ -158,9 +126,7 @@ impl AquaOffloader {
             peer_bytes: BTreeMap::new(),
             dram_bytes: 0,
             fabric_bytes_moved: 0,
-            pcie_bytes_moved: 0,
             releases: 0,
-            policy: FailoverPolicy::default(),
             fault_plan: None,
             degraded_until: None,
             epoch,
@@ -230,11 +196,6 @@ impl AquaOffloader {
         self.fabric_bytes_moved
     }
 
-    /// Cumulative bytes moved over PCIe (fallback traffic and releases).
-    pub fn pcie_bytes_moved(&self) -> u64 {
-        self.pcie_bytes_moved
-    }
-
     /// Number of blocking release migrations (producer reclaims served).
     pub fn releases(&self) -> u64 {
         self.releases
@@ -256,7 +217,7 @@ impl AquaOffloader {
     }
 
     /// `true` while new allocations are pinned to DRAM after a failure.
-    pub fn is_degraded(&self) -> bool {
+    fn is_degraded(&self) -> bool {
         self.degraded_until.is_some()
     }
 
@@ -281,7 +242,7 @@ impl AquaOffloader {
         if chunks <= 1 {
             aqua_sim::time::SimDuration::ZERO
         } else {
-            staging_time(bytes, self.server.gpu(self.consumer.gpu).spec.hbm_bandwidth)
+            staging_time(bytes, self.server.gpu_spec(self.consumer.gpu).hbm_bandwidth)
         }
     }
 
@@ -313,13 +274,13 @@ impl AquaOffloader {
                     return Some(sched.end);
                 }
                 Err(e) => {
-                    if attempt >= self.policy.retry_budget {
+                    if attempt >= RETRY_BUDGET {
                         return None;
                     }
                     attempt += 1;
                     self.retries += 1;
                     self.tracer.incr("offloader.retries", 1);
-                    at = e.at().max(at) + self.policy.backoff_for(attempt);
+                    at = e.at().max(at) + RETRY_BACKOFF.backoff_for(attempt);
                     trace!(
                         self.tracer,
                         TraceEvent::TransferRetried {
@@ -349,7 +310,7 @@ impl AquaOffloader {
     }
 
     fn enter_degraded(&mut self, now: SimTime) {
-        let until = now + self.policy.degraded_window;
+        let until = now + DEGRADED_WINDOW;
         if self.degraded_until.is_none() {
             self.tracer.incr("offloader.degraded_entries", 1);
             trace!(
@@ -382,7 +343,6 @@ impl AquaOffloader {
 
     fn pcie_to_host(&mut self, from: GpuRef, bytes: u64, start: SimTime) -> SimTime {
         let path = self.server.gpu_to_host_path(from.gpu);
-        self.pcie_bytes_moved += bytes;
         self.transfers
             .borrow_mut()
             .schedule(&path, TransferPlan::coalesced(bytes), start)
@@ -391,7 +351,6 @@ impl AquaOffloader {
 
     fn pcie_from_host(&mut self, to: GpuRef, bytes: u64, start: SimTime) -> SimTime {
         let path = self.server.host_to_gpu_path(to.gpu);
-        self.pcie_bytes_moved += bytes;
         self.transfers
             .borrow_mut()
             .schedule(&path, TransferPlan::coalesced(bytes), start)
@@ -446,7 +405,7 @@ impl AquaOffloader {
         let since = *self.unreachable_since.get_or_insert(now);
         self.tracer.incr("offloader.autonomous_boundaries", 1);
         self.enter_degraded(now);
-        if resume >= since + self.policy.degraded_window && !self.peer_bytes.is_empty() {
+        if resume >= since + DEGRADED_WINDOW && !self.peer_bytes.is_empty() {
             let tracked: Vec<(LeaseId, GpuRef, u64)> = self
                 .peer_bytes
                 .iter()
@@ -1064,40 +1023,6 @@ mod tests {
             resume > SimTime::from_secs(30),
             "re-materialisation blocks the boundary"
         );
-    }
-
-    #[test]
-    fn backoff_doubles_then_saturates_instead_of_overflowing() {
-        let policy = FailoverPolicy::default();
-        // Small attempts keep the exact doubling ladder the retry tests pin.
-        assert_eq!(policy.backoff_for(1), SimDuration::from_millis(2));
-        assert_eq!(policy.backoff_for(2), SimDuration::from_millis(4));
-        assert_eq!(policy.backoff_for(3), SimDuration::from_millis(8));
-        // 2 ms << 44 overflows u64 nanoseconds; the boundary and everything
-        // past it saturate instead of wrapping around to a tiny wait.
-        let last_exact = policy.backoff_for(44);
-        assert_eq!(
-            last_exact,
-            SimDuration::from_nanos(2_000_000u64 << 43),
-            "attempt 44 is the last exactly-representable doubling"
-        );
-        for attempt in [45, 52, 53, 64, 65, 1000, u32::MAX] {
-            let b = policy.backoff_for(attempt);
-            assert_eq!(b, SimDuration::from_nanos(u64::MAX), "attempt {attempt}");
-        }
-        // A pathological base saturates on the multiply, not just the shift.
-        let big = FailoverPolicy {
-            backoff: SimDuration::from_nanos(u64::MAX / 2),
-            ..FailoverPolicy::default()
-        };
-        assert_eq!(big.backoff_for(3), SimDuration::from_nanos(u64::MAX));
-        // Monotonicity across the boundary: later attempts never wait less.
-        let mut prev = SimDuration::ZERO;
-        for attempt in 1..80 {
-            let b = policy.backoff_for(attempt);
-            assert!(b >= prev, "backoff regressed at attempt {attempt}");
-            prev = b;
-        }
     }
 
     #[test]

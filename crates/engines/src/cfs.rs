@@ -159,7 +159,8 @@ impl CfsEngine {
     }
 
     /// Number of sequences paged out across all context switches.
-    pub fn context_switches(&self) -> u64 {
+    #[cfg(test)]
+    fn context_switches(&self) -> u64 {
         self.context_switches
     }
 

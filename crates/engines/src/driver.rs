@@ -268,7 +268,8 @@ impl Driver {
     }
 
     /// Overrides the idle-tick interval.
-    pub fn with_tick_interval(mut self, interval: SimDuration) -> Self {
+    #[cfg(test)]
+    fn with_tick_interval(mut self, interval: SimDuration) -> Self {
         assert!(!interval.is_zero(), "tick interval must be positive");
         self.tick_interval = interval;
         self

@@ -162,7 +162,8 @@ impl FlexGenEngine {
     }
 
     /// Total context bytes streamed through the offload path.
-    pub fn streamed_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn streamed_bytes(&self) -> u64 {
         self.streamed_bytes
     }
 
@@ -172,7 +173,7 @@ impl FlexGenEngine {
     }
 
     /// Whether a request of this shape must stream its context.
-    pub fn must_stream(&self, req: &InferenceRequest) -> bool {
+    fn must_stream(&self, req: &InferenceRequest) -> bool {
         let max_ctx = req.prompt_tokens + req.output_tokens;
         self.geom.kv_bytes(max_ctx) > self.config.context_budget_bytes
     }

@@ -195,7 +195,8 @@ impl PagedKvCache {
     }
 
     /// KV bytes currently mapped for a sequence (block-granular).
-    pub fn bytes_of(&self, id: RequestId) -> u64 {
+    #[cfg(test)]
+    fn bytes_of(&self, id: RequestId) -> u64 {
         self.index
             .get(&id)
             .map_or(0, |&i| self.seq_tables[i].len() as u64)
@@ -213,7 +214,8 @@ impl PagedKvCache {
     }
 
     /// Bytes copied so far by donation-time compaction (§B.1).
-    pub fn compacted_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn compacted_bytes(&self) -> u64 {
         self.compacted_bytes
     }
 
@@ -348,8 +350,8 @@ impl PagedKvCache {
     ///
     /// Donation gives away the physically-highest blocks; live blocks above
     /// the new watermark are compacted into free slots below it first (the
-    /// §B.1 copy), which this method performs and accounts in
-    /// [`PagedKvCache::compacted_bytes`].
+    /// §B.1 copy), which this method performs and counts as compacted
+    /// bytes.
     pub fn donate_bytes(&mut self, bytes: u64) -> u64 {
         let donate_blocks = (bytes / self.block_bytes()).min(self.free_blocks());
         if donate_blocks == 0 {
@@ -402,7 +404,8 @@ impl PagedKvCache {
     /// Debug invariant: block tables are disjoint, within bounds, the free
     /// list holds no live block, and the O(1) counters (`full_seqs`
     /// included) match a full rescan.
-    pub fn check_invariants(&self) -> bool {
+    #[cfg(test)]
+    fn check_invariants(&self) -> bool {
         if self.seq_ids.len() != self.seq_tokens.len()
             || self.seq_ids.len() != self.seq_tables.len()
             || self.seq_ids.len() != self.index.len()

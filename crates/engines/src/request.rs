@@ -63,15 +63,6 @@ impl InferenceRequest {
     }
 }
 
-/// A request annotated with its arrival time (as queued inside an engine).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArrivedRequest {
-    /// The request.
-    pub request: InferenceRequest,
-    /// When it was submitted to the engine.
-    pub arrival: SimTime,
-}
-
 /// Per-request lifecycle bookkeeping shared by every serving engine.
 ///
 /// The CFS and gateway engines both track the same four facts about a

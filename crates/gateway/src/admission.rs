@@ -140,7 +140,8 @@ impl AdmissionController {
     }
 
     /// Outstanding requests across all tenants (for watermark checks).
-    pub fn outstanding_total(&self) -> usize {
+    #[cfg(test)]
+    fn outstanding_total(&self) -> usize {
         self.total
     }
 
@@ -157,7 +158,8 @@ impl AdmissionController {
     }
 
     /// Estimated KV bytes currently committed to queued + running work.
-    pub fn committed_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn committed_bytes(&self) -> u64 {
         self.committed_bytes
     }
 

@@ -24,7 +24,9 @@
 
 use crate::admission::{AdmissionController, OverloadPolicy};
 use crate::arena::SlotArena;
-use crate::outcome::{DeadlineKind, OutcomeLog, RequestOutcome, RetryPolicy, SloPolicy};
+use crate::outcome::{
+    DeadlineKind, OutcomeLog, RequestOutcome, SloPolicy, MAX_RETRIES, RETRY_BACKOFF,
+};
 use crate::scheduler::{PolicyKind, Pop, QueuedMeta, Scheduler};
 use aqua_engines::driver::Engine;
 use aqua_engines::gauges::GaugeCache;
@@ -77,8 +79,6 @@ pub struct GatewayConfig {
     pub overload: OverloadPolicy,
     /// Per-tenant latency deadlines. No deadlines by default.
     pub slo: SloPolicy,
-    /// Retry budget for crash-aborted requests.
-    pub retry: RetryPolicy,
     /// Audit self-test knob: when set, the gateway "forgets" to journal
     /// restore events after a crash, which the `token_without_restore`
     /// audit invariant must catch. Never enable outside fuzzing.
@@ -95,7 +95,6 @@ impl Default for GatewayConfig {
             max_outstanding_per_tenant: 16,
             overload: OverloadPolicy::default(),
             slo: SloPolicy::none(),
-            retry: RetryPolicy::default(),
             plant_skip_restore: false,
         }
     }
@@ -527,7 +526,7 @@ impl GatewayEngine {
                 }
             );
             let attempt = self.outcomes.note_retry(id);
-            if attempt > self.config.retry.max_retries {
+            if attempt > MAX_RETRIES {
                 self.outcomes
                     .note(id, victim.tenant, RequestOutcome::CrashAborted);
                 self.retire(&victim);
@@ -547,7 +546,7 @@ impl GatewayEngine {
                 victim.prefilled = false;
                 victim.swapped = false;
                 victim.needs_restore = true;
-                victim.eligible_after = now + self.config.retry.backoff_for(attempt);
+                victim.eligible_after = now + RETRY_BACKOFF.backoff_for(attempt);
                 self.crashed_pending_restore.insert(id);
                 // Re-queue as an event: the scheduler parks the victim on
                 // its backoff deadline and promotes it when due, instead of
@@ -1647,7 +1646,7 @@ mod tests {
             e.admit_memo.is_some(),
             "the round ended at the blocked head"
         );
-        let due = crash + e.config.retry.backoff_for(1);
+        let due = crash + RETRY_BACKOFF.backoff_for(1);
         while now < due {
             now = e.step(now);
             assert_eq!(e.running_count(), 1, "request 0 is still backing off");

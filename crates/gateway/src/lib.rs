@@ -40,7 +40,7 @@ pub mod prelude {
     pub use crate::admission::{AdmissionController, BrownoutConfig, OverloadPolicy};
     pub use crate::engine::{GatewayConfig, GatewayEngine};
     pub use crate::outcome::{
-        DeadlineKind, OutcomeLog, RequestOutcome, RetryPolicy, ShedReason, SloPolicy, TenantSlo,
+        DeadlineKind, OutcomeLog, RequestOutcome, ShedReason, SloPolicy, TenantSlo,
     };
     pub use crate::scheduler::{PolicyKind, QueuedMeta, Scheduler};
 }

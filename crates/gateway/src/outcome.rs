@@ -6,8 +6,9 @@
 //! *shed* at the door under overload, *time out* against a tenant SLO,
 //! be *crash-aborted* when a GPU loses their KV state, or be *retried*
 //! from a bounded backoff budget. [`RequestOutcome`] names those fates,
-//! [`SloPolicy`] carries the per-tenant deadlines, [`RetryPolicy`] bounds
-//! recovery, and [`OutcomeLog`] is the ledger the experiments read.
+//! [`SloPolicy`] carries the per-tenant deadlines, `MAX_RETRIES` and
+//! `RETRY_BACKOFF` bound recovery, and [`OutcomeLog`] is the ledger the
+//! experiments read.
 //!
 //! Everything here is plain data with no clocks or randomness of its own;
 //! outcome decisions are pure functions of simulation time, so runs remain
@@ -86,11 +87,6 @@ impl RequestOutcome {
             RequestOutcome::CrashAborted => "crash_aborted",
             RequestOutcome::Retried => "retried",
         }
-    }
-
-    /// Whether the request's story ends here.
-    pub fn is_terminal(&self) -> bool {
-        !matches!(self, RequestOutcome::Retried)
     }
 }
 
@@ -182,38 +178,18 @@ impl SloPolicy {
     }
 }
 
-/// Deterministic bounded retry with exponential backoff.
-///
-/// A crash-aborted request is re-queued at the gateway's recovery step but
-/// only becomes *eligible* again after `backoff × 2^(attempt−1)`; after
-/// `max_retries` failed attempts it is terminally crash-aborted. All delays
-/// are pure functions of the attempt number — no clocks, no jitter — so
-/// recovery schedules are identical across runs and job counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// How many times a request may be re-queued after crash aborts.
-    pub max_retries: u32,
-    /// Base backoff before the first retry becomes eligible.
-    pub backoff: SimDuration,
-}
+// Deterministic bounded retry with exponential backoff: a crash-aborted
+// request is re-queued at the gateway's recovery step but only becomes
+// *eligible* again after `RETRY_BACKOFF.backoff_for(attempt)`
+// (`500 ms × 2^(attempt−1)`); after `MAX_RETRIES` failed attempts it is
+// terminally crash-aborted. All delays are pure functions of the attempt
+// number — no clocks, no jitter — so recovery schedules are identical
+// across runs and job counts.
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff: SimDuration::from_millis(500),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff applied before retry `attempt` (1-based) becomes
-    /// eligible: `backoff × 2^(attempt−1)`, with the shift saturated.
-    pub fn backoff_for(&self, attempt: u32) -> SimDuration {
-        let shift = attempt.saturating_sub(1).min(32);
-        self.backoff.mul_u64(1u64 << shift)
-    }
-}
+/// How many times a request may be re-queued after crash aborts.
+pub(crate) const MAX_RETRIES: u32 = 3;
+/// Base backoff before the first retry becomes eligible.
+pub(crate) const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(500);
 
 /// The ledger of request fates, keyed by request id.
 #[derive(Debug, Clone, Default)]
@@ -242,7 +218,8 @@ impl OutcomeLog {
     }
 
     /// Retry attempts recorded for a request so far.
-    pub fn retries_of(&self, id: u64) -> u32 {
+    #[cfg(test)]
+    fn retries_of(&self, id: u64) -> u32 {
         self.retries.get(&id).copied().unwrap_or(0)
     }
 
@@ -252,7 +229,7 @@ impl OutcomeLog {
     }
 
     /// Number of requests whose latest outcome matches `pred`.
-    pub fn count_where(&self, pred: impl Fn(RequestOutcome) -> bool) -> usize {
+    fn count_where(&self, pred: impl Fn(RequestOutcome) -> bool) -> usize {
         self.outcomes.values().filter(|(_, o)| pred(*o)).count()
     }
 
@@ -302,7 +279,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_and_terminality() {
+    fn outcome_labels() {
         assert_eq!(RequestOutcome::Completed.label(), "completed");
         assert_eq!(
             RequestOutcome::ShedAtAdmission(ShedReason::KvCost).label(),
@@ -312,8 +289,6 @@ mod tests {
             RequestOutcome::TimedOut(DeadlineKind::Ttft).label(),
             "timed_out"
         );
-        assert!(RequestOutcome::CrashAborted.is_terminal());
-        assert!(!RequestOutcome::Retried.is_terminal());
         assert_eq!(ShedReason::Brownout.label(), "brownout");
         assert_eq!(DeadlineKind::Total.label(), "total");
     }
@@ -349,17 +324,6 @@ mod tests {
         assert!(policy.any_deadline());
         assert_eq!(policy.of(0), TenantSlo::none());
         assert!(policy.of(2).ttft.is_some());
-    }
-
-    #[test]
-    fn retry_backoff_doubles_deterministically() {
-        let r = RetryPolicy {
-            max_retries: 3,
-            backoff: SimDuration::from_millis(100),
-        };
-        assert_eq!(r.backoff_for(1), SimDuration::from_millis(100));
-        assert_eq!(r.backoff_for(2), SimDuration::from_millis(200));
-        assert_eq!(r.backoff_for(3), SimDuration::from_millis(400));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! EWMA, instead of a hidden per-iteration sort.
 //!
 //! Every index reproduces the order of the sort-based reference policies in
-//! [`oracle`] *exactly, including ties* (each ordering ends with
+//! `oracle` *exactly, including ties* (each ordering ends with
 //! `(enqueued, id)` tie-breakers), which is what keeps experiment digests
 //! byte-identical across the PR 8 → PR 9 engine rewrite. The differential
 //! property test at the bottom of this file pins that equivalence under random
@@ -47,7 +47,7 @@ pub struct QueuedMeta {
     /// Prompt length in tokens.
     pub prompt_tokens: u64,
     /// Declared output length in tokens (the simulator's oracle; real
-    /// servers must predict this — see [`oracle::OrcaPredict`]).
+    /// servers must predict this — see the test-only `oracle::OrcaPredict`).
     pub output_tokens: u64,
     /// Tokens already generated before a preemption returned the request to
     /// the queue (0 for first-time admission).
@@ -118,7 +118,7 @@ impl PartialOrd for SchedKey {
 /// the request's tenant has admission-cap headroom (first-time admissions
 /// only — re-queued work already holds its slot) and any crash-retry
 /// backoff (`eligible_after`) has expired. Implementations must be
-/// deterministic and must order exactly like the sort-based [`oracle`]
+/// deterministic and must order exactly like the sort-based `oracle`
 /// policies, ties included.
 pub trait Scheduler {
     /// Policy name as it appears in tables and trace events.
@@ -576,7 +576,7 @@ impl Default for OrcaQueue {
     }
 }
 
-/// Predicted remaining output tokens at `ratio` — the exact [`oracle`]
+/// Predicted remaining output tokens at `ratio` — the exact `oracle`
 /// formula, shared so keys and the reference agree bit-for-bit.
 fn orca_predict(ratio: f64, m: &QueuedMeta) -> u64 {
     let total = (ratio * m.prompt_tokens.max(1) as f64).max(1.0) as u64;
@@ -867,7 +867,8 @@ impl<Q: PolicyQueue> Scheduler for TenantIndex<Q> {
 /// specification: the differential tests in this module drain a
 /// `TenantIndex` against the corresponding oracle sort and require
 /// identical sequences.
-pub mod oracle {
+#[cfg(test)]
+mod oracle {
     use super::QueuedMeta;
     use aqua_sim::time::{SimDuration, SimTime};
 
@@ -1006,12 +1007,12 @@ pub mod oracle {
 
     impl OrcaPredict {
         /// Predicted remaining output tokens for one queue entry.
-        pub fn predict(&self, m: &QueuedMeta) -> u64 {
+        pub(super) fn predict(&self, m: &QueuedMeta) -> u64 {
             super::orca_predict(self.ratio, m)
         }
 
         /// The current learned output/prompt ratio.
-        pub fn learned_ratio(&self) -> f64 {
+        pub(super) fn learned_ratio(&self) -> f64 {
             self.ratio
         }
     }
@@ -1079,8 +1080,9 @@ impl PolicyKind {
         }
     }
 
-    /// Instantiates the sort-based [`oracle`] reference for this policy.
-    pub fn build_oracle(self) -> Box<dyn oracle::SortScheduler> {
+    /// Instantiates the sort-based `oracle` reference for this policy.
+    #[cfg(test)]
+    fn build_oracle(self) -> Box<dyn oracle::SortScheduler> {
         match self {
             PolicyKind::Fcfs => Box::new(oracle::Fcfs),
             PolicyKind::Sjf => Box::new(oracle::Sjf),

@@ -2,8 +2,8 @@
 //!
 //! Figures 8, 11 and 12 plot request completion times in sorted order,
 //! which is the empirical CDF with the axes swapped. [`Cdf`] stores the
-//! sorted samples once and answers quantile and fraction-below queries, and
-//! can emit a fixed-size row of quantiles for table rendering.
+//! sorted samples once and answers quantile queries, and can emit a
+//! fixed-size row of quantiles for table rendering.
 
 /// An empirical cumulative distribution over `f64` samples.
 ///
@@ -12,9 +12,7 @@
 /// ```
 /// use aqua_metrics::cdf::Cdf;
 /// let cdf = Cdf::from_samples(&[4.0, 1.0, 3.0, 2.0]);
-/// assert_eq!(cdf.quantile(0.0), 1.0);
-/// assert_eq!(cdf.quantile(1.0), 4.0);
-/// assert_eq!(cdf.fraction_below(2.5), 0.5);
+/// assert_eq!(cdf.quantile_row(3), vec![1.0, 2.5, 4.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Cdf {
@@ -62,21 +60,12 @@ impl Cdf {
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
+    fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
         if self.sorted.is_empty() {
             return 0.0;
         }
         crate::latency::percentile_sorted(&self.sorted, q * 100.0)
-    }
-
-    /// Fraction of samples strictly below `x` (the CDF value at `x`).
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|&v| v < x);
-        idx as f64 / self.sorted.len() as f64
     }
 
     /// `n` evenly spaced quantiles from 0 to 1 inclusive — a compact row
@@ -90,19 +79,6 @@ impl Cdf {
         (0..n)
             .map(|i| self.quantile(i as f64 / (n - 1) as f64))
             .collect()
-    }
-
-    /// The largest horizontal gap between this CDF and `other` at their
-    /// merged sample points — a simple two-sample discrepancy score used to
-    /// compare systems' latency distributions.
-    pub fn max_quantile_gap(&self, other: &Cdf, probes: usize) -> f64 {
-        assert!(probes >= 2);
-        (0..probes)
-            .map(|i| {
-                let q = i as f64 / (probes - 1) as f64;
-                (self.quantile(q) - other.quantile(q)).abs()
-            })
-            .fold(0.0, f64::max)
     }
 }
 
@@ -118,13 +94,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantiles_and_fractions() {
+    fn quantiles() {
         let cdf = Cdf::from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(cdf.len(), 5);
         assert_eq!(cdf.quantile(0.5), 3.0);
-        assert_eq!(cdf.fraction_below(3.0), 0.4);
-        assert_eq!(cdf.fraction_below(100.0), 1.0);
-        assert_eq!(cdf.fraction_below(0.0), 0.0);
     }
 
     #[test]
@@ -137,24 +110,12 @@ mod tests {
     }
 
     #[test]
-    fn gap_between_identical_cdfs_is_zero() {
-        let a = Cdf::from_samples(&[1.0, 2.0, 3.0]);
-        let b = a.clone();
-        assert_eq!(a.max_quantile_gap(&b, 11), 0.0);
-        let shifted = Cdf::from_samples(&[2.0, 3.0, 4.0]);
-        assert!((a.max_quantile_gap(&shifted, 11) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_cdf_is_safe_everywhere() {
         let cdf = Cdf::default();
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(cdf.quantile(q), 0.0);
         }
         assert_eq!(cdf.quantile_row(5), vec![0.0; 5]);
-        assert_eq!(cdf.fraction_below(10.0), 0.0);
-        let one = Cdf::from_samples(&[3.0]);
-        assert_eq!(one.max_quantile_gap(&cdf, 3), 3.0);
     }
 
     #[test]
@@ -164,8 +125,6 @@ mod tests {
             assert_eq!(cdf.quantile(q), 7.5, "quantile {q}");
         }
         assert_eq!(cdf.quantile_row(3), vec![7.5; 3]);
-        assert_eq!(cdf.fraction_below(7.5), 0.0);
-        assert_eq!(cdf.fraction_below(7.6), 1.0);
     }
 
     #[test]
@@ -178,20 +137,5 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_rejected() {
         Cdf::from_samples(&[1.0, f64::NAN]);
-    }
-
-    aqua_sim::check! {
-        #[test]
-        fn fraction_below_is_monotone(mut v in aqua_sim::check::vec(0.0f64..100.0, 1..50)) {
-            let cdf = Cdf::from_samples(&v);
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let mut last = 0.0;
-            for x in [0.0, 10.0, 50.0, 99.0, 200.0] {
-                let f = cdf.fraction_below(x);
-                assert!(f >= last);
-                assert!((0.0..=1.0).contains(&f));
-                last = f;
-            }
-        }
     }
 }

@@ -47,7 +47,7 @@ impl SloSpec {
 
     /// Whether `stream` met this SLO. Tokenless streams never do — they
     /// delivered nothing to a client.
-    pub fn met_by(&self, stream: &TokenStream) -> bool {
+    fn met_by(&self, stream: &TokenStream) -> bool {
         let Some(ttft) = stream.ttft() else {
             return false;
         };
@@ -90,15 +90,6 @@ impl GoodputReport {
     pub fn goodput_tps(&self) -> f64 {
         if self.horizon_s > 0.0 {
             self.goodput_tokens as f64 / self.horizon_s
-        } else {
-            0.0
-        }
-    }
-
-    /// All delivered tokens per second, SLO-met or not.
-    pub fn throughput_tps(&self) -> f64 {
-        if self.horizon_s > 0.0 {
-            self.total_tokens as f64 / self.horizon_s
         } else {
             0.0
         }
@@ -169,7 +160,6 @@ mod tests {
         assert_eq!(r.total_tokens, 5);
         assert_eq!(r.goodput_tokens, 3);
         assert!((r.goodput_tps() - 0.3).abs() < 1e-12);
-        assert!((r.throughput_tps() - 0.5).abs() < 1e-12);
         assert!((r.slo_attainment() - 0.5).abs() < 1e-12);
     }
 
@@ -178,7 +168,6 @@ mod tests {
         let log = StreamLog::new();
         let r = log.goodput(&SloSpec::none(), 0.0);
         assert_eq!(r.goodput_tps(), 0.0);
-        assert_eq!(r.throughput_tps(), 0.0);
         assert_eq!(r.slo_attainment(), 0.0);
     }
 }

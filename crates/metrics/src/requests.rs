@@ -47,7 +47,6 @@ impl RequestRecord {
 ///     output_tokens: 100,
 /// });
 /// assert_eq!(log.ttfts(), vec![0.12]);
-/// assert_eq!(log.total_output_tokens(), 100);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RequestLog {
@@ -63,11 +62,6 @@ impl RequestLog {
     /// Appends a completed request.
     pub fn record(&mut self, rec: RequestRecord) {
         self.records.push(rec);
-    }
-
-    /// Appends every record from `other`.
-    pub fn extend_from(&mut self, other: &RequestLog) {
-        self.records.extend_from_slice(&other.records);
     }
 
     /// All records, in completion-recording order.
@@ -112,21 +106,6 @@ impl RequestLog {
     /// Summary statistics over RCTs.
     pub fn rct_summary(&self) -> Summary {
         Summary::from_samples(&self.rcts())
-    }
-
-    /// Total output tokens across completed requests (the Figure 7/18
-    /// throughput count).
-    pub fn total_output_tokens(&self) -> u64 {
-        self.records.iter().map(|r| r.output_tokens).sum()
-    }
-
-    /// Tokens generated up to and including `cutoff`.
-    pub fn output_tokens_by(&self, cutoff: SimTime) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.completion <= cutoff)
-            .map(|r| r.output_tokens)
-            .sum()
     }
 }
 
@@ -185,16 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn token_counting_with_cutoff() {
-        let mut log = RequestLog::new();
-        log.record(rec(1, 0, 10, 1000));
-        log.record(rec(2, 0, 10, 3000));
-        assert_eq!(log.total_output_tokens(), 20);
-        assert_eq!(log.output_tokens_by(SimTime::from_millis(1500)), 10);
-        assert_eq!(log.output_tokens_by(SimTime::ZERO), 0);
-    }
-
-    #[test]
     fn empty_log_summaries_are_default() {
         let log = RequestLog::new();
         assert!(log.is_empty());
@@ -207,7 +176,7 @@ mod tests {
         let mut a = RequestLog::new();
         a.record(rec(1, 0, 1, 2));
         let b: RequestLog = vec![rec(2, 0, 1, 2)].into_iter().collect();
-        a.extend_from(&b);
+        a.extend(b.records().iter().copied());
         a.extend(vec![rec(3, 0, 1, 2)]);
         assert_eq!(a.len(), 3);
     }

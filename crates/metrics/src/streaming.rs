@@ -42,7 +42,7 @@ impl TokenStream {
 
     /// Gaps between consecutive token deliveries, seconds. Empty for a
     /// single-token (or tokenless) stream.
-    pub fn itl_samples(&self) -> Vec<f64> {
+    fn itl_samples(&self) -> Vec<f64> {
         self.tokens
             .windows(2)
             .map(|w| w[1].duration_since(w[0]).as_secs_f64())
@@ -148,15 +148,6 @@ impl StreamLog {
                 .collect(),
         }
     }
-
-    /// Collapses every stream into a [`crate::requests::RequestLog`].
-    /// Tokenless streams are skipped — they have no timestamps to collapse.
-    pub fn request_log(&self) -> crate::requests::RequestLog {
-        self.streams
-            .iter()
-            .filter_map(TokenStream::record)
-            .collect()
-    }
 }
 
 impl FromIterator<TokenStream> for StreamLog {
@@ -215,7 +206,6 @@ mod tests {
         assert_eq!(log.ttfts(), vec![0.05]);
         assert_eq!(log.ttft_summary().count, 1);
         assert_eq!(log.itl_summary().count, 0);
-        assert_eq!(log.request_log().len(), 1);
     }
 
     #[test]
@@ -227,7 +217,6 @@ mod tests {
         assert_eq!(log.itls(), vec![0.1, 0.05]);
         assert_eq!(log.tenant(1).len(), 1);
         assert!((log.tenant(1).ttft_summary().p50 - 0.3).abs() < 1e-9);
-        assert_eq!(log.request_log().len(), 2);
     }
 
     #[test]

@@ -50,12 +50,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of displayable values.
-    pub fn row_display<D: fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -127,7 +121,8 @@ mod tests {
     #[test]
     fn csv_round_trip_structure() {
         let mut t = Table::new("x", &["c1", "c2"]);
-        t.row_display(&[1, 2]).row_display(&[3, 4]);
+        t.row(&["1".into(), "2".into()])
+            .row(&["3".into(), "4".into()]);
         assert_eq!(t.to_csv(), "c1,c2\n1,2\n3,4\n");
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());

@@ -105,29 +105,6 @@ impl TimeSeries {
             Some(vals.iter().sum::<f64>() / vals.len() as f64)
         }
     }
-
-    /// Downsamples to at most `n` evenly spaced points (always keeping the
-    /// first and last) — used to print compact figure rows.
-    pub fn downsample(&self, n: usize) -> Vec<(SimTime, f64)> {
-        if n == 0 || self.points.is_empty() {
-            return Vec::new();
-        }
-        if self.points.len() <= n || n == 1 {
-            return if n == 1 {
-                vec![self.points[0]]
-            } else {
-                self.points.clone()
-            };
-        }
-        let mut out = Vec::with_capacity(n);
-        let last = self.points.len() - 1;
-        for i in 0..n {
-            let idx = i * last / (n - 1);
-            out.push(self.points[idx]);
-        }
-        out.dedup_by_key(|(t, _)| *t);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -173,17 +150,5 @@ mod tests {
     fn out_of_order_push_panics() {
         let mut ts = series();
         ts.push(SimTime::from_secs(1), 0.0);
-    }
-
-    #[test]
-    fn downsample_keeps_endpoints() {
-        let ts = series();
-        let d = ts.downsample(4);
-        assert_eq!(d.first().unwrap().0, SimTime::ZERO);
-        assert_eq!(d.last().unwrap().0, SimTime::from_secs(9));
-        assert!(d.len() <= 4);
-        assert_eq!(ts.downsample(0).len(), 0);
-        assert_eq!(ts.downsample(1).len(), 1);
-        assert_eq!(ts.downsample(100).len(), 10);
     }
 }

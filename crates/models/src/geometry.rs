@@ -76,14 +76,16 @@ impl LlmGeometry {
     /// Bytes of one LoRA adapter of rank `r` applied to the attention
     /// projections of every layer: per layer, four target matrices each with
     /// an `A (hidden × r)` and `B (r × hidden)` factor, in fp16.
-    pub fn lora_adapter_bytes(&self, rank: u64) -> u64 {
+    #[cfg(test)]
+    fn lora_adapter_bytes(&self, rank: u64) -> u64 {
         let per_matrix = 2 * self.hidden * rank * FP16_BYTES;
         self.layers * 4 * per_matrix
     }
 
     /// Number of distinct tensors a rank-`r` adapter ships (two factors per
     /// target matrix per layer) — the chunk count for a naive scattered copy.
-    pub fn lora_tensor_count(&self) -> u64 {
+    #[cfg(test)]
+    fn lora_tensor_count(&self) -> u64 {
         self.layers * 4 * 2
     }
 }
@@ -105,11 +107,6 @@ impl DiffusionGeometry {
     /// Bytes of HBM pinned by the fp16 weights.
     pub fn weights_bytes(&self) -> u64 {
         self.params * FP16_BYTES
-    }
-
-    /// FLOPs to fully denoise a batch of `batch` images.
-    pub fn flops_per_batch(&self, batch: u64) -> f64 {
-        self.steps as f64 * self.flops_per_step_per_image * batch as f64
     }
 }
 
@@ -139,11 +136,6 @@ impl AudioGeometry {
     /// Audio tokens generated for one clip.
     pub fn tokens_per_clip(&self) -> u64 {
         self.tokens_per_audio_second * self.clip_seconds
-    }
-
-    /// FLOPs to generate a batch of `batch` clips.
-    pub fn flops_per_batch(&self, batch: u64) -> f64 {
-        self.tokens_per_clip() as f64 * self.flops_per_token_per_item * batch as f64
     }
 }
 
@@ -200,7 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn diffusion_flops_scale_with_batch_and_steps() {
+    fn diffusion_weights_are_fp16() {
         let d = DiffusionGeometry {
             params: 1_000_000_000,
             steps: 50,
@@ -208,7 +200,6 @@ mod tests {
             activation_bytes_per_image: 1 << 30,
         };
         assert_eq!(d.weights_bytes(), 2_000_000_000);
-        assert_eq!(d.flops_per_batch(2), 2.0 * d.flops_per_batch(1));
     }
 
     #[test]
@@ -221,6 +212,5 @@ mod tests {
             activation_bytes_per_item: 1 << 28,
         };
         assert_eq!(a.tokens_per_clip(), 500);
-        assert!(a.flops_per_batch(4) > a.flops_per_batch(1));
     }
 }

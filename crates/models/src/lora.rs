@@ -8,9 +8,6 @@
 //! loader copies each per-layer tensor separately — many small transfers —
 //! while AQUA copies the whole adapter as one coalesced buffer, §B.1).
 
-use crate::geometry::LlmGeometry;
-use aqua_sim::transfer::TransferPlan;
-
 /// One LoRA adapter.
 ///
 /// # Example
@@ -19,8 +16,6 @@ use aqua_sim::transfer::TransferPlan;
 /// use aqua_models::lora::LoraAdapter;
 /// let zephyr = LoraAdapter::zephyr();
 /// assert_eq!(zephyr.bytes, 320 * 1024 * 1024);
-/// // AQUA moves it as one buffer; the baseline scatters it per tensor.
-/// assert_eq!(zephyr.coalesced_plan().total_bytes(), zephyr.bytes);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LoraAdapter {
@@ -64,25 +59,6 @@ impl LoraAdapter {
         Self::new(name, bytes, mistral_layers * 4 * 2)
     }
 
-    /// Derives an adapter of rank `rank` for a concrete LLM geometry.
-    pub fn for_geometry(name: impl Into<String>, geom: &LlmGeometry, rank: u64) -> Self {
-        Self::new(
-            name,
-            geom.lora_adapter_bytes(rank),
-            geom.lora_tensor_count(),
-        )
-    }
-
-    /// Transfer plan of the naive loader: one copy per stored tensor.
-    pub fn scattered_plan(&self) -> TransferPlan {
-        TransferPlan::scattered(self.tensor_count, self.bytes / self.tensor_count)
-    }
-
-    /// Transfer plan of AQUA's loader: the whole adapter as one buffer.
-    pub fn coalesced_plan(&self) -> TransferPlan {
-        TransferPlan::coalesced(self.bytes)
-    }
-
     /// Synthesizes `count` same-sized copies (the paper copies Zephyr/Mteb to
     /// build larger pools).
     pub fn synthesize_pool(&self, count: usize) -> Vec<LoraAdapter> {
@@ -100,6 +76,12 @@ impl LoraAdapter {
 mod tests {
     use super::*;
     use aqua_sim::link::BandwidthModel;
+    use aqua_sim::transfer::TransferPlan;
+
+    /// The naive loader's plan: one copy per stored tensor.
+    fn scattered(a: &LoraAdapter) -> TransferPlan {
+        TransferPlan::scattered(a.tensor_count, a.bytes / a.tensor_count)
+    }
 
     #[test]
     fn paper_adapter_sizes() {
@@ -110,7 +92,7 @@ mod tests {
     #[test]
     fn scattered_plan_covers_all_bytes() {
         let a = LoraAdapter::zephyr();
-        let plan = a.scattered_plan();
+        let plan = scattered(&a);
         // Integer division may drop a remainder smaller than one tensor.
         assert!(plan.total_bytes() <= a.bytes);
         assert!(a.bytes - plan.total_bytes() < a.tensor_count);
@@ -120,8 +102,8 @@ mod tests {
     fn coalesced_load_is_much_faster_on_nvlink() {
         let a = LoraAdapter::zephyr();
         let nv = BandwidthModel::nvlink_a100();
-        let scattered = nv.transfer_time(a.scattered_plan());
-        let coalesced = nv.transfer_time(a.coalesced_plan());
+        let scattered = nv.transfer_time(scattered(&a));
+        let coalesced = nv.transfer_time(TransferPlan::coalesced(a.bytes));
         assert!(
             scattered.as_secs_f64() > 3.0 * coalesced.as_secs_f64(),
             "scattered {scattered} vs coalesced {coalesced}"
@@ -137,15 +119,6 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), 30);
         assert!(pool.iter().all(|a| a.bytes == 320 << 20));
-    }
-
-    #[test]
-    fn geometry_derived_adapter() {
-        let mistral = crate::zoo::mistral_7b();
-        let g = mistral.llm_geometry().unwrap();
-        let a = LoraAdapter::for_geometry("rank64", g, 64);
-        assert_eq!(a.bytes, g.lora_adapter_bytes(64));
-        assert_eq!(a.tensor_count, 256);
     }
 
     #[test]

@@ -100,11 +100,6 @@ impl PlacementInstance {
         }
     }
 
-    /// Total GPUs in the cluster.
-    pub fn total_gpus(&self) -> usize {
-        self.servers * self.gpus_per_server
-    }
-
     /// Equation-5 objective of an assignment (`model → server`), lower is
     /// better: `max_s(mem_s) + G_mem · max_s(eq_s)`.
     pub fn objective(&self, assignment: &[usize]) -> i128 {

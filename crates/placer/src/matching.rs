@@ -127,7 +127,8 @@ pub fn stable_match(models: &[ModelSpec]) -> Vec<MatchedPair> {
 
 /// Checks that a matching is stable: no consumer–producer pair would both
 /// rather be matched to each other than to their assigned partners.
-pub fn is_stable(models: &[ModelSpec], pairs: &[MatchedPair]) -> bool {
+#[cfg(test)]
+fn is_stable(models: &[ModelSpec], pairs: &[MatchedPair]) -> bool {
     let partner_of_consumer = |c: usize| pairs.iter().find(|p| p.consumer == c).map(|p| p.producer);
     let partner_of_producer = |p: usize| pairs.iter().find(|q| q.producer == p).map(|q| q.consumer);
     for c in 0..models.len() {

@@ -27,8 +27,8 @@
 //!
 //! | check | component | violation |
 //! |---|---|---|
-//! | byte conservation (Σ regions == used ≤ capacity) | `HbmAllocator` | [`AuditViolation::ByteConservation`] |
-//! | lease books (used ≤ total on live leases) | coordinator | [`AuditViolation::ByteConservation`] |
+//! //! | lease books (used ≤ total on live leases) | coordinator | [`AuditViolation::ByteConservation`] |
+//! | no outflow beyond a tracked holding | offloader | [`AuditViolation::ByteConservation`] |
 //! | FIFO port booking (start ≥ prior horizon) | `TransferEngine` | [`AuditViolation::PortOverlap`] |
 //! | lane accounting (busy time ≤ horizon) | `TransferEngine` | [`AuditViolation::LaneOverCapacity`] |
 //! | no bookings onto dead ports | `TransferEngine` × `FaultPlan` | [`AuditViolation::OrphanedTransfer`] |
@@ -40,7 +40,6 @@
 //! | no stale-epoch verb mutates the rebuilt book | coordinator | [`AuditViolation::StaleEpochAccepted`] |
 //! | no lease honored in two epochs | coordinator | [`AuditViolation::DoubleGrantAcrossEpochs`] |
 
-use crate::memory::HbmAllocator;
 use crate::time::{SimDuration, SimTime};
 use aqua_telemetry::{null_tracer, trace, SharedTracer, TraceEvent};
 use std::cell::RefCell;
@@ -53,9 +52,9 @@ use std::rc::Rc;
 /// timestamp; violations raised from them stamp `SimTime::ZERO`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AuditViolation {
-    /// An allocator's or lease's byte books no longer balance.
+    /// A lease's or an offloader holding's byte books no longer balance.
     ByteConservation {
-        /// Which books: `hbm:<gpu>`, `lease:<id>`, …
+        /// Which books: `lease:<id>`, `offloader:<consumer>:<holding>`, …
         scope: String,
         /// What the books should say at most.
         expected: u64,
@@ -283,7 +282,7 @@ impl AuditViolation {
     }
 
     /// The journal representation of this violation.
-    pub fn to_event(&self) -> TraceEvent {
+    fn to_event(&self) -> TraceEvent {
         TraceEvent::AuditViolation {
             kind: self.kind().to_owned(),
             scope: self.scope(),
@@ -365,28 +364,6 @@ impl Auditor {
         self.violations.borrow().first().cloned()
     }
 
-    /// Byte-conservation sweep over an allocator: region sum must equal the
-    /// used counter, and used must fit the capacity.
-    pub fn check_allocator(&self, scope: &str, hbm: &HbmAllocator, at: SimTime) {
-        let region_sum: u64 = hbm.iter().map(|(_, _, bytes)| bytes).sum();
-        if region_sum != hbm.used_bytes() {
-            self.record(AuditViolation::ByteConservation {
-                scope: scope.to_owned(),
-                expected: region_sum,
-                actual: hbm.used_bytes(),
-                at,
-            });
-        }
-        if hbm.used_bytes() > hbm.capacity() {
-            self.record(AuditViolation::ByteConservation {
-                scope: scope.to_owned(),
-                expected: hbm.capacity(),
-                actual: hbm.used_bytes(),
-                at,
-            });
-        }
-    }
-
     /// Monotonicity check: `next` must not precede `prev`.
     pub fn check_monotonic(&self, scope: &str, prev: SimTime, next: SimTime) {
         if next < prev {
@@ -402,7 +379,6 @@ impl Auditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::RegionKind;
     use aqua_telemetry::JournalTracer;
     use std::sync::Arc;
 
@@ -434,17 +410,6 @@ mod tests {
         assert_eq!(lines.matches("audit_violation").count(), 2);
         assert!(lines.contains("double_grant"));
         assert!(lines.contains("time_regression"));
-    }
-
-    #[test]
-    fn allocator_conservation_check_passes_on_consistent_books() {
-        let a = Auditor::collecting();
-        let mut hbm = HbmAllocator::new(1 << 30);
-        let id = hbm.alloc(RegionKind::Weights, 1 << 20).unwrap();
-        a.check_allocator("hbm:0", &hbm, SimTime::ZERO);
-        hbm.free(id).unwrap();
-        a.check_allocator("hbm:0", &hbm, SimTime::ZERO);
-        assert!(a.is_clean());
     }
 
     #[test]

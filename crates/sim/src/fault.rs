@@ -11,7 +11,7 @@
 //! The plan itself is passive: components *query* it. The transfer engine
 //! asks [`FaultPlan::port_down`] / [`FaultPlan::port_slowdown`] /
 //! [`FaultPlan::first_outage_in`] when scheduling, the offloader asks
-//! [`FaultPlan::coordinator_stall`] at iteration boundaries, and the engine
+//! [`FaultPlan::stall_at`] at iteration boundaries, and the engine
 //! driver replays GPU-crash windows as paused engines. This keeps fault
 //! state out of every component's mutable state and makes a chaos run a pure
 //! function of `(workload seed, FaultPlan)`.
@@ -167,7 +167,7 @@ impl FaultRng {
     }
 
     /// Uniform draw in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
@@ -207,13 +207,13 @@ impl FaultPlan {
     }
 
     /// Schedules DRAM-path congestion over `[start, end)`.
-    pub fn dram_congestion(self, slowdown: f64, start: SimTime, end: SimTime) -> Self {
+    fn dram_congestion(self, slowdown: f64, start: SimTime, end: SimTime) -> Self {
         assert!(slowdown >= 1.0, "slowdown must be >= 1.0");
         self.window(FaultKind::DramCongestion { slowdown }, start, end)
     }
 
     /// Schedules added coordinator latency over `[start, end)`.
-    pub fn coordinator_stall(self, extra: SimDuration, start: SimTime, end: SimTime) -> Self {
+    fn coordinator_stall(self, extra: SimDuration, start: SimTime, end: SimTime) -> Self {
         self.window(FaultKind::CoordinatorStall { extra }, start, end)
     }
 
@@ -229,32 +229,6 @@ impl FaultPlan {
     pub fn partition(self, split: usize, start: SimTime, heal_at: SimTime) -> Self {
         assert!(split > 0, "partition must leave the coordinator a side");
         self.window(FaultKind::Partition { split }, start, heal_at)
-    }
-
-    /// Schedules a flapping link: starting at `start`, `port` goes down for
-    /// `duty_down` of every `period` until `end`.
-    pub fn link_flap(
-        mut self,
-        port: PortId,
-        start: SimTime,
-        end: SimTime,
-        period: SimDuration,
-        duty_down: f64,
-    ) -> Self {
-        assert!(start < end, "flap window must have positive length");
-        assert!(!period.is_zero(), "flap period must be positive");
-        assert!(
-            duty_down > 0.0 && duty_down < 1.0,
-            "duty cycle must be in (0, 1)"
-        );
-        let down = SimDuration::from_secs_f64(period.as_secs_f64() * duty_down);
-        let mut t = start;
-        while t < end {
-            let outage_end = (t + down).min(end);
-            self = self.link_down(port, t, outage_end);
-            t += period;
-        }
-        self
     }
 
     /// Draws `profile.events` fault windows from `seed` inside
@@ -384,7 +358,7 @@ impl FaultPlan {
 
     /// Whether a [`FaultKind::CoordinatorCrash`] window covers `at` (the
     /// coordinator process is down and rebuilding).
-    pub fn coordinator_down(&self, at: SimTime) -> bool {
+    fn coordinator_down(&self, at: SimTime) -> bool {
         self.windows
             .iter()
             .any(|w| w.active(at) && matches!(w.kind, FaultKind::CoordinatorCrash))
@@ -392,7 +366,7 @@ impl FaultPlan {
 
     /// The active partition's split at `at`, if any. Overlapping partitions
     /// take the widest cut (the largest far side, i.e. the smallest split).
-    pub fn partition_split(&self, at: SimTime) -> Option<usize> {
+    fn partition_split(&self, at: SimTime) -> Option<usize> {
         self.windows
             .iter()
             .filter(|w| w.active(at))
@@ -510,17 +484,6 @@ mod tests {
         assert_eq!(plan.stall_at(secs(5)), SimDuration::from_millis(5));
         assert_eq!(plan.stall_at(secs(15)), SimDuration::from_millis(20));
         assert_eq!(plan.stall_at(secs(60)), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn flap_alternates_down_and_up() {
-        let egress = PortId::NvlinkEgress(GpuId(0));
-        let plan =
-            FaultPlan::new().link_flap(egress, secs(0), secs(10), SimDuration::from_secs(2), 0.5);
-        assert_eq!(plan.windows().len(), 5);
-        assert!(plan.port_down(egress, SimTime::from_millis(500)));
-        assert!(!plan.port_down(egress, SimTime::from_millis(1500)));
-        assert!(plan.port_down(egress, SimTime::from_millis(2500)));
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! GPU hardware specifications and per-GPU state.
+//! GPU hardware specifications and addresses.
 //!
 //! The paper's testbeds use NVIDIA A100-80G GPUs. [`GpuSpec`] captures the
 //! three numbers the roofline cost models in `aqua-models` need — HBM
 //! capacity, HBM bandwidth and dense-math throughput — plus the PCIe link to
-//! host DRAM. [`Gpu`] pairs a spec with an [`HbmAllocator`] instance.
+//! host DRAM. [`GpuId`] addresses a GPU within one server. HBM is accounted
+//! by the coordinator's lease book and each engine's paged KV pool, not here.
 
 use crate::link::{bytes::gib, BandwidthModel};
-use crate::memory::HbmAllocator;
 
 /// Index of a GPU within one server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -70,29 +70,9 @@ impl Default for GpuSpec {
     }
 }
 
-/// One GPU: its spec plus live HBM accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Gpu {
-    /// Index of this GPU within its server.
-    pub id: GpuId,
-    /// Hardware specification.
-    pub spec: GpuSpec,
-    /// HBM accounting allocator.
-    pub memory: HbmAllocator,
-}
-
-impl Gpu {
-    /// Creates a GPU with an empty HBM allocator sized from the spec.
-    pub fn new(id: GpuId, spec: GpuSpec) -> Self {
-        let memory = HbmAllocator::new(spec.hbm_bytes);
-        Gpu { id, spec, memory }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::RegionKind;
 
     #[test]
     fn a100_constants_are_sane() {
@@ -104,17 +84,7 @@ mod tests {
     }
 
     #[test]
-    fn gpu_memory_matches_spec() {
-        let gpu = Gpu::new(GpuId(3), GpuSpec::a100_80g());
-        assert_eq!(gpu.memory.capacity(), gib(80));
-        assert_eq!(gpu.id.to_string(), "gpu3");
-    }
-
-    #[test]
-    fn gpu_allocations_work_through_state() {
-        let mut gpu = Gpu::new(GpuId(0), GpuSpec::a100_80g());
-        let id = gpu.memory.alloc(RegionKind::Weights, gib(26)).unwrap();
-        assert_eq!(gpu.memory.free_bytes(), gib(54));
-        gpu.memory.free(id).unwrap();
+    fn gpu_id_displays_its_index() {
+        assert_eq!(GpuId(3).to_string(), "gpu3");
     }
 }

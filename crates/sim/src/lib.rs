@@ -12,17 +12,17 @@
 //! * [`link`] — interconnect bandwidth models with the *size-dependent*
 //!   effective bandwidth the paper measures in Figure 3a (small transfers on
 //!   NVLink are PCIe-slow; peak bandwidth needs multi-megabyte buffers).
-//! * [`memory`] — an HBM accounting allocator with labelled regions,
-//!   reservations and *leases* (memory donated to another GPU via AQUA).
-//! * [`gpu`] — GPU hardware specifications (A100-80G by default) and state.
+//! * [`gpu`] — GPU hardware specifications (A100-80G by default) and
+//!   per-server GPU ids.
 //! * [`topology`] — server topologies: 2-GPU direct-NVLink, 8-GPU NVSwitch,
 //!   and the PCIe path to host DRAM.
 //! * [`transfer`] — a port-level transfer engine: each directional port is a
 //!   FIFO resource, so concurrent transfers on disjoint ports overlap while
 //!   transfers sharing a port serialize (this is how NVSwitch contention and
 //!   the Figure 18 stress test are modelled).
-//! * [`cluster`] — clusters of servers (the §6.1 testbed: 8 servers × 2
-//!   GPUs); AQUA offloading is confined to each server's NVLink domain.
+//! * [`audit`] — runtime invariant hooks that record typed violations;
+//!   [`fault`] — seeded fault plans; [`pdes`] — the conservative parallel
+//!   executor's message and lookahead types.
 //! * [`hash`] — a multiply-shift hasher for hot integer-keyed maps.
 //! * [`rng`] — the seeded generator every workload draws from, and
 //!   [`check`](mod@check) — the seeded property-test harness built on it.
@@ -42,13 +42,11 @@
 
 pub mod audit;
 pub mod check;
-pub mod cluster;
 pub mod event;
 pub mod fault;
 pub mod gpu;
 pub mod hash;
 pub mod link;
-pub mod memory;
 pub mod pdes;
 pub mod rng;
 pub mod topology;
@@ -62,12 +60,10 @@ pub use aqua_telemetry::time;
 pub mod prelude {
     //! Convenience re-exports of the most common simulator types.
     pub use crate::audit::{AuditViolation, Auditor, SharedAuditor};
-    pub use crate::cluster::{Cluster, ClusterGpu};
     pub use crate::event::EventQueue;
     pub use crate::fault::{FaultKind, FaultPlan, FaultWindow, RandomFaultProfile};
-    pub use crate::gpu::{Gpu, GpuId, GpuSpec};
+    pub use crate::gpu::{GpuId, GpuSpec};
     pub use crate::link::{BandwidthModel, LinkKind};
-    pub use crate::memory::{AllocId, HbmAllocator, MemoryError, RegionKind};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{LinkPath, PortId, ServerTopology};
     pub use crate::transfer::{TransferEngine, TransferError, TransferPlan};

@@ -139,15 +139,6 @@ impl<M> Mailbox<M> {
     }
 }
 
-/// The conservative window rule: given `s_min` — the minimum over all shard
-/// send horizons and undelivered message timestamps — every shard may
-/// safely simulate up to (exclusive) `s_min + lookahead`. Returns `None`
-/// when no shard can ever send again (`s_min` unbounded): the shards are
-/// decoupled and can run to completion.
-pub fn window_end(s_min: Option<SimTime>, lookahead: SimDuration) -> Option<SimTime> {
-    s_min.map(|s| s + lookahead)
-}
-
 /// The lookahead for a set of cross-domain links: the minimum latency any
 /// cross-shard effect must pay. With per-link α–β cost models this is the
 /// smallest launch overhead among the links that cross a shard boundary.
@@ -218,16 +209,6 @@ mod tests {
     fn posting_to_a_missing_shard_is_a_bug() {
         let mut mbox = Mailbox::new(1);
         mbox.post(msg(1, 0, 3, 0));
-    }
-
-    #[test]
-    fn window_rule_adds_lookahead_and_handles_decoupled_shards() {
-        let l = SimDuration::from_micros(7);
-        assert_eq!(
-            window_end(Some(SimTime::from_secs(1)), l),
-            Some(SimTime::from_secs(1) + l)
-        );
-        assert_eq!(window_end(None, l), None);
     }
 
     #[test]

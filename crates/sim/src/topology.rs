@@ -11,7 +11,7 @@
 //! GPU's egress port and the destination GPU's ingress port, which is exactly
 //! the behaviour the Figure 18 stress test relies on.
 
-use crate::gpu::{Gpu, GpuId, GpuSpec};
+use crate::gpu::{GpuId, GpuSpec};
 use crate::link::{bytes::gib, BandwidthModel, LinkKind};
 
 /// A directional hardware port that serializes transfers crossing it.
@@ -76,7 +76,8 @@ pub enum Endpoint {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerTopology {
-    gpus: Vec<Gpu>,
+    gpu_count: usize,
+    spec: GpuSpec,
     fabric: LinkKind,
     fabric_model: BandwidthModel,
     dram_bytes: u64,
@@ -102,7 +103,7 @@ impl ServerTopology {
     /// Panics if `n == 0`, or if `fabric` is [`LinkKind::NvlinkDirect`] with
     /// `n != 2` (direct point-to-point wiring is only modelled for pairs), or
     /// if `fabric` is [`LinkKind::PcieHost`] (the host link is implicit).
-    pub fn with_fabric(n: usize, spec: GpuSpec, fabric: LinkKind) -> Self {
+    fn with_fabric(n: usize, spec: GpuSpec, fabric: LinkKind) -> Self {
         assert!(n > 0, "a server needs at least one GPU");
         assert!(
             fabric != LinkKind::NvlinkDirect || n == 2,
@@ -112,9 +113,9 @@ impl ServerTopology {
             fabric != LinkKind::PcieHost,
             "the GPU fabric cannot be the host PCIe link"
         );
-        let gpus = (0..n).map(|i| Gpu::new(GpuId(i), spec.clone())).collect();
         ServerTopology {
-            gpus,
+            gpu_count: n,
+            spec,
             fabric,
             fabric_model: BandwidthModel::for_kind(fabric),
             dram_bytes: gib(1024),
@@ -123,7 +124,7 @@ impl ServerTopology {
 
     /// Number of GPUs on this server.
     pub fn gpu_count(&self) -> usize {
-        self.gpus.len()
+        self.gpu_count
     }
 
     /// Inter-GPU fabric kind.
@@ -136,20 +137,24 @@ impl ServerTopology {
         self.dram_bytes
     }
 
-    /// Shared read access to a GPU.
-    pub fn gpu(&self, id: GpuId) -> &Gpu {
-        &self.gpus[id.0]
-    }
-
-    /// Iterates over the GPUs in id order.
-    pub fn gpus(&self) -> impl Iterator<Item = &Gpu> {
-        self.gpus.iter()
+    /// Hardware specification of GPU `id` (every GPU on a server shares it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn gpu_spec(&self, id: GpuId) -> &GpuSpec {
+        assert!(
+            id.0 < self.gpu_count,
+            "{id} is out of range for a {}-GPU server",
+            self.gpu_count
+        );
+        &self.spec
     }
 
     /// Path between two distinct GPUs over the inter-GPU fabric, or `None`
     /// if `src == dst` or either id is out of range.
     pub fn gpu_to_gpu_path(&self, src: GpuId, dst: GpuId) -> Option<LinkPath> {
-        if src == dst || src.0 >= self.gpus.len() || dst.0 >= self.gpus.len() {
+        if src == dst || src.0 >= self.gpu_count || dst.0 >= self.gpu_count {
             return None;
         }
         Some(LinkPath {
@@ -163,7 +168,7 @@ impl ServerTopology {
     pub fn gpu_to_host_path(&self, src: GpuId) -> LinkPath {
         LinkPath {
             kind: LinkKind::PcieHost,
-            model: self.gpus[src.0].spec.pcie,
+            model: self.gpu_spec(src).pcie,
             ports: vec![PortId::PcieUp(src)],
         }
     }
@@ -172,7 +177,7 @@ impl ServerTopology {
     pub fn host_to_gpu_path(&self, dst: GpuId) -> LinkPath {
         LinkPath {
             kind: LinkKind::PcieHost,
-            model: self.gpus[dst.0].spec.pcie,
+            model: self.gpu_spec(dst).pcie,
             ports: vec![PortId::PcieDown(dst)],
         }
     }

@@ -83,13 +83,6 @@ pub struct ScheduledTransfer {
     pub wire_time: SimDuration,
 }
 
-impl ScheduledTransfer {
-    /// Total latency observed by the requester, including queueing.
-    pub fn latency_from(&self, requested_at: SimTime) -> SimDuration {
-        self.end.duration_since(requested_at)
-    }
-}
-
 /// Why a fault-aware transfer could not complete.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TransferError {
@@ -120,7 +113,8 @@ impl TransferError {
     }
 
     /// Bytes delivered before the failure (0 for a path that never started).
-    pub fn partial_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn partial_bytes(&self) -> u64 {
         match self {
             TransferError::PathDown { .. } => 0,
             TransferError::Aborted { partial_bytes, .. } => *partial_bytes,
@@ -262,11 +256,6 @@ impl TransferEngine {
         self.faults = Some(plan);
     }
 
-    /// Detaches the fault plan (back to fault-free behaviour).
-    pub fn clear_fault_plan(&mut self) {
-        self.faults = None;
-    }
-
     /// Attaches an invariant auditor. Every booking is then checked for
     /// FIFO-horizon legality, lane over-capacity and (with a fault plan)
     /// bookings onto ports inside an active outage. The untraced hot path
@@ -276,7 +265,7 @@ impl TransferEngine {
     }
 
     /// Earliest time a transfer issued at `now` could start on `path`.
-    pub fn earliest_start(&self, path: &LinkPath, now: SimTime) -> SimTime {
+    fn earliest_start(&self, path: &LinkPath, now: SimTime) -> SimTime {
         path.ports
             .iter()
             .filter_map(|p| self.stats(*p).map(|s| s.busy_until))
@@ -534,17 +523,18 @@ impl TransferEngine {
     }
 
     /// Busy horizon of a single port (for tests and introspection).
-    pub fn port_busy_until(&self, port: crate::topology::PortId) -> SimTime {
+    fn port_busy_until(&self, port: crate::topology::PortId) -> SimTime {
         self.stats(port).map_or(SimTime::ZERO, |s| s.busy_until)
     }
 
     /// Cumulative payload bytes that crossed a port.
-    pub fn port_bytes(&self, port: crate::topology::PortId) -> u64 {
+    #[cfg(test)]
+    fn port_bytes(&self, port: crate::topology::PortId) -> u64 {
         self.stats(port).map_or(0, |s| s.bytes)
     }
 
     /// Cumulative time a port spent transferring.
-    pub fn port_busy_time(&self, port: crate::topology::PortId) -> SimDuration {
+    fn port_busy_time(&self, port: crate::topology::PortId) -> SimDuration {
         self.stats(port).map_or(SimDuration::ZERO, |s| s.busy_time)
     }
 
@@ -644,7 +634,7 @@ mod tests {
         let mut eng = TransferEngine::new();
         let _ = eng.schedule(&path, TransferPlan::coalesced(mib(64)), SimTime::ZERO);
         let t2 = eng.schedule(&path, TransferPlan::coalesced(mib(1)), SimTime::ZERO);
-        assert!(t2.latency_from(SimTime::ZERO).as_nanos() > t2.wire_time.as_nanos());
+        assert!(t2.end.duration_since(SimTime::ZERO).as_nanos() > t2.wire_time.as_nanos());
     }
 
     #[test]
@@ -889,7 +879,6 @@ mod tests {
         let ratio = slow.as_secs_f64() / healthy.as_secs_f64();
         assert!((ratio - 3.0).abs() < 1e-6, "ratio {ratio}");
         // Outside the window behaviour is nominal again.
-        eng.clear_fault_plan();
         let after = eng
             .schedule(
                 &path,

@@ -237,6 +237,9 @@ macro_rules! trace_events {
         }
 
         impl TraceEvent {
+            /// Every variant's journal name, in table order.
+            pub const NAMES: &'static [&'static str] = &[$($name),*];
+
             /// The variant name used as the `event` field of the canonical encoding.
             pub fn name(&self) -> &'static str {
                 match self {
@@ -385,28 +388,6 @@ trace_events! {
             start: SimTime,
             /// Wire end time.
             end: SimTime,
-        }
-        /// An HBM region was allocated.
-        MemAllocated = "mem_allocated", chrome("mem-alloc", "event", gpu) {
-            /// Owning GPU label.
-            gpu: String,
-            /// Region kind, e.g. `kv-cache`.
-            kind: String,
-            /// Region size.
-            bytes: u64,
-            /// Allocation time.
-            at: SimTime,
-        }
-        /// An HBM region was freed.
-        MemFreed = "mem_freed", chrome("mem-free", "event", gpu) {
-            /// Owning GPU label.
-            gpu: String,
-            /// Region kind.
-            kind: String,
-            /// Region size.
-            bytes: u64,
-            /// Free time.
-            at: SimTime,
         }
         /// A producer donated HBM and the coordinator granted a lease over it.
         LeaseGranted = "lease_granted", chrome("lease-granted", "event", producer) {

@@ -43,7 +43,7 @@ pub struct SimTime(u64);
 /// ```
 /// use aqua_telemetry::time::SimDuration;
 /// let d = SimDuration::from_secs_f64(0.25);
-/// assert_eq!(d.as_millis(), 250);
+/// assert_eq!(d, SimDuration::from_millis(250));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
@@ -144,11 +144,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole milliseconds in this span (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Fractional seconds in this span.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -172,6 +167,19 @@ impl SimDuration {
     /// Scales the span by a floating-point factor (rounded; clamps at zero).
     pub fn mul_f64(self, k: f64) -> SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * k)
+    }
+
+    /// Exponential backoff before retry `attempt` (1-based): this base
+    /// doubled per prior attempt, `self × 2^(attempt−1)`. A naive shift
+    /// overflows `u64` nanoseconds past attempt ~64 (much earlier for a large
+    /// base), so the doubling saturates at `u64::MAX` ns: a pathological
+    /// retry count waits out the rest of simulated time instead of wrapping
+    /// back to a tiny backoff.
+    pub fn backoff_for(self, attempt: u32) -> SimDuration {
+        let multiplier = 1u64
+            .checked_shl(attempt.saturating_sub(1))
+            .unwrap_or(u64::MAX);
+        SimDuration(self.0.saturating_mul(multiplier))
     }
 }
 
@@ -243,7 +251,46 @@ mod tests {
     fn time_arithmetic_round_trips() {
         let t = SimTime::from_secs(3) + SimDuration::from_millis(250);
         assert_eq!(t.as_nanos(), 3_250_000_000);
-        assert_eq!((t - SimTime::from_secs(3)).as_millis(), 250);
+        assert_eq!(t - SimTime::from_secs(3), SimDuration::from_millis(250));
+    }
+
+    #[test]
+    fn backoff_doubles_deterministically() {
+        let base = SimDuration::from_millis(100);
+        assert_eq!(base.backoff_for(1), SimDuration::from_millis(100));
+        assert_eq!(base.backoff_for(2), SimDuration::from_millis(200));
+        assert_eq!(base.backoff_for(3), SimDuration::from_millis(400));
+    }
+
+    #[test]
+    fn backoff_doubles_then_saturates_instead_of_overflowing() {
+        let base = SimDuration::from_millis(2);
+        // Small attempts keep the exact doubling ladder the retry tests pin.
+        assert_eq!(base.backoff_for(1), SimDuration::from_millis(2));
+        assert_eq!(base.backoff_for(2), SimDuration::from_millis(4));
+        assert_eq!(base.backoff_for(3), SimDuration::from_millis(8));
+        // 2 ms << 44 overflows u64 nanoseconds; the boundary and everything
+        // past it saturate instead of wrapping around to a tiny wait.
+        let last_exact = base.backoff_for(44);
+        assert_eq!(
+            last_exact,
+            SimDuration::from_nanos(2_000_000u64 << 43),
+            "attempt 44 is the last exactly-representable doubling"
+        );
+        for attempt in [45, 52, 53, 64, 65, 1000, u32::MAX] {
+            let b = base.backoff_for(attempt);
+            assert_eq!(b, SimDuration::from_nanos(u64::MAX), "attempt {attempt}");
+        }
+        // A pathological base saturates on the multiply, not just the shift.
+        let big = SimDuration::from_nanos(u64::MAX / 2);
+        assert_eq!(big.backoff_for(3), SimDuration::from_nanos(u64::MAX));
+        // Monotonicity across the boundary: later attempts never wait less.
+        let mut prev = SimDuration::ZERO;
+        for attempt in 1..80 {
+            let b = base.backoff_for(attempt);
+            assert!(b >= prev, "backoff regressed at attempt {attempt}");
+            prev = b;
+        }
     }
 
     #[test]

@@ -57,7 +57,8 @@ impl ChatWorkload {
     }
 
     /// Turns issued so far.
-    pub fn issued_turns(&self) -> usize {
+    #[cfg(test)]
+    fn issued_turns(&self) -> usize {
         self.issued_turns
     }
 

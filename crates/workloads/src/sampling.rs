@@ -47,7 +47,7 @@ impl Sampler {
     }
 
     /// Standard normal via Box–Muller.
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         let u1 = (1.0 - self.uniform()).max(f64::MIN_POSITIVE);
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
@@ -55,7 +55,7 @@ impl Sampler {
 
     /// Log-normal with location `mu` and scale `sigma` (of the underlying
     /// normal).
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
+    fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
         (mu + sigma * self.standard_normal()).exp()
     }
 

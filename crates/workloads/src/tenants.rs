@@ -14,9 +14,6 @@ use aqua_engines::request::InferenceRequest;
 use aqua_sim::time::SimTime;
 use std::collections::BTreeMap;
 
-/// Tenant display names, indexed by tenant id.
-pub const TENANT_NAMES: [&str; 3] = ["chat", "code", "batch"];
-
 /// The interactive chat tenant.
 pub const TENANT_CHAT: u32 = 0;
 /// The code-summarization tenant.
@@ -34,16 +31,6 @@ pub struct TenantTrace {
     pub trace: Vec<(SimTime, InferenceRequest)>,
     /// Which tenant each request id belongs to.
     pub tenant_of: BTreeMap<u64, u32>,
-}
-
-impl TenantTrace {
-    /// Display name for a tenant id.
-    pub fn tenant_name(tenant: u32) -> &'static str {
-        TENANT_NAMES
-            .get(tenant as usize)
-            .copied()
-            .unwrap_or("unknown")
-    }
 }
 
 /// Builds the standard three-tenant mix.
@@ -123,13 +110,5 @@ mod tests {
         assert_eq!(a.trace, b.trace);
         let c = tenant_trace(2.0, 40, 12);
         assert_ne!(a.trace, c.trace);
-    }
-
-    #[test]
-    fn tenant_names_cover_ids() {
-        assert_eq!(TenantTrace::tenant_name(TENANT_CHAT), "chat");
-        assert_eq!(TenantTrace::tenant_name(TENANT_CODE), "code");
-        assert_eq!(TenantTrace::tenant_name(TENANT_BATCH), "batch");
-        assert_eq!(TenantTrace::tenant_name(99), "unknown");
     }
 }
