@@ -79,7 +79,8 @@ cargo run --release --offline -p aqua-bench --bin aqua-repro -- serve --chaos-sm
 cargo run --release --offline -p aqua-bench --bin aqua-repro -- coord_chaos --smoke
 # PDES acceptance: a 64-server (512-GPU) scale-cluster run with the crash
 # fault plan and the full audit layer enabled must be byte- and
-# digest-identical at 1 vs 4 lanes with zero audit violations — once at
+# digest-identical at 1, 2 and 4 lanes (the caller alone, the caller plus
+# one worker thread, plus three) with zero audit violations — once at
 # the calm default rate and once oversaturated at 2 req/s with a
 # backlog-building span.
 cargo run --release --offline -p aqua-bench --bin aqua-repro -- scale --smoke

@@ -404,51 +404,53 @@ fn parse_scale_flags(rest: &[String]) -> Result<ScaleFlags, String> {
     Ok(f)
 }
 
-/// Runs a scale spec at `--lanes 1` vs `--lanes 4` and fails unless the
-/// rendered table, the folded shard digest and the window/message counts
+/// Runs a scale spec at `--lanes 1`, `2` and `4` and fails unless the
+/// rendered tables, the folded shard digests and the window/message counts
 /// are identical and the audit saw zero violations (compared
-/// run-against-run, never against a pinned literal). Returns the lanes=1
-/// run for reporting.
-fn scale_lane_pair(
+/// run-against-run, never against a pinned literal). Lanes 2 is the
+/// caller plus one worker thread. Returns the lanes=1 run for reporting.
+fn scale_lane_runs(
     label: &str,
     spec: aqua_bench::scale_cluster::ScaleSpec,
 ) -> Result<aqua_bench::scale_cluster::ScaleRun, String> {
     use aqua_bench::scale_cluster::{run_scale, ScaleSpec};
     let one = run_scale(&spec);
-    let four = run_scale(&ScaleSpec { lanes: 4, ..spec });
-    if one.table != four.table {
-        return Err(format!(
-            "{label}: lanes=1 and lanes=4 rendered different tables ({} vs {} bytes)",
-            one.table.len(),
-            four.table.len()
-        ));
-    }
-    if one.digest != four.digest {
-        return Err(format!(
-            "{label}: digest mismatch: lanes=1 {:016x} vs lanes=4 {:016x}",
-            one.digest, four.digest
-        ));
-    }
-    if (one.windows, one.messages) != (four.windows, four.messages) {
-        return Err(format!(
-            "{label}: window/message mismatch: {}/{} vs {}/{}",
-            one.windows, one.messages, four.windows, four.messages
-        ));
-    }
-    if one.audit_violations + four.audit_violations != 0 {
-        return Err(format!(
-            "{label}: {} audit violation(s)",
-            one.audit_violations + four.audit_violations
-        ));
-    }
     eprintln!("{}", one.perf_line());
-    eprintln!("{}", four.perf_line());
+    for lanes in [2, 4] {
+        let many = run_scale(&ScaleSpec { lanes, ..spec });
+        if one.table != many.table {
+            return Err(format!(
+                "{label}: lanes=1 and lanes={lanes} rendered different tables ({} vs {} bytes)",
+                one.table.len(),
+                many.table.len()
+            ));
+        }
+        if one.digest != many.digest {
+            return Err(format!(
+                "{label}: digest mismatch: lanes=1 {:016x} vs lanes={lanes} {:016x}",
+                one.digest, many.digest
+            ));
+        }
+        if (one.windows, one.messages) != (many.windows, many.messages) {
+            return Err(format!(
+                "{label}: window/message mismatch: {}/{} vs {}/{} at lanes={lanes}",
+                one.windows, one.messages, many.windows, many.messages
+            ));
+        }
+        if one.audit_violations + many.audit_violations != 0 {
+            return Err(format!(
+                "{label}: {} audit violation(s) at lanes 1 and {lanes}",
+                one.audit_violations + many.audit_violations
+            ));
+        }
+        eprintln!("{}", many.perf_line());
+    }
     Ok(one)
 }
 
 /// The `scale` subcommand. `--smoke` runs two 64-server audited points —
 /// one at the flag rate and one oversaturated at 2 req/s with a span long
-/// enough to build real backlog — each at `--lanes 1` vs `--lanes 4`, and
+/// enough to build real backlog — each at `--lanes 1`, `2` and `4`, and
 /// fails unless every pair is byte- and digest-identical with zero audit
 /// violations. Without `--smoke` it runs one configuration (default: 64
 /// servers × 8 GPUs, 15625 requests each — a 512-GPU domain serving 1M
@@ -465,10 +467,10 @@ fn scale_cmd(f: &ScaleFlags) -> Result<(), String> {
             lanes: 1,
             audited: true,
         };
-        let one = scale_lane_pair("scale smoke", spec)?;
+        let one = scale_lane_runs("scale smoke", spec)?;
         print!("{}", one.table);
         println!(
-            "scale smoke: {} servers byte-identical and digest-identical at lanes 1 vs 4 \
+            "scale smoke: {} servers byte-identical and digest-identical at lanes 1/2/4 \
              (digest {:016x}, {} windows, {} messages, audited clean)",
             spec.servers, one.digest, one.windows, one.messages
         );
@@ -480,10 +482,10 @@ fn scale_cmd(f: &ScaleFlags) -> Result<(), String> {
             rate: 2.0,
             ..spec
         };
-        let hot = scale_lane_pair("scale smoke (overload)", overload)?;
+        let hot = scale_lane_runs("scale smoke (overload)", overload)?;
         println!(
             "scale smoke (overload): {} servers at 2 req/s byte-identical and digest-identical \
-             at lanes 1 vs 4 (digest {:016x}, {} windows, {} messages, audited clean)",
+             at lanes 1/2/4 (digest {:016x}, {} windows, {} messages, audited clean)",
             overload.servers, hot.digest, hot.windows, hot.messages
         );
         return Ok(());

@@ -1,4 +1,4 @@
-//! The PDES lane executor: one scenario, many shards, `--lanes N` threads.
+//! The PDES lane executor: one scenario, many shards, `--lanes N` lanes.
 //!
 //! [`crate::sweep::Sweep`] parallelises *across* independent experiment
 //! points; this module parallelises *within* one large scenario. The
@@ -22,6 +22,18 @@
 //!    (exclusive), messages produced inside the window are checked against
 //!    the lookahead contract (`deliver_at ≥ H`), and deliveries for the
 //!    next window are merged in `(deliver_at, src, seq)` order.
+//!
+//! Lane 0 is the calling thread: it builds, advances and finishes its own
+//! shards, and only lanes `1..N` get a scoped worker thread with a
+//! command/reply channel pair. Each window's command goes to the workers
+//! before lane 0 advances, so every lane works at once, and the caller
+//! then waits at the barrier for the workers' replies. At `--lanes 1`
+//! there is no thread and no channel: the caller runs every shard, and a
+//! window costs only the shards' own work.
+//!
+//! [`LaneOutcome::busy`] and [`LaneOutcome::wait`] split the run's wall
+//! time into per-lane work and barrier wait. They are wall-clock
+//! observations, never part of a digest or a table.
 
 use aqua_sim::pdes::{Mailbox, Msg};
 use aqua_sim::time::{SimDuration, SimTime};
@@ -29,12 +41,13 @@ use aqua_telemetry::tracer::FNV_OFFSET;
 use aqua_telemetry::{fnv1a, JournalTracer};
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 /// One shard of a scenario: an independent sub-simulation plus its
 /// cross-shard messaging contract.
 ///
-/// Shards need not be `Send`: each is built *on* its lane thread (via the
+/// Shards need not be `Send`: each is built *on* its lane's thread (via the
 /// `Send` builder closure) and never leaves it, so shards may hold
 /// `Rc`-based simulator state. Only the builder, the message payload and
 /// the output cross threads.
@@ -104,10 +117,19 @@ pub struct LaneOutcome<O> {
     pub windows: u64,
     /// Cross-shard messages exchanged.
     pub messages: u64,
-    /// Lane threads actually used.
+    /// Lanes actually used: the calling thread plus `lanes - 1` workers.
     pub lanes: usize,
     /// Wall time of the whole run.
     pub wall: Duration,
+    /// Per lane, the wall time its shards spent inside
+    /// [`LaneShard::advance`]. A wall-clock observation: it varies run to
+    /// run and lane count to lane count, so it belongs in no table or
+    /// digest.
+    pub busy: Vec<Duration>,
+    /// How long the calling thread (lane 0) waited for worker replies at
+    /// the window barriers, after its own shards were done. Zero at one
+    /// lane; wall-clock only, like [`LaneOutcome::busy`].
+    pub wait: Duration,
 }
 
 impl<O> LaneOutcome<O> {
@@ -134,19 +156,153 @@ struct Reply<P> {
     horizons: Vec<Option<SimTime>>,
 }
 
-/// A deferred shard constructor, run on its lane thread so non-`Send`
+/// A deferred shard constructor, run on its lane's thread so non-`Send`
 /// shard state never crosses threads.
 pub type ShardBuilder<S> = Box<dyn FnOnce() -> S + Send>;
 
-/// Runs `builders.len()` shards across `lanes` threads under the
+/// A finished lane: each shard's report with its global index, and the
+/// lane's busy time.
+type Finished<O> = (Vec<(usize, ShardReport<O>)>, Duration);
+
+/// The shards one lane owns, in slot order (slot `j` of lane `l` is shard
+/// `j * lanes + l`), each with its own journal. A lane lives on one
+/// thread from build to finish: the caller's for lane 0, a worker's for
+/// the rest.
+struct Lane<S> {
+    shards: Vec<(usize, S, Arc<JournalTracer>)>,
+    busy: Duration,
+}
+
+impl<S: LaneShard> Lane<S> {
+    /// Builds each shard under its own journal, so construction events
+    /// are attributed to the shard that caused them.
+    fn build(builders: Vec<(usize, ShardBuilder<S>)>) -> Self {
+        let shards = builders
+            .into_iter()
+            .map(|(idx, build)| {
+                let journal = Arc::new(JournalTracer::digest_only());
+                let shard = crate::trace::with_tracer(journal.clone(), build);
+                (idx, shard, journal)
+            })
+            .collect();
+        Lane {
+            shards,
+            busy: Duration::ZERO,
+        }
+    }
+
+    fn horizons(&self) -> Vec<Option<SimTime>> {
+        self.shards
+            .iter()
+            .map(|(_, s, _)| s.next_send_horizon())
+            .collect()
+    }
+
+    fn advance(
+        &mut self,
+        until: Option<SimTime>,
+        inboxes: Vec<Vec<Msg<S::Payload>>>,
+    ) -> Reply<S::Payload> {
+        let t = Instant::now();
+        let mut sends = Vec::new();
+        for ((_, shard, journal), inbox) in self.shards.iter_mut().zip(inboxes) {
+            sends.extend(crate::trace::with_tracer(journal.clone(), || {
+                shard.advance(until, inbox)
+            }));
+        }
+        self.busy += t.elapsed();
+        Reply {
+            sends,
+            horizons: self.horizons(),
+        }
+    }
+
+    fn finish(self) -> Finished<S::Out> {
+        let reports = self
+            .shards
+            .into_iter()
+            .map(|(idx, shard, journal)| {
+                let fin = crate::trace::with_tracer(journal.clone(), || shard.finish());
+                let report = ShardReport {
+                    output: fin.output,
+                    digest: journal.digest(),
+                    events: journal.len(),
+                    sim_events: fin.sim_events,
+                };
+                (idx, report)
+            })
+            .collect();
+        (reports, self.busy)
+    }
+}
+
+/// A lane on its own thread, driven over a command/reply channel pair.
+/// The thread returns its lane's reports (and busy time) on
+/// [`Cmd::Finish`].
+struct Worker<'scope, S: LaneShard> {
+    cmds: mpsc::Sender<Cmd<S::Payload>>,
+    replies: mpsc::Receiver<Reply<S::Payload>>,
+    thread: ScopedJoinHandle<'scope, Finished<S::Out>>,
+}
+
+impl<'scope, S: LaneShard + 'scope> Worker<'scope, S> {
+    fn spawn<'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        builders: Vec<(usize, ShardBuilder<S>)>,
+    ) -> Self {
+        let (cmds, cmd_rx) = mpsc::channel::<Cmd<S::Payload>>();
+        let (reply_tx, replies) = mpsc::channel::<Reply<S::Payload>>();
+        let thread = scope.spawn(move || {
+            let mut lane = Lane::build(builders);
+            let mut reply = Reply {
+                sends: Vec::new(),
+                horizons: lane.horizons(),
+            };
+            // A closed channel means the caller is unwinding from a panic.
+            while reply_tx.send(reply).is_ok() {
+                match cmd_rx.recv() {
+                    Ok(Cmd::Window { until, inboxes }) => reply = lane.advance(until, inboxes),
+                    Ok(Cmd::Finish) => return lane.finish(),
+                    Err(_) => break,
+                }
+            }
+            (Vec::new(), lane.busy)
+        });
+        Worker {
+            cmds,
+            replies,
+            thread,
+        }
+    }
+
+    fn send(&self, cmd: Cmd<S::Payload>) {
+        // A worker that hung up has panicked; `recv` re-raises it.
+        let _ = self.cmds.send(cmd);
+    }
+}
+
+/// Receives worker `w`'s reply, or re-raises the panic that ended it.
+fn recv<S: LaneShard>(workers: &mut Vec<Worker<'_, S>>, w: usize) -> Reply<S::Payload> {
+    match workers[w].replies.recv() {
+        Ok(reply) => reply,
+        Err(_) => match workers.swap_remove(w).thread.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(_) => unreachable!("a lane hangs up mid-run only by panicking"),
+        },
+    }
+}
+
+/// Runs `builders.len()` shards across `lanes` lanes under the
 /// conservative window protocol with the given `lookahead`.
 ///
 /// Shard `i` is built and run on lane `i % lanes`, inside its own
 /// digest-only journal (installed via [`crate::trace::with_tracer`], so
 /// everything the shard simulates — including `ServerCtx` construction —
-/// lands in its journal). The returned outcome is identical for every lane
-/// count; nondeterminism shows up as a digest mismatch, exactly like a
-/// `Sweep` jobs mismatch.
+/// lands in its journal). Lane 0 is the calling thread; lanes `1..lanes`
+/// are scoped worker threads, so `lanes = 1` spawns nothing. The returned
+/// outcome is identical for every lane count; nondeterminism shows up as a
+/// digest mismatch, exactly like a `Sweep` jobs mismatch. A panic on any
+/// lane propagates to the caller.
 pub fn run_lanes<S: LaneShard>(
     builders: Vec<ShardBuilder<S>>,
     lanes: usize,
@@ -157,6 +313,7 @@ pub fn run_lanes<S: LaneShard>(
     let lanes = lanes.clamp(1, shard_count.max(1));
     let mut windows = 0u64;
     let mut messages = 0u64;
+    let mut wait = Duration::ZERO;
 
     // Partition builders by lane, remembering each shard's global index.
     let mut per_lane: Vec<Vec<(usize, ShardBuilder<S>)>> = (0..lanes).map(|_| Vec::new()).collect();
@@ -165,83 +322,27 @@ pub fn run_lanes<S: LaneShard>(
     }
 
     let mut reports: Vec<Option<ShardReport<S::Out>>> = (0..shard_count).map(|_| None).collect();
+    let mut busy = vec![Duration::ZERO; lanes];
 
     std::thread::scope(|scope| {
-        let mut cmd_txs = Vec::with_capacity(lanes);
-        let mut reply_rxs = Vec::with_capacity(lanes);
-        let (done_tx, done_rx) = mpsc::channel::<(usize, ShardReport<S::Out>)>();
+        // Workers build their shards while the caller builds lane 0's.
+        let mut workers: Vec<Worker<S>> = per_lane
+            .drain(1..)
+            .map(|builders| Worker::spawn(scope, builders))
+            .collect();
+        let mut own = Lane::build(per_lane.pop().expect("lane 0"));
 
-        for lane_builders in per_lane.into_iter() {
-            let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd<S::Payload>>();
-            let (reply_tx, reply_rx) = mpsc::channel::<Reply<S::Payload>>();
-            let done_tx = done_tx.clone();
-            cmd_txs.push(cmd_tx);
-            reply_rxs.push(reply_rx);
-            scope.spawn(move || {
-                // Build each shard under its own journal so construction
-                // events are attributed to the shard that caused them.
-                let mut shards: Vec<(usize, S, Arc<JournalTracer>)> = lane_builders
-                    .into_iter()
-                    .map(|(idx, build)| {
-                        let journal = Arc::new(JournalTracer::digest_only());
-                        let shard = crate::trace::with_tracer(journal.clone(), build);
-                        (idx, shard, journal)
-                    })
-                    .collect();
-                let horizons = shards
-                    .iter()
-                    .map(|(_, s, _)| s.next_send_horizon())
-                    .collect();
-                reply_tx
-                    .send(Reply {
-                        sends: Vec::new(),
-                        horizons,
-                    })
-                    .expect("executor alive");
-                while let Ok(cmd) = cmd_rx.recv() {
-                    match cmd {
-                        Cmd::Window { until, inboxes } => {
-                            let mut sends = Vec::new();
-                            for ((_, shard, journal), inbox) in shards.iter_mut().zip(inboxes) {
-                                let journal = journal.clone();
-                                sends.extend(crate::trace::with_tracer(journal, || {
-                                    shard.advance(until, inbox)
-                                }));
-                            }
-                            let horizons = shards
-                                .iter()
-                                .map(|(_, s, _)| s.next_send_horizon())
-                                .collect();
-                            reply_tx
-                                .send(Reply { sends, horizons })
-                                .expect("executor alive");
-                        }
-                        Cmd::Finish => {
-                            for (idx, shard, journal) in shards.drain(..) {
-                                let fin =
-                                    crate::trace::with_tracer(journal.clone(), || shard.finish());
-                                let report = ShardReport {
-                                    output: fin.output,
-                                    digest: journal.digest(),
-                                    events: journal.len(),
-                                    sim_events: fin.sim_events,
-                                };
-                                done_tx.send((idx, report)).expect("executor alive");
-                            }
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-        drop(done_tx);
-
-        // Global shard → (lane, slot-within-lane) routing and horizons.
-        let lane_of = |i: usize| (i % lanes, i / lanes);
+        // Replies of one barrier, lane 0's first, then each worker's.
+        let mut replies: Vec<Reply<S::Payload>> = Vec::with_capacity(lanes);
         let mut horizons: Vec<Option<SimTime>> = vec![None; shard_count];
-        for (lane, rx) in reply_rxs.iter().enumerate() {
-            let init = rx.recv().expect("lane alive");
-            assert!(init.sends.is_empty(), "shards must not send at build time");
+        replies.push(Reply {
+            sends: Vec::new(),
+            horizons: own.horizons(),
+        });
+        for w in 0..workers.len() {
+            replies.push(recv(&mut workers, w));
+        }
+        for (lane, init) in replies.drain(..).enumerate() {
             for (slot, h) in init.horizons.into_iter().enumerate() {
                 horizons[slot * lanes + lane] = h;
             }
@@ -257,36 +358,34 @@ pub fn run_lanes<S: LaneShard>(
                 .min();
             let until = s_min.map(|s| s + lookahead);
             windows += 1;
-            let mut inboxes = match until {
+            let inboxes = match until {
                 Some(h) => mailbox.deliverable(h),
                 None => {
                     debug_assert!(mailbox.is_empty(), "pending messages imply a bounded S_min");
                     mailbox.drain_all()
                 }
             };
-            // Route per-destination inboxes to the owning lane, keyed by
-            // the lane's local slot order.
+            // Route per-destination inboxes to the owning lane, in the
+            // lane's slot order.
             let mut lane_inboxes: Vec<Vec<Vec<Msg<S::Payload>>>> = (0..lanes)
-                .map(|lane| {
-                    (0..shard_count)
-                        .filter(|i| i % lanes == lane)
-                        .map(|_| Vec::new())
-                        .collect()
-                })
+                .map(|_| Vec::with_capacity(shard_count.div_ceil(lanes)))
                 .collect();
-            for (dst, inbox) in inboxes.drain(..).enumerate() {
-                let (lane, slot) = lane_of(dst);
-                lane_inboxes[lane][slot] = inbox;
+            for (dst, inbox) in inboxes.into_iter().enumerate() {
+                lane_inboxes[dst % lanes].push(inbox);
             }
-            for (lane, tx) in cmd_txs.iter().enumerate() {
-                tx.send(Cmd::Window {
-                    until,
-                    inboxes: std::mem::take(&mut lane_inboxes[lane]),
-                })
-                .expect("lane alive");
+            // Workers first, so they advance while lane 0 does.
+            for (worker, inboxes) in workers.iter().zip(lane_inboxes.drain(1..)) {
+                worker.send(Cmd::Window { until, inboxes });
             }
-            for (lane, rx) in reply_rxs.iter().enumerate() {
-                let reply = rx.recv().expect("lane alive");
+            replies.push(own.advance(until, lane_inboxes.pop().expect("lane 0")));
+            if !workers.is_empty() {
+                let waited = Instant::now();
+                for w in 0..workers.len() {
+                    replies.push(recv(&mut workers, w));
+                }
+                wait += waited.elapsed();
+            }
+            for (lane, reply) in replies.drain(..).enumerate() {
                 for msg in reply.sends {
                     match until {
                         Some(h) => assert!(
@@ -319,11 +418,23 @@ pub fn run_lanes<S: LaneShard>(
             }
         }
 
-        for tx in &cmd_txs {
-            tx.send(Cmd::Finish).expect("lane alive");
+        for worker in &workers {
+            worker.send(Cmd::Finish);
         }
-        while let Ok((idx, report)) = done_rx.recv() {
-            reports[idx] = Some(report);
+        let mut finished = vec![own.finish()];
+        for worker in workers {
+            finished.push(
+                worker
+                    .thread
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        for (lane, (lane_reports, lane_busy)) in finished.into_iter().enumerate() {
+            busy[lane] = lane_busy;
+            for (idx, report) in lane_reports {
+                reports[idx] = Some(report);
+            }
         }
     });
 
@@ -343,6 +454,8 @@ pub fn run_lanes<S: LaneShard>(
         messages,
         lanes,
         wall: t0.elapsed(),
+        busy,
+        wait,
     }
 }
 
@@ -402,6 +515,7 @@ pub fn run_decoupled<O: Send + 'static>(
 mod tests {
     use super::*;
     use aqua_telemetry::TraceEvent;
+    use std::thread::ThreadId;
 
     fn emit_task(i: u64) -> Box<dyn FnOnce() -> ShardFinish<u64> + Send> {
         Box::new(move || {
@@ -441,6 +555,91 @@ mod tests {
         let out = run_decoupled((0..2).map(emit_task).collect(), 16);
         assert_eq!(out.lanes, 2);
         assert_eq!(out.outputs(), vec![0, 10]);
+    }
+
+    /// Records the thread that builds, advances and finishes it, and
+    /// panics in `advance` when told to.
+    struct ThreadShard {
+        seen: Vec<ThreadId>,
+        panics: bool,
+    }
+
+    impl LaneShard for ThreadShard {
+        type Payload = ();
+        type Out = Vec<ThreadId>;
+
+        fn next_send_horizon(&self) -> Option<SimTime> {
+            None
+        }
+
+        fn advance(&mut self, _until: Option<SimTime>, _inbox: Vec<Msg<()>>) -> Vec<Msg<()>> {
+            assert!(!self.panics, "shard panicked in advance");
+            self.seen.push(std::thread::current().id());
+            Vec::new()
+        }
+
+        fn finish(mut self) -> ShardFinish<Vec<ThreadId>> {
+            self.seen.push(std::thread::current().id());
+            ShardFinish {
+                output: self.seen,
+                sim_events: 0,
+            }
+        }
+    }
+
+    fn thread_shards(count: usize, panicking: Option<usize>) -> Vec<ShardBuilder<ThreadShard>> {
+        (0..count)
+            .map(|i| -> ShardBuilder<ThreadShard> {
+                Box::new(move || ThreadShard {
+                    seen: vec![std::thread::current().id()],
+                    panics: panicking == Some(i),
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_lane_runs_every_shard_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let out = run_lanes(thread_shards(3, None), 1, SimDuration::from_nanos(1));
+        assert_eq!((out.lanes, out.busy.len()), (1, 1));
+        assert_eq!(out.wait, Duration::ZERO, "no worker to wait for");
+        for seen in out.outputs() {
+            // Built, advanced in the one decoupled window, and finished.
+            assert_eq!(seen, vec![caller; 3]);
+        }
+    }
+
+    #[test]
+    fn lane_zero_is_the_caller_and_the_rest_are_workers() {
+        let caller = std::thread::current().id();
+        let out = run_lanes(thread_shards(4, None), 2, SimDuration::from_nanos(1));
+        assert_eq!(out.busy.len(), 2);
+        let outs = out.outputs();
+        for (i, seen) in outs.iter().enumerate() {
+            assert!(
+                seen.iter().all(|t| *t == seen[0]),
+                "shard {i} moved threads"
+            );
+            assert_eq!(
+                seen[0] == caller,
+                i % 2 == 0,
+                "shard {i} ran on the wrong lane"
+            );
+        }
+        assert_eq!(outs[1][0], outs[3][0], "lane 1 is one worker thread");
+    }
+
+    #[test]
+    #[should_panic(expected = "shard panicked in advance")]
+    fn a_panic_on_lane_zero_reaches_the_caller() {
+        run_lanes(thread_shards(2, Some(0)), 2, SimDuration::from_nanos(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "shard panicked in advance")]
+    fn a_panic_on_a_worker_lane_reaches_the_caller() {
+        run_lanes(thread_shards(2, Some(1)), 2, SimDuration::from_nanos(1));
     }
 
     /// A ping-pong shard pair exercising the windowed protocol: shard 0

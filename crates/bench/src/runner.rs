@@ -23,7 +23,8 @@ pub struct ReproArgs {
     pub seed: u64,
     /// Request count for request-driven experiments.
     pub count: usize,
-    /// PDES lane threads for sharded scenarios (`--lanes`; scale_cluster).
+    /// PDES lanes for sharded scenarios (`--lanes`; scale_cluster): the
+    /// calling thread plus `lanes - 1` workers.
     /// Lane count never changes output or digests — only wall time.
     pub lanes: usize,
 }

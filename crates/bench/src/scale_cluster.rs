@@ -13,7 +13,7 @@
 //! The heartbeat traffic is what makes this a *coupled* PDES scenario: the
 //! conservative window protocol of [`crate::lanes`] must merge cross-shard
 //! messages in `(deliver_at, src, seq)` order for the per-shard journals —
-//! and the folded digest — to be identical at `--lanes 1/4/8`. The
+//! and the folded digest — to be identical at `--lanes 1/2/4/8`. The
 //! lookahead is the minimum cross-domain link latency, taken from the
 //! NVSwitch α–β model's launch overhead.
 //!
@@ -446,6 +446,12 @@ pub struct ScaleRun {
     pub audit_violations: usize,
     /// Wall time of the lane run.
     pub wall: Duration,
+    /// Per lane, the wall time spent inside shard `advance` calls
+    /// ([`crate::lanes::LaneOutcome::busy`]).
+    pub lane_busy: Vec<Duration>,
+    /// The calling thread's wait for worker replies at the window
+    /// barriers ([`crate::lanes::LaneOutcome::wait`]).
+    pub lane_wait: Duration,
     /// Peak resident set of this process, MiB (`/proc/self/status` VmHWM).
     pub peak_rss_mib: Option<u64>,
 }
@@ -459,14 +465,23 @@ impl ScaleRun {
         self.sim_events as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 
-    /// The non-deterministic perf summary (wall, events/s, RSS). Keep this
-    /// out of anything compared across lane counts. Its events/s is
-    /// [`ScaleRun::events_per_sec`], fast-forwarded tick rounds included.
+    /// The non-deterministic perf summary (wall, per-lane busy time, the
+    /// barrier wait, events/s, RSS). Keep this out of anything compared
+    /// across lane counts. Its events/s is [`ScaleRun::events_per_sec`],
+    /// fast-forwarded tick rounds included.
     pub fn perf_line(&self) -> String {
+        let busy: Vec<String> = self
+            .lane_busy
+            .iter()
+            .map(|b| format!("{:.2}", b.as_secs_f64()))
+            .collect();
         format!(
-            "scale-cluster perf: lanes={} wall={:.2}s events/s={:.0} peak_rss_mib={}",
+            "scale-cluster perf: lanes={} wall={:.2}s busy=[{}]s wait={:.2}s events/s={:.0} \
+             peak_rss_mib={}",
             self.spec.lanes,
             self.wall.as_secs_f64(),
+            busy.join(","),
+            self.lane_wait.as_secs_f64(),
             self.events_per_sec(),
             self.peak_rss_mib
                 .map_or_else(|| "-".to_owned(), |m| m.to_string()),
@@ -578,6 +593,8 @@ pub fn run_scale(spec: &ScaleSpec) -> ScaleRun {
         journal_events: outcome.events,
         audit_violations: violations,
         wall: outcome.wall,
+        lane_busy: outcome.busy,
+        lane_wait: outcome.wait,
         peak_rss_mib: peak_rss_mib(),
     }
 }

@@ -429,6 +429,32 @@ impl Coordinator {
         self.state.borrow().revision
     }
 
+    /// One consumer iteration boundary at `now`, seen from `gpu`: `None`
+    /// when the coordinator is unreachable (see
+    /// [`Coordinator::reachable`]); otherwise it runs the failure watchdog
+    /// ([`Coordinator::advance`]) and the book audit
+    /// ([`Coordinator::audit_books`]), then answers `(epoch, revision)`.
+    /// Without a fault plan, an auditor or a watchdog to run (no failure
+    /// config, or the process is down) every step but the answer is a
+    /// no-op, and it answers from one look at the book.
+    pub fn boundary(&self, gpu: GpuId, now: SimTime) -> Option<(u64, u64)> {
+        if let Some(plan) = self.fault_plan.borrow().as_deref() {
+            if !plan.coordinator_reachable(gpu, now) {
+                return None;
+            }
+        } else if self.auditor.borrow().is_none() {
+            let st = self.state.borrow();
+            let cfg = st.failure_config;
+            if st.down || (cfg.heartbeat_ttl.is_none() && cfg.reclaim_deadline.is_none()) {
+                return Some((st.epoch, st.revision));
+            }
+        }
+        self.advance(now);
+        self.audit_books(now);
+        let st = self.state.borrow();
+        Some((st.epoch, st.revision))
+    }
+
     /// The current fencing epoch (starts at 1; bumped by every crash).
     pub fn epoch(&self) -> u64 {
         self.state.borrow().epoch
@@ -1987,6 +2013,123 @@ mod tests {
             journal.registry().counter("coordinator.partitions_healed"),
             1
         );
+    }
+
+    /// The five calls an iteration boundary made before `boundary`
+    /// answered them in one query.
+    fn boundary_by_five_calls(c: &Coordinator, gpu: GpuId, now: SimTime) -> Option<(u64, u64)> {
+        if !c.reachable(gpu, now) {
+            return None;
+        }
+        c.advance(now);
+        c.audit_books(now);
+        Some((c.epoch(), c.book_revision()))
+    }
+
+    #[test]
+    fn boundary_matches_the_five_call_sequence() {
+        use aqua_sim::audit::Auditor;
+
+        fn chaos_expiring(c: &Coordinator) -> Option<SharedAuditor> {
+            c.set_failure_config(FailureConfig::chaos());
+            let (consumer, producer) = refs();
+            c.lease(producer, 100);
+            c.allocate(consumer, 40);
+            None
+        }
+        type Setup = fn(&Coordinator) -> Option<SharedAuditor>;
+        /// Boundaries as (gpu, seconds).
+        type Probes = &'static [(usize, u64)];
+        let cases: [(&str, Setup, Probes); 6] = [
+            (
+                "no fault plan",
+                |c| {
+                    let (consumer, producer) = refs();
+                    c.lease(producer, 100);
+                    c.allocate(consumer, 40);
+                    None
+                },
+                &[(0, 1), (0, 5), (0, 5), (0, 10)],
+            ),
+            (
+                "coordinator crash plan",
+                |c| {
+                    c.lease(refs().1, 100);
+                    c.set_fault_plan(Arc::new(
+                        FaultPlan::new()
+                            .coordinator_crash(SimTime::from_secs(10), SimDuration::from_secs(5)),
+                    ));
+                    None
+                },
+                &[(0, 5), (0, 10), (0, 12), (1, 14), (0, 15), (0, 20), (0, 20)],
+            ),
+            (
+                "partition",
+                |c| {
+                    c.lease(refs().1, 100);
+                    c.set_fault_plan(Arc::new(FaultPlan::new().partition(
+                        1,
+                        SimTime::from_secs(30),
+                        SimTime::from_secs(40),
+                    )));
+                    None
+                },
+                &[(0, 20), (1, 31), (0, 35), (1, 39), (1, 40), (0, 45)],
+            ),
+            (
+                "auditor with a planted violation",
+                |c| {
+                    let aud = Auditor::collecting();
+                    c.set_auditor(aud.clone());
+                    let producer = refs().1;
+                    let stale = c.lease(producer, 100);
+                    c.crash(SimTime::from_secs(1));
+                    c.recover(SimTime::from_secs(2));
+                    c.resync_report(producer, 100, 2, SimTime::from_secs(3))
+                        .unwrap();
+                    c.plant_stale_resync(producer, 80, stale.epoch(), SimTime::from_secs(4));
+                    Some(aud)
+                },
+                &[(0, 5), (0, 6), (1, 7)],
+            ),
+            (
+                "chaos with an expiring lease",
+                chaos_expiring,
+                &[(0, 1), (0, 10), (0, 25), (0, 40)],
+            ),
+            (
+                "direct crash, no plan",
+                |c| {
+                    chaos_expiring(c);
+                    c.crash(SimTime::from_secs(1));
+                    None
+                },
+                &[(0, 2), (0, 30), (1, 60)],
+            ),
+        ];
+        for (case, setup, probes) in cases {
+            let run = |query: fn(&Coordinator, GpuId, SimTime) -> Option<(u64, u64)>| {
+                let journal = Arc::new(aqua_telemetry::JournalTracer::new());
+                let c = Coordinator::new();
+                c.set_tracer(journal.clone());
+                let auditor = setup(&c);
+                let answers: Vec<Option<(u64, u64)>> = probes
+                    .iter()
+                    .map(|&(gpu, secs)| query(&c, GpuId(gpu), SimTime::from_secs(secs)))
+                    .collect();
+                let violations = auditor.map(|a| a.violations());
+                (answers, journal.to_jsonl(), violations)
+            };
+            let five = run(boundary_by_five_calls);
+            let one = run(Coordinator::boundary);
+            assert_eq!(one.0, five.0, "{case}: answers");
+            assert_eq!(one.1, five.1, "{case}: journal");
+            assert_eq!(one.2, five.2, "{case}: audit violations");
+            assert!(
+                five.0.iter().any(Option::is_some),
+                "{case}: some boundary must reach the coordinator"
+            );
+        }
     }
 
     aqua_sim::check! {

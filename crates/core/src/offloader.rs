@@ -357,12 +357,15 @@ impl AquaOffloader {
             .end
     }
 
-    fn trace_allocation(&self, site: &str, bytes: u64, at: SimTime) {
+    /// Counts and journals one allocation on `peer`'s lease, or in host
+    /// DRAM when `peer` is `None`. The site label is built only when the
+    /// event is journalled.
+    fn trace_allocation(&self, peer: Option<GpuRef>, bytes: u64, at: SimTime) {
         self.tracer.incr(
-            if site == "dram" {
-                "offloader.dram_allocations"
-            } else {
+            if peer.is_some() {
                 "offloader.peer_allocations"
+            } else {
+                "offloader.dram_allocations"
             },
             1,
         );
@@ -370,7 +373,7 @@ impl AquaOffloader {
             self.tracer,
             TraceEvent::LeaseAllocated {
                 consumer: self.consumer.to_string(),
-                site: site.to_owned(),
+                site: peer.map_or_else(|| "dram".to_owned(), |gpu| format!("peer:{gpu}")),
                 bytes,
                 at,
             }
@@ -551,7 +554,7 @@ impl Offloader for AquaOffloader {
             self.enter_degraded(now);
             let end = self.pcie_to_host(self.consumer, bytes, start);
             self.dram_bytes += bytes;
-            self.trace_allocation("dram", bytes, now);
+            self.trace_allocation(None, bytes, now);
             return end;
         }
         // Degraded mode: a recent fabric failure pins new allocations to
@@ -559,27 +562,29 @@ impl Offloader for AquaOffloader {
         if self.is_degraded() {
             let end = self.pcie_to_host(self.consumer, bytes, start);
             self.dram_bytes += bytes;
-            self.trace_allocation("dram", bytes, now);
+            self.trace_allocation(None, bytes, now);
             return end;
         }
         // Rung 1 — lease affinity: keep growing context on the producer
         // that already holds it (1:1 pairing; avoids fanning one consumer's
         // bytes across every lease on the server).
-        let existing: Vec<(LeaseId, GpuRef)> =
-            self.peer_bytes.iter().map(|(l, (g, _))| (*l, *g)).collect();
-        for (lease, gpu) in existing {
-            if self.coordinator.try_allocate_on(lease, bytes) {
-                if let Some(end) = self.try_fabric(self.consumer, gpu, bytes, start) {
-                    self.peer_bytes.get_mut(&lease).expect("tracked").1 += bytes;
-                    self.trace_allocation(&format!("peer:{gpu}"), bytes, now);
-                    return end;
-                }
-                // Fabric to that producer is gone: undo the reservation and
-                // drop to the next rung.
-                let _ = self.coordinator.free(lease, bytes);
-                self.note_failover(&format!("peer:{gpu}"), "sibling", bytes, now);
-                break;
+        // Tracked leases are tried in lease order; the first with room
+        // takes the bytes.
+        let affinity = self
+            .peer_bytes
+            .iter()
+            .find(|(lease, _)| self.coordinator.try_allocate_on(**lease, bytes))
+            .map(|(lease, (gpu, _))| (*lease, *gpu));
+        if let Some((lease, gpu)) = affinity {
+            if let Some(end) = self.try_fabric(self.consumer, gpu, bytes, start) {
+                self.peer_bytes.get_mut(&lease).expect("tracked").1 += bytes;
+                self.trace_allocation(Some(gpu), bytes, now);
+                return end;
             }
+            // Fabric to that producer is gone: undo the reservation and
+            // drop to the next rung.
+            let _ = self.coordinator.free(lease, bytes);
+            self.note_failover(&format!("peer:{gpu}"), "sibling", bytes, now);
         }
         // Rung 2 — any lease the coordinator picks (possibly a sibling
         // producer reachable over a different set of ports).
@@ -588,7 +593,7 @@ impl Offloader for AquaOffloader {
                 if let Some(end) = self.try_fabric(self.consumer, gpu, bytes, start) {
                     let entry = self.peer_bytes.entry(lease).or_insert((gpu, 0));
                     entry.1 += bytes;
-                    self.trace_allocation(&format!("peer:{gpu}"), bytes, now);
+                    self.trace_allocation(Some(gpu), bytes, now);
                     return end;
                 }
                 let _ = self.coordinator.free(lease, bytes);
@@ -597,13 +602,13 @@ impl Offloader for AquaOffloader {
                 self.enter_degraded(now);
                 let end = self.pcie_to_host(self.consumer, bytes, start);
                 self.dram_bytes += bytes;
-                self.trace_allocation("dram", bytes, now);
+                self.trace_allocation(None, bytes, now);
                 end
             }
             AllocationSite::Dram => {
                 let end = self.pcie_to_host(self.consumer, bytes, start);
                 self.dram_bytes += bytes;
-                self.trace_allocation("dram", bytes, now);
+                self.trace_allocation(None, bytes, now);
                 end
             }
         }
@@ -701,22 +706,19 @@ impl Offloader for AquaOffloader {
                 resume += stall;
             }
         }
-        // 0b. Control-plane reachability: while the coordinator is crashed
-        // or partitioned away, the consumer runs this boundary autonomously.
-        if !self.coordinator.reachable(self.consumer.gpu, resume) {
+        // 0b. One coordinator query: while the coordinator is crashed or
+        // partitioned away, the consumer runs this boundary autonomously.
+        // Otherwise the query drives the coordinator's failure watchdogs
+        // from the consumer's clock (in a real deployment the coordinator
+        // has its own timer) and, in audited runs, sweeps the lease books.
+        let Some((current, mut revision)) = self.coordinator.boundary(self.consumer.gpu, resume)
+        else {
             return self.autonomous_boundary(resume);
-        }
+        };
         let was_dark = self.unreachable_since.take().is_some();
-        // Drive the coordinator's failure watchdogs from the consumer's
-        // clock (in a real deployment the coordinator has its own timer).
-        self.coordinator.advance(resume);
-        // Audited runs sweep the lease books at every boundary (no-op
-        // unless the coordinator carries an auditor).
-        self.coordinator.audit_books(resume);
         // 0c. Epoch fence: a bump means the coordinator crashed and rebuilt
         // its book. Frees naming old-epoch lease ids can never land; frees
         // deferred across a same-epoch outage replay now.
-        let current = self.coordinator.epoch();
         let epoch_changed = current != self.epoch;
         if epoch_changed {
             if !self.deferred_frees.is_empty() {
@@ -733,13 +735,14 @@ impl Offloader for AquaOffloader {
                     self.tracer.incr("offloader.free_after_revoke", 1);
                 }
             }
+            // The replayed frees may have moved the book.
+            revision = self.coordinator.book_revision();
         }
         // 1-2. The lease sweeps. They are skipped while the coordinator's
         // book revision is still the one at which a sweep found nothing to
         // act on, unless this boundary ends a dark period or sees an epoch
         // change: no tracked lease's state or pending reclaim can have
         // moved, and any lease tracked since came with a revision bump.
-        let revision = self.coordinator.book_revision();
         if was_dark || epoch_changed || self.quiet_revision != Some(revision) {
             resume = self.sweep_leases(resume, epoch_changed, revision);
         }

@@ -32,18 +32,24 @@ pub struct Summary {
 impl Summary {
     /// Computes a summary; returns the default (all zeros) for empty input.
     pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Summary::default();
-        }
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        Summary::from_sorted(&sorted)
+    }
+
+    /// [`Summary::from_samples`] of samples already in ascending order:
+    /// the mean is summed in that order, so the result is bit-identical.
+    pub fn from_sorted(sorted: &[f64]) -> Self {
+        if sorted.is_empty() {
+            return Summary::default();
+        }
         let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
         Summary {
             count: sorted.len(),
             mean,
-            p50: percentile_sorted(&sorted, 50.0),
-            p95: percentile_sorted(&sorted, 95.0),
-            p99: percentile_sorted(&sorted, 99.0),
+            p50: percentile_sorted(sorted, 50.0),
+            p95: percentile_sorted(sorted, 95.0),
+            p99: percentile_sorted(sorted, 99.0),
             min: sorted[0],
             max: sorted[sorted.len() - 1],
         }

@@ -10,7 +10,7 @@
 
 use crate::latency::Summary;
 use crate::requests::RequestRecord;
-use aqua_sim::time::SimTime;
+use aqua_sim::time::{SimDuration, SimTime};
 
 /// The token-delivery timeline of one request served by a gateway.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,29 +112,48 @@ impl StreamLog {
         self.streams.is_empty()
     }
 
+    /// The streams sorted by arrival (then id).
+    fn by_arrival(&self) -> Vec<&TokenStream> {
+        let mut by_arrival: Vec<&TokenStream> = self.streams.iter().collect();
+        by_arrival.sort_by_key(|s| (s.arrival, s.id));
+        by_arrival
+    }
+
     /// TTFT samples in arrival order, seconds. Tokenless streams contribute
     /// no sample.
     pub fn ttfts(&self) -> Vec<f64> {
-        let mut by_arrival = self.streams.clone();
-        by_arrival.sort_by_key(|s| (s.arrival, s.id));
-        by_arrival.iter().filter_map(TokenStream::ttft).collect()
+        self.by_arrival()
+            .into_iter()
+            .filter_map(TokenStream::ttft)
+            .collect()
     }
 
     /// Every inter-token gap across all streams, seconds.
     pub fn itls(&self) -> Vec<f64> {
-        let mut by_arrival = self.streams.clone();
-        by_arrival.sort_by_key(|s| (s.arrival, s.id));
-        by_arrival.iter().flat_map(|s| s.itl_samples()).collect()
+        self.by_arrival()
+            .into_iter()
+            .flat_map(TokenStream::itl_samples)
+            .collect()
     }
 
     /// Summary statistics over TTFTs (all-zero default when empty).
     pub fn ttft_summary(&self) -> Summary {
-        Summary::from_samples(&self.ttfts())
+        summary_of_nanos(
+            self.streams
+                .iter()
+                .filter_map(|s| Some(s.tokens.first()?.duration_since(s.arrival)))
+                .collect(),
+        )
     }
 
     /// Summary statistics over inter-token latencies.
     pub fn itl_summary(&self) -> Summary {
-        Summary::from_samples(&self.itls())
+        summary_of_nanos(
+            self.streams
+                .iter()
+                .flat_map(|s| s.tokens.windows(2).map(|w| w[1].duration_since(w[0])))
+                .collect(),
+        )
     }
 
     /// Streams belonging to `tenant` only.
@@ -148,6 +167,16 @@ impl StreamLog {
                 .collect(),
         }
     }
+}
+
+/// [`Summary::from_samples`] of `spans` in seconds, computed by sorting
+/// the integer spans and converting them in order. Exact: `as_secs_f64` is
+/// monotone, so the converted values come out sorted, and the mean is
+/// summed over the same sequence.
+fn summary_of_nanos(mut spans: Vec<SimDuration>) -> Summary {
+    spans.sort_unstable();
+    let secs: Vec<f64> = spans.into_iter().map(SimDuration::as_secs_f64).collect();
+    Summary::from_sorted(&secs)
 }
 
 impl FromIterator<TokenStream> for StreamLog {
@@ -217,6 +246,43 @@ mod tests {
         assert_eq!(log.itls(), vec![0.1, 0.05]);
         assert_eq!(log.tenant(1).len(), 1);
         assert!((log.tenant(1).ttft_summary().p50 - 0.3).abs() < 1e-9);
+    }
+
+    /// The summary's fields, bit for bit.
+    fn bits(s: &Summary) -> (usize, [u64; 6]) {
+        let f = [s.mean, s.p50, s.p95, s.p99, s.min, s.max];
+        (s.count, f.map(f64::to_bits))
+    }
+
+    aqua_sim::check! {
+        /// The integer-sorted summaries equal `Summary::from_samples` over
+        /// the arrival-ordered samples bit for bit, across tied arrivals,
+        /// tied gaps (zero included) and tokenless streams.
+        #[test]
+        fn summaries_match_the_sample_vectors_bit_for_bit(
+            specs in aqua_sim::check::vec((0u64..4, aqua_sim::check::vec(0u64..4, 0..6)), 0..40)
+        ) {
+            // An odd unit makes the f64 seconds inexact.
+            let unit = 1_234_567u64;
+            let log: StreamLog = specs
+                .iter()
+                .enumerate()
+                .map(|(id, (arrival, gaps))| {
+                    let mut at = arrival * unit;
+                    let arrival = SimTime::from_nanos(at);
+                    let tokens = gaps
+                        .iter()
+                        .map(|g| {
+                            at += g * unit;
+                            SimTime::from_nanos(at)
+                        })
+                        .collect();
+                    TokenStream { id: id as u64, tenant: 0, arrival, tokens }
+                })
+                .collect();
+            assert_eq!(bits(&log.ttft_summary()), bits(&Summary::from_samples(&log.ttfts())));
+            assert_eq!(bits(&log.itl_summary()), bits(&Summary::from_samples(&log.itls())));
+        }
     }
 
     #[test]

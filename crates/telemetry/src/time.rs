@@ -13,12 +13,14 @@ use std::ops::{Add, AddAssign, Sub};
 /// call: below 2^52 the fraction `x - trunc(x)` is exact, so comparing it
 /// with one half rounds half away from zero exactly as `f64::round` does;
 /// from 2^52 up every `f64` is already an integer, and `as` saturates at
-/// `u64::MAX` (infinity included) either way.
+/// `u64::MAX` (infinity included) either way. Below 2^52 the truncation
+/// goes through `i64`, exact there too, because signed conversions are
+/// single instructions on x86-64 and unsigned ones are not.
 fn round_nanos(x: f64) -> u64 {
     const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
     if x < TWO_POW_52 {
-        let t = x as u64;
-        t + u64::from(x - t as f64 >= 0.5)
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
     } else {
         x as u64
     }
@@ -378,8 +380,14 @@ mod tests {
         let two_52 = (1u64 << 52) as f64;
         for x in [
             0.0,
+            -0.0,
             0.49999999999999994,
             0.5,
+            1.5,
+            two_52 - 0.5,
+            two_52 - 1.5,
+            // The largest `f64` below 2^52 (its spacing there is 1/2).
+            f64::from_bits(two_52.to_bits() - 1),
             two_52,
             f64::from_bits(two_52.to_bits() - 1),
             f64::from_bits(two_52.to_bits() + 1),

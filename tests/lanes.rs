@@ -2,7 +2,8 @@
 //! bytes and fold the same telemetry digests at every lane count. The
 //! executor's conservative null-message windows make the window sequence a
 //! function of the scenario alone, so these tests compare full runs at
-//! `--lanes 1/4/8` in-run — no pinned digests, just mutual identity.
+//! `--lanes 1/2/4/8` in-run — no pinned digests, just mutual identity.
+//! Lanes 2 is the calling thread plus one worker.
 
 use aqua_bench::{e2e_cluster, scale_cluster, serve_chaos};
 
@@ -10,8 +11,8 @@ use aqua_bench::{e2e_cluster, scale_cluster, serve_chaos};
 fn e2e_sharded_is_byte_identical_across_lane_counts() {
     // §6.1 with every consumer pair as its own decoupled shard: the
     // assembled placement + outcome tables and the folded shard digest must
-    // be identical whether the pairs run on 1, 4 or 8 lanes.
-    let runs: Vec<_> = [1usize, 4, 8]
+    // be identical whether the pairs run on 1, 2, 4 or 8 lanes.
+    let runs: Vec<_> = [1usize, 2, 4, 8]
         .iter()
         .map(|&lanes| e2e_cluster::run_sharded(e2e_cluster::Split::LlmHeavy, 30, 3, lanes))
         .collect();
@@ -39,7 +40,7 @@ fn serve_chaos_sharded_is_byte_identical_across_lane_counts() {
     // Every overload/crash cell as its own shard, crash cells audited: the
     // concatenated cell tables and folded digest are lane-count independent,
     // and the auditor stays silent on every lane count.
-    let runs: Vec<_> = [1usize, 4, 8]
+    let runs: Vec<_> = [1usize, 2, 4, 8]
         .iter()
         .map(|&lanes| serve_chaos::run_sharded(16, 3, lanes, true))
         .collect();
@@ -62,8 +63,8 @@ fn scale_cluster_is_byte_identical_across_lane_counts() {
     // The coupled case: servers heartbeat the coordinator through mailboxes,
     // so the executor must take real conservative windows — and the table,
     // digest, window count and message count must still be identical at
-    // lanes 1/4/8.
-    let runs: Vec<_> = [1usize, 4, 8]
+    // lanes 1/2/4/8.
+    let runs: Vec<_> = [1usize, 2, 4, 8]
         .iter()
         .map(|&lanes| {
             scale_cluster::run_scale(&scale_cluster::ScaleSpec {
@@ -96,7 +97,8 @@ aqua_sim::check! {
     /// Randomized fault plans fire identically under sharded execution: for
     /// any (servers, per-server trace length, seed), the audited point's
     /// crash window lands inside the arrival span, and running the cluster
-    /// at lanes 1 vs 4 yields identical tables, digests and audit results.
+    /// at lanes 1, 2 and 4 yields identical tables, digests and audit
+    /// results.
     #[test]
     fn randomized_fault_plans_fire_identically_when_sharded(
         servers in 2usize..5,
@@ -114,13 +116,15 @@ aqua_sim::check! {
         let (crash_start, crash_end) = spec(1).crash_window();
         assert!(crash_start >= 1 && crash_end > crash_start);
         let seq = scale_cluster::run_scale(&spec(1));
-        let par = scale_cluster::run_scale(&spec(4));
-        assert_eq!(seq.table, par.table, "tables must be identical");
-        assert_eq!(seq.digest, par.digest, "digests must match");
-        assert_eq!(seq.windows, par.windows);
-        assert_eq!(seq.messages, par.messages);
-        assert_eq!(seq.sim_events, par.sim_events);
         assert_eq!(seq.audit_violations, 0);
-        assert_eq!(par.audit_violations, 0);
+        for lanes in [2, 4] {
+            let par = scale_cluster::run_scale(&spec(lanes));
+            assert_eq!(seq.table, par.table, "tables must be identical");
+            assert_eq!(seq.digest, par.digest, "digests must match");
+            assert_eq!(seq.windows, par.windows);
+            assert_eq!(seq.messages, par.messages);
+            assert_eq!(seq.sim_events, par.sim_events);
+            assert_eq!(par.audit_violations, 0);
+        }
     }
 }
