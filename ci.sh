@@ -73,9 +73,9 @@ cargo run --release --offline -p aqua-bench --bin aqua-repro -- serve --smoke --
 # load plus both crash-restore cells).
 cargo run --release --offline -p aqua-bench --bin aqua-repro -- serve --chaos-smoke
 # Control-plane acceptance: the coordinator crash/partition recovery study
-# must be byte- and digest-identical at 1/4/8 jobs through the sweep AND at
-# 1 vs 4 lanes through the PDES shard path, with the audited faulted cells
-# clean and audited-vs-unaudited digests identical.
+# must be byte- and digest-identical at 1/4/8 jobs through the sweep, and
+# each faulted cell (crash, partition) run audited must be clean and render
+# the same table and fold the same journal digest as its unaudited run.
 cargo run --release --offline -p aqua-bench --bin aqua-repro -- coord_chaos --smoke
 # PDES acceptance: a 64-server (512-GPU) scale-cluster run with the crash
 # fault plan and the full audit layer enabled must be byte- and
@@ -145,27 +145,28 @@ echo "$gw_plant_out" | grep -q "token_without_restore" || {
   exit 1
 }
 echo "planted skipped restore caught and shrunk to a reproducer"
-# Public-surface guard: every `pub fn` under crates/*/src must be named in
-# some other .rs file of the workspace or the frozen benchmark (a lib.rs
-# re-export counts), or in a `$crate::` path of its own file's exported
-# macros, which callers expand. Anything else is private, `pub(crate)` or
-# `#[cfg(test)]`, where rustc's dead_code lint guards it.
+# Public-surface guard: every `pub fn`, `pub const NAME` and `pub static
+# NAME` under crates/*/src must be named in some other .rs file of the
+# workspace or the frozen benchmark (a lib.rs re-export counts), or in a
+# `$crate::` path of its own file's exported macros, which callers expand.
+# Anything else is private, `pub(crate)` or `#[cfg(test)]`, where rustc's
+# dead_code lint guards it.
 surface_dirs=(crates src tests examples benchmark/src)
 surface_offenders=$(
-  grep -rHoP --include='*.rs' '^\s*pub (const )?(unsafe )?fn \K\w+' crates/*/src | sort -u |
+  grep -rHoP --include='*.rs' '^\s*pub ((const )?(unsafe )?fn|const|static) \K\w+' crates/*/src | sort -u |
     while IFS=: read -r file name; do
       others=$(grep -rlw --include='*.rs' -- "$name" "${surface_dirs[@]}" | grep -vxF "$file" || true)
       [ -n "$others" ] && continue
       grep -qP "\\\$crate::[\w:]*\b$name\b" "$file" && continue
-      echo "  $file: pub fn $name"
+      echo "  $file: pub $name"
     done
 )
 if [ -n "$surface_offenders" ]; then
-  echo "FAIL: pub fns named only in their own file (make them private, pub(crate) or #[cfg(test)]):" >&2
+  echo "FAIL: pub fns, consts and statics named only in their own file (make them private, pub(crate) or #[cfg(test)]):" >&2
   echo "$surface_offenders" >&2
   exit 1
 fi
-echo "every pub fn is named outside its own file"
+echo "every pub fn, const and static is named outside its own file"
 cargo fmt --all --check
 cargo clippy --workspace --all-targets --offline -- -D warnings -D clippy::iter_over_hash_type
 # API docs with warnings denied: an intra-doc link to a deleted or private

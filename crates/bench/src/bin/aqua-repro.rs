@@ -17,7 +17,7 @@
 //! This binary is the one way to run an experiment; timing lives in the
 //! `benchmark/` crate.
 
-use aqua_bench::fuzz::{self, FuzzConfig, FuzzPoint, GatewayFuzzPoint};
+use aqua_bench::fuzz::{self, FuzzConfig, FuzzInput, FuzzPoint, GatewayFuzzPoint};
 use aqua_bench::runner::{run_suite, ReproArgs, EXPERIMENTS};
 use aqua_bench::trace;
 use std::process::ExitCode;
@@ -158,29 +158,17 @@ fn parse_fuzz_flags(rest: &[String]) -> Result<FuzzFlags, String> {
     Ok(f)
 }
 
-/// Describes why a gateway point is dirty, for the failure report.
-fn gateway_failure(out: &fuzz::GatewayFuzzOutcome) -> String {
-    let mut parts = Vec::new();
-    if !out.violations.is_empty() {
-        parts.push(format!("first violation: {}", out.violations[0]));
-    }
-    if out.truncated > 0 {
-        parts.push(format!("{} truncated stream(s)", out.truncated));
-    }
-    parts.join("; ")
-}
-
-/// The `fuzz --gateway` subcommand: serving-path chaos campaign (FaultPlan
-/// × scheduler policy × load) under the crash-restore auditor plus a
-/// stream-integrity gate, or one explicit gateway point.
-fn gateway_fuzz_cmd(flags: &FuzzFlags) -> Result<(), String> {
-    let explicit = flags.policy.is_some()
-        || flags.load.is_some()
-        || flags.count.is_some()
-        || flags.faults.is_some()
-        || flags.horizon.is_some();
-    if explicit {
-        let point = GatewayFuzzPoint {
+/// The `fuzz` subcommand. Plain `fuzz` draws core points ([`FuzzPoint`]);
+/// `fuzz --gateway` draws serving-path points ([`GatewayFuzzPoint`]). A
+/// point-shape flag re-runs that one explicit point instead of a campaign.
+fn fuzz_cmd(flags: &FuzzFlags) -> Result<(), String> {
+    if flags.gateway {
+        let explicit = flags.policy.is_some()
+            || flags.load.is_some()
+            || flags.count.is_some()
+            || flags.faults.is_some()
+            || flags.horizon.is_some();
+        let point = explicit.then(|| GatewayFuzzPoint {
             seed: flags.seed,
             policy: flags.policy.unwrap_or(0),
             load: flags.load.unwrap_or(1).max(1),
@@ -189,13 +177,47 @@ fn gateway_fuzz_cmd(flags: &FuzzFlags) -> Result<(), String> {
             horizon_secs: flags.horizon.unwrap_or(fuzz::GATEWAY_MIN_HORIZON_SECS),
             offload: flags.offload,
             plant: flags.plant,
-        };
-        let out = fuzz::run_gateway_point_quiet(&point);
+        });
+        fuzz_flow(flags, "gateway", point, 16, 48, |p| p.plant = flags.plant)
+    } else {
+        let explicit = flags.gpus.is_some()
+            || flags.work.is_some()
+            || flags.faults.is_some()
+            || flags.horizon.is_some();
+        let point = explicit.then(|| FuzzPoint {
+            seed: flags.seed,
+            gpus: flags.gpus.unwrap_or(2),
+            work: flags.work.unwrap_or(1),
+            faults: flags.faults.unwrap_or(0),
+            horizon_secs: flags.horizon.unwrap_or(fuzz::MIN_HORIZON_SECS),
+            plant: flags.plant,
+            plant_fence: flags.plant_fence,
+        });
+        fuzz_flow(flags, "audited", point, 32, 64, |p| {
+            p.plant = flags.plant;
+            p.plant_fence = flags.plant_fence;
+        })
+    }
+}
+
+/// One fuzz flow for every [`FuzzInput`]: re-run the explicit `point`, or
+/// run a campaign (`smoke_points`/`full_points` unless `--points`), take its
+/// first failing point, shrink it and print the reproducer. Exits non-zero
+/// — with a re-runnable reproducer line — on any failure.
+fn fuzz_flow<P: FuzzInput>(
+    flags: &FuzzFlags,
+    kind: &str,
+    point: Option<P>,
+    smoke_points: usize,
+    full_points: usize,
+    plant: impl Fn(&mut P),
+) -> Result<(), String> {
+    if let Some(point) = point {
+        let out = fuzz::run_quiet(&point);
         if !out.dirty() {
             println!(
-                "fuzz: gateway point `{}` is clean ({} streams, {} tokens)",
+                "fuzz: {kind} point `{}` is clean ({} tokens)",
                 point.repro_spec(),
-                out.streams,
                 out.tokens
             );
             return Ok(());
@@ -204,36 +226,35 @@ fn gateway_fuzz_cmd(flags: &FuzzFlags) -> Result<(), String> {
             println!("fuzz: {v}");
         }
         return Err(format!(
-            "gateway point failed ({}) — reproduce with: aqua-repro fuzz {}",
-            gateway_failure(&out),
+            "{kind} point failed ({}) — reproduce with: aqua-repro fuzz {}",
+            out.failure(),
             point.repro_spec()
         ));
     }
 
-    let points = flags.points.unwrap_or(if flags.smoke { 16 } else { 48 });
     let cfg = FuzzConfig {
         base_seed: flags.seed,
-        points,
+        points: flags.points.unwrap_or(if flags.smoke {
+            smoke_points
+        } else {
+            full_points
+        }),
         jobs: flags.jobs,
-        plant: flags.plant,
-        plant_fence: flags.plant_fence,
     };
-    let report = fuzz::run_gateway_fuzz(&cfg);
+    let report = fuzz::run_fuzz(&cfg, plant);
     let dirty = report.dirty();
-    let truncated: usize = report.outcomes.iter().map(|o| o.truncated).sum();
-    let violations: usize = report.outcomes.iter().map(|o| o.violations.len()).sum();
     eprintln!(
-        "fuzz: {} gateway points over {} jobs, digest {:016x}, {} violation(s), {} truncated stream(s) in {} dirty point(s)",
+        "fuzz: {} {kind} points over {} jobs, digest {:016x}, {} violation(s), {} truncated stream(s) in {} dirty point(s)",
         report.outcomes.len(),
         report.jobs,
         report.combined_digest,
-        violations,
-        truncated,
+        report.violation_count(),
+        report.truncated_count(),
         dirty.len()
     );
     let Some(&first_idx) = dirty.first() else {
         println!(
-            "fuzz: {} gateway points, zero violations, zero truncated streams (digest {:016x})",
+            "fuzz: {} {kind} points, zero violations, zero truncated streams (digest {:016x})",
             report.outcomes.len(),
             report.combined_digest
         );
@@ -241,12 +262,15 @@ fn gateway_fuzz_cmd(flags: &FuzzFlags) -> Result<(), String> {
     };
     let first = &report.outcomes[first_idx];
     println!(
-        "fuzz: gateway point #{first_idx} (`{}`) failed — {}",
+        "fuzz: {kind} point #{first_idx} (`{}`) failed — {}:",
         first.point.repro_spec(),
-        gateway_failure(first)
+        first.failure()
     );
-    let shrunk = fuzz::shrink_gateway(first.point)
-        .expect("a dirty point is a pure function of its fields and must fail again");
+    for v in &first.violations {
+        println!("fuzz: {v}");
+    }
+    let shrunk = fuzz::shrink(first.point)
+        .expect("a failing point is a pure function of its fields and must fail again");
     match &shrunk.violation {
         Some(v) => println!(
             "fuzz: shrunk over {} candidate runs to: {v}",
@@ -258,90 +282,7 @@ fn gateway_fuzz_cmd(flags: &FuzzFlags) -> Result<(), String> {
         ),
     }
     Err(format!(
-        "gateway fuzz failed — reproduce with: aqua-repro fuzz {}",
-        shrunk.minimal.repro_spec()
-    ))
-}
-
-/// The `fuzz` subcommand: audited chaos campaign, or one explicit point.
-/// Exits non-zero — with a re-runnable reproducer line — on any violation.
-fn fuzz_cmd(flags: &FuzzFlags) -> Result<(), String> {
-    let explicit = flags.gpus.is_some()
-        || flags.work.is_some()
-        || flags.faults.is_some()
-        || flags.horizon.is_some();
-    if explicit {
-        let point = FuzzPoint {
-            seed: flags.seed,
-            gpus: flags.gpus.unwrap_or(2),
-            work: flags.work.unwrap_or(1),
-            faults: flags.faults.unwrap_or(0),
-            horizon_secs: flags.horizon.unwrap_or(fuzz::MIN_HORIZON_SECS),
-            plant: flags.plant,
-            plant_fence: flags.plant_fence,
-        };
-        let out = fuzz::run_point_quiet(&point);
-        if out.violations.is_empty() {
-            println!(
-                "fuzz: point `{}` is clean ({} consumer tokens)",
-                point.repro_spec(),
-                out.tokens
-            );
-            return Ok(());
-        }
-        for v in &out.violations {
-            println!("fuzz: {v}");
-        }
-        return Err(format!(
-            "{} audit violation(s) — reproduce with: aqua-repro fuzz {}",
-            out.violations.len(),
-            point.repro_spec()
-        ));
-    }
-
-    let points = flags.points.unwrap_or(if flags.smoke { 32 } else { 64 });
-    let cfg = FuzzConfig {
-        base_seed: flags.seed,
-        points,
-        jobs: flags.jobs,
-        plant: flags.plant,
-        plant_fence: flags.plant_fence,
-    };
-    let report = fuzz::run_fuzz(&cfg);
-    let dirty = report.dirty();
-    eprintln!(
-        "fuzz: {} audited points over {} jobs, digest {:016x}, {} violation(s) in {} point(s)",
-        report.outcomes.len(),
-        report.jobs,
-        report.combined_digest,
-        report.violation_count(),
-        dirty.len()
-    );
-    let Some(&first_idx) = dirty.first() else {
-        println!(
-            "fuzz: {} audited points, zero violations (digest {:016x})",
-            report.outcomes.len(),
-            report.combined_digest
-        );
-        return Ok(());
-    };
-    let first = &report.outcomes[first_idx];
-    println!(
-        "fuzz: point #{first_idx} (`{}`) tripped {} violation(s):",
-        first.point.repro_spec(),
-        first.violations.len(),
-    );
-    for v in &first.violations {
-        println!("fuzz: {v}");
-    }
-    let shrunk = fuzz::shrink(first.point)
-        .expect("a violating point is a pure function of its fields and must violate again");
-    println!(
-        "fuzz: shrunk over {} candidate runs to: {}",
-        shrunk.candidates_run, shrunk.violation
-    );
-    Err(format!(
-        "audit violation — reproduce with: aqua-repro fuzz {}",
+        "{kind} fuzz failed — reproduce with: aqua-repro fuzz {}",
         shrunk.minimal.repro_spec()
     ))
 }
@@ -553,12 +494,16 @@ fn serve_smoke(flags: &Flags, names: &[&str], label: &str) -> Result<(), String>
 }
 
 /// The `coord_chaos --smoke` subcommand: the control-plane recovery study
-/// through the sweep at `--jobs 1/4/8` and through the PDES shard path at
-/// `--lanes 1` vs `--lanes 4` (audited and unaudited), failing unless every
-/// pairing is byte- and digest-identical and the audited shards are clean.
+/// through the sweep at `--jobs 1/4/8`, failing unless every pairing is
+/// byte- and digest-identical; then each faulted cell (crash and
+/// partition) audited and unaudited, failing unless the audit is clean and
+/// both runs render the same table and fold the same journal digest.
 /// Digests are compared run-against-run, never against a pinned literal.
 fn coord_chaos_smoke(flags: &Flags) -> Result<(), String> {
-    use aqua_bench::coord_chaos;
+    use aqua_bench::coord_chaos::{render_cell, run_cell_traced, CoordCell, CoordChaosConfig};
+    use aqua_sim::audit::Auditor;
+    use aqua_telemetry::JournalTracer;
+    use std::sync::Arc;
     if trace::journal().is_some() {
         return Err("coord chaos smoke: compares parallel runs; unset AQUA_TRACE".into());
     }
@@ -579,34 +524,37 @@ fn coord_chaos_smoke(flags: &Flags) -> Result<(), String> {
             ));
         }
     }
-    let (count, seed) = (flags.args.count, flags.args.seed);
-    let (out_one, one) = coord_chaos::run_sharded(count, seed, 1, true);
-    let (out_four, four) = coord_chaos::run_sharded(count, seed, 4, true);
-    if out_one != out_four {
-        return Err(format!(
-            "coord chaos smoke: lanes=1 and lanes=4 rendered different tables ({} vs {} bytes)",
-            out_one.len(),
-            out_four.len()
-        ));
-    }
-    if one.digest != four.digest {
-        return Err(format!(
-            "coord chaos smoke: lane digest mismatch: lanes=1 {:016x} vs lanes=4 {:016x}",
-            one.digest, four.digest
-        ));
-    }
-    let (out_unaudited, unaudited) = coord_chaos::run_sharded(count, seed, 1, false);
-    if out_unaudited != out_one || unaudited.digest != one.digest {
-        return Err(format!(
-            "coord chaos smoke: audited run diverges from unaudited (digest {:016x} vs {:016x})",
-            one.digest, unaudited.digest
-        ));
+    let cfg = CoordChaosConfig::standard(flags.args.count, flags.args.seed);
+    for cell in [CoordCell::Crash, CoordCell::Partition] {
+        let run = |auditor| {
+            let journal = Arc::new(JournalTracer::digest_only());
+            let run = trace::with_tracer(journal.clone(), || {
+                run_cell_traced(&cfg, cell, trace::tracer(), auditor)
+            });
+            (render_cell(&run), journal.digest())
+        };
+        let auditor = Auditor::collecting();
+        let (audited_out, audited) = run(Some(auditor.clone()));
+        let (plain_out, plain) = run(None);
+        if !auditor.is_clean() {
+            return Err(format!(
+                "coord chaos smoke: audited `{}` cell tripped: {:?}",
+                cell.label(),
+                auditor.violations()
+            ));
+        }
+        if audited_out != plain_out || audited != plain {
+            return Err(format!(
+                "coord chaos smoke: audited `{}` cell diverges from unaudited (digest {audited:016x} vs {plain:016x})",
+                cell.label()
+            ));
+        }
     }
     print!("{}", seq.output);
     println!(
-        "coord chaos smoke: byte-identical and digest-identical at jobs 1/4/8 and lanes 1/4, \
-         audited clean (suite digest {:016x}, shard digest {:016x})",
-        seq.combined_digest, one.digest
+        "coord chaos smoke: byte-identical and digest-identical at jobs 1/4/8, \
+         audited crash and partition cells clean and identical to unaudited (suite digest {:016x})",
+        seq.combined_digest
     );
     Ok(())
 }
@@ -664,13 +612,7 @@ fn main() -> ExitCode {
         };
     }
     if cmd == "fuzz" {
-        return match parse_fuzz_flags(&argv[1..]).and_then(|f| {
-            if f.gateway {
-                gateway_fuzz_cmd(&f)
-            } else {
-                fuzz_cmd(&f)
-            }
-        }) {
+        return match parse_fuzz_flags(&argv[1..]).and_then(|f| fuzz_cmd(&f)) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");

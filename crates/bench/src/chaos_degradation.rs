@@ -212,15 +212,12 @@ fn run_consumer(
 /// Runs the chaos experiment against an explicit tracer, sampling every
 /// `sample_secs`. Determinism tests call this twice with two journals and
 /// compare digests.
-pub fn run_traced(tl: &ChaosTimeline, sample_secs: u64, tracer: SharedTracer) -> ChaosResult {
-    run_traced_audited(tl, sample_secs, tracer, None)
-}
-
-/// [`run_traced`] with a full aqua-audit attachment: the transfer engine,
-/// coordinator, driver and offloader all report into `auditor`. A clean
-/// audited run journals the exact same event stream — and digest — as an
-/// unaudited one (`tests/determinism.rs` pins this).
-pub fn run_traced_audited(
+///
+/// With an `auditor`, the transfer engine, coordinator, driver and
+/// offloader all report into it. A clean audited run journals the exact
+/// same event stream — and digest — as an unaudited one
+/// (`tests/determinism.rs` pins this).
+pub fn run_traced(
     tl: &ChaosTimeline,
     sample_secs: u64,
     tracer: SharedTracer,
@@ -304,7 +301,7 @@ pub fn run(tl: &ChaosTimeline, sample_secs: u64) -> ChaosReport {
         Some(j) => j,
         None => Arc::new(JournalTracer::new()),
     };
-    let chaos = run_traced(tl, sample_secs, journal.clone());
+    let chaos = run_traced(tl, sample_secs, journal.clone(), None);
     let reg = journal.registry();
     ChaosReport {
         chaos,
@@ -432,8 +429,8 @@ mod tests {
         let tl = ChaosTimeline::short();
         let a = Arc::new(JournalTracer::new());
         let b = Arc::new(JournalTracer::new());
-        let ra = run_traced(&tl, 5, a.clone());
-        let rb = run_traced(&tl, 5, b.clone());
+        let ra = run_traced(&tl, 5, a.clone(), None);
+        let rb = run_traced(&tl, 5, b.clone(), None);
         assert_eq!(ra.consumer_tokens, rb.consumer_tokens);
         assert_eq!(a.len(), b.len());
         assert_eq!(a.digest(), b.digest());

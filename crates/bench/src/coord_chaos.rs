@@ -55,7 +55,7 @@ pub const CHAT_SLO_TTFT_S: f64 = 30.0;
 /// by the crash and partition cells. 40 s is long enough to cross both the
 /// coordinator's 10 s heartbeat TTL and the consumer's 30 s conservative
 /// local-revocation deadline.
-pub const OUTAGE_WINDOW_SECS: (u64, u64) = (20, 60);
+const OUTAGE_WINDOW_SECS: (u64, u64) = (20, 60);
 
 /// Experiment parameters shared by every cell.
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +73,7 @@ pub struct CoordChaosConfig {
 
 impl CoordChaosConfig {
     /// The standard configuration. `count` is clamped so the arrival span
-    /// always extends past the heal at [`OUTAGE_WINDOW_SECS`]`.1` — the
+    /// always extends past the heal at `OUTAGE_WINDOW_SECS.1` — the
     /// recovery clock needs post-outage ticks to observe the first regrant.
     pub fn standard(count: usize, seed: u64) -> Self {
         CoordChaosConfig {
@@ -108,7 +108,7 @@ pub enum CoordCell {
 }
 
 impl CoordCell {
-    /// Every cell, in suite (and shard, and repro-point) order.
+    /// Every cell, in suite (and repro-point) order.
     pub fn all() -> [CoordCell; 3] {
         [CoordCell::FaultFree, CoordCell::Crash, CoordCell::Partition]
     }
@@ -260,8 +260,8 @@ pub fn run_cell(cfg: &CoordChaosConfig, cell: CoordCell) -> CoordChaosRun {
 /// Runs one cell, journalling into `tracer` and (optionally) under a
 /// runtime auditor. Faulted cells additionally run their fault-free twin
 /// journal-silent, so `CoordChaosRun::goodput_ratio` has its denominator;
-/// the twin never touches `tracer`, keeping digests comparable across
-/// audited/unaudited and sweep/sharded paths.
+/// the twin never touches `tracer`, keeping digests comparable between
+/// audited and unaudited runs.
 pub fn run_cell_traced(
     cfg: &CoordChaosConfig,
     cell: CoordCell,
@@ -281,8 +281,7 @@ pub fn run_cell_traced(
     run
 }
 
-/// Renders one cell exactly the way its `aqua-repro` suite point does, so
-/// the sharded path and the sweep path emit byte-identical output.
+/// Renders one cell as its `aqua-repro` suite point prints it.
 pub fn render_cell(run: &CoordChaosRun) -> String {
     format!(
         "{}\n",
@@ -329,50 +328,8 @@ fn cell_table(runs: &[CoordChaosRun], title: &str) -> Table {
     t
 }
 
-/// Runs every cell with each cell as its own PDES shard (decoupled: cells
-/// never share simulator state). Output and the folded digest are identical
-/// at every lane count. With `audited`, the faulted cells run under a
-/// collecting [`Auditor`] and panic the shard on any violation.
-///
-/// [`Auditor`]: aqua_sim::audit::Auditor
-pub fn run_sharded(
-    count: usize,
-    seed: u64,
-    lanes: usize,
-    audited: bool,
-) -> (String, crate::lanes::LaneOutcome<String>) {
-    use crate::lanes::{run_decoupled, ShardFinish};
-    use aqua_sim::audit::Auditor;
-    let tasks: Vec<Box<dyn FnOnce() -> ShardFinish<String> + Send>> = CoordCell::all()
-        .into_iter()
-        .map(|cell| {
-            let task: Box<dyn FnOnce() -> ShardFinish<String> + Send> = Box::new(move || {
-                let cfg = CoordChaosConfig::standard(count, seed);
-                let auditor = (audited && cell != CoordCell::FaultFree).then(Auditor::collecting);
-                let run = run_cell_traced(&cfg, cell, crate::trace::tracer(), auditor.clone());
-                if let Some(a) = auditor {
-                    assert!(
-                        a.is_clean(),
-                        "audited coord-chaos shard `{}` tripped: {:?}",
-                        cell.label(),
-                        a.violations()
-                    );
-                }
-                ShardFinish {
-                    sim_events: run.sim_events,
-                    output: render_cell(&run),
-                }
-            });
-            task
-        })
-        .collect();
-    let outcome = run_decoupled(tasks, lanes);
-    let output: String = outcome.shards.iter().map(|s| s.output.as_str()).collect();
-    (output, outcome)
-}
-
-/// The `aqua-repro` decomposition: one point per cell, rendered through the
-/// same [`render_cell`] the sharded path uses.
+/// The `aqua-repro` decomposition: one point per cell, rendered through
+/// [`render_cell`].
 pub fn repro_points(a: &crate::runner::ReproArgs) -> Vec<crate::runner::ReproPoint> {
     use crate::runner::ReproPoint;
     let (count, seed) = (a.count, a.seed);

@@ -233,17 +233,17 @@ fn producer_for(models: &[HostedModel], idx: usize) -> &ModelProfile {
 }
 
 /// Runs one consumer workload against one producer, with and without AQUA.
-/// Returns `(baseline, aqua, driver events processed across both runs)`.
+/// Returns `(baseline, aqua)`.
 fn run_pair(
     models: &[HostedModel],
     kind: ConsumerKind,
     producer_idx: usize,
     window_secs: u64,
     seed: u64,
-) -> (f64, f64, u64) {
+) -> (f64, f64) {
     // Validate the pairing target up front (panics on a consumer).
     let _ = producer_for(models, producer_idx);
-    let run_one = |aqua: bool| -> (f64, u64) {
+    let run_one = |aqua: bool| -> f64 {
         let ctx = ServerCtx::two_gpu();
         let mut driver = Driver::new();
         // The paired producer occupies GPU 1 and keeps serving.
@@ -290,7 +290,7 @@ fn run_pair(
         };
 
         let horizon = SimTime::from_secs(window_secs);
-        let metric = match kind {
+        match kind {
             ConsumerKind::LongPrompt => {
                 let mut engine = opt_flexgen(&ctx, backend(false), gib(8));
                 driver.schedule_trace(0, long_prompt_trace(1, 1_000_000, 0));
@@ -354,12 +354,9 @@ fn run_pair(
                     ttft_p90(&log)
                 }
             }
-        };
-        (metric, driver.processed_events())
+        }
     };
-    let (baseline, base_events) = run_one(false);
-    let (aqua, aqua_events) = run_one(true);
-    (baseline, aqua, base_events + aqua_events)
+    (run_one(false), run_one(true))
 }
 
 fn ttft_p90(log: &RequestLog) -> f64 {
@@ -392,7 +389,7 @@ pub fn run(split: Split, window_secs: u64, seed: u64) -> E2eResult {
         let HostedModel::Consumer(kind) = models[consumer_idx] else {
             continue;
         };
-        let (baseline, aqua, _) = run_pair(&models, kind, producer_idx, window_secs, seed);
+        let (baseline, aqua) = run_pair(&models, kind, producer_idx, window_secs, seed);
         outcomes.push(ConsumerOutcome {
             server,
             kind,
@@ -406,69 +403,6 @@ pub fn run(split: Split, window_secs: u64, seed: u64) -> E2eResult {
         placement,
         outcomes,
     }
-}
-
-/// Runs §6.1 for one split with each consumer pair as its own PDES shard.
-///
-/// Every pair already builds a private `ServerCtx`, driver and journal, so
-/// the pairs are fully decoupled shards: the lane executor runs pair `i` on
-/// lane `i % lanes` under its own digest-only journal and merges outputs in
-/// placement order. The assembled [`E2eResult`] — and therefore
-/// [`tables`] — is byte-identical to [`run`]'s at every lane count, and the
-/// folded shard digest is lane-count independent.
-pub fn run_sharded(
-    split: Split,
-    window_secs: u64,
-    seed: u64,
-    lanes: usize,
-) -> (E2eResult, crate::lanes::LaneOutcome<ConsumerOutcome>) {
-    use crate::lanes::{run_decoupled, ShardFinish};
-    let models = std::sync::Arc::new(roster(split));
-    let (assignment, pairs) = place(&models);
-
-    let mut placement = Vec::new();
-    for s in 0..8 {
-        let names: Vec<String> = assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, &sv)| sv == s)
-            .map(|(m, _)| models[m].label())
-            .collect();
-        placement.push((s, names));
-    }
-
-    let tasks: Vec<Box<dyn FnOnce() -> ShardFinish<ConsumerOutcome> + Send>> = pairs
-        .iter()
-        .filter_map(|&(server, consumer_idx, producer_idx)| {
-            let HostedModel::Consumer(kind) = models[consumer_idx] else {
-                return None;
-            };
-            let models = std::sync::Arc::clone(&models);
-            let task: Box<dyn FnOnce() -> ShardFinish<ConsumerOutcome> + Send> =
-                Box::new(move || {
-                    let (baseline, aqua, sim_events) =
-                        run_pair(&models, kind, producer_idx, window_secs, seed);
-                    ShardFinish {
-                        output: ConsumerOutcome {
-                            server,
-                            kind,
-                            producer: models[producer_idx].label(),
-                            baseline,
-                            aqua,
-                        },
-                        sim_events,
-                    }
-                });
-            Some(task)
-        })
-        .collect();
-    let outcome = run_decoupled(tasks, lanes);
-    let result = E2eResult {
-        split,
-        placement,
-        outcomes: outcome.shards.iter().map(|s| s.output.clone()).collect(),
-    };
-    (result, outcome)
 }
 
 /// Renders the placement and per-consumer outcomes.

@@ -29,7 +29,7 @@ pub struct Fig01Result {
 /// KV pool used for the constrained consumer GPU: roughly 20 interactive
 /// contexts fit, matching the paper's "after ≈ 20 requests, the GPU runs
 /// out of memory" observation.
-pub const CONSTRAINED_POOL: u64 = 7 * (1 << 30);
+const CONSTRAINED_POOL: u64 = 7 * (1 << 30);
 
 /// Runs the motivation experiment: `count` ShareGPT requests at `rate`
 /// req/s against vLLM, vLLM+CFS (DRAM) and AQUA.

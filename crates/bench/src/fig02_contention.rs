@@ -34,10 +34,10 @@ pub struct Sweep {
 }
 
 /// Average live context per LLM sequence in the Figure 2c sweep.
-pub const LLM_AVG_CONTEXT: u64 = 1024;
+const LLM_AVG_CONTEXT: u64 = 1024;
 
 /// The batch sizes `aqua-repro` sweeps for Figure 2.
-pub const PAPER_BATCHES: &[u64] = &[1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96];
+const PAPER_BATCHES: &[u64] = &[1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96];
 
 /// The three modalities Figure 2 sweeps — each one independent sweep point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

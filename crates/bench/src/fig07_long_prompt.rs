@@ -22,7 +22,7 @@ pub const CONTEXT_BUDGET: u64 = 8 * (1 << 30);
 /// Lease offered by the colocated producer GPU (StableDiffusion and
 /// AudioGen at their plateau batch have far more spare, Figure 2): covers
 /// the 11 GB streamed context plus ten minutes of per-token growth.
-pub const PRODUCER_LEASE: u64 = 24 * (1 << 30);
+const PRODUCER_LEASE: u64 = 24 * (1 << 30);
 
 /// Result of one run: tokens generated within the window per system.
 #[derive(Debug, Clone)]

@@ -25,7 +25,7 @@ fn adapter_pool() -> Vec<LoraAdapter> {
 
 /// GPU adapter-cache slots ("the serving engine can cache only 10 adapters
 /// at a time on the GPU").
-pub const CACHE_SLOTS: usize = 10;
+const CACHE_SLOTS: usize = 10;
 
 /// Result: per-system completed-request logs.
 #[derive(Debug)]

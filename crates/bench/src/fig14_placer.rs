@@ -166,12 +166,9 @@ pub fn table(points: &[ConvergencePoint]) -> Table {
     t
 }
 
-/// The paper's Figure 14 cluster sizes.
-pub const PAPER_GPU_COUNTS: [usize; 5] = [16, 32, 64, 96, 128];
-
-/// Our extended sweep: the paper's sizes plus a 256-GPU point the catalog
-/// DP makes affordable.
-pub const EXTENDED_GPU_COUNTS: [usize; 6] = [16, 32, 64, 96, 128, 256];
+/// Our extended sweep: the paper's Figure 14 cluster sizes (16–128 GPUs)
+/// plus a 256-GPU point the catalog DP makes affordable.
+const EXTENDED_GPU_COUNTS: [usize; 6] = [16, 32, 64, 96, 128, 256];
 
 /// One sweep point per cluster size. With the catalog DP the solve cost
 /// grows roughly with the DP state count — about `gpus²` per type beyond

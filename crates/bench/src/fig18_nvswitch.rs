@@ -18,7 +18,7 @@ use aqua_workloads::longprompt::long_prompt_trace;
 /// context plus its growth over a ten-minute window (the 1:1 pairing
 /// AQUA-PLACER enforces; producers have tens of GB spare at their plateau
 /// batch, Figure 2).
-pub const PER_PRODUCER_LEASE: u64 = 24 * (1 << 30);
+const PER_PRODUCER_LEASE: u64 = 24 * (1 << 30);
 
 /// Result: per-consumer token counts plus the 2-GPU reference.
 #[derive(Debug, Clone)]

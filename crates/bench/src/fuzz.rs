@@ -1,33 +1,40 @@
 //! `aqua-repro fuzz` — seeded chaos fuzzing under full invariant auditing.
 //!
-//! Each fuzz point derives a `FaultPlan × workload × topology` combination
-//! from `(base seed, point index)` and replays the chaos scenario — an LLM
-//! producer donating HBM to a long-prompt FlexGen consumer — with every
-//! aqua-audit hook attached: transfer-engine port legality, coordinator
-//! lease books, driver time monotonicity and offloader byte conservation.
-//! The point is *fully described by its field values*, so any point a sweep
-//! discovers can be re-run from a `--seed/--gpus/--work/--faults/--horizon`
-//! command line.
+//! A campaign draws self-describing points of one [`FuzzInput`] kind:
 //!
-//! Points fan across the [`Sweep`] runner exactly like the experiment
-//! suite: one digest-only journal per point, results and the combined
-//! determinism digest in input order, so `--jobs 8` explores the identical
-//! universe `--jobs 1` does (`tests/determinism.rs` pins this).
+//! * [`FuzzPoint`] (`fuzz`): a `FaultPlan × workload × topology`
+//!   combination replayed on the chaos scenario — an LLM producer donating
+//!   HBM to a long-prompt FlexGen consumer — with every aqua-audit hook
+//!   attached: transfer-engine port legality, coordinator lease books,
+//!   driver time monotonicity and offloader byte conservation.
+//! * [`GatewayFuzzPoint`] (`fuzz --gateway`): a `FaultPlan × scheduler
+//!   policy × load` combination on the serving path, under the
+//!   crash-restore auditor plus a stream-integrity gate.
 //!
-//! When a point trips the audit, [`shrink`] minimises it deterministically:
-//! [`FaultPlan::randomized`] draws its windows sequentially from one
-//! splitmix64 stream, so halving `faults` keeps a *prefix* of the original
-//! schedule; the horizon and workload halve toward their floors and the
-//! topology collapses to 2 GPUs. Every candidate re-runs under a throwaway
-//! digest journal and is kept only if it still violates, so the minimal
-//! reproducer printed at the end fails for the same reason the original
-//! did.
+//! A point is *fully described by its field values*, so any point a sweep
+//! discovers can be re-run from the command line its
+//! [`FuzzInput::repro_spec`] prints.
+//!
+//! [`run_fuzz`] fans points across the [`Sweep`] runner exactly like the
+//! experiment suite: one digest-only journal per point, results and the
+//! combined determinism digest in input order, so `--jobs 8` explores the
+//! identical universe `--jobs 1` does (`tests/determinism.rs` pins this).
+//!
+//! When a point fails, the one greedy [`shrink`] minimises it
+//! deterministically for either kind. [`FaultPlan::randomized`] draws its
+//! windows sequentially from one splitmix64 stream, so halving `faults`
+//! keeps a *prefix* of the original schedule; the other axes halve toward
+//! their floors. Every candidate re-runs under a throwaway digest journal
+//! and is kept only if it still fails, so the minimal reproducer printed at
+//! the end fails for the same reason the original did.
 
 use crate::setup::{opt_flexgen, OffloadKind, ServerCtx};
 use crate::sweep::Sweep;
 use aqua_core::coordinator::{FailureConfig, GpuRef};
 use aqua_core::informer::LlmInformerConfig;
 use aqua_engines::driver::{Driver, Engine};
+use aqua_gateway::engine::{GatewayConfig, GatewayEngine};
+use aqua_gateway::scheduler::PolicyKind;
 use aqua_models::zoo;
 use aqua_sim::audit::{AuditViolation, Auditor};
 use aqua_sim::fault::{FaultKind, FaultPlan, FaultRng, RandomFaultProfile};
@@ -38,12 +45,187 @@ use aqua_telemetry::JournalTracer;
 use aqua_workloads::longprompt::long_prompt_trace;
 use std::sync::Arc;
 
+/// A self-describing fuzz input: the campaign, the shrinker and the
+/// `aqua-repro fuzz` flow are written once over this trait.
+pub trait FuzzInput: Copy + Send + Sync {
+    /// Derives point `index` of a campaign from its base seed. A pure
+    /// function of `(base_seed, index)`: the sweep explores the same points
+    /// in any job count and on any machine.
+    fn derive(base_seed: u64, index: u64) -> Self;
+
+    /// Runs the point under full auditing, journalling into the ambient
+    /// tracer (inside a [`Sweep`] that is the point's own digest journal).
+    fn run(&self) -> FuzzOutcome<Self>;
+
+    /// The shrink moves, in preference order; each strictly shrinks one
+    /// bounded axis.
+    fn shrink_candidates(&self) -> Vec<Self>;
+
+    /// The flag string that re-runs exactly this point.
+    fn repro_spec(&self) -> String;
+}
+
+/// What one audited point produced.
+#[derive(Debug, Clone)]
+pub struct FuzzOutcome<P> {
+    /// The input that ran.
+    pub point: P,
+    /// Tokens generated (a liveness witness — the run made progress, it
+    /// didn't just idle past the faults).
+    pub tokens: u64,
+    /// Streams whose token count disagrees with the request's output
+    /// length, plus any admission-accounting mismatch (submitted requests
+    /// not accounted completed/aborted after the drain). Always 0 for
+    /// inputs without a stream-integrity gate.
+    pub truncated: usize,
+    /// Every invariant violation the auditor recorded, in order.
+    pub violations: Vec<AuditViolation>,
+}
+
+impl<P> FuzzOutcome<P> {
+    /// Whether this point failed either gate (audit or stream integrity).
+    pub fn dirty(&self) -> bool {
+        !self.violations.is_empty() || self.truncated > 0
+    }
+
+    /// Why the point failed, e.g. `2 violation(s); 1 truncated stream(s)`.
+    pub fn failure(&self) -> String {
+        let mut parts = Vec::new();
+        if !self.violations.is_empty() {
+            parts.push(format!("{} violation(s)", self.violations.len()));
+        }
+        if self.truncated > 0 {
+            parts.push(format!("{} truncated stream(s)", self.truncated));
+        }
+        parts.join("; ")
+    }
+}
+
+/// [`FuzzInput::run`] under a throwaway digest journal — shrink probes and
+/// explicit single-point re-runs use this so they never pollute an ambient
+/// `AQUA_TRACE` capture.
+pub fn run_quiet<P: FuzzInput>(p: &P) -> FuzzOutcome<P> {
+    crate::trace::with_tracer(Arc::new(JournalTracer::digest_only()), || p.run())
+}
+
+/// A fuzz campaign: how many derived points, how wide a fan-out.
+#[derive(Debug, Clone, Copy)]
+pub struct FuzzConfig {
+    /// Base seed every point derives from.
+    pub base_seed: u64,
+    /// Number of points.
+    pub points: usize,
+    /// Sweep worker threads.
+    pub jobs: usize,
+}
+
+/// A completed campaign, in point order.
+#[derive(Debug, Clone)]
+pub struct FuzzReport<P> {
+    /// Outcome per point, index-aligned with the derivation order.
+    pub outcomes: Vec<FuzzOutcome<P>>,
+    /// Combined determinism digest across all point journals.
+    pub combined_digest: u64,
+    /// Worker threads actually used.
+    pub jobs: usize,
+}
+
+impl<P> FuzzReport<P> {
+    /// Indices of points that failed either gate.
+    pub fn dirty(&self) -> Vec<usize> {
+        self.outcomes
+            .iter()
+            .enumerate()
+            .filter(|(_, o)| o.dirty())
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    /// Total violations across the campaign.
+    pub fn violation_count(&self) -> usize {
+        self.outcomes.iter().map(|o| o.violations.len()).sum()
+    }
+
+    /// Total truncated streams across the campaign.
+    pub fn truncated_count(&self) -> usize {
+        self.outcomes.iter().map(|o| o.truncated).sum()
+    }
+}
+
+/// Runs a campaign through the [`Sweep`] fan-out: `cfg.points` derived
+/// points, each passed through `plant` (which sets the self-test plants)
+/// before any of them runs.
+pub fn run_fuzz<P: FuzzInput>(cfg: &FuzzConfig, plant: impl Fn(&mut P)) -> FuzzReport<P> {
+    let points: Vec<P> = (0..cfg.points)
+        .map(|i| {
+            let mut p = P::derive(cfg.base_seed, i as u64);
+            plant(&mut p);
+            p
+        })
+        .collect();
+    let result = Sweep::new().jobs(cfg.jobs).run(&points, P::run);
+    FuzzReport {
+        combined_digest: result.combined_digest(),
+        jobs: result.jobs,
+        outcomes: result.results(),
+    }
+}
+
+/// A finished shrink: the minimal still-failing point and its witness.
+#[derive(Debug, Clone)]
+pub struct ShrinkOutcome<P> {
+    /// The smallest point found that still fails a gate.
+    pub minimal: P,
+    /// Points executed during the search (including the confirming re-run).
+    pub candidates_run: usize,
+    /// The first audit violation of the minimal point, if the failure was
+    /// an audit trip (stream-integrity failures have no violation record).
+    pub violation: Option<AuditViolation>,
+}
+
+/// Greedily minimises a failing point: takes the first candidate that
+/// still fails, until none does. Returns `None` if the starting point does
+/// not fail when re-run (it never should — points are pure functions of
+/// their fields). Terminates because every accepted candidate strictly
+/// shrinks a bounded axis.
+pub fn shrink<P: FuzzInput>(start: P) -> Option<ShrinkOutcome<P>> {
+    let mut best = run_quiet(&start);
+    let mut candidates_run = 1;
+    if !best.dirty() {
+        return None;
+    }
+    loop {
+        let mut improved = false;
+        for cand in best.point.shrink_candidates() {
+            candidates_run += 1;
+            let out = run_quiet(&cand);
+            if out.dirty() {
+                best = out;
+                improved = true;
+                break;
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    Some(ShrinkOutcome {
+        violation: best.violations.first().cloned(),
+        minimal: best.point,
+        candidates_run,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Core mode: FaultPlan × workload × topology on the offload path.
+// ---------------------------------------------------------------------------
+
 /// The smallest horizon the shrinker will propose: long enough for a lease
 /// grant, one fault window and the offloader's recovery sweep to fit.
 pub const MIN_HORIZON_SECS: u64 = 30;
 
-/// One self-describing fuzz input. Every field appears in
-/// [`FuzzPoint::repro_spec`], so a point prints as the exact command line
+/// One self-describing core fuzz input. Every field appears in its
+/// [`FuzzInput::repro_spec`], so a point prints as the exact command line
 /// that re-runs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuzzPoint {
@@ -63,11 +245,8 @@ pub struct FuzzPoint {
     pub plant_fence: bool,
 }
 
-impl FuzzPoint {
-    /// Derives point `index` of a fuzz campaign from its base seed. Pure
-    /// function of `(base_seed, index)` — the sweep explores the same
-    /// points in any job count and on any machine.
-    pub fn derive(base_seed: u64, index: u64) -> FuzzPoint {
+impl FuzzInput for FuzzPoint {
+    fn derive(base_seed: u64, index: u64) -> FuzzPoint {
         let mut rng = FaultRng::new(base_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         FuzzPoint {
             seed: rng.next_u64(),
@@ -81,10 +260,117 @@ impl FuzzPoint {
         }
     }
 
-    /// The flag string that re-runs exactly this point:
+    fn run(&self) -> FuzzOutcome<Self> {
+        let tracer = crate::trace::tracer();
+        let auditor = Auditor::with_tracer(tracer.clone());
+        let mut ctx = if self.gpus >= 8 {
+            ServerCtx::eight_gpu_traced(tracer.clone())
+        } else {
+            ServerCtx::two_gpu_traced(tracer.clone())
+        };
+        ctx = ctx.with_auditor(auditor.clone());
+
+        let producer_gpu = GpuId(1);
+        let horizon = SimTime::from_secs(self.horizon_secs);
+        let mut link_ports = Vec::new();
+        for g in 0..ctx.server.gpu_count().min(4) {
+            link_ports.push(PortId::NvlinkEgress(GpuId(g)));
+            link_ports.push(PortId::NvlinkIngress(GpuId(g)));
+        }
+        let profile = RandomFaultProfile {
+            link_ports,
+            crash_gpus: vec![producer_gpu],
+            // Core campaign draws the control-plane kinds too: coordinator
+            // crashes and partitions interleave with link/GPU faults.
+            control_plane: true,
+            events: self.faults,
+            min_duration: SimDuration::from_secs(5),
+            max_duration: SimDuration::from_secs(30),
+        };
+        let plan = Arc::new(FaultPlan::randomized(self.seed, horizon, &profile));
+        // Journal the generated plan: the point digest then witnesses fault
+        // *generation* determinism, not just execution determinism.
+        plan.emit(&tracer);
+        ctx = ctx.with_fault_plan(Arc::clone(&plan));
+        ctx.coordinator.set_failure_config(FailureConfig::chaos());
+
+        let mut producer = ctx.llm_producer_with_informer(
+            &zoo::llama2_13b(),
+            producer_gpu,
+            LlmInformerConfig::default(),
+        );
+        let mut consumer = opt_flexgen(
+            &ctx,
+            OffloadKind::Aqua,
+            crate::fig07_long_prompt::CONTEXT_BUDGET,
+        );
+
+        let mut driver = Driver::new();
+        driver.set_auditor(auditor.clone());
+        for w in plan.windows() {
+            if let FaultKind::GpuCrash { gpu } = w.kind {
+                if gpu == producer_gpu {
+                    // Engine 1 (the producer) goes dark: no ticks, no informer
+                    // heartbeats, so the chaos TTL expires its lease.
+                    driver.crash_window(1, w.start, w.end);
+                }
+            }
+        }
+        driver.schedule_trace(
+            0,
+            long_prompt_trace(self.work, 200_000, self.seed)
+                .into_iter()
+                .map(|(_, r)| (SimTime::from_secs(5), r)),
+        );
+
+        if self.plant {
+            plant_double_free(&ctx);
+        }
+        if self.plant_fence {
+            plant_fencing_bypass(&ctx);
+        }
+
+        let mut engines: Vec<&mut dyn Engine> = vec![&mut consumer, &mut producer];
+        driver.run(&mut engines, horizon);
+
+        FuzzOutcome {
+            point: *self,
+            tokens: consumer.tokens_generated(),
+            truncated: 0,
+            violations: auditor.violations(),
+        }
+    }
+
+    /// Fewer faults first (halving keeps a prefix of the seeded plan), then
+    /// a shorter horizon, less work, and a smaller server.
+    fn shrink_candidates(&self) -> Vec<FuzzPoint> {
+        let mut out = Vec::new();
+        if self.faults > 0 {
+            let mut c = *self;
+            c.faults /= 2;
+            out.push(c);
+        }
+        if self.horizon_secs > MIN_HORIZON_SECS {
+            let mut c = *self;
+            c.horizon_secs = (c.horizon_secs / 2).max(MIN_HORIZON_SECS);
+            out.push(c);
+        }
+        if self.work > 1 {
+            let mut c = *self;
+            c.work /= 2;
+            out.push(c);
+        }
+        if self.gpus > 2 {
+            let mut c = *self;
+            c.gpus = 2;
+            out.push(c);
+        }
+        out
+    }
+
     /// `--seed S --gpus G --work W --faults F --horizon H [--plant]
     /// [--plant-fence]`.
-    pub fn repro_spec(&self) -> String {
+    fn repro_spec(&self) -> String {
         let mut s = format!(
             "--seed {} --gpus {} --work {} --faults {} --horizon {}",
             self.seed, self.gpus, self.work, self.faults, self.horizon_secs
@@ -97,18 +383,6 @@ impl FuzzPoint {
         }
         s
     }
-}
-
-/// What one audited point produced.
-#[derive(Debug, Clone)]
-pub struct FuzzOutcome {
-    /// The input that ran.
-    pub point: FuzzPoint,
-    /// Consumer tokens generated (a liveness witness — the run made
-    /// progress, it didn't just idle past the faults).
-    pub tokens: u64,
-    /// Every invariant violation the auditor recorded, in order.
-    pub violations: Vec<AuditViolation>,
 }
 
 /// A buggy client planted for the audit self-test: allocates on its lease,
@@ -145,228 +419,6 @@ fn plant_fencing_bypass(ctx: &ServerCtx) {
         .plant_stale_resync(producer, 64 << 20, stale.epoch(), SimTime::from_secs(4));
 }
 
-/// Runs one point under full auditing, journalling into the ambient tracer
-/// (inside a [`Sweep`] that is the point's own digest journal).
-pub fn run_point(p: &FuzzPoint) -> FuzzOutcome {
-    let tracer = crate::trace::tracer();
-    let auditor = Auditor::with_tracer(tracer.clone());
-    let mut ctx = if p.gpus >= 8 {
-        ServerCtx::eight_gpu_traced(tracer.clone())
-    } else {
-        ServerCtx::two_gpu_traced(tracer.clone())
-    };
-    ctx = ctx.with_auditor(auditor.clone());
-
-    let producer_gpu = GpuId(1);
-    let horizon = SimTime::from_secs(p.horizon_secs);
-    let mut link_ports = Vec::new();
-    for g in 0..ctx.server.gpu_count().min(4) {
-        link_ports.push(PortId::NvlinkEgress(GpuId(g)));
-        link_ports.push(PortId::NvlinkIngress(GpuId(g)));
-    }
-    let profile = RandomFaultProfile {
-        link_ports,
-        crash_gpus: vec![producer_gpu],
-        // Core campaign draws the control-plane kinds too: coordinator
-        // crashes and partitions interleave with link/GPU faults.
-        control_plane: true,
-        events: p.faults,
-        min_duration: SimDuration::from_secs(5),
-        max_duration: SimDuration::from_secs(30),
-    };
-    let plan = Arc::new(FaultPlan::randomized(p.seed, horizon, &profile));
-    // Journal the generated plan: the point digest then witnesses fault
-    // *generation* determinism, not just execution determinism.
-    plan.emit(&tracer);
-    ctx = ctx.with_fault_plan(Arc::clone(&plan));
-    ctx.coordinator.set_failure_config(FailureConfig::chaos());
-
-    let mut producer = ctx.llm_producer_with_informer(
-        &zoo::llama2_13b(),
-        producer_gpu,
-        LlmInformerConfig::default(),
-    );
-    let mut consumer = opt_flexgen(
-        &ctx,
-        OffloadKind::Aqua,
-        crate::fig07_long_prompt::CONTEXT_BUDGET,
-    );
-
-    let mut driver = Driver::new();
-    driver.set_auditor(auditor.clone());
-    for w in plan.windows() {
-        if let FaultKind::GpuCrash { gpu } = w.kind {
-            if gpu == producer_gpu {
-                // Engine 1 (the producer) goes dark: no ticks, no informer
-                // heartbeats, so the chaos TTL expires its lease.
-                driver.crash_window(1, w.start, w.end);
-            }
-        }
-    }
-    driver.schedule_trace(
-        0,
-        long_prompt_trace(p.work, 200_000, p.seed)
-            .into_iter()
-            .map(|(_, r)| (SimTime::from_secs(5), r)),
-    );
-
-    if p.plant {
-        plant_double_free(&ctx);
-    }
-    if p.plant_fence {
-        plant_fencing_bypass(&ctx);
-    }
-
-    let mut engines: Vec<&mut dyn Engine> = vec![&mut consumer, &mut producer];
-    driver.run(&mut engines, horizon);
-
-    FuzzOutcome {
-        point: *p,
-        tokens: consumer.tokens_generated(),
-        violations: auditor.violations(),
-    }
-}
-
-/// [`run_point`] under a throwaway digest journal — shrink probes and
-/// explicit single-point re-runs use this so they never pollute an ambient
-/// `AQUA_TRACE` capture.
-pub fn run_point_quiet(p: &FuzzPoint) -> FuzzOutcome {
-    crate::trace::with_tracer(Arc::new(JournalTracer::digest_only()), || run_point(p))
-}
-
-/// A fuzz campaign: how many derived points, how wide a fan-out.
-#[derive(Debug, Clone, Copy)]
-pub struct FuzzConfig {
-    /// Base seed every point derives from.
-    pub base_seed: u64,
-    /// Number of points.
-    pub points: usize,
-    /// Sweep worker threads.
-    pub jobs: usize,
-    /// Plant the double-free self-test into every point.
-    pub plant: bool,
-    /// Plant the epoch-fencing-bypass self-test into every core point
-    /// (ignored by the gateway campaign, which has no coordinator plant).
-    pub plant_fence: bool,
-}
-
-/// A completed campaign, in point order.
-#[derive(Debug, Clone)]
-pub struct FuzzReport {
-    /// Outcome per point, index-aligned with the derivation order.
-    pub outcomes: Vec<FuzzOutcome>,
-    /// Combined determinism digest across all point journals.
-    pub combined_digest: u64,
-    /// Worker threads actually used.
-    pub jobs: usize,
-}
-
-impl FuzzReport {
-    /// Indices of points that tripped the audit.
-    pub fn dirty(&self) -> Vec<usize> {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| !o.violations.is_empty())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Total violations across the campaign.
-    pub fn violation_count(&self) -> usize {
-        self.outcomes.iter().map(|o| o.violations.len()).sum()
-    }
-}
-
-/// Runs a campaign through the [`Sweep`] fan-out.
-pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
-    let points: Vec<FuzzPoint> = (0..cfg.points)
-        .map(|i| {
-            let mut p = FuzzPoint::derive(cfg.base_seed, i as u64);
-            p.plant = cfg.plant;
-            p.plant_fence = cfg.plant_fence;
-            p
-        })
-        .collect();
-    let result = Sweep::new().jobs(cfg.jobs).run(&points, run_point);
-    FuzzReport {
-        combined_digest: result.combined_digest(),
-        jobs: result.jobs,
-        outcomes: result.results(),
-    }
-}
-
-/// A finished shrink: the minimal still-violating point and its witness.
-#[derive(Debug, Clone)]
-pub struct ShrinkOutcome {
-    /// The smallest point found that still trips the audit.
-    pub minimal: FuzzPoint,
-    /// Points executed during the search (including the confirming re-run).
-    pub candidates_run: usize,
-    /// The first violation the minimal point raises.
-    pub violation: AuditViolation,
-}
-
-/// The shrink moves, in preference order: fewer faults first (halving keeps
-/// a prefix of the seeded plan), then a shorter horizon, less work, and a
-/// smaller server.
-fn shrink_candidates(p: &FuzzPoint) -> Vec<FuzzPoint> {
-    let mut out = Vec::new();
-    if p.faults > 0 {
-        let mut c = *p;
-        c.faults /= 2;
-        out.push(c);
-    }
-    if p.horizon_secs > MIN_HORIZON_SECS {
-        let mut c = *p;
-        c.horizon_secs = (c.horizon_secs / 2).max(MIN_HORIZON_SECS);
-        out.push(c);
-    }
-    if p.work > 1 {
-        let mut c = *p;
-        c.work /= 2;
-        out.push(c);
-    }
-    if p.gpus > 2 {
-        let mut c = *p;
-        c.gpus = 2;
-        out.push(c);
-    }
-    out
-}
-
-/// Greedily minimises a violating point. Returns `None` if the starting
-/// point does not actually violate when re-run (it never should — points
-/// are pure functions of their fields). Terminates because every accepted
-/// candidate strictly shrinks a bounded component.
-pub fn shrink(start: FuzzPoint) -> Option<ShrinkOutcome> {
-    let mut best = run_point_quiet(&start);
-    let mut candidates_run = 1;
-    if best.violations.is_empty() {
-        return None;
-    }
-    loop {
-        let mut improved = false;
-        for cand in shrink_candidates(&best.point) {
-            candidates_run += 1;
-            let out = run_point_quiet(&cand);
-            if !out.violations.is_empty() {
-                best = out;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    Some(ShrinkOutcome {
-        violation: best.violations[0].clone(),
-        minimal: best.point,
-        candidates_run,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Gateway mode: FaultPlan × scheduler policy × load on the serving path.
 // ---------------------------------------------------------------------------
@@ -377,8 +429,8 @@ pub const GATEWAY_MIN_HORIZON_SECS: u64 = 60;
 
 /// One self-describing gateway fuzz input: a seeded `FaultPlan` crossed
 /// with a scheduler policy, an offload axis and a load multiplier over the
-/// three-tenant serving mix. Like [`FuzzPoint`], every field appears in
-/// [`GatewayFuzzPoint::repro_spec`].
+/// three-tenant serving mix. Like [`FuzzPoint`], every field appears in its
+/// [`FuzzInput::repro_spec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatewayFuzzPoint {
     /// Seed for [`FaultPlan::randomized`] and the workload trace.
@@ -401,13 +453,15 @@ pub struct GatewayFuzzPoint {
     pub plant: bool,
 }
 
-use aqua_gateway::engine::{GatewayConfig, GatewayEngine};
-use aqua_gateway::scheduler::PolicyKind;
-
 impl GatewayFuzzPoint {
-    /// Derives point `index` of a gateway fuzz campaign from its base
-    /// seed — a pure function of `(base_seed, index)`.
-    pub fn derive(base_seed: u64, index: u64) -> GatewayFuzzPoint {
+    /// The scheduling policy this point runs.
+    fn policy_kind(&self) -> PolicyKind {
+        PolicyKind::ALL[self.policy % PolicyKind::ALL.len()]
+    }
+}
+
+impl FuzzInput for GatewayFuzzPoint {
+    fn derive(base_seed: u64, index: u64) -> GatewayFuzzPoint {
         let mut rng = FaultRng::new(base_seed ^ index.wrapping_mul(0x517C_C1B7_2722_0A95));
         GatewayFuzzPoint {
             seed: rng.next_u64(),
@@ -421,13 +475,154 @@ impl GatewayFuzzPoint {
         }
     }
 
-    /// The scheduling policy this point runs.
-    fn policy_kind(&self) -> PolicyKind {
-        PolicyKind::ALL[self.policy % PolicyKind::ALL.len()]
+    fn run(&self) -> FuzzOutcome<Self> {
+        use aqua_engines::vllm::PreemptionPolicy;
+        use aqua_sim::link::bytes::gib;
+        use aqua_workloads::tenants::tenant_trace;
+
+        let tracer = crate::trace::tracer();
+        let auditor = Auditor::with_tracer(tracer.clone());
+        let rate = 2.0 * self.load as f64;
+        let mix = tenant_trace(rate, self.count * self.load, self.seed);
+        let expected: std::collections::BTreeMap<u64, u64> = mix
+            .trace
+            .iter()
+            .map(|(_, r)| (r.id.0, r.output_tokens))
+            .collect();
+
+        let gateway_gpu = GpuId(0);
+        let span = SimTime::from_secs(self.horizon_secs);
+        let profile = RandomFaultProfile {
+            link_ports: vec![
+                PortId::NvlinkEgress(gateway_gpu),
+                PortId::NvlinkIngress(gateway_gpu),
+                PortId::NvlinkEgress(GpuId(1)),
+                PortId::NvlinkIngress(GpuId(1)),
+            ],
+            crash_gpus: vec![gateway_gpu],
+            // The gateway campaign keeps its historical fault universe (the
+            // coord_chaos experiment covers control-plane faults on the
+            // serving path), so its seeded plans stay digest-stable.
+            control_plane: false,
+            events: self.faults,
+            min_duration: SimDuration::from_secs(5),
+            max_duration: SimDuration::from_secs(30),
+        };
+        let mut plan = FaultPlan::randomized(self.seed, span, &profile);
+        if self.plant {
+            // The planted bug only fires on a crash, so force one into the
+            // arrival window where work is guaranteed in flight.
+            plan = plan.gpu_crash(gateway_gpu, SimTime::from_secs(5), SimTime::from_secs(10));
+        }
+        plan.emit(&tracer);
+        let plan = Arc::new(plan);
+
+        let geom = *zoo::codellama_34b().llm_geometry().unwrap();
+        let mut engine = GatewayEngine::new(
+            geom,
+            aqua_sim::gpu::GpuSpec::a100_80g(),
+            self.policy_kind(),
+            GatewayConfig {
+                kv_pool_bytes: gib(3),
+                preemption: if self.offload {
+                    PreemptionPolicy::Swap
+                } else {
+                    PreemptionPolicy::Recompute
+                },
+                max_outstanding_per_tenant: 8,
+                plant_skip_restore: self.plant,
+                ..GatewayConfig::default()
+            },
+        )
+        .with_tenants(mix.tenant_of.clone())
+        .with_tracer(tracer.clone(), format!("fuzz:gw:{}", self.policy_kind()))
+        .with_fault_plan(&plan, gateway_gpu)
+        .with_auditor(auditor.clone());
+        if self.offload {
+            let mut ctx = ServerCtx::two_gpu_traced(tracer).with_auditor(auditor.clone());
+            ctx = ctx.with_fault_plan(Arc::clone(&plan));
+            ctx.static_lease(GpuId(1), gib(30));
+            engine = engine.with_offloader(ctx.offloader(OffloadKind::Aqua, gateway_gpu));
+        }
+
+        let mut driver = Driver::new();
+        driver.set_auditor(auditor.clone());
+        for w in plan.windows() {
+            if let FaultKind::GpuCrash { gpu } = w.kind {
+                if gpu == gateway_gpu {
+                    driver.crash_window(0, w.start, w.end);
+                }
+            }
+        }
+        driver.schedule_trace(0, mix.trace);
+        {
+            let mut engines: Vec<&mut dyn Engine> = vec![&mut engine];
+            driver.run(&mut engines, SimTime::from_secs(40_000));
+        }
+
+        // Stream integrity: every completed request streamed exactly its
+        // output length, and after the drain every submitted request is
+        // accounted completed or terminally crash-aborted.
+        let streams = engine.drain_streams();
+        let mut truncated = 0;
+        let mut tokens = 0u64;
+        for s in streams.streams() {
+            tokens += s.tokens.len() as u64;
+            if expected.get(&s.id).copied() != Some(s.tokens.len() as u64) {
+                truncated += 1;
+            }
+        }
+        let o = engine.outcomes();
+        let accounted = o.completed() + o.crash_aborted() + o.shed() + o.timed_out();
+        let drained = engine.queue_depth() == 0 && engine.running_count() == 0;
+        if o.completed() != streams.len() || accounted != expected.len() || !drained {
+            truncated += 1;
+        }
+
+        FuzzOutcome {
+            point: *self,
+            tokens,
+            truncated,
+            violations: auditor.violations(),
+        }
     }
 
-    /// The flag string that re-runs exactly this point.
-    pub fn repro_spec(&self) -> String {
+    /// Fewer faults (halving keeps a prefix of the seeded plan), a shorter
+    /// fault span, less work, a lighter load, then the canonical FCFS
+    /// policy.
+    fn shrink_candidates(&self) -> Vec<GatewayFuzzPoint> {
+        let mut out = Vec::new();
+        if self.faults > 0 {
+            let mut c = *self;
+            c.faults /= 2;
+            out.push(c);
+        }
+        if self.horizon_secs > GATEWAY_MIN_HORIZON_SECS {
+            let mut c = *self;
+            c.horizon_secs = (c.horizon_secs / 2).max(GATEWAY_MIN_HORIZON_SECS);
+            out.push(c);
+        }
+        if self.count > 8 {
+            let mut c = *self;
+            c.count = (c.count / 2).max(8);
+            out.push(c);
+        }
+        if self.load > 1 {
+            let mut c = *self;
+            c.load /= 2;
+            out.push(c);
+        }
+        if self.policy != 0 {
+            let mut c = *self;
+            c.policy = 0;
+            out.push(c);
+        }
+        out
+    }
+
+    /// `--gateway --seed S --policy I --load N --count N --faults F
+    /// --horizon H [--offload] [--plant]`.
+    fn repro_spec(&self) -> String {
         let mut s = format!(
             "--gateway --seed {} --policy {} --load {} --count {} --faults {} --horizon {}",
             self.seed, self.policy, self.load, self.count, self.faults, self.horizon_secs
@@ -440,267 +635,6 @@ impl GatewayFuzzPoint {
         }
         s
     }
-}
-
-/// What one audited gateway point produced.
-#[derive(Debug, Clone)]
-pub struct GatewayFuzzOutcome {
-    /// The input that ran.
-    pub point: GatewayFuzzPoint,
-    /// Completed token streams.
-    pub streams: usize,
-    /// Tokens delivered (liveness witness).
-    pub tokens: u64,
-    /// Streams whose token count disagrees with the request's output
-    /// length, plus any admission-accounting mismatch (submitted requests
-    /// not accounted completed/aborted after the drain).
-    pub truncated: usize,
-    /// Every invariant violation the auditor recorded, in order.
-    pub violations: Vec<AuditViolation>,
-}
-
-impl GatewayFuzzOutcome {
-    /// Whether this point failed either gate (audit or stream integrity).
-    pub fn dirty(&self) -> bool {
-        !self.violations.is_empty() || self.truncated > 0
-    }
-}
-
-/// Runs one gateway point under full auditing, journalling into the
-/// ambient tracer.
-fn run_gateway_point(p: &GatewayFuzzPoint) -> GatewayFuzzOutcome {
-    use aqua_engines::vllm::PreemptionPolicy;
-    use aqua_sim::link::bytes::gib;
-    use aqua_workloads::tenants::tenant_trace;
-
-    let tracer = crate::trace::tracer();
-    let auditor = Auditor::with_tracer(tracer.clone());
-    let rate = 2.0 * p.load as f64;
-    let mix = tenant_trace(rate, p.count * p.load, p.seed);
-    let expected: std::collections::BTreeMap<u64, u64> = mix
-        .trace
-        .iter()
-        .map(|(_, r)| (r.id.0, r.output_tokens))
-        .collect();
-
-    let gateway_gpu = GpuId(0);
-    let span = SimTime::from_secs(p.horizon_secs);
-    let profile = RandomFaultProfile {
-        link_ports: vec![
-            PortId::NvlinkEgress(gateway_gpu),
-            PortId::NvlinkIngress(gateway_gpu),
-            PortId::NvlinkEgress(GpuId(1)),
-            PortId::NvlinkIngress(GpuId(1)),
-        ],
-        crash_gpus: vec![gateway_gpu],
-        // The gateway campaign keeps its historical fault universe (the
-        // coord_chaos experiment covers control-plane faults on the
-        // serving path), so its seeded plans stay digest-stable.
-        control_plane: false,
-        events: p.faults,
-        min_duration: SimDuration::from_secs(5),
-        max_duration: SimDuration::from_secs(30),
-    };
-    let mut plan = FaultPlan::randomized(p.seed, span, &profile);
-    if p.plant {
-        // The planted bug only fires on a crash, so force one into the
-        // arrival window where work is guaranteed in flight.
-        plan = plan.gpu_crash(gateway_gpu, SimTime::from_secs(5), SimTime::from_secs(10));
-    }
-    plan.emit(&tracer);
-    let plan = Arc::new(plan);
-
-    let geom = *zoo::codellama_34b().llm_geometry().unwrap();
-    let mut engine = GatewayEngine::new(
-        geom,
-        aqua_sim::gpu::GpuSpec::a100_80g(),
-        p.policy_kind(),
-        GatewayConfig {
-            kv_pool_bytes: gib(3),
-            preemption: if p.offload {
-                PreemptionPolicy::Swap
-            } else {
-                PreemptionPolicy::Recompute
-            },
-            max_outstanding_per_tenant: 8,
-            plant_skip_restore: p.plant,
-            ..GatewayConfig::default()
-        },
-    )
-    .with_tenants(mix.tenant_of.clone())
-    .with_tracer(tracer.clone(), format!("fuzz:gw:{}", p.policy_kind()))
-    .with_fault_plan(&plan, gateway_gpu)
-    .with_auditor(auditor.clone());
-    if p.offload {
-        let mut ctx = ServerCtx::two_gpu_traced(tracer).with_auditor(auditor.clone());
-        ctx = ctx.with_fault_plan(Arc::clone(&plan));
-        ctx.static_lease(GpuId(1), gib(30));
-        engine = engine.with_offloader(ctx.offloader(OffloadKind::Aqua, gateway_gpu));
-    }
-
-    let mut driver = Driver::new();
-    driver.set_auditor(auditor.clone());
-    for w in plan.windows() {
-        if let FaultKind::GpuCrash { gpu } = w.kind {
-            if gpu == gateway_gpu {
-                driver.crash_window(0, w.start, w.end);
-            }
-        }
-    }
-    driver.schedule_trace(0, mix.trace);
-    {
-        let mut engines: Vec<&mut dyn Engine> = vec![&mut engine];
-        driver.run(&mut engines, SimTime::from_secs(40_000));
-    }
-
-    // Stream integrity: every completed request streamed exactly its
-    // output length, and after the drain every submitted request is
-    // accounted completed or terminally crash-aborted.
-    let streams = engine.drain_streams();
-    let mut truncated = 0;
-    let mut tokens = 0u64;
-    for s in streams.streams() {
-        tokens += s.tokens.len() as u64;
-        if expected.get(&s.id).copied() != Some(s.tokens.len() as u64) {
-            truncated += 1;
-        }
-    }
-    let o = engine.outcomes();
-    let accounted = o.completed() + o.crash_aborted() + o.shed() + o.timed_out();
-    let drained = engine.queue_depth() == 0 && engine.running_count() == 0;
-    if o.completed() != streams.len() || accounted != expected.len() || !drained {
-        truncated += 1;
-    }
-
-    GatewayFuzzOutcome {
-        point: *p,
-        streams: streams.len(),
-        tokens,
-        truncated,
-        violations: auditor.violations(),
-    }
-}
-
-/// `run_gateway_point` under a throwaway digest journal.
-pub fn run_gateway_point_quiet(p: &GatewayFuzzPoint) -> GatewayFuzzOutcome {
-    crate::trace::with_tracer(Arc::new(JournalTracer::digest_only()), || {
-        run_gateway_point(p)
-    })
-}
-
-/// A completed gateway campaign, in point order.
-#[derive(Debug, Clone)]
-pub struct GatewayFuzzReport {
-    /// Outcome per point, index-aligned with the derivation order.
-    pub outcomes: Vec<GatewayFuzzOutcome>,
-    /// Combined determinism digest across all point journals.
-    pub combined_digest: u64,
-    /// Worker threads actually used.
-    pub jobs: usize,
-}
-
-impl GatewayFuzzReport {
-    /// Indices of points that failed either gate.
-    pub fn dirty(&self) -> Vec<usize> {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.dirty())
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-/// Runs a gateway campaign through the [`Sweep`] fan-out.
-pub fn run_gateway_fuzz(cfg: &FuzzConfig) -> GatewayFuzzReport {
-    let points: Vec<GatewayFuzzPoint> = (0..cfg.points)
-        .map(|i| {
-            let mut p = GatewayFuzzPoint::derive(cfg.base_seed, i as u64);
-            p.plant = cfg.plant;
-            p
-        })
-        .collect();
-    let result = Sweep::new().jobs(cfg.jobs).run(&points, run_gateway_point);
-    GatewayFuzzReport {
-        combined_digest: result.combined_digest(),
-        jobs: result.jobs,
-        outcomes: result.results(),
-    }
-}
-
-/// A finished gateway shrink: the minimal still-failing point.
-#[derive(Debug, Clone)]
-pub struct GatewayShrinkOutcome {
-    /// The smallest point found that still fails a gate.
-    pub minimal: GatewayFuzzPoint,
-    /// Points executed during the search.
-    pub candidates_run: usize,
-    /// The first audit violation of the minimal point, if the failure was
-    /// an audit trip (stream-integrity failures have no violation record).
-    pub violation: Option<AuditViolation>,
-}
-
-/// The gateway shrink moves, in preference order: fewer faults (halving
-/// keeps a prefix of the seeded plan), a shorter fault span, less work, a
-/// lighter load, then the canonical FCFS policy.
-fn gateway_shrink_candidates(p: &GatewayFuzzPoint) -> Vec<GatewayFuzzPoint> {
-    let mut out = Vec::new();
-    if p.faults > 0 {
-        let mut c = *p;
-        c.faults /= 2;
-        out.push(c);
-    }
-    if p.horizon_secs > GATEWAY_MIN_HORIZON_SECS {
-        let mut c = *p;
-        c.horizon_secs = (c.horizon_secs / 2).max(GATEWAY_MIN_HORIZON_SECS);
-        out.push(c);
-    }
-    if p.count > 8 {
-        let mut c = *p;
-        c.count = (c.count / 2).max(8);
-        out.push(c);
-    }
-    if p.load > 1 {
-        let mut c = *p;
-        c.load /= 2;
-        out.push(c);
-    }
-    if p.policy != 0 {
-        let mut c = *p;
-        c.policy = 0;
-        out.push(c);
-    }
-    out
-}
-
-/// Greedily minimises a failing gateway point. Returns `None` if the
-/// starting point does not fail when re-run.
-pub fn shrink_gateway(start: GatewayFuzzPoint) -> Option<GatewayShrinkOutcome> {
-    let mut best = run_gateway_point_quiet(&start);
-    let mut candidates_run = 1;
-    if !best.dirty() {
-        return None;
-    }
-    loop {
-        let mut improved = false;
-        for cand in gateway_shrink_candidates(&best.point) {
-            candidates_run += 1;
-            let out = run_gateway_point_quiet(&cand);
-            if out.dirty() {
-                best = out;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    Some(GatewayShrinkOutcome {
-        violation: best.violations.first().cloned(),
-        minimal: best.point,
-        candidates_run,
-    })
 }
 
 #[cfg(test)]
@@ -740,7 +674,7 @@ mod tests {
 
     #[test]
     fn seeded_point_runs_clean_and_makes_progress() {
-        let out = run_point_quiet(&FuzzPoint::derive(42, 0));
+        let out = run_quiet(&FuzzPoint::derive(42, 0));
         assert!(
             out.violations.is_empty(),
             "clean chaos point tripped the audit: {:?}",
@@ -761,7 +695,8 @@ mod tests {
             plant_fence: false,
         };
         let shrunk = shrink(start).expect("planted point must violate");
-        assert_eq!(shrunk.violation.kind(), "double_free");
+        let v = shrunk.violation.expect("failure must be an audit trip");
+        assert_eq!(v.kind(), "double_free");
         // The plant is independent of faults, horizon, work and topology,
         // so the shrinker must strip all of them to their floors.
         assert_eq!(shrunk.minimal.faults, 0);
@@ -771,7 +706,7 @@ mod tests {
         assert!(shrunk.minimal.plant);
         assert!(shrunk.candidates_run > 1);
         // And the minimal spec re-runs to the same violation.
-        let again = run_point_quiet(&shrunk.minimal);
+        let again = run_quiet(&shrunk.minimal);
         assert_eq!(again.violations[0].kind(), "double_free");
     }
 
@@ -790,8 +725,9 @@ mod tests {
         // The unfenced stale merge is recorded at the merge itself, and the
         // stale lease it leaves live in the rebuilt book is the split-brain
         // witness.
-        assert_eq!(shrunk.violation.kind(), "stale_epoch_accepted");
-        let again = run_point_quiet(&shrunk.minimal);
+        let v = shrunk.violation.expect("failure must be an audit trip");
+        assert_eq!(v.kind(), "stale_epoch_accepted");
+        let again = run_quiet(&shrunk.minimal);
         let kinds: Vec<&str> = again.violations.iter().map(|v| v.kind()).collect();
         assert!(
             kinds.contains(&"double_grant_across_epochs"),
@@ -846,7 +782,7 @@ mod tests {
         // Keep the unit test cheap; the CI smoke covers the full range.
         p.load = p.load.min(2);
         p.count = 16;
-        let out = run_gateway_point_quiet(&p);
+        let out = run_quiet(&p);
         assert!(
             out.violations.is_empty(),
             "clean gateway point tripped the audit: {:?}",
@@ -868,7 +804,7 @@ mod tests {
             offload: false,
             plant: true,
         };
-        let shrunk = shrink_gateway(start).expect("planted point must violate");
+        let shrunk = shrink(start).expect("planted point must violate");
         let v = shrunk.violation.expect("failure must be an audit trip");
         assert_eq!(v.kind(), "token_without_restore");
         // The plant forces its own crash window, so every other axis must
@@ -880,7 +816,7 @@ mod tests {
         assert_eq!(shrunk.minimal.policy, 0);
         assert!(shrunk.minimal.plant);
         // And the minimal spec re-runs to the same violation.
-        let again = run_gateway_point_quiet(&shrunk.minimal);
+        let again = run_quiet(&shrunk.minimal);
         assert_eq!(again.violations[0].kind(), "token_without_restore");
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! [`crate::sweep::Sweep`] parallelises *across* independent experiment
 //! points; this module parallelises *within* one large scenario. The
-//! scenario is cut into [`LaneShard`]s — per-server (or per-cell, or
-//! per-pair) simulations that exchange cross-shard events through the
-//! conservative [`Mailbox`] protocol described in
+//! scenario is cut into [`LaneShard`]s — per-server simulations that
+//! exchange cross-shard events through the conservative [`Mailbox`]
+//! protocol described in
 //! [`aqua_sim::pdes`]. Shard `i` always runs on lane `i % lanes`, every
 //! shard journals into its own digest-only tracer, and per-shard digests
 //! fold **in shard index order** — so the combined digest, like `Sweep`'s,
@@ -15,9 +15,8 @@
 //! The executor advances all shards in barrier-synchronised windows:
 //!
 //! 1. `S_min` = min over shard send horizons and undelivered messages.
-//! 2. If `S_min` is unbounded, shards are decoupled → each runs to
-//!    completion (the common case for embarrassingly parallel scenarios
-//!    like the e2e pairs and serve-chaos cells).
+//! 2. If `S_min` is unbounded, no shard can send again → each runs to
+//!    completion in one final window.
 //! 3. Otherwise every shard advances to `H = S_min + lookahead`
 //!    (exclusive), messages produced inside the window are checked against
 //!    the lookahead contract (`deliver_at ≥ H`), and deliveries for the
@@ -113,7 +112,7 @@ pub struct LaneOutcome<O> {
     pub events: usize,
     /// Total simulator events processed across shards.
     pub sim_events: u64,
-    /// Barrier windows the run took (1 for fully decoupled shards).
+    /// Barrier windows the run took, the final unbounded one included.
     pub windows: u64,
     /// Cross-shard messages exchanged.
     pub messages: u64,
@@ -130,13 +129,6 @@ pub struct LaneOutcome<O> {
     /// the window barriers, after its own shards were done. Zero at one
     /// lane; wall-clock only, like [`LaneOutcome::busy`].
     pub wait: Duration,
-}
-
-impl<O> LaneOutcome<O> {
-    /// Consumes the outcome, returning shard outputs in shard order.
-    pub fn outputs(self) -> Vec<O> {
-        self.shards.into_iter().map(|s| s.output).collect()
-    }
 }
 
 enum Cmd<P> {
@@ -395,7 +387,7 @@ pub fn run_lanes<S: LaneShard>(
                             msg.deliver_at,
                         ),
                         None => panic!(
-                            "shard {} sent during the final decoupled window",
+                            "shard {} sent during the final unbounded window",
                             msg.src
                         ),
                     }
@@ -459,103 +451,11 @@ pub fn run_lanes<S: LaneShard>(
     }
 }
 
-/// A shard with no cross-shard traffic: one closure, run to completion on
-/// its lane. [`run_decoupled`] wraps a list of these so embarrassingly
-/// parallel scenarios (the e2e pairs, the serve-chaos cells) ride the same
-/// executor — and the same digest rule — as fully coupled ones.
-struct TaskShard<O> {
-    task: Option<Box<dyn FnOnce() -> ShardFinish<O> + Send>>,
-    done: Option<ShardFinish<O>>,
-}
-
-impl<O: Send> LaneShard for TaskShard<O> {
-    type Payload = ();
-    type Out = O;
-
-    fn next_send_horizon(&self) -> Option<SimTime> {
-        None
-    }
-
-    fn advance(&mut self, until: Option<SimTime>, inbox: Vec<Msg<()>>) -> Vec<Msg<()>> {
-        debug_assert!(inbox.is_empty(), "decoupled shards receive nothing");
-        if until.is_none() {
-            let task = self.task.take().expect("advanced to completion once");
-            self.done = Some(task());
-        }
-        Vec::new()
-    }
-
-    fn finish(self) -> ShardFinish<O> {
-        self.done.expect("executor always issues the final window")
-    }
-}
-
-/// Runs independent tasks as decoupled shards: task `i` on lane
-/// `i % lanes`, each under its own journal, digests folded in task order.
-pub fn run_decoupled<O: Send + 'static>(
-    tasks: Vec<Box<dyn FnOnce() -> ShardFinish<O> + Send>>,
-    lanes: usize,
-) -> LaneOutcome<O> {
-    let builders: Vec<ShardBuilder<TaskShard<O>>> = tasks
-        .into_iter()
-        .map(|task| {
-            let b: Box<dyn FnOnce() -> TaskShard<O> + Send> = Box::new(move || TaskShard {
-                task: Some(task),
-                done: None,
-            });
-            b
-        })
-        .collect();
-    // Lookahead is irrelevant without cross-shard traffic; any nonzero
-    // value satisfies the window rule.
-    run_lanes(builders, lanes, SimDuration::from_nanos(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aqua_telemetry::TraceEvent;
     use std::thread::ThreadId;
-
-    fn emit_task(i: u64) -> Box<dyn FnOnce() -> ShardFinish<u64> + Send> {
-        Box::new(move || {
-            let tracer = crate::trace::tracer();
-            for k in 0..=i {
-                tracer.emit(TraceEvent::ReclaimRequested {
-                    producer: format!("s{i}/gpu{k}"),
-                    at: SimTime::from_nanos(i),
-                });
-            }
-            ShardFinish {
-                output: i * 10,
-                sim_events: i + 1,
-            }
-        })
-    }
-
-    #[test]
-    fn decoupled_tasks_keep_input_order_and_digests_across_lane_counts() {
-        let run = |lanes| run_decoupled((0..9).map(emit_task).collect(), lanes);
-        let one = run(1);
-        let four = run(4);
-        let eight = run(8);
-        assert_eq!(one.digest, four.digest);
-        assert_eq!(one.digest, eight.digest);
-        assert_eq!(one.events, eight.events);
-        assert_eq!(one.events, (1..=9).sum::<usize>());
-        assert_eq!(one.sim_events, eight.sim_events);
-        assert_eq!(one.windows, 1, "decoupled shards take a single window");
-        assert_eq!(one.messages, 0);
-        assert_eq!(four.lanes, 4);
-        assert_eq!(one.outputs(), (0..9).map(|i| i * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn lane_count_clamps_to_shard_count() {
-        let out = run_decoupled((0..2).map(emit_task).collect(), 16);
-        assert_eq!(out.lanes, 2);
-        assert_eq!(out.outputs(), vec![0, 10]);
-    }
 
     /// Records the thread that builds, advances and finishes it, and
     /// panics in `advance` when told to.
@@ -587,6 +487,10 @@ mod tests {
         }
     }
 
+    fn outputs<O>(out: LaneOutcome<O>) -> Vec<O> {
+        out.shards.into_iter().map(|s| s.output).collect()
+    }
+
     fn thread_shards(count: usize, panicking: Option<usize>) -> Vec<ShardBuilder<ThreadShard>> {
         (0..count)
             .map(|i| -> ShardBuilder<ThreadShard> {
@@ -604,8 +508,9 @@ mod tests {
         let out = run_lanes(thread_shards(3, None), 1, SimDuration::from_nanos(1));
         assert_eq!((out.lanes, out.busy.len()), (1, 1));
         assert_eq!(out.wait, Duration::ZERO, "no worker to wait for");
-        for seen in out.outputs() {
-            // Built, advanced in the one decoupled window, and finished.
+        assert_eq!(out.windows, 1, "shards that never send take one window");
+        for seen in outputs(out) {
+            // Built, advanced in the one unbounded window, and finished.
             assert_eq!(seen, vec![caller; 3]);
         }
     }
@@ -615,7 +520,7 @@ mod tests {
         let caller = std::thread::current().id();
         let out = run_lanes(thread_shards(4, None), 2, SimDuration::from_nanos(1));
         assert_eq!(out.busy.len(), 2);
-        let outs = out.outputs();
+        let outs = outputs(out);
         for (i, seen) in outs.iter().enumerate() {
             assert!(
                 seen.iter().all(|t| *t == seen[0]),
@@ -740,11 +645,16 @@ mod tests {
         let run = |lanes| run_lanes(ping_builders(5, lookahead), lanes, lookahead);
         let one = run(1);
         let two = run(2);
-        assert_eq!(one.digest, two.digest);
+        let eight = run(8);
+        assert_eq!(eight.lanes, 2, "lane count clamps to the shard count");
+        for other in [&two, &eight] {
+            assert_eq!(one.digest, other.digest);
+            assert_eq!(one.events, other.events);
+            assert_eq!(one.messages, other.messages);
+            assert_eq!(one.windows, other.windows);
+        }
         assert_eq!(one.messages, 10, "5 pings + 5 pongs");
-        assert_eq!(one.messages, two.messages);
-        assert_eq!(one.windows, two.windows);
-        let outs = one.outputs();
+        let outs = outputs(one);
         // Shard 1 saw every ping; shard 0 saw every echoed pong.
         assert_eq!(outs[1].len(), 5);
         assert_eq!(outs[0].len(), 5);

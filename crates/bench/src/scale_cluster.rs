@@ -45,7 +45,7 @@ use aqua_workloads::tenants::tenant_trace;
 use std::time::Duration;
 
 /// GPUs per simulated server (the paper's 8-GPU NVSwitch testbed).
-pub const GPUS_PER_SERVER: usize = 8;
+const GPUS_PER_SERVER: usize = 8;
 
 /// Sim-time heartbeat period, seconds.
 pub const HEARTBEAT_PERIOD_SECS: u64 = 60;
@@ -53,12 +53,12 @@ pub const HEARTBEAT_PERIOD_SECS: u64 = 60;
 /// Relative weight of one request in the events-proportional sweep cost
 /// hints ([`ScaleSpec::expected_events`]). It is a weight, not a count of
 /// driver events, and sizes no queue: the driver queues arrivals only.
-pub const EVENTS_PER_REQUEST: u64 = 8;
+const EVENTS_PER_REQUEST: u64 = 8;
 
 /// One scale-cluster configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ScaleSpec {
-    /// Simulated servers (each [`GPUS_PER_SERVER`] GPUs).
+    /// Simulated servers (each `GPUS_PER_SERVER` GPUs).
     pub servers: usize,
     /// Tenant-trace requests per server.
     pub requests_per_server: usize,

@@ -51,10 +51,10 @@ pub const CHAT_SLO_TTFT_S: f64 = 30.0;
 
 /// Load multipliers applied to the base rate *and* request count, so every
 /// load level spans the same arrival window at a different intensity.
-pub const LOAD_MULTIPLIERS: [usize; 3] = [1, 2, 4];
+const LOAD_MULTIPLIERS: [usize; 3] = [1, 2, 4];
 
 /// The crash window replayed by the recovery cells, seconds.
-pub const CRASH_WINDOW_SECS: (u64, u64) = (12, 17);
+const CRASH_WINDOW_SECS: (u64, u64) = (12, 17);
 
 /// Experiment parameters shared by every cell.
 #[derive(Debug, Clone, Copy)]
@@ -324,8 +324,8 @@ pub fn run_cell_traced(
 }
 
 /// Every cell of the study, in suite order: goodput cells (load × mode)
-/// followed by the two crash-restore cells. This is the shard order of
-/// [`run_sharded`] and the point order of [`repro_points`].
+/// followed by the two crash-restore cells. This is the point order of
+/// [`repro_points`].
 fn suite_cells() -> Vec<CellSpec> {
     let mut cells = Vec::new();
     for &load in &LOAD_MULTIPLIERS {
@@ -337,9 +337,8 @@ fn suite_cells() -> Vec<CellSpec> {
     cells
 }
 
-/// Renders one cell exactly the way its `aqua-repro` suite point does, so
-/// the sharded path and the sweep path emit byte-identical output.
-pub fn render_cell(run: &ChaosRun) -> String {
+/// Renders one cell as its `aqua-repro` suite point prints it.
+fn render_cell(run: &ChaosRun) -> String {
     let spec = run.spec;
     if spec.crash.is_some() {
         format!(
@@ -358,52 +357,6 @@ pub fn render_cell(run: &ChaosRun) -> String {
             )
         )
     }
-}
-
-/// Runs every suite cell with each cell as its own PDES shard.
-///
-/// Cells never share simulator state, so they execute as decoupled shards —
-/// cell `i` on lane `i % lanes`, journalling into its own digest-only
-/// tracer — and their rendered tables are concatenated in `suite_cells`
-/// order. Output and the folded digest are identical at every lane count.
-/// With `audited`, the crash cells run under a collecting [`Auditor`] and
-/// panic the shard on any invariant violation.
-///
-/// [`Auditor`]: aqua_sim::audit::Auditor
-pub fn run_sharded(
-    count: usize,
-    seed: u64,
-    lanes: usize,
-    audited: bool,
-) -> (String, crate::lanes::LaneOutcome<String>) {
-    use crate::lanes::{run_decoupled, ShardFinish};
-    use aqua_sim::audit::Auditor;
-    let tasks: Vec<Box<dyn FnOnce() -> ShardFinish<String> + Send>> = suite_cells()
-        .into_iter()
-        .map(|spec| {
-            let task: Box<dyn FnOnce() -> ShardFinish<String> + Send> = Box::new(move || {
-                let cfg = ChaosExperiment::standard(count, seed);
-                let auditor = (audited && spec.crash.is_some()).then(Auditor::collecting);
-                let run = run_cell_traced(&cfg, spec, crate::trace::tracer(), auditor.clone());
-                if let Some(a) = auditor {
-                    assert!(
-                        a.is_clean(),
-                        "audited chaos shard `{}` tripped: {:?}",
-                        spec.mode(),
-                        a.violations()
-                    );
-                }
-                ShardFinish {
-                    sim_events: run.sim_events,
-                    output: render_cell(&run),
-                }
-            });
-            task
-        })
-        .collect();
-    let outcome = run_decoupled(tasks, lanes);
-    let output: String = outcome.shards.iter().map(|s| s.output.as_str()).collect();
-    (output, outcome)
 }
 
 /// Renders goodput cells as the overload table.
@@ -466,8 +419,7 @@ fn recovery_table(runs: &[ChaosRun], title: &str) -> Table {
 }
 
 /// The `aqua-repro` decomposition: one point per goodput cell (mode × load)
-/// plus one per crash-restore cell, rendered through the same
-/// [`render_cell`] the sharded path uses.
+/// plus one per crash-restore cell, rendered through `render_cell`.
 pub fn repro_points(a: &crate::runner::ReproArgs) -> Vec<crate::runner::ReproPoint> {
     use crate::runner::ReproPoint;
     // The suite default of 200 chat requests would make the 4× cell the

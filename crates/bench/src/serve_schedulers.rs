@@ -73,7 +73,7 @@ impl ServeExperiment {
 }
 
 /// The request rates the serve table reports (chat req/s).
-pub const LOAD_RATES: [f64; 2] = [1.0, 3.0];
+const LOAD_RATES: [f64; 2] = [1.0, 3.0];
 
 /// One `(policy, offload)` cell of the study.
 #[derive(Debug)]

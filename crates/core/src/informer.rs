@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Minimum donation worth registering (avoids churning tiny leases).
-pub const MIN_DONATION_BYTES: u64 = 512 * 1024 * 1024;
+const MIN_DONATION_BYTES: u64 = 512 * 1024 * 1024;
 
 /// Donates a producer's measured free memory after each batch.
 ///

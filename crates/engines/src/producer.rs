@@ -45,7 +45,7 @@ impl ProducerModel {
 
 /// Fractional slowdown applied to producer iterations while its donated
 /// memory is in use (Figure 3b measures this effect at < 5%).
-pub const SHARING_SLOWDOWN: f64 = 0.03;
+const SHARING_SLOWDOWN: f64 = 0.03;
 
 /// Batch-serving engine for compute-bound models.
 ///

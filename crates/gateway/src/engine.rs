@@ -50,7 +50,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// KV pool a donating engine always retains: the paper's producer LLM
 /// keeps 5 GB "to stay responsive".
-pub const DONATION_FLOOR_BYTES: u64 = gib(5);
+const DONATION_FLOOR_BYTES: u64 = gib(5);
 
 /// The gauges a traced gateway journals each step, by position in
 /// [`GAUGES`].

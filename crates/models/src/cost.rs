@@ -19,17 +19,17 @@ use aqua_sim::time::SimDuration;
 
 /// Fixed per-iteration overhead of an LLM serving engine (scheduling,
 /// sampling, kernel launches).
-pub const LLM_ITER_OVERHEAD: SimDuration = SimDuration::from_millis(3);
+const LLM_ITER_OVERHEAD: SimDuration = SimDuration::from_millis(3);
 
 /// Fixed per-denoising-step overhead of a diffusion pipeline.
-pub const DIFFUSION_STEP_OVERHEAD: SimDuration = SimDuration::from_millis(10);
+const DIFFUSION_STEP_OVERHEAD: SimDuration = SimDuration::from_millis(10);
 
 /// Fixed per-token overhead of an autoregressive audio pipeline.
-pub const AUDIO_TOKEN_OVERHEAD: SimDuration = SimDuration::from_millis(1);
+const AUDIO_TOKEN_OVERHEAD: SimDuration = SimDuration::from_millis(1);
 
 /// Framework baseline HBM consumption besides weights (CUDA context,
 /// cuBLAS workspaces, allocator fragmentation).
-pub const FRAMEWORK_BASE_BYTES: u64 = 4 * 1024 * 1024 * 1024;
+const FRAMEWORK_BASE_BYTES: u64 = 4 * 1024 * 1024 * 1024;
 
 /// Time for one LLM prefill pass over `new_tokens` prompt tokens
 /// (compute-bound, but never faster than one weight sweep).
@@ -148,7 +148,7 @@ pub fn audio_used_bytes(geom: &AudioGeometry, batch: u64) -> u64 {
 
 /// Fraction of the maximum achievable throughput that counts as "on the
 /// plateau" when picking an operating batch size.
-pub const PLATEAU_THRESHOLD: f64 = 0.95;
+const PLATEAU_THRESHOLD: f64 = 0.95;
 
 /// The operating batch size on the throughput plateau, its throughput, and
 /// the free bytes at that batch — the point marked in Figure 2.
@@ -156,7 +156,7 @@ pub const PLATEAU_THRESHOLD: f64 = 0.95;
 /// The paper observes that "increasing the batch-size beyond a point results
 /// in diminishing increase in throughput. So, a smaller batch size anywhere
 /// on the plateau will lead to a higher free memory." Accordingly this picks
-/// the *smallest* batch achieving at least [`PLATEAU_THRESHOLD`] of the best
+/// the *smallest* batch achieving at least `PLATEAU_THRESHOLD` of the best
 /// memory-feasible throughput, rather than the largest feasible batch.
 pub fn peak_batch_under_memory<F, M>(
     capacity: u64,

@@ -162,9 +162,9 @@ impl BandwidthModel {
 }
 
 /// One kibibyte in bytes, as `f64` for bandwidth math.
-pub const KIB: f64 = 1024.0;
+const KIB: f64 = 1024.0;
 /// One mebibyte in bytes, as `f64` for bandwidth math.
-pub const MIB: f64 = 1024.0 * 1024.0;
+const MIB: f64 = 1024.0 * 1024.0;
 /// One gibibyte in bytes, as `f64` for bandwidth math.
 pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 

@@ -171,7 +171,7 @@ pub struct TransferEngine {
 
 /// Tolerance used by the oversubscription `debug_assert` in
 /// [`TransferEngine::port_utilization`].
-pub const UTILIZATION_EPS: f64 = 1e-9;
+const UTILIZATION_EPS: f64 = 1e-9;
 
 /// All per-port state in one slot: the scheduling horizon, cumulative
 /// counters, and the lazily-rendered trace labels (so the traced path

@@ -48,7 +48,7 @@ fn no_consumer_progress_is_lost_through_the_crash() {
     let tl = ChaosTimeline::short();
     let journal = Arc::new(JournalTracer::new());
     let sample_secs = 5u64;
-    let r = run_traced(&tl, sample_secs, journal.clone());
+    let r = run_traced(&tl, sample_secs, journal.clone(), None);
     assert!(r.consumer_tokens > 0);
     // The in-flight long-prompt job survives the crash: tokens keep being
     // generated after the lease expiry and DRAM re-materialisation.

@@ -92,7 +92,7 @@ fn traced_chaos_digest(tl: &aqua_bench::chaos_degradation::ChaosTimeline) -> (u6
     use std::sync::Arc;
 
     let journal = Arc::new(JournalTracer::new());
-    let _ = aqua_bench::chaos_degradation::run_traced(tl, 5, journal.clone());
+    let _ = aqua_bench::chaos_degradation::run_traced(tl, 5, journal.clone(), None);
     (journal.digest(), journal.len())
 }
 
@@ -165,7 +165,8 @@ fn sweep_is_schedule_independent_across_job_counts() {
 #[test]
 fn suite_runner_is_byte_identical_across_job_counts() {
     // Same property one layer up: the stitched `aqua-repro` output for the
-    // simulation-heavy experiments, through the real experiment → point
+    // simulation-heavy experiments and the §6.1 cluster (placement plus
+    // every consumer pair), through the real experiment → point
     // decomposition, at 1/4/8 jobs.
     use aqua_bench::runner::{run_suite, ReproArgs};
     let a = ReproArgs {
@@ -174,7 +175,7 @@ fn suite_runner_is_byte_identical_across_job_counts() {
         count: 30,
         lanes: 1,
     };
-    let names = ["fig09", "fig12"];
+    let names = ["fig09", "fig12", "e2e"];
     let seq = run_suite(&names, &a, 1, true, false).unwrap();
     for jobs in [4usize, 8] {
         let par = run_suite(&names, &a, jobs, true, false).unwrap();
@@ -183,6 +184,7 @@ fn suite_runner_is_byte_identical_across_job_counts() {
         assert_eq!(seq.total_events, par.total_events);
     }
     assert!(seq.output.contains("Figure 9 at 2 req/s"));
+    assert!(seq.output.contains("per-consumer results"));
 }
 
 #[test]
@@ -263,88 +265,95 @@ fn coord_chaos_experiment_is_byte_identical_across_job_counts() {
 #[test]
 fn audited_coordinator_crash_run_is_digest_identical_to_unaudited() {
     // "Silent when clean" through a control-plane failure: attaching the
-    // auditor to the coord-chaos crash cell — epoch bump, fenced
-    // rejections, informer resync and lease re-homing included — must
-    // journal the exact same event stream and digest as the unaudited
-    // cell.
-    use aqua_bench::coord_chaos::{run_cell_traced, CoordCell, CoordChaosConfig};
+    // auditor to a faulted coord-chaos cell — the crash (epoch bump,
+    // fenced rejections, informer resync, lease re-homing) and the
+    // partition (lapsed heartbeats, TTL expiry, same-epoch resync after
+    // the heal) — must journal the exact same event stream and digest as
+    // the unaudited cell, and render the same table.
+    use aqua_bench::coord_chaos::{render_cell, run_cell_traced, CoordCell, CoordChaosConfig};
     use aqua_sim::audit::Auditor;
     use aqua_telemetry::JournalTracer;
     use std::sync::Arc;
 
     let cfg = CoordChaosConfig::standard(80, 3);
-    let plain = Arc::new(JournalTracer::new());
-    let audited = Arc::new(JournalTracer::new());
-    let auditor = Auditor::with_tracer(audited.clone());
-    let ra = run_cell_traced(&cfg, CoordCell::Crash, plain.clone(), None);
-    let rb = run_cell_traced(
-        &cfg,
-        CoordCell::Crash,
-        audited.clone(),
-        Some(auditor.clone()),
-    );
-    assert!(
-        auditor.is_clean(),
-        "coordinator crash cell tripped the audit: {:?}",
-        auditor.violations()
-    );
-    assert_eq!(ra.epoch, 2, "the crash must have bumped the epoch");
-    assert_eq!(ra.streams.len(), rb.streams.len());
-    assert_eq!(
-        plain.len(),
-        audited.len(),
-        "audit hooks added/dropped events"
-    );
-    assert_eq!(
-        plain.digest(),
-        audited.digest(),
-        "audit hooks perturbed the journal"
-    );
-    assert!(
-        !plain.is_empty(),
-        "coordinator crash cell journaled nothing"
-    );
+    for (cell, epoch) in [(CoordCell::Crash, 2), (CoordCell::Partition, 1)] {
+        let label = cell.label();
+        let plain = Arc::new(JournalTracer::new());
+        let audited = Arc::new(JournalTracer::new());
+        let auditor = Auditor::with_tracer(audited.clone());
+        let ra = run_cell_traced(&cfg, cell, plain.clone(), None);
+        let rb = run_cell_traced(&cfg, cell, audited.clone(), Some(auditor.clone()));
+        assert!(
+            auditor.is_clean(),
+            "coordinator {label} cell tripped the audit: {:?}",
+            auditor.violations()
+        );
+        assert_eq!(ra.epoch, epoch, "{label}: only a crash bumps the epoch");
+        assert_eq!(ra.streams.len(), rb.streams.len());
+        assert_eq!(render_cell(&ra), render_cell(&rb), "{label}: tables differ");
+        assert_eq!(
+            plain.len(),
+            audited.len(),
+            "{label}: audit hooks added/dropped events"
+        );
+        assert_eq!(
+            plain.digest(),
+            audited.digest(),
+            "{label}: audit hooks perturbed the journal"
+        );
+        assert!(
+            !plain.is_empty(),
+            "coordinator {label} cell journaled nothing"
+        );
+    }
 }
 
 #[test]
 fn audited_gateway_chaos_run_is_digest_identical_to_unaudited() {
     // The "silent when clean" property extended to the serving path:
     // attaching the crash-restore auditor to a gateway cell that replays a
-    // mid-run GpuCrash — retries, swap restores and all — must journal the
-    // exact same event stream and digest as the unaudited cell.
+    // mid-run GpuCrash — retries and restores by swap and by recompute —
+    // must journal the exact same event stream and digest as the unaudited
+    // cell.
     use aqua_bench::serve_chaos::{run_cell_traced, CellSpec, ChaosExperiment};
     use aqua_sim::audit::Auditor;
     use aqua_telemetry::JournalTracer;
     use std::sync::Arc;
 
     let cfg = ChaosExperiment::standard(24, 3);
-    let spec = CellSpec::crashed(true);
-    let plain = Arc::new(JournalTracer::new());
-    let audited = Arc::new(JournalTracer::new());
-    let auditor = Auditor::with_tracer(audited.clone());
-    let ra = run_cell_traced(&cfg, spec, plain.clone(), None);
-    let rb = run_cell_traced(&cfg, spec, audited.clone(), Some(auditor.clone()));
-    assert!(
-        auditor.is_clean(),
-        "gateway chaos cell tripped the audit: {:?}",
-        auditor.violations()
-    );
-    assert!(
-        ra.retries + rb.retries > 0,
-        "the crash window must have forced retries"
-    );
-    assert_eq!(ra.streams.len(), rb.streams.len());
-    assert_eq!(
-        plain.len(),
-        audited.len(),
-        "audit hooks added/dropped events"
-    );
-    assert_eq!(
-        plain.digest(),
-        audited.digest(),
-        "audit hooks perturbed the journal"
-    );
-    assert!(!plain.is_empty(), "gateway chaos cell journaled nothing");
+    for swap in [true, false] {
+        let spec = CellSpec::crashed(swap);
+        let restore = spec.restore();
+        let plain = Arc::new(JournalTracer::new());
+        let audited = Arc::new(JournalTracer::new());
+        let auditor = Auditor::with_tracer(audited.clone());
+        let ra = run_cell_traced(&cfg, spec, plain.clone(), None);
+        let rb = run_cell_traced(&cfg, spec, audited.clone(), Some(auditor.clone()));
+        assert!(
+            auditor.is_clean(),
+            "gateway chaos `{restore}` cell tripped the audit: {:?}",
+            auditor.violations()
+        );
+        assert!(
+            ra.retries + rb.retries > 0,
+            "`{restore}`: the crash window must have forced retries"
+        );
+        assert_eq!(ra.streams.len(), rb.streams.len());
+        assert_eq!(
+            plain.len(),
+            audited.len(),
+            "`{restore}`: audit hooks added/dropped events"
+        );
+        assert_eq!(
+            plain.digest(),
+            audited.digest(),
+            "`{restore}`: audit hooks perturbed the journal"
+        );
+        assert!(
+            !plain.is_empty(),
+            "gateway chaos `{restore}` cell journaled nothing"
+        );
+    }
 }
 
 #[test]
@@ -364,7 +373,7 @@ fn audited_chaos_run_is_digest_identical_to_unaudited() {
     // run that trips no invariant must journal the exact same event stream
     // — and digest — as the unaudited run. Audited runs therefore remain
     // comparable against any digest on file.
-    use aqua_bench::chaos_degradation::{run_traced, run_traced_audited, ChaosTimeline};
+    use aqua_bench::chaos_degradation::{run_traced, ChaosTimeline};
     use aqua_sim::audit::Auditor;
     use aqua_telemetry::JournalTracer;
     use std::sync::Arc;
@@ -373,8 +382,8 @@ fn audited_chaos_run_is_digest_identical_to_unaudited() {
     let plain = Arc::new(JournalTracer::new());
     let audited = Arc::new(JournalTracer::new());
     let auditor = Auditor::with_tracer(audited.clone());
-    let ra = run_traced(&tl, 5, plain.clone());
-    let rb = run_traced_audited(&tl, 5, audited.clone(), Some(auditor.clone()));
+    let ra = run_traced(&tl, 5, plain.clone(), None);
+    let rb = run_traced(&tl, 5, audited.clone(), Some(auditor.clone()));
     assert!(
         auditor.is_clean(),
         "chaos run tripped the audit: {:?}",
@@ -400,7 +409,7 @@ aqua_sim::check! {
     /// randomized plans produces identical per-point digests at --jobs 1/4/8.
     #[test]
     fn fault_plan_generation_is_job_count_independent(base_seed in 0u64..u64::MAX) {
-        use aqua_bench::fuzz::FuzzPoint;
+        use aqua_bench::fuzz::{FuzzInput, FuzzPoint};
         use aqua_bench::sweep::Sweep;
         use aqua_sim::fault::{FaultPlan, RandomFaultProfile};
         use aqua_sim::gpu::GpuId;

@@ -1,62 +1,12 @@
-//! PDES lane-executor determinism: a sharded scenario must render the same
-//! bytes and fold the same telemetry digests at every lane count. The
+//! PDES lane-executor determinism: the scale cluster, cut into per-server
+//! shards, must render the same bytes and fold the same telemetry digests
+//! at every lane count. The
 //! executor's conservative null-message windows make the window sequence a
 //! function of the scenario alone, so these tests compare full runs at
 //! `--lanes 1/2/4/8` in-run — no pinned digests, just mutual identity.
 //! Lanes 2 is the calling thread plus one worker.
 
-use aqua_bench::{e2e_cluster, scale_cluster, serve_chaos};
-
-#[test]
-fn e2e_sharded_is_byte_identical_across_lane_counts() {
-    // §6.1 with every consumer pair as its own decoupled shard: the
-    // assembled placement + outcome tables and the folded shard digest must
-    // be identical whether the pairs run on 1, 2, 4 or 8 lanes.
-    let runs: Vec<_> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&lanes| e2e_cluster::run_sharded(e2e_cluster::Split::LlmHeavy, 30, 3, lanes))
-        .collect();
-    let (base_result, base) = &runs[0];
-    let (bp, bo) = e2e_cluster::tables(base_result);
-    let base_render = format!("{bp}\n{bo}");
-    assert!(base.sim_events > 0, "shards must process simulator events");
-    assert!(base.events > 0, "shards must journal trace events");
-    for (result, outcome) in &runs[1..] {
-        let (p, o) = e2e_cluster::tables(result);
-        assert_eq!(
-            format!("{p}\n{o}"),
-            base_render,
-            "rendered tables must be lane-count independent"
-        );
-        assert_eq!(outcome.digest, base.digest, "folded digests must match");
-        assert_eq!(outcome.events, base.events);
-        assert_eq!(outcome.sim_events, base.sim_events);
-        assert_eq!(outcome.windows, base.windows);
-    }
-}
-
-#[test]
-fn serve_chaos_sharded_is_byte_identical_across_lane_counts() {
-    // Every overload/crash cell as its own shard, crash cells audited: the
-    // concatenated cell tables and folded digest are lane-count independent,
-    // and the auditor stays silent on every lane count.
-    let runs: Vec<_> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&lanes| serve_chaos::run_sharded(16, 3, lanes, true))
-        .collect();
-    let (base_output, base) = &runs[0];
-    assert!(base.sim_events > 0, "chaos shards must process events");
-    assert!(
-        base_output.contains("crash recovery"),
-        "suite must include the crash cells"
-    );
-    for (output, outcome) in &runs[1..] {
-        assert_eq!(output, base_output, "cell tables must be identical");
-        assert_eq!(outcome.digest, base.digest, "folded digests must match");
-        assert_eq!(outcome.events, base.events);
-        assert_eq!(outcome.sim_events, base.sim_events);
-    }
-}
+use aqua_bench::scale_cluster;
 
 #[test]
 fn scale_cluster_is_byte_identical_across_lane_counts() {
