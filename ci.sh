@@ -167,6 +167,37 @@ if [ -n "$surface_offenders" ]; then
   exit 1
 fi
 echo "every pub fn, const and static is named outside its own file"
+# Dependency guard: an aqua-* crate under a manifest's [dependencies] must be
+# named (as aqua_*) on a non-comment line of that crate's src/, and every
+# [dev-dependencies] entry somewhere in the crate (tests, examples or a
+# doctest), so an edge nothing uses fails here instead of lingering in the
+# build graph.
+dep_offenders=$(
+  for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    crate_dirs=("$dir")
+    [ "$dir" = . ] && crate_dirs=(src tests examples)
+    for section in dependencies dev-dependencies; do
+      awk -v s="[$section]" '/^\[/ { on = ($0 == s) } on && /^[a-z]/ { sub(/[ .=].*/, ""); print }' "$manifest" |
+        while read -r dep; do
+          name=${dep//-/_}
+          if [ "$section" = dependencies ]; then
+            [[ $dep == aqua-* ]] || continue
+            uses=$(grep -rhw --include='*.rs' -- "$name" "$dir/src" | grep -vP '^\s*//' || true)
+          else
+            uses=$(grep -rlw --include='*.rs' -- "$name" "${crate_dirs[@]}" || true)
+          fi
+          [ -n "$uses" ] || echo "  $manifest [$section]: $dep"
+        done
+    done
+  done
+)
+if [ -n "$dep_offenders" ]; then
+  echo "FAIL: dependencies the crate never names:" >&2
+  echo "$dep_offenders" >&2
+  exit 1
+fi
+echo "every aqua-* dependency is named in its crate's code"
 cargo fmt --all --check
 cargo clippy --workspace --all-targets --offline -- -D warnings -D clippy::iter_over_hash_type
 # API docs with warnings denied: an intra-doc link to a deleted or private

@@ -18,7 +18,7 @@
 //! `benchmark/` crate.
 
 use aqua_bench::fuzz::{self, FuzzConfig, FuzzInput, FuzzPoint, GatewayFuzzPoint};
-use aqua_bench::runner::{run_suite, ReproArgs, EXPERIMENTS};
+use aqua_bench::runner::{run_suite, ReproArgs, SuiteOutcome, EXPERIMENTS};
 use aqua_bench::trace;
 use std::process::ExitCode;
 
@@ -331,7 +331,7 @@ fn parse_scale_flags(rest: &[String]) -> Result<ScaleFlags, String> {
                         f.servers = value.parse().map_err(|e| format!("--servers: {e}"))?
                     }
                     "--rps" => f.rps = value.parse().map_err(|e| format!("--rps: {e}"))?,
-                    "--rate" => f.rate = value.parse().map_err(|e| format!("--rate: {e}"))?,
+                    "--rate" => f.rate = parse_rate(value)?,
                     "--lanes" => f.lanes = value.parse().map_err(|e| format!("--lanes: {e}"))?,
                     "--seed" => f.seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
                     other => return Err(format!("unknown scale flag {other}")),
@@ -343,6 +343,16 @@ fn parse_scale_flags(rest: &[String]) -> Result<ScaleFlags, String> {
     f.rps = f.rps.max(1);
     f.lanes = f.lanes.max(1);
     Ok(f)
+}
+
+/// A per-server arrival rate: a finite positive number of requests per
+/// second (the trace generator cannot space arrivals at any other rate).
+fn parse_rate(value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(rate) if rate.is_finite() && rate > 0.0 => Ok(rate),
+        Ok(rate) => Err(format!("--rate: {rate} is not a finite positive rate")),
+        Err(e) => Err(format!("--rate: {e}")),
+    }
 }
 
 /// Runs a scale spec at `--lanes 1`, `2` and `4` and fails unless the
@@ -451,16 +461,44 @@ fn scale_cmd(f: &ScaleFlags) -> Result<(), String> {
     Ok(())
 }
 
-/// The `serve --smoke` / `serve --chaos-smoke` subcommands: run the gateway
-/// scheduler study (or the overload/crash-recovery study) sequentially and
-/// in parallel in the same process, and verify the stitched output and the
-/// combined telemetry digest are identical. The digests are compared
-/// run-against-run, never against a pinned literal, so the check is robust
-/// to workload-generator changes.
-fn serve_smoke(flags: &Flags, names: &[&str], label: &str) -> Result<(), String> {
+/// Runs `names` through the suite at one job and again at each of
+/// `job_counts`, failing unless every run renders the same output and
+/// folds the same combined telemetry digest. The digests are compared
+/// run-against-run, never against a pinned literal, so the gate is robust
+/// to workload-generator changes. Returns the sequential run.
+fn jobs_identity(
+    flags: &Flags,
+    names: &[&str],
+    job_counts: &[usize],
+    label: &str,
+) -> Result<SuiteOutcome, String> {
     if trace::journal().is_some() {
         return Err(format!("{label}: compares parallel runs; unset AQUA_TRACE"));
     }
+    let seq = run_suite(names, &flags.args, 1, false, false)?;
+    for &jobs in job_counts {
+        let par = run_suite(names, &flags.args, jobs, false, false)?;
+        if seq.output != par.output {
+            return Err(format!(
+                "{label}: --jobs {jobs} output differs from sequential ({} vs {} bytes)",
+                par.output.len(),
+                seq.output.len()
+            ));
+        }
+        if seq.combined_digest != par.combined_digest {
+            return Err(format!(
+                "{label}: --jobs {jobs} digest mismatch: {:016x} vs sequential {:016x}",
+                par.combined_digest, seq.combined_digest
+            ));
+        }
+    }
+    Ok(seq)
+}
+
+/// The `serve --smoke` / `serve --chaos-smoke` subcommands: the gateway
+/// scheduler study (or the overload/crash-recovery study) must be byte-
+/// and digest-identical sequentially and in parallel.
+fn serve_smoke(flags: &Flags, names: &[&str], label: &str) -> Result<(), String> {
     // At least 4 worker threads even on a small host: the point is to
     // exercise a schedule different from the sequential pass.
     let jobs = if flags.jobs > 1 {
@@ -468,21 +506,7 @@ fn serve_smoke(flags: &Flags, names: &[&str], label: &str) -> Result<(), String>
     } else {
         default_jobs().max(4)
     };
-    let seq = run_suite(names, &flags.args, 1, false, false)?;
-    let par = run_suite(names, &flags.args, jobs, false, false)?;
-    if seq.output != par.output {
-        return Err(format!(
-            "{label}: parallel output differs from sequential ({} vs {} bytes)",
-            par.output.len(),
-            seq.output.len()
-        ));
-    }
-    if seq.combined_digest != par.combined_digest {
-        return Err(format!(
-            "{label}: digest mismatch: sequential {:016x} vs parallel {:016x}",
-            seq.combined_digest, par.combined_digest
-        ));
-    }
+    let seq = jobs_identity(flags, names, &[jobs], label)?;
     print!("{}", seq.output);
     println!(
         "{label}: {} points byte-identical and digest-identical at 1 vs {jobs} jobs (digest {:016x}, {} events)",
@@ -504,26 +528,7 @@ fn coord_chaos_smoke(flags: &Flags) -> Result<(), String> {
     use aqua_sim::audit::Auditor;
     use aqua_telemetry::JournalTracer;
     use std::sync::Arc;
-    if trace::journal().is_some() {
-        return Err("coord chaos smoke: compares parallel runs; unset AQUA_TRACE".into());
-    }
-    let seq = run_suite(&["coord_chaos"], &flags.args, 1, false, false)?;
-    for jobs in [4usize, 8] {
-        let par = run_suite(&["coord_chaos"], &flags.args, jobs, false, false)?;
-        if seq.output != par.output {
-            return Err(format!(
-                "coord chaos smoke: --jobs {jobs} output differs from sequential ({} vs {} bytes)",
-                par.output.len(),
-                seq.output.len()
-            ));
-        }
-        if seq.combined_digest != par.combined_digest {
-            return Err(format!(
-                "coord chaos smoke: --jobs {jobs} digest mismatch: {:016x} vs sequential {:016x}",
-                par.combined_digest, seq.combined_digest
-            ));
-        }
-    }
+    let seq = jobs_identity(flags, &["coord_chaos"], &[4, 8], "coord chaos smoke")?;
     let cfg = CoordChaosConfig::standard(flags.args.count, flags.args.seed);
     for cell in [CoordCell::Crash, CoordCell::Partition] {
         let run = |auditor| {
@@ -567,85 +572,68 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    let smoke_flag = argv[1..].iter().find_map(|a| match a.as_str() {
-        "--smoke" => Some(("serve", "serve smoke")),
-        "--chaos-smoke" => Some(("serve_chaos", "serve chaos smoke")),
-        _ => None,
-    });
-    if cmd == "serve" {
-        if let Some((experiment, label)) = smoke_flag {
-            let rest: Vec<String> = argv[1..]
-                .iter()
-                .filter(|a| *a != "--smoke" && *a != "--chaos-smoke")
-                .cloned()
-                .collect();
-            return match parse_flags(&rest).and_then(|f| serve_smoke(&f, &[experiment], label)) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-    }
-    if cmd == "coord_chaos" && argv[1..].iter().any(|a| a == "--smoke") {
-        let rest: Vec<String> = argv[1..]
-            .iter()
-            .filter(|a| *a != "--smoke")
-            .cloned()
-            .collect();
-        return match parse_flags(&rest).and_then(|f| coord_chaos_smoke(&f)) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd == "scale" {
-        return match parse_scale_flags(&argv[1..]).and_then(|f| scale_cmd(&f)) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd == "fuzz" {
-        return match parse_fuzz_flags(&argv[1..]).and_then(|f| fuzz_cmd(&f)) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd == "list" {
-        println!("available experiments:");
-        for (name, what) in EXPERIMENTS {
-            println!("  {name:<10} {what}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    let flags = match parse_flags(&argv[1..]) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match cmd.as_str() {
-        "all" => {
-            let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
-            run_and_print(&names, &flags, true)
-        }
-        name => run_and_print(&[name], &flags, false),
-    };
-    match result {
+    match run_cmd(cmd, &argv[1..]) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Runs subcommand `cmd` with its flags `rest`.
+fn run_cmd(cmd: &str, rest: &[String]) -> Result<(), String> {
+    let without = |dropped: &[&str]| -> Vec<String> {
+        rest.iter()
+            .filter(|a| !dropped.contains(&a.as_str()))
+            .cloned()
+            .collect()
+    };
+    let serve_smoke_kind = rest.iter().find_map(|a| match a.as_str() {
+        "--smoke" => Some(("serve", "serve smoke")),
+        "--chaos-smoke" => Some(("serve_chaos", "serve chaos smoke")),
+        _ => None,
+    });
+    match (cmd, serve_smoke_kind) {
+        ("serve", Some((experiment, label))) => {
+            let flags = parse_flags(&without(&["--smoke", "--chaos-smoke"]))?;
+            serve_smoke(&flags, &[experiment], label)
+        }
+        ("coord_chaos", _) if rest.iter().any(|a| a == "--smoke") => {
+            coord_chaos_smoke(&parse_flags(&without(&["--smoke"]))?)
+        }
+        ("scale", _) => scale_cmd(&parse_scale_flags(rest)?),
+        ("fuzz", _) => fuzz_cmd(&parse_fuzz_flags(rest)?),
+        ("list", _) => {
+            println!("available experiments:");
+            for (name, what) in EXPERIMENTS {
+                println!("  {name:<10} {what}");
+            }
+            Ok(())
+        }
+        ("all", _) => {
+            let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+            run_and_print(&names, &parse_flags(rest)?, true)
+        }
+        (name, _) => run_and_print(&[name], &parse_flags(rest)?, false),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scale_rate(rate: &str) -> Result<f64, String> {
+        parse_scale_flags(&["--rate".to_owned(), rate.to_owned()]).map(|f| f.rate)
+    }
+
+    #[test]
+    fn scale_rate_must_be_finite_and_positive() {
+        for bad in ["0", "-1", "NaN", "inf"] {
+            let err = scale_rate(bad).expect_err(bad);
+            assert!(err.starts_with("--rate: "), "{bad}: {err}");
+        }
+        assert_eq!(scale_rate("0.5"), Ok(0.5));
+        assert_eq!(scale_rate("2"), Ok(2.0));
     }
 }

@@ -25,11 +25,9 @@
 
 use crate::setup::{opt_flexgen, OffloadKind, ServerCtx};
 use aqua_core::coordinator::FailureConfig;
-use aqua_core::informer::LlmInformerConfig;
 use aqua_engines::driver::{Driver, Engine};
 use aqua_metrics::table::Table;
 use aqua_metrics::timeseries::TimeSeries;
-use aqua_models::zoo;
 use aqua_sim::audit::SharedAuditor;
 use aqua_sim::fault::FaultPlan;
 use aqua_sim::gpu::GpuId;
@@ -161,29 +159,7 @@ fn run_consumer(
         ctx.coordinator.set_failure_config(FailureConfig::chaos());
     }
 
-    let mut producer =
-        ctx.llm_producer_with_informer(&zoo::llama2_13b(), GpuId(1), LlmInformerConfig::default());
-    let mut consumer = opt_flexgen(
-        &ctx,
-        OffloadKind::Aqua,
-        crate::fig07_long_prompt::CONTEXT_BUDGET,
-    );
-
-    let mut driver = Driver::new();
-    if let Some(aud) = &auditor {
-        driver.set_auditor(aud.clone());
-    }
-    if faulted {
-        // Engine 1 (the producer) goes dark for the crash window: no ticks,
-        // no informer heartbeats, arrivals held until it returns.
-        driver.crash_window(
-            1,
-            SimTime::from_secs(tl.crash_start),
-            SimTime::from_secs(tl.crash_end),
-        );
-    }
-    driver.schedule_trace(
-        0,
+    let (mut consumer, mut producer, mut driver) = ctx.donation_cell(
         long_prompt_trace(1, 1_000_000, 0)
             .into_iter()
             .map(|(_, r)| (SimTime::from_secs(tl.consumer_start), r)),

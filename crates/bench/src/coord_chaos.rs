@@ -27,12 +27,12 @@
 //! [`FaultKind::CoordinatorCrash`]: aqua_sim::fault::FaultKind
 //! [`FaultKind::Partition`]: aqua_sim::fault::FaultKind
 
-use crate::setup::{OffloadKind, ServerCtx};
+use crate::setup::{ServerCtx, CELL_MAX_OUTSTANDING, CELL_POOL_BYTES};
 use aqua_core::coordinator::FailureConfig;
 use aqua_core::informer::LlmInformerConfig;
-use aqua_engines::driver::{Driver, Engine};
+use aqua_engines::driver::Engine;
 use aqua_engines::vllm::PreemptionPolicy;
-use aqua_gateway::engine::{GatewayConfig, GatewayEngine};
+use aqua_gateway::engine::GatewayConfig;
 use aqua_gateway::scheduler::PolicyKind;
 use aqua_metrics::goodput::{GoodputReport, SloSpec};
 use aqua_metrics::streaming::StreamLog;
@@ -40,8 +40,7 @@ use aqua_metrics::table::Table;
 use aqua_models::zoo;
 use aqua_sim::audit::SharedAuditor;
 use aqua_sim::fault::FaultPlan;
-use aqua_sim::gpu::{GpuId, GpuSpec};
-use aqua_sim::link::bytes::gib;
+use aqua_sim::gpu::GpuId;
 use aqua_sim::time::SimTime;
 use aqua_telemetry::SharedTracer;
 use aqua_workloads::tenants::{tenant_trace, TENANT_CHAT};
@@ -67,8 +66,6 @@ pub struct CoordChaosConfig {
     pub count: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Consumer KV pool bytes (tight, to force offload traffic).
-    pub pool_bytes: u64,
 }
 
 impl CoordChaosConfig {
@@ -80,7 +77,6 @@ impl CoordChaosConfig {
             rate: 1.0,
             count: count.clamp(80, 90),
             seed,
-            pool_bytes: gib(3),
         }
     }
 
@@ -183,47 +179,35 @@ fn run_once(
     tracer: SharedTracer,
     auditor: Option<SharedAuditor>,
 ) -> CoordChaosRun {
-    let mix = tenant_trace(cfg.rate, cfg.count, cfg.seed);
     let mut ctx = ServerCtx::two_gpu_traced(tracer.clone());
     if let Some(aud) = &auditor {
         ctx = ctx.with_auditor(aud.clone());
     }
     ctx.coordinator.set_failure_config(FailureConfig::chaos());
-    if let Some(plan) = cell.plan() {
-        let plan = Arc::new(plan);
-        ctx = ctx.with_fault_plan(Arc::clone(&plan));
+    let plan = cell.plan().map(Arc::new);
+    if let Some(plan) = &plan {
+        ctx = ctx.with_fault_plan(Arc::clone(plan));
         plan.emit(&tracer);
     }
-    let geom = *zoo::codellama_34b().llm_geometry().unwrap();
-    let mut gateway = GatewayEngine::new(
-        geom,
-        GpuSpec::a100_80g(),
+    let (mut gateway, mut driver) = ctx.serving_cell(
+        tenant_trace(cfg.rate, cfg.count, cfg.seed),
         PolicyKind::SjfBucket,
         GatewayConfig {
-            kv_pool_bytes: cfg.pool_bytes,
+            kv_pool_bytes: CELL_POOL_BYTES,
             preemption: PreemptionPolicy::Swap,
-            max_outstanding_per_tenant: 8,
+            max_outstanding_per_tenant: CELL_MAX_OUTSTANDING,
             ..GatewayConfig::default()
         },
-    )
-    .with_tenants(mix.tenant_of.clone())
-    .with_tracer(tracer.clone(), format!("coord:{}", cell.label()))
-    .with_offloader(ctx.offloader(OffloadKind::Aqua, GpuId(0)));
-    if let Some(aud) = &auditor {
-        gateway = gateway.with_auditor(aud.clone());
-    }
+        format!("coord:{}", cell.label()),
+        plan.as_deref(),
+        auditor,
+    );
     let mut producer =
         ctx.llm_producer_with_informer(&zoo::llama2_13b(), GpuId(1), LlmInformerConfig::default());
-
-    let mut driver = Driver::new();
-    if let Some(aud) = &auditor {
-        driver.set_auditor(aud.clone());
-    }
-    driver.schedule_trace(0, mix.trace);
-    {
-        let mut engines: Vec<&mut dyn Engine> = vec![&mut gateway, &mut producer];
-        driver.run(&mut engines, cfg.horizon());
-    }
+    driver.run(
+        &mut [&mut gateway as &mut dyn Engine, &mut producer],
+        cfg.horizon(),
+    );
     let streams = gateway.drain_streams();
     let truncated = streams
         .streams()

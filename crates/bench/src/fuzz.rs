@@ -28,16 +28,14 @@
 //! and is kept only if it still fails, so the minimal reproducer printed at
 //! the end fails for the same reason the original did.
 
-use crate::setup::{opt_flexgen, OffloadKind, ServerCtx};
+use crate::setup::{ServerCtx, CELL_MAX_OUTSTANDING, CELL_POOL_BYTES};
 use crate::sweep::Sweep;
 use aqua_core::coordinator::{FailureConfig, GpuRef};
-use aqua_core::informer::LlmInformerConfig;
-use aqua_engines::driver::{Driver, Engine};
-use aqua_gateway::engine::{GatewayConfig, GatewayEngine};
+use aqua_engines::driver::Engine;
+use aqua_gateway::engine::GatewayConfig;
 use aqua_gateway::scheduler::PolicyKind;
-use aqua_models::zoo;
 use aqua_sim::audit::{AuditViolation, Auditor};
-use aqua_sim::fault::{FaultKind, FaultPlan, FaultRng, RandomFaultProfile};
+use aqua_sim::fault::{FaultPlan, FaultRng, RandomFaultProfile};
 use aqua_sim::gpu::GpuId;
 use aqua_sim::time::{SimDuration, SimTime};
 use aqua_sim::topology::PortId;
@@ -294,30 +292,7 @@ impl FuzzInput for FuzzPoint {
         ctx = ctx.with_fault_plan(Arc::clone(&plan));
         ctx.coordinator.set_failure_config(FailureConfig::chaos());
 
-        let mut producer = ctx.llm_producer_with_informer(
-            &zoo::llama2_13b(),
-            producer_gpu,
-            LlmInformerConfig::default(),
-        );
-        let mut consumer = opt_flexgen(
-            &ctx,
-            OffloadKind::Aqua,
-            crate::fig07_long_prompt::CONTEXT_BUDGET,
-        );
-
-        let mut driver = Driver::new();
-        driver.set_auditor(auditor.clone());
-        for w in plan.windows() {
-            if let FaultKind::GpuCrash { gpu } = w.kind {
-                if gpu == producer_gpu {
-                    // Engine 1 (the producer) goes dark: no ticks, no informer
-                    // heartbeats, so the chaos TTL expires its lease.
-                    driver.crash_window(1, w.start, w.end);
-                }
-            }
-        }
-        driver.schedule_trace(
-            0,
+        let (mut consumer, mut producer, mut driver) = ctx.donation_cell(
             long_prompt_trace(self.work, 200_000, self.seed)
                 .into_iter()
                 .map(|(_, r)| (SimTime::from_secs(5), r)),
@@ -517,48 +492,34 @@ impl FuzzInput for GatewayFuzzPoint {
         plan.emit(&tracer);
         let plan = Arc::new(plan);
 
-        let geom = *zoo::codellama_34b().llm_geometry().unwrap();
-        let mut engine = GatewayEngine::new(
-            geom,
-            aqua_sim::gpu::GpuSpec::a100_80g(),
+        let ctx = ServerCtx::two_gpu_traced(tracer)
+            .with_auditor(auditor.clone())
+            .with_fault_plan(Arc::clone(&plan));
+        if self.offload {
+            ctx.static_lease(GpuId(1), gib(30));
+        }
+        let (mut engine, mut driver) = ctx.serving_cell(
+            mix,
             self.policy_kind(),
             GatewayConfig {
-                kv_pool_bytes: gib(3),
+                kv_pool_bytes: CELL_POOL_BYTES,
                 preemption: if self.offload {
                     PreemptionPolicy::Swap
                 } else {
                     PreemptionPolicy::Recompute
                 },
-                max_outstanding_per_tenant: 8,
+                max_outstanding_per_tenant: CELL_MAX_OUTSTANDING,
                 plant_skip_restore: self.plant,
                 ..GatewayConfig::default()
             },
-        )
-        .with_tenants(mix.tenant_of.clone())
-        .with_tracer(tracer.clone(), format!("fuzz:gw:{}", self.policy_kind()))
-        .with_fault_plan(&plan, gateway_gpu)
-        .with_auditor(auditor.clone());
-        if self.offload {
-            let mut ctx = ServerCtx::two_gpu_traced(tracer).with_auditor(auditor.clone());
-            ctx = ctx.with_fault_plan(Arc::clone(&plan));
-            ctx.static_lease(GpuId(1), gib(30));
-            engine = engine.with_offloader(ctx.offloader(OffloadKind::Aqua, gateway_gpu));
-        }
-
-        let mut driver = Driver::new();
-        driver.set_auditor(auditor.clone());
-        for w in plan.windows() {
-            if let FaultKind::GpuCrash { gpu } = w.kind {
-                if gpu == gateway_gpu {
-                    driver.crash_window(0, w.start, w.end);
-                }
-            }
-        }
-        driver.schedule_trace(0, mix.trace);
-        {
-            let mut engines: Vec<&mut dyn Engine> = vec![&mut engine];
-            driver.run(&mut engines, SimTime::from_secs(40_000));
-        }
+            format!("fuzz:gw:{}", self.policy_kind()),
+            Some(&plan),
+            Some(auditor.clone()),
+        );
+        driver.run(
+            &mut [&mut engine as &mut dyn Engine],
+            SimTime::from_secs(40_000),
+        );
 
         // Stream integrity: every completed request streamed exactly its
         // output length, and after the drain every submitted request is

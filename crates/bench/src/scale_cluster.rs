@@ -26,22 +26,22 @@
 //! [`TraceEvent::LeaseAllocated`]: aqua_telemetry::TraceEvent
 
 use crate::lanes::{run_lanes, LaneShard, ShardFinish};
-use crate::setup::{OffloadKind, ServerCtx};
+use crate::setup::{ServerCtx, CELL_MAX_OUTSTANDING, CELL_POOL_BYTES};
 use aqua_engines::driver::{Driver, Engine};
 use aqua_engines::vllm::PreemptionPolicy;
 use aqua_gateway::engine::{GatewayConfig, GatewayEngine};
 use aqua_gateway::scheduler::PolicyKind;
 use aqua_metrics::table::Table;
-use aqua_models::zoo;
 use aqua_sim::audit::{Auditor, SharedAuditor};
 use aqua_sim::fault::FaultPlan;
-use aqua_sim::gpu::{GpuId, GpuSpec};
+use aqua_sim::gpu::GpuId;
 use aqua_sim::link::bytes::gib;
 use aqua_sim::link::BandwidthModel;
 use aqua_sim::pdes::{lookahead_from_links, Msg};
 use aqua_sim::time::{SimDuration, SimTime};
 use aqua_telemetry::TraceEvent;
 use aqua_workloads::tenants::tenant_trace;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// GPUs per simulated server (the paper's 8-GPU NVSwitch testbed).
@@ -240,40 +240,14 @@ impl ServerShard {
     /// the shard's lane thread so everything — `ServerCtx` construction
     /// included — journals into the shard's own digest journal.
     fn build(spec: &ScaleSpec, server: usize, lookahead: SimDuration) -> Self {
-        let tracer = crate::trace::tracer();
-        let mix = tenant_trace(
-            spec.rate,
-            spec.requests_per_server,
-            spec.seed + server as u64,
-        );
-        let geom = *zoo::codellama_34b().llm_geometry().unwrap();
-        let mut engine = GatewayEngine::new(
-            geom,
-            GpuSpec::a100_80g(),
-            PolicyKind::SjfBucket,
-            GatewayConfig {
-                kv_pool_bytes: gib(3),
-                preemption: PreemptionPolicy::Swap,
-                max_outstanding_per_tenant: 8,
-                ..GatewayConfig::default()
-            },
-        )
-        .with_tenants(mix.tenant_of.clone())
-        .with_tracer(tracer.clone(), format!("scale:s{server}"));
-        let ctx = ServerCtx::eight_gpu_traced(tracer);
+        let ctx = ServerCtx::eight_gpu_traced(crate::trace::tracer());
         // Every peer GPU in the NVSwitch domain donates a static lease, so
         // the offloader spreads KV across the whole server.
         for g in 1..GPUS_PER_SERVER {
             ctx.static_lease(GpuId(g), gib(10));
         }
-        engine = engine.with_offloader(ctx.offloader(OffloadKind::Aqua, GpuId(0)));
-
-        // The queue holds arrivals only (in-flight steps wait outside it).
-        let mut driver = Driver::for_expected_events(mix.trace.len() + 1);
-        let mut auditor = None;
-        if spec.audited && server == 0 {
+        let (plan, auditor) = if spec.audited && server == 0 {
             let (start_s, end_s) = spec.crash_window();
-            let (start, end) = (SimTime::from_secs(start_s), SimTime::from_secs(end_s));
             let (c_start_s, c_end_s) = spec.coord_crash_window();
             let c_start = SimTime::from_secs(c_start_s);
             let rebuild = SimDuration::from_secs(c_end_s - c_start_s);
@@ -281,18 +255,37 @@ impl ServerShard {
             // mid-trace, and as it restarts its coordinator shard dies too,
             // wiping the lease book and bumping the epoch under the
             // offloader's static leases.
-            let plan = FaultPlan::new()
-                .gpu_crash(GpuId(0), start, end)
-                .coordinator_crash(c_start, rebuild);
-            engine = engine.with_fault_plan(&plan, GpuId(0));
-            ctx.coordinator
-                .set_fault_plan(std::sync::Arc::new(plan.clone()));
-            driver.crash_window(0, start, end);
-            let a = Auditor::collecting();
-            engine = engine.with_auditor(a.clone());
-            auditor = Some(a);
-        }
-        driver.schedule_trace(0, mix.trace);
+            let plan = Arc::new(
+                FaultPlan::new()
+                    .gpu_crash(
+                        GpuId(0),
+                        SimTime::from_secs(start_s),
+                        SimTime::from_secs(end_s),
+                    )
+                    .coordinator_crash(c_start, rebuild),
+            );
+            ctx.coordinator.set_fault_plan(Arc::clone(&plan));
+            (Some(plan), Some(Auditor::collecting()))
+        } else {
+            (None, None)
+        };
+        let (engine, driver) = ctx.serving_cell(
+            tenant_trace(
+                spec.rate,
+                spec.requests_per_server,
+                spec.seed + server as u64,
+            ),
+            PolicyKind::SjfBucket,
+            GatewayConfig {
+                kv_pool_bytes: CELL_POOL_BYTES,
+                preemption: PreemptionPolicy::Swap,
+                max_outstanding_per_tenant: CELL_MAX_OUTSTANDING,
+                ..GatewayConfig::default()
+            },
+            format!("scale:s{server}"),
+            plan.as_deref(),
+            auditor.clone(),
+        );
 
         // Staggered heartbeat schedule: server `i` beats at
         // `i·period/servers + k·period`, so windows exercise the

@@ -25,20 +25,19 @@
 //!
 //! [`FaultKind::GpuCrash`]: aqua_sim::fault::FaultKind
 
-use crate::setup::{OffloadKind, ServerCtx};
-use aqua_engines::driver::{Driver, Engine};
+use crate::setup::{ServerCtx, CELL_MAX_OUTSTANDING, CELL_POOL_BYTES};
+use aqua_engines::driver::Engine;
 use aqua_engines::vllm::PreemptionPolicy;
 use aqua_gateway::admission::{BrownoutConfig, OverloadPolicy};
-use aqua_gateway::engine::{GatewayConfig, GatewayEngine};
+use aqua_gateway::engine::GatewayConfig;
 use aqua_gateway::outcome::{SloPolicy, TenantSlo};
 use aqua_gateway::scheduler::PolicyKind;
 use aqua_metrics::goodput::{GoodputReport, SloSpec};
 use aqua_metrics::streaming::StreamLog;
 use aqua_metrics::table::Table;
-use aqua_models::zoo;
 use aqua_sim::audit::SharedAuditor;
 use aqua_sim::fault::FaultPlan;
-use aqua_sim::gpu::{GpuId, GpuSpec};
+use aqua_sim::gpu::GpuId;
 use aqua_sim::link::bytes::gib;
 use aqua_sim::time::{SimDuration, SimTime};
 use aqua_telemetry::SharedTracer;
@@ -65,10 +64,6 @@ pub struct ChaosExperiment {
     pub base_count: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Consumer KV pool bytes (tight, as in the scheduler study).
-    pub pool_bytes: u64,
-    /// Per-tenant cap on admitted-but-unfinished requests.
-    pub max_outstanding: usize,
 }
 
 impl ChaosExperiment {
@@ -79,8 +74,6 @@ impl ChaosExperiment {
             base_rate: 2.0,
             base_count,
             seed,
-            pool_bytes: gib(3),
-            max_outstanding: 8,
         }
     }
 
@@ -108,7 +101,7 @@ impl ChaosExperiment {
     pub fn protection(&self) -> OverloadPolicy {
         OverloadPolicy {
             queue_watermark: Some(6 * self.base_count),
-            kv_commit_bytes: Some(8 * self.pool_bytes),
+            kv_commit_bytes: Some(8 * CELL_POOL_BYTES),
             brownout: Some(BrownoutConfig {
                 enter_depth: 16,
                 exit_depth: 4,
@@ -254,21 +247,28 @@ pub fn run_cell_traced(
     auditor: Option<SharedAuditor>,
 ) -> ChaosRun {
     let rate = cfg.base_rate * spec.load as f64;
-    let count = cfg.base_count * spec.load;
-    let mix = tenant_trace(rate, count, cfg.seed);
-    let geom = *zoo::codellama_34b().llm_geometry().unwrap();
-    let mut engine = GatewayEngine::new(
-        geom,
-        GpuSpec::a100_80g(),
+    let ctx = ServerCtx::two_gpu_traced(tracer);
+    if spec.offload {
+        ctx.static_lease(GpuId(1), gib(30));
+    }
+    let plan = spec.crash.map(|(start_s, end_s)| {
+        FaultPlan::new().gpu_crash(
+            GpuId(0),
+            SimTime::from_secs(start_s),
+            SimTime::from_secs(end_s),
+        )
+    });
+    let (mut engine, mut driver) = ctx.serving_cell(
+        tenant_trace(rate, cfg.base_count * spec.load, cfg.seed),
         spec.policy,
         GatewayConfig {
-            kv_pool_bytes: cfg.pool_bytes,
+            kv_pool_bytes: CELL_POOL_BYTES,
             preemption: if spec.offload {
                 PreemptionPolicy::Swap
             } else {
                 PreemptionPolicy::Recompute
             },
-            max_outstanding_per_tenant: cfg.max_outstanding,
+            max_outstanding_per_tenant: CELL_MAX_OUTSTANDING,
             overload: if spec.protected {
                 cfg.protection()
             } else {
@@ -281,32 +281,14 @@ pub fn run_cell_traced(
             },
             ..GatewayConfig::default()
         },
-    )
-    .with_tenants(mix.tenant_of.clone())
-    .with_tracer(
-        tracer.clone(),
         format!("chaos:{}:x{}", spec.mode(), spec.load),
+        plan.as_ref(),
+        auditor,
     );
-    if spec.offload {
-        let ctx = ServerCtx::two_gpu_traced(tracer);
-        ctx.static_lease(GpuId(1), gib(30));
-        engine = engine.with_offloader(ctx.offloader(OffloadKind::Aqua, GpuId(0)));
-    }
-    let mut driver = Driver::for_expected_events(mix.trace.len() + 1);
-    if let Some((start_s, end_s)) = spec.crash {
-        let (start, end) = (SimTime::from_secs(start_s), SimTime::from_secs(end_s));
-        let plan = FaultPlan::new().gpu_crash(GpuId(0), start, end);
-        engine = engine.with_fault_plan(&plan, GpuId(0));
-        driver.crash_window(0, start, end);
-    }
-    if let Some(auditor) = auditor {
-        engine = engine.with_auditor(auditor);
-    }
-    driver.schedule_trace(0, mix.trace);
-    {
-        let mut engines: Vec<&mut dyn Engine> = vec![&mut engine];
-        driver.run(&mut engines, cfg.horizon(spec.load));
-    }
+    driver.run(
+        &mut [&mut engine as &mut dyn Engine],
+        cfg.horizon(spec.load),
+    );
     let streams = engine.drain_streams();
     let chat = streams
         .tenant(TENANT_CHAT)

@@ -22,15 +22,14 @@
 //! [`GatewayEngine`]: aqua_gateway::engine::GatewayEngine
 //! [`StreamLog`]: aqua_metrics::streaming::StreamLog
 
-use crate::setup::{OffloadKind, ServerCtx};
-use aqua_engines::driver::{Driver, Engine};
+use crate::setup::{ServerCtx, CELL_MAX_OUTSTANDING, CELL_POOL_BYTES};
+use aqua_engines::driver::Engine;
 use aqua_engines::vllm::PreemptionPolicy;
-use aqua_gateway::engine::{GatewayConfig, GatewayEngine};
+use aqua_gateway::engine::GatewayConfig;
 use aqua_gateway::scheduler::PolicyKind;
 use aqua_metrics::streaming::StreamLog;
 use aqua_metrics::table::Table;
-use aqua_models::zoo;
-use aqua_sim::gpu::{GpuId, GpuSpec};
+use aqua_sim::gpu::GpuId;
 use aqua_sim::link::bytes::gib;
 use aqua_sim::time::SimTime;
 use aqua_telemetry::SharedTracer;
@@ -45,10 +44,7 @@ pub struct ServeExperiment {
     pub count: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Consumer KV pool bytes. The default (3 GiB) fits one of the batch
-    /// tenant's 8k-token contexts plus a dozen interactive turns — tight
-    /// enough that admission order decides interactive TTFT and decode
-    /// growth forces preemption, while every request still fits alone.
+    /// Consumer KV pool bytes (default [`CELL_POOL_BYTES`]).
     pub pool_bytes: u64,
     /// Per-tenant cap on admitted-but-unfinished requests.
     pub max_outstanding: usize,
@@ -61,8 +57,8 @@ impl ServeExperiment {
             rate,
             count,
             seed,
-            pool_bytes: gib(3),
-            max_outstanding: 8,
+            pool_bytes: CELL_POOL_BYTES,
+            max_outstanding: CELL_MAX_OUTSTANDING,
         }
     }
 
@@ -144,12 +140,14 @@ pub fn run_policy_traced(
     offload: bool,
     tracer: SharedTracer,
 ) -> ServeRun {
-    let mix = tenant_trace(cfg.rate, cfg.count, cfg.seed);
-    let geom = *zoo::codellama_34b().llm_geometry().unwrap();
     let mode = if offload { "aqua" } else { "recompute" };
-    let mut engine = GatewayEngine::new(
-        geom,
-        GpuSpec::a100_80g(),
+    let ctx = ServerCtx::two_gpu_traced(tracer);
+    if offload {
+        // The serving GPU pages preempted KV to its idle NVLink peer.
+        ctx.static_lease(GpuId(1), gib(30));
+    }
+    let (mut engine, mut driver) = ctx.serving_cell(
+        tenant_trace(cfg.rate, cfg.count, cfg.seed),
         policy,
         GatewayConfig {
             kv_pool_bytes: cfg.pool_bytes,
@@ -161,21 +159,11 @@ pub fn run_policy_traced(
             max_outstanding_per_tenant: cfg.max_outstanding,
             ..GatewayConfig::default()
         },
-    )
-    .with_tenants(mix.tenant_of.clone())
-    .with_tracer(tracer.clone(), format!("gateway:{policy}:{mode}"));
-    if offload {
-        // The serving GPU pages preempted KV to its idle NVLink peer.
-        let ctx = ServerCtx::two_gpu_traced(tracer);
-        ctx.static_lease(GpuId(1), gib(30));
-        engine = engine.with_offloader(ctx.offloader(OffloadKind::Aqua, GpuId(0)));
-    }
-    let mut driver = Driver::new();
-    driver.schedule_trace(0, mix.trace);
-    {
-        let mut engines: Vec<&mut dyn Engine> = vec![&mut engine];
-        driver.run(&mut engines, cfg.horizon());
-    }
+        format!("gateway:{policy}:{mode}"),
+        None,
+        None,
+    );
+    driver.run(&mut [&mut engine as &mut dyn Engine], cfg.horizon());
     ServeRun {
         policy,
         offload,

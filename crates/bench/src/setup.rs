@@ -1,27 +1,44 @@
-//! Shared experiment scaffolding: servers, coordinators, offloaders and
-//! engine builders matching the paper's testbeds.
+//! Shared experiment scaffolding: servers, coordinators, offloaders,
+//! engine builders matching the paper's testbeds, and the two cells the
+//! studies replay — the multi-tenant serving cell of every gateway study
+//! and the donation cell of the chaos runs.
 
 use aqua_core::coordinator::{Coordinator, GpuRef};
 use aqua_core::informer::{LlmInformer, LlmInformerConfig};
 use aqua_core::offloader::AquaOffloader;
 use aqua_engines::cfs::{CfsConfig, CfsEngine};
+use aqua_engines::driver::Driver;
 use aqua_engines::flexgen::{FlexGenConfig, FlexGenEngine};
 use aqua_engines::offload::{DramOffloader, Offloader};
 use aqua_engines::producer::{ProducerEngine, ProducerModel};
+use aqua_engines::request::InferenceRequest;
+use aqua_engines::vllm::PreemptionPolicy;
 use aqua_gateway::engine::{GatewayConfig, GatewayEngine};
 use aqua_gateway::scheduler::PolicyKind;
 use aqua_models::lora::LoraAdapter;
 use aqua_models::zoo::{self, ModelProfile};
 use aqua_sim::audit::SharedAuditor;
-use aqua_sim::fault::FaultPlan;
+use aqua_sim::fault::{FaultKind, FaultPlan};
 use aqua_sim::gpu::{GpuId, GpuSpec};
 use aqua_sim::link::bytes::gib;
+use aqua_sim::time::SimTime;
 use aqua_sim::topology::ServerTopology;
 use aqua_sim::transfer::TransferEngine;
-use aqua_telemetry::SharedTracer;
+use aqua_telemetry::{Lane, SharedTracer};
+use aqua_workloads::tenants::TenantTrace;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
+
+/// KV pool of the serving cell's gateway in every gateway study: one of
+/// the batch tenant's 8k-token contexts plus a dozen interactive turns —
+/// tight enough that admission order decides interactive TTFT and decode
+/// growth forces preemption, while every request still fits alone.
+pub const CELL_POOL_BYTES: u64 = gib(3);
+
+/// Per-tenant cap on admitted-but-unfinished requests in every gateway
+/// study's serving cell.
+pub const CELL_MAX_OUTSTANDING: usize = 8;
 
 /// Which offload backend an experiment wires into a consumer engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,6 +198,88 @@ impl ServerCtx {
     pub fn pair(&self, consumer: GpuId, producer: GpuId) {
         self.coordinator
             .pair(GpuRef::single(consumer), GpuRef::single(producer));
+    }
+
+    /// The multi-tenant serving cell every gateway study runs: a
+    /// Codellama-34B gateway on GPU 0 serving `mix` under `policy`,
+    /// journalling into this context's tracer under `scope`, and a driver
+    /// pre-sized for the mix with its trace scheduled on engine 0.
+    ///
+    /// The gateway swaps preempted KV through an AQUA offloader built from
+    /// this context exactly when `config.preemption` is `Swap`, so install
+    /// leases, a fault plan or an auditor on the context first. The
+    /// `GpuCrash` windows of `plan` on GPU 0 reach both the gateway and the
+    /// driver, and `auditor` watches both.
+    pub fn serving_cell(
+        &self,
+        mix: TenantTrace,
+        policy: PolicyKind,
+        config: GatewayConfig,
+        scope: impl Into<Lane>,
+        plan: Option<&FaultPlan>,
+        auditor: Option<SharedAuditor>,
+    ) -> (GatewayEngine, Driver) {
+        let geom = *zoo::codellama_34b().llm_geometry().unwrap();
+        let swap = config.preemption == PreemptionPolicy::Swap;
+        let mut gateway = GatewayEngine::new(geom, GpuSpec::a100_80g(), policy, config)
+            .with_tenants(mix.tenant_of)
+            .with_tracer(self.tracer.clone(), scope);
+        if swap {
+            gateway = gateway.with_offloader(self.offloader(OffloadKind::Aqua, GpuId(0)));
+        }
+        // The queue holds arrivals only (in-flight steps wait outside it).
+        let mut driver = Driver::for_expected_events(mix.trace.len() + 1);
+        if let Some(plan) = plan {
+            gateway = gateway.with_fault_plan(plan, GpuId(0));
+            for w in plan.windows() {
+                if matches!(w.kind, FaultKind::GpuCrash { gpu } if gpu == GpuId(0)) {
+                    driver.crash_window(0, w.start, w.end);
+                }
+            }
+        }
+        if let Some(auditor) = auditor {
+            gateway = gateway.with_auditor(auditor.clone());
+            driver.set_auditor(auditor);
+        }
+        driver.schedule_trace(0, mix.trace);
+        (gateway, driver)
+    }
+
+    /// The donation cell the chaos studies replay (Figure 10's server): a
+    /// Llama-2-13B producer with its llm-informer on GPU 1 donating to an
+    /// OPT-30B long-prompt FlexGen consumer with AQUA offload on GPU 0.
+    /// Returns the consumer, the producer and a driver that runs them as
+    /// engines 0 and 1 with `trace` scheduled on the consumer.
+    ///
+    /// The `GpuCrash` windows on GPU 1 of this context's fault plan take
+    /// engine 1 down, and this context's auditor watches the driver too.
+    pub fn donation_cell(
+        &self,
+        trace: impl IntoIterator<Item = (SimTime, InferenceRequest)>,
+    ) -> (FlexGenEngine, GatewayEngine, Driver) {
+        let producer = self.llm_producer_with_informer(
+            &zoo::llama2_13b(),
+            GpuId(1),
+            LlmInformerConfig::default(),
+        );
+        let consumer = opt_flexgen(
+            self,
+            OffloadKind::Aqua,
+            crate::fig07_long_prompt::CONTEXT_BUDGET,
+        );
+        let mut driver = Driver::new();
+        if let Some(auditor) = &self.auditor {
+            driver.set_auditor(auditor.clone());
+        }
+        for w in self.fault_plan.iter().flat_map(|plan| plan.windows()) {
+            if matches!(w.kind, FaultKind::GpuCrash { gpu } if gpu == GpuId(1)) {
+                // The producer goes dark: no ticks, no informer heartbeats
+                // (so the chaos TTL expires its lease), arrivals held.
+                driver.crash_window(1, w.start, w.end);
+            }
+        }
+        driver.schedule_trace(0, trace);
+        (consumer, producer, driver)
     }
 
     /// An LLM producer (vLLM serving ShareGPT) with an llm-informer.

@@ -14,12 +14,16 @@
 //!   `/reclaim_request`, `/reclaim_status`) as typed methods.
 //! * [`tensor`] — **AQUA TENSORS**: migratable, location-transparent tensor
 //!   handles with the paper's pointer-invalidation semantics
-//!   (`to_responsive_tensor` / `to_torch_tensor` / `aqua.respond()`).
-//! * [`offloader`] — [`offloader::AquaOffloader`], an
-//!   [`aqua_engines::offload::Offloader`] that gathers scattered context
-//!   into a staging buffer (the custom CUDA gather/scatter kernels of §5)
-//!   and moves it as one coalesced copy over the fabric, with transparent
-//!   DRAM fallback and elastic release when producers reclaim.
+//!   (`to_responsive_tensor` / `to_torch_tensor`).
+//! * [`offloader`] — [`offloader::AquaOffloader`], the one AQUA-LIB offload
+//!   loop: an [`aqua_engines::offload::Offloader`] that places context on a
+//!   peer lease or in DRAM, gathers it into a staging buffer (the custom
+//!   CUDA gather/scatter kernels of §5) and moves it as one coalesced copy
+//!   over the fabric. Its
+//!   [`on_iteration_boundary`](aqua_engines::offload::Offloader::on_iteration_boundary)
+//!   is the paper's `aqua.respond()`: it blocks only while releasing a
+//!   reclaimed lease and promotes DRAM-resident context back to a peer in
+//!   the background.
 //! * [`informer`] — the producer-side control loops of §B.1:
 //!   [`informer::LlmInformer`] (donate when the queue is quiet, reclaim on
 //!   bursts) and [`informer::BatchInformer`] (donate after each batch).
@@ -49,7 +53,6 @@
 //! assert!(t_aqua.as_secs_f64() * 5.0 < t_dram.as_secs_f64());
 //! ```
 
-pub mod aqualib;
 pub mod coordinator;
 pub mod error;
 pub mod informer;
@@ -58,14 +61,13 @@ pub mod tensor;
 
 pub mod prelude {
     //! Convenience re-exports.
-    pub use crate::aqualib::AquaLib;
     pub use crate::coordinator::{
         AllocationSite, Coordinator, FailureConfig, GpuRef, LeaseId, LeaseState, ReclaimStatus,
     };
     pub use crate::error::AquaError;
     pub use crate::informer::{BatchInformer, LlmInformer, LlmInformerConfig};
     pub use crate::offloader::AquaOffloader;
-    pub use crate::tensor::{AquaTensor, TensorLocation, TensorTable};
+    pub use crate::tensor::{TensorLocation, TensorTable};
 }
 
 pub use prelude::*;

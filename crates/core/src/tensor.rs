@@ -4,12 +4,18 @@
 //! peer GPU, or host DRAM) can change between inference iterations without
 //! the model noticing: `to_responsive_tensor(torch_tensor)` wraps,
 //! `to_torch_tensor()` resolves the *current* pointer, and `aqua.respond()`
-//! is the iteration boundary at which migrations happen. "If a tensor is
-//! migrated while a pointer to the previous location of the tensor is in use
-//! … it can lead to issues similar to segmentation faults" — we reproduce
-//! that contract with a generation counter: a [`TensorRef`] taken before a
-//! migration is *stale* afterwards, and dereferencing it is an error instead
-//! of a segfault.
+//! is the iteration boundary at which migrations happen. In this crate
+//! `aqua.respond()` is [`AquaOffloader`]'s [`on_iteration_boundary`]: it
+//! blocks while releasing a reclaimed lease and promotes DRAM-resident
+//! context back to a peer in the background. This table models the
+//! pointer contract. "If a tensor is migrated while a pointer to the
+//! previous location of the tensor is in use … it can lead to issues
+//! similar to segmentation faults" — we reproduce that contract with a
+//! generation counter: a [`TensorRef`] taken before a migration is *stale*
+//! afterwards, and dereferencing it is an error instead of a segfault.
+//!
+//! [`AquaOffloader`]: crate::offloader::AquaOffloader
+//! [`on_iteration_boundary`]: aqua_engines::offload::Offloader::on_iteration_boundary
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -44,38 +50,10 @@ impl std::fmt::Display for TensorLocation {
 
 /// A migratable tensor: payload plus current location and generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AquaTensor {
-    id: TensorId,
+struct AquaTensor {
     payload: Arc<[u8]>,
     location: TensorLocation,
     generation: u64,
-}
-
-impl AquaTensor {
-    /// Tensor id.
-    pub fn id(&self) -> TensorId {
-        self.id
-    }
-
-    /// Payload size in bytes.
-    pub fn len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// Returns `true` for an empty payload.
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
-    }
-
-    /// Current physical location.
-    pub fn location(&self) -> TensorLocation {
-        self.location
-    }
-
-    /// Number of migrations this tensor has undergone.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
 }
 
 /// A resolved pointer to a tensor, valid until the next migration — the
@@ -118,7 +96,7 @@ impl std::fmt::Display for StaleTensorRef {
 
 impl std::error::Error for StaleTensorRef {}
 
-/// The per-consumer table of AQUA tensors managed by AQUA-LIB.
+/// The per-consumer table of AQUA tensors.
 ///
 /// # Example
 ///
@@ -162,7 +140,6 @@ impl TensorTable {
         self.tensors.insert(
             id,
             AquaTensor {
-                id,
                 payload,
                 location,
                 generation: 0,
@@ -202,8 +179,8 @@ impl TensorTable {
         Ok(t.payload.clone())
     }
 
-    /// Moves a tensor to a new location, bumping its generation (performed
-    /// by AQUA-LIB inside `aqua.respond()`). Payload is preserved.
+    /// Moves a tensor to a new location, bumping its generation (what an
+    /// `aqua.respond()` migration does). Payload is preserved.
     ///
     /// Returns the bytes moved, or `None` for an unknown id. Migrating to
     /// the current location is a no-op that does not invalidate pointers.
@@ -218,27 +195,14 @@ impl TensorTable {
     }
 
     /// Frees a tensor, returning its size in bytes.
-    pub fn free(&mut self, id: TensorId) -> Option<u64> {
+    #[cfg(test)]
+    fn free(&mut self, id: TensorId) -> Option<u64> {
         self.tensors.remove(&id).map(|t| t.payload.len() as u64)
     }
 
-    /// Looks up a tensor.
-    pub fn get(&self, id: TensorId) -> Option<&AquaTensor> {
-        self.tensors.get(&id)
-    }
-
-    /// Number of live tensors.
-    pub fn len(&self) -> usize {
-        self.tensors.len()
-    }
-
-    /// Returns `true` if no tensors are live.
-    pub fn is_empty(&self) -> bool {
-        self.tensors.is_empty()
-    }
-
     /// Total bytes stored at `location`.
-    pub fn bytes_at(&self, location: TensorLocation) -> u64 {
+    #[cfg(test)]
+    fn bytes_at(&self, location: TensorLocation) -> u64 {
         self.tensors
             .values()
             .filter(|t| t.location == location)
@@ -247,11 +211,12 @@ impl TensorTable {
     }
 
     /// Ids of tensors currently stored at `location`, in id order.
-    pub fn ids_at(&self, location: TensorLocation) -> Vec<TensorId> {
+    #[cfg(test)]
+    fn ids_at(&self, location: TensorLocation) -> Vec<TensorId> {
         self.tensors
-            .values()
-            .filter(|t| t.location == location)
-            .map(|t| t.id)
+            .iter()
+            .filter(|(_, t)| t.location == location)
+            .map(|(&id, _)| id)
             .collect()
     }
 }
@@ -271,7 +236,7 @@ mod tests {
         let r = t.to_torch_tensor(id).unwrap();
         assert_eq!(r.location(), TensorLocation::LocalHbm);
         assert_eq!(t.read(r).unwrap().len(), 64);
-        assert_eq!(t.get(id).unwrap().generation(), 0);
+        assert_eq!(t.tensors[&id].generation, 0);
     }
 
     #[test]
@@ -309,8 +274,7 @@ mod tests {
         assert_eq!(t.ids_at(TensorLocation::HostDram), vec![b]);
         assert_eq!(t.free(a), Some(100));
         assert_eq!(t.free(a), None, "double free returns None");
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
+        assert_eq!(t.tensors.len(), 1);
     }
 
     #[test]
