@@ -42,7 +42,10 @@ cargo test -q --offline --test chaos_recovery
 # (assert_digest_only_emit_is_allocation_free), and a quiet AQUA iteration
 # boundary with 64 tracked leases must cost at most 2x one with 1 lease
 # once the lease book has settled (assert_quiet_boundary_is_flat, best of
-# five batches) — all asserted by the hot_path test binary.
+# five batches), and a drained serving log must keep at most 8 B per
+# gateway iteration plus 64 B per stream, so per-token timestamp storage
+# fails (assert_drained_streams_share_the_clock) — all asserted by the
+# hot_path test binary.
 cargo test -q --offline -p aqua-bench --test hot_path
 # Trace-export acceptance: one short traced experiment, run twice under
 # AQUA_TRACE, must write a non-empty Chrome trace and JSONL journal, and

@@ -2,13 +2,14 @@
 //! gateway's scheduler-key comparison counter and, for two cost ratios,
 //! the wall clock.
 //!
-//! Nine guarantees: the untraced transfer-schedule path performs zero heap
+//! Ten guarantees: the untraced transfer-schedule path performs zero heap
 //! allocations per transfer — the budget behind Figure 11's sub-5% producer
 //! overhead (it allocated up to four strings per transfer before lane
 //! interning and the dense `PortStats` table); the placer's catalog DP
 //! stays within a small allocation budget per memoised state on a 64-GPU
 //! mixed solve; the untraced decode step's only heap traffic is amortized
-//! block-table doubling; a driver pre-sized with
+//! doubling of block tables and of the gateway's iteration clock; a driver
+//! pre-sized with
 //! `Driver::for_expected_events` never re-grows its event arena mid-run;
 //! a scale-style server idling out a 40,000 s horizon is never ticked (the
 //! driver fast-forwards its no-op tick rounds yet still counts them); an
@@ -17,9 +18,11 @@
 //! depth (the incremental scheduler indices, checked for every policy via
 //! allocation and key-comparison counters at backlogs of 1,000 vs 10,000);
 //! a digest-only journal emit allocates nothing (the event is hashed
-//! from its fields, interned labels and all); and a quiet AQUA iteration
+//! from its fields, interned labels and all); a quiet AQUA iteration
 //! boundary costs the same with 64 tracked leases as with one (its lease
-//! sweeps are skipped while the coordinator's book revision stands).
+//! sweeps are skipped while the coordinator's book revision stands); and
+//! a drained serving log keeps one clock entry per gateway iteration plus
+//! a small fixed record per stream, never a timestamp per token.
 //!
 //! The allocation counter is process-wide, so the gates run one after
 //! another from a plain `main` (`harness = false`) rather than on the test
@@ -28,7 +31,7 @@
 //! timed gates here compare ratios, the best of five batches each side.
 
 use aqua_bench::fig14_placer::mixed_instance;
-use aqua_bench::setup::{OffloadKind, ServerCtx};
+use aqua_bench::setup::{OffloadKind, ServerCtx, CELL_MAX_OUTSTANDING};
 use aqua_core::coordinator::{Coordinator, GpuRef};
 use aqua_core::offloader::AquaOffloader;
 use aqua_engines::driver::{Driver, Engine};
@@ -47,6 +50,7 @@ use aqua_sim::time::{SimDuration, SimTime};
 use aqua_sim::topology::ServerTopology;
 use aqua_sim::transfer::{TransferEngine, TransferPlan};
 use aqua_telemetry::{JournalTracer, Lane, TraceEvent, Tracer};
+use aqua_workloads::tenants::tenant_trace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use std::hint::black_box;
@@ -54,8 +58,8 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// A pass-through allocator that counts every allocation, so the gates
-/// below can observe the hot paths directly.
+/// A pass-through allocator that counts every allocation and the bytes
+/// live, so the gates below can observe the hot paths directly.
 struct CountingAlloc;
 
 /// Allocations and reallocations since process start. It publishes no
@@ -63,21 +67,31 @@ struct CountingAlloc;
 /// one thread that does the counted work.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Bytes allocated and not yet freed, at their requested sizes. Wrapping
+/// arithmetic, so a gate reads it as a difference of two loads.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+
 // SAFETY: every method forwards its arguments unchanged to `System`, so
 // the caller's `GlobalAlloc` guarantees are exactly `System`'s
 // preconditions; the counter touches no memory the allocator hands out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(
+            (new_size as u64).wrapping_sub(layout.size() as u64),
+            Ordering::Relaxed,
+        );
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -149,15 +163,16 @@ fn assert_placer_solve_allocation_bounded() {
 /// (the gateway in its vLLM configuration; gauges short-circuit), no
 /// offloader, no LoRA adapters and no completions in flight, a
 /// steady-state decode step touches only the SoA sequence arrays, the paged
-/// KV free-list watermark and pre-sized token buffers — its sole legitimate
-/// heap traffic is the amortized doubling of a sequence's block table as it
-/// crosses block boundaries (≤ log₂(blocks) reallocations per sequence over
-/// its whole life). Before the SoA/arena rework this path allocated per
+/// KV free-list watermark, the sequences' open runs and the gateway's
+/// iteration clock — its sole legitimate heap traffic is the amortized
+/// doubling of a sequence's block table as it crosses block boundaries
+/// (≤ log₂(blocks) reallocations per sequence over its whole life) and of
+/// the clock (≤ log₂(steps) over the gateway's life). Before the SoA/arena rework this path allocated per
 /// step via per-sequence map churn and gauge-name formatting.
 fn assert_untraced_decode_step_is_allocation_lean() {
     const SEQS: u64 = 8;
     const STEPS: u64 = 512;
-    // Amortized block-table doubling is the only budgeted traffic.
+    // Amortized block-table and clock doubling is the only budgeted traffic.
     const CAP: u64 = SEQS * 6;
     let geom = *zoo::mistral_7b().llm_geometry().unwrap();
     let mut e = GatewayEngine::new(
@@ -183,12 +198,68 @@ fn assert_untraced_decode_step_is_allocation_lean() {
     assert!(
         allocs <= CAP,
         "untraced decode step made {allocs} allocations over {STEPS} steps x {SEQS} seqs \
-         (cap {CAP}: amortized block-table doubling only)"
+         (cap {CAP}: amortized block-table and clock doubling only)"
     );
     black_box(&e);
     eprintln!(
         "hot_path: untraced decode hot path: {allocs} allocations over {STEPS} steps \
          x {SEQS} seqs (cap {CAP})"
+    );
+}
+
+/// A drained `StreamLog` must keep the gateway's iteration clock once,
+/// not a delivery time per token: after a small `serve` cell (the
+/// three-tenant mix, 64 chat requests at 3 req/s) on a 1 GiB KV pool, so
+/// that swap preemption splits some streams into several runs, freeing the
+/// log may release at most 8 B per gateway iteration plus 64 B per stream
+/// (its record and runs). Storing every token's time again (8 B per token,
+/// hundreds of tokens per stream) trips it.
+fn assert_drained_streams_share_the_clock() {
+    let ctx = ServerCtx::two_gpu();
+    ctx.static_lease(GpuId(1), gib(30));
+    let (mut engine, mut driver) = ctx.serving_cell(
+        tenant_trace(3.0, 64, 42),
+        PolicyKind::SjfBucket,
+        GatewayConfig {
+            kv_pool_bytes: gib(1),
+            preemption: PreemptionPolicy::Swap,
+            max_outstanding_per_tenant: CELL_MAX_OUTSTANDING,
+            ..GatewayConfig::default()
+        },
+        "gateway:streams",
+        None,
+        None,
+    );
+    driver.run(
+        &mut [&mut engine as &mut dyn Engine],
+        SimTime::from_secs(10_000),
+    );
+    let iterations = engine.iterations();
+    let preemptions = engine.preemptions();
+    let streams = engine.drain_streams();
+    drop((engine, driver, ctx));
+    let count = streams.len() as u64;
+    let tokens: u64 = streams
+        .streams()
+        .iter()
+        .map(|s| s.tokens.len() as u64)
+        .sum();
+    assert!(
+        count > 0 && preemptions > 0,
+        "the cell must serve and preempt"
+    );
+    let before = LIVE_BYTES.load(Ordering::SeqCst);
+    drop(streams);
+    let kept = before.wrapping_sub(LIVE_BYTES.load(Ordering::SeqCst));
+    let cap = 8 * iterations + 64 * count;
+    assert!(
+        kept <= cap,
+        "a drained log of {count} streams ({tokens} tokens) kept {kept} B \
+         (cap {cap}: 8 B x {iterations} iterations + 64 B per stream)"
+    );
+    eprintln!(
+        "hot_path: drained log of {count} streams, {tokens} tokens, {preemptions} \
+         preemptions: {kept} B kept (cap {cap}: 8 B x {iterations} iterations + 64 B/stream)"
     );
 }
 
@@ -565,6 +636,7 @@ fn main() {
     assert_untraced_schedule_is_allocation_free();
     assert_placer_solve_allocation_bounded();
     assert_untraced_decode_step_is_allocation_lean();
+    assert_drained_streams_share_the_clock();
     assert_presized_driver_never_regrows();
     assert_idle_server_is_never_ticked();
     assert_out_of_order_fill_pops_stay_logarithmic();

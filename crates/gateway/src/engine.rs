@@ -9,7 +9,10 @@
 //!   gated by per-tenant [`AdmissionController`] caps.
 //! * Every output token's delivery time is recorded into a
 //!   [`TokenStream`], so TTFT *and* inter-token latency percentiles are
-//!   first-class outputs ([`GatewayEngine::drain_streams`]).
+//!   first-class outputs ([`GatewayEngine::drain_streams`]). The batch
+//!   shares each iteration's end time, so the gateway appends it once to
+//!   an iteration clock and each sequence keeps only the [`Run`]s of
+//!   clock indices it spent in the batch.
 //! * LoRA requests load their adapter into a fixed-slot GPU cache through
 //!   the configured [`Offloader`] before computing (§B.1), the data path
 //!   AQUA accelerates in Figures 8 and 12.
@@ -36,7 +39,7 @@ use aqua_engines::offload::Offloader;
 use aqua_engines::request::{InferenceRequest, SeqLifecycle};
 use aqua_engines::vllm::PreemptionPolicy;
 use aqua_metrics::requests::RequestRecord;
-use aqua_metrics::streaming::{StreamLog, TokenStream};
+use aqua_metrics::streaming::{Run, StreamLog, TokenStream, TokenTimes};
 use aqua_models::cost;
 use aqua_models::geometry::LlmGeometry;
 use aqua_models::lora::LoraAdapter;
@@ -47,6 +50,7 @@ use aqua_sim::link::bytes::gib;
 use aqua_sim::time::SimTime;
 use aqua_telemetry::{null_tracer, trace, Lane, SharedTracer, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// KV pool a donating engine always retains: the paper's producer LLM
 /// keeps 5 GB "to stay responsive".
@@ -116,10 +120,11 @@ impl GatewayConfig {
 struct GateSeq {
     life: SeqLifecycle,
     tenant: u32,
-    /// Delivery time of each output token so far. Sized to the declared
-    /// output at first admission, so decoding never reallocates and a
-    /// queued request holds no buffer.
-    tokens: Vec<SimTime>,
+    /// The iteration-clock runs of the tokens delivered so far, one per
+    /// batch residency. Admission opens a run (or restarts a still-empty
+    /// one) at the next clock index, and each decode iteration extends the
+    /// last run by one.
+    runs: Vec<Run>,
     prefilled: bool,
     /// KV cache lives in the offload store (swap preemption).
     swapped: bool,
@@ -131,6 +136,16 @@ struct GateSeq {
     /// The sequence was in flight during a GPU crash and must journal a
     /// restore event before delivering another token.
     needs_restore: bool,
+}
+
+/// A completed request's stream, waiting for [`GatewayEngine::drain_streams`]
+/// to attach the clock: holding the clock's `Arc` here would make the
+/// next append copy it.
+struct Delivered {
+    id: u64,
+    tenant: u32,
+    arrival: SimTime,
+    runs: Box<[Run]>,
 }
 
 /// A request-level serving front-end with a pluggable decode scheduler.
@@ -165,6 +180,9 @@ pub struct GatewayEngine {
     geom: LlmGeometry,
     gpu: GpuSpec,
     config: GatewayConfig,
+    /// Whether `config.slo` sets any deadline (the config never changes
+    /// after `new`, so `enforce_deadlines` need not ask every step).
+    has_deadlines: bool,
     kv: PagedKvCache,
     scheduler: Box<dyn Scheduler>,
     policy: PolicyKind,
@@ -202,7 +220,12 @@ pub struct GatewayEngine {
     /// iteration, kept across steps so it never re-allocates.
     finished: Vec<usize>,
     completions: Vec<RequestRecord>,
-    streams: StreamLog,
+    /// End time of every decode iteration, in order: the delivery time of
+    /// each running sequence's token. Indexed by `u32`, so one gateway
+    /// runs at most `u32::MAX` decode iterations.
+    clock: Arc<Vec<SimTime>>,
+    /// Completed streams not yet drained.
+    delivered: Vec<Delivered>,
     offloader: Option<Box<dyn Offloader>>,
     informer: Option<Box<dyn Informer>>,
     /// KV-pool bytes currently donated to AQUA.
@@ -268,7 +291,8 @@ impl GatewayEngine {
             decode_compute: vec![f64::NAN; config.max_batch.min(Self::DECODE_COMPUTE_MEMO) + 1],
             finished: Vec::new(),
             completions: Vec::new(),
-            streams: StreamLog::new(),
+            clock: Arc::default(),
+            delivered: Vec::new(),
             offloader: None,
             informer: None,
             donated_bytes: 0,
@@ -289,6 +313,7 @@ impl GatewayEngine {
             next_crash: 0,
             crashed_pending_restore: BTreeSet::new(),
             auditor: None,
+            has_deadlines: config.slo.any_deadline(),
             config,
         }
     }
@@ -398,9 +423,22 @@ impl GatewayEngine {
         (self.lora_hits, self.lora_misses)
     }
 
-    /// Removes and returns the completed token streams so far.
+    /// Removes and returns the completed token streams so far. They share
+    /// the iteration clock, trimmed to its length; the gateway's next
+    /// decode iteration, if any, appends to a copy while the log lives.
     pub fn drain_streams(&mut self) -> StreamLog {
-        std::mem::take(&mut self.streams)
+        if let Some(clock) = Arc::get_mut(&mut self.clock) {
+            clock.shrink_to_fit();
+        }
+        std::mem::take(&mut self.delivered)
+            .into_iter()
+            .map(|d| TokenStream {
+                id: d.id,
+                tenant: d.tenant,
+                arrival: d.arrival,
+                tokens: TokenTimes::new(Arc::clone(&self.clock), d.runs),
+            })
+            .collect()
     }
 
     /// The request-outcome ledger (completed / shed / timed out / aborted).
@@ -573,7 +611,7 @@ impl GatewayEngine {
     /// books) immediately — capacity spent on an already-missed SLO is
     /// capacity stolen from requests that can still meet theirs.
     fn enforce_deadlines(&mut self, now: SimTime) {
-        if !self.config.slo.any_deadline() {
+        if !self.has_deadlines {
             return;
         }
         for handle in self.pending.handles() {
@@ -718,9 +756,17 @@ impl GatewayEngine {
             if !seq.admitted_once {
                 self.admission.on_admit(seq.tenant);
                 seq.admitted_once = true;
-                // `output_tokens` (clamped >= 1 by SeqLifecycle) is exactly
-                // how many records this request writes.
-                seq.tokens = Vec::with_capacity(seq.life.req.output_tokens as usize);
+            }
+            // The clock holds fewer than `u32::MAX` entries (see `step`).
+            let first = self.clock.len() as u32;
+            match seq.runs.last_mut() {
+                // A preemption ended the last residency before its first
+                // token, so its run is still empty: move it here.
+                Some(run) if run.count == 0 => run.first = first,
+                _ => {
+                    seq.runs.reserve_exact(1);
+                    seq.runs.push(Run { first, count: 0 });
+                }
             }
             self.kv
                 .grow_seq(seq.life.req.id, seq.life.context_tokens())
@@ -952,7 +998,7 @@ impl Engine for GatewayEngine {
             GateSeq {
                 life,
                 tenant,
-                tokens: Vec::new(),
+                runs: Vec::new(),
                 prefilled: false,
                 swapped: false,
                 admitted_once: false,
@@ -1070,17 +1116,23 @@ impl Engine for GatewayEngine {
         self.kv
             .grow_each_by_one()
             .expect("make_room_for_decode guarantees headroom");
+        let clock = Arc::make_mut(&mut self.clock);
+        assert!(
+            clock.len() < u32::MAX as usize,
+            "a gateway's iteration clock is indexed by u32"
+        );
+        clock.push(end);
         self.finished.clear();
         for (i, seq) in self.running.iter_mut().enumerate() {
             seq.prefilled = true;
             seq.life.note_token(end);
-            // More tokens than the request declared is a simulator bug; it
-            // would also regrow a buffer sized once at admission.
+            // More tokens than the request declared is a simulator bug.
+            let recorded: u64 = seq.runs.iter().map(|r| u64::from(r.count)).sum();
             assert!(
-                (seq.tokens.len() as u64) < seq.life.req.output_tokens,
+                recorded < seq.life.req.output_tokens,
                 "token record past declared output"
             );
-            seq.tokens.push(end);
+            seq.runs.last_mut().expect("admission opens a run").count += 1;
             // The crash-restore invariant: a crashed sequence still in the
             // pending-restore set at token time means no restore event was
             // journalled for it. Flag once, then clear so one planted bug
@@ -1130,11 +1182,11 @@ impl Engine for GatewayEngine {
                 }
             );
             self.completions.push(seq.life.record(end));
-            self.streams.record(TokenStream {
+            self.delivered.push(Delivered {
                 id: seq.life.req.id.0,
                 tenant: seq.tenant,
                 arrival: seq.life.arrival,
-                tokens: seq.tokens,
+                runs: seq.runs.into_boxed_slice(),
             });
         }
         self.finished = finished;
@@ -1203,6 +1255,7 @@ impl MemoryElastic for GatewayEngine {
 mod tests {
     use super::*;
     use aqua_models::zoo;
+    use aqua_sim::time::SimDuration;
 
     fn engine(policy: PolicyKind, pool_blocks: u64) -> GatewayEngine {
         let geom = *zoo::mistral_7b().llm_geometry().unwrap();
@@ -1259,7 +1312,7 @@ mod tests {
         let s = &streams.streams()[0];
         assert_eq!(s.tokens.len(), 32);
         assert!(s.ttft().unwrap() > 0.0);
-        assert!(s.tokens.windows(2).all(|w| w[0] < w[1]));
+        assert!(s.tokens.gaps().all(|gap| gap > SimDuration::ZERO));
         assert_eq!(e.drain_completions().len(), 1);
         assert_eq!(e.kv().used_blocks(), 0);
     }
@@ -1504,7 +1557,6 @@ mod tests {
     #[test]
     fn ttft_deadline_times_out_queued_work() {
         use crate::outcome::{SloPolicy, TenantSlo};
-        use aqua_sim::time::SimDuration;
 
         let geom = *zoo::mistral_7b().llm_geometry().unwrap();
         let mut e = GatewayEngine::new(
@@ -1994,23 +2046,92 @@ mod tests {
         );
     }
 
-    #[test]
-    fn token_buffers_are_sized_at_first_admission() {
-        // One 1000-token context fits at a time: request 1 queues behind
-        // request 0 and holds no delivery buffer until it is admitted.
-        let mut e = vllm_engine(pool_of_blocks(80));
-        e.submit(InferenceRequest::text(0, 1000, 50), SimTime::ZERO);
-        e.submit(InferenceRequest::text(1, 1000, 50), SimTime::ZERO);
-        e.step(SimTime::ZERO);
-        assert_eq!(e.running[0].tokens.capacity(), 50);
-        let (_, queued) = e.pending.iter().next().unwrap();
-        assert_eq!(queued.tokens.capacity(), 0);
-        run_to_completion(&mut e);
-        let streams = e.drain_streams();
-        assert!(streams
+    /// Every stream's delivery times are the clock entries of its runs, in
+    /// strictly increasing order.
+    fn assert_runs_read_the_clock(e: &GatewayEngine, streams: &StreamLog) {
+        for s in streams.streams() {
+            let from_clock: Vec<SimTime> = s
+                .tokens
+                .runs()
+                .iter()
+                .flat_map(|r| &e.clock[r.first as usize..(r.first + r.count) as usize])
+                .copied()
+                .collect();
+            assert_eq!(s.tokens.iter().collect::<Vec<_>>(), from_clock);
+            assert!(s.tokens.gaps().all(|gap| gap > SimDuration::ZERO));
+        }
+    }
+
+    /// The run count of each drained stream, by request id.
+    fn runs_by_id(streams: &StreamLog) -> BTreeMap<u64, usize> {
+        streams
             .streams()
             .iter()
-            .all(|s| s.tokens.len() == 50 && s.tokens.capacity() == 50));
+            .map(|s| (s.id, s.tokens.runs().len()))
+            .collect()
+    }
+
+    #[test]
+    fn a_stream_is_one_run_per_batch_residency() {
+        use aqua_engines::driver::Driver;
+        use aqua_engines::offload::DramOffloader;
+        use aqua_sim::topology::ServerTopology;
+        use aqua_sim::transfer::TransferEngine;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        // A straight request stays in the batch from admission to
+        // completion.
+        let mut e = vllm_engine(gib(20));
+        e.submit(InferenceRequest::text(0, 64, 40), SimTime::ZERO);
+        run_to_completion(&mut e);
+        let streams = e.drain_streams();
+        assert_eq!(runs_by_id(&streams), BTreeMap::from([(0, 1)]));
+        assert_runs_read_the_clock(&e, &streams);
+
+        // 640 tokens: two sequences of 256 + 200 = 456 tokens each need
+        // 912, so the younger is preempted once and resumes after the
+        // older completes, under either preemption policy.
+        for policy in [PreemptionPolicy::Swap, PreemptionPolicy::Recompute] {
+            let server = ServerTopology::nvlink_pair(GpuSpec::a100_80g());
+            let xfer = Rc::new(RefCell::new(TransferEngine::new()));
+            let mut e = GatewayEngine::new(
+                *zoo::mistral_7b().llm_geometry().unwrap(),
+                GpuSpec::a100_80g(),
+                PolicyKind::Fcfs,
+                GatewayConfig {
+                    kv_pool_bytes: pool_of_blocks(40),
+                    preemption: policy,
+                    ..GatewayConfig::vllm()
+                },
+            )
+            .with_offloader(Box::new(DramOffloader::pinned(&server, GpuId(0), xfer)));
+            e.submit(InferenceRequest::text(0, 256, 200), SimTime::ZERO);
+            e.submit(InferenceRequest::text(1, 256, 200), SimTime::ZERO);
+            run_to_completion(&mut e);
+            assert_eq!(e.preemptions(), 1, "{policy:?}");
+            let streams = e.drain_streams();
+            assert_eq!(runs_by_id(&streams), BTreeMap::from([(0, 1), (1, 2)]));
+            assert!(streams.streams().iter().all(|s| s.tokens.len() == 200));
+            assert_runs_read_the_clock(&e, &streams);
+        }
+
+        // Each GPU crash aborts the running request; each retry resumes
+        // it in a new run.
+        let plan = FaultPlan::new()
+            .gpu_crash(GpuId(0), SimTime::from_secs(1), SimTime::from_secs(2))
+            .gpu_crash(GpuId(0), SimTime::from_secs(4), SimTime::from_secs(5));
+        let mut e = vllm_engine(gib(20)).with_fault_plan(&plan, GpuId(0));
+        let mut driver = Driver::new();
+        driver.crash_window(0, SimTime::from_secs(1), SimTime::from_secs(2));
+        driver.crash_window(0, SimTime::from_secs(4), SimTime::from_secs(5));
+        driver.schedule_arrival(0, SimTime::ZERO, InferenceRequest::text(0, 64, 1_000));
+        driver.run(&mut [&mut e as &mut dyn Engine], SimTime::from_secs(10_000));
+        assert_eq!(e.outcomes().total_retries(), 2);
+        let streams = e.drain_streams();
+        assert_eq!(runs_by_id(&streams), BTreeMap::from([(0, 3)]));
+        assert_eq!(streams.streams()[0].tokens.len(), 1_000);
+        assert_runs_read_the_clock(&e, &streams);
     }
 
     #[test]
@@ -2019,8 +2140,9 @@ mod tests {
         let mut e = vllm_engine(gib(20));
         e.submit(InferenceRequest::text(0, 64, 3), SimTime::ZERO);
         let now = e.step(SimTime::ZERO);
-        // A stray record: the stream now runs one token ahead of decode.
-        e.running[0].tokens.push(now);
+        // A stray record: the open run now claims one token more than
+        // decode delivered.
+        e.running[0].runs.last_mut().unwrap().count += 1;
         let now = e.step(now);
         e.step(now);
     }
@@ -2101,7 +2223,7 @@ mod tests {
             for s in streams.streams() {
                 let (_, output, _) = reqs[s.id as usize];
                 assert_eq!(s.tokens.len() as u64, output.max(1));
-                assert!(s.tokens.windows(2).all(|w| w[0] <= w[1]));
+                assert!(s.tokens.gaps().all(|gap| gap > SimDuration::ZERO));
             }
             assert_eq!(e.kv().used_blocks(), 0);
         }

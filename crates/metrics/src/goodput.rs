@@ -135,7 +135,11 @@ mod tests {
             id: arrival_ms,
             tenant: 0,
             arrival: SimTime::from_millis(arrival_ms),
-            tokens: token_ms.iter().map(|&t| SimTime::from_millis(t)).collect(),
+            tokens: token_ms
+                .iter()
+                .map(|&t| SimTime::from_millis(t))
+                .collect::<Vec<_>>()
+                .into(),
         }
     }
 

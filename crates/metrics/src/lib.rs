@@ -24,7 +24,7 @@ pub mod prelude {
     pub use crate::goodput::{GoodputReport, SloSpec};
     pub use crate::latency::Summary;
     pub use crate::requests::{RequestLog, RequestRecord};
-    pub use crate::streaming::{StreamLog, TokenStream};
+    pub use crate::streaming::{StreamLog, TokenStream, TokenTimes};
     pub use crate::table::Table;
     pub use crate::timeseries::TimeSeries;
 }

@@ -7,10 +7,143 @@
 //! user-visible SLOs are TTFT and inter-token latency (ITL). [`TokenStream`]
 //! keeps the full delivery timeline of one request and [`StreamLog`]
 //! aggregates streams into P50/P99 TTFT and ITL summaries.
+//!
+//! A continuously batched engine delivers one token to every running
+//! sequence at each iteration boundary, so the timeline is stored once per
+//! engine: an append-only clock of iteration end times. A stream's
+//! [`TokenTimes`] is that clock, shared, plus the [`Run`]s of consecutive
+//! iterations the request spent in the batch (a preemption or crash retry
+//! starts a new run).
 
 use crate::latency::Summary;
 use crate::requests::RequestRecord;
 use aqua_sim::time::{SimDuration, SimTime};
+use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
+
+/// A stretch of consecutive clock entries: the `count` iterations from
+/// clock index `first` on each delivered one token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// Clock index of the run's first token.
+    pub first: u32,
+    /// Tokens in the run.
+    pub count: u32,
+}
+
+impl Run {
+    fn span(self) -> Range<usize> {
+        self.first as usize..self.first as usize + self.count as usize
+    }
+}
+
+/// The delivery times of one stream's tokens, in order: non-empty,
+/// disjoint, ascending [`Run`]s over a shared clock. Clones share the
+/// clock; `==` and `Debug` compare and print the delivery times, not the
+/// representation.
+#[derive(Clone)]
+pub struct TokenTimes {
+    clock: Arc<Vec<SimTime>>,
+    runs: Box<[Run]>,
+}
+
+impl TokenTimes {
+    /// The tokens `runs` select from `clock`.
+    ///
+    /// # Panics
+    ///
+    /// If a run is empty, reaches past the clock, or starts before the
+    /// previous run ends.
+    pub fn new(clock: Arc<Vec<SimTime>>, runs: Box<[Run]>) -> Self {
+        let mut end = 0;
+        for run in runs.iter() {
+            let span = run.span();
+            assert!(
+                run.count > 0 && span.start >= end && span.end <= clock.len(),
+                "run {run:?} is empty, overlaps its predecessor or leaves the {}-entry clock",
+                clock.len()
+            );
+            end = span.end;
+        }
+        TokenTimes { clock, runs }
+    }
+
+    /// The runs, in delivery order.
+    pub fn runs(&self) -> &[Run] {
+        &self.runs
+    }
+
+    /// Number of tokens delivered.
+    pub fn len(&self) -> usize {
+        self.runs.iter().map(|r| r.count as usize).sum()
+    }
+
+    /// Whether no token was delivered.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// When the first token was delivered.
+    pub fn first(&self) -> Option<SimTime> {
+        let run = self.runs.first()?;
+        Some(self.clock[run.span().start])
+    }
+
+    /// When the last token was delivered.
+    pub fn last(&self) -> Option<SimTime> {
+        let run = self.runs.last()?;
+        Some(self.clock[run.span().end - 1])
+    }
+
+    /// Every delivery time, in order.
+    pub fn iter(&self) -> impl Iterator<Item = SimTime> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|r| self.clock[r.span()].iter().copied())
+    }
+
+    /// The gap before each token after the first, run boundaries included:
+    /// the differences of `windows(2)` over [`iter`](Self::iter).
+    pub fn gaps(&self) -> impl Iterator<Item = SimDuration> + '_ {
+        let mut previous_run_end: Option<SimTime> = None;
+        self.runs.iter().flat_map(move |r| {
+            let times = &self.clock[r.span()];
+            let boundary = previous_run_end.map(|end| times[0].duration_since(end));
+            previous_run_end = times.last().copied();
+            boundary
+                .into_iter()
+                .chain(times.windows(2).map(|w| w[1].duration_since(w[0])))
+        })
+    }
+}
+
+impl From<Vec<SimTime>> for TokenTimes {
+    /// One run over a clock of exactly these times.
+    fn from(times: Vec<SimTime>) -> Self {
+        let count = u32::try_from(times.len()).expect("at most u32::MAX tokens");
+        let runs: Box<[Run]> = if count == 0 {
+            Box::default()
+        } else {
+            Box::new([Run { first: 0, count }])
+        };
+        TokenTimes::new(Arc::new(times), runs)
+    }
+}
+
+impl PartialEq for TokenTimes {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for TokenTimes {}
+
+impl fmt::Debug for TokenTimes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// The token-delivery timeline of one request served by a gateway.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,7 +156,7 @@ pub struct TokenStream {
     pub arrival: SimTime,
     /// Delivery time of every output token, in order (never empty for a
     /// completed stream).
-    pub tokens: Vec<SimTime>,
+    pub tokens: TokenTimes,
 }
 
 impl TokenStream {
@@ -37,16 +170,13 @@ impl TokenStream {
 
     /// When the last token was delivered, or `None` for a tokenless stream.
     pub fn completion(&self) -> Option<SimTime> {
-        self.tokens.last().copied()
+        self.tokens.last()
     }
 
     /// Gaps between consecutive token deliveries, seconds. Empty for a
     /// single-token (or tokenless) stream.
     fn itl_samples(&self) -> Vec<f64> {
-        self.tokens
-            .windows(2)
-            .map(|w| w[1].duration_since(w[0]).as_secs_f64())
-            .collect()
+        self.tokens.gaps().map(SimDuration::as_secs_f64).collect()
     }
 
     /// Collapses the stream to the two-timestamp record the figure
@@ -56,7 +186,7 @@ impl TokenStream {
         Some(RequestRecord {
             id: self.id,
             arrival: self.arrival,
-            first_token: *self.tokens.first()?,
+            first_token: self.tokens.first()?,
             completion: self.completion()?,
             output_tokens: self.tokens.len() as u64,
         })
@@ -76,7 +206,7 @@ impl TokenStream {
 ///     id: 0,
 ///     tenant: 1,
 ///     arrival: SimTime::ZERO,
-///     tokens: vec![SimTime::from_millis(100), SimTime::from_millis(150)],
+///     tokens: vec![SimTime::from_millis(100), SimTime::from_millis(150)].into(),
 /// });
 /// assert_eq!(log.ttft_summary().p99, 0.1);
 /// assert_eq!(log.itl_summary().p50, 0.05);
@@ -148,12 +278,7 @@ impl StreamLog {
 
     /// Summary statistics over inter-token latencies.
     pub fn itl_summary(&self) -> Summary {
-        summary_of_nanos(
-            self.streams
-                .iter()
-                .flat_map(|s| s.tokens.windows(2).map(|w| w[1].duration_since(w[0])))
-                .collect(),
-        )
+        summary_of_nanos(self.streams.iter().flat_map(|s| s.tokens.gaps()).collect())
     }
 
     /// Streams belonging to `tenant` only.
@@ -196,7 +321,11 @@ mod tests {
             id,
             tenant,
             arrival: SimTime::from_millis(arrival_ms),
-            tokens: token_ms.iter().map(|&t| SimTime::from_millis(t)).collect(),
+            tokens: token_ms
+                .iter()
+                .map(|&t| SimTime::from_millis(t))
+                .collect::<Vec<_>>()
+                .into(),
         }
     }
 
@@ -276,12 +405,71 @@ mod tests {
                             at += g * unit;
                             SimTime::from_nanos(at)
                         })
-                        .collect();
+                        .collect::<Vec<_>>()
+                        .into();
                     TokenStream { id: id as u64, tenant: 0, arrival, tokens }
                 })
                 .collect();
             assert_eq!(bits(&log.ttft_summary()), bits(&Summary::from_samples(&log.ttfts())));
             assert_eq!(bits(&log.itl_summary()), bits(&Summary::from_samples(&log.itls())));
+        }
+    }
+
+    aqua_sim::check! {
+        /// `TokenTimes` over a strictly increasing clock and disjoint runs
+        /// behaves exactly like the flattened `Vec<SimTime>` it stands for.
+        #[test]
+        fn token_times_match_the_flattened_vec(
+            steps in aqua_sim::check::vec(1u64..1_000, 0..60),
+            spec in aqua_sim::check::vec((0u32..4, 1u32..6), 0..12)
+        ) {
+            let mut at = 0;
+            let clock: Vec<SimTime> = steps
+                .iter()
+                .map(|step| {
+                    at += step;
+                    SimTime::from_nanos(at)
+                })
+                .collect();
+            // Each (skip, count) lays a run `skip` entries past the
+            // previous one, until the clock runs out.
+            let mut runs = Vec::new();
+            let mut next = 0;
+            for &(skip, count) in &spec {
+                let first = next + skip;
+                if (first + count) as usize > clock.len() {
+                    break;
+                }
+                runs.push(Run { first, count });
+                next = first + count;
+            }
+            let model: Vec<SimTime> = runs
+                .iter()
+                .flat_map(|r| clock[r.span()].iter().copied())
+                .collect();
+            let times = TokenTimes::new(Arc::new(clock), runs.into());
+
+            assert_eq!(times.len(), model.len());
+            assert_eq!(times.is_empty(), model.is_empty());
+            assert_eq!(times.first(), model.first().copied());
+            assert_eq!(times.last(), model.last().copied());
+            assert_eq!(times.iter().collect::<Vec<_>>(), model);
+            let gaps: Vec<SimDuration> =
+                model.windows(2).map(|w| w[1].duration_since(w[0])).collect();
+            assert_eq!(times.gaps().collect::<Vec<_>>(), gaps);
+
+            let flat = TokenTimes::from(model.clone());
+            assert_eq!(flat, times);
+            assert_eq!(flat.iter().collect::<Vec<_>>(), model);
+            let copy = times.clone();
+            assert_eq!(copy, times);
+            assert_eq!(format!("{copy:?}"), format!("{model:?}"));
+            if let Some((last, rest)) = model.split_last() {
+                let mut shifted = rest.to_vec();
+                shifted.push(*last + SimDuration::from_nanos(1));
+                assert_ne!(TokenTimes::from(shifted), times);
+                assert_ne!(TokenTimes::from(rest.to_vec()), times);
+            }
         }
     }
 
