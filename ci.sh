@@ -201,6 +201,19 @@ if [ -n "$dep_offenders" ]; then
   exit 1
 fi
 echo "every aqua-* dependency is named in its crate's code"
+# Policy guard: the gateway engine holds one scheduler index for every
+# policy, so no non-test, non-comment line of engine.rs may name a
+# `PolicyKind::` variant; a policy's behaviour belongs in its index key.
+policy_offenders=$(
+  awk '/^mod tests \{/ { exit } !/^[[:space:]]*\/\// && /PolicyKind::/ { print "  " FILENAME ":" FNR ": " $0 }' \
+    crates/gateway/src/engine.rs
+)
+if [ -n "$policy_offenders" ]; then
+  echo "FAIL: the gateway engine names a scheduler policy outside its tests:" >&2
+  echo "$policy_offenders" >&2
+  exit 1
+fi
+echo "the gateway engine names no scheduler policy outside its tests"
 cargo fmt --all --check
 cargo clippy --workspace --all-targets --offline -- -D warnings -D clippy::iter_over_hash_type
 # API docs with warnings denied: an intra-doc link to a deleted or private

@@ -5,8 +5,8 @@
 //! admission control, youngest-first preemption with recompute or swap, and
 //! the roofline cost model of `aqua-models`. On top of that core:
 //!
-//! * Admission order is delegated to a pluggable [`Scheduler`] policy and
-//!   gated by per-tenant [`AdmissionController`] caps.
+//! * Admission order comes from one [`Scheduler`] index, whatever the
+//!   policy, gated by per-tenant [`AdmissionController`] caps.
 //! * Every output token's delivery time is recorded into a
 //!   [`TokenStream`], so TTFT *and* inter-token latency percentiles are
 //!   first-class outputs ([`GatewayEngine::drain_streams`]). The batch
@@ -148,7 +148,8 @@ struct Delivered {
     runs: Box<[Run]>,
 }
 
-/// A request-level serving front-end with a pluggable decode scheduler.
+/// A request-level serving front-end admitting in the order of one of five
+/// scheduler policies.
 ///
 /// # Example
 ///
@@ -184,17 +185,15 @@ pub struct GatewayEngine {
     /// after `new`, so `enforce_deadlines` need not ask every step).
     has_deadlines: bool,
     kv: PagedKvCache,
-    scheduler: Box<dyn Scheduler>,
-    policy: PolicyKind,
+    scheduler: Scheduler,
     admission: AdmissionController,
     /// Request id → tenant (requests not in the map belong to tenant 0).
     tenants: BTreeMap<u64, u32>,
     /// Queued sequences, in arrival order (deadline sweeps and crash
     /// marking walk this order — it pins trace-event order). The scheduler
-    /// index holds the admission order; this arena holds the state.
+    /// index holds the admission order and each entry's handle here; this
+    /// arena holds the state.
     pending: SlotArena<GateSeq>,
-    /// Request id → pending-arena handle.
-    pending_ids: BTreeMap<u64, u32>,
     /// Admitted batch. `Vec` doubles as the youngest-first preemption
     /// index: the last element is the most recent admission, so victim
     /// selection is an O(1) `pop`. Its sequences are exactly the KV pool's
@@ -205,12 +204,11 @@ pub struct GatewayEngine {
     /// prefill work of the next step.
     unprefilled_tokens: u64,
     /// The context limit of the last admission round, if that round ended
-    /// at a blocked or empty pop with a non-empty batch, under a policy
-    /// whose order does not change with time. Until something that can
-    /// change what a pop sees happens (an enqueue, unqueue or retire, a
-    /// brownout toggle, crash handling, the informer, a donation or a
-    /// reclaim — each clears it), a round at no higher a limit with no
-    /// backoff due would end the same way, so it is skipped.
+    /// at a blocked or empty pop with a non-empty batch. Until something
+    /// that can change what a pop sees happens (an enqueue, unqueue or
+    /// retire, a brownout toggle, crash handling, the informer, a donation,
+    /// a reclaim or a move of the index's order — each clears it), a round
+    /// at no higher a limit would end the same way, so it is skipped.
     admit_memo: Option<u64>,
     /// The compute term of the decode cost per batch size (NaN until
     /// first used), sized to `max_batch` up to a bound so `step` never
@@ -257,7 +255,7 @@ pub struct GatewayEngine {
 impl std::fmt::Debug for GatewayEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GatewayEngine")
-            .field("policy", &self.policy.name())
+            .field("policy", &self.scheduler.policy().name())
             .field("pending", &self.pending.len())
             .field("running", &self.running.len())
             .field("iterations", &self.iterations)
@@ -279,12 +277,10 @@ impl GatewayEngine {
             geom,
             gpu,
             kv,
-            scheduler: policy.build(),
-            policy,
+            scheduler: Scheduler::new(policy),
             admission,
             tenants: BTreeMap::new(),
             pending: SlotArena::new(),
-            pending_ids: BTreeMap::new(),
             running: Vec::new(),
             unprefilled_tokens: 0,
             admit_memo: None,
@@ -380,7 +376,7 @@ impl GatewayEngine {
 
     /// The admission policy this gateway runs.
     pub fn policy(&self) -> PolicyKind {
-        self.policy
+        self.scheduler.policy()
     }
 
     /// Number of decode/prefill iterations executed.
@@ -468,8 +464,8 @@ impl GatewayEngine {
         self.admission.release_bytes(est);
     }
 
-    /// The scheduler's view of a queued sequence.
-    fn meta_of(seq: &GateSeq) -> QueuedMeta {
+    /// The scheduler's view of the queued sequence at `handle`.
+    fn meta_of(seq: &GateSeq, handle: u32) -> QueuedMeta {
         QueuedMeta {
             id: seq.life.req.id.0,
             tenant: seq.tenant,
@@ -477,38 +473,39 @@ impl GatewayEngine {
             prompt_tokens: seq.life.req.prompt_tokens,
             output_tokens: seq.life.req.output_tokens,
             generated: seq.life.generated,
+            admitted_once: seq.admitted_once,
+            eligible_after: seq.eligible_after,
+            handle,
         }
     }
 
     /// Inserts `seq` into the pending arena and mirrors the transition
     /// into the scheduler index (fresh enqueue, or cap-exempt re-queue for
     /// already-admitted work).
-    fn enqueue_pending(&mut self, seq: GateSeq, now: SimTime) {
-        let meta = Self::meta_of(&seq);
-        let admitted_once = seq.admitted_once;
-        let eligible_after = seq.eligible_after;
-        let handle = self.pending.push_back(seq);
-        self.pending_ids.insert(meta.id, handle);
+    fn enqueue_pending(&mut self, seq: GateSeq) {
         self.admit_memo = None;
-        if admitted_once {
-            self.scheduler.on_requeue(meta, eligible_after, now);
-        } else {
-            self.scheduler.on_enqueue(meta, now);
-        }
+        let meta = Self::meta_of(&seq, 0);
+        let handle = self.pending.push_back(seq);
+        self.scheduler.insert(QueuedMeta { handle, ..meta });
     }
 
-    /// Removes the pending entry at `handle` from the arena, the id map
-    /// and the scheduler index (for paths other than `pop_next`, which
-    /// already took its entry out of the index).
+    /// Removes the pending entry at `handle` from the arena and the
+    /// scheduler index (for paths other than `pop_next`, which already
+    /// took its entry out of the index).
     fn unqueue_pending(&mut self, handle: u32) -> GateSeq {
         self.admit_memo = None;
         let seq = self.pending.remove(handle);
-        self.pending_ids.remove(&seq.life.req.id.0);
-        let removed =
-            self.scheduler
-                .on_remove(&Self::meta_of(&seq), seq.admitted_once, seq.eligible_after);
+        let removed = self.scheduler.remove(&Self::meta_of(&seq, handle));
         debug_assert!(removed, "pending entries are always indexed");
         seq
+    }
+
+    /// Brings the scheduler index's order up to `now`; an order that moved
+    /// voids the admission memo.
+    fn advance_index(&mut self, now: SimTime) {
+        if self.scheduler.advance(now) {
+            self.admit_memo = None;
+        }
     }
 
     fn tenant_of(&self, id: u64) -> u32 {
@@ -587,9 +584,9 @@ impl GatewayEngine {
                 victim.eligible_after = now + RETRY_BACKOFF.backoff_for(attempt);
                 self.crashed_pending_restore.insert(id);
                 // Re-queue as an event: the scheduler parks the victim on
-                // its backoff deadline and promotes it when due, instead of
+                // its backoff deadline and files it when due, instead of
                 // the engine re-filtering `eligible_after` every step.
-                self.enqueue_pending(victim, now);
+                self.enqueue_pending(victim);
             }
         }
         // Swap-preempted pending sequences survived — their KV was captured
@@ -668,12 +665,12 @@ impl GatewayEngine {
     /// LoRA head whose adapter would push the batch past
     /// `lora_cache_slots` distinct adapters (vLLM's `max_loras`).
     ///
-    /// Each admission is one `pop_next` against the incremental index —
-    /// cap gating and backoff promotion happen inside the pop — so a
-    /// round's cost scales with the *batch*, never with the backlog. The
-    /// old implementation materialized and sorted every eligible entry
-    /// per decode iteration, which turned saturated million-request
-    /// traces quadratic.
+    /// Each admission is one `pop_next` against the incremental index,
+    /// whose order the step has brought up to `now` — cap gating happens
+    /// inside the pop — so a round's cost scales with the *batch*, never
+    /// with the backlog. The old implementation materialized and sorted
+    /// every eligible entry per decode iteration, which turned saturated
+    /// million-request traces quadratic.
     fn admit(&mut self, now: SimTime) {
         if self.running.len() >= self.config.max_batch || self.pending.is_empty() {
             return;
@@ -682,9 +679,7 @@ impl GatewayEngine {
             // Whatever empties the batch clears the memo, so the limit is
             // the free KV tokens.
             debug_assert!(!self.running.is_empty());
-            let limit = self.kv.free_blocks() * DEFAULT_BLOCK_TOKENS;
-            let backoff_due = self.scheduler.next_parked().is_some_and(|due| due <= now);
-            if limit <= memo && !backoff_due {
+            if self.kv.free_blocks() * DEFAULT_BLOCK_TOKENS <= memo {
                 return;
             }
         }
@@ -704,18 +699,17 @@ impl GatewayEngine {
             } else {
                 self.kv.free_blocks() * DEFAULT_BLOCK_TOKENS
             };
-            let meta = match self.scheduler.pop_next(now, &self.admission, context_limit) {
+            let meta = match self.scheduler.pop_next(&self.admission, context_limit) {
                 Pop::Popped(meta) => meta,
                 Pop::Blocked | Pop::Empty => {
                     ended_at = Some(context_limit);
                     break;
                 }
             };
-            let handle = self.pending_ids[&meta.id];
             let head = &self
                 .pending
-                .get(handle)
-                .expect("scheduled ids come from the pending queue")
+                .get(meta.handle)
+                .expect("scheduled handles come from the pending queue")
                 .life;
             let needed = head.context_tokens() + 1;
             let adapter = head.req.adapter;
@@ -725,20 +719,19 @@ impl GatewayEngine {
                     stashed.push(meta);
                     continue;
                 }
-                self.reindex(meta, now);
+                self.scheduler.insert(meta);
                 break;
             }
             if !self.adapter_admissible(adapter) {
-                self.reindex(meta, now);
+                self.scheduler.insert(meta);
                 break;
             }
-            self.pending_ids.remove(&meta.id);
-            let mut seq = self.pending.remove(handle);
+            let mut seq = self.pending.remove(meta.handle);
             trace!(
                 self.tracer,
                 TraceEvent::RequestScheduled {
                     gateway: self.scope.clone(),
-                    policy: self.scheduler.name().to_owned(),
+                    policy: self.scheduler.policy().name().to_owned(),
                     request: seq.life.req.id.0,
                     queue_depth: self.pending.len() as u64,
                     at: now,
@@ -797,31 +790,12 @@ impl GatewayEngine {
             }
             self.running.push(seq);
         }
-        let time_invariant = matches!(
-            self.policy,
-            PolicyKind::Fcfs | PolicyKind::Sjf | PolicyKind::SjfBucket
-        );
-        self.admit_memo =
-            ended_at.filter(|_| time_invariant && stashed.is_empty() && !self.running.is_empty());
-        // Reinsert skipped picks. Keys recompute identically (same `now`,
-        // same learned ratio), so the index order is as if they never left.
+        self.admit_memo = ended_at.filter(|_| stashed.is_empty() && !self.running.is_empty());
+        // Reinsert skipped picks. Keys recompute identically (the index's
+        // time and ratio have not moved), so the index order is as if they
+        // never left.
         for meta in stashed {
-            self.reindex(meta, now);
-        }
-    }
-
-    /// Returns a popped-but-not-admitted pending entry to the scheduler
-    /// index.
-    fn reindex(&mut self, meta: QueuedMeta, now: SimTime) {
-        let seq = self
-            .pending
-            .get(self.pending_ids[&meta.id])
-            .expect("popped entries stay pending until admitted");
-        if seq.admitted_once {
-            let eligible_after = seq.eligible_after;
-            self.scheduler.on_requeue(meta, eligible_after, now);
-        } else {
-            self.scheduler.on_enqueue(meta, now);
+            self.scheduler.insert(meta);
         }
     }
 
@@ -941,7 +915,7 @@ impl GatewayEngine {
             }
             // Preempted work was admitted before, so it re-queues
             // cap-exempt with no backoff (immediately re-admissible).
-            self.enqueue_pending(victim, now);
+            self.enqueue_pending(victim);
         }
     }
 
@@ -966,6 +940,7 @@ impl Engine for GatewayEngine {
                 req.id.0
             );
         }
+        self.advance_index(now);
         let tenant = self.tenant_of(req.id.0);
         trace!(
             self.tracer,
@@ -994,41 +969,25 @@ impl Engine for GatewayEngine {
         }
         self.admission.commit_bytes(est);
         let life = SeqLifecycle::new(req, now);
-        self.enqueue_pending(
-            GateSeq {
-                life,
-                tenant,
-                runs: Vec::new(),
-                prefilled: false,
-                swapped: false,
-                admitted_once: false,
-                eligible_after: SimTime::ZERO,
-                needs_restore: false,
-            },
-            now,
-        );
+        self.enqueue_pending(GateSeq {
+            life,
+            tenant,
+            runs: Vec::new(),
+            prefilled: false,
+            swapped: false,
+            admitted_once: false,
+            eligible_after: SimTime::ZERO,
+            needs_restore: false,
+        });
     }
 
     fn has_work(&self) -> bool {
-        if !self.running.is_empty() {
-            return true;
-        }
-        // Idle, so the pool is empty: `admit` takes the first head, in
-        // policy order, that could ever fit, if it fits right now.
-        if self.donated_bytes == 0 {
-            // Every head then either fits or never will, and KV fit checks
-            // are monotone in context size, so "does any cap-eligible
-            // request fit" reduces to the scheduler's smallest context — no
-            // backlog scan.
-            return self
-                .scheduler
-                .min_context(&self.admission)
-                .is_some_and(|ctx| self.kv.can_fit_tokens(ctx + 1));
-        }
-        // `first_context` ignores parked crash retries, so they count as
-        // work here as in `min_context`: a step that admits nothing returns
-        // the next backoff deadline.
-        self.scheduler.next_parked().is_some()
+        // An idle engine's pool is empty, and `admit` takes the first head,
+        // in the index's order, that could ever fit, if it fits right now.
+        // A crash retry parked on its backoff is outside that order but
+        // counts as work: a step that admits nothing returns its deadline.
+        !self.running.is_empty()
+            || self.scheduler.next_parked().is_some()
             || self
                 .scheduler
                 .first_context(
@@ -1044,6 +1003,7 @@ impl Engine for GatewayEngine {
         if let Some(off) = self.offloader.as_mut() {
             now = off.on_iteration_boundary(now).max(now);
         }
+        self.advance_index(now);
         self.handle_crashes(now);
         self.enforce_deadlines(now);
         if let Some(engaged) = self.admission.update_brownout(self.pending.len()) {
@@ -1068,10 +1028,12 @@ impl Engine for GatewayEngine {
         if self.running.is_empty() {
             // If the only schedulable work is backing off after a crash
             // retry, tell the driver when it becomes eligible — spinning
-            // 1ns steps until then would melt the event loop. (`admit` just
-            // promoted every expired backoff, so the parked set holds only
-            // strictly-future deadlines.)
-            return self.scheduler.next_parked().unwrap_or(now);
+            // 1ns steps until then would melt the event loop. (The index
+            // is at `now`, so the parked set holds only strictly-future
+            // deadlines.)
+            let resume = self.scheduler.next_parked().unwrap_or(now);
+            self.advance_index(resume);
+            return resume;
         }
 
         let mut io_done = self.load_adapters(now);
@@ -1190,10 +1152,15 @@ impl Engine for GatewayEngine {
             });
         }
         self.finished = finished;
+        // Completions may have moved the learned ratio and promotions may
+        // have fallen due during the step: applying them here lets
+        // `has_work` read the order the next step pops in.
+        self.advance_index(end);
         end
     }
 
     fn tick(&mut self, now: SimTime) {
+        self.advance_index(now);
         let _ = self.run_informer(now);
     }
 
@@ -1224,10 +1191,6 @@ impl MemoryElastic for GatewayEngine {
     }
 
     fn donate(&mut self, bytes: u64) -> u64 {
-        debug_assert!(
-            !matches!(self.policy, PolicyKind::SjfAging | PolicyKind::Orca),
-            "has_work under donation needs a policy order that holds between rounds"
-        );
         let max_donation = self
             .kv
             .capacity_bytes()
@@ -1804,6 +1767,129 @@ mod tests {
     }
 
     #[test]
+    fn a_parked_retry_keeps_an_emptied_batch_working() {
+        use aqua_engines::driver::Driver;
+
+        // The crash parks request 0 on its 500 ms backoff in the step that
+        // admits request 1 (held while the GPU was down), and request 1
+        // finishes before the backoff ends: the empty batch still has work.
+        let plan =
+            FaultPlan::new().gpu_crash(GpuId(0), SimTime::from_secs(1), SimTime::from_secs(2));
+        let mut e = vllm_engine(gib(20)).with_fault_plan(&plan, GpuId(0));
+        let mut driver = Driver::new();
+        driver.crash_window(0, SimTime::from_secs(1), SimTime::from_secs(2));
+        driver.schedule_arrival(0, SimTime::ZERO, InferenceRequest::text(0, 256, 10_000));
+        driver.schedule_arrival(
+            0,
+            SimTime::from_millis(1_500),
+            InferenceRequest::text(1, 64, 2),
+        );
+        driver.run(&mut [&mut e as &mut dyn Engine], SimTime::from_secs(10_000));
+        let recs = e.drain_completions();
+        assert_eq!(recs.len(), 2, "the retry completes");
+        assert!(recs[0].id == 1 && recs[0].completion < SimTime::from_millis(2_500));
+    }
+
+    #[test]
+    fn every_call_with_a_time_brings_the_order_up_to_it() {
+        // SJF+aging behind a donated pool: A (45,000-token prompt, one
+        // output token) is first under SJF but fits only once the donation
+        // returns; B arrived earlier, so once both have waited 60 s the
+        // FCFS order puts B, which fits, first.
+        let queued = || {
+            let mut e = GatewayEngine::new(
+                *zoo::mistral_7b().llm_geometry().unwrap(),
+                GpuSpec::a100_80g(),
+                PolicyKind::SjfAging,
+                GatewayConfig {
+                    kv_pool_bytes: gib(6),
+                    ..GatewayConfig::vllm()
+                },
+            );
+            assert_eq!(e.donate(gib(1)), gib(1));
+            e.submit(InferenceRequest::text(0, 100, 1_000), SimTime::ZERO); // B
+            e.submit(
+                InferenceRequest::text(1, 45_000, 1),
+                SimTime::from_millis(500),
+            ); // A
+            assert!(!e.has_work(), "SJF puts A first");
+            e
+        };
+        let at = SimTime::from_secs(61);
+        let mut e = queued();
+        e.tick(at);
+        assert!(e.has_work(), "a tick applies the promotions");
+        let mut e = queued();
+        e.submit(InferenceRequest::text(2, 100_000, 1), at);
+        assert!(e.has_work(), "so does a submit");
+        let mut e = queued();
+        e.step(at);
+        let admitted: Vec<u64> = e.running.iter().map(|s| s.life.req.id.0).collect();
+        assert_eq!(admitted, [0], "and a step admits in the promoted order");
+    }
+
+    #[test]
+    fn a_due_retry_that_fits_only_undonated_is_no_work() {
+        // The crash parks request 0; the step that finds nothing to admit
+        // returns its backoff deadline and brings the order up to it, so
+        // once 1 GiB is donated the retry (45,001 tokens of context in a
+        // 40,960-token pool) blocks instead of counting as parked work.
+        let plan =
+            FaultPlan::new().gpu_crash(GpuId(0), SimTime::from_secs(1), SimTime::from_secs(2));
+        let mut e = vllm_engine(gib(6)).with_fault_plan(&plan, GpuId(0));
+        e.submit(InferenceRequest::text(0, 45_000, 10_000), SimTime::ZERO);
+        let end = e.step(SimTime::ZERO);
+        assert!(
+            end > SimTime::from_secs(1),
+            "the prefill outlasts the crash"
+        );
+        let resume = e.step(end);
+        assert_eq!(resume, end + RETRY_BACKOFF.backoff_for(1));
+        assert_eq!(e.donate(gib(1)), gib(1));
+        assert!(
+            !e.has_work(),
+            "the due retry fits only once the donation returns"
+        );
+        e.reclaim(gib(1));
+        assert!(e.has_work());
+        e.step(resume);
+        assert_eq!(e.running_count(), 1);
+    }
+
+    #[test]
+    fn has_work_reads_the_order_promoted_during_a_step() {
+        // 6 GiB pool with 1 GiB donated: 40,960 tokens now, 49,152 once
+        // reclaimed. At 59 s SJF admits C; D, which does not fit beside C,
+        // ends the round ahead of B. C's prefill carries the step past
+        // 60.5 s, where every request has waited 60 s and the order turns
+        // FCFS: A, which fits only once the donation returns, is first.
+        let mut e = GatewayEngine::new(
+            *zoo::mistral_7b().llm_geometry().unwrap(),
+            GpuSpec::a100_80g(),
+            PolicyKind::SjfAging,
+            GatewayConfig {
+                kv_pool_bytes: gib(6),
+                ..GatewayConfig::vllm()
+            },
+        );
+        assert_eq!(e.donate(gib(1)), gib(1));
+        e.submit(InferenceRequest::text(0, 45_000, 1_000), SimTime::ZERO); // A
+        e.submit(InferenceRequest::text(1, 30_000, 2), SimTime::ZERO); // D
+        e.submit(InferenceRequest::text(2, 30_000, 1), SimTime::ZERO); // C
+        e.submit(InferenceRequest::text(3, 100, 5), SimTime::from_millis(500)); // B
+        let end = e.step(SimTime::from_secs(59));
+        assert!(end > SimTime::from_millis(60_500), "{end}");
+        assert_eq!((e.running_count(), e.queue_depth()), (0, 3));
+        assert!(!e.has_work(), "the promoted head blocks until the reclaim");
+        e.step(end);
+        assert_eq!(e.running_count(), 0, "and the next step admits nothing");
+        e.reclaim(gib(1));
+        assert!(e.has_work());
+        e.step(end);
+        assert_eq!(e.running_count(), 1, "A first, then nothing fits beside it");
+    }
+
+    #[test]
     fn donated_pool_counts_a_parked_retry_as_work() {
         use aqua_engines::driver::Driver;
 
@@ -2147,6 +2233,98 @@ mod tests {
         e.step(now);
     }
 
+    /// Steps `memo` and its twin `popping`, whose admission memo is
+    /// cleared first so it pops every round, at `now`: both must end at the
+    /// same time with the same batch, queue and preemptions. Returns when
+    /// the next step starts.
+    fn step_twins(memo: &mut GatewayEngine, popping: &mut GatewayEngine, now: SimTime) -> SimTime {
+        popping.admit_memo = None;
+        let end = memo.step(now);
+        assert_eq!(end, popping.step(now), "step end at {now}");
+        assert_eq!(
+            memo.running_count(),
+            popping.running_count(),
+            "batch at {now}"
+        );
+        assert_eq!(memo.queue_depth(), popping.queue_depth(), "queue at {now}");
+        assert_eq!(memo.preemptions(), popping.preemptions());
+        end.max(now + SimDuration::from_millis(1))
+    }
+
+    #[test]
+    fn aging_promotion_admits_the_starved_job_under_donation() {
+        // 6 GiB pool with 1 GiB donated leaves 40,960 tokens: one 30,000-
+        // token short job fits beside the 1,000-token long job, but two
+        // short jobs never fit together. A short job arrives every second
+        // for two minutes, so under SJF the long job (tenant 1) waits
+        // behind them until its 60 s promotion, and the blocked short head
+        // keeps an admission memo set across that instant.
+        let geom = *zoo::mistral_7b().llm_geometry().unwrap();
+        let twin = || {
+            let mut e = GatewayEngine::new(
+                geom,
+                GpuSpec::a100_80g(),
+                PolicyKind::SjfAging,
+                GatewayConfig {
+                    kv_pool_bytes: gib(6),
+                    max_outstanding_per_tenant: 2,
+                    ..GatewayConfig::default()
+                },
+            )
+            .with_tenants(BTreeMap::from([(0, 1)]));
+            assert_eq!(e.donate(gib(1)), gib(1));
+            e
+        };
+        let (mut memo, mut popping) = (twin(), twin());
+        let mut arrivals: Vec<(SimTime, InferenceRequest)> = (1..=120)
+            .map(|i| {
+                let at = SimTime::from_secs(i - 1);
+                (at, InferenceRequest::text(i, 30_000, 20))
+            })
+            .collect();
+        // The long job arrives while the first short one is prefilling.
+        let long_at = SimTime::from_millis(500);
+        arrivals.insert(1, (long_at, InferenceRequest::text(0, 1_000, 3_000)));
+        let mut arrivals = VecDeque::from(arrivals);
+        let mut now = SimTime::ZERO;
+        loop {
+            while let Some((at, req)) = arrivals.pop_front() {
+                if at > now {
+                    arrivals.push_front((at, req));
+                    break;
+                }
+                memo.submit(req.clone(), at);
+                popping.submit(req, at);
+            }
+            assert_eq!(memo.has_work(), popping.has_work());
+            if memo.has_work() {
+                now = step_twins(&mut memo, &mut popping, now);
+            } else if let Some(&(at, _)) = arrivals.front() {
+                now = at;
+            } else {
+                break;
+            }
+        }
+        let recs = memo.drain_completions();
+        assert_eq!(recs, popping.drain_completions());
+        assert_eq!(memo.drain_streams(), popping.drain_streams());
+        assert_eq!(recs.len(), 121);
+        let long = recs.iter().find(|r| r.id == 0).unwrap();
+        assert!(
+            long.first_token >= long_at + SimDuration::from_secs(60),
+            "SJF starves the long job until its promotion: {}",
+            long.first_token
+        );
+        let passed = recs
+            .iter()
+            .filter(|r| r.arrival > long.arrival && r.first_token > long.first_token)
+            .count();
+        assert!(
+            passed > 0,
+            "the promoted job goes ahead of later, shorter ones"
+        );
+    }
+
     #[test]
     fn has_work_false_when_nothing_fits() {
         let mut e = vllm_engine(pool_of_blocks(4)); // 64 tokens
@@ -2230,15 +2408,14 @@ mod tests {
 
         // `has_work` is exactly "the batch is non-empty, or the next step
         // admits something" under random submits, steps, donations and
-        // reclaims, for the policies whose order does not move with time
-        // (aging and Orca re-key between rounds, which `first_context`
-        // does not replay). A non-empty batch decodes, or preempts when a
-        // donation took its headroom (as in vLLM). Prompts span
-        // never-fitting (> 8 GiB of KV), fits-only-undonated and small.
+        // reclaims, for every policy. A non-empty batch decodes, or
+        // preempts when a donation took its headroom (as in vLLM). Prompts
+        // span never-fitting (> 8 GiB of KV), fits-only-undonated and
+        // small.
         #[test]
         fn has_work_matches_next_step_progress(
             ops in aqua_sim::check::vec((0u8..4, 1u64..80_000), 1..60),
-            policy_idx in 0usize..3,
+            policy_idx in 0usize..5,
         ) {
             let geom = *zoo::mistral_7b().llm_geometry().unwrap();
             let mut e = GatewayEngine::new(
@@ -2319,26 +2496,16 @@ mod tests {
                         popping.submit(req, now);
                         next_id += 1;
                     }
-                    2 if policy_idx < 3 => {
+                    2 => {
                         let bytes = geom.kv_bytes(arg % 4_096);
                         assert_eq!(memo.donate(bytes), popping.donate(bytes));
                     }
-                    3 if policy_idx < 3 => {
+                    3 => {
                         let bytes = geom.kv_bytes(arg % 4_096);
                         memo.reclaim(bytes);
                         popping.reclaim(bytes);
                     }
-                    // Aging and Orca take no donations (see `donate`), so
-                    // those draws step too.
-                    _ => {
-                        popping.admit_memo = None;
-                        let end = memo.step(now);
-                        assert_eq!(end, popping.step(now));
-                        assert_eq!(memo.running_count(), popping.running_count());
-                        assert_eq!(memo.queue_depth(), popping.queue_depth());
-                        assert_eq!(memo.preemptions(), popping.preemptions());
-                        now = end.max(now + aqua_sim::time::SimDuration::from_millis(1));
-                    }
+                    _ => now = step_twins(&mut memo, &mut popping, now),
                 }
             }
             assert_eq!(memo.drain_completions(), popping.drain_completions());

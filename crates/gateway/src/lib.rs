@@ -5,8 +5,9 @@
 //! request decodes next, and that decision dominates the user-visible SLOs
 //! (P99 TTFT, inter-token latency) under load. This crate adds that layer:
 //!
-//! * [`scheduler`] — a pluggable decode [`scheduler::Scheduler`] trait and a
-//!   zoo of five policies: FCFS, pure SJF, SJF + length-bucketing, SJF +
+//! * [`scheduler`] — the decode admission index, [`scheduler::Scheduler`],
+//!   one container for a zoo of five policies that differ only in their
+//!   priority key: FCFS, pure SJF, SJF + length-bucketing, SJF +
 //!   starvation-aging and an Orca-style remaining-length predictor.
 //! * [`admission`] — per-tenant outstanding-request caps, so one tenant's
 //!   backlog (e.g. batch long-prompt jobs) cannot monopolize the engine,
