@@ -28,8 +28,9 @@ cargo test -q --offline --test chaos_recovery
 # Hot-path acceptance: the untraced transfer-schedule path must stay
 # allocation-free, the placer catalog DP allocation-bounded per state, the
 # untraced decode step of the batching core (the gateway engine in its vLLM
-# configuration) limited to amortized block-table doubling, a pre-sized
-# driver running that engine must never re-grow its event arena, an idle
+# configuration) limited to amortized block-table and iteration-clock
+# doubling, a pre-sized driver running that engine must never re-grow its
+# event arena, an idle
 # scale-style server (gateway + AQUA offloader, no informer) must get zero
 # tick calls over a 40,000 s tail while its processed-event count still
 # includes every fast-forwarded tick round (assert_idle_server_is_never_ticked),
@@ -42,10 +43,11 @@ cargo test -q --offline --test chaos_recovery
 # (assert_digest_only_emit_is_allocation_free), and a quiet AQUA iteration
 # boundary with 64 tracked leases must cost at most 2x one with 1 lease
 # once the lease book has settled (assert_quiet_boundary_is_flat, best of
-# five batches), and a drained serving log must keep at most 8 B per
-# gateway iteration plus 64 B per stream, so per-token timestamp storage
-# fails (assert_drained_streams_share_the_clock) — all asserted by the
-# hot_path test binary.
+# five batches), and a drained serving log must keep at most 4 B per
+# gateway iteration, 8 B per 2^32 ns high word of its clock and 64 B per
+# stream, so per-token timestamp storage or an 8 B clock entry fails
+# (assert_drained_streams_share_the_clock) — all asserted by the hot_path
+# test binary.
 cargo test -q --offline -p aqua-bench --test hot_path
 # Trace-export acceptance: one short traced experiment, run twice under
 # AQUA_TRACE, must write a non-empty Chrome trace and JSONL journal, and

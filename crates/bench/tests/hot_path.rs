@@ -207,13 +207,15 @@ fn assert_untraced_decode_step_is_allocation_lean() {
     );
 }
 
-/// A drained `StreamLog` must keep the gateway's iteration clock once,
-/// not a delivery time per token: after a small `serve` cell (the
-/// three-tenant mix, 64 chat requests at 3 req/s) on a 1 GiB KV pool, so
-/// that swap preemption splits some streams into several runs, freeing the
-/// log may release at most 8 B per gateway iteration plus 64 B per stream
-/// (its record and runs). Storing every token's time again (8 B per token,
-/// hundreds of tokens per stream) trips it.
+/// A drained `StreamLog` must keep the gateway's iteration clock once, in
+/// its compact form, not a delivery time per token: after a small `serve`
+/// cell (the three-tenant mix, 64 chat requests at 3 req/s) on a 1 GiB KV
+/// pool, so that swap preemption splits some streams into several runs,
+/// freeing the log may release at most 4 B per gateway iteration, 8 B per
+/// high word the clock can span (one per 2^32 ns, counted from zero to the
+/// last delivery) and 64 B per stream (its record and runs). Storing every
+/// token's time again (8 B per token, hundreds of tokens per stream), or
+/// the clock at 8 B per iteration, trips it.
 fn assert_drained_streams_share_the_clock() {
     let ctx = ServerCtx::two_gpu();
     ctx.static_lease(GpuId(1), gib(30));
@@ -244,6 +246,13 @@ fn assert_drained_streams_share_the_clock() {
         .iter()
         .map(|s| s.tokens.len() as u64)
         .sum();
+    let last = streams
+        .streams()
+        .iter()
+        .filter_map(|s| s.completion())
+        .max()
+        .unwrap_or(SimTime::ZERO);
+    let high_words = (last.as_nanos() >> 32) + 1;
     assert!(
         count > 0 && preemptions > 0,
         "the cell must serve and preempt"
@@ -251,15 +260,17 @@ fn assert_drained_streams_share_the_clock() {
     let before = LIVE_BYTES.load(Ordering::SeqCst);
     drop(streams);
     let kept = before.wrapping_sub(LIVE_BYTES.load(Ordering::SeqCst));
-    let cap = 8 * iterations + 64 * count;
+    let cap = 4 * iterations + 8 * high_words + 64 * count;
     assert!(
         kept <= cap,
         "a drained log of {count} streams ({tokens} tokens) kept {kept} B \
-         (cap {cap}: 8 B x {iterations} iterations + 64 B per stream)"
+         (cap {cap}: 4 B x {iterations} iterations + 8 B x {high_words} high words \
+         + 64 B per stream)"
     );
     eprintln!(
         "hot_path: drained log of {count} streams, {tokens} tokens, {preemptions} \
-         preemptions: {kept} B kept (cap {cap}: 8 B x {iterations} iterations + 64 B/stream)"
+         preemptions: {kept} B kept (cap {cap}: 4 B x {iterations} iterations \
+         + 8 B x {high_words} high words + 64 B/stream)"
     );
 }
 

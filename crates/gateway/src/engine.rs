@@ -39,7 +39,7 @@ use aqua_engines::offload::Offloader;
 use aqua_engines::request::{InferenceRequest, SeqLifecycle};
 use aqua_engines::vllm::PreemptionPolicy;
 use aqua_metrics::requests::RequestRecord;
-use aqua_metrics::streaming::{Run, StreamLog, TokenStream, TokenTimes};
+use aqua_metrics::streaming::{IterationClock, Run, StreamLog, TokenStream, TokenTimes};
 use aqua_models::cost;
 use aqua_models::geometry::LlmGeometry;
 use aqua_models::lora::LoraAdapter;
@@ -138,9 +138,9 @@ struct GateSeq {
     needs_restore: bool,
 }
 
-/// A completed request's stream, waiting for [`GatewayEngine::drain_streams`]
-/// to attach the clock: holding the clock's `Arc` here would make the
-/// next append copy it.
+/// A completed request's stream, waiting for a drain to attach the clock:
+/// holding the clock's `Arc` here would make the next append copy it. It is
+/// the gateway's only per-completion state: both drains read it.
 struct Delivered {
     id: u64,
     tenant: u32,
@@ -217,11 +217,15 @@ pub struct GatewayEngine {
     /// Scratch for `step`: batch indices of sequences that finished this
     /// iteration, kept across steps so it never re-allocates.
     finished: Vec<usize>,
-    completions: Vec<RequestRecord>,
     /// End time of every decode iteration, in order: the delivery time of
     /// each running sequence's token. Indexed by `u32`, so one gateway
-    /// runs at most `u32::MAX` decode iterations.
-    clock: Arc<Vec<SimTime>>,
+    /// runs at most `u32::MAX` decode iterations. Empty while
+    /// `shared_clock` holds it.
+    clock: IterationClock,
+    /// The clock, moved here by a drain for its streams to share; the next
+    /// decode iteration takes it back, copying it only if a drained log
+    /// still lives.
+    shared_clock: Option<Arc<IterationClock>>,
     /// Completed streams not yet drained.
     delivered: Vec<Delivered>,
     offloader: Option<Box<dyn Offloader>>,
@@ -286,8 +290,8 @@ impl GatewayEngine {
             admit_memo: None,
             decode_compute: vec![f64::NAN; config.max_batch.min(Self::DECODE_COMPUTE_MEMO) + 1],
             finished: Vec::new(),
-            completions: Vec::new(),
-            clock: Arc::default(),
+            clock: IterationClock::default(),
+            shared_clock: None,
             delivered: Vec::new(),
             offloader: None,
             informer: None,
@@ -419,22 +423,38 @@ impl GatewayEngine {
         (self.lora_hits, self.lora_misses)
     }
 
-    /// Removes and returns the completed token streams so far. They share
-    /// the iteration clock, trimmed to its length; the gateway's next
-    /// decode iteration, if any, appends to a copy while the log lives.
+    /// Removes and returns the requests completed since the last drain, as
+    /// token streams. They share the iteration clock, trimmed to its
+    /// length; the gateway's next decode iteration, if any, appends to a
+    /// copy while the log lives.
+    ///
+    /// The gateway keeps one log of completions, which this and
+    /// [`Engine::drain_completions`] both empty: each completed request is
+    /// handed out once, to whichever drain comes first.
     pub fn drain_streams(&mut self) -> StreamLog {
-        if let Some(clock) = Arc::get_mut(&mut self.clock) {
-            clock.shrink_to_fit();
-        }
+        self.clock.shrink_to_fit();
+        self.take_streams()
+    }
+
+    /// Empties the completion log into streams over the shared clock.
+    fn take_streams(&mut self) -> StreamLog {
+        let clock = self
+            .shared_clock
+            .get_or_insert_with(|| Arc::new(std::mem::take(&mut self.clock)));
         std::mem::take(&mut self.delivered)
             .into_iter()
             .map(|d| TokenStream {
                 id: d.id,
                 tenant: d.tenant,
                 arrival: d.arrival,
-                tokens: TokenTimes::new(Arc::clone(&self.clock), d.runs),
+                tokens: TokenTimes::new(Arc::clone(clock), d.runs),
             })
             .collect()
+    }
+
+    /// The iteration clock, wherever it lives.
+    fn clock(&self) -> &IterationClock {
+        self.shared_clock.as_deref().unwrap_or(&self.clock)
     }
 
     /// The request-outcome ledger (completed / shed / timed out / aborted).
@@ -751,7 +771,7 @@ impl GatewayEngine {
                 seq.admitted_once = true;
             }
             // The clock holds fewer than `u32::MAX` entries (see `step`).
-            let first = self.clock.len() as u32;
+            let first = self.clock().len() as u32;
             match seq.runs.last_mut() {
                 // A preemption ended the last residency before its first
                 // token, so its run is still empty: move it here.
@@ -1078,12 +1098,14 @@ impl Engine for GatewayEngine {
         self.kv
             .grow_each_by_one()
             .expect("make_room_for_decode guarantees headroom");
-        let clock = Arc::make_mut(&mut self.clock);
+        if let Some(shared) = self.shared_clock.take() {
+            self.clock = Arc::unwrap_or_clone(shared);
+        }
         assert!(
-            clock.len() < u32::MAX as usize,
+            self.clock.len() < u32::MAX as usize,
             "a gateway's iteration clock is indexed by u32"
         );
-        clock.push(end);
+        self.clock.push(end);
         self.finished.clear();
         for (i, seq) in self.running.iter_mut().enumerate() {
             seq.prefilled = true;
@@ -1143,7 +1165,6 @@ impl Engine for GatewayEngine {
                     at: end,
                 }
             );
-            self.completions.push(seq.life.record(end));
             self.delivered.push(Delivered {
                 id: seq.life.req.id.0,
                 tenant: seq.tenant,
@@ -1168,9 +1189,23 @@ impl Engine for GatewayEngine {
         self.informer.is_none()
     }
 
+    /// The [`TokenStream::record`] of each stream
+    /// [`GatewayEngine::drain_streams`] would return: the two drains empty
+    /// one log, so each completed request is handed out once, to whichever
+    /// drain comes first. Leaves the clock untrimmed, since no log outlives
+    /// the call.
     fn drain_completions(&mut self) -> Vec<RequestRecord> {
-        std::mem::take(&mut self.completions)
+        records(&self.take_streams())
     }
+}
+
+/// The two-timestamp records of drained streams.
+fn records(streams: &StreamLog) -> Vec<RequestRecord> {
+    streams
+        .streams()
+        .iter()
+        .map(|s| s.record().expect("a completed stream delivered a token"))
+        .collect()
 }
 
 impl MemoryElastic for GatewayEngine {
@@ -1276,7 +1311,7 @@ mod tests {
         assert_eq!(s.tokens.len(), 32);
         assert!(s.ttft().unwrap() > 0.0);
         assert!(s.tokens.gaps().all(|gap| gap > SimDuration::ZERO));
-        assert_eq!(e.drain_completions().len(), 1);
+        assert_eq!(records(&streams).len(), 1);
         assert_eq!(e.kv().used_blocks(), 0);
     }
 
@@ -1357,10 +1392,9 @@ mod tests {
         e.submit(InferenceRequest::text(0, 256, 200), SimTime::ZERO);
         e.submit(InferenceRequest::text(1, 256, 200), SimTime::ZERO);
         run_to_completion(&mut e);
-        let recs = e.drain_completions();
-        assert_eq!(recs.len(), 2);
-        assert!(e.preemptions() > 0, "expected KV pressure");
         let streams = e.drain_streams();
+        assert_eq!(records(&streams).len(), 2);
+        assert!(e.preemptions() > 0, "expected KV pressure");
         assert!(streams.streams().iter().all(|s| s.tokens.len() == 200));
     }
 
@@ -1472,14 +1506,15 @@ mod tests {
         }
         assert_eq!(e.queue_depth(), 1, "watermark of 1 accepts one");
         run_to_completion(&mut e);
-        assert_eq!(e.drain_completions().len(), 1);
+        let streams = e.drain_streams();
+        assert_eq!(records(&streams).len(), 1);
         assert_eq!(e.outcomes().completed(), 1);
         assert_eq!(e.outcomes().shed(), 2);
         assert_eq!(
             e.outcomes().of(1),
             Some(RequestOutcome::ShedAtAdmission(ShedReason::QueueDepth))
         );
-        assert_eq!(e.drain_streams().len(), 1, "shed requests have no stream");
+        assert_eq!(streams.len(), 1, "shed requests have no stream");
     }
 
     #[test]
@@ -1580,9 +1615,8 @@ mod tests {
             let mut engines: Vec<&mut dyn Engine> = vec![&mut e];
             driver.run(&mut engines, SimTime::from_secs(10_000));
         }
-        let recs = e.drain_completions();
-        assert_eq!(recs.len(), 1, "the request survives the crash");
         let streams = e.drain_streams();
+        assert_eq!(records(&streams).len(), 1, "the request survives the crash");
         assert_eq!(streams.streams()[0].tokens.len(), 400, "no truncation");
         assert_eq!(e.outcomes().of(0), Some(RequestOutcome::Completed));
         assert!(e.outcomes().total_retries() >= 1);
@@ -2140,8 +2174,8 @@ mod tests {
                 .tokens
                 .runs()
                 .iter()
-                .flat_map(|r| &e.clock[r.first as usize..(r.first + r.count) as usize])
-                .copied()
+                .flat_map(|r| r.first as usize..(r.first + r.count) as usize)
+                .map(|i| e.clock().get(i))
                 .collect();
             assert_eq!(s.tokens.iter().collect::<Vec<_>>(), from_clock);
             assert!(s.tokens.gaps().all(|gap| gap > SimDuration::ZERO));
@@ -2218,6 +2252,98 @@ mod tests {
         assert_eq!(runs_by_id(&streams), BTreeMap::from([(0, 3)]));
         assert_eq!(streams.streams()[0].tokens.len(), 1_000);
         assert_runs_read_the_clock(&e, &streams);
+    }
+
+    /// The two drains empty one completion log: after swap preemption,
+    /// recompute preemption and crash retries, whichever drain runs first
+    /// hands out every completed request and leaves the other empty, and
+    /// the records are those of the streams. A drained log keeps its times
+    /// while the gateway serves on.
+    #[test]
+    fn each_completion_is_drained_once() {
+        use aqua_engines::driver::Driver;
+        use aqua_engines::offload::DramOffloader;
+        use aqua_sim::topology::ServerTopology;
+        use aqua_sim::transfer::TransferEngine;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        fn served(case: usize) -> GatewayEngine {
+            if case < 2 {
+                let policy = [PreemptionPolicy::Swap, PreemptionPolicy::Recompute][case];
+                let server = ServerTopology::nvlink_pair(GpuSpec::a100_80g());
+                let xfer = Rc::new(RefCell::new(TransferEngine::new()));
+                let mut e = GatewayEngine::new(
+                    *zoo::mistral_7b().llm_geometry().unwrap(),
+                    GpuSpec::a100_80g(),
+                    PolicyKind::Fcfs,
+                    GatewayConfig {
+                        kv_pool_bytes: pool_of_blocks(40),
+                        preemption: policy,
+                        ..GatewayConfig::vllm()
+                    },
+                )
+                .with_offloader(Box::new(DramOffloader::pinned(
+                    &server,
+                    GpuId(0),
+                    xfer,
+                )));
+                e.submit(InferenceRequest::text(0, 256, 200), SimTime::ZERO);
+                e.submit(InferenceRequest::text(1, 256, 200), SimTime::ZERO);
+                run_to_completion(&mut e);
+                assert_eq!(e.preemptions(), 1, "{policy:?}");
+                e
+            } else {
+                let plan = FaultPlan::new()
+                    .gpu_crash(GpuId(0), SimTime::from_secs(1), SimTime::from_secs(2))
+                    .gpu_crash(GpuId(0), SimTime::from_secs(4), SimTime::from_secs(5));
+                let mut e = vllm_engine(gib(20)).with_fault_plan(&plan, GpuId(0));
+                let mut driver = Driver::new();
+                driver.crash_window(0, SimTime::from_secs(1), SimTime::from_secs(2));
+                driver.crash_window(0, SimTime::from_secs(4), SimTime::from_secs(5));
+                driver.schedule_arrival(0, SimTime::ZERO, InferenceRequest::text(0, 64, 1_000));
+                driver.run(&mut [&mut e as &mut dyn Engine], SimTime::from_secs(10_000));
+                assert_eq!(e.outcomes().total_retries(), 2);
+                e
+            }
+        }
+
+        for (case, completed) in [(0, 2), (1, 2), (2, 1)] {
+            let mut e = served(case);
+            let streams = e.drain_streams();
+            assert_eq!(streams.len(), completed, "case {case}");
+            assert!(e.drain_completions().is_empty(), "case {case}");
+            assert!(e.drain_streams().is_empty(), "case {case}");
+
+            let mut twin = served(case);
+            let recs = twin.drain_completions();
+            assert_eq!(recs, records(&streams), "case {case}");
+            assert!(twin.drain_streams().is_empty(), "case {case}");
+            assert!(twin.drain_completions().is_empty(), "case {case}");
+
+            // Serving on while the drained log lives appends to a copy of
+            // the clock; the next drain holds only the new request.
+            let end = streams
+                .streams()
+                .iter()
+                .filter_map(|s| s.completion())
+                .max()
+                .unwrap();
+            e.submit(InferenceRequest::text(9, 64, 8), end);
+            let mut now = end;
+            while e.has_work() {
+                now = e.step(now);
+            }
+            assert_runs_read_the_clock(&e, &streams);
+            assert_eq!(records(&streams), recs, "case {case}");
+            let later = e.drain_completions();
+            assert_eq!(
+                later.iter().map(|r| r.id).collect::<Vec<_>>(),
+                [9],
+                "case {case}"
+            );
+            assert!(e.drain_streams().is_empty(), "case {case}");
+        }
     }
 
     #[test]
@@ -2305,9 +2431,9 @@ mod tests {
                 break;
             }
         }
-        let recs = memo.drain_completions();
-        assert_eq!(recs, popping.drain_completions());
-        assert_eq!(memo.drain_streams(), popping.drain_streams());
+        let streams = memo.drain_streams();
+        assert_eq!(streams, popping.drain_streams());
+        let recs = records(&streams);
         assert_eq!(recs.len(), 121);
         let long = recs.iter().find(|r| r.id == 0).unwrap();
         assert!(
@@ -2393,10 +2519,10 @@ mod tests {
                 driver.run(&mut engines, SimTime::from_secs(100_000));
             }
             assert!(!e.has_work());
-            let recs = e.drain_completions();
+            let streams = e.drain_streams();
+            let recs = records(&streams);
             assert_eq!(recs.len(), reqs.len());
             assert!(recs.iter().all(|r| r.first_token >= r.arrival));
-            let streams = e.drain_streams();
             assert_eq!(streams.len(), reqs.len());
             for s in streams.streams() {
                 let (_, output, _) = reqs[s.id as usize];
@@ -2508,7 +2634,6 @@ mod tests {
                     _ => now = step_twins(&mut memo, &mut popping, now),
                 }
             }
-            assert_eq!(memo.drain_completions(), popping.drain_completions());
             assert_eq!(memo.drain_streams(), popping.drain_streams());
         }
     }

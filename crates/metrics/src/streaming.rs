@@ -10,10 +10,14 @@
 //!
 //! A continuously batched engine delivers one token to every running
 //! sequence at each iteration boundary, so the timeline is stored once per
-//! engine: an append-only clock of iteration end times. A stream's
-//! [`TokenTimes`] is that clock, shared, plus the [`Run`]s of consecutive
-//! iterations the request spent in the batch (a preemption or crash retry
-//! starts a new run).
+//! engine: an append-only [`IterationClock`] of iteration end times. A
+//! stream's [`TokenTimes`] is that clock, shared, plus the [`Run`]s of
+//! consecutive iterations the request spent in the batch (a preemption or
+//! crash retry starts a new run).
+//!
+//! The clock keeps 4 bytes per iteration: each time's low 32 bits, plus one
+//! `(first index, high word)` pair whenever the high 32 bits change, which
+//! happens at most once per 2^32 ns (4.29 s) of simulated time.
 
 use crate::latency::Summary;
 use crate::requests::RequestRecord;
@@ -38,13 +42,103 @@ impl Run {
     }
 }
 
+/// An append-only log of iteration end times, 4 bytes per entry: the low
+/// 32 bits of each time, and one `(first index, high word)` pair per
+/// change of the high 32 bits. Reading one entry binary-searches the
+/// pairs; [`TokenTimes::iter`] walks each run with a cursor, O(1) per
+/// entry. Holds at most `u32::MAX` entries.
+#[derive(Debug, Clone, Default)]
+pub struct IterationClock {
+    /// Each entry's low 32 bits.
+    lows: Vec<u32>,
+    /// `(index of the first entry, high 32 bits)` at every change of the
+    /// high word, indices strictly ascending; the first pair has index 0.
+    highs: Vec<(u32, u32)>,
+}
+
+impl IterationClock {
+    /// Appends an entry.
+    pub fn push(&mut self, at: SimTime) {
+        let nanos = at.as_nanos();
+        let high = (nanos >> 32) as u32;
+        if self.highs.last().is_none_or(|&(_, h)| h != high) {
+            let first = u32::try_from(self.lows.len()).expect("at most u32::MAX entries");
+            self.highs.push((first, high));
+        }
+        self.lows.push(nanos as u32);
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.lows.len()
+    }
+
+    /// Whether the clock has no entry.
+    pub fn is_empty(&self) -> bool {
+        self.lows.is_empty()
+    }
+
+    /// The entry at `index`.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is out of bounds.
+    pub fn get(&self, index: usize) -> SimTime {
+        let high = self.highs[self.pair_of(index)].1;
+        SimTime::from_nanos(u64::from(high) << 32 | u64::from(self.lows[index]))
+    }
+
+    /// Drops spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.lows.shrink_to_fit();
+        self.highs.shrink_to_fit();
+    }
+
+    /// Position in `highs` of the pair that covers entry `index` (0 for an
+    /// empty clock).
+    fn pair_of(&self, index: usize) -> usize {
+        self.highs
+            .partition_point(|&(first, _)| first as usize <= index)
+            .saturating_sub(1)
+    }
+
+    /// The entries in `span`, in order: one binary search, then one slice
+    /// of low words per high word.
+    fn times(&self, span: Range<usize>) -> impl Iterator<Item = SimTime> + '_ {
+        (self.pair_of(span.start)..self.highs.len())
+            .map(move |k| {
+                let (first, high) = self.highs[k];
+                let end = self
+                    .highs
+                    .get(k + 1)
+                    .map_or(self.lows.len(), |&(next, _)| next as usize);
+                let part = (first as usize).max(span.start)..end.min(span.end);
+                (u64::from(high) << 32, part)
+            })
+            .take_while(|(_, part)| part.start < part.end)
+            .flat_map(move |(high, part)| {
+                self.lows[part]
+                    .iter()
+                    .map(move |&low| SimTime::from_nanos(high | u64::from(low)))
+            })
+    }
+}
+
+impl FromIterator<SimTime> for IterationClock {
+    fn from_iter<I: IntoIterator<Item = SimTime>>(iter: I) -> Self {
+        let mut clock = IterationClock::default();
+        iter.into_iter().for_each(|at| clock.push(at));
+        clock
+    }
+}
+
 /// The delivery times of one stream's tokens, in order: non-empty,
 /// disjoint, ascending [`Run`]s over a shared clock. Clones share the
 /// clock; `==` and `Debug` compare and print the delivery times, not the
 /// representation.
 #[derive(Clone)]
 pub struct TokenTimes {
-    clock: Arc<Vec<SimTime>>,
+    clock: Arc<IterationClock>,
     runs: Box<[Run]>,
 }
 
@@ -55,7 +149,7 @@ impl TokenTimes {
     ///
     /// If a run is empty, reaches past the clock, or starts before the
     /// previous run ends.
-    pub fn new(clock: Arc<Vec<SimTime>>, runs: Box<[Run]>) -> Self {
+    pub fn new(clock: Arc<IterationClock>, runs: Box<[Run]>) -> Self {
         let mut end = 0;
         for run in runs.iter() {
             let span = run.span();
@@ -87,33 +181,27 @@ impl TokenTimes {
     /// When the first token was delivered.
     pub fn first(&self) -> Option<SimTime> {
         let run = self.runs.first()?;
-        Some(self.clock[run.span().start])
+        Some(self.clock.get(run.span().start))
     }
 
     /// When the last token was delivered.
     pub fn last(&self) -> Option<SimTime> {
         let run = self.runs.last()?;
-        Some(self.clock[run.span().end - 1])
+        Some(self.clock.get(run.span().end - 1))
     }
 
     /// Every delivery time, in order.
     pub fn iter(&self) -> impl Iterator<Item = SimTime> + '_ {
-        self.runs
-            .iter()
-            .flat_map(|r| self.clock[r.span()].iter().copied())
+        self.runs.iter().flat_map(|r| self.clock.times(r.span()))
     }
 
     /// The gap before each token after the first, run boundaries included:
     /// the differences of `windows(2)` over [`iter`](Self::iter).
     pub fn gaps(&self) -> impl Iterator<Item = SimDuration> + '_ {
-        let mut previous_run_end: Option<SimTime> = None;
-        self.runs.iter().flat_map(move |r| {
-            let times = &self.clock[r.span()];
-            let boundary = previous_run_end.map(|end| times[0].duration_since(end));
-            previous_run_end = times.last().copied();
-            boundary
-                .into_iter()
-                .chain(times.windows(2).map(|w| w[1].duration_since(w[0])))
+        let mut times = self.iter();
+        let first = times.next();
+        times.scan(first, |previous, at| {
+            Some(at.duration_since(previous.replace(at)?))
         })
     }
 }
@@ -127,7 +215,7 @@ impl From<Vec<SimTime>> for TokenTimes {
         } else {
             Box::new([Run { first: 0, count }])
         };
-        TokenTimes::new(Arc::new(times), runs)
+        TokenTimes::new(Arc::new(times.into_iter().collect()), runs)
     }
 }
 
@@ -415,22 +503,76 @@ mod tests {
         }
     }
 
+    /// Ascending times from `back` ns before the start of high word
+    /// `high` (clamped at zero), one per drawn step: `(0, _)` repeats the
+    /// previous time, `(1, raw)` adds under 1 us, and `(2, raw)` adds
+    /// `raw`, up to five 2^32 ns high words (an idle engine).
+    fn ascending((high, back): (u64, u64), steps: &[(u8, u64)]) -> Vec<SimTime> {
+        let mut at = (high << 32).saturating_sub(back);
+        steps
+            .iter()
+            .map(|&(kind, raw)| {
+                at += match kind {
+                    0 => 0,
+                    1 => raw % 1_000,
+                    _ => raw,
+                };
+                SimTime::from_nanos(at)
+            })
+            .collect()
+    }
+
     aqua_sim::check! {
-        /// `TokenTimes` over a strictly increasing clock and disjoint runs
-        /// behaves exactly like the flattened `Vec<SimTime>` it stands for.
+        /// An `IterationClock` reads back every pushed time, keeps one
+        /// high-word pair per change of the high 32 bits, and walks any
+        /// range as the slice of the model; `TokenTimes` over it in one run
+        /// is the model: across equal times, 2^32 ns boundaries and gaps of
+        /// several high words.
+        #[test]
+        fn iteration_clock_matches_the_flattened_vec(
+            start in (0u64..1 << 20, 0u64..2_000),
+            steps in aqua_sim::check::vec((0u8..3, 0u64..5 << 32), 0..40)
+        ) {
+            let model = ascending(start, &steps);
+            let clock: IterationClock = model.iter().copied().collect();
+            assert_eq!(clock.len(), model.len());
+            assert_eq!(clock.is_empty(), model.is_empty());
+            for (i, &at) in model.iter().enumerate() {
+                assert_eq!(clock.get(i), at, "entry {i}");
+            }
+            let mut high_words: Vec<u64> = model.iter().map(|t| t.as_nanos() >> 32).collect();
+            high_words.dedup();
+            assert_eq!(clock.highs.len(), high_words.len());
+            for a in 0..=model.len() {
+                for b in a..=model.len() {
+                    assert_eq!(clock.times(a..b).collect::<Vec<_>>(), model[a..b], "{a}..{b}");
+                }
+            }
+
+            let times = TokenTimes::from(model.clone());
+            assert_eq!(times.len(), model.len());
+            assert_eq!(times.first(), model.first().copied());
+            assert_eq!(times.last(), model.last().copied());
+            assert_eq!(times.iter().collect::<Vec<_>>(), model);
+            let gaps: Vec<SimDuration> =
+                model.windows(2).map(|w| w[1].duration_since(w[0])).collect();
+            assert_eq!(times.gaps().collect::<Vec<_>>(), gaps);
+            assert_eq!(times, times.clone());
+            assert_eq!(format!("{times:?}"), format!("{model:?}"));
+        }
+    }
+
+    aqua_sim::check! {
+        /// `TokenTimes` over an ascending clock and disjoint runs behaves
+        /// exactly like the flattened `Vec<SimTime>` it stands for, runs
+        /// across 2^32 ns boundaries included.
         #[test]
         fn token_times_match_the_flattened_vec(
-            steps in aqua_sim::check::vec(1u64..1_000, 0..60),
+            start in (0u64..1 << 20, 0u64..2_000),
+            steps in aqua_sim::check::vec((0u8..3, 0u64..5 << 32), 0..60),
             spec in aqua_sim::check::vec((0u32..4, 1u32..6), 0..12)
         ) {
-            let mut at = 0;
-            let clock: Vec<SimTime> = steps
-                .iter()
-                .map(|step| {
-                    at += step;
-                    SimTime::from_nanos(at)
-                })
-                .collect();
+            let clock = ascending(start, &steps);
             // Each (skip, count) lays a run `skip` entries past the
             // previous one, until the clock runs out.
             let mut runs = Vec::new();
@@ -447,7 +589,7 @@ mod tests {
                 .iter()
                 .flat_map(|r| clock[r.span()].iter().copied())
                 .collect();
-            let times = TokenTimes::new(Arc::new(clock), runs.into());
+            let times = TokenTimes::new(Arc::new(clock.into_iter().collect()), runs.into());
 
             assert_eq!(times.len(), model.len());
             assert_eq!(times.is_empty(), model.is_empty());
