@@ -29,7 +29,10 @@ cargo test -q --offline --test chaos_recovery
 # allocation-free, the placer catalog DP allocation-bounded per state, the
 # untraced decode step of the batching core (the gateway engine in its vLLM
 # configuration) limited to amortized block-table and iteration-clock
-# doubling, a pre-sized driver running that engine must never re-grow its
+# doubling, and the same bound for that engine driven through Driver::run,
+# whose decode runs take the gateway's steady loop
+# (assert_steady_decode_run_is_allocation_lean), a pre-sized driver running
+# that engine must never re-grow its
 # event arena, an idle
 # scale-style server (gateway + AQUA offloader, no informer) must get zero
 # tick calls over a 40,000 s tail while its processed-event count still

@@ -2,13 +2,14 @@
 //! gateway's scheduler-key comparison counter and, for two cost ratios,
 //! the wall clock.
 //!
-//! Ten guarantees: the untraced transfer-schedule path performs zero heap
-//! allocations per transfer — the budget behind Figure 11's sub-5% producer
-//! overhead (it allocated up to four strings per transfer before lane
-//! interning and the dense `PortStats` table); the placer's catalog DP
-//! stays within a small allocation budget per memoised state on a 64-GPU
+//! Eleven guarantees: the untraced transfer-schedule path performs zero
+//! heap allocations per transfer — the budget behind Figure 11's sub-5%
+//! producer overhead (it allocated up to four strings per transfer before
+//! lane interning and the dense `PortStats` table); the placer's catalog
+//! DP stays within a small allocation budget per memoised state on a 64-GPU
 //! mixed solve; the untraced decode step's only heap traffic is amortized
-//! doubling of block tables and of the gateway's iteration clock; a driver
+//! doubling of block tables and of the gateway's iteration clock, and the
+//! same holds for the steady decode runs a driver hands the gateway; a driver
 //! pre-sized with
 //! `Driver::for_expected_events` never re-grows its event arena mid-run;
 //! a scale-style server idling out a 40,000 s horizon is never ticked (the
@@ -207,6 +208,56 @@ fn assert_untraced_decode_step_is_allocation_lean() {
     );
 }
 
+/// The decode-step bound again, through `Driver::run`: `step` is never
+/// called directly, so the driver hands each decode run to the gateway's
+/// `step_run`, and a batch that cannot change (one FCFS queue, drained by
+/// the first step; no informer, deadlines, adapters or offloader) goes
+/// through its steady loop. Over at least as many iterations and sequences
+/// as the step gate, cut into 120 runs by 50 ms `run` windows (as PDES
+/// lanes cut theirs), its only heap traffic must also be amortized
+/// block-table and clock doubling: neither a steady iteration nor settling
+/// a run's tokens may allocate.
+fn assert_steady_decode_run_is_allocation_lean() {
+    const SEQS: u64 = 8;
+    const STEPS: u64 = 512;
+    const CAP: u64 = SEQS * 6;
+    let geom = *zoo::mistral_7b().llm_geometry().unwrap();
+    let mut e = GatewayEngine::new(
+        geom,
+        GpuSpec::a100_80g(),
+        PolicyKind::Fcfs,
+        GatewayConfig::vllm(),
+    );
+    let mut driver = Driver::new();
+    for i in 0..SEQS {
+        // Output far beyond the measured window: nothing completes.
+        driver.schedule_arrival(0, SimTime::ZERO, InferenceRequest::text(i, 128, 1 << 20));
+    }
+    // Warm-up: arrivals, admission, first KV blocks, the driver's slots.
+    driver.run(&mut [&mut e], SimTime::from_millis(500));
+    let warm = e.iterations();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for window in 1..=120 {
+        driver.run(&mut [&mut e], SimTime::from_millis(500 + 50 * window));
+    }
+    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let steps = e.iterations() - warm;
+    assert!(
+        steps >= STEPS,
+        "the window must cover {STEPS} iterations, ran {steps}"
+    );
+    assert!(
+        allocs <= CAP,
+        "driven decode runs made {allocs} allocations over {steps} iterations x {SEQS} seqs \
+         (cap {CAP}: amortized block-table and clock doubling only)"
+    );
+    black_box(&e);
+    eprintln!(
+        "hot_path: driven decode runs: {allocs} allocations over {steps} iterations \
+         x {SEQS} seqs (cap {CAP})"
+    );
+}
+
 /// A drained `StreamLog` must keep the gateway's iteration clock once, in
 /// its compact form, not a delivery time per token: after a small `serve`
 /// cell (the three-tenant mix, 64 chat requests at 3 req/s) on a 1 GiB KV
@@ -322,8 +373,9 @@ fn assert_presized_driver_never_regrows() {
     );
 }
 
-/// Forwards every `Engine` call, the no-op-tick declaration included, and
-/// counts steps and ticks.
+/// Forwards every `Engine` call but `step_run`, the no-op-tick declaration
+/// included, and counts steps and ticks (so every iteration is a counted
+/// `step`).
 struct CountingEngine<E> {
     inner: E,
     steps: u64,
@@ -647,6 +699,7 @@ fn main() {
     assert_untraced_schedule_is_allocation_free();
     assert_placer_solve_allocation_bounded();
     assert_untraced_decode_step_is_allocation_lean();
+    assert_steady_decode_run_is_allocation_lean();
     assert_drained_streams_share_the_clock();
     assert_presized_driver_never_regrows();
     assert_idle_server_is_never_ticked();

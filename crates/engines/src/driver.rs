@@ -29,9 +29,10 @@
 //!
 //! A decoding engine's step completes, the loop processes that completion,
 //! and the same engine starts its next step at once — usually with nothing
-//! else in between. So when `step(s)` returns `t`, the driver calls
-//! `step(t)` itself, without a trip through the loop, while all of these
-//! hold:
+//! else in between. So when `step(s)` returns `t`, the driver hands the
+//! rest of the run to the engine, without a trip through the loop:
+//! [`Engine::step_run`] keeps starting the next step at each completion
+//! while all of these hold:
 //!
 //! * `s < t ≤ end`, the current `run`'s horizon;
 //! * `t` is before the next queued arrival (one at exactly `t` was queued
@@ -55,14 +56,24 @@
 //! bound — arrivals are only queued by `schedule_arrival` and crash
 //! re-queues, other engines do not act, and an engine's `has_work` and
 //! `idle_tick_is_noop` answers change only through calls on that engine —
-//! so the bounds are computed once per run. Each chained step counts one processed event and draws one seq,
-//! as the loop would have; the tick rounds inside the run are still due
-//! when the loop resumes, and the fast-forward counts them then. So seqs,
+//! so the bounds are computed once per run and passed to `step_run` as its
+//! `limit`. `step_run` reports how many steps it took; the driver adds one
+//! processed event and draws one seq for each, as the loop would have for
+//! their completions, and no other call draws a seq during the run. The
+//! tick rounds inside the run are still due when the loop resumes, and the
+//! fast-forward counts them then. So seqs ([`Driver::next_seq`]),
 //! [`Driver::processed_events`], [`Driver::next_event_time`] and every
 //! engine call, in order and with its time, are what stepping through the
 //! loop gives (the golden `tests/driver_order.rs` pins them). A run starts
 //! only where no other engine still acts at the same instant: not inside a
 //! tick round, whose later engines tick at `now` after this one.
+//!
+//! The default `step_run` is that loop over [`Engine::step`]. An engine may
+//! override it to take the same steps more cheaply, as long as every other
+//! layer sees the same calls and the engine ends in the same state: the
+//! gateway runs a batch that cannot change through many iterations in one
+//! call (its steady runs). A wrapper that forwards `step` but not
+//! `step_run` still gets the default, one `step` call per iteration.
 
 use crate::request::InferenceRequest;
 use aqua_metrics::requests::RequestRecord;
@@ -85,6 +96,31 @@ pub trait Engine {
     /// time, which must be strictly after `now` whenever [`Engine::has_work`]
     /// is `true`.
     fn step(&mut self, now: SimTime) -> SimTime;
+
+    /// Continues a decode run (see the module doc). A step started at
+    /// `start` completes at `done`; while `start < done ≤ limit` and the
+    /// engine still has work, the next step starts at `done`. Returns the
+    /// last step's start and completion and the number of steps taken
+    /// here, whose completions the driver counts as processed events.
+    ///
+    /// An override must make the same calls on every other layer, and
+    /// leave the engine in the same state, as this default does by calling
+    /// [`Engine::step`]. A wrapper that does not forward it therefore
+    /// steps its engine one call at a time.
+    fn step_run(
+        &mut self,
+        mut start: SimTime,
+        mut done: SimTime,
+        limit: SimTime,
+    ) -> (SimTime, SimTime, u64) {
+        let mut steps = 0;
+        while start < done && done <= limit && self.has_work() {
+            steps += 1;
+            start = done;
+            done = self.step(start);
+        }
+        (start, done, steps)
+    }
 
     /// Periodic control hook invoked while the engine is idle (used by
     /// AQUA informers to donate/reclaim memory even when no requests flow).
@@ -218,6 +254,13 @@ impl Driver {
     /// so the total does not depend on which engines declare a no-op tick.
     pub fn processed_events(&self) -> u64 {
         self.processed
+    }
+
+    /// The seq the driver draws next, for a queued arrival or a started
+    /// step. Like [`Driver::processed_events`], it counts every step of a
+    /// decode run, however the engine took them.
+    pub fn next_seq(&self) -> u64 {
+        self.events.next_seq()
     }
 
     /// The firing time of the earliest pending event, if any — a queued
@@ -420,13 +463,13 @@ impl Driver {
         let mut done = engines[i].step(now);
         if let Some(end) = end.filter(|&end| start < done && done <= end) {
             let limit = self.run_limit(engines, i, now, end);
-            while start < done && done <= limit && engines[i].has_work() {
-                // The completion at `done` is processed here instead of by
-                // the loop: it counts and draws the seq its restart would.
-                self.processed += 1;
+            let steps;
+            (start, done, steps) = engines[i].step_run(start, done, limit);
+            // The completions inside the run are processed here instead of
+            // by the loop: each counts and draws the seq its restart would.
+            self.processed += steps;
+            for _ in 0..steps {
                 self.events.take_seq();
-                start = done;
-                done = engines[i].step(start);
             }
         }
         if done <= start {

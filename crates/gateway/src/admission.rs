@@ -197,14 +197,20 @@ impl AdmissionController {
     /// Returns `Some(new_state)` on a transition so the gateway can journal
     /// it, `None` when the state is unchanged.
     pub fn update_brownout(&mut self, queue_depth: usize) -> Option<bool> {
-        let Some(b) = &self.overload.brownout else {
-            return None;
-        };
+        let transition = self.brownout_transition(queue_depth);
+        if let Some(active) = transition {
+            self.brownout_active = active;
+        }
+        transition
+    }
+
+    /// The transition [`update_brownout`](Self::update_brownout) would
+    /// make at `queue_depth`, without making it.
+    pub fn brownout_transition(&self, queue_depth: usize) -> Option<bool> {
+        let b = self.overload.brownout.as_ref()?;
         if !self.brownout_active && queue_depth >= b.enter_depth {
-            self.brownout_active = true;
             Some(true)
         } else if self.brownout_active && queue_depth <= b.exit_depth {
-            self.brownout_active = false;
             Some(false)
         } else {
             None

@@ -138,6 +138,19 @@ struct GateSeq {
     needs_restore: bool,
 }
 
+impl GateSeq {
+    /// Extends the open run by `tokens` tokens already counted in
+    /// `life.generated`.
+    fn extend_run(&mut self, tokens: u32) {
+        self.runs.last_mut().expect("admission opens a run").count += tokens;
+        debug_assert_eq!(
+            self.runs.iter().map(|r| u64::from(r.count)).sum::<u64>(),
+            self.life.generated,
+            "the runs hold every generated token"
+        );
+    }
+}
+
 /// A completed request's stream, waiting for a drain to attach the clock:
 /// holding the clock's `Arc` here would make the next append copy it. It is
 /// the gateway's only per-completion state: both drains read it.
@@ -692,16 +705,8 @@ impl GatewayEngine {
     /// every eligible entry per decode iteration, which turned saturated
     /// million-request traces quadratic.
     fn admit(&mut self, now: SimTime) {
-        if self.running.len() >= self.config.max_batch || self.pending.is_empty() {
+        if self.admit_is_noop() {
             return;
-        }
-        if let Some(memo) = self.admit_memo {
-            // Whatever empties the batch clears the memo, so the limit is
-            // the free KV tokens.
-            debug_assert!(!self.running.is_empty());
-            if self.kv.free_blocks() * DEFAULT_BLOCK_TOKENS <= memo {
-                return;
-            }
         }
         // The limit of the pop that ends this round, if it was blocked or
         // empty.
@@ -817,6 +822,20 @@ impl GatewayEngine {
         for meta in stashed {
             self.scheduler.insert(meta);
         }
+    }
+
+    /// Whether [`admit`](Self::admit) would return at once: the batch is
+    /// full, the queue is empty, or the admission memo proves the round
+    /// would end where the last one did.
+    fn admit_is_noop(&self) -> bool {
+        self.running.len() >= self.config.max_batch
+            || self.pending.is_empty()
+            || self.admit_memo.is_some_and(|memo| {
+                // Whatever empties the batch clears the memo, so the limit
+                // is the free KV tokens.
+                debug_assert!(!self.running.is_empty());
+                self.kv.free_blocks() * DEFAULT_BLOCK_TOKENS <= memo
+            })
     }
 
     /// KV blocks the pool would hold with every donation returned.
@@ -949,6 +968,306 @@ impl GatewayEngine {
                     && self.kv.used_tokens_of(id) == s.life.context_tokens()
             })
     }
+
+    /// Opens a decode iteration at `now`: runs the informer, then the
+    /// offloader's iteration boundary (AQUA-LIB's `respond()`), and
+    /// returns when the iteration's work may start.
+    fn open_iteration(&mut self, now: SimTime) -> SimTime {
+        self.iterations += 1;
+        let now = self.run_informer(now);
+        match self.offloader.as_mut() {
+            Some(off) => off.on_iteration_boundary(now).max(now),
+            None => now,
+        }
+    }
+
+    /// Everything of a step after [`open_iteration`](Self::open_iteration):
+    /// scheduling, admission and preemption at `now`, then one decode
+    /// iteration and its per-sequence bookkeeping. Returns the iteration's
+    /// end.
+    fn step_at(&mut self, now: SimTime) -> SimTime {
+        self.advance_index(now);
+        self.handle_crashes(now);
+        self.enforce_deadlines(now);
+        if let Some(engaged) = self.admission.update_brownout(self.pending.len()) {
+            self.admit_memo = None;
+            trace!(
+                self.tracer,
+                TraceEvent::GatewayBrownout {
+                    gateway: self.scope.clone(),
+                    state: if engaged { "enter" } else { "exit" }.to_owned(),
+                    queue_depth: self.pending.len() as u64,
+                    at: now,
+                }
+            );
+        }
+        self.admit(now);
+        self.make_room_for_decode(now);
+        self.emit_gauges(now);
+        if self.running.is_empty() {
+            // If the only schedulable work is backing off after a crash
+            // retry, tell the driver when it becomes eligible — spinning
+            // 1ns steps until then would melt the event loop. (The index
+            // is at `now`, so the parked set holds only strictly-future
+            // deadlines.)
+            let resume = self.scheduler.next_parked().unwrap_or(now);
+            self.advance_index(resume);
+            return resume;
+        }
+
+        let mut io_done = self.load_adapters(now);
+        if let Some(off) = self.offloader.as_mut() {
+            let chunks_per_gib = 2 * self.geom.layers;
+            if self.pending_swap_out > 0 {
+                io_done = io_done.max(off.swap_out(self.pending_swap_out, chunks_per_gib, now));
+                self.pending_swap_out = 0;
+            }
+            if self.pending_swap_in > 0 {
+                io_done = io_done.max(off.swap_in(self.pending_swap_in, chunks_per_gib, now));
+                self.pending_swap_in = 0;
+            }
+        } else {
+            self.pending_swap_out = 0;
+            self.pending_swap_in = 0;
+        }
+
+        debug_assert_eq!(
+            self.unprefilled_tokens,
+            self.running
+                .iter()
+                .filter(|s| !s.prefilled)
+                .map(|s| s.life.context_tokens())
+                .sum::<u64>()
+        );
+        let end = self.decode(io_done);
+        self.finished.clear();
+        for (i, seq) in self.running.iter_mut().enumerate() {
+            seq.prefilled = true;
+            // More tokens than the request declared is a simulator bug.
+            assert!(
+                seq.life.generated < seq.life.req.output_tokens,
+                "token record past declared output"
+            );
+            seq.life.note_token(end);
+            seq.extend_run(1);
+            // The crash-restore invariant: a crashed sequence still in the
+            // pending-restore set at token time means no restore event was
+            // journalled for it. Flag once, then clear so one planted bug
+            // does not flood the journal.
+            let id = seq.life.req.id.0;
+            if !self.crashed_pending_restore.is_empty() && self.crashed_pending_restore.remove(&id)
+            {
+                if let Some(aud) = &self.auditor {
+                    aud.record(AuditViolation::TokenWithoutRestore {
+                        gateway: self.scope.to_string(),
+                        request: id,
+                        at: end,
+                    });
+                }
+            }
+            if seq.life.generated == 1 {
+                trace!(
+                    self.tracer,
+                    TraceEvent::FirstTokenEmitted {
+                        gateway: self.scope.clone(),
+                        request: seq.life.req.id.0,
+                        at: end,
+                    }
+                );
+            }
+            if seq.life.is_complete() {
+                self.finished.push(i);
+            }
+        }
+        // Descending, so each removal leaves the lower indices valid.
+        let finished = std::mem::take(&mut self.finished);
+        for &i in finished.iter().rev() {
+            let seq = self.running.remove(i);
+            self.kv.free_seq(seq.life.req.id);
+            self.retire(&seq);
+            self.outcomes
+                .note(seq.life.req.id.0, seq.tenant, RequestOutcome::Completed);
+            self.scheduler
+                .observe_completion(seq.life.req.prompt_tokens, seq.life.generated);
+            trace!(
+                self.tracer,
+                TraceEvent::GatewayCompleted {
+                    gateway: self.scope.clone(),
+                    request: seq.life.req.id.0,
+                    output_tokens: seq.life.generated,
+                    at: end,
+                }
+            );
+            self.delivered.push(Delivered {
+                id: seq.life.req.id.0,
+                tenant: seq.tenant,
+                arrival: seq.life.arrival,
+                runs: seq.runs.into_boxed_slice(),
+            });
+        }
+        self.finished = finished;
+        // Completions may have moved the learned ratio and promotions may
+        // have fallen due during the step: applying them here lets
+        // `has_work` read the order the next step pops in.
+        self.advance_index(end);
+        end
+    }
+
+    /// Journals the three gauges at `now`, if traced.
+    fn emit_gauges(&mut self, now: SimTime) {
+        if self.tracer.enabled() {
+            self.emit_gauge(QUEUE_DEPTH, self.pending.len() as f64, now);
+            self.emit_gauge(RUNNING, self.running.len() as f64, now);
+            self.emit_gauge(KV_USED_BYTES, self.kv.used_bytes() as f64, now);
+        }
+    }
+
+    /// The decode core of every iteration, steady or not: the cost of
+    /// prefilling the batch's unprefilled context and decoding one token
+    /// per sequence, started at `io_done`; one more KV token for every
+    /// sequence; and the iteration's end appended to the clock. Returns
+    /// that end.
+    fn decode(&mut self, io_done: SimTime) -> SimTime {
+        let prefill_tokens = std::mem::take(&mut self.unprefilled_tokens);
+        let t_prefill = cost::llm_prefill_time(&self.geom, &self.gpu, prefill_tokens);
+        let batch = self.running.len() as u64;
+        let total_ctx = self.kv.total_context_tokens() + batch;
+        let compute = match self.decode_compute.get_mut(self.running.len()) {
+            Some(memo) if !memo.is_nan() => *memo,
+            Some(memo) => {
+                *memo = cost::llm_decode_compute_secs(&self.geom, &self.gpu, batch);
+                *memo
+            }
+            None => cost::llm_decode_compute_secs(&self.geom, &self.gpu, batch),
+        };
+        let t_decode = cost::llm_decode_step_time_from(&self.geom, &self.gpu, compute, total_ctx);
+        let end = io_done + t_prefill + t_decode;
+
+        self.kv
+            .grow_each_by_one()
+            .expect("make_room_for_decode guarantees headroom");
+        if let Some(shared) = self.shared_clock.take() {
+            self.clock = Arc::unwrap_or_clone(shared);
+        }
+        assert!(
+            self.clock.len() < u32::MAX as usize,
+            "a gateway's iteration clock is indexed by u32"
+        );
+        self.clock.push(end);
+        end
+    }
+
+    /// How many decode iterations after the current step can run steady
+    /// (see [`steady_run`](Self::steady_run)): none unless every phase of
+    /// [`step_at`](Self::step_at) but the time-guarded ones, the gauges and
+    /// the decode core is a no-op, and then one less than the fewest tokens
+    /// a running sequence still owes, so that none completes in the run.
+    ///
+    /// Those phases stay no-ops through the run: no informer runs, no
+    /// deadline is enforced, no swap bytes, unprefilled context or owed
+    /// restore exist (only admission, preemption and crashes make them);
+    /// the queue depth and brownout state stay put, so the brownout check
+    /// stays idle; and `admit` stays a no-op because the batch and queue
+    /// keep their sizes and decode only takes free blocks, which keeps the
+    /// memo's bound. A sequence with its first token still to come, or with
+    /// an adapter to keep warm, would make its iterations differ.
+    fn steady_span(&self) -> u64 {
+        let steady = self.informer.is_none()
+            && !self.has_deadlines
+            && self.pending_swap_out == 0
+            && self.pending_swap_in == 0
+            && self.unprefilled_tokens == 0
+            && self.crashed_pending_restore.is_empty()
+            && self
+                .admission
+                .brownout_transition(self.pending.len())
+                .is_none()
+            && self.admit_is_noop();
+        if !steady {
+            return 0;
+        }
+        self.running
+            .iter()
+            .map(|s| match (s.life.generated, s.life.req.adapter) {
+                (1.., None) => s
+                    .life
+                    .req
+                    .output_tokens
+                    .saturating_sub(s.life.generated + 1),
+                _ => 0,
+            })
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// The guards of a steady iteration that time alone can break, at its
+    /// start `now` (after the boundary): no GPU crash window has opened,
+    /// advancing the scheduler index would move nothing, and every
+    /// sequence's next token fits the KV pool without a preemption.
+    fn steady_at(&self, now: SimTime) -> bool {
+        self.crash_windows
+            .get(self.next_crash)
+            .is_none_or(|&(start, _)| now < start)
+            && self.scheduler.quiet_through(now)
+            && self.kv.full_seqs() as u64 <= self.kv.free_blocks()
+    }
+
+    /// Runs up to `span` ([`steady_span`](Self::steady_span)) decode
+    /// iterations back to back, the first starting at `done`, each while
+    /// [`Engine::step_run`]'s bounds allow. Each opens like a step, checks
+    /// [`steady_at`](Self::steady_at), journals the gauges and runs the
+    /// decode core; the other phases of a step are no-ops here. An
+    /// iteration whose guard fails runs the full phases instead, which ends
+    /// the run. Every iteration's closing `advance_index` is quiet but the
+    /// last one's (the next iteration's guard checked a later time), so
+    /// that one runs once, at the end. The per-sequence token bookkeeping
+    /// is [settled](Self::settle) once per run. Returns like `step_run`.
+    fn steady_run(
+        &mut self,
+        mut done: SimTime,
+        limit: SimTime,
+        span: u64,
+    ) -> (SimTime, SimTime, u64) {
+        let mut tokens = 0;
+        loop {
+            let start = done;
+            let now = self.open_iteration(start);
+            if !self.steady_at(now) {
+                self.settle(tokens);
+                return (start, self.step_at(now), tokens + 1);
+            }
+            self.emit_gauges(now);
+            done = self.decode(now);
+            tokens += 1;
+            if tokens == span || !(start < done && done <= limit) {
+                self.settle(tokens);
+                self.advance_index(done);
+                return (start, done, tokens);
+            }
+        }
+    }
+
+    /// Credits every running sequence with the `tokens` tokens of a steady
+    /// run, as that many steps would have one by one. Inside a steady run
+    /// no sequence gets its first token, completes or owes a restore, so
+    /// this is all their bookkeeping.
+    fn settle(&mut self, tokens: u64) {
+        if tokens == 0 {
+            return;
+        }
+        // The clock, which every token indexes, holds fewer than
+        // `u32::MAX` entries.
+        let count = tokens as u32;
+        for seq in &mut self.running {
+            seq.life.generated += tokens;
+            // A steady run stops short of every sequence's last token.
+            assert!(
+                seq.life.generated < seq.life.req.output_tokens,
+                "token record past declared output"
+            );
+            seq.extend_run(count);
+        }
+    }
 }
 
 impl Engine for GatewayEngine {
@@ -1018,166 +1337,35 @@ impl Engine for GatewayEngine {
     }
 
     fn step(&mut self, now: SimTime) -> SimTime {
-        self.iterations += 1;
-        let mut now = self.run_informer(now);
-        if let Some(off) = self.offloader.as_mut() {
-            now = off.on_iteration_boundary(now).max(now);
-        }
-        self.advance_index(now);
-        self.handle_crashes(now);
-        self.enforce_deadlines(now);
-        if let Some(engaged) = self.admission.update_brownout(self.pending.len()) {
-            self.admit_memo = None;
-            trace!(
-                self.tracer,
-                TraceEvent::GatewayBrownout {
-                    gateway: self.scope.clone(),
-                    state: if engaged { "enter" } else { "exit" }.to_owned(),
-                    queue_depth: self.pending.len() as u64,
-                    at: now,
-                }
-            );
-        }
-        self.admit(now);
-        self.make_room_for_decode(now);
-        if self.tracer.enabled() {
-            self.emit_gauge(QUEUE_DEPTH, self.pending.len() as f64, now);
-            self.emit_gauge(RUNNING, self.running.len() as f64, now);
-            self.emit_gauge(KV_USED_BYTES, self.kv.used_bytes() as f64, now);
-        }
-        if self.running.is_empty() {
-            // If the only schedulable work is backing off after a crash
-            // retry, tell the driver when it becomes eligible — spinning
-            // 1ns steps until then would melt the event loop. (The index
-            // is at `now`, so the parked set holds only strictly-future
-            // deadlines.)
-            let resume = self.scheduler.next_parked().unwrap_or(now);
-            self.advance_index(resume);
-            return resume;
-        }
+        let now = self.open_iteration(now);
+        self.step_at(now)
+    }
 
-        let mut io_done = self.load_adapters(now);
-        if let Some(off) = self.offloader.as_mut() {
-            let chunks_per_gib = 2 * self.geom.layers;
-            if self.pending_swap_out > 0 {
-                io_done = io_done.max(off.swap_out(self.pending_swap_out, chunks_per_gib, now));
-                self.pending_swap_out = 0;
-            }
-            if self.pending_swap_in > 0 {
-                io_done = io_done.max(off.swap_in(self.pending_swap_in, chunks_per_gib, now));
-                self.pending_swap_in = 0;
-            }
-        } else {
-            self.pending_swap_out = 0;
-            self.pending_swap_in = 0;
+    /// The default loop, except that whenever the batch is steady (no
+    /// informer, deadline, adapter, swap, prefill or owed restore; nothing
+    /// to admit; every sequence past its first token and short of its last
+    /// two) the following iterations run in a tight loop that skips the
+    /// phases they provably leave unchanged: every other layer sees the
+    /// calls stepping one by one makes, and the gateway ends in the state
+    /// stepping would leave (DESIGN.md §6, "Steady runs").
+    fn step_run(
+        &mut self,
+        mut start: SimTime,
+        mut done: SimTime,
+        limit: SimTime,
+    ) -> (SimTime, SimTime, u64) {
+        let mut steps = 0;
+        while start < done && done <= limit && self.has_work() {
+            let span = self.steady_span();
+            let (s, d, n) = if span > 0 {
+                self.steady_run(done, limit, span)
+            } else {
+                (done, self.step(done), 1)
+            };
+            (start, done) = (s, d);
+            steps += n;
         }
-
-        debug_assert_eq!(
-            self.unprefilled_tokens,
-            self.running
-                .iter()
-                .filter(|s| !s.prefilled)
-                .map(|s| s.life.context_tokens())
-                .sum::<u64>()
-        );
-        let prefill_tokens = std::mem::take(&mut self.unprefilled_tokens);
-        let t_prefill = cost::llm_prefill_time(&self.geom, &self.gpu, prefill_tokens);
-        let batch = self.running.len() as u64;
-        let total_ctx = self.kv.total_context_tokens() + batch;
-        let compute = match self.decode_compute.get_mut(self.running.len()) {
-            Some(memo) if !memo.is_nan() => *memo,
-            Some(memo) => {
-                *memo = cost::llm_decode_compute_secs(&self.geom, &self.gpu, batch);
-                *memo
-            }
-            None => cost::llm_decode_compute_secs(&self.geom, &self.gpu, batch),
-        };
-        let t_decode = cost::llm_decode_step_time_from(&self.geom, &self.gpu, compute, total_ctx);
-        let end = io_done + t_prefill + t_decode;
-
-        self.kv
-            .grow_each_by_one()
-            .expect("make_room_for_decode guarantees headroom");
-        if let Some(shared) = self.shared_clock.take() {
-            self.clock = Arc::unwrap_or_clone(shared);
-        }
-        assert!(
-            self.clock.len() < u32::MAX as usize,
-            "a gateway's iteration clock is indexed by u32"
-        );
-        self.clock.push(end);
-        self.finished.clear();
-        for (i, seq) in self.running.iter_mut().enumerate() {
-            seq.prefilled = true;
-            seq.life.note_token(end);
-            // More tokens than the request declared is a simulator bug.
-            let recorded: u64 = seq.runs.iter().map(|r| u64::from(r.count)).sum();
-            assert!(
-                recorded < seq.life.req.output_tokens,
-                "token record past declared output"
-            );
-            seq.runs.last_mut().expect("admission opens a run").count += 1;
-            // The crash-restore invariant: a crashed sequence still in the
-            // pending-restore set at token time means no restore event was
-            // journalled for it. Flag once, then clear so one planted bug
-            // does not flood the journal.
-            let id = seq.life.req.id.0;
-            if !self.crashed_pending_restore.is_empty() && self.crashed_pending_restore.remove(&id)
-            {
-                if let Some(aud) = &self.auditor {
-                    aud.record(AuditViolation::TokenWithoutRestore {
-                        gateway: self.scope.to_string(),
-                        request: id,
-                        at: end,
-                    });
-                }
-            }
-            if seq.life.generated == 1 {
-                trace!(
-                    self.tracer,
-                    TraceEvent::FirstTokenEmitted {
-                        gateway: self.scope.clone(),
-                        request: seq.life.req.id.0,
-                        at: end,
-                    }
-                );
-            }
-            if seq.life.is_complete() {
-                self.finished.push(i);
-            }
-        }
-        // Descending, so each removal leaves the lower indices valid.
-        let finished = std::mem::take(&mut self.finished);
-        for &i in finished.iter().rev() {
-            let seq = self.running.remove(i);
-            self.kv.free_seq(seq.life.req.id);
-            self.retire(&seq);
-            self.outcomes
-                .note(seq.life.req.id.0, seq.tenant, RequestOutcome::Completed);
-            self.scheduler
-                .observe_completion(seq.life.req.prompt_tokens, seq.life.generated);
-            trace!(
-                self.tracer,
-                TraceEvent::GatewayCompleted {
-                    gateway: self.scope.clone(),
-                    request: seq.life.req.id.0,
-                    output_tokens: seq.life.generated,
-                    at: end,
-                }
-            );
-            self.delivered.push(Delivered {
-                id: seq.life.req.id.0,
-                tenant: seq.tenant,
-                arrival: seq.life.arrival,
-                runs: seq.runs.into_boxed_slice(),
-            });
-        }
-        self.finished = finished;
-        // Completions may have moved the learned ratio and promotions may
-        // have fallen due during the step: applying them here lets
-        // `has_work` read the order the next step pops in.
-        self.advance_index(end);
-        end
+        (start, done, steps)
     }
 
     fn tick(&mut self, now: SimTime) {
@@ -2352,10 +2540,9 @@ mod tests {
         let mut e = vllm_engine(gib(20));
         e.submit(InferenceRequest::text(0, 64, 3), SimTime::ZERO);
         let now = e.step(SimTime::ZERO);
-        // A stray record: the open run now claims one token more than
-        // decode delivered.
-        e.running[0].runs.last_mut().unwrap().count += 1;
-        let now = e.step(now);
+        // A declared output cut below what decode has delivered: the next
+        // token is one past it.
+        e.running[0].life.req.output_tokens = 1;
         e.step(now);
     }
 

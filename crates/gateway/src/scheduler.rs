@@ -376,6 +376,16 @@ impl Scheduler {
         moved
     }
 
+    /// Whether [`advance`](Scheduler::advance) to `now` would leave the
+    /// order as it is: the learned ratio has not moved since the last
+    /// re-key, and no backoff or promotion falls due by `now`.
+    pub fn quiet_through(&self, now: SimTime) -> bool {
+        let after = |due: Option<SimTime>| due.is_none_or(|due| due > now);
+        self.ratio.to_bits() == self.keyed_ratio.to_bits()
+            && after(self.next_parked())
+            && after(self.promotions.first_key_value().map(|(&(due, _), _)| due))
+    }
+
     /// The key-least entry `pick` chooses from the re-admit queue and from
     /// each queue whose tenant has cap headroom, with that queue.
     fn best<'a>(

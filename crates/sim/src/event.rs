@@ -288,6 +288,12 @@ impl<T> EventQueue<T> {
         seq
     }
 
+    /// The seq the next [`EventQueue::push`] or [`EventQueue::take_seq`]
+    /// draws.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Schedules `payload` to fire at `time`.
     pub fn push(&mut self, time: SimTime, payload: T) {
         let seq = self.take_seq();
