@@ -31,9 +31,10 @@ cargo test -q --offline --test chaos_recovery
 # configuration) limited to amortized block-table and iteration-clock
 # doubling, and the same bound for that engine driven through Driver::run,
 # whose decode runs take the gateway's steady loop
-# (assert_steady_decode_run_is_allocation_lean), a pre-sized driver running
-# that engine must never re-grow its
-# event arena, an idle
+# (assert_steady_decode_run_is_allocation_lean), and again with an AQUA
+# offloader whose quiet iteration boundaries those runs skip
+# (assert_quiet_aqua_decode_run_is_allocation_lean), a pre-sized driver
+# running that engine must never re-grow its event arena, an idle
 # scale-style server (gateway + AQUA offloader, no informer) must get zero
 # tick calls over a 40,000 s tail while its processed-event count still
 # includes every fast-forwarded tick round (assert_idle_server_is_never_ticked),

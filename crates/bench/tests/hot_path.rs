@@ -9,9 +9,10 @@
 //! DP stays within a small allocation budget per memoised state on a 64-GPU
 //! mixed solve; the untraced decode step's only heap traffic is amortized
 //! doubling of block tables and of the gateway's iteration clock, and the
-//! same holds for the steady decode runs a driver hands the gateway; a driver
-//! pre-sized with
-//! `Driver::for_expected_events` never re-grows its event arena mid-run;
+//! same holds for the steady decode runs a driver hands the gateway, with
+//! no offloader or with an AQUA offloader whose boundaries they skip as
+//! quiet; a driver pre-sized with `Driver::for_expected_events` never
+//! re-grows its event arena mid-run;
 //! a scale-style server idling out a 40,000 s horizon is never ticked (the
 //! driver fast-forwards its no-op tick rounds yet still counts them); an
 //! event queue filled out of time order pops in logarithmic, not linear,
@@ -215,9 +216,27 @@ fn assert_untraced_decode_step_is_allocation_lean() {
 /// through its steady loop. Over at least as many iterations and sequences
 /// as the step gate, cut into 120 runs by 50 ms `run` windows (as PDES
 /// lanes cut theirs), its only heap traffic must also be amortized
-/// block-table and clock doubling: neither a steady iteration nor settling
-/// a run's tokens may allocate.
+/// block-table and clock doubling: neither a steady iteration nor a run's
+/// plan, KV growth and token settlement may allocate.
 fn assert_steady_decode_run_is_allocation_lean() {
+    steady_decode_run_allocations("driven decode runs", None);
+}
+
+/// The steady-run bound with an AQUA offloader holding a settled peer
+/// lease: its iteration boundaries are quiet, so the steady runs skip
+/// them, and that path may not allocate either.
+fn assert_quiet_aqua_decode_run_is_allocation_lean() {
+    let ctx = ServerCtx::two_gpu_traced(aqua_telemetry::null_tracer());
+    ctx.static_lease(GpuId(1), gib(30));
+    let offloader = ctx.offloader(OffloadKind::Aqua, GpuId(0));
+    steady_decode_run_allocations("driven decode runs, quiet AQUA boundaries", Some(offloader));
+}
+
+/// Drives eight never-ending sequences through 120 `run` windows of an
+/// FCFS gateway in its vLLM configuration, with `offloader` if any, and
+/// checks the allocations against the decode-step cap. With an offloader,
+/// the steady runs must skip a quiet boundary on most iterations.
+fn steady_decode_run_allocations(label: &str, offloader: Option<Box<dyn Offloader>>) {
     const SEQS: u64 = 8;
     const STEPS: u64 = 512;
     const CAP: u64 = SEQS * 6;
@@ -228,6 +247,10 @@ fn assert_steady_decode_run_is_allocation_lean() {
         PolicyKind::Fcfs,
         GatewayConfig::vllm(),
     );
+    let quiet = offloader.is_some();
+    if let Some(off) = offloader {
+        e = e.with_offloader(off);
+    }
     let mut driver = Driver::new();
     for i in 0..SEQS {
         // Output far beyond the measured window: nothing completes.
@@ -235,26 +258,31 @@ fn assert_steady_decode_run_is_allocation_lean() {
     }
     // Warm-up: arrivals, admission, first KV blocks, the driver's slots.
     driver.run(&mut [&mut e], SimTime::from_millis(500));
-    let warm = e.iterations();
+    let warm = (e.iterations(), e.skipped_boundaries());
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for window in 1..=120 {
         driver.run(&mut [&mut e], SimTime::from_millis(500 + 50 * window));
     }
     let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    let steps = e.iterations() - warm;
+    let steps = e.iterations() - warm.0;
+    let skipped = e.skipped_boundaries() - warm.1;
     assert!(
         steps >= STEPS,
-        "the window must cover {STEPS} iterations, ran {steps}"
+        "{label}: the window must cover {STEPS} iterations, ran {steps}"
+    );
+    assert!(
+        !quiet || 2 * skipped >= steps,
+        "{label}: only {skipped} of {steps} boundaries skipped as quiet"
     );
     assert!(
         allocs <= CAP,
-        "driven decode runs made {allocs} allocations over {steps} iterations x {SEQS} seqs \
+        "{label}: {allocs} allocations over {steps} iterations x {SEQS} seqs \
          (cap {CAP}: amortized block-table and clock doubling only)"
     );
     black_box(&e);
     eprintln!(
-        "hot_path: driven decode runs: {allocs} allocations over {steps} iterations \
-         x {SEQS} seqs (cap {CAP})"
+        "hot_path: {label}: {allocs} allocations over {steps} iterations \
+         x {SEQS} seqs, {skipped} boundaries skipped (cap {CAP})"
     );
 }
 
@@ -700,6 +728,7 @@ fn main() {
     assert_placer_solve_allocation_bounded();
     assert_untraced_decode_step_is_allocation_lean();
     assert_steady_decode_run_is_allocation_lean();
+    assert_quiet_aqua_decode_run_is_allocation_lean();
     assert_drained_streams_share_the_clock();
     assert_presized_driver_never_regrows();
     assert_idle_server_is_never_ticked();

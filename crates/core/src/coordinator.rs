@@ -434,25 +434,33 @@ impl Coordinator {
     /// [`Coordinator::reachable`]); otherwise it runs the failure watchdog
     /// ([`Coordinator::advance`]) and the book audit
     /// ([`Coordinator::audit_books`]), then answers `(epoch, revision)`.
-    /// Without a fault plan, an auditor or a watchdog to run (no failure
-    /// config, or the process is down) every step but the answer is a
-    /// no-op, and it answers from one look at the book.
+    /// While [`Coordinator::boundary_is_quiet`] holds, every step but the
+    /// answer is a no-op, and it answers from one look at the book.
     pub fn boundary(&self, gpu: GpuId, now: SimTime) -> Option<(u64, u64)> {
-        if let Some(plan) = self.fault_plan.borrow().as_deref() {
-            if !plan.coordinator_reachable(gpu, now) {
-                return None;
-            }
-        } else if self.auditor.borrow().is_none() {
+        if self.boundary_is_quiet() {
             let st = self.state.borrow();
-            let cfg = st.failure_config;
-            if st.down || (cfg.heartbeat_ttl.is_none() && cfg.reclaim_deadline.is_none()) {
-                return Some((st.epoch, st.revision));
-            }
+            return Some((st.epoch, st.revision));
+        }
+        if !self.reachable(gpu, now) {
+            return None;
         }
         self.advance(now);
         self.audit_books(now);
         let st = self.state.borrow();
         Some((st.epoch, st.revision))
+    }
+
+    /// Whether [`Coordinator::boundary`] is, at any time, one look at the
+    /// book that changes nothing: there is no fault plan (every GPU reaches
+    /// the coordinator), no auditor, and no watchdog to run (no failure
+    /// config, or the process is down). Only the installers of those, or a
+    /// verb that moves the process state, change the answer.
+    pub fn boundary_is_quiet(&self) -> bool {
+        self.fault_plan.borrow().is_none() && self.auditor.borrow().is_none() && {
+            let st = self.state.borrow();
+            let cfg = st.failure_config;
+            st.down || (cfg.heartbeat_ttl.is_none() && cfg.reclaim_deadline.is_none())
+        }
     }
 
     /// The current fencing epoch (starts at 1; bumped by every crash).

@@ -779,6 +779,23 @@ impl Offloader for AquaOffloader {
         resume
     }
 
+    /// Quiet when every step of the boundary above is provably a no-op
+    /// that keeps `now`: no fault plan to stall it; a coordinator that
+    /// answers from one look ([`Coordinator::boundary_is_quiet`]); no dark
+    /// period to end; the epoch it answers is ours; the book is still at a
+    /// revision whose sweeps found nothing; nothing degraded to expire; and
+    /// no DRAM-resident bytes to promote. Only a call on this offloader or
+    /// on its coordinator can change any of these.
+    fn boundary_is_quiet(&self) -> bool {
+        self.fault_plan.is_none()
+            && self.unreachable_since.is_none()
+            && self.degraded_until.is_none()
+            && self.dram_bytes == 0
+            && self.coordinator.boundary_is_quiet()
+            && self.epoch == self.coordinator.epoch()
+            && self.quiet_revision == Some(self.coordinator.book_revision())
+    }
+
     fn location(&self) -> OffloadLocation {
         match (self.peer_total() > 0, self.dram_bytes > 0) {
             (true, false) => OffloadLocation::PeerGpu,
@@ -1386,6 +1403,169 @@ mod tests {
             off.quiet_revision, None,
             "a sweep that acted records nothing"
         );
+    }
+
+    /// A consumer on GPU 0 of a four-GPU NVSwitch server holding 1 GiB on
+    /// a 10 GiB lease from GPU 1, brokered by a journalled coordinator
+    /// with no failure config; `build` adds to the offloader before the
+    /// first boundary, which settles the book at 1 s.
+    fn settled_world(
+        build: impl FnOnce(AquaOffloader) -> AquaOffloader,
+    ) -> (
+        Rc<Coordinator>,
+        AquaOffloader,
+        Arc<aqua_telemetry::JournalTracer>,
+    ) {
+        let journal = Arc::new(aqua_telemetry::JournalTracer::new());
+        let server = Rc::new(ServerTopology::nvswitch(4, GpuSpec::a100_80g()));
+        let xfer = Rc::new(RefCell::new(TransferEngine::new()));
+        let coord = Rc::new(Coordinator::new());
+        coord.set_tracer(journal.clone());
+        coord.lease(GpuRef::single(GpuId(1)), gib(10));
+        let off = AquaOffloader::new(GpuRef::single(GpuId(0)), Rc::clone(&coord), server, xfer)
+            .with_tracer(journal.clone());
+        let mut off = build(off);
+        off.swap_out(gib(1), 4, SimTime::ZERO);
+        off.on_iteration_boundary(SimTime::from_secs(1));
+        (coord, off, journal)
+    }
+
+    /// A quiet boundary is the identity: for each case whose offloader
+    /// answers `boundary_is_quiet`, a boundary returns its time and moves
+    /// no state the boundary could touch (its own byte books, deferred
+    /// frees, degraded mode and sweep mark; the coordinator's revision and
+    /// epoch; the journal). Each condition of the answer is needed: every
+    /// case that breaks one answers `false`.
+    #[test]
+    fn a_quiet_boundary_changes_nothing() {
+        type Case = (
+            &'static str,
+            fn(AquaOffloader) -> AquaOffloader,
+            fn(&Coordinator, &mut AquaOffloader),
+            bool,
+        );
+        let keep: fn(AquaOffloader) -> AquaOffloader = |off| off;
+        let cases: [Case; 12] = [
+            ("settled", keep, |_, _| {}, true),
+            (
+                "settled again after the book moved",
+                keep,
+                |coord, off| {
+                    coord.lease(GpuRef::single(GpuId(2)), gib(4));
+                    off.on_iteration_boundary(SimTime::from_secs(2));
+                },
+                true,
+            ),
+            (
+                "offloader fault plan",
+                |off| off.with_fault_plan(Arc::new(FaultPlan::new())),
+                |_, _| {},
+                false,
+            ),
+            (
+                "coordinator fault plan",
+                keep,
+                |coord, _| coord.set_fault_plan(Arc::new(FaultPlan::new())),
+                false,
+            ),
+            (
+                "auditor",
+                keep,
+                |coord, _| coord.set_auditor(aqua_sim::audit::Auditor::collecting()),
+                false,
+            ),
+            (
+                "failure config with a watchdog",
+                keep,
+                |coord, _| coord.set_failure_config(crate::coordinator::FailureConfig::chaos()),
+                false,
+            ),
+            (
+                "degraded mode",
+                keep,
+                |_, off| off.enter_degraded(SimTime::from_secs(1)),
+                false,
+            ),
+            (
+                "DRAM-resident bytes",
+                keep,
+                |_, off| {
+                    // Past the lease's room, the swap lands in DRAM.
+                    off.swap_out(gib(12), 4, SimTime::from_secs(1));
+                    assert!(off.dram_total() > 0);
+                },
+                false,
+            ),
+            (
+                "revision moved since the last sweep",
+                keep,
+                |coord, _| {
+                    coord.lease(GpuRef::single(GpuId(2)), gib(4));
+                },
+                false,
+            ),
+            (
+                "reclaim requested since the last sweep",
+                keep,
+                |coord, _| coord.reclaim_request(GpuRef::single(GpuId(1)), SimTime::from_secs(1)),
+                false,
+            ),
+            (
+                "dark period",
+                keep,
+                |_, off| off.unreachable_since = Some(SimTime::from_secs(1)),
+                false,
+            ),
+            (
+                "epoch bump",
+                keep,
+                |coord, off| {
+                    coord.crash(SimTime::from_secs(1));
+                    coord.recover(SimTime::from_secs(1));
+                    // Only the epoch differs from a settled book.
+                    off.quiet_revision = Some(coord.book_revision());
+                },
+                false,
+            ),
+        ];
+        for (name, build, perturb, quiet) in cases {
+            let (coord, mut off, journal) = settled_world(build);
+            perturb(&coord, &mut off);
+            assert_eq!(off.boundary_is_quiet(), quiet, "{name}");
+            if !quiet {
+                continue;
+            }
+            let state = |off: &AquaOffloader| {
+                (
+                    off.peer_bytes.clone(),
+                    off.dram_bytes,
+                    off.deferred_frees.clone(),
+                    off.degraded_until,
+                    off.unreachable_since,
+                    off.quiet_revision,
+                    off.epoch,
+                    (off.releases, off.lost_bytes, off.fabric_bytes_moved),
+                )
+            };
+            let before = (
+                state(&off),
+                coord.book_revision(),
+                coord.epoch(),
+                journal.digest(),
+            );
+            for t in [5, 60, 3_600] {
+                let t = SimTime::from_secs(t);
+                assert_eq!(off.on_iteration_boundary(t), t, "{name}: resume");
+                let after = (
+                    state(&off),
+                    coord.book_revision(),
+                    coord.epoch(),
+                    journal.digest(),
+                );
+                assert_eq!(after, before, "{name}: state at {t:?}");
+                assert!(off.boundary_is_quiet(), "{name}: still quiet");
+            }
+        }
     }
 
     #[test]

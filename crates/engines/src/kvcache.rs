@@ -29,6 +29,16 @@
 //! [`PagedKvCache::grow_each_by_one`]: a single pass over the dense arrays,
 //! with no hash probe and no division. [`PagedKvCache::grow_seq`] skips the
 //! division too whenever the growth fits in the sequence's last block.
+//!
+//! A run of such steps over an unchanged set of sequences is planned and
+//! taken at once. A sequence's *block phase*, `blocks·bt − tokens` (the
+//! free token slots of its last block, `bt` tokens per block), fixes the
+//! steps at which it takes a block: steps `phase + 1`, `phase + 1 + bt`, …
+//! So [`PagedKvCache::plan_decode_growth`] counts the sequences per phase
+//! once, after which [`DecodeGrowth`] answers the blocks of any number of
+//! steps, and the most steps the free blocks cover, in O(1) and O(log bt);
+//! [`PagedKvCache::grow_each_by`] then takes `k` steps' blocks in one pass,
+//! handing out exactly the blocks `k` calls of `grow_each_by_one` would.
 
 use aqua_models::geometry::LlmGeometry;
 use aqua_sim::hash::PackedKeyMap;
@@ -86,6 +96,69 @@ pub struct PagedKvCache {
     /// their next token needs a fresh block.
     full_seqs: usize,
     compacted_bytes: u64,
+    /// The buffer of [`PagedKvCache::grow_each_by`]'s plan, allocated by
+    /// its first call: empty between calls.
+    phase_scratch: Vec<u64>,
+}
+
+/// The KV blocks of a run of decode steps over every live sequence of a
+/// pool (each step one [`PagedKvCache::grow_each_by_one`]), planned by
+/// [`PagedKvCache::plan_decode_growth`] from the pool at the run's start.
+/// Every sequence takes exactly one block per `bt` steps, so the plan
+/// keeps one cycle.
+///
+/// # Example
+///
+/// ```
+/// use aqua_engines::kvcache::{DecodeGrowth, PagedKvCache};
+/// use aqua_engines::request::RequestId;
+/// use aqua_models::zoo;
+///
+/// let geom = *zoo::mistral_7b().llm_geometry().unwrap();
+/// let mut kv = PagedKvCache::new(geom, 1 << 30, 16);
+/// kv.grow_seq(RequestId(1), 16).unwrap(); // full: a block at step 1
+/// kv.grow_seq(RequestId(2), 10).unwrap(); // 6 slots left: step 7
+/// let mut plan = DecodeGrowth::default();
+/// kv.plan_decode_growth(&mut plan);
+/// assert_eq!(plan.blocks(1), 1);
+/// assert_eq!(plan.blocks(7), 2);
+/// assert_eq!(plan.blocks(17), 3);
+/// assert_eq!(plan.steps_within(2), 16);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct DecodeGrowth {
+    /// Live sequences at the run's start.
+    seqs: u64,
+    /// `taken[r]`: blocks the first `r` steps take, for `r` in `0..=bt`
+    /// (the sequences whose phase is below `r`; `taken[bt]` is `seqs`).
+    taken: Vec<u64>,
+}
+
+impl DecodeGrowth {
+    fn block_tokens(&self) -> u64 {
+        self.taken.len() as u64 - 1
+    }
+
+    /// Blocks the first `steps` steps of the run take. O(1).
+    pub fn blocks(&self, steps: u64) -> u64 {
+        let bt = self.block_tokens();
+        steps / bt * self.seqs + self.taken[(steps % bt) as usize]
+    }
+
+    /// The most steps whose blocks fit in `free` blocks: step
+    /// `steps_within(free) + 1` is the first that
+    /// [`PagedKvCache::grow_each_by_one`] would refuse (`u64::MAX` for a
+    /// pool with no live sequence, whose steps take nothing).
+    pub fn steps_within(&self, free: u64) -> u64 {
+        if self.seqs == 0 {
+            return u64::MAX;
+        }
+        let cycles = free / self.seqs;
+        let left = free % self.seqs;
+        // `taken[0] = 0 <= left < seqs = taken[bt]`.
+        let steps = self.taken.partition_point(|&t| t <= left) as u64 - 1;
+        cycles * self.block_tokens() + steps
+    }
 }
 
 /// Error returned when the pool cannot satisfy a block request.
@@ -134,6 +207,7 @@ impl PagedKvCache {
             total_tokens: 0,
             full_seqs: 0,
             compacted_bytes: 0,
+            phase_scratch: Vec::new(),
         }
     }
 
@@ -314,6 +388,97 @@ impl PagedKvCache {
         Ok(())
     }
 
+    /// Plans a run of decode steps over every live sequence from the
+    /// pool's current state (see [`DecodeGrowth`]), reusing `plan`'s
+    /// buffer (it allocates only when that buffer is smaller than one
+    /// cycle). One pass over the live sequences, with no division.
+    pub fn plan_decode_growth(&self, plan: &mut DecodeGrowth) {
+        let bt = self.block_tokens;
+        plan.seqs = self.seq_ids.len() as u64;
+        plan.taken.clear();
+        plan.taken.resize(bt as usize + 1, 0);
+        for (tokens, table) in self.seq_tokens.iter().zip(&self.seq_tables) {
+            plan.taken[(table.len() as u64 * bt - tokens) as usize + 1] += 1;
+        }
+        for r in 1..plan.taken.len() {
+            plan.taken[r] += plan.taken[r - 1];
+        }
+    }
+
+    /// Extends every live sequence by `steps` tokens, exactly as `steps`
+    /// calls of [`PagedKvCache::grow_each_by_one`] would: the same tables,
+    /// counters and free list, with each physical block handed out in the
+    /// same order (step-major, then in pool order). Two passes over the
+    /// live sequences (a plan, then the growth) plus one push per new
+    /// block; the first call allocates the plan's buffer, which later
+    /// calls reuse.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KvOutOfBlocks`] without changing anything if the free
+    /// blocks do not cover the `steps` steps (one of those calls would
+    /// fail).
+    pub fn grow_each_by(&mut self, steps: u64) -> Result<(), KvOutOfBlocks> {
+        let mut plan = DecodeGrowth {
+            seqs: 0,
+            taken: std::mem::take(&mut self.phase_scratch),
+        };
+        self.plan_decode_growth(&mut plan);
+        let (need, free) = (plan.blocks(steps), self.free_blocks());
+        if need <= free {
+            self.take_run_blocks(steps, need, &mut plan.taken);
+        }
+        plan.taken.clear();
+        self.phase_scratch = plan.taken;
+        if need > free {
+            return Err(KvOutOfBlocks {
+                requested: need,
+                free,
+            });
+        }
+        Ok(())
+    }
+
+    /// The pass of [`PagedKvCache::grow_each_by`]: `steps` steps taking
+    /// `need` blocks in all, where `firsts[p]` starts as the blocks a cycle
+    /// takes before its step `p + 1` (a plan's `taken`) and serves as
+    /// phase `p`'s cursor.
+    fn take_run_blocks(&mut self, steps: u64, need: u64, firsts: &mut [u64]) {
+        let bt = self.block_tokens;
+        let seqs = self.seq_ids.len() as u64;
+        // The `r`-th block of the run is the one the `r`-th `take_block`
+        // would return: the recycled ones from the top of the free list,
+        // then never-used ids.
+        let recycled = self.free_list.len() as u64;
+        let (free_list, next_fresh) = (&self.free_list, self.next_fresh);
+        let block = |r: u64| match recycled.checked_sub(r + 1) {
+            Some(i) => free_list[i as usize],
+            None => BlockId(next_fresh + r - recycled),
+        };
+        let mut full = 0;
+        for (tokens, table) in self.seq_tokens.iter_mut().zip(&mut self.seq_tables) {
+            let phase = table.len() as u64 * bt - *tokens;
+            if phase < steps {
+                // Its block at step `phase + 1 + c·bt` comes after the
+                // `c·seqs` blocks of earlier cycles, the blocks of earlier
+                // phases and those of earlier sequences of its phase.
+                let first = firsts[phase as usize];
+                firsts[phase as usize] += 1;
+                table.extend((0..=(steps - 1 - phase) / bt).map(|c| block(c * seqs + first)));
+            }
+            *tokens += steps;
+            full += usize::from(*tokens == table.len() as u64 * bt);
+        }
+        self.free_list
+            .truncate((recycled - need.min(recycled)) as usize);
+        self.next_fresh += need.saturating_sub(recycled);
+        self.used_blocks += need;
+        self.total_tokens += steps * seqs;
+        self.full_seqs = full;
+        debug_assert!(self.next_fresh <= self.total_blocks);
+        debug_assert_eq!(self.full_seqs, self.count_full_seqs());
+    }
+
     /// [`PagedKvCache::full_seqs`] recounted from scratch.
     fn count_full_seqs(&self) -> usize {
         self.seq_tokens
@@ -434,6 +599,7 @@ impl PagedKvCache {
         if blocks != self.used_blocks
             || tokens != self.total_tokens
             || self.full_seqs != self.count_full_seqs()
+            || !self.phase_scratch.is_empty()
         {
             return false;
         }
@@ -649,6 +815,88 @@ mod tests {
                     .map(|s| kv.used_tokens_of(RequestId(s)))
                     .sum();
                 assert_eq!(kv.total_context_tokens(), expected_tokens);
+            }
+        }
+
+        /// `grow_each_by(k)` is `k` calls of `grow_each_by_one`, to the
+        /// block: on pools churned by grows and frees (so the free list is
+        /// scattered, and drained in part), the two leave equal pools —
+        /// every table's block ids in order, tokens, `full_seqs`, used and
+        /// free blocks and the free list's order — including at a `k` that
+        /// takes the pool's last free block, and a `k` one of the calls
+        /// would refuse leaves the pool untouched. The run's plan gives the
+        /// blocks after every step, and its headroom is the step before the
+        /// first that stepping one by one refuses.
+        #[test]
+        fn grow_each_by_matches_stepping_one_by_one(
+            ops in aqua_sim::check::vec((0u64..8, 1u64..60, 0u8..3), 1..60),
+            k in 0u64..70,
+            exhaust in aqua_sim::check::AnyBool
+        ) {
+            let geom = *zoo::mistral_7b().llm_geometry().unwrap();
+            let mut kv = PagedKvCache::new(geom, kv_pool_of_blocks(&geom, 48), 16);
+            for (seq, tokens, op) in ops {
+                if op == 0 {
+                    kv.free_seq(RequestId(seq));
+                } else {
+                    let _ = kv.grow_seq(RequestId(seq), tokens);
+                }
+            }
+            let mut plan = DecodeGrowth::default();
+            kv.plan_decode_growth(&mut plan);
+            let headroom = plan.steps_within(kv.free_blocks());
+            // Step one by one up to the first refusal, checking the plan's
+            // blocks after every step.
+            let mut one = kv.clone();
+            let mut refused = None;
+            let mut exhausted = None;
+            for step in 1..=48 * 16 + 16 {
+                if one.grow_each_by_one().is_err() {
+                    refused = Some(step);
+                    break;
+                }
+                assert_eq!(plan.blocks(step), one.used_blocks() - kv.used_blocks());
+                if one.free_blocks() == 0 && exhausted.is_none() {
+                    exhausted = Some(step);
+                }
+            }
+            match refused {
+                Some(step) => assert_eq!(headroom, step - 1, "headroom"),
+                None => {
+                    assert_eq!(kv.seq_count(), 0, "live sequences run dry");
+                    assert_eq!(headroom, u64::MAX);
+                }
+            }
+            let k = match exhausted {
+                Some(step) if exhaust => step,
+                _ => k,
+            };
+            let mut bulk = kv.clone();
+            let mut one = kv.clone();
+            match bulk.grow_each_by(k) {
+                Ok(()) => {
+                    assert!(k <= headroom);
+                    for _ in 0..k {
+                        one.grow_each_by_one().unwrap();
+                    }
+                    for s in (0..8).map(RequestId) {
+                        assert_eq!(bulk.block_table(s), one.block_table(s), "{s:?}");
+                        assert_eq!(bulk.used_tokens_of(s), one.used_tokens_of(s));
+                    }
+                    assert_eq!(bulk.free_list, one.free_list);
+                    assert_eq!(
+                        (bulk.full_seqs(), bulk.used_blocks(), bulk.free_blocks()),
+                        (one.full_seqs(), one.used_blocks(), one.free_blocks())
+                    );
+                    assert_eq!(bulk, one);
+                    assert!(bulk.check_invariants());
+                }
+                Err(err) => {
+                    assert!(k > headroom);
+                    assert_eq!(bulk, kv, "a refused run changes nothing");
+                    assert_eq!(err.requested, plan.blocks(k));
+                    assert_eq!(err.free, kv.free_blocks());
+                }
             }
         }
 

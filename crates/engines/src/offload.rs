@@ -70,6 +70,16 @@ pub trait Offloader {
         now
     }
 
+    /// Whether [`Offloader::on_iteration_boundary`] would return its
+    /// argument and change nothing, whatever its time, until another call
+    /// on this offloader (or on what it shares, such as a coordinator)
+    /// moves its state: an engine whose own state cannot change in between
+    /// may then skip the boundary. Defaults to `false`, so a wrapper that
+    /// does not forward it keeps every boundary call.
+    fn boundary_is_quiet(&self) -> bool {
+        false
+    }
+
     /// Where the offloaded context currently lives.
     fn location(&self) -> OffloadLocation;
 
@@ -193,6 +203,11 @@ impl Offloader for DramOffloader {
             .end
     }
 
+    /// The boundary is the trait's no-op.
+    fn boundary_is_quiet(&self) -> bool {
+        true
+    }
+
     fn location(&self) -> OffloadLocation {
         OffloadLocation::HostDram
     }
@@ -251,6 +266,7 @@ mod tests {
         assert_eq!(d.swap_out(0, 0, t), t);
         assert_eq!(d.swap_in(0, 10, t), t);
         assert_eq!(d.on_iteration_boundary(t), t);
+        assert!(d.boundary_is_quiet());
     }
 
     #[test]

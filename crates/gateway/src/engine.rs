@@ -33,7 +33,7 @@ use crate::outcome::{
 use crate::scheduler::{PolicyKind, Pop, QueuedMeta, Scheduler};
 use aqua_engines::driver::Engine;
 use aqua_engines::gauges::GaugeCache;
-use aqua_engines::kvcache::{PagedKvCache, DEFAULT_BLOCK_TOKENS};
+use aqua_engines::kvcache::{DecodeGrowth, PagedKvCache, DEFAULT_BLOCK_TOKENS};
 use aqua_engines::northbound::{EngineStats, Informer, MemoryElastic};
 use aqua_engines::offload::Offloader;
 use aqua_engines::request::{InferenceRequest, SeqLifecycle};
@@ -230,6 +230,9 @@ pub struct GatewayEngine {
     /// Scratch for `step`: batch indices of sequences that finished this
     /// iteration, kept across steps so it never re-allocates.
     finished: Vec<usize>,
+    /// Scratch for `steady_run`: the KV growth plan of the current run,
+    /// allocated by the first run and reused by every later one.
+    growth: DecodeGrowth,
     /// End time of every decode iteration, in order: the delivery time of
     /// each running sequence's token. Indexed by `u32`, so one gateway
     /// runs at most `u32::MAX` decode iterations. Empty while
@@ -255,6 +258,10 @@ pub struct GatewayEngine {
     pending_swap_in: u64,
     swapped_bytes_total: u64,
     iterations: u64,
+    /// Iterations decoded inside steady runs, past their first step.
+    steady_iterations: u64,
+    /// Iteration boundaries skipped because the offloader's was quiet.
+    skipped_boundaries: u64,
     preemptions: u64,
     tracer: SharedTracer,
     scope: Lane,
@@ -303,6 +310,7 @@ impl GatewayEngine {
             admit_memo: None,
             decode_compute: vec![f64::NAN; config.max_batch.min(Self::DECODE_COMPUTE_MEMO) + 1],
             finished: Vec::new(),
+            growth: DecodeGrowth::default(),
             clock: IterationClock::default(),
             shared_clock: None,
             delivered: Vec::new(),
@@ -317,6 +325,8 @@ impl GatewayEngine {
             pending_swap_in: 0,
             swapped_bytes_total: 0,
             iterations: 0,
+            steady_iterations: 0,
+            skipped_boundaries: 0,
             preemptions: 0,
             tracer: null_tracer(),
             scope: Lane::from("gateway"),
@@ -399,6 +409,20 @@ impl GatewayEngine {
     /// Number of decode/prefill iterations executed.
     pub fn iterations(&self) -> u64 {
         self.iterations
+    }
+
+    /// Of [`iterations`](Self::iterations), those a steady run decoded
+    /// without the full phases of a step (DESIGN.md §6, "Steady runs").
+    pub fn steady_iterations(&self) -> u64 {
+        self.steady_iterations
+    }
+
+    /// Of [`iterations`](Self::iterations), those whose offloader
+    /// boundary a steady run skipped as quiet
+    /// ([`Offloader::boundary_is_quiet`]); every iteration of a run without
+    /// an offloader counts.
+    pub fn skipped_boundaries(&self) -> u64 {
+        self.skipped_boundaries
     }
 
     /// Number of mid-decode preemptions.
@@ -1116,36 +1140,54 @@ impl GatewayEngine {
     /// Journals the three gauges at `now`, if traced.
     fn emit_gauges(&mut self, now: SimTime) {
         if self.tracer.enabled() {
-            self.emit_gauge(QUEUE_DEPTH, self.pending.len() as f64, now);
-            self.emit_gauge(RUNNING, self.running.len() as f64, now);
-            self.emit_gauge(KV_USED_BYTES, self.kv.used_bytes() as f64, now);
+            self.journal_gauges(now, self.kv.used_blocks());
         }
     }
 
-    /// The decode core of every iteration, steady or not: the cost of
-    /// prefilling the batch's unprefilled context and decoding one token
-    /// per sequence, started at `io_done`; one more KV token for every
-    /// sequence; and the iteration's end appended to the clock. Returns
-    /// that end.
+    /// Journals the three gauges at `now`, with `kv_blocks` KV blocks in
+    /// use. Callers check `tracer.enabled()` first.
+    fn journal_gauges(&mut self, now: SimTime, kv_blocks: u64) {
+        self.emit_gauge(QUEUE_DEPTH, self.pending.len() as f64, now);
+        self.emit_gauge(RUNNING, self.running.len() as f64, now);
+        let kv_bytes = kv_blocks * self.kv.block_bytes();
+        self.emit_gauge(KV_USED_BYTES, kv_bytes as f64, now);
+    }
+
+    /// The decode core of a step: the cost of prefilling the batch's
+    /// unprefilled context and decoding one token per sequence, started at
+    /// `io_done`; one more KV token for every sequence; and the
+    /// iteration's end appended to the clock. Returns that end.
     fn decode(&mut self, io_done: SimTime) -> SimTime {
         let prefill_tokens = std::mem::take(&mut self.unprefilled_tokens);
         let t_prefill = cost::llm_prefill_time(&self.geom, &self.gpu, prefill_tokens);
-        let batch = self.running.len() as u64;
-        let total_ctx = self.kv.total_context_tokens() + batch;
-        let compute = match self.decode_compute.get_mut(self.running.len()) {
-            Some(memo) if !memo.is_nan() => *memo,
-            Some(memo) => {
-                *memo = cost::llm_decode_compute_secs(&self.geom, &self.gpu, batch);
-                *memo
-            }
-            None => cost::llm_decode_compute_secs(&self.geom, &self.gpu, batch),
-        };
+        let compute = self.decode_compute(self.running.len());
+        let total_ctx = self.kv.total_context_tokens() + self.running.len() as u64;
         let t_decode = cost::llm_decode_step_time_from(&self.geom, &self.gpu, compute, total_ctx);
         let end = io_done + t_prefill + t_decode;
 
         self.kv
             .grow_each_by_one()
             .expect("make_room_for_decode guarantees headroom");
+        self.push_clock(end);
+        end
+    }
+
+    /// The compute term of the decode cost of a `batch`-sequence batch,
+    /// memoised per batch size.
+    fn decode_compute(&mut self, batch: usize) -> f64 {
+        match self.decode_compute.get_mut(batch) {
+            Some(memo) if !memo.is_nan() => *memo,
+            Some(memo) => {
+                *memo = cost::llm_decode_compute_secs(&self.geom, &self.gpu, batch as u64);
+                *memo
+            }
+            None => cost::llm_decode_compute_secs(&self.geom, &self.gpu, batch as u64),
+        }
+    }
+
+    /// Appends a decode iteration's end to the clock, first taking the
+    /// clock back from a drain.
+    fn push_clock(&mut self, end: SimTime) {
         if let Some(shared) = self.shared_clock.take() {
             self.clock = Arc::unwrap_or_clone(shared);
         }
@@ -1154,7 +1196,6 @@ impl GatewayEngine {
             "a gateway's iteration clock is indexed by u32"
         );
         self.clock.push(end);
-        end
     }
 
     /// How many decode iterations after the current step can run steady
@@ -1200,44 +1241,87 @@ impl GatewayEngine {
             .unwrap_or(0)
     }
 
-    /// The guards of a steady iteration that time alone can break, at its
-    /// start `now` (after the boundary): no GPU crash window has opened,
-    /// advancing the scheduler index would move nothing, and every
-    /// sequence's next token fits the KV pool without a preemption.
-    fn steady_at(&self, now: SimTime) -> bool {
-        self.crash_windows
-            .get(self.next_crash)
-            .is_none_or(|&(start, _)| now < start)
-            && self.scheduler.quiet_through(now)
-            && self.kv.full_seqs() as u64 <= self.kv.free_blocks()
+    /// The first time at which time alone breaks a steady iteration
+    /// (`None`: never): the next GPU crash window opens, or advancing the
+    /// scheduler index would move the order. Nothing inside a steady run
+    /// moves it, so an iteration opening before it passes both guards.
+    fn steady_until(&self) -> Option<SimTime> {
+        let crash = self.crash_windows.get(self.next_crash);
+        crash
+            .map(|&(start, _)| start)
+            .into_iter()
+            .chain(self.scheduler.next_move())
+            .min()
+    }
+
+    /// Whether opening an iteration would return its time and change
+    /// nothing, given no informer: the offloader's boundary is quiet, or
+    /// there is no offloader.
+    fn boundary_is_quiet(&self) -> bool {
+        self.offloader
+            .as_ref()
+            .is_none_or(|off| off.boundary_is_quiet())
     }
 
     /// Runs up to `span` ([`steady_span`](Self::steady_span)) decode
     /// iterations back to back, the first starting at `done`, each while
     /// [`Engine::step_run`]'s bounds allow. Each opens like a step, checks
-    /// [`steady_at`](Self::steady_at), journals the gauges and runs the
-    /// decode core; the other phases of a step are no-ops here. An
-    /// iteration whose guard fails runs the full phases instead, which ends
-    /// the run. Every iteration's closing `advance_index` is quiet but the
+    /// its guards, journals the gauges and decodes; the other phases of a
+    /// step are no-ops here. An iteration whose guard fails runs the full
+    /// phases instead, which ends the run. Every iteration's closing `advance_index` is quiet but the
     /// last one's (the next iteration's guard checked a later time), so
-    /// that one runs once, at the end. The per-sequence token bookkeeping
-    /// is [settled](Self::settle) once per run. Returns like `step_run`.
+    /// that one runs once, at the end.
+    ///
+    /// What a step reads from its own state is planned once per run: the
+    /// guards time can break ([`steady_until`](Self::steady_until)); the
+    /// batch, hence the decode compute term; the context, which grows by
+    /// one token per sequence per iteration; the KV blocks each iteration
+    /// takes ([`DecodeGrowth`]), which give the gauge and the headroom
+    /// guard (an iteration fits iff the blocks of the run so far do); and
+    /// whether the tracer journals. While the offloader's boundary is
+    /// quiet it is skipped: nothing in the run calls the offloader or its
+    /// coordinator, so it stays quiet to the run's end. A boundary that
+    /// runs is asked again. The KV growth and the per-sequence token
+    /// bookkeeping are [settled](Self::settle) once per run. Returns like
+    /// `step_run`.
     fn steady_run(
         &mut self,
         mut done: SimTime,
         limit: SimTime,
         span: u64,
     ) -> (SimTime, SimTime, u64) {
+        let batch = self.running.len() as u64;
+        let compute = self.decode_compute(self.running.len());
+        let mut context = self.kv.total_context_tokens();
+        self.kv.plan_decode_growth(&mut self.growth);
+        let headroom = self.growth.steps_within(self.kv.free_blocks());
+        let used_blocks = self.kv.used_blocks();
+        let until = self.steady_until();
+        let traced = self.tracer.enabled();
+        let mut quiet = self.boundary_is_quiet();
         let mut tokens = 0;
         loop {
             let start = done;
-            let now = self.open_iteration(start);
-            if !self.steady_at(now) {
+            let now = if quiet {
+                self.iterations += 1;
+                self.skipped_boundaries += 1;
+                start
+            } else {
+                let now = self.open_iteration(start);
+                quiet = self.boundary_is_quiet();
+                now
+            };
+            if tokens == headroom || until.is_some_and(|until| now >= until) {
                 self.settle(tokens);
                 return (start, self.step_at(now), tokens + 1);
             }
-            self.emit_gauges(now);
-            done = self.decode(now);
+            if traced {
+                self.journal_gauges(now, used_blocks + self.growth.blocks(tokens));
+            }
+            context += batch;
+            let t_decode = cost::llm_decode_step_time_from(&self.geom, &self.gpu, compute, context);
+            done = now + t_decode;
+            self.push_clock(done);
             tokens += 1;
             if tokens == span || !(start < done && done <= limit) {
                 self.settle(tokens);
@@ -1247,14 +1331,19 @@ impl GatewayEngine {
         }
     }
 
-    /// Credits every running sequence with the `tokens` tokens of a steady
-    /// run, as that many steps would have one by one. Inside a steady run
-    /// no sequence gets its first token, completes or owes a restore, so
-    /// this is all their bookkeeping.
+    /// Takes the `tokens` iterations of a steady run in the KV pool and
+    /// credits every running sequence with their tokens, as that many
+    /// steps would have one by one. Inside a steady run no sequence gets
+    /// its first token, completes or owes a restore, so this is all their
+    /// bookkeeping.
     fn settle(&mut self, tokens: u64) {
         if tokens == 0 {
             return;
         }
+        self.kv
+            .grow_each_by(tokens)
+            .expect("the run's headroom covers its blocks");
+        self.steady_iterations += tokens;
         // The clock, which every token indexes, holds fewer than
         // `u32::MAX` entries.
         let count = tokens as u32;

@@ -376,14 +376,17 @@ impl Scheduler {
         moved
     }
 
-    /// Whether [`advance`](Scheduler::advance) to `now` would leave the
-    /// order as it is: the learned ratio has not moved since the last
-    /// re-key, and no backoff or promotion falls due by `now`.
-    pub fn quiet_through(&self, now: SimTime) -> bool {
-        let after = |due: Option<SimTime>| due.is_none_or(|due| due > now);
-        self.ratio.to_bits() == self.keyed_ratio.to_bits()
-            && after(self.next_parked())
-            && after(self.promotions.first_key_value().map(|(&(due, _), _)| due))
+    /// The earliest time to which [`advance`](Scheduler::advance) would
+    /// move the order (`None`: none, until an update): at once if the
+    /// learned ratio has moved since the last re-key, else when the first
+    /// backoff or promotion falls due. Advancing to any earlier time leaves
+    /// the order as it is.
+    pub fn next_move(&self) -> Option<SimTime> {
+        if self.ratio.to_bits() != self.keyed_ratio.to_bits() {
+            return Some(SimTime::ZERO);
+        }
+        let promotion = self.promotions.first_key_value().map(|(&(due, _), _)| due);
+        self.next_parked().into_iter().chain(promotion).min()
     }
 
     /// The key-least entry `pick` chooses from the re-admit queue and from
