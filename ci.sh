@@ -33,8 +33,9 @@ cargo test -q --offline --test chaos_recovery
 # whose decode runs take the gateway's steady loop
 # (assert_steady_decode_run_is_allocation_lean), and again with an AQUA
 # offloader whose quiet iteration boundaries those runs skip
-# (assert_quiet_aqua_decode_run_is_allocation_lean), a pre-sized driver
-# running that engine must never re-grow its event arena, an idle
+# (assert_quiet_aqua_decode_run_is_allocation_lean), a driver running that
+# engine must never re-grow the event queue that Driver::schedule_trace
+# sized for its trace, an idle
 # scale-style server (gateway + AQUA offloader, no informer) must get zero
 # tick calls over a 40,000 s tail while its processed-event count still
 # includes every fast-forwarded tick round (assert_idle_server_is_never_ticked),
@@ -53,6 +54,12 @@ cargo test -q --offline --test chaos_recovery
 # (assert_drained_streams_share_the_clock) — all asserted by the hot_path
 # test binary.
 cargo test -q --offline -p aqua-bench --test hot_path
+# Steady-run shape: the full serve_swap workload (the benchmark's, seed 42)
+# must run its pinned counts of iterations, steady iterations, skipped
+# offloader boundaries and preemptions (serve_swap_shares), so a driver or
+# gateway change that moves the workload's shape fails here, not only in
+# the benchmark's digest.
+cargo test --release -q --offline --test quiet_boundaries -- --ignored
 # Trace-export acceptance: one short traced experiment, run twice under
 # AQUA_TRACE, must write a non-empty Chrome trace and JSONL journal, and
 # each file must be byte-identical across the two runs (run against run,

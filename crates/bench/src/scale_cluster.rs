@@ -117,7 +117,7 @@ impl ScaleSpec {
     /// re-queues and re-examines work it cannot admit yet, so
     /// backlog-building traces weigh extra per request relative to an
     /// undersaturated trace that drains as it arrives.
-    pub fn expected_events(&self) -> u64 {
+    pub(crate) fn expected_events(&self) -> u64 {
         let per_request = if self.oversaturated() {
             EVENTS_PER_REQUEST + EVENTS_PER_REQUEST / 2
         } else {
@@ -600,7 +600,7 @@ pub fn run_scale(spec: &ScaleSpec) -> ScaleRun {
 /// quadratic); the incremental scheduler index does backlog-independent
 /// work per admission, which is what makes it a routine sweep point now.
 /// Cost hints are proportional to each point's expected driver-event count
-/// ([`ScaleSpec::expected_events`], which charges oversaturated points
+/// (`ScaleSpec::expected_events`, which charges oversaturated points
 /// extra for their re-queue traffic), so the weighted sweep claims big
 /// simulations first and the runner's wall-vs-hint deviation warning has a
 /// meaningful baseline.

@@ -203,7 +203,7 @@ impl ServerCtx {
     /// The multi-tenant serving cell every gateway study runs: a
     /// Codellama-34B gateway on GPU 0 serving `mix` under `policy`,
     /// journalling into this context's tracer under `scope`, and a driver
-    /// pre-sized for the mix with its trace scheduled on engine 0.
+    /// with the mix's trace scheduled on engine 0.
     ///
     /// The gateway swaps preempted KV through an AQUA offloader built from
     /// this context exactly when `config.preemption` is `Swap`, so install
@@ -227,8 +227,7 @@ impl ServerCtx {
         if swap {
             gateway = gateway.with_offloader(self.offloader(OffloadKind::Aqua, GpuId(0)));
         }
-        // The queue holds arrivals only (in-flight steps wait outside it).
-        let mut driver = Driver::for_expected_events(mix.trace.len() + 1);
+        let mut driver = Driver::new();
         if let Some(plan) = plan {
             gateway = gateway.with_fault_plan(plan, GpuId(0));
             for w in plan.windows() {

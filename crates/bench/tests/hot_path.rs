@@ -11,8 +11,8 @@
 //! doubling of block tables and of the gateway's iteration clock, and the
 //! same holds for the steady decode runs a driver hands the gateway, with
 //! no offloader or with an AQUA offloader whose boundaries they skip as
-//! quiet; a driver pre-sized with `Driver::for_expected_events` never
-//! re-grows its event arena mid-run;
+//! quiet; a driver whose queue `Driver::schedule_trace` sized for its trace
+//! never re-grows that queue mid-run;
 //! a scale-style server idling out a 40,000 s horizon is never ticked (the
 //! driver fast-forwards its no-op tick rounds yet still counts them); an
 //! event queue filled out of time order pops in logarithmic, not linear,
@@ -353,11 +353,11 @@ fn assert_drained_streams_share_the_clock() {
     );
 }
 
-/// A driver pre-sized with [`Driver::for_expected_events`] must finish its
-/// whole trace without re-growing the event arena: the capacity observed
-/// before the run is the capacity after it. This is the regression gate for
-/// the `EventQueue::reserve` / `with_event_capacity` plumbing that lets the
-/// figure harnesses pre-size from the workload's expected event count.
+/// A [`Driver::new`] driver must finish a trace scheduled with
+/// [`Driver::schedule_trace`] without re-growing its event queue: the
+/// capacity observed after scheduling is the capacity after the run. This
+/// is the regression gate for the `EventQueue::reserve` call through which
+/// `schedule_trace` sizes the queue for the whole trace.
 fn assert_presized_driver_never_regrows() {
     const REQUESTS: usize = 2_000;
     let geom = *zoo::mistral_7b().llm_geometry().unwrap();
@@ -367,7 +367,7 @@ fn assert_presized_driver_never_regrows() {
         PolicyKind::Fcfs,
         GatewayConfig::vllm(),
     );
-    let mut driver = Driver::for_expected_events(REQUESTS + 1);
+    let mut driver = Driver::new();
     driver.schedule_trace(
         0,
         (0..REQUESTS).map(|i| {
@@ -386,7 +386,7 @@ fn assert_presized_driver_never_regrows() {
     assert_eq!(
         driver.event_capacity(),
         cap,
-        "pre-sized driver re-grew its event arena mid-run \
+        "the driver re-grew its event queue mid-run \
          ({cap} -> {} slots)",
         driver.event_capacity()
     );
@@ -396,7 +396,7 @@ fn assert_presized_driver_never_regrows() {
         driver.processed_events()
     );
     eprintln!(
-        "hot_path: pre-sized driver ran {} events in a fixed {cap}-slot arena",
+        "hot_path: scheduled driver ran {} events in a fixed {cap}-slot queue",
         driver.processed_events()
     );
 }
@@ -469,7 +469,7 @@ fn assert_idle_server_is_never_ticked() {
         steps: 0,
         ticks: 0,
     };
-    let mut driver = Driver::for_expected_events(REQUESTS as usize + 1);
+    let mut driver = Driver::new();
     driver.schedule_trace(
         0,
         (0..REQUESTS).map(|i| {
@@ -531,7 +531,7 @@ fn past_pop_ns(entries: u64) -> f64 {
 
 /// Pushes into the past (earlier than the last popped time) are rare, but
 /// a queue filled out of time order must not make each pop scan them all:
-/// they wait in a `(time, seq)` min-heap, so a pop costs O(log n). Per-pop
+/// the queue is one `(time, seq)` min-heap, so a pop costs O(log n). Per-pop
 /// cost at 64,000 past entries may be at most 8× the cost at 1,000; the
 /// linear scan for the earliest past entry that this replaced was ~64×
 /// (100–200 µs per pop once such a queue was deep).

@@ -208,22 +208,10 @@ pub struct Driver {
 }
 
 impl Driver {
-    /// Default pre-sized event-queue capacity: enough for a typical figure
-    /// harness trace (thousands of arrivals) without mid-run re-growth.
-    const DEFAULT_EVENT_CAPACITY: usize = 4096;
-
     /// Creates a driver with the default 100 ms idle-tick interval.
     pub fn new() -> Self {
-        Self::with_event_capacity(Self::DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// Creates a driver whose event queue is pre-sized for `capacity`
-    /// pending arrivals, so long-horizon runs do not re-grow the queue
-    /// mid-simulation. In-flight steps are held outside the queue and need
-    /// no capacity.
-    pub fn with_event_capacity(capacity: usize) -> Self {
         Driver {
-            events: EventQueue::with_capacity(capacity),
+            events: EventQueue::new(),
             tick_interval: SimDuration::from_millis(100),
             next_tick: Some(SimTime::ZERO),
             steps: Vec::new(),
@@ -232,14 +220,6 @@ impl Driver {
             last_time: SimTime::ZERO,
             processed: 0,
         }
-    }
-
-    /// Creates a driver pre-sized for a workload of `expected_events`
-    /// scheduled arrivals, so the event arena never re-grows mid-run.
-    /// Prefer this over [`Driver::new`] when the trace length is known up
-    /// front.
-    pub fn for_expected_events(expected_events: usize) -> Self {
-        Self::with_event_capacity(expected_events.max(Self::DEFAULT_EVENT_CAPACITY))
     }
 
     /// Number of pending events the queue can hold without re-growing its
@@ -323,7 +303,9 @@ impl Driver {
         self.events.push(at, Ev(engine, req));
     }
 
-    /// Schedules a whole trace of `(time, request)` pairs for one engine.
+    /// Schedules a whole trace of `(time, request)` pairs for one engine,
+    /// reserving queue room for all of it first, so the queue holding the
+    /// trace never re-grows mid-run.
     pub fn schedule_trace<I>(&mut self, engine: usize, trace: I)
     where
         I: IntoIterator<Item = (SimTime, InferenceRequest)>,
@@ -705,18 +687,19 @@ mod tests {
         let trace: Vec<(SimTime, InferenceRequest)> = (0..256)
             .map(|i| (SimTime::from_millis(i * 5), InferenceRequest::text(i, 1, 1)))
             .collect();
-        let mut driver = Driver::for_expected_events(trace.len() + 1);
+        let requests = trace.len();
+        let mut driver = Driver::new();
         driver.schedule_trace(0, trace);
         assert_eq!(driver.next_event_time(), Some(SimTime::ZERO));
         let before = driver.event_capacity();
-        assert!(before >= 257);
+        assert!(before >= requests);
         let mut e = FixedEngine::new(1);
         let mut engines: Vec<&mut dyn Engine> = vec![&mut e];
         driver.run(&mut engines, SimTime::from_secs(10));
         assert_eq!(
             driver.event_capacity(),
             before,
-            "a pre-sized queue must not re-grow mid-run"
+            "a queue sized by schedule_trace must not re-grow mid-run"
         );
         // 256 arrivals + 256 step completions (held outside the queue, but
         // still counted) + 101 idle-tick rounds at 0, 100 ms, ..., 10 s.

@@ -9,29 +9,12 @@
 //! that key against [`EventQueue::peek_key`]. Ties between a step and a
 //! queued event therefore break exactly as if the step were queued.
 //!
-//! # Implementation
-//!
-//! The queue is a monotone radix heap, a calendar-queue relative of the
-//! classic binary heap. Entries live in one arena and are bucketed by the
-//! highest bit in which their firing time differs from the last popped
-//! time, so near-future inserts are O(1) pushes into low buckets, and each
-//! entry cascades through at most 64 buckets over its whole lifetime.
-//! Same-time entries collect in bucket zero in seq order, which makes
-//! `peek_time` O(1).
-//!
-//! It is *monotone-optimised*, not monotone-restricted: pushing an event
-//! earlier than the last popped time falls back to an overflow min-heap on
-//! `(time, seq)`, so the API stays total and such pushes and pops cost
-//! O(log n). The unit tests check random push/pop
-//! interleavings against a `BinaryHeap` of `(time, seq)`-ordered entries.
+//! Entries sit in a std [`BinaryHeap`] keyed `(time, seq)`, so a push or pop
+//! costs O(log n) whatever the time pushed, and payloads are never compared.
 
 use crate::time::SimTime;
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
-
-/// Number of radix buckets for `u64` nanosecond keys: one per possible
-/// highest-differing-bit position.
-const RADIX_BUCKETS: usize = 64;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// A time-ordered event queue with stable FIFO tie-breaking.
 ///
@@ -52,10 +35,12 @@ const RADIX_BUCKETS: usize = 64;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    radix: Radix<T>,
+    heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
 }
 
+/// A pending event. It orders by its `(time, seq)` key alone, reversed, so
+/// the std max-heap pops the smallest key first.
 #[derive(Debug, Clone)]
 struct Entry<T> {
     time: SimTime,
@@ -63,217 +48,48 @@ struct Entry<T> {
     payload: T,
 }
 
-/// The monotone radix heap behind [`EventQueue`].
-///
-/// Entries live in `slots` (an arena with a free list, so `with_capacity`
-/// pre-sizes every pending event exactly once); buckets and the bucket-zero
-/// `front` ring hold `u32` slot indices, so redistribution moves 4-byte
-/// indices, never payloads.
-///
-/// Invariants:
-/// * `front` holds exactly the live entries whose time equals `last`, in
-///   ascending `seq` order (pushes append, and `seq` is globally
-///   increasing).
-/// * If any bucket is non-empty, `front` is non-empty — enforced by eager
-///   redistribution after every mutation — so `peek_time` is O(1).
-/// * `past` holds the (in practice empty) set of entries pushed earlier
-///   than `last`, as a min-heap of `(time, seq, slot)`; its members always
-///   precede everything else in pop order because `last` only advances.
-#[derive(Debug, Clone)]
-struct Radix<T> {
-    slots: Vec<Option<Entry<T>>>,
-    free: Vec<u32>,
-    front: VecDeque<u32>,
-    buckets: Vec<Vec<u32>>,
-    past: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// Nanosecond timestamp the bucket indices are relative to: the time of
-    /// the bucket-zero entries, which is the last popped (or redistributed)
-    /// time.
-    last: u64,
-    len: usize,
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
 }
 
-impl<T> Radix<T> {
-    fn new() -> Self {
-        Radix {
-            slots: Vec::new(),
-            free: Vec::new(),
-            front: VecDeque::new(),
-            buckets: vec![Vec::new(); RADIX_BUCKETS],
-            past: BinaryHeap::new(),
-            last: 0,
-            len: 0,
-        }
-    }
+impl<T> Eq for Entry<T> {}
 
-    fn with_capacity(capacity: usize) -> Self {
-        let mut q = Self::new();
-        q.slots.reserve(capacity);
-        q.free.reserve(capacity);
-        q
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
+}
 
-    fn reserve(&mut self, additional: usize) {
-        // `free.len()` slots can be reused without growing the arena.
-        let grow = additional.saturating_sub(self.free.len());
-        self.slots.reserve(grow);
-        self.free.reserve(grow);
-    }
-
-    fn capacity(&self) -> usize {
-        self.slots.capacity()
-    }
-
-    /// Bucket index for a time strictly after `last`: the position of the
-    /// highest bit in which they differ.
-    #[inline]
-    fn bucket_of(last: u64, t: u64) -> usize {
-        debug_assert!(t > last);
-        (63 - (t ^ last).leading_zeros()) as usize
-    }
-
-    #[inline]
-    fn slot_time(&self, idx: u32) -> u64 {
-        self.slots[idx as usize]
-            .as_ref()
-            .expect("live slot")
-            .time
-            .as_nanos()
-    }
-
-    fn alloc(&mut self, entry: Entry<T>) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            self.slots[idx as usize] = Some(entry);
-            idx
-        } else {
-            let idx = u32::try_from(self.slots.len()).expect("event arena fits u32 indices");
-            self.slots.push(Some(entry));
-            idx
-        }
-    }
-
-    fn take(&mut self, idx: u32) -> Entry<T> {
-        let entry = self.slots[idx as usize].take().expect("live slot");
-        self.free.push(idx);
-        entry
-    }
-
-    fn push(&mut self, entry: Entry<T>) {
-        let (t, seq) = (entry.time.as_nanos(), entry.seq);
-        let idx = self.alloc(entry);
-        match t.cmp(&self.last) {
-            Ordering::Less => self.past.push(Reverse((t, seq, idx))),
-            // `seq` is globally increasing, so appending keeps `front`
-            // sorted by seq.
-            Ordering::Equal => self.front.push_back(idx),
-            Ordering::Greater => {
-                self.buckets[Self::bucket_of(self.last, t)].push(idx);
-                if self.front.is_empty() {
-                    self.redistribute();
-                }
-            }
-        }
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, T)> {
-        // Everything in `past` fires before `last`, hence before any front
-        // or bucket entry (whose times are >= `last`).
-        if let Some(Reverse((_, _, idx))) = self.past.pop() {
-            let e = self.take(idx);
-            self.len -= 1;
-            return Some((e.time, e.payload));
-        }
-        let idx = self.front.pop_front()?;
-        let e = self.take(idx);
-        self.len -= 1;
-        if self.front.is_empty() {
-            self.redistribute();
-        }
-        Some((e.time, e.payload))
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|(time, _)| time)
-    }
-
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
-        let idx = match self.past.peek() {
-            Some(&Reverse((_, _, idx))) => idx,
-            None => *self.front.front()?,
-        };
-        let e = self.slots[idx as usize].as_ref().expect("live slot");
-        Some((e.time, e.seq))
-    }
-
-    /// Re-establishes the `front` invariant: advances `last` to the
-    /// earliest bucketed time and moves that time's entries into `front`.
-    /// Every moved entry lands in a strictly lower bucket (it agrees with
-    /// the new `last` on all bits above the old bucket's), so an entry
-    /// cascades at most [`RADIX_BUCKETS`] times over its lifetime.
-    fn redistribute(&mut self) {
-        debug_assert!(self.front.is_empty());
-        let Some(b) = self.buckets.iter().position(|v| !v.is_empty()) else {
-            return;
-        };
-        let mut bucket = std::mem::take(&mut self.buckets[b]);
-        let tm = bucket
-            .iter()
-            .map(|&idx| self.slot_time(idx))
-            .min()
-            .expect("bucket is non-empty");
-        self.last = tm;
-        for &idx in &bucket {
-            let t = self.slot_time(idx);
-            if t == tm {
-                self.front.push_back(idx);
-            } else {
-                let nb = Self::bucket_of(tm, t);
-                debug_assert!(nb < b);
-                self.buckets[nb].push(idx);
-            }
-        }
-        // Keep the drained bucket's capacity for future cascades.
-        bucket.clear();
-        self.buckets[b] = bucket;
-        // Bucketed entries arrive in cascade order, not seq order; restore
-        // the FIFO tie-break.
-        let slots = &self.slots;
-        self.front
-            .make_contiguous()
-            .sort_unstable_by_key(|&idx| slots[idx as usize].as_ref().expect("live slot").seq);
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
 impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            radix: Radix::new(),
-            next_seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with room for `capacity` pending events, so a
-    /// long-horizon run (engine drivers queue every future arrival of a
-    /// trace) does not re-grow its arena mid-simulation.
+    /// Creates an empty queue with room for `capacity` pending events.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            radix: Radix::with_capacity(capacity),
+            heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
         }
     }
 
-    /// Reserves room for at least `additional` more events beyond the
-    /// current pending count.
+    /// Reserves room for at least `additional` more pending events.
     pub fn reserve(&mut self, additional: usize) {
-        self.radix.reserve(additional);
+        self.heap.reserve(additional);
     }
 
-    /// Number of pending events the queue can hold without re-growing its
-    /// entry storage.
+    /// Pending events the queue can hold without re-growing its storage.
     pub fn capacity(&self) -> usize {
-        self.radix.capacity()
+        self.heap.capacity()
     }
 
     /// Draws the next insertion sequence number without queueing anything.
@@ -297,32 +113,32 @@ impl<T> EventQueue<T> {
     /// Schedules `payload` to fire at `time`.
     pub fn push(&mut self, time: SimTime, payload: T) {
         let seq = self.take_seq();
-        self.radix.push(Entry { time, seq, payload });
+        self.heap.push(Entry { time, seq, payload });
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.radix.pop()
+        self.heap.pop().map(|e| (e.time, e.payload))
     }
 
     /// The firing time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.radix.peek_time()
+        self.heap.peek().map(|e| e.time)
     }
 
     /// The `(time, seq)` key of the earliest event without removing it.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.radix.peek_key()
+        self.heap.peek().map(|e| (e.time, e.seq))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.radix.len
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -335,33 +151,52 @@ impl<T> Default for EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
 
-    /// A `BinaryHeap` of `(time, seq)`-ordered entries: the differential
-    /// oracle the radix heap must match on every push/pop interleaving.
+    /// Pending `(time, seq, payload)` triples in push order; a pop scans
+    /// them all for the smallest `(time, seq)`. The differential oracle the
+    /// heap must match on every push/pop interleaving.
     #[derive(Default)]
-    struct HeapOracle {
-        heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    struct ScanOracle {
+        pending: Vec<(SimTime, u64, u64)>,
         next_seq: u64,
     }
 
-    impl HeapOracle {
+    impl ScanOracle {
         fn push(&mut self, time: SimTime, payload: u64) {
-            self.heap.push(Reverse((time, self.next_seq, payload)));
+            self.pending.push((time, self.next_seq, payload));
             self.next_seq += 1;
         }
 
+        /// Index of the pending entry with the smallest `(time, seq)`.
+        fn earliest(&self) -> Option<usize> {
+            (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+        }
+
         fn pop(&mut self) -> Option<(SimTime, u64)> {
-            self.heap.pop().map(|Reverse((t, _, p))| (t, p))
+            let i = self.earliest()?;
+            let (t, _, p) = self.pending.swap_remove(i);
+            Some((t, p))
         }
 
         fn peek_key(&self) -> Option<(SimTime, u64)> {
-            self.heap.peek().map(|Reverse((t, seq, _))| (*t, *seq))
+            self.earliest()
+                .map(|i| (self.pending[i].0, self.pending[i].1))
         }
 
         fn peek_time(&self) -> Option<SimTime> {
             self.peek_key().map(|(t, _)| t)
+        }
+
+        fn len(&self) -> usize {
+            self.pending.len()
+        }
+
+        /// Takes every pending `(time, seq, payload)`, smallest key first:
+        /// what a full drain must return, without a quadratic scan.
+        fn drain_sorted(&mut self) -> Vec<(SimTime, u64, u64)> {
+            let mut all = std::mem::take(&mut self.pending);
+            all.sort_unstable_by_key(|&(t, seq, _)| (t, seq));
+            all
         }
     }
 
@@ -426,8 +261,8 @@ mod tests {
 
     #[test]
     fn pushes_into_the_past_stay_total() {
-        // The queue is monotone-optimised; pushing earlier than the last
-        // popped time must still honour (time, seq) order.
+        // Pushing earlier than the last popped time must still honour
+        // (time, seq) order.
         let mut q = EventQueue::new();
         q.push(SimTime::from_nanos(100), 0);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(100), 0)));
@@ -447,7 +282,7 @@ mod tests {
         // time (with ties), they must still drain in `(time, seq)` order.
         const EVENTS: u64 = 64_000;
         let mut q = EventQueue::new();
-        let mut oracle = HeapOracle::default();
+        let mut oracle = ScanOracle::default();
         let top = SimTime::from_nanos(EVENTS);
         q.push(top, u64::MAX);
         oracle.push(top, u64::MAX);
@@ -457,9 +292,9 @@ mod tests {
             q.push(t, id);
             oracle.push(t, id);
         }
-        while !oracle.heap.is_empty() {
-            assert_eq!(q.peek_key(), oracle.peek_key());
-            assert_eq!(q.pop(), oracle.pop());
+        for (t, seq, id) in oracle.drain_sorted() {
+            assert_eq!(q.peek_key(), Some((t, seq)));
+            assert_eq!(q.pop(), Some((t, id)));
         }
         assert!(q.is_empty());
     }
@@ -482,64 +317,64 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_push_pop_matches_binary_heap() {
+    fn interleaved_push_pop_matches_the_scan_oracle() {
         // A driver-like workload: pop the minimum, then schedule new work a
         // short, varying distance into the future.
-        let mut cal = EventQueue::new();
-        let mut bin = HeapOracle::default();
+        let mut q = EventQueue::new();
+        let mut oracle = ScanOracle::default();
         let mut id = 0u64;
         for i in 0..64u64 {
             let t = SimTime::from_nanos((i * 104_729) % 5_000);
-            cal.push(t, id);
-            bin.push(t, id);
+            q.push(t, id);
+            oracle.push(t, id);
             id += 1;
         }
         let mut rng = 0x9e37_79b9_u64;
-        while !cal.is_empty() {
-            assert_eq!(cal.peek_time(), bin.peek_time());
-            let (tc, pc) = cal.pop().unwrap();
-            let (tb, pb) = bin.pop().unwrap();
+        while !q.is_empty() {
+            assert_eq!(q.peek_time(), oracle.peek_time());
+            let (tc, pc) = q.pop().unwrap();
+            let (tb, pb) = oracle.pop().unwrap();
             assert_eq!((tc, pc), (tb, pb));
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
             if id < 4096 && !rng.is_multiple_of(4) {
                 let dt = rng % 10_000;
                 let t = tc + crate::time::SimDuration::from_nanos(dt);
-                cal.push(t, id);
-                bin.push(t, id);
+                q.push(t, id);
+                oracle.push(t, id);
                 id += 1;
             }
         }
-        assert!(bin.heap.is_empty());
+        assert_eq!(oracle.len(), 0);
     }
 
     crate::check! {
         /// Any push/pop interleaving produces the same observable sequence
-        /// as the binary-heap oracle.
+        /// as the scan oracle.
         #[test]
-        fn calendar_and_binary_are_observably_identical(
+        fn queue_and_scan_oracle_are_observably_identical(
             // (time, op): op 0 pops, anything else pushes at `time`
             // (clustered to force ties).
             ops in crate::check::vec((0u64..2_000, 0u64..4), 1..200)
         ) {
-            let mut cal = EventQueue::new();
-            let mut bin = HeapOracle::default();
+            let mut q = EventQueue::new();
+            let mut oracle = ScanOracle::default();
             let mut id = 0u64;
             for (t, op) in ops {
                 if op == 0 {
-                    assert_eq!(cal.pop(), bin.pop());
+                    assert_eq!(q.pop(), oracle.pop());
                 } else {
-                    cal.push(SimTime::from_nanos(t), id);
-                    bin.push(SimTime::from_nanos(t), id);
+                    q.push(SimTime::from_nanos(t), id);
+                    oracle.push(SimTime::from_nanos(t), id);
                     id += 1;
                 }
-                assert_eq!(cal.peek_time(), bin.peek_time());
-                assert_eq!(cal.peek_key(), bin.peek_key());
-                assert_eq!(cal.len(), bin.heap.len());
+                assert_eq!(q.peek_time(), oracle.peek_time());
+                assert_eq!(q.peek_key(), oracle.peek_key());
+                assert_eq!(q.len(), oracle.len());
             }
-            while let Some(e) = bin.pop() {
-                assert_eq!(cal.pop(), Some(e));
+            while let Some(e) = oracle.pop() {
+                assert_eq!(q.pop(), Some(e));
             }
-            assert!(cal.is_empty());
+            assert!(q.is_empty());
         }
     }
 }

@@ -265,7 +265,9 @@ fn steady_and_quiet_shares_stay_on() {
 
 /// The steady and skipped-boundary shares of the full `serve_swap`
 /// benchmark workload (37,500 chat requests at 0.3 req/s, seed 42,
-/// untraced). Well under a second in release:
+/// untraced), with its iteration, steady-iteration, skipped-boundary and
+/// preemption counts pinned. `ci.sh` runs it; well under a second in
+/// release:
 ///
 /// ```text
 /// cargo test --release --offline --test quiet_boundaries -- --ignored --nocapture
@@ -290,6 +292,11 @@ fn serve_swap_shares() {
         100.0 * skipped,
         gateway.preemptions(),
     );
+    // The benchmark's shape: a driver or gateway change that moves any of
+    // these counts moves the `serve_swap` workload.
+    assert_eq!(gateway.iterations(), 2_753_745, "iterations");
+    assert_eq!(gateway.steady_iterations(), 2_622_744, "steady iterations");
+    assert_eq!(gateway.skipped_boundaries(), 2_622_791, "skipped");
     assert_eq!(gateway.preemptions(), 310, "the benchmark's preemptions");
     assert!(steady > 0.0 && skipped > 0.0);
 }
