@@ -46,9 +46,10 @@ cargo test -q --offline --test chaos_recovery
 # backlog, all five policies), 10k digest-only journal emits of a gauge,
 # a transfer completion and a gateway completion must allocate nothing
 # (assert_digest_only_emit_is_allocation_free), and a quiet AQUA iteration
-# boundary with 64 tracked leases must cost at most 2x one with 1 lease
-# once the lease book has settled (assert_quiet_boundary_is_flat, best of
-# five batches), and a drained serving log must keep at most 4 B per
+# boundary, which returns at once on the offloader's boundary_is_quiet,
+# with 64 tracked leases must cost at most 2x one with 1 lease once the
+# lease book has settled (assert_quiet_boundary_is_flat, best of five
+# batches), and a drained serving log must keep at most 4 B per
 # gateway iteration, 8 B per 2^32 ns high word of its clock and 64 B per
 # stream, so per-token timestamp storage or an 8 B clock entry fails
 # (assert_drained_streams_share_the_clock) — all asserted by the hot_path
@@ -103,64 +104,44 @@ cargo run --release --offline -p aqua-bench --bin aqua-repro -- scale --smoke
 # Audit acceptance, part 1: 32 seeded FaultPlan x workload x topology points
 # under full invariant auditing must report zero violations.
 cargo run --release --offline -p aqua-bench --bin aqua-repro -- fuzz --smoke
-# Audit acceptance, part 2: a planted coordinator double-free must be
-# *caught* (non-zero exit) and shrunk to a re-runnable reproducer spec.
-if plant_out=$(cargo run --release --offline -p aqua-bench --bin aqua-repro -- fuzz --points 4 --plant 2>&1); then
-  echo "FAIL: planted double-free was not caught by the audit" >&2
-  exit 1
-fi
-echo "$plant_out" | grep -q "reproduce with: aqua-repro fuzz" || {
-  echo "FAIL: planted violation did not print a shrunk reproducer" >&2
-  echo "$plant_out" >&2
-  exit 1
+# A planted audit violation must be *caught* (the command exits non-zero),
+# print a shrunk re-runnable reproducer (a line naming `reproduce`) and name
+# its violation (`violation`). `what` names the plant in the messages.
+expect_planted() {
+  local what=$1 reproduce=$2 violation=$3 out
+  shift 3
+  if out=$(cargo run --release --offline -p aqua-bench --bin aqua-repro -- "$@" 2>&1); then
+    echo "FAIL: planted $what was not caught by the audit" >&2
+    exit 1
+  fi
+  echo "$out" | grep -q "reproduce with: $reproduce" || {
+    echo "FAIL: planted $what did not print a shrunk reproducer" >&2
+    echo "$out" >&2
+    exit 1
+  }
+  echo "$out" | grep -q "$violation" || {
+    echo "FAIL: planted $what was not diagnosed as $violation" >&2
+    echo "$out" >&2
+    exit 1
+  }
+  echo "planted $what caught and shrunk to a reproducer"
 }
-echo "$plant_out" | grep -q "double_free" || {
-  echo "FAIL: planted violation was not diagnosed as a double free" >&2
-  echo "$plant_out" >&2
-  exit 1
-}
-echo "planted double-free caught and shrunk to a reproducer"
+# Audit acceptance, part 2: a planted coordinator double-free must be caught
+# as a double_free.
+expect_planted double-free "aqua-repro fuzz" double_free fuzz --points 4 --plant
 # Audit acceptance, part 2b: a planted epoch-fencing bypass (a stale resync
-# merged through the unfenced path after a coordinator crash) must be
-# *caught* (non-zero exit), diagnosed as a cross-epoch double grant and
-# shrunk to a re-runnable reproducer spec.
-if fence_out=$(cargo run --release --offline -p aqua-bench --bin aqua-repro -- fuzz --points 4 --plant-fence 2>&1); then
-  echo "FAIL: planted fencing bypass was not caught by the audit" >&2
-  exit 1
-fi
-echo "$fence_out" | grep -q "reproduce with: aqua-repro fuzz" || {
-  echo "FAIL: planted fencing bypass did not print a shrunk reproducer" >&2
-  echo "$fence_out" >&2
-  exit 1
-}
-echo "$fence_out" | grep -q "double_grant_across_epochs" || {
-  echo "FAIL: planted fencing bypass was not diagnosed as a cross-epoch double grant" >&2
-  echo "$fence_out" >&2
-  exit 1
-}
-echo "planted fencing bypass caught and shrunk to a reproducer"
+# merged through the unfenced path after a coordinator crash) must be caught
+# as a cross-epoch double grant.
+expect_planted "fencing bypass" "aqua-repro fuzz" double_grant_across_epochs \
+  fuzz --points 4 --plant-fence
 # Audit acceptance, part 3: 16 seeded gateway points (FaultPlan x scheduler
 # policy x load on the serving path) must report zero audit violations AND
 # zero truncated streams.
 cargo run --release --offline -p aqua-bench --bin aqua-repro -- fuzz --gateway --smoke
-# Audit acceptance, part 4: a planted skipped-restore must be *caught*
-# (non-zero exit), diagnosed as token_without_restore and shrunk to a
-# re-runnable reproducer spec.
-if gw_plant_out=$(cargo run --release --offline -p aqua-bench --bin aqua-repro -- fuzz --gateway --points 2 --plant 2>&1); then
-  echo "FAIL: planted skipped restore was not caught by the audit" >&2
-  exit 1
-fi
-echo "$gw_plant_out" | grep -q "reproduce with: aqua-repro fuzz --gateway" || {
-  echo "FAIL: planted gateway violation did not print a shrunk reproducer" >&2
-  echo "$gw_plant_out" >&2
-  exit 1
-}
-echo "$gw_plant_out" | grep -q "token_without_restore" || {
-  echo "FAIL: planted gateway violation was not diagnosed as a skipped restore" >&2
-  echo "$gw_plant_out" >&2
-  exit 1
-}
-echo "planted skipped restore caught and shrunk to a reproducer"
+# Audit acceptance, part 4: a planted skipped-restore must be caught as a
+# token_without_restore, with a gateway reproducer.
+expect_planted "skipped restore" "aqua-repro fuzz --gateway" token_without_restore \
+  fuzz --gateway --points 2 --plant
 # Public-surface guard: every `pub fn`, `pub const NAME` and `pub static
 # NAME` under crates/*/src must be named in some other .rs file of the
 # workspace or the frozen benchmark (a lib.rs re-export counts), or in a

@@ -18,7 +18,7 @@ use aqua_gateway::scheduler::PolicyKind;
 use aqua_models::lora::LoraAdapter;
 use aqua_models::zoo::{self, ModelProfile};
 use aqua_sim::audit::SharedAuditor;
-use aqua_sim::fault::{FaultKind, FaultPlan};
+use aqua_sim::fault::FaultPlan;
 use aqua_sim::gpu::{GpuId, GpuSpec};
 use aqua_sim::link::bytes::gib;
 use aqua_sim::time::SimTime;
@@ -230,10 +230,8 @@ impl ServerCtx {
         let mut driver = Driver::new();
         if let Some(plan) = plan {
             gateway = gateway.with_fault_plan(plan, GpuId(0));
-            for w in plan.windows() {
-                if matches!(w.kind, FaultKind::GpuCrash { gpu } if gpu == GpuId(0)) {
-                    driver.crash_window(0, w.start, w.end);
-                }
+            for (start, end) in plan.gpu_crashes(GpuId(0)) {
+                driver.crash_window(0, start, end);
             }
         }
         if let Some(auditor) = auditor {
@@ -270,11 +268,11 @@ impl ServerCtx {
         if let Some(auditor) = &self.auditor {
             driver.set_auditor(auditor.clone());
         }
-        for w in self.fault_plan.iter().flat_map(|plan| plan.windows()) {
-            if matches!(w.kind, FaultKind::GpuCrash { gpu } if gpu == GpuId(1)) {
+        if let Some(plan) = &self.fault_plan {
+            for (start, end) in plan.gpu_crashes(GpuId(1)) {
                 // The producer goes dark: no ticks, no informer heartbeats
                 // (so the chaos TTL expires its lease), arrivals held.
-                driver.crash_window(1, w.start, w.end);
+                driver.crash_window(1, start, end);
             }
         }
         driver.schedule_trace(0, trace);

@@ -703,9 +703,9 @@ fn quiet_boundary_ns(leases: usize) -> f64 {
 }
 
 /// A passive iteration boundary must cost the same however many leases the
-/// consumer tracks: once a sweep found nothing to act on, the stranded and
-/// reclaim sweeps are skipped until the coordinator's book revision moves,
-/// and nothing else on that path walks the leases. One boundary with 64
+/// consumer tracks: once a sweep found nothing to act on, the boundary
+/// returns at once on `boundary_is_quiet` until the coordinator's book
+/// revision moves, and the predicate walks no lease. One boundary with 64
 /// tracked leases may cost at most 2x one with 1 lease; sweeping them
 /// every time was one lease-state and one pending-reclaim lookup per lease.
 fn assert_quiet_boundary_is_flat() {
@@ -714,7 +714,7 @@ fn assert_quiet_boundary_is_flat() {
     assert!(
         many <= 2.0 * one,
         "a quiet boundary with 64 tracked leases cost {many:.0} ns vs {one:.0} ns with 1 \
-         (bound 2x): the lease sweeps run although the book has not moved"
+         (bound 2x): the boundary walks the leases although the book has not moved"
     );
     eprintln!(
         "hot_path: quiet iteration boundary: {one:.0} ns with 1 tracked lease, {many:.0} ns \

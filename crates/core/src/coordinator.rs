@@ -423,8 +423,8 @@ impl Coordinator {
 
     /// The book revision: it changes whenever any lease's
     /// [`Coordinator::lease_state`] or [`Coordinator::pending_reclaim`]
-    /// answer may have, so a consumer that found nothing to act on at one
-    /// revision may skip its lease sweeps until the revision moves.
+    /// answer may have, so lease sweeps that found nothing to act on at one
+    /// revision find nothing until the revision moves.
     pub fn book_revision(&self) -> u64 {
         self.state.borrow().revision
     }
@@ -434,13 +434,7 @@ impl Coordinator {
     /// [`Coordinator::reachable`]); otherwise it runs the failure watchdog
     /// ([`Coordinator::advance`]) and the book audit
     /// ([`Coordinator::audit_books`]), then answers `(epoch, revision)`.
-    /// While [`Coordinator::boundary_is_quiet`] holds, every step but the
-    /// answer is a no-op, and it answers from one look at the book.
     pub fn boundary(&self, gpu: GpuId, now: SimTime) -> Option<(u64, u64)> {
-        if self.boundary_is_quiet() {
-            let st = self.state.borrow();
-            return Some((st.epoch, st.revision));
-        }
         if !self.reachable(gpu, now) {
             return None;
         }
@@ -450,12 +444,13 @@ impl Coordinator {
         Some((st.epoch, st.revision))
     }
 
-    /// Whether [`Coordinator::boundary`] is, at any time, one look at the
-    /// book that changes nothing: there is no fault plan (every GPU reaches
-    /// the coordinator), no auditor, and no watchdog to run (no failure
-    /// config, or the process is down). Only the installers of those, or a
-    /// verb that moves the process state, change the answer.
-    pub fn boundary_is_quiet(&self) -> bool {
+    /// Whether [`Coordinator::boundary`] is, at any time, an answer that
+    /// changes nothing: there is no fault plan (every GPU reaches the
+    /// coordinator, and there is no window to replay), no auditor, and no
+    /// watchdog to run (no failure config, or the process is down). Only
+    /// the installers of those, or a verb that moves the process state,
+    /// change the answer.
+    pub(crate) fn boundary_is_quiet(&self) -> bool {
         self.fault_plan.borrow().is_none() && self.auditor.borrow().is_none() && {
             let st = self.state.borrow();
             let cfg = st.failure_config;

@@ -48,63 +48,48 @@ const MIN_DONATION_BYTES: u64 = 512 * 1024 * 1024;
 /// ```
 #[derive(Debug)]
 pub struct BatchInformer {
-    gpu: GpuRef,
-    coordinator: Rc<Coordinator>,
-    /// The coordinator epoch at construction; every heartbeat presents it.
-    epoch: u64,
-    tracer: SharedTracer,
+    link: Link,
 }
 
 impl BatchInformer {
     /// Creates a batch informer for the producer at `gpu`.
     pub fn new(gpu: GpuRef, coordinator: Rc<Coordinator>) -> Self {
-        let epoch = coordinator.epoch();
         BatchInformer {
-            gpu,
-            coordinator,
-            epoch,
-            tracer: null_tracer(),
+            link: Link::new(gpu, coordinator),
         }
     }
 
     /// Attaches a tracer; donations show up as [`TraceEvent::Donated`] +
     /// [`TraceEvent::LeaseGranted`] pairs.
     pub fn with_tracer(mut self, tracer: SharedTracer) -> Self {
-        self.tracer = tracer;
+        self.link.tracer = tracer;
         self
     }
 }
 
 impl Informer for BatchInformer {
     fn control(&mut self, engine: &mut dyn MemoryElastic, now: SimTime) -> SimTime {
-        // Every control tick proves the producer alive to the coordinator's
-        // failure detector. A fenced-out heartbeat (the coordinator is down
-        // or has moved to another epoch) donates nothing either.
-        if self
-            .coordinator
-            .heartbeat(self.gpu, now, self.epoch)
-            .is_err()
-        {
+        if self.link.check_in(engine, now).is_none() {
             return now;
         }
         let stats = engine.stats();
         if stats.donatable_bytes >= MIN_DONATION_BYTES {
             let granted = engine.donate(stats.donatable_bytes);
             if granted > 0 {
-                let lease = self.coordinator.lease(self.gpu, granted);
-                self.tracer.incr("informer.donations", 1);
+                let lease = self.link.coordinator.lease(self.link.gpu, granted);
+                self.link.tracer.incr("informer.donations", 1);
                 trace!(
-                    self.tracer,
+                    self.link.tracer,
                     TraceEvent::Donated {
-                        gpu: self.gpu.to_string(),
+                        gpu: self.link.gpu.to_string(),
                         bytes: granted,
                         at: now,
                     }
                 );
                 trace!(
-                    self.tracer,
+                    self.link.tracer,
                     TraceEvent::LeaseGranted {
-                        producer: self.gpu.to_string(),
+                        producer: self.link.gpu.to_string(),
                         lease: lease.id(),
                         bytes: granted,
                         at: now,
@@ -113,6 +98,80 @@ impl Informer for BatchInformer {
             }
         }
         now
+    }
+}
+
+/// An informer's line to the coordinator: the producer it speaks for, the
+/// coordinator epoch it last synced with, and where it journals.
+#[derive(Debug)]
+struct Link {
+    gpu: GpuRef,
+    coordinator: Rc<Coordinator>,
+    epoch: u64,
+    tracer: SharedTracer,
+}
+
+impl Link {
+    fn new(gpu: GpuRef, coordinator: Rc<Coordinator>) -> Self {
+        let epoch = coordinator.epoch();
+        Link {
+            gpu,
+            coordinator,
+            epoch,
+            tracer: null_tracer(),
+        }
+    }
+
+    /// The prologue of every informer's control tick, run before any other
+    /// verb: `None` when the tick must end here, otherwise whether the tick
+    /// re-registered the donated inventory in a new epoch.
+    ///
+    /// 1. While the coordinator is unreachable (crashed or partitioned
+    ///    away) every control verb would just time out. The producer keeps
+    ///    serving autonomously and retries at the next tick.
+    /// 2. Epoch fence: a bumped epoch means the coordinator crashed and
+    ///    lost the lease book. The full donated inventory is re-registered
+    ///    first — a pre-crash heartbeat or free would bounce off the fence,
+    ///    and skipping the resync would make a same-epoch revocation path
+    ///    reclaim bytes a consumer may still hold.
+    /// 3. The heartbeat proves the producer alive to the coordinator's
+    ///    failure detector.
+    fn check_in(&mut self, engine: &dyn MemoryElastic, now: SimTime) -> Option<bool> {
+        if !self.coordinator.reachable(self.gpu.gpu, now) {
+            self.tracer.incr("informer.unreachable_ticks", 1);
+            return None;
+        }
+        let current = self.coordinator.epoch();
+        let mut resynced = false;
+        if current != self.epoch {
+            let donated = engine.stats().donated_bytes;
+            if donated > 0 {
+                // An error means the coordinator crashed again (or is still
+                // rebuilding): keep the old epoch and retry at the next tick.
+                let lease = self
+                    .coordinator
+                    .resync_report(self.gpu, donated, current, now)
+                    .ok()?;
+                resynced = true;
+                self.tracer.incr("informer.epoch_resyncs", 1);
+                trace!(
+                    self.tracer,
+                    TraceEvent::InformerDecision {
+                        gpu: self.gpu.to_string(),
+                        decision: format!(
+                            "resync-epoch epoch={current} lease={} bytes={donated}",
+                            lease.id(),
+                        ),
+                        at: now,
+                    }
+                );
+            }
+            self.epoch = current;
+        }
+        // This bounces only while the process is down (a resync that landed
+        // proves it up); the next tick retries.
+        self.coordinator.heartbeat(self.gpu, now, self.epoch).ok()?;
+        Some(resynced)
     }
 }
 
@@ -147,17 +206,11 @@ enum LlmState {
 /// Queue-depth-driven donate/reclaim loop for LLM producers.
 #[derive(Debug)]
 pub struct LlmInformer {
-    gpu: GpuRef,
-    coordinator: Rc<Coordinator>,
+    link: Link,
     config: LlmInformerConfig,
     history: VecDeque<usize>,
     state: LlmState,
     reclaims_started: u64,
-    /// The coordinator epoch this informer last synced with. A bump means
-    /// the lease book was lost in a crash; the informer re-registers its
-    /// full donated inventory before any other verb.
-    epoch: u64,
-    tracer: SharedTracer,
 }
 
 impl LlmInformer {
@@ -168,16 +221,12 @@ impl LlmInformer {
             config.low_pending < config.high_pending,
             "low-water mark must be below high-water mark"
         );
-        let epoch = coordinator.epoch();
         LlmInformer {
-            gpu,
-            coordinator,
+            link: Link::new(gpu, coordinator),
             config,
             history: VecDeque::new(),
             state: LlmState::Normal,
             reclaims_started: 0,
-            epoch,
-            tracer: null_tracer(),
         }
     }
 
@@ -185,7 +234,7 @@ impl LlmInformer {
     /// [`TraceEvent::InformerDecision`] events plus the memory events they
     /// cause.
     pub fn with_tracer(mut self, tracer: SharedTracer) -> Self {
-        self.tracer = tracer;
+        self.link.tracer = tracer;
         self
     }
 
@@ -198,59 +247,11 @@ impl LlmInformer {
 
 impl Informer for LlmInformer {
     fn control(&mut self, engine: &mut dyn MemoryElastic, now: SimTime) -> SimTime {
-        // While the coordinator is unreachable (crashed or partitioned away)
-        // every control verb would just time out. The producer keeps serving
-        // autonomously and retries at the next tick.
-        if !self.coordinator.reachable(self.gpu.gpu, now) {
-            self.tracer.incr("informer.unreachable_ticks", 1);
-            return now;
-        }
-        // Epoch fence: a bumped epoch means the coordinator crashed and lost
-        // the lease book. Re-register the full donated inventory before any
-        // other verb — a pre-crash heartbeat or free would bounce off the
-        // fence, and skipping the resync would make the same-epoch revocation
-        // path below reclaim bytes a consumer may still hold.
-        let current = self.coordinator.epoch();
-        if current != self.epoch {
-            let stats = engine.stats();
-            if stats.donated_bytes > 0 {
-                match self
-                    .coordinator
-                    .resync_report(self.gpu, stats.donated_bytes, current, now)
-                {
-                    Ok(lease) => {
-                        self.epoch = current;
-                        self.history.clear();
-                        self.tracer.incr("informer.epoch_resyncs", 1);
-                        trace!(
-                            self.tracer,
-                            TraceEvent::InformerDecision {
-                                gpu: self.gpu.to_string(),
-                                decision: format!(
-                                    "resync-epoch epoch={current} lease={} bytes={}",
-                                    lease.id(),
-                                    stats.donated_bytes
-                                ),
-                                at: now,
-                            }
-                        );
-                    }
-                    // Coordinator crashed again (or is still rebuilding):
-                    // keep the old epoch and retry at the next tick.
-                    Err(_) => return now,
-                }
-            } else {
-                self.epoch = current;
-            }
-        }
-        if self
-            .coordinator
-            .heartbeat(self.gpu, now, self.epoch)
-            .is_err()
-        {
-            // Raced another epoch bump between the sync above and the
-            // heartbeat; the next tick re-registers.
-            return now;
+        match self.link.check_in(engine, now) {
+            None => return now,
+            // The quiet history predates the crash.
+            Some(true) => self.history.clear(),
+            Some(false) => {}
         }
         let stats = engine.stats();
         match self.state {
@@ -258,7 +259,7 @@ impl Informer for LlmInformer {
                 // Resync: leases the coordinator revoked (expiry, forced
                 // revocation) are memory the engine believes is donated but
                 // nobody will ever release. Take it back immediately.
-                let live = self.coordinator.live_lease_bytes(self.gpu);
+                let live = self.link.coordinator.live_lease_bytes(self.link.gpu);
                 if stats.donated_bytes > live {
                     let lost = stats.donated_bytes - live;
                     engine.reclaim(lost);
@@ -266,11 +267,11 @@ impl Informer for LlmInformer {
                     // while the producer was dark); demand a fresh quiet
                     // window before donating again.
                     self.history.clear();
-                    self.tracer.incr("informer.resyncs", 1);
+                    self.link.tracer.incr("informer.resyncs", 1);
                     trace!(
-                        self.tracer,
+                        self.link.tracer,
                         TraceEvent::InformerDecision {
-                            gpu: self.gpu.to_string(),
+                            gpu: self.link.gpu.to_string(),
                             decision: format!("resync-revoked bytes={lost}"),
                             at: now,
                         }
@@ -285,22 +286,22 @@ impl Informer for LlmInformer {
                 if stats.pending_requests >= self.config.high_pending && stats.donated_bytes > 0 {
                     // Queue build-up: take the memory back (timestamped, so
                     // the reclaim deadline arms right now).
-                    self.coordinator.reclaim_request(self.gpu, now);
+                    self.link.coordinator.reclaim_request(self.link.gpu, now);
                     self.state = LlmState::Reclaiming;
                     self.reclaims_started += 1;
-                    self.tracer.incr("informer.reclaims", 1);
+                    self.link.tracer.incr("informer.reclaims", 1);
                     trace!(
-                        self.tracer,
+                        self.link.tracer,
                         TraceEvent::InformerDecision {
-                            gpu: self.gpu.to_string(),
+                            gpu: self.link.gpu.to_string(),
                             decision: format!("reclaim-start pending={}", stats.pending_requests),
                             at: now,
                         }
                     );
                     trace!(
-                        self.tracer,
+                        self.link.tracer,
                         TraceEvent::ReclaimRequested {
-                            producer: self.gpu.to_string(),
+                            producer: self.link.gpu.to_string(),
                             at: now,
                         }
                     );
@@ -311,28 +312,28 @@ impl Informer for LlmInformer {
                 if quiet && stats.donatable_bytes >= MIN_DONATION_BYTES {
                     let granted = engine.donate(stats.donatable_bytes);
                     if granted > 0 {
-                        let lease = self.coordinator.lease(self.gpu, granted);
-                        self.tracer.incr("informer.donations", 1);
+                        let lease = self.link.coordinator.lease(self.link.gpu, granted);
+                        self.link.tracer.incr("informer.donations", 1);
                         trace!(
-                            self.tracer,
+                            self.link.tracer,
                             TraceEvent::InformerDecision {
-                                gpu: self.gpu.to_string(),
+                                gpu: self.link.gpu.to_string(),
                                 decision: format!("donate bytes={granted}"),
                                 at: now,
                             }
                         );
                         trace!(
-                            self.tracer,
+                            self.link.tracer,
                             TraceEvent::Donated {
-                                gpu: self.gpu.to_string(),
+                                gpu: self.link.gpu.to_string(),
                                 bytes: granted,
                                 at: now,
                             }
                         );
                         trace!(
-                            self.tracer,
+                            self.link.tracer,
                             TraceEvent::LeaseGranted {
-                                producer: self.gpu.to_string(),
+                                producer: self.link.gpu.to_string(),
                                 lease: lease.id(),
                                 bytes: granted,
                                 at: now,
@@ -342,7 +343,7 @@ impl Informer for LlmInformer {
                 }
                 now
             }
-            LlmState::Reclaiming => match self.coordinator.reclaim_status(self.gpu) {
+            LlmState::Reclaiming => match self.link.coordinator.reclaim_status(self.link.gpu) {
                 ReclaimStatus::Pending => now,
                 ReclaimStatus::Released { bytes, at } => {
                     engine.reclaim(bytes);
@@ -352,17 +353,17 @@ impl Informer for LlmInformer {
                     // being released (Figure 11).
                     let resume = at.max(now);
                     trace!(
-                        self.tracer,
+                        self.link.tracer,
                         TraceEvent::Reclaimed {
-                            gpu: self.gpu.to_string(),
+                            gpu: self.link.gpu.to_string(),
                             bytes,
                             at: resume,
                         }
                     );
                     trace!(
-                        self.tracer,
+                        self.link.tracer,
                         TraceEvent::InformerDecision {
-                            gpu: self.gpu.to_string(),
+                            gpu: self.link.gpu.to_string(),
                             decision: format!("resume bytes={bytes}"),
                             at: resume,
                         }
@@ -383,7 +384,8 @@ impl Informer for LlmInformer {
 mod tests {
     use super::*;
     use aqua_engines::northbound::EngineStats;
-    use aqua_sim::gpu::GpuId;
+    use aqua_engines::producer::{ProducerEngine, ProducerModel};
+    use aqua_sim::gpu::{GpuId, GpuSpec};
     use aqua_sim::link::bytes::gib;
     use std::sync::Arc;
 
@@ -671,6 +673,67 @@ mod tests {
         coord.set_auditor(auditor.clone());
         coord.audit_books(SimTime::from_secs(9));
         assert!(auditor.is_clean(), "{:?}", auditor.violations());
+    }
+
+    /// A diffusion producer behind a batch informer on GPU 1.
+    fn batch_producer(coord: &Rc<Coordinator>) -> (ProducerEngine, BatchInformer) {
+        let sd = aqua_models::zoo::stable_diffusion();
+        let model = ProducerModel::Diffusion(*sd.diffusion_geometry().unwrap());
+        let engine = ProducerEngine::new(model, GpuSpec::a100_80g(), 8);
+        (engine, BatchInformer::new(producer(), Rc::clone(coord)))
+    }
+
+    #[test]
+    fn batch_informer_reregisters_inventory_after_a_coordinator_crash() {
+        let coord = Rc::new(Coordinator::new());
+        let (mut engine, mut inf) = batch_producer(&coord);
+        inf.control(&mut engine, SimTime::ZERO);
+        let donated = engine.donated_bytes();
+        assert!(donated >= MIN_DONATION_BYTES);
+        assert_eq!(coord.live_lease_bytes(producer()), donated);
+
+        coord.crash(SimTime::from_secs(1));
+        inf.control(&mut engine, SimTime::from_secs(2));
+        assert_eq!(coord.live_lease_bytes(producer()), 0, "the book is lost");
+        coord.recover(SimTime::from_secs(3));
+        inf.control(&mut engine, SimTime::from_secs(4));
+        assert_eq!(coord.live_lease_bytes(producer()), donated);
+        assert_eq!(
+            engine.donated_bytes(),
+            donated,
+            "re-homed, not donated twice"
+        );
+        // Heartbeats in the new epoch land again.
+        assert!(coord
+            .heartbeat(producer(), SimTime::from_secs(5), inf.link.epoch)
+            .is_ok());
+    }
+
+    #[test]
+    fn batch_informer_skips_control_verbs_while_partitioned() {
+        use aqua_sim::fault::FaultPlan;
+        use aqua_telemetry::JournalTracer;
+
+        let journal = Arc::new(JournalTracer::new());
+        let coord = Rc::new(Coordinator::new());
+        coord.set_tracer(journal.clone());
+        coord.set_fault_plan(Arc::new(FaultPlan::new().partition(
+            1,
+            SimTime::ZERO,
+            SimTime::from_secs(2),
+        )));
+        let (mut engine, inf) = batch_producer(&coord);
+        let mut inf = inf.with_tracer(journal.clone());
+        for i in 0..3 {
+            inf.control(&mut engine, SimTime::from_secs(i));
+        }
+        assert_eq!(journal.registry().counter("coordinator.heartbeat"), 1);
+        assert_eq!(journal.registry().counter("informer.unreachable_ticks"), 2);
+        assert_eq!(coord.live_lease_bytes(producer()), engine.donated_bytes());
+        assert!(
+            engine.donated_bytes() > 0,
+            "donates once the partition heals"
+        );
     }
 
     #[test]

@@ -698,6 +698,9 @@ impl Offloader for AquaOffloader {
     }
 
     fn on_iteration_boundary(&mut self, now: SimTime) -> SimTime {
+        if self.boundary_is_quiet() {
+            return now;
+        }
         let mut resume = now;
         // 0. A stalled coordinator delays every control-plane verb below.
         if let Some(plan) = &self.fault_plan {
@@ -738,14 +741,8 @@ impl Offloader for AquaOffloader {
             // The replayed frees may have moved the book.
             revision = self.coordinator.book_revision();
         }
-        // 1-2. The lease sweeps. They are skipped while the coordinator's
-        // book revision is still the one at which a sweep found nothing to
-        // act on, unless this boundary ends a dark period or sees an epoch
-        // change: no tracked lease's state or pending reclaim can have
-        // moved, and any lease tracked since came with a revision bump.
-        if was_dark || epoch_changed || self.quiet_revision != Some(revision) {
-            resume = self.sweep_leases(resume, epoch_changed, revision);
-        }
+        // 1-2. The lease sweeps.
+        resume = self.sweep_leases(resume, epoch_changed, revision);
         // 3. Degraded mode ends only at a boundary, and promotion is
         // skipped while it lasts (new peer placements are suspect).
         self.maybe_exit_degraded(resume);
@@ -779,13 +776,14 @@ impl Offloader for AquaOffloader {
         resume
     }
 
-    /// Quiet when every step of the boundary above is provably a no-op
-    /// that keeps `now`: no fault plan to stall it; a coordinator that
-    /// answers from one look ([`Coordinator::boundary_is_quiet`]); no dark
-    /// period to end; the epoch it answers is ours; the book is still at a
-    /// revision whose sweeps found nothing; nothing degraded to expire; and
-    /// no DRAM-resident bytes to promote. Only a call on this offloader or
-    /// on its coordinator can change any of these.
+    /// The one statement of the boundary's no-op rule, on which the
+    /// boundary above returns at once: quiet when every step of it would be
+    /// a no-op that keeps `now`. There is no fault plan to stall it; the
+    /// coordinator has no plan to replay, watchdog to run or books to
+    /// audit; no dark period to end; the epoch is ours; the book is still
+    /// at a revision whose sweeps found nothing; nothing degraded to
+    /// expire; and no DRAM-resident bytes to promote. Only a call on this
+    /// offloader or on its coordinator can change any of these.
     fn boundary_is_quiet(&self) -> bool {
         self.fault_plan.is_none()
             && self.unreachable_since.is_none()
@@ -1300,9 +1298,11 @@ mod tests {
         );
     }
 
-    /// One coordinator (chaos watchdogs, journalled) and a consumer on
-    /// GPU 0 of a four-GPU NVSwitch server.
-    fn journalled_world() -> (
+    /// One coordinator (journalled, watchdogs per `config`) and a consumer
+    /// on GPU 0 of a four-GPU NVSwitch server.
+    fn journalled_world(
+        config: crate::coordinator::FailureConfig,
+    ) -> (
         Rc<Coordinator>,
         AquaOffloader,
         Arc<aqua_telemetry::JournalTracer>,
@@ -1312,31 +1312,38 @@ mod tests {
         let xfer = Rc::new(RefCell::new(TransferEngine::new()));
         let coord = Rc::new(Coordinator::new());
         coord.set_tracer(journal.clone());
-        coord.set_failure_config(crate::coordinator::FailureConfig::chaos());
+        coord.set_failure_config(config);
         let off = AquaOffloader::new(GpuRef::single(GpuId(0)), Rc::clone(&coord), server, xfer)
             .with_tracer(journal.clone());
         (coord, off, journal)
     }
 
     aqua_sim::check! {
-        /// Skipping the lease sweeps at an unchanged book revision is
-        /// exact: against a twin whose sweeps always run, every boundary
-        /// resumes at the same time and leaves the same byte books, and
-        /// the two journals are identical, across arbitrary interleavings
-        /// of swaps, grants, reclaims, heartbeats, watchdog expiries,
-        /// coordinator crashes and resyncs, and another consumer's
-        /// allocations.
+        /// The early return on `boundary_is_quiet` is exact: against a twin
+        /// whose sweep mark is cleared before each boundary, which forces
+        /// the full path, every boundary resumes at the same time and
+        /// leaves the same offloader state and byte books, and the two
+        /// journals are identical. The watchdogs are drawn, so runs without
+        /// any have quiet boundaries; the ops interleave swaps, grants,
+        /// reclaims, heartbeats, watchdog expiries, coordinator crashes,
+        /// recoveries and resyncs, and another consumer's allocations.
         #[test]
-        fn skipped_sweeps_match_always_sweeping(
-            ops in aqua_sim::check::vec((0u8..10, 1u64..64), 1..60)
+        fn quiet_boundaries_match_the_full_path(
+            (ttl, deadline) in (aqua_sim::check::AnyBool, aqua_sim::check::AnyBool),
+            ops in aqua_sim::check::vec((0u8..11, 1u64..64), 1..60)
         ) {
-            let (coord_a, mut skipping, journal_a) = journalled_world();
-            let (coord_b, mut sweeping, journal_b) = journalled_world();
+            let chaos = crate::coordinator::FailureConfig::chaos();
+            let config = crate::coordinator::FailureConfig {
+                heartbeat_ttl: chaos.heartbeat_ttl.filter(|_| ttl),
+                reclaim_deadline: chaos.reclaim_deadline.filter(|_| deadline),
+            };
+            let (coord_a, mut quick, journal_a) = journalled_world(config);
+            let (coord_b, mut full, journal_b) = journalled_world(config);
             let mut now = SimTime::ZERO;
             for (op, amount) in ops {
                 now += SimDuration::from_secs(1);
                 let producer = GpuRef::single(GpuId(1 + (amount % 3) as usize));
-                for (coord, off) in [(&coord_a, &mut skipping), (&coord_b, &mut sweeping)] {
+                for (coord, off) in [(&coord_a, &mut quick), (&coord_b, &mut full)] {
                     match op {
                         0 => {
                             off.swap_out(mib(amount * 64), 4, now);
@@ -1352,40 +1359,48 @@ mod tests {
                             let _ = coord.heartbeat(producer, now, coord.epoch());
                         }
                         5 => now += SimDuration::from_secs(amount % 16),
-                        6 => {
-                            coord.crash(now);
-                            coord.recover(now);
-                        }
+                        6 => coord.crash(now),
                         7 => {
                             let _ = coord.resync_report(producer, gib(4), coord.epoch(), now);
                         }
                         8 => {
                             let _ = coord.reclaim_status(producer);
                         }
+                        9 => coord.recover(now),
                         _ => {
                             let _ = coord.allocate(GpuRef::single(GpuId(3)), mib(amount * 16));
                         }
                     }
                 }
-                sweeping.quiet_revision = None;
-                let a = skipping.on_iteration_boundary(now);
-                let b = sweeping.on_iteration_boundary(now);
+                full.quiet_revision = None;
+                let a = quick.on_iteration_boundary(now);
+                let b = full.on_iteration_boundary(now);
                 assert_eq!(a, b, "resume time");
-                assert_eq!(skipping.peer_bytes, sweeping.peer_bytes);
-                assert_eq!(skipping.dram_bytes, sweeping.dram_bytes);
+                assert_eq!(quick.peer_bytes, full.peer_bytes);
+                assert_eq!(quick.dram_bytes, full.dram_bytes);
+                assert_eq!(quick.deferred_frees, full.deferred_frees);
                 assert_eq!(
-                    (skipping.releases, skipping.lost_bytes),
-                    (sweeping.releases, sweeping.lost_bytes)
+                    (quick.epoch, quick.quiet_revision, quick.degraded_until),
+                    (full.epoch, full.quiet_revision, full.degraded_until)
+                );
+                assert_eq!(
+                    (quick.releases, quick.lost_bytes),
+                    (full.releases, full.lost_bytes)
                 );
                 assert_eq!(coord_a.used_bytes(), coord_b.used_bytes());
+                assert_eq!(coord_a.book_revision(), coord_b.book_revision());
             }
             assert_eq!(journal_a.to_jsonl(), journal_b.to_jsonl());
         }
     }
 
+    /// The sweep mark the quiet predicate reads follows the book: a
+    /// boundary whose sweeps find nothing records the revision it saw, and
+    /// one whose sweeps act records nothing. Watchdogs keep every boundary
+    /// on the full path.
     #[test]
-    fn quiet_boundary_skips_its_sweeps_until_the_book_moves() {
-        let (coord, mut off, _) = journalled_world();
+    fn the_sweep_mark_follows_the_book_revision() {
+        let (coord, mut off, _) = journalled_world(crate::coordinator::FailureConfig::chaos());
         let producer = GpuRef::single(GpuId(1));
         coord.lease(producer, gib(10));
         off.swap_out(gib(1), 4, SimTime::ZERO);
@@ -1395,9 +1410,17 @@ mod tests {
         coord.heartbeat(producer, SimTime::from_secs(2), 1).unwrap();
         off.on_iteration_boundary(SimTime::from_secs(2));
         assert_eq!(coord.book_revision(), settled, "heartbeats leave the book");
-        coord.reclaim_request(producer, SimTime::from_secs(2));
-        assert_ne!(coord.book_revision(), settled);
+        assert_eq!(off.quiet_revision, Some(settled));
+        coord.lease(GpuRef::single(GpuId(2)), gib(4));
         off.on_iteration_boundary(SimTime::from_secs(3));
+        assert_ne!(coord.book_revision(), settled);
+        assert_eq!(
+            off.quiet_revision,
+            Some(coord.book_revision()),
+            "a new grant moves the mark with the book"
+        );
+        coord.reclaim_request(producer, SimTime::from_secs(3));
+        off.on_iteration_boundary(SimTime::from_secs(4));
         assert_eq!(off.releases(), 1, "the reclaim was seen at once");
         assert_eq!(
             off.quiet_revision, None,

@@ -370,7 +370,7 @@ impl Driver {
                 // nothing changes before the next event, so the rounds up to
                 // it (and not after `end`) are skipped at once, each counted
                 // as if it had fired.
-                let idle = self.idle_round_is_noop(engines);
+                let idle = self.idle_round_is_noop(engines, None);
                 let now = if idle {
                     self.last_tick_before(next, next_event, end)
                 } else {
@@ -398,14 +398,18 @@ impl Driver {
         }
     }
 
-    /// Whether a tick round now would do nothing: every engine is mid-step,
-    /// or idle with no work and a no-op tick. Nothing changes that until
-    /// the next event, so the same holds for every round before it.
-    fn idle_round_is_noop(&self, engines: &[&mut dyn Engine]) -> bool {
+    /// Whether a tick round now would do nothing in every engine but
+    /// `except`: each is mid-step, or idle with no work and a no-op tick.
+    /// Nothing changes that until the next event, so the same holds for
+    /// every round before it.
+    fn idle_round_is_noop(&self, engines: &[&mut dyn Engine], except: Option<usize>) -> bool {
         engines
             .iter()
             .zip(&self.steps)
-            .all(|(e, step)| step.is_some() || (e.idle_tick_is_noop() && !e.has_work()))
+            .enumerate()
+            .all(|(j, (e, step))| {
+                Some(j) == except || step.is_some() || (e.idle_tick_is_noop() && !e.has_work())
+            })
     }
 
     /// The last instant of the tick grid `first + k·interval` that is
@@ -492,13 +496,7 @@ impl Driver {
         for t in arrival.into_iter().chain(others).chain(crash) {
             limit = limit.min(just_before(t));
         }
-        let quiet = engines
-            .iter()
-            .zip(&self.steps)
-            .enumerate()
-            .all(|(j, (e, step))| {
-                j == i || step.is_some() || (e.idle_tick_is_noop() && !e.has_work())
-            });
+        let quiet = self.idle_round_is_noop(engines, Some(i));
         if let (false, Some(tick)) = (quiet, self.next_tick) {
             limit = limit.min(tick);
         }

@@ -73,9 +73,11 @@ pub trait Offloader {
     /// Whether [`Offloader::on_iteration_boundary`] would return its
     /// argument and change nothing, whatever its time, until another call
     /// on this offloader (or on what it shares, such as a coordinator)
-    /// moves its state: an engine whose own state cannot change in between
-    /// may then skip the boundary. Defaults to `false`, so a wrapper that
-    /// does not forward it keeps every boundary call.
+    /// moves its state. An offloader with a non-trivial boundary returns
+    /// early on its own answer, and an engine whose own state cannot change
+    /// in between may skip the call altogether. Defaults to `false`, so a
+    /// wrapper that does not forward it keeps every boundary call, each of
+    /// which still takes the wrapped offloader's early return.
     fn boundary_is_quiet(&self) -> bool {
         false
     }

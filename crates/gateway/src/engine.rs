@@ -44,7 +44,7 @@ use aqua_models::cost;
 use aqua_models::geometry::LlmGeometry;
 use aqua_models::lora::LoraAdapter;
 use aqua_sim::audit::{AuditViolation, SharedAuditor};
-use aqua_sim::fault::{FaultKind, FaultPlan};
+use aqua_sim::fault::FaultPlan;
 use aqua_sim::gpu::{GpuId, GpuSpec};
 use aqua_sim::link::bytes::gib;
 use aqua_sim::time::SimTime;
@@ -223,10 +223,6 @@ pub struct GatewayEngine {
     /// a reclaim or a move of the index's order — each clears it), a round
     /// at no higher a limit would end the same way, so it is skipped.
     admit_memo: Option<u64>,
-    /// The compute term of the decode cost per batch size (NaN until
-    /// first used), sized to `max_batch` up to a bound so `step` never
-    /// allocates for it.
-    decode_compute: Vec<f64>,
     /// Scratch for `step`: batch indices of sequences that finished this
     /// iteration, kept across steps so it never re-allocates.
     finished: Vec<usize>,
@@ -288,9 +284,6 @@ impl std::fmt::Debug for GatewayEngine {
 }
 
 impl GatewayEngine {
-    /// The largest batch size whose decode compute term is memoised.
-    const DECODE_COMPUTE_MEMO: usize = 4096;
-
     /// Creates a gateway hosting `geom` on `gpu`, admitting in `policy`
     /// order.
     pub fn new(geom: LlmGeometry, gpu: GpuSpec, policy: PolicyKind, config: GatewayConfig) -> Self {
@@ -308,7 +301,6 @@ impl GatewayEngine {
             running: Vec::new(),
             unprefilled_tokens: 0,
             admit_memo: None,
-            decode_compute: vec![f64::NAN; config.max_batch.min(Self::DECODE_COMPUTE_MEMO) + 1],
             finished: Vec::new(),
             growth: DecodeGrowth::default(),
             clock: IterationClock::default(),
@@ -384,12 +376,7 @@ impl GatewayEngine {
     /// cheap swap path. Without a plan, crash windows only pause the
     /// engine (the pre-existing driver semantics).
     pub fn with_fault_plan(mut self, plan: &FaultPlan, gpu: GpuId) -> Self {
-        let mut windows: Vec<(SimTime, SimTime)> = plan
-            .windows()
-            .iter()
-            .filter(|w| matches!(w.kind, FaultKind::GpuCrash { gpu: g } if g == gpu))
-            .map(|w| (w.start, w.end))
-            .collect();
+        let mut windows: Vec<(SimTime, SimTime)> = plan.gpu_crashes(gpu).collect();
         windows.sort();
         self.crash_windows = windows;
         self
@@ -1160,9 +1147,9 @@ impl GatewayEngine {
     fn decode(&mut self, io_done: SimTime) -> SimTime {
         let prefill_tokens = std::mem::take(&mut self.unprefilled_tokens);
         let t_prefill = cost::llm_prefill_time(&self.geom, &self.gpu, prefill_tokens);
-        let compute = self.decode_compute(self.running.len());
-        let total_ctx = self.kv.total_context_tokens() + self.running.len() as u64;
-        let t_decode = cost::llm_decode_step_time_from(&self.geom, &self.gpu, compute, total_ctx);
+        let batch = self.running.len() as u64;
+        let total_ctx = self.kv.total_context_tokens() + batch;
+        let t_decode = cost::llm_decode_step_time(&self.geom, &self.gpu, batch, total_ctx);
         let end = io_done + t_prefill + t_decode;
 
         self.kv
@@ -1170,19 +1157,6 @@ impl GatewayEngine {
             .expect("make_room_for_decode guarantees headroom");
         self.push_clock(end);
         end
-    }
-
-    /// The compute term of the decode cost of a `batch`-sequence batch,
-    /// memoised per batch size.
-    fn decode_compute(&mut self, batch: usize) -> f64 {
-        match self.decode_compute.get_mut(batch) {
-            Some(memo) if !memo.is_nan() => *memo,
-            Some(memo) => {
-                *memo = cost::llm_decode_compute_secs(&self.geom, &self.gpu, batch as u64);
-                *memo
-            }
-            None => cost::llm_decode_compute_secs(&self.geom, &self.gpu, batch as u64),
-        }
     }
 
     /// Appends a decode iteration's end to the clock, first taking the
@@ -1291,7 +1265,7 @@ impl GatewayEngine {
         span: u64,
     ) -> (SimTime, SimTime, u64) {
         let batch = self.running.len() as u64;
-        let compute = self.decode_compute(self.running.len());
+        let compute = cost::llm_decode_compute_secs(&self.geom, &self.gpu, batch);
         let mut context = self.kv.total_context_tokens();
         self.kv.plan_decode_growth(&mut self.growth);
         let headroom = self.growth.steps_within(self.kv.free_blocks());

@@ -284,6 +284,15 @@ impl FaultPlan {
         &self.windows
     }
 
+    /// The `(start, end)` of every [`FaultKind::GpuCrash`] window of
+    /// `gpu`, in insertion order.
+    pub fn gpu_crashes(&self, gpu: GpuId) -> impl Iterator<Item = (SimTime, SimTime)> + '_ {
+        self.windows
+            .iter()
+            .filter(move |w| w.kind == FaultKind::GpuCrash { gpu })
+            .map(|w| (w.start, w.end))
+    }
+
     /// Whether the plan schedules no faults at all.
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
