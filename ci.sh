@@ -33,9 +33,11 @@ cargo test -q --offline --test chaos_recovery
 # whose decode runs take the gateway's steady loop
 # (assert_steady_decode_run_is_allocation_lean), and again with an AQUA
 # offloader whose quiet iteration boundaries those runs skip
-# (assert_quiet_aqua_decode_run_is_allocation_lean), a driver running that
-# engine must never re-grow the event queue that Driver::schedule_trace
-# sized for its trace, an idle
+# (assert_quiet_aqua_decode_run_is_allocation_lean), a driver must queue a
+# trace from Driver::schedule_trace one arrival at a time
+# (assert_driver_queues_arrivals_on_demand), an 8-server scale run's peak
+# heap may grow by at most 200 B per extra request
+# (assert_scale_memory_per_request_is_bounded), an idle
 # scale-style server (gateway + AQUA offloader, no informer) must get zero
 # tick calls over a 40,000 s tail while its processed-event count still
 # includes every fast-forwarded tick round (assert_idle_server_is_never_ticked),

@@ -406,9 +406,10 @@ fn scale_lane_runs(
 /// violations. Without `--smoke` it runs one configuration (default: 64
 /// servers × 8 GPUs, 15625 requests each — a 512-GPU domain serving 1M
 /// requests) and reports the deterministic table plus events/s, wall and
-/// peak RSS.
+/// the process's peak RSS.
 fn scale_cmd(f: &ScaleFlags) -> Result<(), String> {
-    use aqua_bench::scale_cluster::{run_scale, ScaleSpec};
+    use aqua_bench::scale_cluster::{peak_rss_mib, run_scale, ScaleSpec};
+    let process_peak = || peak_rss_mib().map_or_else(|| "-".to_owned(), |m| m.to_string());
     if f.smoke {
         let spec = ScaleSpec {
             servers: 64,
@@ -439,6 +440,10 @@ fn scale_cmd(f: &ScaleFlags) -> Result<(), String> {
              at lanes 1/2/4 (digest {:016x}, {} windows, {} messages, audited clean)",
             overload.servers, hot.digest, hot.windows, hot.messages
         );
+        eprintln!(
+            "scale smoke: process_peak_rss_mib={} (VmHWM, over all six runs)",
+            process_peak()
+        );
         return Ok(());
     }
     let spec = ScaleSpec {
@@ -457,7 +462,11 @@ fn scale_cmd(f: &ScaleFlags) -> Result<(), String> {
             run.audit_violations
         ));
     }
-    println!("{}", run.perf_line());
+    println!(
+        "{} process_peak_rss_mib={}",
+        run.perf_line(),
+        process_peak()
+    );
     Ok(())
 }
 

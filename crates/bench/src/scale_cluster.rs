@@ -3,8 +3,11 @@
 //! The other experiments stay within one simulated server; this one drives
 //! a 256–1024-GPU scale-up domain (32–128 servers × 8 GPUs behind
 //! NVSwitch) through the sharded lane executor. Each server is a
-//! [`LaneShard`]: a gateway engine with an AQUA offloader, a tenant trace,
-//! and its own pre-sized event queue. Shard 0 is a cluster coordinator.
+//! [`LaneShard`]: a gateway engine with an AQUA offloader and a driver
+//! holding its tenant trace, which queues one arrival at a time. Each
+//! server drains its completions at the end of every window and keeps only
+//! their count, so its memory does not grow with the requests it has
+//! served. Shard 0 is a cluster coordinator.
 //! Servers send staggered heartbeats (`beat`, driver-event count) to the
 //! coordinator over the cross-domain fabric; the coordinator journals each
 //! heartbeat as a [`TraceEvent::LeaseGranted`] and acknowledges it, and
@@ -52,7 +55,7 @@ pub const HEARTBEAT_PERIOD_SECS: u64 = 60;
 
 /// Relative weight of one request in the events-proportional sweep cost
 /// hints ([`ScaleSpec::expected_events`]). It is a weight, not a count of
-/// driver events, and sizes no queue: the driver queues arrivals only.
+/// driver events.
 const EVENTS_PER_REQUEST: u64 = 8;
 
 /// One scale-cluster configuration.
@@ -219,13 +222,16 @@ impl CoordShard {
 }
 
 /// One server: a gateway engine + AQUA offloader over the 8-GPU NVSwitch
-/// topology, driven by a pre-sized event queue, emitting heartbeats on a
+/// topology, driven through its tenant trace, emitting heartbeats on a
 /// staggered schedule.
 struct ServerShard {
     id: usize,
     server: usize,
     driver: Driver,
     engine: GatewayEngine,
+    /// Completed streams drained so far (the table prints only their
+    /// count).
+    streams: usize,
     horizon: SimTime,
     heartbeats: Vec<SimTime>,
     next_hb: usize,
@@ -303,6 +309,7 @@ impl ServerShard {
             server,
             driver,
             engine,
+            streams: 0,
             horizon: SimTime::from_secs(spec.span_secs() + 40_000),
             heartbeats,
             next_hb: 0,
@@ -358,6 +365,9 @@ impl ServerShard {
             Some(u) => self.run_to(SimTime::from_nanos(u.as_nanos().saturating_sub(1))),
             None => self.run_to(self.horizon),
         }
+        // Completions leave every window, so the gateway can forget the
+        // clock entries only they still read.
+        self.streams += self.engine.drain_completions().len();
         out
     }
 }
@@ -396,13 +406,13 @@ impl LaneShard for ScaleShard {
             },
             ScaleShard::Server(s) => {
                 let mut s = *s;
-                let streams = s.engine.drain_streams();
+                let streams = s.streams + s.engine.drain_completions().len();
                 let violations = s.auditor.as_ref().map_or(0, |a| a.violations().len());
                 ShardFinish {
                     sim_events: s.driver.processed_events(),
                     output: ScaleOut::Server {
                         server: s.server,
-                        streams: streams.len(),
+                        streams,
                         shed: s.engine.outcomes().shed(),
                         retries: s.engine.outcomes().total_retries(),
                         beats: s.next_hb as u64,
@@ -445,8 +455,6 @@ pub struct ScaleRun {
     /// The calling thread's wait for worker replies at the window
     /// barriers ([`crate::lanes::LaneOutcome::wait`]).
     pub lane_wait: Duration,
-    /// Peak resident set of this process, MiB (`/proc/self/status` VmHWM).
-    pub peak_rss_mib: Option<u64>,
 }
 
 impl ScaleRun {
@@ -459,9 +467,10 @@ impl ScaleRun {
     }
 
     /// The non-deterministic perf summary (wall, per-lane busy time, the
-    /// barrier wait, events/s, RSS). Keep this out of anything compared
-    /// across lane counts. Its events/s is [`ScaleRun::events_per_sec`],
-    /// fast-forwarded tick rounds included.
+    /// barrier wait, events/s). Keep this out of anything compared across
+    /// lane counts. Its events/s is [`ScaleRun::events_per_sec`],
+    /// fast-forwarded tick rounds included. It leaves out peak RSS, which
+    /// is the process's, not the run's: see [`peak_rss_mib`].
     pub fn perf_line(&self) -> String {
         let busy: Vec<String> = self
             .lane_busy
@@ -469,21 +478,20 @@ impl ScaleRun {
             .map(|b| format!("{:.2}", b.as_secs_f64()))
             .collect();
         format!(
-            "scale-cluster perf: lanes={} wall={:.2}s busy=[{}]s wait={:.2}s events/s={:.0} \
-             peak_rss_mib={}",
+            "scale-cluster perf: lanes={} wall={:.2}s busy=[{}]s wait={:.2}s events/s={:.0}",
             self.spec.lanes,
             self.wall.as_secs_f64(),
             busy.join(","),
             self.lane_wait.as_secs_f64(),
             self.events_per_sec(),
-            self.peak_rss_mib
-                .map_or_else(|| "-".to_owned(), |m| m.to_string()),
         )
     }
 }
 
 /// Peak resident set size of the current process in MiB, from
-/// `/proc/self/status` (`VmHWM`). `None` off Linux.
+/// `/proc/self/status` (`VmHWM`): the peak since the process started,
+/// whatever ran in it. Nothing here resets it (the benchmark reads it
+/// after its own set-up). `None` off Linux.
 pub fn peak_rss_mib() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
@@ -588,7 +596,6 @@ pub fn run_scale(spec: &ScaleSpec) -> ScaleRun {
         wall: outcome.wall,
         lane_busy: outcome.busy,
         lane_wait: outcome.wait,
-        peak_rss_mib: peak_rss_mib(),
     }
 }
 

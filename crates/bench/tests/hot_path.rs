@@ -2,7 +2,7 @@
 //! gateway's scheduler-key comparison counter and, for two cost ratios,
 //! the wall clock.
 //!
-//! Eleven guarantees: the untraced transfer-schedule path performs zero
+//! Twelve guarantees: the untraced transfer-schedule path performs zero
 //! heap allocations per transfer — the budget behind Figure 11's sub-5%
 //! producer overhead (it allocated up to four strings per transfer before
 //! lane interning and the dense `PortStats` table); the placer's catalog
@@ -11,8 +11,9 @@
 //! doubling of block tables and of the gateway's iteration clock, and the
 //! same holds for the steady decode runs a driver hands the gateway, with
 //! no offloader or with an AQUA offloader whose boundaries they skip as
-//! quiet; a driver whose queue `Driver::schedule_trace` sized for its trace
-//! never re-grows that queue mid-run;
+//! quiet; a driver queues a trace `Driver::schedule_trace` scheduled one
+//! arrival at a time; a scale run's peak heap grows by at most 200 B per
+//! extra request;
 //! a scale-style server idling out a 40,000 s horizon is never ticked (the
 //! driver fast-forwards its no-op tick rounds yet still counts them); an
 //! event queue filled out of time order pops in logarithmic, not linear,
@@ -33,6 +34,7 @@
 //! timed gates here compare ratios, the best of five batches each side.
 
 use aqua_bench::fig14_placer::mixed_instance;
+use aqua_bench::scale_cluster::{run_scale, ScaleSpec};
 use aqua_bench::setup::{OffloadKind, ServerCtx, CELL_MAX_OUTSTANDING};
 use aqua_core::coordinator::{Coordinator, GpuRef};
 use aqua_core::offloader::AquaOffloader;
@@ -73,13 +75,20 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// arithmetic, so a gate reads it as a difference of two loads.
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
+/// The most [`LIVE_BYTES`] has reached since a gate last set it.
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
 // SAFETY: every method forwards its arguments unchanged to `System`, so
 // the caller's `GlobalAlloc` guarantees are exactly `System`'s
 // preconditions; the counter touches no memory the allocator hands out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        let size = layout.size() as u64;
+        let live = LIVE_BYTES
+            .fetch_add(size, Ordering::Relaxed)
+            .wrapping_add(size);
+        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -90,10 +99,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(
-            (new_size as u64).wrapping_sub(layout.size() as u64),
-            Ordering::Relaxed,
-        );
+        let grown = (new_size as u64).wrapping_sub(layout.size() as u64);
+        let live = LIVE_BYTES
+            .fetch_add(grown, Ordering::Relaxed)
+            .wrapping_add(grown);
+        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -353,12 +363,11 @@ fn assert_drained_streams_share_the_clock() {
     );
 }
 
-/// A [`Driver::new`] driver must finish a trace scheduled with
-/// [`Driver::schedule_trace`] without re-growing its event queue: the
-/// capacity observed after scheduling is the capacity after the run. This
-/// is the regression gate for the `EventQueue::reserve` call through which
-/// `schedule_trace` sizes the queue for the whole trace.
-fn assert_presized_driver_never_regrows() {
+/// A driver must queue a trace scheduled with [`Driver::schedule_trace`]
+/// one arrival at a time: right after scheduling and at every chunk of the
+/// run, its event queue holds at most the trace's next arrival. A driver
+/// that queued the trace eagerly again would hold all 2,000.
+fn assert_driver_queues_arrivals_on_demand() {
     const REQUESTS: usize = 2_000;
     let geom = *zoo::mistral_7b().llm_geometry().unwrap();
     let mut e = GatewayEngine::new(
@@ -375,20 +384,20 @@ fn assert_presized_driver_never_regrows() {
             (at, InferenceRequest::text(i as u64, 64, 8))
         }),
     );
-    let cap = driver.event_capacity();
+    let mut most = driver.queued_events();
     // Far past the trace span (100 s of arrivals) — the driver idle-ticks
     // to the horizon, so `SimTime::MAX` would never return.
-    driver.run(&mut [&mut e], SimTime::from_secs(1_000));
+    for secs in (10..=1_000).step_by(10) {
+        driver.run(&mut [&mut e], SimTime::from_secs(secs));
+        most = most.max(driver.queued_events());
+    }
     assert!(
         driver.next_event_time().is_none(),
         "trace must drain inside the horizon"
     );
     assert_eq!(
-        driver.event_capacity(),
-        cap,
-        "the driver re-grew its event queue mid-run \
-         ({cap} -> {} slots)",
-        driver.event_capacity()
+        most, 1,
+        "the driver queued up to {most} arrivals of one trace at once"
     );
     assert!(
         driver.processed_events() > REQUESTS as u64,
@@ -396,8 +405,62 @@ fn assert_presized_driver_never_regrows() {
         driver.processed_events()
     );
     eprintln!(
-        "hot_path: scheduled driver ran {} events in a fixed {cap}-slot queue",
+        "hot_path: a {REQUESTS}-request trace ran {} events with at most one arrival queued",
         driver.processed_events()
+    );
+}
+
+/// Peak live heap bytes of an 8-server, single-lane `scale_cluster` run at
+/// 0.5 req/s per server, `per_server` chat requests each, over what was
+/// live before it; and the run's requests, every tenant's counted.
+fn scale_peak_bytes(per_server: usize) -> (u64, u64) {
+    let spec = ScaleSpec {
+        servers: 8,
+        requests_per_server: per_server,
+        rate: 0.5,
+        seed: 42,
+        lanes: 1,
+        audited: false,
+    };
+    let requests = (0..spec.servers)
+        .map(|s| {
+            tenant_trace(spec.rate, per_server, spec.seed + s as u64)
+                .trace
+                .len() as u64
+        })
+        .sum();
+    let live = LIVE_BYTES.load(Ordering::SeqCst);
+    PEAK_BYTES.store(live, Ordering::SeqCst);
+    let run = run_scale(&spec);
+    let peak = PEAK_BYTES.load(Ordering::SeqCst).wrapping_sub(live);
+    assert_eq!(run.audit_violations, 0);
+    (peak, requests)
+}
+
+/// A scale run's memory must not grow with the requests it has served:
+/// the driver queues one arrival per trace, each server drains its
+/// completions every window, and each gateway's iteration clock forgets
+/// what no stream can still read. Between 250 and 1,000 chat requests per
+/// server (8 servers, 0.5 req/s; 3,064 and 12,256 requests across the
+/// three tenants), the peak live heap may grow by at most 200 B per extra
+/// request: the trace itself (48 B a request), the tenant map and the
+/// outcome log stay. A driver that queued every arrival (64 B a request)
+/// and servers that kept every completed stream and clock entry to the end
+/// measured 367 B.
+fn assert_scale_memory_per_request_is_bounded() {
+    const SMALL: usize = 250;
+    const LARGE: usize = 1_000;
+    let (small, few) = scale_peak_bytes(SMALL);
+    let (large, many) = scale_peak_bytes(LARGE);
+    let per_request = large.saturating_sub(small) as f64 / (many - few) as f64;
+    assert!(
+        per_request <= 200.0,
+        "an 8-server scale run's peak heap grew {per_request:.0} B per extra request \
+         (bound 200 B): {small} B for {few} requests, {large} B for {many}"
+    );
+    eprintln!(
+        "hot_path: 8-server scale run: peak heap {small} B for {few} requests, {large} B \
+         for {many}: {per_request:.0} B per extra request (bound 200 B)"
     );
 }
 
@@ -730,7 +793,8 @@ fn main() {
     assert_steady_decode_run_is_allocation_lean();
     assert_quiet_aqua_decode_run_is_allocation_lean();
     assert_drained_streams_share_the_clock();
-    assert_presized_driver_never_regrows();
+    assert_driver_queues_arrivals_on_demand();
+    assert_scale_memory_per_request_is_bounded();
     assert_idle_server_is_never_ticked();
     assert_out_of_order_fill_pops_stay_logarithmic();
     assert_gateway_admit_is_backlog_independent();

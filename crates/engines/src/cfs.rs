@@ -388,7 +388,6 @@ impl Engine for CfsEngine {
         if self.tracer.enabled() {
             let outstanding = self.seqs.len() as f64;
             if let Some(name) = self.gauges.changed(OUTSTANDING, outstanding) {
-                self.tracer.gauge(name, outstanding);
                 self.tracer.emit(TraceEvent::Gauge {
                     name: name.clone(),
                     value: outstanding,

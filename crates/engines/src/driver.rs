@@ -8,8 +8,15 @@
 //! is what lets port contention and elastic memory events interact the way
 //! they do on real hardware.
 //!
-//! Arrivals wait in an [`EventQueue`]. Each engine's in-flight step waits in
-//! a slot of its own, keyed `(completion, seq)` with `seq` drawn from the
+//! Arrivals wait in an [`EventQueue`], a trace's one head at a time: a
+//! scheduled trace ([`Driver::schedule_trace`]) draws the block of seqs
+//! `next_seq..next_seq + n` at once, its `i`-th arrival keyed with the
+//! `i`-th, which is exactly what `n` [`Driver::schedule_arrival`]s in a row
+//! would draw. Only the trace's earliest arrival sits in the queue, and
+//! popping it queues the next before anything reads the queue again, so
+//! every pop and peek sees the key it would see with the whole trace
+//! queued, and the queue holds about one arrival per trace instead of one
+//! per request. Each engine's in-flight step waits in a slot of its own, keyed `(completion, seq)` with `seq` drawn from the
 //! queue's counter when the step starts, and the next event is the smallest
 //! key among the queue's head and the occupied slots. A decode iteration
 //! therefore costs no queue push or pop, yet ties break exactly as if every
@@ -53,8 +60,10 @@
 //! would skip. Processing the completion calls exactly what the chain
 //! calls: the engine is up (no crash window opened), it has work, so
 //! `step(t)` starts and no tick fires. Nothing the chain skips can change a
-//! bound — arrivals are only queued by `schedule_arrival` and crash
-//! re-queues, other engines do not act, and an engine's `has_work` and
+//! bound — arrivals are only scheduled by `schedule_arrival`,
+//! `schedule_trace` and crash re-queues, the queue's head is the earliest
+//! pending arrival however much of its trace waits outside the queue,
+//! other engines do not act, and an engine's `has_work` and
 //! `idle_tick_is_noop` answers change only through calls on that engine —
 //! so the bounds are computed once per run and passed to `step_run` as its
 //! `limit`. `step_run` reports how many steps it took; the driver adds one
@@ -222,10 +231,11 @@ impl Driver {
         }
     }
 
-    /// Number of pending events the queue can hold without re-growing its
-    /// entry storage (regression-asserted by the `hot_path` gates).
-    pub fn event_capacity(&self) -> usize {
-        self.events.capacity()
+    /// Arrivals in the event queue itself: one per scheduled trace with
+    /// arrivals left, plus every pending [`Driver::schedule_arrival`] and
+    /// crash re-queue. The rest of each trace waits outside it.
+    pub fn queued_events(&self) -> usize {
+        self.events.queued()
     }
 
     /// Total events processed so far: arrivals and step completions (each
@@ -304,17 +314,15 @@ impl Driver {
     }
 
     /// Schedules a whole trace of `(time, request)` pairs for one engine,
-    /// reserving queue room for all of it first, so the queue holding the
-    /// trace never re-grows mid-run.
+    /// exactly as calling [`Driver::schedule_arrival`] for each pair in
+    /// order would, but holding only the trace's next arrival in the event
+    /// queue (see the module doc).
     pub fn schedule_trace<I>(&mut self, engine: usize, trace: I)
     where
         I: IntoIterator<Item = (SimTime, InferenceRequest)>,
     {
-        let trace = trace.into_iter();
-        self.events.reserve(trace.size_hint().0);
-        for (at, req) in trace {
-            self.schedule_arrival(engine, at, req);
-        }
+        self.events
+            .push_trace(trace.into_iter().collect(), move |req| Ev(engine, req));
     }
 
     /// Runs until `end` or until no events remain.
@@ -681,24 +689,25 @@ mod tests {
     }
 
     #[test]
-    fn pre_sized_queue_never_regrows_and_counts_events() {
+    fn a_trace_is_queued_one_arrival_at_a_time_and_counts_events() {
         let trace: Vec<(SimTime, InferenceRequest)> = (0..256)
             .map(|i| (SimTime::from_millis(i * 5), InferenceRequest::text(i, 1, 1)))
             .collect();
-        let requests = trace.len();
         let mut driver = Driver::new();
         driver.schedule_trace(0, trace);
         assert_eq!(driver.next_event_time(), Some(SimTime::ZERO));
-        let before = driver.event_capacity();
-        assert!(before >= requests);
+        assert_eq!(driver.next_seq(), 256, "the trace drew its seqs at once");
+        assert_eq!(
+            driver.queued_events(),
+            1,
+            "schedule_trace must queue a trace's arrivals on demand"
+        );
         let mut e = FixedEngine::new(1);
         let mut engines: Vec<&mut dyn Engine> = vec![&mut e];
+        driver.run(&mut engines, SimTime::from_millis(500));
+        assert_eq!(driver.queued_events(), 1);
         driver.run(&mut engines, SimTime::from_secs(10));
-        assert_eq!(
-            driver.event_capacity(),
-            before,
-            "a queue sized by schedule_trace must not re-grow mid-run"
-        );
+        assert_eq!(driver.queued_events(), 0);
         // 256 arrivals + 256 step completions (held outside the queue, but
         // still counted) + 101 idle-tick rounds at 0, 100 ms, ..., 10 s.
         assert_eq!(driver.processed_events(), 256 + 256 + 101);
@@ -867,6 +876,81 @@ mod tests {
         let mut engines: Vec<&mut dyn Engine> = vec![&mut e];
         driver.run(&mut engines, SimTime::from_secs(1));
         assert_eq!(e.drain_completions().len(), 5);
+    }
+
+    /// What [`trace_scenario`] observes.
+    type TraceRun = (
+        Vec<(usize, &'static str, u64, u64)>,
+        Vec<(u64, u64, Option<SimTime>)>,
+    );
+
+    /// The log, and `(processed_events, next_seq, next_event_time)` after
+    /// each horizon, of three [`LogEngine`]s of 100 ms steps fed `traces`
+    /// of `(engine, times in 25 ms units)` under `crashes` of `(engine,
+    /// start, length)` in the same unit. Trace `k` goes in through
+    /// `schedule_trace` if `batched(k)`, else as one `schedule_arrival` per
+    /// pair; request ids count up across traces.
+    fn trace_scenario(
+        traces: &[(usize, Vec<u64>)],
+        crashes: &[(usize, u64, u64)],
+        ends: &[u64],
+        batched: impl Fn(usize) -> bool,
+    ) -> TraceRun {
+        let unit = |n: u64| SimTime::from_millis(25 * n);
+        let mut driver = Driver::new();
+        for &(engine, start, len) in crashes {
+            driver.crash_window(engine, unit(start), unit(start + len));
+        }
+        let mut id = 0;
+        for (k, (engine, times)) in traces.iter().enumerate() {
+            let trace: Vec<(SimTime, InferenceRequest)> = times
+                .iter()
+                .map(|&t| {
+                    id += 1;
+                    (unit(t), InferenceRequest::text(id, 1, 1))
+                })
+                .collect();
+            if batched(k) {
+                driver.schedule_trace(*engine, trace);
+            } else {
+                for (at, req) in trace {
+                    driver.schedule_arrival(*engine, at, req);
+                }
+            }
+        }
+        let log = Log::default();
+        let mut es: Vec<LogEngine> = (0..3).map(|i| LogEngine::new(i, 100, &log)).collect();
+        let mut refs: Vec<&mut dyn Engine> = es.iter_mut().map(|e| e as &mut dyn Engine).collect();
+        let mut clocks = Vec::new();
+        for &end in ends.iter().chain([&400]) {
+            driver.run(&mut refs, unit(end));
+            clocks.push((
+                driver.processed_events(),
+                driver.next_seq(),
+                driver.next_event_time(),
+            ));
+        }
+        (log.take(), clocks)
+    }
+
+    aqua_sim::check! {
+        /// `schedule_trace` is a loop of `schedule_arrival`: over several
+        /// engines, traces out of time order and with ties, single
+        /// arrivals between traces, crash windows that re-queue arrivals
+        /// and horizons that cut the run, every engine call, its time,
+        /// `processed_events`, `next_seq` and `next_event_time` agree.
+        #[test]
+        fn schedule_trace_matches_scheduling_each_arrival(
+            traces in aqua_sim::check::vec((0usize..3, aqua_sim::check::vec(0u64..40, 0..10)), 1..5),
+            crashes in aqua_sim::check::vec((0usize..3, 0u64..40, 1u64..12), 0..3),
+            ends in aqua_sim::check::vec(0u64..60, 0..4)
+        ) {
+            let mut ends = ends;
+            ends.sort_unstable();
+            let single = trace_scenario(&traces, &crashes, &ends, |_| false);
+            assert_eq!(trace_scenario(&traces, &crashes, &ends, |_| true), single);
+            assert_eq!(trace_scenario(&traces, &crashes, &ends, |k| k % 2 == 1), single);
+        }
     }
 
     /// What one run of [`fast_forward_scenario`] shows from outside: the

@@ -236,10 +236,16 @@ pub struct GatewayEngine {
     clock: IterationClock,
     /// The clock, moved here by a drain for its streams to share; the next
     /// decode iteration takes it back, copying it only if a drained log
-    /// still lives.
+    /// still lives, and forgets the entries below the pin (see
+    /// `push_clock`).
     shared_clock: Option<Arc<IterationClock>>,
     /// Completed streams not yet drained.
     delivered: Vec<Delivered>,
+    /// The first run's clock index of every running sequence and every
+    /// pending one that has a run, with its multiplicity. Runs only move
+    /// forwards, so the smallest key, the pin, is the oldest clock entry a
+    /// later stream can read once the completed ones are drained.
+    first_runs: BTreeMap<u32, u32>,
     offloader: Option<Box<dyn Offloader>>,
     informer: Option<Box<dyn Informer>>,
     /// KV-pool bytes currently donated to AQUA.
@@ -306,6 +312,7 @@ impl GatewayEngine {
             clock: IterationClock::default(),
             shared_clock: None,
             delivered: Vec::new(),
+            first_runs: BTreeMap::new(),
             offloader: None,
             informer: None,
             donated_bytes: 0,
@@ -450,7 +457,12 @@ impl GatewayEngine {
     /// Removes and returns the requests completed since the last drain, as
     /// token streams. They share the iteration clock, trimmed to its
     /// length; the gateway's next decode iteration, if any, appends to a
-    /// copy while the log lives.
+    /// copy while the log lives, and first forgets the clock entries below
+    /// the oldest run start of any sequence it still holds, which no later
+    /// stream can read (DESIGN.md §6, "Memory that does not grow with
+    /// requests"). A gateway drained only at the end never forgets; one
+    /// drained as it serves keeps the clock since its oldest unfinished
+    /// request.
     ///
     /// The gateway keeps one log of completions, which this and
     /// [`Engine::drain_completions`] both empty: each completed request is
@@ -460,8 +472,12 @@ impl GatewayEngine {
         self.take_streams()
     }
 
-    /// Empties the completion log into streams over the shared clock.
+    /// Empties the completion log into streams over the shared clock. An
+    /// empty log leaves the clock where it is.
     fn take_streams(&mut self) -> StreamLog {
+        if self.delivered.is_empty() {
+            return StreamLog::new();
+        }
         let clock = self
             .shared_clock
             .get_or_insert_with(|| Arc::new(std::mem::take(&mut self.clock)));
@@ -479,6 +495,35 @@ impl GatewayEngine {
     /// The iteration clock, wherever it lives.
     fn clock(&self) -> &IterationClock {
         self.shared_clock.as_deref().unwrap_or(&self.clock)
+    }
+
+    /// [`first_runs`](Self::first_runs) recounted from the sequences.
+    #[cfg(test)]
+    fn recount_first_runs(&self) -> BTreeMap<u32, u32> {
+        let mut counts = BTreeMap::new();
+        let runs = (self.running.iter().map(|s| s.runs.as_slice()))
+            .chain(self.pending.iter().map(|(_, s)| s.runs.as_slice()));
+        for run in runs.filter_map(<[Run]>::first) {
+            *counts.entry(run.first).or_default() += 1;
+        }
+        counts
+    }
+
+    /// Counts `first` in [`first_runs`](Self::first_runs).
+    fn hold_first_run(&mut self, first: u32) {
+        *self.first_runs.entry(first).or_default() += 1;
+    }
+
+    /// Uncounts `first` from [`first_runs`](Self::first_runs).
+    fn release_first_run(&mut self, first: u32) {
+        let count = self
+            .first_runs
+            .get_mut(&first)
+            .expect("a sequence's first run is counted");
+        *count -= 1;
+        if *count == 0 {
+            self.first_runs.remove(&first);
+        }
     }
 
     /// The request-outcome ledger (completed / shed / timed out / aborted).
@@ -501,6 +546,9 @@ impl GatewayEngine {
     /// Releases a sequence's admission slot and KV commitment estimate.
     fn retire(&mut self, seq: &GateSeq) {
         self.admit_memo = None;
+        if let Some(run) = seq.runs.first() {
+            self.release_first_run(run.first);
+        }
         if seq.admitted_once {
             self.admission.on_complete(seq.tenant);
         }
@@ -562,7 +610,6 @@ impl GatewayEngine {
         let Some(name) = self.gauges.changed(gauge, value) else {
             return;
         };
-        self.tracer.gauge(name, value);
         self.tracer.emit(TraceEvent::Gauge {
             name: name.clone(),
             value,
@@ -788,6 +835,7 @@ impl GatewayEngine {
             }
             // The clock holds fewer than `u32::MAX` entries (see `step`).
             let first = self.clock().len() as u32;
+            let held = seq.runs.first().map(|run| run.first);
             match seq.runs.last_mut() {
                 // A preemption ended the last residency before its first
                 // token, so its run is still empty: move it here.
@@ -796,6 +844,13 @@ impl GatewayEngine {
                     seq.runs.reserve_exact(1);
                     seq.runs.push(Run { first, count: 0 });
                 }
+            }
+            // The first run opened here, or it was the empty one and moved.
+            if held != Some(seq.runs[0].first) {
+                if let Some(held) = held {
+                    self.release_first_run(held);
+                }
+                self.hold_first_run(first);
             }
             self.kv
                 .grow_seq(seq.life.req.id, seq.life.context_tokens())
@@ -1160,10 +1215,21 @@ impl GatewayEngine {
     }
 
     /// Appends a decode iteration's end to the clock, first taking the
-    /// clock back from a drain.
+    /// clock back from a drain. This is where the clock forgets what no
+    /// stream can read any more: the drain took every completed stream and
+    /// no sequence completes before its step's append, so only the running
+    /// and pending sequences can still be read, and no run of theirs
+    /// starts below the pin (all of the clock when none has a run: new
+    /// runs start at its end). The clock forgets only a prefix at least
+    /// half as long as what it keeps, and a gateway drained only at the end
+    /// never gets here.
     fn push_clock(&mut self, end: SimTime) {
         if let Some(shared) = self.shared_clock.take() {
             self.clock = Arc::unwrap_or_clone(shared);
+            debug_assert!(self.delivered.is_empty(), "a drain took every completion");
+            let pin = self.first_runs.keys().next();
+            let pin = pin.map_or(self.clock.len(), |&first| first as usize);
+            self.clock.forget_below(pin);
         }
         assert!(
             self.clock.len() < u32::MAX as usize,
@@ -2509,7 +2575,7 @@ mod tests {
     /// recompute preemption and crash retries, whichever drain runs first
     /// hands out every completed request and leaves the other empty, and
     /// the records are those of the streams. A drained log keeps its times
-    /// while the gateway serves on.
+    /// while the gateway serves on and forgets them.
     #[test]
     fn each_completion_is_drained_once() {
         use aqua_engines::driver::Driver;
@@ -2580,12 +2646,19 @@ mod tests {
                 .filter_map(|s| s.completion())
                 .max()
                 .unwrap();
+            let end_index = e.clock().len();
             e.submit(InferenceRequest::text(9, 64, 8), end);
             let mut now = end;
             while e.has_work() {
                 now = e.step(now);
             }
-            assert_runs_read_the_clock(&e, &streams);
+            // The gateway forgot every entry the drained log reads, while
+            // the log keeps its own clock.
+            assert_eq!(
+                e.clock().len() - e.clock().retained(),
+                end_index,
+                "case {case}"
+            );
             assert_eq!(records(&streams), recs, "case {case}");
             let later = e.drain_completions();
             assert_eq!(
@@ -2594,6 +2667,155 @@ mod tests {
                 "case {case}"
             );
             assert!(e.drain_streams().is_empty(), "case {case}");
+        }
+    }
+
+    /// One stream, owned: id, tenant, arrival and every token time.
+    type OwnedStream = (u64, u32, SimTime, Vec<SimTime>);
+
+    /// A gateway drained every `every` steps. Every other drained log is
+    /// kept until the next drain, so the next iteration takes back a copy
+    /// of the clock; the others are dropped at once, so it takes back the
+    /// clock itself. Either way it then forgets below the pin.
+    struct Draining {
+        inner: GatewayEngine,
+        every: u64,
+        steps: u64,
+        kept: Option<StreamLog>,
+        streams: Vec<OwnedStream>,
+    }
+
+    impl Draining {
+        fn drain(&mut self) {
+            let log = self.inner.drain_streams();
+            self.assert_pin_counts();
+            self.streams.extend(
+                log.streams()
+                    .iter()
+                    .map(|s| (s.id, s.tenant, s.arrival, s.tokens.iter().collect())),
+            );
+            self.kept = if self.kept.is_none() { Some(log) } else { None };
+        }
+
+        fn assert_pin_counts(&self) {
+            assert_eq!(
+                self.inner.first_runs,
+                self.inner.recount_first_runs(),
+                "the pin's multiset is what a recount of the sequences finds"
+            );
+        }
+    }
+
+    impl Engine for Draining {
+        fn submit(&mut self, req: InferenceRequest, now: SimTime) {
+            self.inner.submit(req, now);
+        }
+        fn has_work(&self) -> bool {
+            self.inner.has_work()
+        }
+        fn step(&mut self, now: SimTime) -> SimTime {
+            let done = self.inner.step(now);
+            self.assert_pin_counts();
+            self.steps += 1;
+            if self.steps.is_multiple_of(self.every) {
+                self.drain();
+            }
+            done
+        }
+        fn tick(&mut self, now: SimTime) {
+            self.inner.tick(now);
+        }
+        fn idle_tick_is_noop(&self) -> bool {
+            self.inner.idle_tick_is_noop()
+        }
+        fn drain_completions(&mut self) -> Vec<RequestRecord> {
+            self.inner.drain_completions()
+        }
+    }
+
+    /// Serves two requests of 128 + 592 and 128 + 400 tokens at t = 0,
+    /// then `requests` drawn `(gap in 100 ms, prompt in 64-token units,
+    /// output in 16-token units)`, on a 60-block swap-preempting gateway
+    /// (too small for the first two together) whose GPU crashes over
+    /// [3 s, 4 s) while the first request still decodes, and a last
+    /// request of 64 + 384 tokens 60 s after the others; drains every
+    /// `every` steps and once at the end.
+    fn served_draining(requests: &[(u64, u64, u64)], every: u64) -> Draining {
+        use aqua_engines::driver::Driver;
+        use aqua_engines::offload::DramOffloader;
+        use aqua_sim::topology::ServerTopology;
+        use aqua_sim::transfer::TransferEngine;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        let server = ServerTopology::nvlink_pair(GpuSpec::a100_80g());
+        let xfer = Rc::new(RefCell::new(TransferEngine::new()));
+        let (crash, healed) = (SimTime::from_secs(3), SimTime::from_secs(4));
+        let plan = FaultPlan::new().gpu_crash(GpuId(0), crash, healed);
+        let inner = GatewayEngine::new(
+            *zoo::mistral_7b().llm_geometry().unwrap(),
+            GpuSpec::a100_80g(),
+            PolicyKind::Fcfs,
+            GatewayConfig {
+                kv_pool_bytes: pool_of_blocks(60),
+                preemption: PreemptionPolicy::Swap,
+                ..GatewayConfig::vllm()
+            },
+        )
+        .with_offloader(Box::new(DramOffloader::pinned(&server, GpuId(0), xfer)))
+        .with_fault_plan(&plan, GpuId(0));
+        let mut driver = Driver::new();
+        driver.crash_window(0, crash, healed);
+        let mut at = SimTime::ZERO;
+        let trace: Vec<_> = (0u64..)
+            .zip(
+                [(0, 2, 37), (0, 2, 25)]
+                    .iter()
+                    .chain(requests)
+                    .chain([&(600, 1, 24)]),
+            )
+            .map(|(id, &(gap, prompt, output))| {
+                at += SimDuration::from_millis(100 * gap);
+                (at, InferenceRequest::text(id, 64 * prompt, 16 * output))
+            })
+            .collect();
+        driver.schedule_trace(0, trace);
+        let mut e = Draining {
+            inner,
+            every,
+            steps: 0,
+            kept: None,
+            streams: Vec::new(),
+        };
+        driver.run(&mut [&mut e as &mut dyn Engine], SimTime::from_secs(10_000));
+        e.drain();
+        e
+    }
+
+    aqua_sim::check! {
+        #![cases(48)]
+        /// A gateway drained every `k` steps, under swap preemption, a GPU
+        /// crash and its retries, hands out exactly the streams one final
+        /// drain does, in the same order: ids, tenants, arrivals and every
+        /// token time. Between drains it forgets the clock entries below
+        /// the pin, and the pin's multiset always matches a recount.
+        #[test]
+        fn draining_every_k_steps_yields_the_final_drain(
+            k in 1u64..64,
+            requests in aqua_sim::check::vec((0u64..12, 1u64..6, 1u64..24), 4..16)
+        ) {
+            let once = served_draining(&requests, u64::MAX);
+            assert_eq!(once.streams.len(), requests.len() + 3, "every request completes");
+            assert!(once.inner.outcomes().total_retries() > 0, "the crash hit a request");
+            assert!(once.inner.preemptions() > 0, "the pool preempts");
+            let clock = once.inner.clock();
+            assert_eq!(clock.retained(), clock.len(), "a gateway drained once never forgets");
+            let often = served_draining(&requests, k);
+            assert_eq!(often.streams, once.streams);
+            assert_eq!(often.inner.preemptions(), once.inner.preemptions());
+            let clock = often.inner.clock();
+            assert_eq!(clock.len(), once.inner.clock().len());
+            assert!(clock.retained() < clock.len(), "a gateway drained every {k} steps forgets");
         }
     }
 

@@ -10,14 +10,16 @@
 //!
 //! A continuously batched engine delivers one token to every running
 //! sequence at each iteration boundary, so the timeline is stored once per
-//! engine: an append-only [`IterationClock`] of iteration end times. A
-//! stream's [`TokenTimes`] is that clock, shared, plus the [`Run`]s of
-//! consecutive iterations the request spent in the batch (a preemption or
-//! crash retry starts a new run).
+//! engine: an [`IterationClock`] of iteration end times, appended to at the
+//! end and forgotten from the front. A stream's [`TokenTimes`] is that
+//! clock, shared, plus the [`Run`]s of consecutive iterations the request
+//! spent in the batch (a preemption or crash retry starts a new run).
 //!
-//! The clock keeps 4 bytes per iteration: each time's low 32 bits, plus one
-//! `(first index, high word)` pair whenever the high 32 bits change, which
-//! happens at most once per 2^32 ns (4.29 s) of simulated time.
+//! The clock keeps 4 bytes per retained iteration: each time's low 32
+//! bits, plus one `(first index, high word)` pair whenever the high 32 bits
+//! change, which happens at most once per 2^32 ns (4.29 s) of simulated
+//! time. Indices are absolute: forgetting the entries below some index
+//! moves no later entry's index, so runs stay valid across it.
 
 use crate::latency::Summary;
 use crate::requests::RequestRecord;
@@ -42,17 +44,23 @@ impl Run {
     }
 }
 
-/// An append-only log of iteration end times, 4 bytes per entry: the low
-/// 32 bits of each time, and one `(first index, high word)` pair per
-/// change of the high 32 bits. Reading one entry binary-searches the
-/// pairs; [`TokenTimes::iter`] walks each run with a cursor, O(1) per
-/// entry. Holds at most `u32::MAX` entries.
+/// A log of iteration end times, 4 bytes per retained entry: the low 32
+/// bits of each time, and one `(first index, high word)` pair per change
+/// of the high 32 bits. Reading one entry binary-searches the pairs;
+/// [`TokenTimes::iter`] walks each run with a cursor, O(1) per entry.
+///
+/// Indices are absolute and at most `u32::MAX`. The owner may forget a
+/// prefix no reader still needs ([`IterationClock::forget_below`]); every
+/// later entry keeps its index, and reading a forgotten one panics.
 #[derive(Debug, Clone, Default)]
 pub struct IterationClock {
-    /// Each entry's low 32 bits.
+    /// Index of `lows[0]`: the entries below it are forgotten.
+    base: u32,
+    /// Each retained entry's low 32 bits.
     lows: Vec<u32>,
     /// `(index of the first entry, high 32 bits)` at every change of the
-    /// high word, indices strictly ascending; the first pair has index 0.
+    /// high word, indices strictly ascending; the first pair has index
+    /// `base`.
     highs: Vec<(u32, u32)>,
 }
 
@@ -62,36 +70,79 @@ impl IterationClock {
         let nanos = at.as_nanos();
         let high = (nanos >> 32) as u32;
         if self.highs.last().is_none_or(|&(_, h)| h != high) {
-            let first = u32::try_from(self.lows.len()).expect("at most u32::MAX entries");
+            let first = u32::try_from(self.len()).expect("at most u32::MAX entries");
             self.highs.push((first, high));
         }
         self.lows.push(nanos as u32);
     }
 
-    /// Number of entries.
+    /// Number of entries ever pushed, forgotten ones included: the index
+    /// the next push gets.
     pub fn len(&self) -> usize {
-        self.lows.len()
+        self.base as usize + self.lows.len()
     }
 
-    /// Whether the clock has no entry.
+    /// Whether nothing was ever pushed.
     pub fn is_empty(&self) -> bool {
-        self.lows.is_empty()
+        self.len() == 0
+    }
+
+    /// Number of entries not forgotten.
+    pub fn retained(&self) -> usize {
+        self.lows.len()
     }
 
     /// The entry at `index`.
     ///
     /// # Panics
     ///
-    /// If `index` is out of bounds.
+    /// If `index` is out of bounds or forgotten.
     pub fn get(&self, index: usize) -> SimTime {
         let high = self.highs[self.pair_of(index)].1;
-        SimTime::from_nanos(u64::from(high) << 32 | u64::from(self.lows[index]))
+        SimTime::from_nanos(u64::from(high) << 32 | u64::from(self.lows[self.offset(index)]))
+    }
+
+    /// Forgets the entries below `index`, but only once they are at least
+    /// half of the retained entries, so that the copy of what is kept costs
+    /// O(1) amortised per forgotten entry. Forgets nothing below an
+    /// already forgotten index.
+    pub fn forget_below(&mut self, index: usize) {
+        let forget = index
+            .saturating_sub(self.base as usize)
+            .min(self.lows.len());
+        if forget == 0 || 2 * forget < self.lows.len() {
+            return;
+        }
+        let base = self.base as usize + forget;
+        if forget == self.lows.len() {
+            // The next push opens a pair of its own.
+            self.highs.clear();
+        } else {
+            self.highs.drain(..self.pair_of(base));
+            self.highs[0].0 = base as u32;
+        }
+        self.lows.drain(..forget);
+        self.base = base as u32;
     }
 
     /// Drops spare capacity.
     pub fn shrink_to_fit(&mut self) {
         self.lows.shrink_to_fit();
         self.highs.shrink_to_fit();
+    }
+
+    /// Position in `lows` of entry `index`.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is forgotten.
+    fn offset(&self, index: usize) -> usize {
+        index.checked_sub(self.base as usize).unwrap_or_else(|| {
+            panic!(
+                "clock entry {index} is forgotten: this clock keeps entries from {} on",
+                self.base
+            )
+        })
     }
 
     /// Position in `highs` of the pair that covers entry `index` (0 for an
@@ -105,19 +156,22 @@ impl IterationClock {
     /// The entries in `span`, in order: one binary search, then one slice
     /// of low words per high word.
     fn times(&self, span: Range<usize>) -> impl Iterator<Item = SimTime> + '_ {
+        // Where `lows` starts, once `offset` has checked that the span is
+        // not forgotten.
+        let base = span.start - self.offset(span.start);
         (self.pair_of(span.start)..self.highs.len())
             .map(move |k| {
                 let (first, high) = self.highs[k];
                 let end = self
                     .highs
                     .get(k + 1)
-                    .map_or(self.lows.len(), |&(next, _)| next as usize);
+                    .map_or(self.len(), |&(next, _)| next as usize);
                 let part = (first as usize).max(span.start)..end.min(span.end);
                 (u64::from(high) << 32, part)
             })
             .take_while(|(_, part)| part.start < part.end)
             .flat_map(move |(high, part)| {
-                self.lows[part]
+                self.lows[part.start - base..part.end - base]
                     .iter()
                     .map(move |&low| SimTime::from_nanos(high | u64::from(low)))
             })
@@ -147,9 +201,16 @@ impl TokenTimes {
     ///
     /// # Panics
     ///
-    /// If a run is empty, reaches past the clock, or starts before the
-    /// previous run ends.
+    /// If a run is empty, reaches past the clock, starts before the
+    /// previous run ends, or reads a forgotten entry.
     pub fn new(clock: Arc<IterationClock>, runs: Box<[Run]>) -> Self {
+        if let Some(run) = runs.first() {
+            assert!(
+                run.first >= clock.base,
+                "run {run:?} reads forgotten clock entries: this clock keeps entries from {} on",
+                clock.base
+            );
+        }
         let mut end = 0;
         for run in runs.iter() {
             let span = run.span();
@@ -560,6 +621,70 @@ mod tests {
             assert_eq!(times, times.clone());
             assert_eq!(format!("{times:?}"), format!("{model:?}"));
         }
+    }
+
+    aqua_sim::check! {
+        /// A clock that forgets reads back every retained entry, and every
+        /// span of them, at its absolute index, as the model does; it
+        /// forgets a prefix exactly when that prefix is at least half of
+        /// what it retains, and keeps one high-word pair per high word it
+        /// still holds: across pushes, forgets and 2^32 ns boundaries.
+        #[test]
+        fn a_forgetting_clock_matches_the_model(
+            start in (0u64..1 << 20, 0u64..2_000),
+            steps in aqua_sim::check::vec((0u8..3, 0u64..5 << 32), 0..60),
+            // After the push of step `i`, forget below the drawn point
+            // (as a share in 1/8ths of the clock's length), when drawn.
+            forgets in aqua_sim::check::vec((0usize..60, 0usize..10), 0..12)
+        ) {
+            let model = ascending(start, &steps);
+            let mut clock = IterationClock::default();
+            for (i, &at) in model.iter().enumerate() {
+                clock.push(at);
+                for &(_, eighths) in forgets.iter().filter(|&&(step, _)| step == i) {
+                    let (base, retained) = (clock.len() - clock.retained(), clock.retained());
+                    let index = clock.len() * eighths / 8;
+                    clock.forget_below(index);
+                    let forget = index.saturating_sub(base).min(retained);
+                    let forgot = forget > 0 && 2 * forget >= retained;
+                    let expected = if forgot { retained - forget } else { retained };
+                    assert_eq!(clock.retained(), expected, "forget below {index}");
+                }
+                assert_eq!(clock.len(), i + 1);
+                let base = clock.len() - clock.retained();
+                for (j, &at) in model.iter().enumerate().take(i + 1).skip(base) {
+                    assert_eq!(clock.get(j), at, "entry {j}");
+                }
+                for a in base..=i + 1 {
+                    assert_eq!(clock.times(a..i + 1).collect::<Vec<_>>(), model[a..=i]);
+                }
+                let mut high_words: Vec<u64> =
+                    model[base..=i].iter().map(|t| t.as_nanos() >> 32).collect();
+                high_words.dedup();
+                assert_eq!(clock.highs.len(), high_words.len());
+                assert!(clock.highs.first().is_none_or(|&(first, _)| first as usize == base));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "clock entry 3 is forgotten: this clock keeps entries from 4 on")]
+    fn reading_a_forgotten_entry_panics() {
+        let mut clock: IterationClock = (0..8).map(SimTime::from_nanos).collect();
+        clock.forget_below(4);
+        assert_eq!(clock.get(4), SimTime::from_nanos(4));
+        clock.get(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "reads forgotten clock entries: this clock keeps entries from 4 on")]
+    fn token_times_over_a_forgotten_entry_panic() {
+        let mut clock: IterationClock = (0..8).map(SimTime::from_nanos).collect();
+        clock.forget_below(4);
+        let clock = Arc::new(clock);
+        let kept = TokenTimes::new(Arc::clone(&clock), Box::new([Run { first: 4, count: 4 }]));
+        assert_eq!(kept.first(), Some(SimTime::from_nanos(4)));
+        TokenTimes::new(clock, Box::new([Run { first: 2, count: 4 }]));
     }
 
     aqua_sim::check! {

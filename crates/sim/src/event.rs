@@ -11,10 +11,19 @@
 //!
 //! Entries sit in a std [`BinaryHeap`] keyed `(time, seq)`, so a push or pop
 //! costs O(log n) whatever the time pushed, and payloads are never compared.
+//!
+//! A whole trace goes in through [`EventQueue::push_trace`], which draws its
+//! seqs as one block but queues only its earliest event: the rest wait in
+//! the trace, sorted by key, and popping a trace's event queues its next
+//! one before anything else can read the queue. Since each trace's keys
+//! ascend, the smallest key among the heap's entries is the smallest among
+//! every pending event, so the queue pops exactly what pushing each event
+//! would, while holding about one heap entry per trace.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::fmt;
 
 /// A time-ordered event queue with stable FIFO tie-breaking.
 ///
@@ -33,18 +42,27 @@ use std::collections::BinaryHeap;
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(2), "late")));
 /// assert_eq!(q.pop(), None);
 /// ```
-#[derive(Debug, Clone)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
+    /// The traces of [`EventQueue::push_trace`], by index: each holds its
+    /// events not yet in `heap`, in ascending key order, and is dropped
+    /// once its last event is.
+    traces: Vec<Option<Trace<T>>>,
+    /// Pending events, queued or still waiting in a trace.
+    pending: usize,
     next_seq: u64,
 }
 
+/// The rest of a trace: `(time, seq, payload)` in ascending `(time, seq)`.
+type Trace<T> = Box<dyn Iterator<Item = (SimTime, u64, T)>>;
+
 /// A pending event. It orders by its `(time, seq)` key alone, reversed, so
 /// the std max-heap pops the smallest key first.
-#[derive(Debug, Clone)]
 struct Entry<T> {
     time: SimTime,
     seq: u64,
+    /// The index of the trace the event came from, if any.
+    trace: Option<u32>,
     payload: T,
 }
 
@@ -78,18 +96,10 @@ impl<T> EventQueue<T> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            traces: Vec::new(),
+            pending: 0,
             next_seq: 0,
         }
-    }
-
-    /// Reserves room for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
-    /// Pending events the queue can hold without re-growing its storage.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
     }
 
     /// Draws the next insertion sequence number without queueing anything.
@@ -113,12 +123,73 @@ impl<T> EventQueue<T> {
     /// Schedules `payload` to fire at `time`.
     pub fn push(&mut self, time: SimTime, payload: T) {
         let seq = self.take_seq();
-        self.heap.push(Entry { time, seq, payload });
+        self.pending += 1;
+        self.heap.push(Entry {
+            time,
+            seq,
+            trace: None,
+            payload,
+        });
+    }
+
+    /// Schedules every `(time, event)` of `trace`, each as `wrap(event)`,
+    /// to pop exactly as pushing them one by one in order would. The trace
+    /// is sorted stably by time (which leaves a sorted trace as it is) and
+    /// draws the next `trace.len()` seqs at once, its `i`-th event keyed
+    /// with the `i`-th of them. Only its earliest event is queued now;
+    /// popping it queues the next, so a trace costs the queue one entry
+    /// however long it is.
+    ///
+    /// The seqs form one block, so an event of the trace orders against
+    /// any other event by time and then by which side of the block the
+    /// other's seq lies on, never by its place inside the block; among
+    /// themselves, one-by-one pushes order the trace's events by time and
+    /// then position, which is the stable sort's order.
+    pub fn push_trace<U: 'static>(
+        &mut self,
+        mut trace: Vec<(SimTime, U)>,
+        wrap: impl Fn(U) -> T + 'static,
+    ) where
+        T: 'static,
+    {
+        trace.sort_by_key(|&(at, _)| at);
+        let first = self.next_seq;
+        self.next_seq += trace.len() as u64;
+        self.pending += trace.len();
+        let rest: Trace<T> = Box::new(
+            trace
+                .into_iter()
+                .zip(first..)
+                .map(move |((at, event), seq)| (at, seq, wrap(event))),
+        );
+        let index = u32::try_from(self.traces.len()).expect("at most 2^32 traces");
+        self.traces.push(Some(rest));
+        self.queue_next_of(index);
+    }
+
+    /// Moves trace `index`'s next event into the heap, or drops the trace
+    /// once it has none left.
+    fn queue_next_of(&mut self, index: u32) {
+        let slot = &mut self.traces[index as usize];
+        match slot.as_mut().and_then(Iterator::next) {
+            Some((time, seq, payload)) => self.heap.push(Entry {
+                time,
+                seq,
+                trace: Some(index),
+                payload,
+            }),
+            None => *slot = None,
+        }
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|e| (e.time, e.payload))
+        let e = self.heap.pop()?;
+        self.pending -= 1;
+        if let Some(index) = e.trace {
+            self.queue_next_of(index);
+        }
+        Some((e.time, e.payload))
     }
 
     /// The firing time of the earliest event without removing it.
@@ -131,14 +202,30 @@ impl<T> EventQueue<T> {
         self.heap.peek().map(|e| (e.time, e.seq))
     }
 
-    /// Number of pending events.
+    /// Number of pending events, those still waiting in a trace included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.pending
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.pending == 0
+    }
+
+    /// Events in the heap: one per trace with events left, plus every
+    /// event pushed on its own and still pending.
+    pub fn queued(&self) -> usize {
+        self.heap.len()
+    }
+}
+
+impl<T> fmt::Debug for EventQueue<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EventQueue")
+            .field("pending", &self.pending)
+            .field("queued", &self.heap.len())
+            .field("next_seq", &self.next_seq)
+            .finish()
     }
 }
 
@@ -229,16 +316,36 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_and_reserve_preallocate() {
+    fn with_capacity_keeps_ordering() {
         let mut q: EventQueue<u8> = EventQueue::with_capacity(64);
-        assert!(q.capacity() >= 64);
         assert!(q.is_empty());
-        q.reserve(128);
-        assert!(q.capacity() >= 128);
-        // Preallocation must not change ordering semantics.
         q.push(SimTime::from_nanos(2), 1);
         q.push(SimTime::from_nanos(1), 2);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(1), 2)));
+    }
+
+    #[test]
+    fn a_trace_holds_one_heap_entry() {
+        let mut q = EventQueue::new();
+        q.push_trace(
+            (0..1_000u64)
+                .map(|i| (SimTime::from_nanos(i / 3), i))
+                .collect(),
+            |i| i,
+        );
+        q.push(SimTime::from_nanos(5), u64::MAX);
+        assert_eq!((q.len(), q.queued(), q.next_seq()), (1_001, 2, 1_001));
+        let mut popped = Vec::new();
+        while let Some((_, i)) = q.pop() {
+            assert!(q.queued() <= 2);
+            popped.push(i);
+        }
+        // The lone push drew seq 1,000, after every event of the trace.
+        let mut expected: Vec<u64> = (0..1_000).collect();
+        expected.insert(18, u64::MAX);
+        assert_eq!(popped, expected);
+        assert!(q.is_empty());
+        assert_eq!(q.queued(), 0);
     }
 
     #[test]
@@ -345,6 +452,50 @@ mod tests {
             }
         }
         assert_eq!(oracle.len(), 0);
+    }
+
+    crate::check! {
+        /// Traces (out of time order, too) pushed with `push_trace` among
+        /// single pushes and pops pop exactly what pushing each of their
+        /// events in order would, and draw the same seqs.
+        #[test]
+        fn traces_pop_like_their_pushes(
+            // (time, op): op 0 pops, op 1 pushes at `time`, op 2 pushes a
+            // trace of the next `time % 9` drawn times.
+            ops in crate::check::vec((0u64..500, 0u64..3), 1..120),
+            times in crate::check::vec(0u64..500, 0..200)
+        ) {
+            let mut q = EventQueue::new();
+            let mut oracle = ScanOracle::default();
+            let mut times = times.into_iter();
+            let mut id = 0u64;
+            for (t, op) in ops {
+                match op {
+                    0 => assert_eq!(q.pop(), oracle.pop()),
+                    1 => {
+                        q.push(SimTime::from_nanos(t), id);
+                        oracle.push(SimTime::from_nanos(t), id);
+                        id += 1;
+                    }
+                    _ => {
+                        let mut trace = Vec::new();
+                        for at in times.by_ref().take((t % 9) as usize) {
+                            oracle.push(SimTime::from_nanos(at), id);
+                            trace.push((SimTime::from_nanos(at), id));
+                            id += 1;
+                        }
+                        q.push_trace(trace, |i| i);
+                    }
+                }
+                assert_eq!(q.next_seq(), oracle.next_seq);
+                assert_eq!(q.peek_time(), oracle.peek_time());
+                assert_eq!(q.len(), oracle.len());
+            }
+            while let Some(e) = oracle.pop() {
+                assert_eq!(q.pop(), Some(e));
+            }
+            assert!(q.is_empty());
+        }
     }
 
     crate::check! {

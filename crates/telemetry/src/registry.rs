@@ -1,18 +1,18 @@
-//! A tiny counter/gauge registry for cheap always-on statistics.
+//! A tiny counter registry for cheap always-on statistics.
 //!
 //! The journal captures *when* things happened; the registry captures *how
 //! much* with no per-event cost — bytes per link lane, preemption counts,
-//! reclaim counts. Keys are plain strings; maps are `BTreeMap` so snapshots
-//! iterate in a deterministic order.
+//! reclaim counts. Keys are plain strings; the map is a `BTreeMap` so
+//! snapshots iterate in a deterministic order. Gauges are journalled as
+//! [`TraceEvent::Gauge`](crate::TraceEvent) events instead.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Named monotonic counters and last-write-wins gauges.
+/// Named monotonic counters.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, f64>>,
 }
 
 impl Registry {
@@ -31,16 +31,6 @@ impl Registry {
         }
     }
 
-    /// Sets `gauge` to `value`.
-    pub fn set_gauge(&self, gauge: &str, value: f64) {
-        let mut gauges = self.gauges.lock().unwrap();
-        if let Some(v) = gauges.get_mut(gauge) {
-            *v = value;
-        } else {
-            gauges.insert(gauge.to_owned(), value);
-        }
-    }
-
     /// The current value of one counter (zero if never touched).
     pub fn counter(&self, counter: &str) -> u64 {
         self.counters
@@ -51,24 +41,9 @@ impl Registry {
             .unwrap_or(0)
     }
 
-    /// The current value of one gauge, if ever set.
-    pub fn gauge(&self, gauge: &str) -> Option<f64> {
-        self.gauges.lock().unwrap().get(gauge).copied()
-    }
-
     /// A sorted snapshot of every counter.
     pub fn counters(&self) -> Vec<(String, u64)> {
         self.counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
-    }
-
-    /// A sorted snapshot of every gauge.
-    pub fn gauges(&self) -> Vec<(String, f64)> {
-        self.gauges
             .lock()
             .unwrap()
             .iter()
@@ -90,18 +65,5 @@ mod tests {
         assert_eq!(r.counter("missing"), 0);
         r.incr("bytes", u64::MAX);
         assert_eq!(r.counter("bytes"), u64::MAX);
-    }
-
-    #[test]
-    fn gauges_keep_the_last_value_and_snapshots_sort() {
-        let r = Registry::new();
-        r.set_gauge("b.depth", 1.0);
-        r.set_gauge("a.depth", 2.0);
-        r.set_gauge("b.depth", 3.0);
-        assert_eq!(r.gauge("b.depth"), Some(3.0));
-        assert_eq!(r.gauge("missing"), None);
-        let snap = r.gauges();
-        assert_eq!(snap[0].0, "a.depth");
-        assert_eq!(snap[1], ("b.depth".to_owned(), 3.0));
     }
 }

@@ -36,8 +36,11 @@ pub trait Tracer: fmt::Debug + Send + Sync {
     /// Adds `delta` to a named monotonic counter.
     fn incr(&self, counter: &str, delta: u64);
 
-    /// Sets a named gauge to `value`.
-    fn gauge(&self, gauge: &str, value: f64);
+    /// Sets a named gauge to `value`. Nothing in the workspace keeps
+    /// gauges this way (a traced engine journals each change as a
+    /// [`TraceEvent::Gauge`]), so the default does nothing; the benchmark's
+    /// timing wrapper still forwards it.
+    fn gauge(&self, _gauge: &str, _value: f64) {}
 }
 
 /// The shared handle instrumented code stores.
@@ -84,9 +87,6 @@ impl Tracer for NullTracer {
 
     #[inline]
     fn incr(&self, _counter: &str, _delta: u64) {}
-
-    #[inline]
-    fn gauge(&self, _gauge: &str, _value: f64) {}
 }
 
 /// A shared handle to the (stateless) null tracer.
@@ -204,8 +204,7 @@ impl JournalTracer {
         self.inner.lock().unwrap().events.clone()
     }
 
-    /// The always-on counter/gauge registry backing [`Tracer::incr`] and
-    /// [`Tracer::gauge`].
+    /// The always-on counter registry backing [`Tracer::incr`].
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -259,10 +258,6 @@ impl Tracer for JournalTracer {
 
     fn incr(&self, counter: &str, delta: u64) {
         self.registry.incr(counter, delta);
-    }
-
-    fn gauge(&self, gauge: &str, value: f64) {
-        self.registry.set_gauge(gauge, value);
     }
 }
 
@@ -348,8 +343,6 @@ mod tests {
         }
 
         fn incr(&self, _counter: &str, _delta: u64) {}
-
-        fn gauge(&self, _gauge: &str, _value: f64) {}
     }
 
     #[test]
