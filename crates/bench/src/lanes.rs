@@ -12,15 +12,27 @@
 //! schedule. `--lanes 1`, `--lanes 4` and `--lanes 8` must (and do, see
 //! `tests/lanes.rs`) produce identical bytes and digests.
 //!
-//! The executor advances all shards in barrier-synchronised windows:
+//! The scenario is a star: shard 0 is the **hub** (the coordinator) and
+//! every other shard is a **leaf** (a server) that talks only to the hub.
+//! A leaf can therefore hear only the hub's replies to its own messages,
+//! and the executor gives each shard its own bound, the Chandy–Misra–Bryant
+//! channel-clock rule for this topology, instead of one global horizon:
 //!
-//! 1. `S_min` = min over shard send horizons and undelivered messages.
-//! 2. If `S_min` is unbounded, no shard can send again → each runs to
-//!    completion in one final window.
-//! 3. Otherwise every shard advances to `H = S_min + lookahead`
-//!    (exclusive), messages produced inside the window are checked against
-//!    the lookahead contract (`deliver_at ≥ H`), and deliveries for the
-//!    next window are merged in `(deliver_at, src, seq)` order.
+//! 1. Leaf `s`: `B_s = min(earliest undelivered s→0 message, h_s + L) + L`,
+//!    where `h_s` is its send horizon — the hub replies at least `L` after
+//!    a delivery, and `s`'s next message reaches the hub at `h_s + L` at
+//!    the earliest. Hub: `B_0 = min over leaves of h_s + L`.
+//! 2. Each window delivers to each shard the mailbox messages with
+//!    `deliver_at < B_i` in `(deliver_at, src, seq)` order and advances it
+//!    to its own `B_i` (exclusive; `None` runs it to completion). Every
+//!    message produced inside the window is checked against its
+//!    destination's bound (`deliver_at ≥ B_dst`).
+//! 3. When every bound is `None`, no shard can send again: each runs to
+//!    completion in one final window, and a send there panics.
+//!
+//! With staggered heartbeats this takes about two windows per heartbeat
+//! period, however many leaves there are. [`LaneShard`] states the
+//! contract the rule rests on; the executor asserts it at run time.
 //!
 //! Lane 0 is the calling thread: it builds, advances and finishes its own
 //! shards, and only lanes `1..N` get a scoped worker thread with a
@@ -58,15 +70,26 @@ pub trait LaneShard {
 
     /// A conservative lower bound on the earliest simulated time at which
     /// this shard could still emit a cross-shard message; `None` if it will
-    /// never send again. Must never move backwards past a window the shard
-    /// has already simulated.
+    /// never send again.
+    ///
+    /// The executor relies on the star contract (see the module docs) and
+    /// asserts it:
+    ///
+    /// * Shard 0, the hub, returns `None`: it only replies, and only to a
+    ///   delivered message's source, at least `L` after the delivery.
+    /// * Every other shard, a leaf, sends only to shard 0, and only at or
+    ///   after this horizon (so `deliver_at ≥ horizon + L`). A leaf never
+    ///   sends in reply. Once a leaf has advanced to its bound, its horizon
+    ///   must not fall below that bound.
     fn next_send_horizon(&self) -> Option<SimTime>;
 
     /// Delivers `inbox` (sorted by `(deliver_at, src, seq)`) and advances
     /// the shard's local simulation up to `until` (exclusive), or to
-    /// completion when `until` is `None`. Returns the cross-shard messages
-    /// produced inside the window; each must respect the lookahead
-    /// (`deliver_at ≥ send time + L`).
+    /// completion when `until` is `None`. Each message in `inbox` is due at
+    /// or after the shard's previous `until`, not necessarily at it, so a
+    /// shard simulates up to a message's `deliver_at` before it acts on
+    /// it. Returns the cross-shard messages produced inside the window;
+    /// each must respect the lookahead (`deliver_at ≥ send time + L`).
     fn advance(
         &mut self,
         until: Option<SimTime>,
@@ -131,12 +154,15 @@ pub struct LaneOutcome<O> {
     pub wait: Duration,
 }
 
+/// One shard's part of a window: its bound (exclusive; `None` = run to
+/// completion) and the messages due before it.
+type ShardWindow<P> = (Option<SimTime>, Vec<Msg<P>>);
+
 enum Cmd<P> {
-    /// Advance every owned shard to `until` (exclusive; `None` = run to
-    /// completion). `inboxes[j]` belongs to the lane's `j`-th owned shard.
+    /// Advance every owned shard to its own bound; `shards[j]` belongs to
+    /// the lane's `j`-th owned shard.
     Window {
-        until: Option<SimTime>,
-        inboxes: Vec<Vec<Msg<P>>>,
+        shards: Vec<ShardWindow<P>>,
     },
     Finish,
 }
@@ -190,14 +216,10 @@ impl<S: LaneShard> Lane<S> {
             .collect()
     }
 
-    fn advance(
-        &mut self,
-        until: Option<SimTime>,
-        inboxes: Vec<Vec<Msg<S::Payload>>>,
-    ) -> Reply<S::Payload> {
+    fn advance(&mut self, windows: Vec<ShardWindow<S::Payload>>) -> Reply<S::Payload> {
         let t = Instant::now();
         let mut sends = Vec::new();
-        for ((_, shard, journal), inbox) in self.shards.iter_mut().zip(inboxes) {
+        for ((_, shard, journal), (until, inbox)) in self.shards.iter_mut().zip(windows) {
             sends.extend(crate::trace::with_tracer(journal.clone(), || {
                 shard.advance(until, inbox)
             }));
@@ -253,7 +275,7 @@ impl<'scope, S: LaneShard + 'scope> Worker<'scope, S> {
             // A closed channel means the caller is unwinding from a panic.
             while reply_tx.send(reply).is_ok() {
                 match cmd_rx.recv() {
-                    Ok(Cmd::Window { until, inboxes }) => reply = lane.advance(until, inboxes),
+                    Ok(Cmd::Window { shards }) => reply = lane.advance(shards),
                     Ok(Cmd::Finish) => return lane.finish(),
                     Err(_) => break,
                 }
@@ -282,6 +304,36 @@ fn recv<S: LaneShard>(workers: &mut Vec<Worker<'_, S>>, w: usize) -> Reply<S::Pa
             Ok(_) => unreachable!("a lane hangs up mid-run only by panicking"),
         },
     }
+}
+
+/// Each shard's bound for the next window under the star rule (module
+/// docs, step 1): `horizons` are the shards' send horizons and `earliest`
+/// each shard's earliest undelivered send. `None` means unbounded.
+///
+/// # Panics
+///
+/// Panics if the hub, shard 0, reports a send horizon.
+fn star_bounds(
+    horizons: &[Option<SimTime>],
+    earliest: &[Option<SimTime>],
+    lookahead: SimDuration,
+) -> Vec<Option<SimTime>> {
+    let Some((hub, leaves)) = horizons.split_first() else {
+        return Vec::new();
+    };
+    assert!(
+        hub.is_none(),
+        "the hub, shard 0, reported send horizon {hub:?}: it may only reply"
+    );
+    let hub_bound = leaves.iter().flatten().min().map(|&h| h + lookahead);
+    let leaf_bounds = leaves.iter().zip(&earliest[1..]).map(|(h, sent)| {
+        h.map(|h| h + lookahead)
+            .into_iter()
+            .chain(*sent)
+            .min()
+            .map(|t| t + lookahead)
+    });
+    std::iter::once(hub_bound).chain(leaf_bounds).collect()
 }
 
 /// Runs `builders.len()` shards across `lanes` lanes under the
@@ -341,35 +393,31 @@ pub fn run_lanes<S: LaneShard>(
         }
 
         let mut mailbox: Mailbox<S::Payload> = Mailbox::new(shard_count);
+        // The bound each shard has been advanced to; `None` once it ran to
+        // completion.
+        let mut reached: Vec<Option<SimTime>> = vec![Some(SimTime::ZERO); shard_count];
         loop {
-            let s_min = horizons
-                .iter()
-                .flatten()
-                .copied()
-                .chain(mailbox.next_time())
-                .min();
-            let until = s_min.map(|s| s + lookahead);
+            let bounds = star_bounds(&horizons, &mailbox.earliest_from(), lookahead);
+            let last = bounds.iter().all(Option::is_none);
+            let far = |b: &Option<SimTime>| b.unwrap_or(SimTime::MAX);
+            assert!(
+                last || bounds.iter().zip(&reached).any(|(b, r)| far(b) > far(r)),
+                "no shard's bound moved past {reached:?}: the star contract is broken"
+            );
             windows += 1;
-            let inboxes = match until {
-                Some(h) => mailbox.deliverable(h),
-                None => {
-                    debug_assert!(mailbox.is_empty(), "pending messages imply a bounded S_min");
-                    mailbox.drain_all()
-                }
-            };
-            // Route per-destination inboxes to the owning lane, in the
+            // Route each shard's bound and inbox to its lane, in the
             // lane's slot order.
-            let mut lane_inboxes: Vec<Vec<Vec<Msg<S::Payload>>>> = (0..lanes)
+            let mut lane_windows: Vec<Vec<ShardWindow<S::Payload>>> = (0..lanes)
                 .map(|_| Vec::with_capacity(shard_count.div_ceil(lanes)))
                 .collect();
-            for (dst, inbox) in inboxes.into_iter().enumerate() {
-                lane_inboxes[dst % lanes].push(inbox);
+            for (dst, inbox) in mailbox.deliverable(&bounds).into_iter().enumerate() {
+                lane_windows[dst % lanes].push((bounds[dst], inbox));
             }
             // Workers first, so they advance while lane 0 does.
-            for (worker, inboxes) in workers.iter().zip(lane_inboxes.drain(1..)) {
-                worker.send(Cmd::Window { until, inboxes });
+            for (worker, shards) in workers.iter().zip(lane_windows.drain(1..)) {
+                worker.send(Cmd::Window { shards });
             }
-            replies.push(own.advance(until, lane_inboxes.pop().expect("lane 0")));
+            replies.push(own.advance(lane_windows.pop().expect("lane 0")));
             if !workers.is_empty() {
                 let waited = Instant::now();
                 for w in 0..workers.len() {
@@ -377,35 +425,46 @@ pub fn run_lanes<S: LaneShard>(
                 }
                 wait += waited.elapsed();
             }
-            for (lane, reply) in replies.drain(..).enumerate() {
-                for msg in reply.sends {
-                    match until {
-                        Some(h) => assert!(
-                            msg.deliver_at >= h,
-                            "lookahead violation: shard {} delivered at {:?} inside window ending {h:?}",
-                            msg.src,
-                            msg.deliver_at,
-                        ),
-                        None => panic!(
-                            "shard {} sent during the final unbounded window",
-                            msg.src
-                        ),
-                    }
-                    messages += 1;
-                    mailbox.post(msg);
+            // Check every send against the horizons the window started
+            // from, then take the new horizons.
+            for msg in replies.iter_mut().flat_map(|r| r.sends.drain(..)) {
+                let (src, dst, at) = (msg.src, msg.dst, msg.deliver_at);
+                assert!(
+                    (src == 0) != (dst == 0),
+                    "shard {src} sent to shard {dst}: every message has the hub, shard 0, at exactly one end"
+                );
+                assert!(!last, "shard {src} sent during the final unbounded window");
+                if src != 0 {
+                    let own = horizons[src].map(|h| h + lookahead);
+                    assert!(
+                        own.is_some_and(|b| at >= b),
+                        "leaf {src} sent for {at:?}, inside its own bound {own:?}"
+                    );
                 }
+                assert!(
+                    bounds[dst].is_some_and(|b| at >= b),
+                    "lookahead violation: shard {src} delivered at {at:?} to shard {dst}, \
+                     which has simulated up to {:?}",
+                    bounds[dst]
+                );
+                messages += 1;
+                mailbox.post(msg);
+            }
+            for (lane, reply) in replies.drain(..).enumerate() {
                 for (slot, h) in reply.horizons.into_iter().enumerate() {
                     let global = slot * lanes + lane;
-                    if let (Some(h), Some(u)) = (h, until) {
+                    if let (Some(h), Some(b)) = (h, bounds[global]) {
                         assert!(
-                            h >= u,
-                            "shard {global} horizon {h:?} regressed into simulated window ending {u:?}"
+                            h >= b,
+                            "shard {global} horizon {h:?} regressed into its simulated window ending {b:?}"
                         );
                     }
                     horizons[global] = h;
                 }
             }
-            if until.is_none() {
+            reached = bounds;
+            if last {
+                debug_assert!(mailbox.is_empty(), "the final window delivers everything");
                 break;
             }
         }
@@ -547,9 +606,9 @@ mod tests {
         run_lanes(thread_shards(2, Some(1)), 2, SimDuration::from_nanos(1));
     }
 
-    /// A ping-pong shard pair exercising the windowed protocol: shard 0
-    /// sends `rounds` pings on a fixed schedule, shard 1 echoes each pong,
-    /// both journal every delivery.
+    /// A ping-pong star exercising the windowed protocol: shard 1, a leaf,
+    /// sends `rounds` pings on a fixed schedule, shard 0, the hub, echoes
+    /// each as a pong, and both journal every delivery.
     struct PingShard {
         id: usize,
         schedule: Vec<SimTime>,
@@ -564,8 +623,8 @@ mod tests {
         type Out = Vec<(SimTime, u64)>;
 
         fn next_send_horizon(&self) -> Option<SimTime> {
-            // Shard 1 only reacts to deliveries; the executor covers its
-            // replies through the undelivered-message term of S_min.
+            // The hub only reacts to deliveries; the executor bounds its
+            // replies by the pinger's undelivered pings and horizon.
             self.schedule.get(self.next).copied()
         }
 
@@ -578,11 +637,11 @@ mod tests {
                     at: msg.deliver_at,
                 });
                 self.received.push((msg.deliver_at, msg.payload));
-                if self.id == 1 {
+                if self.id == 0 {
                     out.push(Msg {
                         deliver_at: msg.deliver_at + self.lookahead,
-                        src: self.id,
-                        dst: 0,
+                        src: 0,
+                        dst: msg.src,
                         seq: self.seq,
                         payload: msg.payload + 100,
                     });
@@ -595,16 +654,14 @@ mod tests {
                 .is_some_and(|&t| until.is_none_or(|u| t < u))
             {
                 let at = self.schedule[self.next];
-                if self.id == 0 {
-                    out.push(Msg {
-                        deliver_at: at + self.lookahead,
-                        src: 0,
-                        dst: 1,
-                        seq: self.seq,
-                        payload: self.next as u64,
-                    });
-                    self.seq += 1;
-                }
+                out.push(Msg {
+                    deliver_at: at + self.lookahead,
+                    src: self.id,
+                    dst: 0,
+                    seq: self.seq,
+                    payload: self.next as u64,
+                });
+                self.seq += 1;
                 self.next += 1;
             }
             out
@@ -636,7 +693,7 @@ mod tests {
                     received: Vec::new(),
                 })
             };
-        vec![mk(0, schedule.clone()), mk(1, Vec::new())]
+        vec![mk(0, Vec::new()), mk(1, schedule)]
     }
 
     #[test]
@@ -654,15 +711,102 @@ mod tests {
             assert_eq!(one.windows, other.windows);
         }
         assert_eq!(one.messages, 10, "5 pings + 5 pongs");
+        // Two windows per ping (send, then echo), plus the final one.
+        assert_eq!(one.windows, 2 * 5 + 1);
         let outs = outputs(one);
-        // Shard 1 saw every ping; shard 0 saw every echoed pong.
-        assert_eq!(outs[1].len(), 5);
+        // The hub saw every ping; the pinger saw every echoed pong.
         assert_eq!(outs[0].len(), 5);
-        assert_eq!(outs[0][0].1, 100);
+        assert_eq!(outs[1].len(), 5);
+        assert_eq!(outs[1][0].1, 100);
         // Every pong arrived exactly two lookaheads after its ping fired.
         assert_eq!(
-            outs[0][2].0,
+            outs[1][2].0,
             SimTime::from_millis(30) + lookahead + lookahead
         );
+    }
+
+    /// A shard with a fixed send horizon that emits `sends` in its first
+    /// window, for breaking the star contract on purpose.
+    struct RuleShard {
+        horizon: Option<SimTime>,
+        sends: Vec<Msg<()>>,
+    }
+
+    impl LaneShard for RuleShard {
+        type Payload = ();
+        type Out = ();
+
+        fn next_send_horizon(&self) -> Option<SimTime> {
+            self.horizon
+        }
+
+        fn advance(&mut self, _until: Option<SimTime>, _inbox: Vec<Msg<()>>) -> Vec<Msg<()>> {
+            std::mem::take(&mut self.sends)
+        }
+
+        fn finish(self) -> ShardFinish<()> {
+            ShardFinish {
+                output: (),
+                sim_events: 0,
+            }
+        }
+    }
+
+    fn ms(millis: u64) -> SimTime {
+        SimTime::from_millis(millis)
+    }
+
+    /// One `RuleShard`: its send horizon and its `(deliver_at, dst)` sends.
+    type Rule = (Option<SimTime>, Vec<(SimTime, usize)>);
+
+    /// Runs one `RuleShard` per rule, with a 1 µs lookahead.
+    fn run_rules(shards: Vec<Rule>) {
+        let builders = shards
+            .into_iter()
+            .enumerate()
+            .map(|(src, (horizon, sends))| -> ShardBuilder<RuleShard> {
+                let sends = sends
+                    .into_iter()
+                    .enumerate()
+                    .map(|(seq, (deliver_at, dst))| Msg {
+                        deliver_at,
+                        src,
+                        dst,
+                        seq: seq as u64,
+                        payload: (),
+                    })
+                    .collect();
+                Box::new(move || RuleShard { horizon, sends })
+            })
+            .collect();
+        run_lanes(builders, 1, SimDuration::from_micros(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "at exactly one end")]
+    fn a_leaf_to_leaf_message_breaks_the_star() {
+        run_rules(vec![
+            (None, vec![]),
+            (Some(ms(10)), vec![(ms(20), 2)]),
+            (None, vec![]),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the hub, shard 0, reported send horizon")]
+    fn a_hub_with_a_send_horizon_breaks_the_star() {
+        run_rules(vec![(Some(ms(1)), vec![]), (None, vec![])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "inside its own bound")]
+    fn a_leaf_sending_inside_its_own_bound_breaks_the_star() {
+        // Leaf 2's early horizon keeps the hub's bound at 10 ms + L, so the
+        // message clears the hub's bound but not leaf 1's own 100 ms + L.
+        run_rules(vec![
+            (None, vec![]),
+            (Some(ms(100)), vec![(ms(50), 0)]),
+            (Some(ms(10)), vec![]),
+        ]);
     }
 }

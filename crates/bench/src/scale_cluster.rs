@@ -28,7 +28,7 @@
 //! [`TraceEvent::LeaseGranted`]: aqua_telemetry::TraceEvent
 //! [`TraceEvent::LeaseAllocated`]: aqua_telemetry::TraceEvent
 
-use crate::lanes::{run_lanes, LaneShard, ShardFinish};
+use crate::lanes::{run_lanes, LaneShard, ShardBuilder, ShardFinish};
 use crate::setup::{ServerCtx, CELL_MAX_OUTSTANDING, CELL_POOL_BYTES};
 use aqua_engines::driver::{Driver, Engine};
 use aqua_engines::vllm::PreemptionPolicy;
@@ -177,13 +177,14 @@ pub enum ScaleOut {
     },
 }
 
-/// The cluster coordinator (shard 0). It never initiates traffic — its
-/// send horizon is `None` and the executor covers its reactive acks through
-/// the undelivered-message term of `S_min` (a heartbeat delivered at `t`
-/// was counted in `S_min`, so its ack at `t + L` lands at or after the
-/// window barrier).
+/// The cluster coordinator (shard 0), the star's hub. It never initiates
+/// traffic — its send horizon is `None` — and acks each heartbeat to its
+/// sender only, so the executor bounds each server by that server's own
+/// undelivered heartbeats and next beat (see [`crate::lanes`]).
 struct CoordShard {
-    lookahead: SimDuration,
+    /// How long after a heartbeat's delivery its ack arrives: the
+    /// lookahead in every run.
+    ack_delay: SimDuration,
     seq: u64,
     beats: u64,
 }
@@ -209,7 +210,7 @@ impl CoordShard {
             });
             self.beats += 1;
             out.push(Msg {
-                deliver_at: msg.deliver_at + self.lookahead,
+                deliver_at: msg.deliver_at + self.ack_delay,
                 src: 0,
                 dst: msg.src,
                 seq: self.seq,
@@ -325,26 +326,13 @@ impl ServerShard {
         driver.run(&mut [engine as &mut dyn Engine], end);
     }
 
-    fn advance(&mut self, until: Option<SimTime>, inbox: Vec<Msg<ScaleMsg>>) -> Vec<Msg<ScaleMsg>> {
-        let tracer = crate::trace::tracer();
-        for msg in &inbox {
-            let ScaleMsg::Ack { beat } = msg.payload else {
-                panic!("server received a non-ack message");
-            };
-            tracer.emit(TraceEvent::LeaseAllocated {
-                consumer: format!("scale/s{}", self.server),
-                site: "coordinator-ack".into(),
-                bytes: beat,
-                at: msg.deliver_at,
-            });
-            self.acks += 1;
-        }
-        let mut out = Vec::new();
+    /// Sends every heartbeat due before `end` (all that are left when `end`
+    /// is `None`), running the driver up to each beat before sampling it.
+    fn beat_until(&mut self, end: Option<SimTime>, out: &mut Vec<Msg<ScaleMsg>>) {
         while let Some(&hb) = self.heartbeats.get(self.next_hb) {
-            if until.is_some_and(|u| hb >= u) {
+            if end.is_some_and(|e| hb >= e) {
                 break;
             }
-            // Advance the local simulation to the beat time, then sample.
             self.run_to(hb);
             out.push(Msg {
                 deliver_at: hb + self.lookahead,
@@ -360,6 +348,30 @@ impl ServerShard {
             self.seq += 1;
             self.next_hb += 1;
         }
+    }
+
+    fn advance(&mut self, until: Option<SimTime>, inbox: Vec<Msg<ScaleMsg>>) -> Vec<Msg<ScaleMsg>> {
+        let tracer = crate::trace::tracer();
+        let mut out = Vec::new();
+        for msg in inbox {
+            let ScaleMsg::Ack { beat } = msg.payload else {
+                panic!("server received a non-ack message");
+            };
+            // An ack may be due after the window's start: the beats and the
+            // simulation before it come first.
+            self.beat_until(Some(msg.deliver_at), &mut out);
+            self.run_to(SimTime::from_nanos(
+                msg.deliver_at.as_nanos().saturating_sub(1),
+            ));
+            tracer.emit(TraceEvent::LeaseAllocated {
+                consumer: format!("scale/s{}", self.server),
+                site: "coordinator-ack".into(),
+                bytes: beat,
+                at: msg.deliver_at,
+            });
+            self.acks += 1;
+        }
+        self.beat_until(until, &mut out);
         match until {
             // Window ends are exclusive; the driver's are inclusive.
             Some(u) => self.run_to(SimTime::from_nanos(u.as_nanos().saturating_sub(1))),
@@ -506,11 +518,10 @@ pub fn run_scale(spec: &ScaleSpec) -> ScaleRun {
     // here the NVSwitch fabric's per-transfer launch overhead.
     let lookahead = lookahead_from_links([BandwidthModel::nvswitch_a100().launch_overhead]);
 
-    let mut builders: Vec<Box<dyn FnOnce() -> ScaleShard + Send>> =
-        Vec::with_capacity(spec.servers + 1);
+    let mut builders: Vec<ShardBuilder<ScaleShard>> = Vec::with_capacity(spec.servers + 1);
     builders.push(Box::new(move || {
         ScaleShard::Coord(CoordShard {
-            lookahead,
+            ack_delay: lookahead,
             seq: 0,
             beats: 0,
         })
@@ -671,6 +682,7 @@ pub fn repro_points(a: &crate::runner::ReproArgs) -> Vec<crate::runner::ReproPoi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aqua_telemetry::JournalTracer;
 
     fn tiny(servers: usize, lanes: usize, audited: bool) -> ScaleSpec {
         ScaleSpec {
@@ -705,6 +717,103 @@ mod tests {
         assert_eq!(a.table, b.table);
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.audit_violations, 0);
+    }
+
+    #[test]
+    fn acks_are_journalled_at_their_own_time_under_any_cuts() {
+        // A hub that acks 90 s after each delivery, past the server's next
+        // beat: under the star windows every ack then falls inside a server
+        // window, after that beat, not at the window's start.
+        let spec = ScaleSpec {
+            requests_per_server: 20,
+            rate: 0.1,
+            ..tiny(1, 1, false)
+        };
+        let lookahead = lookahead_from_links([BandwidthModel::nvswitch_a100().launch_overhead]);
+        let ack_delay = SimDuration::from_secs(90);
+        let coord: ShardBuilder<ScaleShard> = Box::new(move || {
+            ScaleShard::Coord(CoordShard {
+                ack_delay,
+                seq: 0,
+                beats: 0,
+            })
+        });
+        let server = move || ServerShard::build(&spec, 0, lookahead);
+        let star = run_lanes(
+            vec![
+                coord,
+                Box::new(move || ScaleShard::Server(Box::new(server()))),
+            ],
+            1,
+            lookahead,
+        );
+        assert_eq!(star.messages, 2 * 3, "three beats, each acked");
+
+        // The same server through irregular cuts that ignore both beats and
+        // acks, built and journalled the way its lane does it, with the
+        // test acking in the hub's place. Every cut is shorter than the ack
+        // delay, so no ack is due inside the window that sent its beat, and
+        // the window [174.5 s, 229.5 s) holds beat 2 (180 s) before the ack
+        // of beat 1 (210 s).
+        let journal = Arc::new(JournalTracer::digest_only());
+        let mut shard = crate::trace::with_tracer(journal.clone(), server);
+        let cuts_ms = [7_300u64, 400, 45_000, 55_000, 3_100, 11_000, 1];
+        let mut acks: Vec<Msg<ScaleMsg>> = Vec::new();
+        let mut sampled = Vec::new();
+        let mut until = SimTime::ZERO;
+        for step in cuts_ms.iter().cycle() {
+            if shard.next_hb == shard.heartbeats.len() && acks.is_empty() {
+                break;
+            }
+            until += SimDuration::from_millis(*step);
+            let due = acks.iter().take_while(|m| m.deliver_at < until).count();
+            let inbox = acks.drain(..due).collect();
+            let beats =
+                crate::trace::with_tracer(journal.clone(), || shard.advance(Some(until), inbox));
+            for hb in beats {
+                let ScaleMsg::Heartbeat {
+                    beat, completed, ..
+                } = hb.payload
+                else {
+                    unreachable!("servers send heartbeats")
+                };
+                sampled.push(completed);
+                acks.push(Msg {
+                    deliver_at: hb.deliver_at + ack_delay,
+                    src: 0,
+                    dst: 1,
+                    seq: beat,
+                    payload: ScaleMsg::Ack { beat },
+                });
+            }
+        }
+        let fin = crate::trace::with_tracer(journal.clone(), || {
+            assert!(shard.advance(None, Vec::new()).is_empty());
+            ScaleShard::Server(Box::new(shard)).finish()
+        });
+        let ScaleOut::Server { acks, .. } = fin.output else {
+            unreachable!("a server shard finishes as a server")
+        };
+        assert_eq!(acks, 3);
+        assert_eq!(fin.sim_events, star.shards[1].sim_events);
+        assert_eq!(
+            journal.digest(),
+            star.shards[1].digest,
+            "an ack's journal entry must not depend on where windows cut"
+        );
+        // Each beat sampled the driver at its own time, not at a later ack.
+        let mut reference =
+            crate::trace::with_tracer(Arc::new(JournalTracer::digest_only()), server);
+        let expected: Vec<u64> = reference
+            .heartbeats
+            .clone()
+            .into_iter()
+            .map(|hb| {
+                reference.run_to(hb);
+                reference.driver.processed_events()
+            })
+            .collect();
+        assert_eq!(sampled, expected);
     }
 
     #[test]

@@ -4,21 +4,21 @@
 //! per NVSwitch domain) that advance independently on lane threads.
 //! Cross-shard effects — coordinator RPCs, lease heartbeats, cross-server
 //! transfers — travel as [`Msg`]s through a [`Mailbox`] owned by the
-//! executor. Correctness rests on the classic null-message argument:
+//! executor. Correctness rests on the classic null-message argument of
+//! Chandy–Misra–Bryant conservative PDES:
 //!
 //! * Every cross-shard delivery pays at least the **lookahead** `L`, the
 //!   minimum cross-domain link latency (`deliver_at ≥ send_time + L`).
 //! * Each shard declares a conservative **send horizon**: a lower bound on
 //!   the earliest simulated time at which it could still emit a message.
 //!   A shard that will never send again declares `None`.
-//! * The executor advances every shard to the common window end
-//!   `H = S_min + L`, where `S_min` is the minimum over all shard send
-//!   horizons *and* all still-undelivered message timestamps (delivering a
-//!   message may trigger an immediate reply at its delivery time). Any
-//!   message produced inside the window was sent at `t ≥ S_min`, so it is
-//!   delivered at `t + L ≥ H` — never inside a window a peer has already
-//!   simulated past. When `S_min` is unbounded the shards are decoupled and
-//!   each runs to completion without further barriers.
+//! * Each shard gets its own **bound**: the earliest time any message
+//!   could still reach it, from the horizons of the shards that send to it
+//!   and the undelivered messages that may draw a reply. The executor
+//!   delivers to each shard the mailbox messages due before its bound and
+//!   advances it to that bound, so no message is ever delivered inside a
+//!   window its destination has already simulated past. When no shard has
+//!   a bound left, the shards are decoupled and each runs to completion.
 //!
 //! Determinism does not depend on lane count or thread schedule: the window
 //! sequence is a pure function of the declared horizons and message
@@ -50,7 +50,8 @@ impl<M> Msg<M> {
     }
 }
 
-/// Undelivered cross-shard messages, merged deterministically.
+/// Undelivered cross-shard messages, queued per destination and merged
+/// deterministically.
 ///
 /// # Example
 ///
@@ -61,24 +62,24 @@ impl<M> Msg<M> {
 /// let mut mbox = Mailbox::new(2);
 /// mbox.post(Msg { deliver_at: SimTime::from_secs(3), src: 1, dst: 0, seq: 0, payload: "late" });
 /// mbox.post(Msg { deliver_at: SimTime::from_secs(1), src: 0, dst: 1, seq: 0, payload: "early" });
-/// assert_eq!(mbox.next_time(), Some(SimTime::from_secs(1)));
-/// let inboxes = mbox.deliverable(SimTime::from_secs(2));
+/// assert_eq!(mbox.earliest_from(), vec![Some(SimTime::from_secs(1)), Some(SimTime::from_secs(3))]);
+/// // Shard 0 may take what is due before 2 s; shard 1 everything.
+/// let inboxes = mbox.deliverable(&[Some(SimTime::from_secs(2)), None]);
 /// assert!(inboxes[0].is_empty());
 /// assert_eq!(inboxes[1][0].payload, "early");
-/// assert_eq!(mbox.next_time(), Some(SimTime::from_secs(3)));
+/// assert_eq!(mbox.earliest_from(), vec![None, Some(SimTime::from_secs(3))]);
 /// ```
 #[derive(Debug)]
 pub struct Mailbox<M> {
-    pending: Vec<Msg<M>>,
-    shards: usize,
+    /// Undelivered messages, indexed by destination shard.
+    pending: Vec<Vec<Msg<M>>>,
 }
 
 impl<M> Mailbox<M> {
     /// An empty mailbox routing between `shards` shards.
     pub fn new(shards: usize) -> Self {
         Mailbox {
-            pending: Vec::new(),
-            shards,
+            pending: (0..shards).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -89,53 +90,57 @@ impl<M> Mailbox<M> {
     /// Panics if the destination shard does not exist.
     pub fn post(&mut self, msg: Msg<M>) {
         assert!(
-            msg.dst < self.shards,
+            msg.dst < self.pending.len(),
             "message to unknown shard {}",
             msg.dst
         );
-        self.pending.push(msg);
+        self.pending[msg.dst].push(msg);
     }
 
-    /// Earliest undelivered message timestamp, if any.
-    pub fn next_time(&self) -> Option<SimTime> {
-        self.pending.iter().map(|m| m.deliver_at).min()
+    /// Per source shard, the earliest `deliver_at` among its undelivered
+    /// messages (`None` if it has none in flight).
+    pub fn earliest_from(&self) -> Vec<Option<SimTime>> {
+        let mut earliest = vec![None; self.pending.len()];
+        for msg in self.pending.iter().flatten() {
+            let e = &mut earliest[msg.src];
+            if e.is_none_or(|t| msg.deliver_at < t) {
+                *e = Some(msg.deliver_at);
+            }
+        }
+        earliest
     }
 
     /// Number of undelivered messages.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.pending.iter().map(Vec::len).sum()
     }
 
     /// Returns `true` when nothing is in flight.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.pending.iter().all(Vec::is_empty)
     }
 
-    /// Removes every message with `deliver_at < until` and returns them as
-    /// per-destination inboxes, each sorted by `(deliver_at, src, seq)` —
-    /// the deterministic merge rule that makes delivery order independent
-    /// of lane scheduling.
-    pub fn deliverable(&mut self, until: SimTime) -> Vec<Vec<Msg<M>>> {
-        let mut inboxes: Vec<Vec<Msg<M>>> = (0..self.shards).map(|_| Vec::new()).collect();
-        let mut keep = Vec::with_capacity(self.pending.len());
-        for msg in self.pending.drain(..) {
-            if msg.deliver_at < until {
-                inboxes[msg.dst].push(msg);
-            } else {
-                keep.push(msg);
-            }
-        }
-        self.pending = keep;
-        for inbox in &mut inboxes {
-            inbox.sort_by_key(|m| m.key());
-        }
-        inboxes
-    }
-
-    /// Drains *all* pending messages into sorted inboxes (the final barrier
-    /// of a run, once no shard can send again).
-    pub fn drain_all(&mut self) -> Vec<Vec<Msg<M>>> {
-        self.deliverable(SimTime::MAX)
+    /// Removes, for each destination `d`, every message with
+    /// `deliver_at < until[d]` (all of them when `until[d]` is `None`) and
+    /// returns them as per-destination inboxes, each sorted by
+    /// `(deliver_at, src, seq)` — the deterministic merge rule that makes
+    /// delivery order independent of lane scheduling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `until` does not name one bound per shard.
+    pub fn deliverable(&mut self, until: &[Option<SimTime>]) -> Vec<Vec<Msg<M>>> {
+        assert_eq!(until.len(), self.pending.len(), "one bound per shard");
+        self.pending
+            .iter_mut()
+            .zip(until)
+            .map(|(queue, bound)| {
+                queue.sort_unstable_by_key(Msg::key);
+                let due =
+                    bound.map_or(queue.len(), |b| queue.partition_point(|m| m.deliver_at < b));
+                queue.drain(..due).collect()
+            })
+            .collect()
     }
 }
 
@@ -181,7 +186,7 @@ mod tests {
         mbox.post(msg(10, 1, 0, 1));
         mbox.post(msg(10, 0, 0, 7));
         mbox.post(msg(10, 1, 0, 0));
-        let inboxes = mbox.deliverable(SimTime::from_nanos(60));
+        let inboxes = mbox.deliverable(&[Some(SimTime::from_nanos(60)), None]);
         let keys: Vec<(u64, usize, u64)> = inboxes[0]
             .iter()
             .map(|m| (m.deliver_at.as_nanos(), m.src, m.seq))
@@ -193,15 +198,24 @@ mod tests {
 
     #[test]
     fn deliverable_is_exclusive_of_the_window_end() {
-        let mut mbox = Mailbox::new(1);
-        mbox.post(msg(10, 0, 0, 0));
-        mbox.post(msg(20, 0, 0, 1));
-        let inboxes = mbox.deliverable(SimTime::from_nanos(20));
-        assert_eq!(inboxes[0].len(), 1, "deliver strictly before the barrier");
-        assert_eq!(mbox.len(), 1);
-        assert_eq!(mbox.next_time(), Some(SimTime::from_nanos(20)));
-        let rest = mbox.drain_all();
-        assert_eq!(rest[0].len(), 1);
+        let mut mbox = Mailbox::new(2);
+        mbox.post(msg(10, 1, 0, 0));
+        mbox.post(msg(20, 1, 0, 1));
+        mbox.post(msg(15, 0, 1, 0));
+        // Shard 0's bound is 20 (exclusive); shard 1's is below its message.
+        let bounds = [Some(SimTime::from_nanos(20)), Some(SimTime::from_nanos(15))];
+        let inboxes = mbox.deliverable(&bounds);
+        assert_eq!(inboxes[0].len(), 1, "deliver strictly before the bound");
+        assert!(inboxes[1].is_empty(), "a bound at deliver_at holds it back");
+        assert_eq!(mbox.len(), 2);
+        assert_eq!(
+            mbox.earliest_from(),
+            vec![Some(SimTime::from_nanos(15)), Some(SimTime::from_nanos(20))]
+        );
+        // An unbounded destination takes everything left for it.
+        let rest = mbox.deliverable(&[None, None]);
+        assert_eq!((rest[0].len(), rest[1].len()), (1, 1));
+        assert!(mbox.is_empty());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! executor's conservative null-message windows make the window sequence a
 //! function of the scenario alone, so these tests compare full runs at
 //! `--lanes 1/2/4/8` in-run — no pinned digests, just mutual identity.
-//! Lanes 2 is the calling thread plus one worker.
+//! Lanes 2 is the calling thread plus one worker. The last test pins how
+//! the window count scales with heartbeats and servers.
 
 use aqua_bench::scale_cluster;
 
@@ -76,5 +77,34 @@ aqua_sim::check! {
             assert_eq!(seq.sim_events, par.sim_events);
             assert_eq!(par.audit_violations, 0);
         }
+    }
+}
+
+#[test]
+fn window_count_follows_beats_not_servers() {
+    // The star rule bounds each server by its own heartbeats, so a fixed
+    // per-server trace takes the same windows at 3 servers as at 12: about
+    // two per beat (send, then ack) plus the final one.
+    let run = |servers| {
+        scale_cluster::run_scale(&scale_cluster::ScaleSpec {
+            servers,
+            requests_per_server: 20,
+            rate: 0.1,
+            seed: 3,
+            lanes: 1,
+            audited: false,
+        })
+    };
+    let (small, large) = (run(3), run(12));
+    let beats = small.spec.span_secs() / scale_cluster::HEARTBEAT_PERIOD_SECS;
+    assert!(beats >= 3, "the trace spans several heartbeat periods");
+    assert_eq!(small.windows, large.windows);
+    assert!(
+        small.windows <= 2 * beats + 2,
+        "{} windows for {beats} beats",
+        small.windows
+    );
+    for run in [&small, &large] {
+        assert_eq!(run.messages, 2 * run.spec.servers as u64 * beats);
     }
 }
