@@ -17,7 +17,6 @@
 use aqua_metrics::table::Table;
 use aqua_placer::instance::{ModelSpec, PlacementInstance};
 use aqua_placer::solver::solve_optimal_stats;
-use std::time::Instant;
 
 const GB: u64 = 1 << 30;
 
@@ -78,9 +77,7 @@ pub fn llm_only_instance(gpus: usize) -> PlacementInstance {
 }
 
 /// One measured point. The DP state counts are the deterministic,
-/// machine-independent convergence-cost metric the table reports; the wall
-/// seconds ride along for local inspection (they vary run to run, so the
-/// reproducible output never prints them).
+/// machine-independent convergence-cost metric the table reports.
 #[derive(Debug, Clone, Copy)]
 pub struct ConvergencePoint {
     /// Total GPUs in the cluster.
@@ -97,20 +94,14 @@ pub struct ConvergencePoint {
     pub llm_states: usize,
     /// Server-fill expansions for the LLM-only input.
     pub llm_expansions: u64,
-    /// Wall-clock solve time for the mixed input, seconds.
-    pub mixed_secs: f64,
-    /// Wall-clock solve time for the mixed+LoRA input, seconds.
-    pub lora_secs: f64,
-    /// Wall-clock solve time for the LLM-only input, seconds.
-    pub llm_secs: f64,
 }
 
-fn timed_solve(inst: &PlacementInstance) -> (usize, u64, f64) {
-    let t0 = Instant::now();
+/// Solves `inst` optimally and returns the solver's DP states and
+/// server-fill expansions.
+fn solve_work(inst: &PlacementInstance) -> (usize, u64) {
     let (p, s) = solve_optimal_stats(inst);
-    let secs = t0.elapsed().as_secs_f64();
     p.validate(inst).expect("feasible");
-    (s.dp_states, s.expansions, secs)
+    (s.dp_states, s.expansions)
 }
 
 /// Measures solver convergence across cluster sizes.
@@ -118,9 +109,9 @@ pub fn run(gpu_counts: &[usize]) -> Vec<ConvergencePoint> {
     gpu_counts
         .iter()
         .map(|&gpus| {
-            let (mixed_states, mixed_expansions, mixed_secs) = timed_solve(&mixed_instance(gpus));
-            let (lora_states, lora_expansions, lora_secs) = timed_solve(&mixed_lora_instance(gpus));
-            let (llm_states, llm_expansions, llm_secs) = timed_solve(&llm_only_instance(gpus));
+            let (mixed_states, mixed_expansions) = solve_work(&mixed_instance(gpus));
+            let (lora_states, lora_expansions) = solve_work(&mixed_lora_instance(gpus));
+            let (llm_states, llm_expansions) = solve_work(&llm_only_instance(gpus));
             ConvergencePoint {
                 gpus,
                 mixed_states,
@@ -129,9 +120,6 @@ pub fn run(gpu_counts: &[usize]) -> Vec<ConvergencePoint> {
                 lora_expansions,
                 llm_states,
                 llm_expansions,
-                mixed_secs,
-                lora_secs,
-                llm_secs,
             }
         })
         .collect()

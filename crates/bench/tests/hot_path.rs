@@ -12,7 +12,7 @@
 //! same holds for the steady decode runs a driver hands the gateway, with
 //! no offloader or with an AQUA offloader whose boundaries they skip as
 //! quiet; a driver queues a trace `Driver::schedule_trace` scheduled one
-//! arrival at a time; a scale run's peak heap grows by at most 200 B per
+//! arrival at a time; a scale run's peak heap grows by at most 112 B per
 //! extra request;
 //! a scale-style server idling out a 40,000 s horizon is never ticked (the
 //! driver fast-forwards its no-op tick rounds yet still counts them); an
@@ -442,11 +442,11 @@ fn scale_peak_bytes(per_server: usize) -> (u64, u64) {
 /// completions every window, and each gateway's iteration clock forgets
 /// what no stream can still read. Between 250 and 1,000 chat requests per
 /// server (8 servers, 0.5 req/s; 3,064 and 12,256 requests across the
-/// three tenants), the peak live heap may grow by at most 200 B per extra
-/// request: the trace itself (48 B a request), the tenant map and the
-/// outcome log stay. A driver that queued every arrival (64 B a request)
-/// and servers that kept every completed stream and clock entry to the end
-/// measured 367 B.
+/// three tenants), the peak live heap may grow by at most 112 B per extra
+/// request: the trace itself (48 B a request) and the tenant map stay. A
+/// driver that queued every arrival (64 B a request) and servers that kept
+/// every completed stream and clock entry to the end measured 367 B;
+/// gateways that also kept a ledger entry per request measured 127 B.
 fn assert_scale_memory_per_request_is_bounded() {
     const SMALL: usize = 250;
     const LARGE: usize = 1_000;
@@ -454,13 +454,13 @@ fn assert_scale_memory_per_request_is_bounded() {
     let (large, many) = scale_peak_bytes(LARGE);
     let per_request = large.saturating_sub(small) as f64 / (many - few) as f64;
     assert!(
-        per_request <= 200.0,
+        per_request <= 112.0,
         "an 8-server scale run's peak heap grew {per_request:.0} B per extra request \
-         (bound 200 B): {small} B for {few} requests, {large} B for {many}"
+         (bound 112 B): {small} B for {few} requests, {large} B for {many}"
     );
     eprintln!(
         "hot_path: 8-server scale run: peak heap {small} B for {few} requests, {large} B \
-         for {many}: {per_request:.0} B per extra request (bound 200 B)"
+         for {many}: {per_request:.0} B per extra request (bound 112 B)"
     );
 }
 

@@ -56,7 +56,6 @@ pub struct AdmissionController {
     /// Maximum admitted-but-unfinished requests per tenant.
     max_outstanding: usize,
     outstanding: BTreeMap<u32, usize>,
-    total: usize,
     overload: OverloadPolicy,
     brownout_active: bool,
     /// Estimated KV bytes committed to accepted-but-unretired requests,
@@ -78,7 +77,6 @@ impl AdmissionController {
         AdmissionController {
             max_outstanding,
             outstanding: BTreeMap::new(),
-            total: 0,
             overload: OverloadPolicy::default(),
             brownout_active: false,
             committed_bytes: 0,
@@ -116,7 +114,6 @@ impl AdmissionController {
     /// Records an admission for `tenant`.
     pub fn on_admit(&mut self, tenant: u32) {
         *self.outstanding.entry(tenant).or_insert(0) += 1;
-        self.total += 1;
     }
 
     /// Records a completion for `tenant`.
@@ -127,22 +124,13 @@ impl AdmissionController {
     /// take the whole gateway down with it.
     pub fn on_complete(&mut self, tenant: u32) {
         if let Some(n) = self.outstanding.get_mut(&tenant) {
-            if *n > 0 {
-                *n -= 1;
-                self.total = self.total.saturating_sub(1);
-            }
+            *n = n.saturating_sub(1);
         }
     }
 
     /// Outstanding requests for `tenant`.
     pub fn outstanding(&self, tenant: u32) -> usize {
         self.outstanding.get(&tenant).copied().unwrap_or(0)
-    }
-
-    /// Outstanding requests across all tenants (for watermark checks).
-    #[cfg(test)]
-    fn outstanding_total(&self) -> usize {
-        self.total
     }
 
     /// Records `est_bytes` of estimated KV commitment for an accepted
@@ -253,25 +241,12 @@ mod tests {
         // Unknown tenant: no admission was ever recorded.
         a.on_complete(3);
         assert_eq!(a.outstanding(3), 0);
-        assert_eq!(a.outstanding_total(), 0);
         // Double complete: the second retire is a no-op, not an underflow.
         a.on_admit(0);
         a.on_complete(0);
         a.on_complete(0);
         assert_eq!(a.outstanding(0), 0);
-        assert_eq!(a.outstanding_total(), 0);
         assert!(a.eligible(0));
-    }
-
-    #[test]
-    fn outstanding_total_tracks_all_tenants() {
-        let mut a = AdmissionController::new(4);
-        a.on_admit(0);
-        a.on_admit(0);
-        a.on_admit(1);
-        assert_eq!(a.outstanding_total(), 3);
-        a.on_complete(1);
-        assert_eq!(a.outstanding_total(), 2);
     }
 
     #[test]

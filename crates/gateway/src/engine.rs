@@ -27,9 +27,7 @@
 
 use crate::admission::{AdmissionController, OverloadPolicy};
 use crate::arena::SlotArena;
-use crate::outcome::{
-    DeadlineKind, OutcomeLog, RequestOutcome, SloPolicy, MAX_RETRIES, RETRY_BACKOFF,
-};
+use crate::outcome::{DeadlineKind, OutcomeCounts, SloPolicy, MAX_RETRIES, RETRY_BACKOFF};
 use crate::scheduler::{PolicyKind, Pop, QueuedMeta, Scheduler};
 use aqua_engines::driver::Engine;
 use aqua_engines::gauges::GaugeCache;
@@ -49,7 +47,7 @@ use aqua_sim::gpu::{GpuId, GpuSpec};
 use aqua_sim::link::bytes::gib;
 use aqua_sim::time::SimTime;
 use aqua_telemetry::{null_tracer, trace, Lane, SharedTracer, TraceEvent};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// KV pool a donating engine always retains: the paper's producer LLM
@@ -123,18 +121,21 @@ struct GateSeq {
     /// The iteration-clock runs of the tokens delivered so far, one per
     /// batch residency. Admission opens a run (or restarts a still-empty
     /// one) at the next clock index, and each decode iteration extends the
-    /// last run by one.
+    /// last run by one. Non-empty iff the request has been admitted: it
+    /// then counts against its tenant's outstanding cap until it retires,
+    /// but is never re-gated.
     runs: Vec<Run>,
     prefilled: bool,
     /// KV cache lives in the offload store (swap preemption).
     swapped: bool,
-    /// The request has been admitted before (it counts against its
-    /// tenant's outstanding cap until completion, but is never re-gated).
-    admitted_once: bool,
+    /// GPU crashes that aborted the sequence so far (at most
+    /// `MAX_RETRIES + 1`: the one past the budget retires it).
+    attempts: u8,
     /// Retry backoff: the sequence may not be scheduled before this time.
     eligible_after: SimTime,
     /// The sequence was in flight during a GPU crash and must journal a
-    /// restore event before delivering another token.
+    /// restore event before delivering another token: the gateway's one
+    /// record of a restore debt.
     needs_restore: bool,
 }
 
@@ -268,13 +269,11 @@ pub struct GatewayEngine {
     tracer: SharedTracer,
     scope: Lane,
     gauges: GaugeCache,
-    outcomes: OutcomeLog,
+    outcomes: OutcomeCounts,
     /// GpuCrash windows affecting this gateway's GPU, sorted by start.
     crash_windows: Vec<(SimTime, SimTime)>,
     /// Crash windows already processed by recovery.
     next_crash: usize,
-    /// Crashed sequences that owe a restore event before their next token.
-    crashed_pending_restore: BTreeSet<u64>,
     auditor: Option<SharedAuditor>,
 }
 
@@ -330,10 +329,9 @@ impl GatewayEngine {
             tracer: null_tracer(),
             scope: Lane::from("gateway"),
             gauges: GaugeCache::new("gateway", &GAUGES),
-            outcomes: OutcomeLog::new(),
+            outcomes: OutcomeCounts::default(),
             crash_windows: Vec::new(),
             next_crash: 0,
-            crashed_pending_restore: BTreeSet::new(),
             auditor: None,
             has_deadlines: config.slo.any_deadline(),
             config,
@@ -526,9 +524,10 @@ impl GatewayEngine {
         }
     }
 
-    /// The request-outcome ledger (completed / shed / timed out / aborted).
-    pub fn outcomes(&self) -> &OutcomeLog {
-        &self.outcomes
+    /// How many requests completed, were shed, timed out or were
+    /// crash-aborted, and how many crash aborts hit a running sequence.
+    pub fn outcomes(&self) -> OutcomeCounts {
+        self.outcomes
     }
 
     /// Whether brownout mode is currently engaged.
@@ -546,10 +545,9 @@ impl GatewayEngine {
     /// Releases a sequence's admission slot and KV commitment estimate.
     fn retire(&mut self, seq: &GateSeq) {
         self.admit_memo = None;
+        // Only an admitted sequence has a run.
         if let Some(run) = seq.runs.first() {
             self.release_first_run(run.first);
-        }
-        if seq.admitted_once {
             self.admission.on_complete(seq.tenant);
         }
         let est = self.est_bytes(&seq.life.req);
@@ -565,7 +563,7 @@ impl GatewayEngine {
             prompt_tokens: seq.life.req.prompt_tokens,
             output_tokens: seq.life.req.output_tokens,
             generated: seq.life.generated,
-            admitted_once: seq.admitted_once,
+            admitted_once: !seq.runs.is_empty(),
             eligible_after: seq.eligible_after,
             handle,
         }
@@ -651,15 +649,13 @@ impl GatewayEngine {
                     at: now,
                 }
             );
-            let attempt = self.outcomes.note_retry(id);
+            self.outcomes.retries += 1;
+            victim.attempts += 1;
+            let attempt = u32::from(victim.attempts);
             if attempt > MAX_RETRIES {
-                self.outcomes
-                    .note(id, victim.tenant, RequestOutcome::CrashAborted);
+                self.outcomes.crash_aborted += 1;
                 self.retire(&victim);
-                self.crashed_pending_restore.remove(&id);
             } else {
-                self.outcomes
-                    .note(id, victim.tenant, RequestOutcome::Retried);
                 trace!(
                     self.tracer,
                     TraceEvent::RequestRetried {
@@ -673,7 +669,6 @@ impl GatewayEngine {
                 victim.swapped = false;
                 victim.needs_restore = true;
                 victim.eligible_after = now + RETRY_BACKOFF.backoff_for(attempt);
-                self.crashed_pending_restore.insert(id);
                 // Re-queue as an event: the scheduler parks the victim on
                 // its backoff deadline and files it when due, instead of
                 // the engine re-filtering `eligible_after` every step.
@@ -687,9 +682,8 @@ impl GatewayEngine {
         // needs no index updates.)
         for handle in self.pending.handles() {
             let seq = self.pending.get_mut(handle).expect("handles are live");
-            if seq.swapped && !seq.needs_restore {
+            if seq.swapped {
                 seq.needs_restore = true;
-                self.crashed_pending_restore.insert(seq.life.req.id.0);
             }
         }
     }
@@ -738,10 +732,8 @@ impl GatewayEngine {
                 at: now,
             }
         );
-        self.outcomes
-            .note(id, seq.tenant, RequestOutcome::TimedOut(kind));
+        self.outcomes.timed_out += 1;
         self.retire(&seq);
-        self.crashed_pending_restore.remove(&id);
     }
 
     /// Admits pending requests in scheduler order.
@@ -829,9 +821,8 @@ impl GatewayEngine {
                     at: now,
                 }
             );
-            if !seq.admitted_once {
+            if seq.runs.is_empty() {
                 self.admission.on_admit(seq.tenant);
-                seq.admitted_once = true;
             }
             // The clock holds fewer than `u32::MAX` entries (see `step`).
             let first = self.clock().len() as u32;
@@ -867,7 +858,6 @@ impl GatewayEngine {
                     }
                 );
                 seq.needs_restore = false;
-                self.crashed_pending_restore.remove(&seq.life.req.id.0);
             }
             if seq.swapped {
                 let bytes = self.geom.kv_bytes(seq.life.context_tokens());
@@ -1116,20 +1106,18 @@ impl GatewayEngine {
             );
             seq.life.note_token(end);
             seq.extend_run(1);
-            // The crash-restore invariant: a crashed sequence still in the
-            // pending-restore set at token time means no restore event was
-            // journalled for it. Flag once, then clear so one planted bug
-            // does not flood the journal.
-            let id = seq.life.req.id.0;
-            if !self.crashed_pending_restore.is_empty() && self.crashed_pending_restore.remove(&id)
-            {
+            // The crash-restore invariant: a crashed sequence that still
+            // owes a restore at token time journalled none. Flag once, then
+            // clear so one planted bug does not flood the journal.
+            if seq.needs_restore {
                 if let Some(aud) = &self.auditor {
                     aud.record(AuditViolation::TokenWithoutRestore {
                         gateway: self.scope.to_string(),
-                        request: id,
+                        request: seq.life.req.id.0,
                         at: end,
                     });
                 }
+                seq.needs_restore = false;
             }
             if seq.life.generated == 1 {
                 trace!(
@@ -1151,8 +1139,7 @@ impl GatewayEngine {
             let seq = self.running.remove(i);
             self.kv.free_seq(seq.life.req.id);
             self.retire(&seq);
-            self.outcomes
-                .note(seq.life.req.id.0, seq.tenant, RequestOutcome::Completed);
+            self.outcomes.completed += 1;
             self.scheduler
                 .observe_completion(seq.life.req.prompt_tokens, seq.life.generated);
             trace!(
@@ -1245,20 +1232,22 @@ impl GatewayEngine {
     /// a running sequence still owes, so that none completes in the run.
     ///
     /// Those phases stay no-ops through the run: no informer runs, no
-    /// deadline is enforced, no swap bytes, unprefilled context or owed
-    /// restore exist (only admission, preemption and crashes make them);
-    /// the queue depth and brownout state stay put, so the brownout check
-    /// stays idle; and `admit` stays a no-op because the batch and queue
-    /// keep their sizes and decode only takes free blocks, which keeps the
-    /// memo's bound. A sequence with its first token still to come, or with
-    /// an adapter to keep warm, would make its iterations differ.
+    /// deadline is enforced, no swap bytes or unprefilled context exist
+    /// (only admission, preemption and crashes make them); no running
+    /// sequence owes a restore, since every admission decodes a token in
+    /// the same step, whose audit clears the debt, and a pending sequence
+    /// delivers no token in the run; the queue depth and brownout state
+    /// stay put, so the brownout check stays idle; and `admit` stays a
+    /// no-op because the batch and queue keep their sizes and decode only
+    /// takes free blocks, which keeps the memo's bound. A sequence with
+    /// its first token still to come, or with an adapter to keep warm,
+    /// would make its iterations differ.
     fn steady_span(&self) -> u64 {
         let steady = self.informer.is_none()
             && !self.has_deadlines
             && self.pending_swap_out == 0
             && self.pending_swap_in == 0
             && self.unprefilled_tokens == 0
-            && self.crashed_pending_restore.is_empty()
             && self
                 .admission
                 .brownout_transition(self.pending.len())
@@ -1267,6 +1256,10 @@ impl GatewayEngine {
         if !steady {
             return 0;
         }
+        debug_assert!(
+            self.running.iter().all(|s| !s.needs_restore),
+            "every step pays or audits the restores of its batch"
+        );
         self.running
             .iter()
             .map(|s| match (s.life.generated, s.life.req.adapter) {
@@ -1431,8 +1424,7 @@ impl Engine for GatewayEngine {
                     at: now,
                 }
             );
-            self.outcomes
-                .note(req.id.0, tenant, RequestOutcome::ShedAtAdmission(reason));
+            self.outcomes.shed += 1;
             return;
         }
         self.admission.commit_bytes(est);
@@ -1443,7 +1435,7 @@ impl Engine for GatewayEngine {
             runs: Vec::new(),
             prefilled: false,
             swapped: false,
-            admitted_once: false,
+            attempts: 0,
             eligible_after: SimTime::ZERO,
             needs_restore: false,
         });
@@ -1471,12 +1463,12 @@ impl Engine for GatewayEngine {
     }
 
     /// The default loop, except that whenever the batch is steady (no
-    /// informer, deadline, adapter, swap, prefill or owed restore; nothing
-    /// to admit; every sequence past its first token and short of its last
-    /// two) the following iterations run in a tight loop that skips the
-    /// phases they provably leave unchanged: every other layer sees the
-    /// calls stepping one by one makes, and the gateway ends in the state
-    /// stepping would leave (DESIGN.md §6, "Steady runs").
+    /// informer, deadline, adapter, swap or prefill; nothing to admit;
+    /// every sequence past its first token and short of its last two) the
+    /// following iterations run in a tight loop that skips the phases they
+    /// provably leave unchanged: every other layer sees the calls stepping
+    /// one by one makes, and the gateway ends in the state stepping would
+    /// leave (DESIGN.md §6, "Steady runs").
     fn step_run(
         &mut self,
         mut start: SimTime,
@@ -1569,6 +1561,7 @@ impl MemoryElastic for GatewayEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::ShedReason;
     use aqua_models::zoo;
     use aqua_sim::time::SimDuration;
 
@@ -1615,6 +1608,56 @@ mod tests {
             assert!(guard < 1_000_000, "gateway failed to make progress");
         }
         now
+    }
+
+    /// The request fates a journal holds, in journal order: each fate
+    /// event's name and request id, with the shed reason or missed
+    /// deadline where the event carries one.
+    fn fates(journal: &aqua_telemetry::JournalTracer) -> Vec<(&'static str, u64, String)> {
+        journal
+            .events()
+            .iter()
+            .filter_map(|ev| {
+                let (request, label) = match ev {
+                    TraceEvent::RequestShed {
+                        request, reason, ..
+                    } => (*request, reason.clone()),
+                    TraceEvent::RequestTimedOut {
+                        request, deadline, ..
+                    } => (*request, deadline.clone()),
+                    TraceEvent::GatewayCompleted { request, .. }
+                    | TraceEvent::RequestCrashAborted { request, .. }
+                    | TraceEvent::RequestRetried { request, .. } => (*request, String::new()),
+                    _ => return None,
+                };
+                Some((ev.name(), request, label))
+            })
+            .collect()
+    }
+
+    /// Asserts that every outcome count equals its tally in the journal
+    /// and that each of `submitted` requests landed in exactly one
+    /// terminal count.
+    fn assert_counts_match_journal(
+        e: &GatewayEngine,
+        journal: &aqua_telemetry::JournalTracer,
+        submitted: usize,
+    ) {
+        let fates = fates(journal);
+        let tally = |name: &str| fates.iter().filter(|f| f.0 == name).count();
+        let o = e.outcomes();
+        assert_eq!(o.shed(), tally("request_shed"));
+        assert_eq!(o.timed_out(), tally("request_timed_out"));
+        assert_eq!(o.total_retries(), tally("request_crash_aborted") as u64);
+        assert_eq!(
+            o.crash_aborted(),
+            tally("request_crash_aborted") - tally("request_retried")
+        );
+        assert_eq!(o.completed(), tally("gateway_completed"));
+        assert_eq!(
+            o.completed() + o.shed() + o.timed_out() + o.crash_aborted(),
+            submitted
+        );
     }
 
     #[test]
@@ -1802,8 +1845,9 @@ mod tests {
 
     #[test]
     fn queue_watermark_sheds_at_the_door() {
-        use crate::outcome::ShedReason;
+        use aqua_telemetry::JournalTracer;
 
+        let journal = Arc::new(JournalTracer::new());
         let geom = *zoo::mistral_7b().llm_geometry().unwrap();
         let mut e = GatewayEngine::new(
             geom,
@@ -1817,7 +1861,8 @@ mod tests {
                 },
                 ..GatewayConfig::default()
             },
-        );
+        )
+        .with_tracer(journal.clone(), "gw:shed");
         for i in 0..3 {
             e.submit(InferenceRequest::text(i, 64, 8), SimTime::ZERO);
         }
@@ -1827,17 +1872,24 @@ mod tests {
         assert_eq!(records(&streams).len(), 1);
         assert_eq!(e.outcomes().completed(), 1);
         assert_eq!(e.outcomes().shed(), 2);
+        let shed = ShedReason::QueueDepth.label().to_owned();
         assert_eq!(
-            e.outcomes().of(1),
-            Some(RequestOutcome::ShedAtAdmission(ShedReason::QueueDepth))
+            fates(&journal),
+            [
+                ("request_shed", 1, shed.clone()),
+                ("request_shed", 2, shed),
+                ("gateway_completed", 0, String::new()),
+            ]
         );
+        assert_counts_match_journal(&e, &journal, 3);
         assert_eq!(streams.len(), 1, "shed requests have no stream");
     }
 
     #[test]
     fn kv_cost_budget_sheds_expensive_requests() {
-        use crate::outcome::ShedReason;
+        use aqua_telemetry::JournalTracer;
 
+        let journal = Arc::new(JournalTracer::new());
         let geom = *zoo::mistral_7b().llm_geometry().unwrap();
         let budget = geom.kv_bytes(200);
         let mut e = GatewayEngine::new(
@@ -1852,27 +1904,36 @@ mod tests {
                 },
                 ..GatewayConfig::default()
             },
-        );
+        )
+        .with_tracer(journal.clone(), "gw:kv");
         e.submit(InferenceRequest::text(0, 64, 8), SimTime::ZERO);
         e.submit(InferenceRequest::text(1, 1000, 100), SimTime::ZERO);
-        assert_eq!(
-            e.outcomes().of(1),
-            Some(RequestOutcome::ShedAtAdmission(ShedReason::KvCost))
-        );
+        let shed = ("request_shed", 1, ShedReason::KvCost.label().to_owned());
+        assert_eq!(fates(&journal), std::slice::from_ref(&shed));
         let done_at = run_to_completion(&mut e);
         // The commitment estimate is released on completion: a request
         // that would have blown the budget earlier is now accepted.
         e.submit(InferenceRequest::text(2, 64, 8), done_at);
-        assert_eq!(e.outcomes().of(2), None, "accepted after books drained");
+        assert_eq!(e.outcomes().shed(), 1, "accepted after books drained");
         run_to_completion(&mut e);
         assert_eq!(e.outcomes().completed(), 2);
-        assert_eq!(e.outcomes().shed(), 1);
+        assert_eq!(
+            fates(&journal),
+            [
+                shed,
+                ("gateway_completed", 0, String::new()),
+                ("gateway_completed", 2, String::new()),
+            ]
+        );
+        assert_counts_match_journal(&e, &journal, 3);
     }
 
     #[test]
     fn ttft_deadline_times_out_queued_work() {
         use crate::outcome::{SloPolicy, TenantSlo};
+        use aqua_telemetry::JournalTracer;
 
+        let journal = Arc::new(JournalTracer::new());
         let geom = *zoo::mistral_7b().llm_geometry().unwrap();
         let mut e = GatewayEngine::new(
             geom,
@@ -1886,7 +1947,8 @@ mod tests {
                 }),
                 ..GatewayConfig::default()
             },
-        );
+        )
+        .with_tracer(journal.clone(), "gw:slo");
         // Tenant cap 1: request 1 waits behind request 0, whose multi-second
         // decode blows request 1's one-second TTFT deadline in the queue.
         e.submit(InferenceRequest::text(0, 256, 400), SimTime::ZERO);
@@ -1895,10 +1957,18 @@ mod tests {
         assert_eq!(e.drain_completions().len(), 1);
         assert_eq!(e.outcomes().completed(), 1);
         assert_eq!(e.outcomes().timed_out(), 1);
-        assert!(matches!(
-            e.outcomes().of(1),
-            Some(RequestOutcome::TimedOut(DeadlineKind::Ttft))
-        ));
+        assert_eq!(
+            fates(&journal),
+            [
+                (
+                    "request_timed_out",
+                    1,
+                    DeadlineKind::Ttft.label().to_owned()
+                ),
+                ("gateway_completed", 0, String::new()),
+            ]
+        );
+        assert_counts_match_journal(&e, &journal, 2);
         assert_eq!(e.kv().used_blocks(), 0, "cancelled work freed its KV");
         assert!(!e.has_work());
     }
@@ -1935,8 +2005,13 @@ mod tests {
         let streams = e.drain_streams();
         assert_eq!(records(&streams).len(), 1, "the request survives the crash");
         assert_eq!(streams.streams()[0].tokens.len(), 400, "no truncation");
-        assert_eq!(e.outcomes().of(0), Some(RequestOutcome::Completed));
+        assert_eq!(e.outcomes().completed(), 1);
         assert!(e.outcomes().total_retries() >= 1);
+        assert_eq!(
+            fates(&journal).last(),
+            Some(&("gateway_completed", 0, String::new()))
+        );
+        assert_counts_match_journal(&e, &journal, 1);
 
         let names: Vec<&str> = journal.events().iter().map(|ev| ev.name()).collect();
         for expected in [
@@ -1951,6 +2026,44 @@ mod tests {
             TraceEvent::RequestRestored { mode, .. } if mode == "recompute"
         )));
         assert!(auditor.is_clean(), "restore events satisfy the invariant");
+    }
+
+    /// The retry budget: a request aborted by `MAX_RETRIES` GPU crashes
+    /// still completes, and one aborted once more ends crash-aborted, with
+    /// every abort counted as a retry. Either way each count equals its
+    /// journal tally.
+    #[test]
+    fn retry_budget_bounds_crash_aborts() {
+        use aqua_engines::driver::Driver;
+        use aqua_telemetry::JournalTracer;
+
+        for crashes in [MAX_RETRIES, MAX_RETRIES + 1] {
+            // Four seconds apart, so each crash finds the request readmitted
+            // after its backoff (at most two seconds here).
+            let windows: Vec<(SimTime, SimTime)> = (0..u64::from(crashes))
+                .map(|k| (SimTime::from_secs(1 + 4 * k), SimTime::from_secs(2 + 4 * k)))
+                .collect();
+            let plan = (windows.iter()).fold(FaultPlan::new(), |plan, &(start, end)| {
+                plan.gpu_crash(GpuId(0), start, end)
+            });
+            let journal = Arc::new(JournalTracer::new());
+            let mut e = vllm_engine(gib(20))
+                .with_tracer(journal.clone(), "gw:retry")
+                .with_fault_plan(&plan, GpuId(0));
+            let mut driver = Driver::new();
+            for &(start, end) in &windows {
+                driver.crash_window(0, start, end);
+            }
+            driver.schedule_arrival(0, SimTime::ZERO, InferenceRequest::text(0, 64, 10_000));
+            driver.run(&mut [&mut e as &mut dyn Engine], SimTime::from_secs(10_000));
+            let aborted = crashes > MAX_RETRIES;
+            let o = e.outcomes();
+            assert_eq!(o.total_retries(), u64::from(crashes), "{crashes} crashes");
+            assert_eq!(o.crash_aborted(), usize::from(aborted), "{crashes} crashes");
+            assert_eq!(o.completed(), usize::from(!aborted), "{crashes} crashes");
+            assert_counts_match_journal(&e, &journal, 1);
+            assert!(!e.has_work());
+        }
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   backlog (e.g. batch long-prompt jobs) cannot monopolize the engine,
 //!   plus opt-in overload protection: queue-depth watermarks, KV-cost
 //!   shedding and a hysteresis brownout that throttles batch tenants.
-//! * [`outcome`] — the typed [`outcome::RequestOutcome`] taxonomy
-//!   (completed / shed / timed-out / crash-aborted / retried), per-tenant
-//!   SLO deadlines and the deterministic bounded-retry budget.
+//! * [`outcome`] — per-tenant SLO deadlines, the deterministic
+//!   bounded-retry budget and [`outcome::OutcomeCounts`], the five counts
+//!   (completed, shed, timed out, crash-aborted, retries) a gateway keeps
+//!   of how its requests ended; the journal holds each request's fate.
 //! * [`engine`] — [`engine::GatewayEngine`], the workspace's one
 //!   continuous-batching engine (paged KV admission, youngest-first
 //!   preemption, optional [`aqua_engines::offload::Offloader`] swap path,
@@ -40,9 +41,7 @@ pub mod prelude {
     //! Convenience re-exports.
     pub use crate::admission::{AdmissionController, BrownoutConfig, OverloadPolicy};
     pub use crate::engine::{GatewayConfig, GatewayEngine};
-    pub use crate::outcome::{
-        DeadlineKind, OutcomeLog, RequestOutcome, ShedReason, SloPolicy, TenantSlo,
-    };
+    pub use crate::outcome::{DeadlineKind, OutcomeCounts, ShedReason, SloPolicy, TenantSlo};
     pub use crate::scheduler::{PolicyKind, QueuedMeta, Scheduler};
 }
 

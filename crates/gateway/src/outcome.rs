@@ -1,14 +1,12 @@
-//! Request-level failure semantics: the outcome taxonomy, per-tenant
-//! deadlines and the deterministic retry budget.
+//! Request-level failure semantics: per-tenant deadlines, the
+//! deterministic retry budget and the counts of how requests ended.
 //!
-//! The gateway of PR 6 had exactly one request fate — completion. A front
-//! door for "millions of users" needs more honesty: requests can be
-//! *shed* at the door under overload, *time out* against a tenant SLO,
-//! be *crash-aborted* when a GPU loses their KV state, or be *retried*
-//! from a bounded backoff budget. [`RequestOutcome`] names those fates,
-//! [`SloPolicy`] carries the per-tenant deadlines, `MAX_RETRIES` and
-//! `RETRY_BACKOFF` bound recovery, and [`OutcomeLog`] is the ledger the
-//! experiments read.
+//! Besides completing, a request can be *shed* at the door under overload
+//! ([`ShedReason`]), *time out* against a tenant SLO ([`DeadlineKind`],
+//! [`SloPolicy`]), or be *crash-aborted* when a GPU loses its KV state,
+//! after up to `MAX_RETRIES` re-queues spaced by `RETRY_BACKOFF`. The
+//! journal records each fate under the request's id; the gateway keeps
+//! only [`OutcomeCounts`].
 //!
 //! Everything here is plain data with no clocks or randomness of its own;
 //! outcome decisions are pure functions of simulation time, so runs remain
@@ -54,38 +52,6 @@ impl DeadlineKind {
         match self {
             DeadlineKind::Ttft => "ttft",
             DeadlineKind::Total => "total",
-        }
-    }
-}
-
-/// The fate of one request as seen by the gateway.
-///
-/// `Retried` is the only non-terminal state: a crash-aborted request with
-/// budget left is re-queued and will later resolve to `Completed`,
-/// `TimedOut` or a terminal `CrashAborted`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestOutcome {
-    /// Every output token was delivered.
-    Completed,
-    /// Refused at the door by overload protection.
-    ShedAtAdmission(ShedReason),
-    /// Cancelled after missing a per-tenant deadline.
-    TimedOut(DeadlineKind),
-    /// A GPU crash destroyed its state and the retry budget was exhausted.
-    CrashAborted,
-    /// Crash-aborted but re-queued under the retry budget (non-terminal).
-    Retried,
-}
-
-impl RequestOutcome {
-    /// Stable snake_case label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RequestOutcome::Completed => "completed",
-            RequestOutcome::ShedAtAdmission(_) => "shed_at_admission",
-            RequestOutcome::TimedOut(_) => "timed_out",
-            RequestOutcome::CrashAborted => "crash_aborted",
-            RequestOutcome::Retried => "retried",
         }
     }
 }
@@ -191,86 +157,48 @@ pub(crate) const MAX_RETRIES: u32 = 3;
 /// Base backoff before the first retry becomes eligible.
 pub(crate) const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(500);
 
-/// The ledger of request fates, keyed by request id.
-#[derive(Debug, Clone, Default)]
-pub struct OutcomeLog {
-    outcomes: BTreeMap<u64, (u32, RequestOutcome)>,
-    retries: BTreeMap<u64, u32>,
+/// How the gateway's requests ended, as counts. The journal holds each
+/// request's fate under its id (`gateway_completed`, `request_shed`,
+/// `request_timed_out`, `request_crash_aborted` without a following
+/// `request_retried`); the gateway keeps no per-request record once a
+/// request ends.
+///
+/// Once the gateway has no work left, every submission has landed in
+/// exactly one of completed, shed, timed out and crash-aborted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OutcomeCounts {
+    pub(crate) completed: usize,
+    pub(crate) shed: usize,
+    pub(crate) timed_out: usize,
+    pub(crate) crash_aborted: usize,
+    pub(crate) retries: u64,
 }
 
-impl OutcomeLog {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        OutcomeLog::default()
-    }
-
-    /// Records the latest outcome for a request. Later notes overwrite
-    /// earlier ones: a `Retried` request that finishes ends `Completed`.
-    pub fn note(&mut self, id: u64, tenant: u32, outcome: RequestOutcome) {
-        self.outcomes.insert(id, (tenant, outcome));
-    }
-
-    /// Bumps and returns the 1-based retry attempt count for a request.
-    pub fn note_retry(&mut self, id: u64) -> u32 {
-        let n = self.retries.entry(id).or_insert(0);
-        *n += 1;
-        *n
-    }
-
-    /// Retry attempts recorded for a request so far.
-    #[cfg(test)]
-    fn retries_of(&self, id: u64) -> u32 {
-        self.retries.get(&id).copied().unwrap_or(0)
-    }
-
-    /// The latest outcome of a request, if any was recorded.
-    pub fn of(&self, id: u64) -> Option<RequestOutcome> {
-        self.outcomes.get(&id).map(|(_, o)| *o)
-    }
-
-    /// Number of requests whose latest outcome matches `pred`.
-    fn count_where(&self, pred: impl Fn(RequestOutcome) -> bool) -> usize {
-        self.outcomes.values().filter(|(_, o)| pred(*o)).count()
-    }
-
+impl OutcomeCounts {
     /// Requests shed at admission.
     pub fn shed(&self) -> usize {
-        self.count_where(|o| matches!(o, RequestOutcome::ShedAtAdmission(_)))
+        self.shed
     }
 
     /// Requests cancelled on a deadline.
     pub fn timed_out(&self) -> usize {
-        self.count_where(|o| matches!(o, RequestOutcome::TimedOut(_)))
+        self.timed_out
     }
 
     /// Requests terminally crash-aborted.
     pub fn crash_aborted(&self) -> usize {
-        self.count_where(|o| matches!(o, RequestOutcome::CrashAborted))
+        self.crash_aborted
     }
 
     /// Requests that completed.
     pub fn completed(&self) -> usize {
-        self.count_where(|o| matches!(o, RequestOutcome::Completed))
+        self.completed
     }
 
-    /// Total retry attempts across all requests.
+    /// GPU-crash aborts across all requests, the terminal ones included:
+    /// each crash that hits a running sequence counts once.
     pub fn total_retries(&self) -> u64 {
-        self.retries.values().map(|&n| u64::from(n)).sum()
-    }
-
-    /// Iterates `(id, tenant, outcome)` in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u32, RequestOutcome)> + '_ {
-        self.outcomes.iter().map(|(&id, &(t, o))| (id, t, o))
-    }
-
-    /// Number of requests with a recorded outcome.
-    pub fn len(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// Whether the ledger is empty.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
+        self.retries
     }
 }
 
@@ -280,15 +208,6 @@ mod tests {
 
     #[test]
     fn outcome_labels() {
-        assert_eq!(RequestOutcome::Completed.label(), "completed");
-        assert_eq!(
-            RequestOutcome::ShedAtAdmission(ShedReason::KvCost).label(),
-            "shed_at_admission"
-        );
-        assert_eq!(
-            RequestOutcome::TimedOut(DeadlineKind::Ttft).label(),
-            "timed_out"
-        );
         assert_eq!(ShedReason::Brownout.label(), "brownout");
         assert_eq!(DeadlineKind::Total.label(), "total");
     }
@@ -324,31 +243,5 @@ mod tests {
         assert!(policy.any_deadline());
         assert_eq!(policy.of(0), TenantSlo::none());
         assert!(policy.of(2).ttft.is_some());
-    }
-
-    #[test]
-    fn ledger_overwrites_and_counts() {
-        let mut log = OutcomeLog::new();
-        log.note(1, 0, RequestOutcome::Retried);
-        assert_eq!(log.note_retry(1), 1);
-        assert_eq!(log.note_retry(1), 2);
-        log.note(1, 0, RequestOutcome::Completed);
-        log.note(
-            2,
-            2,
-            RequestOutcome::ShedAtAdmission(ShedReason::QueueDepth),
-        );
-        log.note(3, 0, RequestOutcome::TimedOut(DeadlineKind::Ttft));
-        log.note(4, 0, RequestOutcome::CrashAborted);
-        assert_eq!(log.of(1), Some(RequestOutcome::Completed));
-        assert_eq!(log.completed(), 1);
-        assert_eq!(log.shed(), 1);
-        assert_eq!(log.timed_out(), 1);
-        assert_eq!(log.crash_aborted(), 1);
-        assert_eq!(log.total_retries(), 2);
-        assert_eq!(log.retries_of(1), 2);
-        assert_eq!(log.retries_of(9), 0);
-        assert_eq!(log.len(), 4);
-        assert_eq!(log.iter().count(), 4);
     }
 }

@@ -5,8 +5,10 @@
 //! default steps it one call at a time, as the benchmark's `TimedEngine`
 //! does). Each case draws a policy, a preemption mode, a GPU crash
 //! window, SLO deadlines, brownout and a donating informer, and compares
-//! the journal digest, every token time of every stream, the outcomes, the
-//! gateway's counters and the driver's event count, clock and next seq.
+//! the journal digest, every token time of every stream, the outcome
+//! counts, the gateway's counters and the driver's event count, clock and
+//! next seq. The digest covers each request's fate, which the journal
+//! records under its id.
 
 use aqua_engines::driver::{Driver, Engine};
 use aqua_engines::northbound::{Informer, MemoryElastic};
@@ -83,7 +85,7 @@ impl Informer for Donor {
 struct Observed {
     digest: u64,
     streams: aqua_metrics::streaming::StreamLog,
-    outcomes: Vec<(u64, u32, aqua_gateway::outcome::RequestOutcome)>,
+    outcomes: aqua_gateway::outcome::OutcomeCounts,
     iterations: u64,
     preemptions: u64,
     lora_cache: (u64, u64),
@@ -117,7 +119,7 @@ fn drive(
     Observed {
         digest: journal.digest(),
         streams: gateway.drain_streams(),
-        outcomes: gateway.outcomes().iter().collect(),
+        outcomes: gateway.outcomes(),
         iterations: gateway.iterations(),
         preemptions: gateway.preemptions(),
         lora_cache: gateway.lora_cache_stats(),

@@ -7,8 +7,10 @@
 //! Cases add what makes boundaries loud: coordinator watchdogs, an
 //! auditor, a coordinator crash from a fault plan, and a reclaim of the
 //! peer lease between two `run` windows (which strands the swapped bytes
-//! in DRAM until a new lease takes them back). The journal digest, the streams, the outcomes, the gateway's
-//! counters and the coordinator's book revision and epoch must agree.
+//! in DRAM until a new lease takes them back). The journal digest (which
+//! covers each request's fate), the streams, the outcome counts, the
+//! gateway's counters and the coordinator's book revision and epoch must
+//! agree.
 
 use aqua::core::coordinator::{FailureConfig, GpuRef};
 use aqua::engines::driver::{Driver, Engine};
@@ -80,7 +82,7 @@ struct Loud {
 struct Observed {
     digest: u64,
     streams: StreamLog,
-    outcomes: Vec<(u64, u32, aqua::gateway::outcome::RequestOutcome)>,
+    outcomes: aqua::gateway::outcome::OutcomeCounts,
     iterations: u64,
     preemptions: u64,
     swapped_bytes: u64,
@@ -171,7 +173,7 @@ fn serve(loud: Loud, per_step: bool) -> (Observed, GatewayEngine) {
     let observed = Observed {
         digest: journal.digest(),
         streams: gateway.drain_streams(),
-        outcomes: gateway.outcomes().iter().collect(),
+        outcomes: gateway.outcomes(),
         iterations: gateway.iterations(),
         preemptions: gateway.preemptions(),
         swapped_bytes: gateway.swapped_bytes_total(),
