@@ -32,8 +32,9 @@ use aqua_sim::audit::SharedAuditor;
 use aqua_sim::fault::FaultPlan;
 use aqua_sim::gpu::GpuId;
 use aqua_sim::time::SimTime;
-use aqua_telemetry::{JournalTracer, SharedTracer};
+use aqua_telemetry::{SharedTracer, TraceEvent, Tracer};
 use aqua_workloads::longprompt::long_prompt_trace;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The chaos timeline (seconds).
@@ -266,27 +267,57 @@ fn run_dram_baseline(tl: &ChaosTimeline, sample_secs: u64) -> f64 {
     .unwrap_or(0.0)
 }
 
+/// The faulted run's tracer: forwards every event to `sink` and counts
+/// the four the report's `counters` row prints, so the row covers this run
+/// alone whatever journal `sink` is.
+#[derive(Debug)]
+struct RowCounter {
+    sink: SharedTracer,
+    /// Lease expirations, failovers, retries, degraded-mode entries.
+    counts: [AtomicU64; 4],
+}
+
+impl Tracer for RowCounter {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn emit(&self, event: TraceEvent) {
+        let slot = match &event {
+            TraceEvent::LeaseExpired { .. } => Some(0),
+            TraceEvent::FailoverEngaged { .. } => Some(1),
+            TraceEvent::TransferRetried { .. } => Some(2),
+            TraceEvent::DegradedMode { state, .. } if state == "enter" => Some(3),
+            _ => None,
+        };
+        if let Some(slot) = slot {
+            self.counts[slot].fetch_add(1, Ordering::Relaxed);
+        }
+        self.sink.emit(event);
+    }
+}
+
 /// Runs the chaos experiment end to end: traced run, DRAM baseline, and
 /// the robustness counters.
 pub fn run(tl: &ChaosTimeline, sample_secs: u64) -> ChaosReport {
-    // With a sweep-point override or `AQUA_TRACE` active, journal the
-    // faulted run into that capture so the exported trace and digest
-    // witness the fault cascade; otherwise keep a private journal (the
-    // counters need one either way).
-    let journal = match crate::trace::active_journal() {
-        Some(j) => j,
-        None => Arc::new(JournalTracer::new()),
-    };
-    let chaos = run_traced(tl, sample_secs, journal.clone(), None);
-    let reg = journal.registry();
+    // With a sweep-point override or `AQUA_TRACE` active, the faulted run
+    // journals into that capture so the exported trace and digest witness
+    // the fault cascade; otherwise its events are counted and dropped.
+    let row = Arc::new(RowCounter {
+        sink: crate::trace::tracer(),
+        counts: Default::default(),
+    });
+    let chaos = run_traced(tl, sample_secs, row.clone(), None);
+    let [lease_expirations, failovers, retries, degraded_entries] =
+        row.counts.each_ref().map(|c| c.load(Ordering::Relaxed));
     ChaosReport {
         chaos,
         dram_baseline_tput: run_dram_baseline(tl, sample_secs),
         nofault_recovery_tput: run_nofault_recovery(tl, sample_secs),
-        lease_expirations: reg.counter("coordinator.lease_expirations"),
-        failovers: reg.counter("offloader.failovers"),
-        retries: reg.counter("offloader.retries"),
-        degraded_entries: reg.counter("offloader.degraded_entries"),
+        lease_expirations,
+        failovers,
+        retries,
+        degraded_entries,
     }
 }
 
@@ -364,6 +395,7 @@ pub fn repro_points(_a: &crate::runner::ReproArgs) -> Vec<crate::runner::ReproPo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aqua_telemetry::JournalTracer;
 
     #[test]
     fn producer_crash_degrades_then_recovers() {
@@ -398,6 +430,29 @@ mod tests {
         );
         assert!(!table(&r).is_empty());
         assert!(!summary_table(&r).is_empty());
+    }
+
+    #[test]
+    fn counters_row_counts_only_its_own_run() {
+        let journal = Arc::new(JournalTracer::digest_only());
+        let counts = |r: &ChaosReport| {
+            (
+                r.lease_expirations,
+                r.failovers,
+                r.retries,
+                r.degraded_entries,
+            )
+        };
+        let (first, second) = crate::trace::with_tracer(journal.clone(), || {
+            let tl = ChaosTimeline::default();
+            (run(&tl, 10), run(&tl, 10))
+        });
+        assert_eq!(counts(&first), (1, 3, 6, 1));
+        assert_eq!(counts(&second), (1, 3, 6, 1));
+        assert!(
+            !journal.is_empty(),
+            "the faulted runs journal into the capture"
+        );
     }
 
     #[test]

@@ -331,10 +331,11 @@ impl Coordinator {
         }
     }
 
-    /// Attaches a tracer. Verb invocations feed always-on counters
-    /// (`coordinator.*`); the timed lease/reclaim events are emitted by the
-    /// callers that own the simulation clock (informers and offloaders) —
-    /// most verbs, like their REST originals, carry no timestamp.
+    /// Attaches a tracer. The coordinator journals its own fault paths
+    /// (crashes, stale epochs, partitions, revocations); the timed
+    /// lease/reclaim events are emitted by the callers that own the
+    /// simulation clock (informers and offloaders) — most verbs, like their
+    /// REST originals, carry no timestamp.
     pub fn set_tracer(&self, tracer: SharedTracer) {
         *self.tracer.borrow_mut() = tracer;
     }
@@ -364,7 +365,6 @@ impl Coordinator {
     /// that later names the lease is rejected with
     /// [`AquaError::StaleEpoch`] once a crash bumps it.
     pub fn lease(&self, producer: GpuRef, bytes: u64) -> LeaseId {
-        self.tracer().incr("coordinator.lease", 1);
         let mut st = self.state.borrow_mut();
         let epoch = st.epoch;
         // Extend an existing live lease from the same producer if present
@@ -469,6 +469,12 @@ impl Coordinator {
         self.state.borrow().down
     }
 
+    /// The last heartbeat stamped on `lease`: what the TTL sweep reads.
+    #[cfg(test)]
+    pub(crate) fn last_heartbeat(&self, lease: LeaseId) -> Option<SimTime> {
+        self.state.borrow().leases.get(&lease)?.last_heartbeat
+    }
+
     /// `(recovered_at, first_regrant_at)` of the most recent crash — the
     /// experiment's time-to-first-regrant metric once both are `Some`.
     pub fn recovery_metrics(&self) -> (Option<SimTime>, Option<SimTime>) {
@@ -509,7 +515,6 @@ impl Coordinator {
             st.last_advance = None;
         }
         let tracer = self.tracer();
-        tracer.incr("coordinator.crashes", 1);
         trace!(
             tracer,
             TraceEvent::CoordinatorCrashed {
@@ -537,9 +542,10 @@ impl Coordinator {
             st.recovered_at = Some(at);
             epoch = st.epoch;
         }
-        let tracer = self.tracer();
-        tracer.incr("coordinator.recoveries", 1);
-        trace!(tracer, TraceEvent::CoordinatorRecovered { epoch, at });
+        trace!(
+            self.tracer(),
+            TraceEvent::CoordinatorRecovered { epoch, at }
+        );
     }
 
     /// Down/epoch fencing shared by every verb that names an epoch: `Err`
@@ -551,18 +557,16 @@ impl Coordinator {
         Ok(())
     }
 
-    /// The fence's error, off the hot path. A stale epoch is journaled
-    /// (counter + `stale_epoch_rejected`).
+    /// The fence's error, off the hot path. A stale epoch is journaled as
+    /// `stale_epoch_rejected`.
     #[cold]
     fn reject(&self, st: &State, verb: &str, held: u64, at: SimTime) -> AquaError {
         if st.down {
             return AquaError::ServiceUnavailable;
         }
         let current = st.epoch;
-        let tracer = self.tracer();
-        tracer.incr("coordinator.stale_epoch_rejections", 1);
         trace!(
-            tracer,
+            self.tracer(),
             TraceEvent::StaleEpochRejected {
                 verb: verb.to_owned(),
                 held,
@@ -626,7 +630,6 @@ impl Coordinator {
         report_epoch: u64,
         at: SimTime,
     ) -> LeaseId {
-        self.tracer().incr("coordinator.resync", 1);
         let mut violations: Vec<AuditViolation> = Vec::new();
         let id;
         {
@@ -681,7 +684,6 @@ impl Coordinator {
     /// current-epoch lease; `None` when the producer has not resynced yet or
     /// lacks room — the caller must then migrate the bytes to DRAM.
     pub fn rehome(&self, producer: GpuRef, bytes: u64, now: SimTime) -> Option<LeaseId> {
-        self.tracer().incr("coordinator.rehome", 1);
         let lease;
         {
             let mut st = self.state.borrow_mut();
@@ -774,7 +776,6 @@ impl Coordinator {
                 FaultKind::Partition { split } => {
                     let tracer = self.tracer();
                     if is_end {
-                        tracer.incr("coordinator.partitions_healed", 1);
                         trace!(
                             tracer,
                             TraceEvent::PartitionHealed {
@@ -783,7 +784,6 @@ impl Coordinator {
                             }
                         );
                     } else {
-                        tracer.incr("coordinator.partitions", 1);
                         trace!(
                             tracer,
                             TraceEvent::PartitionStarted {
@@ -800,7 +800,7 @@ impl Coordinator {
 
     /// `/heartbeat`: a producer proves it is alive at `now`, presenting the
     /// epoch it believes is current. Stamps every live lease of `producer`.
-    /// Cheap and journal-silent (counter only), so informers can call it
+    /// Cheap and journal-silent, so informers can call it
     /// every control tick. A stale liveness proof is worse than none — a
     /// pre-crash heartbeat must never keep a rebuilt lease alive.
     ///
@@ -814,7 +814,6 @@ impl Coordinator {
         {
             let mut st = self.state.borrow_mut();
             self.fence(&st, "heartbeat", epoch, now)?;
-            self.tracer().incr("coordinator.heartbeat", 1);
             for l in st.leases.values_mut() {
                 if l.producer == producer && !l.revoked {
                     if l.last_heartbeat.is_some_and(|prev| now < prev) {
@@ -964,12 +963,6 @@ impl Coordinator {
         if revoked > 0 {
             let tracer = self.tracer();
             for ev in events {
-                match &ev {
-                    TraceEvent::LeaseExpired { .. } => {
-                        tracer.incr("coordinator.lease_expirations", 1)
-                    }
-                    _ => tracer.incr("coordinator.forced_revocations", 1),
-                }
                 trace!(tracer, ev);
             }
         }
@@ -989,7 +982,6 @@ impl Coordinator {
     /// context. Prefers the paired producer's lease (or, unpaired, the
     /// least-loaded same-server lease with room); otherwise DRAM.
     pub fn allocate(&self, consumer: GpuRef, bytes: u64) -> AllocationSite {
-        self.tracer().incr("coordinator.allocate", 1);
         let mut st = self.state.borrow_mut();
         let paired = st.pairings.get(&consumer).copied();
         // Deterministic choice: least-loaded lease, ties by id (the first
@@ -1069,7 +1061,6 @@ impl Coordinator {
     /// caller's bytes are already gone in the revoked and stale cases, and
     /// an over-free is a double free.
     pub fn free_at(&self, lease: LeaseId, bytes: u64, now: SimTime) -> Result<(), AquaError> {
-        self.tracer().incr("coordinator.free", 1);
         self.free_inner("free", lease, bytes, now)
     }
 
@@ -1134,7 +1125,6 @@ impl Coordinator {
     /// reclaim deadline immediately; consumers observe the reclaim at their
     /// next `respond()` boundary.
     pub fn reclaim_request(&self, producer: GpuRef, now: SimTime) {
-        self.tracer().incr("coordinator.reclaim_request", 1);
         let mut st = self.state.borrow_mut();
         st.revision += 1;
         let deadline = st.failure_config.reclaim_deadline;
@@ -1168,10 +1158,8 @@ impl Coordinator {
     /// unknown lease, revoked lease (the bytes were already handed back by
     /// a forced revocation), or an over-release.
     pub fn release(&self, lease: LeaseId, bytes: u64, at: SimTime) -> Result<(), AquaError> {
-        let tracer = self.tracer();
-        tracer.incr("coordinator.release", 1);
         trace!(
-            tracer,
+            self.tracer(),
             TraceEvent::CoordinatorVerb {
                 verb: "release".to_owned(),
                 detail: format!("lease={lease} bytes={bytes}"),
@@ -1423,26 +1411,6 @@ mod tests {
     }
 
     #[test]
-    fn verbs_feed_the_counter_registry() {
-        let journal = Arc::new(aqua_telemetry::JournalTracer::new());
-        let c = Coordinator::new();
-        c.set_tracer(journal.clone());
-        let (consumer, producer) = refs();
-        let lease = c.lease(producer, 100);
-        c.allocate(consumer, 60);
-        c.reclaim_request(producer, SimTime::ZERO);
-        c.release(lease, 60, SimTime::from_secs(1)).unwrap();
-        let reg = journal.registry();
-        assert_eq!(reg.counter("coordinator.lease"), 1);
-        assert_eq!(reg.counter("coordinator.allocate"), 1);
-        assert_eq!(reg.counter("coordinator.reclaim_request"), 1);
-        assert_eq!(reg.counter("coordinator.release"), 1);
-        // release is the one verb that carries simulated time, so it also
-        // lands in the journal.
-        assert_eq!(journal.len(), 1);
-    }
-
-    #[test]
     fn free_errors_instead_of_panicking() {
         use crate::error::AquaError;
 
@@ -1536,10 +1504,7 @@ mod tests {
         assert!(!c.try_allocate_on(lease, 1), "revoked lease takes nothing");
         // A dead producer gets no Released report.
         assert_eq!(c.reclaim_status(producer), ReclaimStatus::None);
-        assert_eq!(
-            journal.registry().counter("coordinator.lease_expirations"),
-            1
-        );
+        assert_eq!(crate::tally(&journal, "lease_expired"), 1);
         assert!(journal
             .events()
             .iter()
@@ -1574,10 +1539,7 @@ mod tests {
             ReclaimStatus::Released { bytes: 100, .. }
         ));
         assert_eq!(c.reclaim_status(producer), ReclaimStatus::None);
-        assert_eq!(
-            journal.registry().counter("coordinator.forced_revocations"),
-            1
-        );
+        assert_eq!(crate::tally(&journal, "lease_force_revoked"), 1);
         // A release arriving after the revocation is an error, not a panic.
         assert_eq!(
             c.release(lease, 70, SimTime::from_secs(80)),
@@ -1718,8 +1680,8 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(journal.registry().counter("coordinator.crashes"), 1);
-        assert_eq!(journal.registry().counter("coordinator.recoveries"), 1);
+        assert_eq!(crate::tally(&journal, "coordinator_crashed"), 1);
+        assert_eq!(crate::tally(&journal, "coordinator_recovered"), 1);
     }
 
     /// Every fenced verb, handed a lease minted before a crash (or that
@@ -1808,12 +1770,7 @@ mod tests {
                 ),
                 "{verb}: {rejections:?}"
             );
-            assert_eq!(
-                journal
-                    .registry()
-                    .counter("coordinator.stale_epoch_rejections"),
-                1
-            );
+            assert_eq!(crate::tally(&journal, "stale_epoch_rejected"), 1);
             // A current-epoch handle passes the fence.
             assert!(c.free_at(fresh, 10, SimTime::from_secs(8)).is_ok());
         }
@@ -2011,11 +1968,8 @@ mod tests {
                 "partition_healed",
             ]
         );
-        assert_eq!(journal.registry().counter("coordinator.partitions"), 1);
-        assert_eq!(
-            journal.registry().counter("coordinator.partitions_healed"),
-            1
-        );
+        assert_eq!(crate::tally(&journal, "partition_started"), 1);
+        assert_eq!(crate::tally(&journal, "partition_healed"), 1);
     }
 
     /// The five calls an iteration boundary made before `boundary`

@@ -71,3 +71,10 @@ pub mod prelude {
 }
 
 pub use prelude::*;
+
+/// How many of `journal`'s events are named `name` (tests tally the
+/// journal instead of keeping counters beside it).
+#[cfg(test)]
+fn tally(journal: &aqua_telemetry::JournalTracer, name: &str) -> usize {
+    journal.events().iter().filter(|e| e.name() == name).count()
+}

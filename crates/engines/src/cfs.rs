@@ -143,9 +143,8 @@ impl CfsEngine {
         }
     }
 
-    /// Attaches a tracer; every slice becomes a [`TraceEvent::SliceFinished`]
-    /// and context switching feeds the `cfs.*` counters. `scope` labels this
-    /// engine's events (e.g. `"cfs:s0/gpu0"`).
+    /// Attaches a tracer; every slice becomes a [`TraceEvent::SliceFinished`].
+    /// `scope` labels this engine's events (e.g. `"cfs:s0/gpu0"`).
     pub fn with_tracer(mut self, tracer: SharedTracer, scope: impl Into<String>) -> Self {
         self.tracer = tracer;
         self.scope = scope.into();
@@ -309,13 +308,6 @@ impl Engine for CfsEngine {
         }
         let in_done = self.offloader.swap_in(bytes_in, chunks_in, now);
         self.swapped_bytes += bytes_out + bytes_in;
-        if chunks_out > 0 {
-            self.tracer.incr(
-                "cfs.context_switches_out",
-                chunks_out / (2 * self.geom.layers),
-            );
-        }
-        self.tracer.incr("cfs.swapped_bytes", bytes_out + bytes_in);
 
         // Compute starts once incoming context has landed; outgoing copies
         // overlap on the other link direction but must also finish before
@@ -625,10 +617,7 @@ mod tests {
                 assert!(end >= start);
             }
         }
-        assert_eq!(
-            journal.registry().counter("cfs.swapped_bytes"),
-            e.swapped_bytes()
-        );
+        assert!(e.swapped_bytes() > 0, "12 sequences over 5 slots page");
         assert!(events.iter().any(
             |ev| matches!(ev, TraceEvent::Gauge { name, .. } if name == "cfs:test.outstanding")
         ));

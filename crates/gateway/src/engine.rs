@@ -988,7 +988,6 @@ impl GatewayEngine {
             }
             self.kv.free_seq(victim.life.req.id);
             self.preemptions += 1;
-            self.tracer.incr("gateway.preemptions", 1);
             let swapping =
                 self.config.preemption == PreemptionPolicy::Swap && self.offloader.is_some();
             trace!(
@@ -1542,7 +1541,6 @@ impl MemoryElastic for GatewayEngine {
         self.admit_memo = None;
         let granted = self.kv.donate_bytes(bytes.min(max_donation));
         self.donated_bytes += granted;
-        self.tracer.incr("gateway.donated_bytes", granted);
         granted
     }
 
@@ -1554,7 +1552,6 @@ impl MemoryElastic for GatewayEngine {
         self.admit_memo = None;
         self.kv.reclaim_bytes(bytes);
         self.donated_bytes -= bytes;
-        self.tracer.incr("gateway.reclaimed_bytes", bytes);
     }
 }
 
@@ -2583,17 +2580,15 @@ mod tests {
             admissions >= 2,
             "both requests admitted (plus re-admissions)"
         );
-        assert!(events.iter().any(|e| matches!(
-            e,
-            TraceEvent::RequestPreempted { policy, .. } if policy == "recompute"
-        )));
+        let preempted = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::RequestPreempted { policy, .. } if policy == "recompute"))
+            .count() as u64;
+        assert!(preempted > 0);
+        assert_eq!(preempted, e.preemptions());
         assert!(events.iter().any(
             |e| matches!(e, TraceEvent::Gauge { name, .. } if name == "vllm:test.queue_depth")
         ));
-        assert_eq!(
-            journal.registry().counter("gateway.preemptions"),
-            e.preemptions()
-        );
     }
 
     /// Every stream's delivery times are the clock entries of its runs, in

@@ -339,7 +339,6 @@ impl Auditor {
 
     /// Records a violation and journals it as a trace event.
     pub fn record(&self, v: AuditViolation) {
-        self.tracer.incr("audit.violations", 1);
         trace!(self.tracer, v.to_event());
         self.violations.borrow_mut().push(v);
     }

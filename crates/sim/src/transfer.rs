@@ -18,7 +18,7 @@ use crate::fault::FaultPlan;
 use crate::link::BandwidthModel;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkPath, PortId};
-use aqua_telemetry::{null_tracer, trace, Lane, SharedTracer, TraceEvent};
+use aqua_telemetry::{null_tracer, Lane, SharedTracer, TraceEvent};
 use std::sync::Arc;
 
 /// The shape of a data movement: one big copy, or many small ones.
@@ -182,7 +182,6 @@ struct PortStats {
     bytes: u64,
     busy_time: SimDuration,
     lane: Option<Lane>,
-    byte_counter: Option<String>,
 }
 
 impl PortStats {
@@ -190,12 +189,6 @@ impl PortStats {
     fn lane(&mut self, port: PortId) -> &Lane {
         self.lane
             .get_or_insert_with(|| Lane::from(port.to_string()))
-    }
-
-    /// The per-lane byte-counter name for `port`, rendered on first use.
-    fn byte_counter(&mut self, port: PortId) -> &str {
-        self.byte_counter
-            .get_or_insert_with(|| format!("link.bytes.{port}"))
     }
 }
 
@@ -324,18 +317,14 @@ impl TransferEngine {
         if let Some(port) = path.ports.iter().find(|p| faults.port_down(**p, start)) {
             let port = *port;
             if traced {
-                self.tracer.incr("transfer.aborts", 1);
                 let lane = self.stats_mut(port).lane(port).clone();
-                trace!(
-                    self.tracer,
-                    TraceEvent::TransferAborted {
-                        server: self.server,
-                        lane,
-                        bytes: plan.total_bytes(),
-                        partial: 0,
-                        at: start,
-                    }
-                );
+                self.tracer.emit(TraceEvent::TransferAborted {
+                    server: self.server,
+                    lane,
+                    bytes: plan.total_bytes(),
+                    partial: 0,
+                    at: start,
+                });
             }
             return Err(TransferError::PathDown { port, at: start });
         }
@@ -358,30 +347,20 @@ impl TransferEngine {
         } else {
             (bytes as u128 * elapsed.as_nanos() as u128 / wire_time.as_nanos() as u128) as u64
         };
-        if traced {
-            self.tracer.incr("transfer.aborts", 1);
-            self.tracer.incr("transfer.partial_bytes", partial);
-            let tracer = self.tracer.clone();
-            for &p in &path.ports {
-                let stats = self.stats_mut(p);
-                stats.busy_until = cut_at;
-                stats.bytes += partial;
-                stats.busy_time += elapsed;
+        for &p in &path.ports {
+            let stats = self.stats_mut(p);
+            stats.busy_until = cut_at;
+            stats.bytes += partial;
+            stats.busy_time += elapsed;
+            if traced {
                 let lane = stats.lane(p).clone();
-                tracer.emit(TraceEvent::TransferAborted {
+                self.tracer.emit(TraceEvent::TransferAborted {
                     server: self.server,
                     lane,
                     bytes,
                     partial,
                     at: cut_at,
                 });
-            }
-        } else {
-            for &p in &path.ports {
-                let stats = self.stats_mut(p);
-                stats.busy_until = cut_at;
-                stats.bytes += partial;
-                stats.busy_time += elapsed;
             }
         }
         Err(TransferError::Aborted {
@@ -419,8 +398,8 @@ impl TransferEngine {
     ///
     /// This is the hottest line in the simulator: one dense-slot update per
     /// port per transfer, and — untraced — zero allocations and zero virtual
-    /// tracer calls. Traced runs reuse the per-port interned [`Lane`] and
-    /// byte-counter label instead of re-rendering them per transfer.
+    /// tracer calls. Traced runs reuse the per-port interned [`Lane`]
+    /// instead of re-rendering it per transfer.
     fn commit(
         &mut self,
         path: &LinkPath,
@@ -462,31 +441,28 @@ impl TransferEngine {
                 }
             }
         }
-        if self.tracer.enabled() {
-            self.tracer.incr("transfer.count", 1);
-            self.tracer.incr("transfer.bytes", bytes);
-            let tracer = self.tracer.clone();
-            for &p in &path.ports {
-                let stats = self.stats_mut(p);
-                stats.busy_until = end;
-                stats.bytes += bytes;
-                stats.busy_time += wire_time;
-                tracer.incr(stats.byte_counter(p), bytes);
+        let traced = self.tracer.enabled();
+        for &p in &path.ports {
+            let stats = self.stats_mut(p);
+            stats.busy_until = end;
+            stats.bytes += bytes;
+            stats.busy_time += wire_time;
+            if traced {
                 let lane = stats.lane(p).clone();
-                tracer.emit(TraceEvent::TransferEnqueued {
+                self.tracer.emit(TraceEvent::TransferEnqueued {
                     server: self.server,
                     lane: lane.clone(),
                     bytes,
                     chunks,
                     at: now,
                 });
-                tracer.emit(TraceEvent::TransferStarted {
+                self.tracer.emit(TraceEvent::TransferStarted {
                     server: self.server,
                     lane: lane.clone(),
                     bytes,
                     at: start,
                 });
-                tracer.emit(TraceEvent::TransferCompleted {
+                self.tracer.emit(TraceEvent::TransferCompleted {
                     server: self.server,
                     lane,
                     bytes,
@@ -494,13 +470,6 @@ impl TransferEngine {
                     start,
                     end,
                 });
-            }
-        } else {
-            for &p in &path.ports {
-                let stats = self.stats_mut(p);
-                stats.busy_until = end;
-                stats.bytes += bytes;
-                stats.busy_time += wire_time;
             }
         }
         if let Some(aud) = &self.auditor {
@@ -711,11 +680,9 @@ mod tests {
         assert_eq!(completed.1, mib(64));
         assert_eq!(completed.2, 4);
         assert_eq!((completed.3, completed.4), (t.start, t.end));
-        assert_eq!(journal.registry().counter("transfer.bytes"), mib(64));
-        assert_eq!(
-            journal.registry().counter("link.bytes.nvlink-egress:gpu0"),
-            mib(64)
-        );
+        for &port in &path.ports {
+            assert_eq!(eng.port_bytes(port), mib(64), "{port}");
+        }
     }
 
     #[test]
@@ -849,11 +816,16 @@ mod tests {
         assert!(partial_bytes.abs_diff(half) < mib(1), "{partial_bytes}");
         assert_eq!(eng.port_bytes(egress), partial_bytes);
         assert_eq!(eng.port_busy_until(egress), halfway);
-        assert_eq!(journal.registry().counter("transfer.aborts"), 1);
-        assert!(journal
+        // One abort per port of the path, each carrying the partial bytes.
+        let aborted: Vec<u64> = journal
             .events()
             .iter()
-            .any(|e| matches!(e, TraceEvent::TransferAborted { .. })));
+            .filter_map(|e| match e {
+                TraceEvent::TransferAborted { partial, .. } => Some(*partial),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(aborted, vec![partial_bytes; path.ports.len()]);
     }
 
     #[test]

@@ -35,9 +35,7 @@
 //!     bytes: 1 << 30,
 //!     at: SimTime::from_secs(3),
 //! });
-//! tracer.incr("coordinator.lease", 1);
 //! assert_eq!(journal.len(), 1);
-//! assert_eq!(journal.registry().counter("coordinator.lease"), 1);
 //! let chrome = journal.to_chrome_trace();
 //! assert!(chrome.contains("traceEvents"));
 //! ```
@@ -48,10 +46,8 @@ pub mod chrome;
 mod encode;
 pub mod event;
 pub mod json;
-pub mod registry;
 pub mod time;
 pub mod tracer;
 
 pub use event::{Lane, TraceEvent};
-pub use registry::Registry;
 pub use tracer::{fnv1a, null_tracer, JournalTracer, NullTracer, SharedTracer, Tracer};

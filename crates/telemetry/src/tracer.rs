@@ -14,13 +14,12 @@
 
 use crate::chrome::chrome_trace;
 use crate::event::TraceEvent;
-use crate::registry::Registry;
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// A sink for structured trace events and always-on counters.
+/// A sink for structured trace events.
 ///
 /// Implementations must be cheap when disabled: callers consult
 /// [`Tracer::enabled`] (usually via the [`trace!`](crate::trace) macro)
@@ -33,8 +32,11 @@ pub trait Tracer: fmt::Debug + Send + Sync {
     /// Records one event.
     fn emit(&self, event: TraceEvent);
 
-    /// Adds `delta` to a named monotonic counter.
-    fn incr(&self, counter: &str, delta: u64);
+    /// Adds `delta` to a named monotonic counter. Nothing in the workspace
+    /// counts this way (each count lives on its component or in the
+    /// journal), so the default does nothing; the benchmark's timing
+    /// wrapper still forwards it.
+    fn incr(&self, _counter: &str, _delta: u64) {}
 
     /// Sets a named gauge to `value`. Nothing in the workspace keeps
     /// gauges this way (a traced engine journals each change as a
@@ -84,9 +86,6 @@ impl Tracer for NullTracer {
 
     #[inline]
     fn emit(&self, _event: TraceEvent) {}
-
-    #[inline]
-    fn incr(&self, _counter: &str, _delta: u64) {}
 }
 
 /// A shared handle to the (stateless) null tracer.
@@ -117,9 +116,9 @@ struct Journal {
 }
 
 impl Journal {
-    fn new(capacity: usize) -> Self {
+    fn new() -> Self {
         Journal {
-            events: Vec::with_capacity(capacity),
+            events: Vec::new(),
             digest: FNV_OFFSET,
             emitted: 0,
         }
@@ -145,7 +144,6 @@ impl Journal {
 #[derive(Debug)]
 pub struct JournalTracer {
     inner: Mutex<Journal>,
-    registry: Registry,
     keep_events: bool,
 }
 
@@ -158,15 +156,8 @@ impl Default for JournalTracer {
 impl JournalTracer {
     /// Creates an empty journal.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty journal with `capacity` event slots pre-allocated,
-    /// so long instrumented runs do not re-grow the buffer mid-simulation.
-    pub fn with_capacity(capacity: usize) -> Self {
         JournalTracer {
-            inner: Mutex::new(Journal::new(capacity)),
-            registry: Registry::new(),
+            inner: Mutex::new(Journal::new()),
             keep_events: true,
         }
     }
@@ -177,8 +168,7 @@ impl JournalTracer {
     /// point; [`JournalTracer::events`] returns an empty vector.
     pub fn digest_only() -> Self {
         JournalTracer {
-            inner: Mutex::new(Journal::new(0)),
-            registry: Registry::new(),
+            inner: Mutex::new(Journal::new()),
             keep_events: false,
         }
     }
@@ -202,11 +192,6 @@ impl JournalTracer {
     /// A snapshot of the buffered events.
     pub fn events(&self) -> Vec<TraceEvent> {
         self.inner.lock().unwrap().events.clone()
-    }
-
-    /// The always-on counter registry backing [`Tracer::incr`].
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Serialises the journal as JSON Lines (one canonical object per event).
@@ -254,10 +239,6 @@ impl Tracer for JournalTracer {
         if self.keep_events {
             inner.events.push(event);
         }
-    }
-
-    fn incr(&self, counter: &str, delta: u64) {
-        self.registry.incr(counter, delta);
     }
 }
 
@@ -309,16 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_behaves_like_new() {
-        let a = JournalTracer::new();
-        let b = JournalTracer::with_capacity(1024);
-        a.emit(sample(7));
-        b.emit(sample(7));
-        assert_eq!(a.digest(), b.digest());
-        assert_eq!(b.events().len(), 1);
-    }
-
-    #[test]
     fn event_order_changes_the_digest() {
         let a = JournalTracer::new();
         a.emit(sample(1));
@@ -341,8 +312,6 @@ mod tests {
         fn emit(&self, _event: TraceEvent) {
             panic!("disabled tracer received an event");
         }
-
-        fn incr(&self, _counter: &str, _delta: u64) {}
     }
 
     #[test]

@@ -25,7 +25,7 @@ use aqua::sim::fault::FaultPlan;
 use aqua::sim::gpu::GpuId;
 use aqua::sim::link::bytes::{gib, mib};
 use aqua::sim::time::{SimDuration, SimTime};
-use aqua::telemetry::{JournalTracer, SharedTracer};
+use aqua::telemetry::{JournalTracer, SharedTracer, TraceEvent};
 use aqua::workloads::tenants::tenant_trace;
 use aqua_bench::serve_schedulers::ServeExperiment;
 use aqua_bench::setup::{ServerCtx, CELL_MAX_OUTSTANDING, CELL_POOL_BYTES};
@@ -86,8 +86,8 @@ struct Observed {
     iterations: u64,
     preemptions: u64,
     swapped_bytes: u64,
-    /// The offloader's `releases`, `stranded_bytes` and `promotions`
-    /// counters.
+    /// The offloader's journalled reclaim releases, bytes failed over from
+    /// a peer to DRAM (in these cases, only stranded bytes) and promotions.
     offloader: [u64; 3],
     /// The coordinator's `(book revision, epoch)` after each window.
     book: Vec<(u64, u64)>,
@@ -137,7 +137,7 @@ fn swap_cell(
 /// peer lease back after the first window that ends with swapped bytes on
 /// it, and grants a fresh lease five windows later.
 fn serve(loud: Loud, per_step: bool) -> (Observed, GatewayEngine) {
-    let journal = Arc::new(JournalTracer::digest_only());
+    let journal = Arc::new(JournalTracer::new());
     // A 768 MiB pool, so decode growth preempts and swaps often.
     let cfg = ServeExperiment {
         pool_bytes: mib(768),
@@ -177,8 +177,15 @@ fn serve(loud: Loud, per_step: bool) -> (Observed, GatewayEngine) {
         iterations: gateway.iterations(),
         preemptions: gateway.preemptions(),
         swapped_bytes: gateway.swapped_bytes_total(),
-        offloader: ["releases", "stranded_bytes", "promotions"]
-            .map(|c| journal.registry().counter(&format!("offloader.{c}"))),
+        offloader: journal.events().iter().fold([0; 3], |mut n, e| {
+            match e {
+                TraceEvent::ReclaimReleased { .. } => n[0] += 1,
+                TraceEvent::FailoverEngaged { to, bytes, .. } if to == "dram" => n[1] += bytes,
+                TraceEvent::LeasePromoted { .. } => n[2] += 1,
+                _ => {}
+            }
+            n
+        }),
         book,
         driver: clocks,
     };
