@@ -45,9 +45,11 @@ cargo test -q --offline --test chaos_recovery
 # pop from 1k (assert_out_of_order_fill_pops_stay_logarithmic, best of five
 # batches), one gateway admission step must do backlog-independent work
 # (allocations and scheduler-key comparisons flat from a 1k to a 10k
-# backlog, all five policies), 10k digest-only journal emits of a gauge,
-# a transfer completion and a gateway completion must allocate nothing
-# (assert_digest_only_emit_is_allocation_free), and a quiet AQUA iteration
+# backlog, all five policies), one CFS slice's heap peak must rise by at
+# most 1 KiB from a 1k to a 10k backlog, so no slice sorts or copies the
+# backlog (assert_cfs_slice_heap_is_backlog_independent), 10k digest-only
+# journal emits of a gauge, a transfer completion and a gateway completion
+# must allocate nothing (assert_digest_only_emit_is_allocation_free), and a quiet AQUA iteration
 # boundary, which returns at once on the offloader's boundary_is_quiet,
 # with 64 tracked leases must cost at most 2x one with 1 lease once the
 # lease book has settled (assert_quiet_boundary_is_flat, best of five
@@ -57,6 +59,14 @@ cargo test -q --offline --test chaos_recovery
 # (assert_drained_streams_share_the_clock) — all asserted by the hot_path
 # test binary.
 cargo test -q --offline -p aqua-bench --test hot_path
+# Golden stdout of the two long runs outside `all`, whose seed-42 stdout
+# the tier-1 test tests/golden.rs pins: fig15_17 (the 8-GPU CFS mirror of
+# Figure 9, among others) and tab_a2 (the one-hour LoRA run) must print
+# exactly their committed files. Re-bless a run that is meant to move with
+# `aqua-repro <run> > golden/<run>.txt`.
+for run in fig15_17 tab_a2; do
+  cargo run --release -q --offline -p aqua-bench --bin aqua-repro -- "$run" | cmp - "golden/$run.txt"
+done
 # Steady-run shape: the full serve_swap workload (the benchmark's, seed 42)
 # must run its pinned counts of iterations, steady iterations, skipped
 # offloader boundaries and preemptions (serve_swap_shares), so a driver or

@@ -309,10 +309,6 @@ fn run_pair(
                     OffloadKind::DramPageable
                 };
                 let mut engine = mistral_lora_vllm(&ctx, kind, adapters, 10);
-                if aqua {
-                    // Adapters are prestaged by mistral_lora_vllm once the
-                    // lease exists; give the informer a head start.
-                }
                 let count = (window_secs * 2) as usize;
                 driver.schedule_trace(0, lora_trace(2.0, count, 30, seed, 0));
                 let mut engines: Vec<&mut dyn Engine> = vec![&mut engine];

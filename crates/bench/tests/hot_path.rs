@@ -2,7 +2,7 @@
 //! gateway's scheduler-key comparison counter and, for two cost ratios,
 //! the wall clock.
 //!
-//! Twelve guarantees: the untraced transfer-schedule path performs zero
+//! Thirteen guarantees: the untraced transfer-schedule path performs zero
 //! heap allocations per transfer — the budget behind Figure 11's sub-5%
 //! producer overhead (it allocated up to four strings per transfer before
 //! lane interning and the dense `PortStats` table); the placer's catalog
@@ -20,6 +20,8 @@
 //! time; one gateway admission round does work independent of backlog
 //! depth (the incremental scheduler indices, checked for every policy via
 //! allocation and key-comparison counters at backlogs of 1,000 vs 10,000);
+//! a CFS slice's heap peak does not grow with its backlog (the fair
+//! index, at the same two depths);
 //! a digest-only journal emit allocates nothing (the event is hashed
 //! from its fields, interned labels and all); a quiet AQUA iteration
 //! boundary costs the same with 64 tracked leases as with one (its lease
@@ -38,8 +40,9 @@ use aqua_bench::scale_cluster::{run_scale, ScaleSpec};
 use aqua_bench::setup::{OffloadKind, ServerCtx, CELL_MAX_OUTSTANDING};
 use aqua_core::coordinator::{Coordinator, GpuRef};
 use aqua_core::offloader::AquaOffloader;
+use aqua_engines::cfs::{CfsConfig, CfsEngine};
 use aqua_engines::driver::{Driver, Engine};
-use aqua_engines::offload::Offloader;
+use aqua_engines::offload::{DramOffloader, Offloader};
 use aqua_engines::request::InferenceRequest;
 use aqua_engines::vllm::PreemptionPolicy;
 use aqua_gateway::engine::{GatewayConfig, GatewayEngine};
@@ -674,6 +677,56 @@ fn assert_gateway_admit_is_backlog_independent() {
     }
 }
 
+/// Peak live heap bytes, over what was live before it, of one CFS slice
+/// with `backlog` queued prompts. The pool fits the eight active contexts
+/// with room to spare, so the selection scan stops at `max_active`. The
+/// measured slice is the second: it pages the first slice's eight out and
+/// prefills the next eight.
+fn cfs_slice_peak_bytes(backlog: u64) -> u64 {
+    let server = ServerTopology::nvlink_pair(GpuSpec::a100_80g());
+    let xfer = Rc::new(RefCell::new(TransferEngine::new()));
+    let mut e = CfsEngine::new(
+        *zoo::mistral_7b().llm_geometry().unwrap(),
+        GpuSpec::a100_80g(),
+        CfsConfig {
+            slice_tokens: 5,
+            max_active: 8,
+            kv_pool_bytes: gib(1),
+        },
+        Box::new(DramOffloader::pinned(&server, GpuId(0), xfer)),
+    );
+    for i in 0..backlog {
+        // Output far beyond two slices, so nothing completes.
+        e.submit(
+            InferenceRequest::text(i, 100, 1_000),
+            SimTime::from_nanos(i),
+        );
+    }
+    let now = e.step(SimTime::ZERO);
+    let live = LIVE_BYTES.load(Ordering::SeqCst);
+    PEAK_BYTES.store(live, Ordering::SeqCst);
+    black_box(e.step(now));
+    let peak = PEAK_BYTES.load(Ordering::SeqCst).wrapping_sub(live);
+    assert_eq!(e.outstanding() as u64, backlog);
+    peak
+}
+
+/// A CFS slice picks its active set from the fair index, walking only as
+/// far as it picks, so its heap peak may not grow with the backlog: from
+/// 1,000 to 10,000 queued prompts it may rise by at most 1 KiB. Sorting
+/// an index vector of the whole backlog, as the selection once did, costs
+/// 8 B per queued prompt, 72,000 B more at 10k than at 1k.
+fn assert_cfs_slice_heap_is_backlog_independent() {
+    let small = cfs_slice_peak_bytes(1_000);
+    let big = cfs_slice_peak_bytes(10_000);
+    assert!(
+        big <= small + 1024,
+        "a CFS slice's heap peak grew with the backlog: {small} B at 1k, {big} B at 10k \
+         (bound: 1k + 1024 B)"
+    );
+    eprintln!("hot_path: CFS slice heap peak: {small} B at a 1k backlog, {big} B at 10k");
+}
+
 /// A digest-only journal hashes each event straight from its fields: no
 /// line buffer, no `fmt` into a `String`, no interned label copied. After
 /// a warm-up long enough for each label to find its skip table, 10k emits
@@ -798,6 +851,7 @@ fn main() {
     assert_idle_server_is_never_ticked();
     assert_out_of_order_fill_pops_stay_logarithmic();
     assert_gateway_admit_is_backlog_independent();
+    assert_cfs_slice_heap_is_backlog_independent();
     assert_digest_only_emit_is_allocation_free();
     assert_quiet_boundary_is_flat();
 }

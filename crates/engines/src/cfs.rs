@@ -16,7 +16,7 @@ use crate::gauges::GaugeCache;
 use crate::kvcache::{PagedKvCache, DEFAULT_BLOCK_TOKENS};
 use crate::northbound::{EngineStats, MemoryElastic};
 use crate::offload::Offloader;
-use crate::request::{InferenceRequest, SeqLifecycle};
+use crate::request::{InferenceRequest, RequestId, SeqLifecycle};
 use aqua_metrics::requests::RequestRecord;
 use aqua_models::cost;
 use aqua_models::geometry::LlmGeometry;
@@ -24,6 +24,7 @@ use aqua_sim::gpu::GpuSpec;
 use aqua_sim::link::bytes::gib;
 use aqua_sim::time::SimTime;
 use aqua_telemetry::{null_tracer, trace, SharedTracer, TraceEvent};
+use std::collections::BTreeMap;
 
 /// The one gauge a traced CFS engine journals, `<scope>.outstanding`, at
 /// position [`OUTSTANDING`].
@@ -67,6 +68,25 @@ struct CfsSeq {
     place: Place,
 }
 
+/// A sequence's place in the fair order: fewest generated tokens first,
+/// then earliest arrival, then request id. `submit` refuses a duplicate,
+/// so the order is total.
+type FairKey = (u64, SimTime, RequestId);
+
+fn fair_key(life: &SeqLifecycle) -> FairKey {
+    (life.generated, life.arrival, life.req.id)
+}
+
+/// What the selection scan needs of a sequence, kept beside its key so the
+/// scan never reads `seqs`.
+#[derive(Debug)]
+struct FairEntry {
+    /// Prompt tokens; with the key's generated count, the context size.
+    prompt_tokens: u64,
+    /// The sequence's position in `seqs`.
+    slot: usize,
+}
+
 /// Token-slice fair scheduler over a paged KV pool.
 ///
 /// # Example
@@ -96,6 +116,10 @@ pub struct CfsEngine {
     config: CfsConfig,
     kv: PagedKvCache,
     seqs: Vec<CfsSeq>,
+    /// Every sequence in `seqs`, in fair order. A slice re-keys only the
+    /// sequences it grew, so picking the next active set walks the order
+    /// from the front instead of sorting the backlog.
+    fair: BTreeMap<FairKey, FairEntry>,
     completions: Vec<RequestRecord>,
     offloader: Box<dyn Offloader>,
     context_switches: u64,
@@ -132,6 +156,7 @@ impl CfsEngine {
             config,
             kv,
             seqs: Vec::new(),
+            fair: BTreeMap::new(),
             completions: Vec::new(),
             offloader,
             context_switches: 0,
@@ -179,91 +204,40 @@ impl CfsEngine {
     }
 
     /// Picks the fair active set: least-generated first, bounded by KV pool
-    /// capacity (context plus slice growth) and `max_active`.
+    /// capacity (context plus slice growth) and `max_active`. A context that
+    /// does not fit beside the ones already picked is skipped, not waited
+    /// for.
     fn select_active(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.seqs.len()).collect();
-        let key = |&i: &usize| {
-            let s = &self.seqs[i];
-            (s.life.generated, s.life.arrival, s.life.req.id)
-        };
-        // The scan below almost always stops after `max_active` picks, so a
-        // full O(n log n) sort of a deep backlog is wasted work: partition
-        // the smallest-key prefix out first and sort only that. The prefix
-        // is generous (skipped oversized contexts consume candidates), and
-        // if it still cannot settle the answer the full sort runs — the
-        // chosen set is identical either way because keys are unique
-        // (request ids are) and both paths scan the same ascending order.
-        let prefix = self.config.max_active + 64;
-        let partial = order.len() > prefix.saturating_mul(2);
-        if partial {
-            order.select_nth_unstable_by_key(prefix, key);
-            order[..prefix].sort_unstable_by_key(key);
-            if let Some(chosen) = self.scan_for_active(order[..prefix].iter().copied(), false) {
-                return chosen;
-            }
-        }
-        order.sort_unstable_by_key(key);
-        self.scan_for_active(order.iter().copied(), true)
-            .expect("full scan is total")
-    }
-
-    /// Walks candidates in fair order, picking until the KV pool or
-    /// `max_active` is exhausted. Returns `None` when `complete` is false
-    /// and the walk ran out of candidates while slots remained — a longer
-    /// candidate list could still add picks, so the caller must retry with
-    /// the full order.
-    fn scan_for_active(
-        &self,
-        order: impl Iterator<Item = usize>,
-        complete: bool,
-    ) -> Option<Vec<usize>> {
-        let mut chosen = Vec::new();
+        let mut chosen = Vec::with_capacity(self.config.max_active.min(self.fair.len()));
         let mut blocks = 0u64;
-        for i in order {
+        for (&(generated, ..), entry) in &self.fair {
             if chosen.len() >= self.config.max_active {
                 break;
             }
-            let s = &self.seqs[i];
-            let tokens = s.life.context_tokens() + self.config.slice_tokens;
+            let tokens = entry.prompt_tokens + generated + self.config.slice_tokens;
             let need = tokens.div_ceil(DEFAULT_BLOCK_TOKENS);
             if blocks + need > self.kv.total_blocks() {
-                if chosen.is_empty() {
-                    panic!(
-                        "CFS KV pool ({} blocks) cannot hold a single context of {} tokens",
-                        self.kv.total_blocks(),
-                        tokens
-                    );
-                }
+                assert!(
+                    !chosen.is_empty(),
+                    "CFS KV pool ({} blocks) cannot hold a single context of {} tokens",
+                    self.kv.total_blocks(),
+                    tokens
+                );
                 continue;
             }
             blocks += need;
-            chosen.push(i);
+            chosen.push(entry.slot);
         }
-        if complete || chosen.len() >= self.config.max_active {
-            Some(chosen)
-        } else {
-            None
-        }
-    }
-}
-
-impl Engine for CfsEngine {
-    fn submit(&mut self, req: InferenceRequest, now: SimTime) {
-        self.seqs.push(CfsSeq {
-            life: SeqLifecycle::new(req, now),
-            place: Place::New,
-        });
+        chosen
     }
 
-    fn has_work(&self) -> bool {
-        !self.seqs.is_empty()
-    }
-
-    fn step(&mut self, now: SimTime) -> SimTime {
+    /// Runs one slice over the active set `select` picks. `step` passes
+    /// [`Self::select_active`]; the tests also pass the sort-based oracle.
+    fn run_slice(&mut self, now: SimTime, select: fn(&Self) -> Vec<usize>) -> SimTime {
         self.slices += 1;
         let now = self.offloader.on_iteration_boundary(now).max(now);
         let slice_start = now;
-        let active = self.select_active();
+        let active = select(self);
         let active_count = active.len() as u64;
         let is_active = |i: usize| active.contains(&i);
 
@@ -351,6 +325,11 @@ impl Engine for CfsEngine {
                 self.kv
                     .grow_seq(s.life.req.id, grew)
                     .expect("slice growth reserved at selection");
+                let entry = self
+                    .fair
+                    .remove(&(before, s.life.arrival, s.life.req.id))
+                    .expect("every sequence is in the fair order");
+                self.fair.insert(fair_key(&s.life), entry);
             }
         }
 
@@ -359,12 +338,20 @@ impl Engine for CfsEngine {
         while i < self.seqs.len() {
             if self.seqs[i].life.is_complete() {
                 let s = self.seqs.swap_remove(i);
+                self.fair.remove(&fair_key(&s.life));
+                if let Some(moved) = self.seqs.get(i) {
+                    self.fair
+                        .get_mut(&fair_key(&moved.life))
+                        .expect("every sequence is in the fair order")
+                        .slot = i;
+                }
                 self.kv.free_seq(s.life.req.id);
                 self.completions.push(s.life.record(cursor));
             } else {
                 i += 1;
             }
         }
+        debug_assert_eq!(self.fair.len(), self.seqs.len());
 
         trace!(
             self.tracer,
@@ -388,6 +375,30 @@ impl Engine for CfsEngine {
             }
         }
         cursor
+    }
+}
+
+impl Engine for CfsEngine {
+    fn submit(&mut self, req: InferenceRequest, now: SimTime) {
+        let life = SeqLifecycle::new(req, now);
+        let entry = FairEntry {
+            prompt_tokens: life.req.prompt_tokens,
+            slot: self.seqs.len(),
+        };
+        let fresh = self.fair.insert(fair_key(&life), entry).is_none();
+        assert!(fresh, "CFS request {} submitted twice", life.req.id);
+        self.seqs.push(CfsSeq {
+            life,
+            place: Place::New,
+        });
+    }
+
+    fn has_work(&self) -> bool {
+        !self.seqs.is_empty()
+    }
+
+    fn step(&mut self, now: SimTime) -> SimTime {
+        self.run_slice(now, Self::select_active)
     }
 
     fn idle_tick_is_noop(&self) -> bool {
@@ -429,20 +440,60 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    fn engine(pool_gib: u64, slice: u64, max_active: usize) -> CfsEngine {
+    fn codellama() -> LlmGeometry {
+        *zoo::codellama_34b().llm_geometry().unwrap()
+    }
+
+    fn engine_with(config: CfsConfig) -> CfsEngine {
         let server = ServerTopology::nvlink_pair(GpuSpec::a100_80g());
         let xfer = Rc::new(RefCell::new(TransferEngine::new()));
-        let geom = *zoo::codellama_34b().llm_geometry().unwrap();
         CfsEngine::new(
-            geom,
+            codellama(),
             GpuSpec::a100_80g(),
-            CfsConfig {
-                slice_tokens: slice,
-                max_active,
-                kv_pool_bytes: gib(pool_gib),
-            },
+            config,
             Box::new(DramOffloader::pinned(&server, GpuId(0), xfer)),
         )
+    }
+
+    fn engine(pool_gib: u64, slice: u64, max_active: usize) -> CfsEngine {
+        engine_with(CfsConfig {
+            slice_tokens: slice,
+            max_active,
+            kv_pool_bytes: gib(pool_gib),
+        })
+    }
+
+    /// The sort-based selection the fair index replaced, kept as the
+    /// executable specification: sort the whole backlog by `(generated,
+    /// arrival, id)`, then scan it with the same pick rules.
+    mod oracle {
+        use super::*;
+
+        pub(super) fn select_active(e: &CfsEngine) -> Vec<usize> {
+            let mut order: Vec<usize> = (0..e.seqs.len()).collect();
+            order.sort_by_key(|&i| fair_key(&e.seqs[i].life));
+            let mut chosen = Vec::new();
+            let mut blocks = 0u64;
+            for i in order {
+                if chosen.len() >= e.config.max_active {
+                    break;
+                }
+                let tokens = e.seqs[i].life.context_tokens() + e.config.slice_tokens;
+                let need = tokens.div_ceil(DEFAULT_BLOCK_TOKENS);
+                if blocks + need > e.kv.total_blocks() {
+                    assert!(!chosen.is_empty(), "oracle: no context fits");
+                    continue;
+                }
+                blocks += need;
+                chosen.push(i);
+            }
+            chosen
+        }
+    }
+
+    /// The request ids behind `slots`, in pick order.
+    fn ids(e: &CfsEngine, slots: &[usize]) -> Vec<RequestId> {
+        slots.iter().map(|&i| e.seqs[i].life.req.id).collect()
     }
 
     fn run(engine: &mut CfsEngine) -> SimTime {
@@ -568,6 +619,82 @@ mod tests {
             }
             assert_eq!(e.kv.used_blocks(), 0, "pool drains");
         }
+    }
+
+    aqua_sim::check! {
+        #![cases(128)]
+
+        // The fair index picks exactly what the sort-based oracle picks.
+        // Two engines see the same submissions; one steps through
+        // `select_active`, the other through `oracle::select_active`, and
+        // before every slice both selections must name the same requests.
+        // Arrivals land between slices, pools as small as one largest
+        // context make the scan skip, and outputs that are not a multiple
+        // of the slice complete mid-slice. The runs must end in the same
+        // completion records, in the same order.
+        #[test]
+        fn fair_index_matches_the_sort_oracle(
+            reqs in aqua_sim::check::vec((1u64..600, 1u64..80, 0u64..40), 1..48),
+            max_active in 1usize..65,
+            slice in 1u64..9,
+            spare_blocks in 0u64..400
+        ) {
+            // The largest context a selection can size: a 599-token prompt
+            // with 78 tokens generated, plus one slice.
+            let max_blocks = (599 + 78 + slice).div_ceil(DEFAULT_BLOCK_TOKENS);
+            let block_bytes = codellama().kv_bytes_per_token() * DEFAULT_BLOCK_TOKENS;
+            let config = CfsConfig {
+                slice_tokens: slice,
+                max_active,
+                kv_pool_bytes: (max_blocks + spare_blocks) * block_bytes,
+            };
+            let mut indexed = engine_with(config.clone());
+            let mut sorted = engine_with(config);
+            let mut now = SimTime::ZERO;
+            let mut slice_no = 0u64;
+            loop {
+                for (id, &(prompt, output, at)) in reqs.iter().enumerate() {
+                    if at == slice_no {
+                        let req = InferenceRequest::text(id as u64, prompt, output);
+                        indexed.submit(req.clone(), now);
+                        sorted.submit(req, now);
+                    }
+                }
+                if !indexed.has_work() {
+                    // Idle: the next arrival comes at once.
+                    match reqs.iter().map(|r| r.2).filter(|&at| at > slice_no).min() {
+                        Some(next) => {
+                            slice_no = next;
+                            continue;
+                        }
+                        None => break,
+                    }
+                }
+                let picked = indexed.select_active();
+                let expected = oracle::select_active(&sorted);
+                assert_eq!(
+                    ids(&indexed, &picked),
+                    ids(&sorted, &expected),
+                    "slice {slice_no}: active set"
+                );
+                let end = indexed.step(now);
+                assert_eq!(sorted.run_slice(now, oracle::select_active), end);
+                now = end;
+                slice_no += 1;
+                assert!(slice_no < 100_000, "no progress");
+            }
+            assert!(!sorted.has_work());
+            assert_eq!(indexed.drain_completions(), sorted.drain_completions());
+            assert!(indexed.fair.is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "submitted twice")]
+    fn duplicate_submission_panics() {
+        let mut e = engine(1, 5, 4);
+        e.submit(InferenceRequest::text(7, 100, 10), SimTime::ZERO);
+        e.submit(InferenceRequest::text(7, 100, 10), SimTime::ZERO);
     }
 
     /// The once-failing liveness case `reqs = [(1, 1, 1)]`: a one-token
