@@ -67,6 +67,13 @@ cargo test -q --offline -p aqua-bench --test hot_path
 for run in fig15_17 tab_a2; do
   cargo run --release -q --offline -p aqua-bench --bin aqua-repro -- "$run" | cmp - "golden/$run.txt"
 done
+# Golden work counts of the four benchmark workloads (seed 42, one lane, one
+# job, the benchmark's sizes): PDES windows and messages, driver and journal
+# events, streams, retries, preemptions, swapped bytes, the gateway's steady
+# and quiet-boundary counts, and the suite's points and journal events. A
+# change that moves one names it and its cause; re-bless with
+# `aqua-repro counters > golden/counters.txt`.
+cargo run --release -q --offline -p aqua-bench --bin aqua-repro -- counters | cmp - golden/counters.txt
 # Steady-run shape: the full serve_swap workload (the benchmark's, seed 42)
 # must run its pinned counts of iterations, steady iterations, skipped
 # offloader boundaries and preemptions (serve_swap_shares), so a driver or

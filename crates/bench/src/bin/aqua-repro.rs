@@ -577,7 +577,7 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else {
         eprintln!(
-            "usage: aqua-repro <experiment|fig15_17|tab_a2|list|all|fuzz|scale> [--window S] [--seed N] [--count N] [--lanes N] [--jobs N]\n       aqua-repro serve --smoke|--chaos-smoke [--seed N] [--count N] [--jobs N]\n       aqua-repro coord_chaos --smoke [--seed N] [--count N]\n       aqua-repro scale [--smoke] [--audited] [--servers N] [--rps N] [--rate F] [--lanes N] [--seed N]\n       aqua-repro fuzz [--smoke] [--plant] [--plant-fence] [--seed N] [--points N] [--jobs N] [--gpus 2|8] [--work N] [--faults N] [--horizon S]\n       aqua-repro fuzz --gateway [--smoke] [--plant] [--offload] [--seed N] [--points N] [--jobs N] [--policy I] [--load N] [--count N] [--faults N] [--horizon S]"
+            "usage: aqua-repro <experiment|fig15_17|tab_a2|list|all|fuzz|scale> [--window S] [--seed N] [--count N] [--lanes N] [--jobs N]\n       aqua-repro counters\n       aqua-repro serve --smoke|--chaos-smoke [--seed N] [--count N] [--jobs N]\n       aqua-repro coord_chaos --smoke [--seed N] [--count N]\n       aqua-repro scale [--smoke] [--audited] [--servers N] [--rps N] [--rate F] [--lanes N] [--seed N]\n       aqua-repro fuzz [--smoke] [--plant] [--plant-fence] [--seed N] [--points N] [--jobs N] [--gpus 2|8] [--work N] [--faults N] [--horizon S]\n       aqua-repro fuzz --gateway [--smoke] [--plant] [--offload] [--seed N] [--points N] [--jobs N] [--policy I] [--load N] [--count N] [--faults N] [--horizon S]"
         );
         return ExitCode::FAILURE;
     };
@@ -610,6 +610,10 @@ fn run_cmd(cmd: &str, rest: &[String]) -> Result<(), String> {
         }
         ("coord_chaos", _) if rest.iter().any(|a| a == "--smoke") => {
             coord_chaos_smoke(&parse_flags(&without(&["--smoke"]))?)
+        }
+        ("counters", _) if rest.is_empty() => {
+            print!("{}", aqua_bench::counters::render()?);
+            Ok(())
         }
         ("scale", _) => scale_cmd(&parse_scale_flags(rest)?),
         ("fuzz", _) => fuzz_cmd(&parse_fuzz_flags(rest)?),

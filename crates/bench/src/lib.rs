@@ -18,6 +18,7 @@
 pub mod ablations;
 pub mod chaos_degradation;
 pub mod coord_chaos;
+pub mod counters;
 pub mod e2e_cluster;
 pub mod fig01_motivation;
 pub mod fig02_contention;

@@ -140,6 +140,26 @@ pub fn run_policy_traced(
     offload: bool,
     tracer: SharedTracer,
 ) -> ServeRun {
+    run_policy_counted(cfg, policy, offload, tracer).0
+}
+
+/// The gateway's loop counts over one cell (see
+/// [`GatewayEngine::iterations`](aqua_gateway::engine::GatewayEngine::iterations)
+/// and its siblings).
+pub(crate) struct LoopCounts {
+    pub(crate) iterations: u64,
+    pub(crate) steady_iterations: u64,
+    pub(crate) skipped_boundaries: u64,
+}
+
+/// [`run_policy_traced`], plus the gateway's loop counts, which
+/// [`ServeRun`] does not carry.
+pub(crate) fn run_policy_counted(
+    cfg: &ServeExperiment,
+    policy: PolicyKind,
+    offload: bool,
+    tracer: SharedTracer,
+) -> (ServeRun, LoopCounts) {
     let mode = if offload { "aqua" } else { "recompute" };
     let ctx = ServerCtx::two_gpu_traced(tracer);
     if offload {
@@ -164,13 +184,19 @@ pub fn run_policy_traced(
         None,
     );
     driver.run(&mut [&mut engine as &mut dyn Engine], cfg.horizon());
-    ServeRun {
+    let run = ServeRun {
         policy,
         offload,
         streams: engine.drain_streams(),
         preemptions: engine.preemptions(),
         swapped_bytes: engine.swapped_bytes_total(),
-    }
+    };
+    let loops = LoopCounts {
+        iterations: engine.iterations(),
+        steady_iterations: engine.steady_iterations(),
+        skipped_boundaries: engine.skipped_boundaries(),
+    };
+    (run, loops)
 }
 
 /// Runs the full policy zoo crossed with both offload modes.
