@@ -36,7 +36,7 @@ cargo test -q --offline --test chaos_recovery
 # (assert_quiet_aqua_decode_run_is_allocation_lean), a driver must queue a
 # trace from Driver::schedule_trace one arrival at a time
 # (assert_driver_queues_arrivals_on_demand), an 8-server scale run's peak
-# heap may grow by at most 112 B per extra request
+# heap may grow by at most 32 B per extra request
 # (assert_scale_memory_per_request_is_bounded), an idle
 # scale-style server (gateway + AQUA offloader, no informer) must get zero
 # tick calls over a 40,000 s tail while its processed-event count still

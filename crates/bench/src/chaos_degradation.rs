@@ -160,10 +160,11 @@ fn run_consumer(
         ctx.coordinator.set_failure_config(FailureConfig::chaos());
     }
 
+    let start = SimTime::from_secs(tl.consumer_start);
     let (mut consumer, mut producer, mut driver) = ctx.donation_cell(
         long_prompt_trace(1, 1_000_000, 0)
             .into_iter()
-            .map(|(_, r)| (SimTime::from_secs(tl.consumer_start), r)),
+            .map(move |(_, r)| (start, r)),
     );
 
     let mut consumer_throughput = TimeSeries::new("consumer-tokens-per-s");
@@ -238,11 +239,12 @@ fn run_dram_baseline(tl: &ChaosTimeline, sample_secs: u64) -> f64 {
         crate::fig07_long_prompt::CONTEXT_BUDGET,
     );
     let mut driver = Driver::new();
+    let start = SimTime::from_secs(tl.consumer_start);
     driver.schedule_trace(
         0,
         long_prompt_trace(1, 1_000_000, 0)
             .into_iter()
-            .map(|(_, r)| (SimTime::from_secs(tl.consumer_start), r)),
+            .map(move |(_, r)| (start, r)),
     );
     let mut ts = TimeSeries::new("dram-baseline-tokens-per-s");
     let mut last_tokens = 0u64;

@@ -43,7 +43,7 @@ use aqua_sim::fault::FaultPlan;
 use aqua_sim::gpu::GpuId;
 use aqua_sim::time::SimTime;
 use aqua_telemetry::SharedTracer;
-use aqua_workloads::tenants::{tenant_trace, TENANT_CHAT};
+use aqua_workloads::tenants::{tenant_stream, TENANT_CHAT};
 use std::sync::Arc;
 
 /// Chat TTFT SLO the goodput judgement uses, seconds (same bound as
@@ -190,7 +190,7 @@ fn run_once(
         plan.emit(&tracer);
     }
     let (mut gateway, mut driver) = ctx.serving_cell(
-        tenant_trace(cfg.rate, cfg.count, cfg.seed),
+        tenant_stream(cfg.rate, cfg.count, cfg.seed),
         PolicyKind::SjfBucket,
         GatewayConfig {
             kv_pool_bytes: CELL_POOL_BYTES,

@@ -72,6 +72,7 @@ pub struct Fig10Result {
     pub consumer_tokens: u64,
 }
 
+/// The producer's two-phase trace, in time order.
 fn producer_trace(
     tl: &Timeline,
     seed: u64,
@@ -118,6 +119,9 @@ fn producer_trace(
         &mut out,
         &mut id,
     );
+    // A low phase that runs into the burst interleaves with it; the
+    // driver takes a trace in time order.
+    out.sort_by_key(|&(at, _)| at);
     out
 }
 
@@ -133,11 +137,12 @@ pub fn run(tl: &Timeline, sample_secs: u64, seed: u64) -> Fig10Result {
     );
 
     let mut driver = Driver::new();
+    let start = SimTime::from_secs(tl.low_phase_start);
     driver.schedule_trace(
         0,
         long_prompt_trace(1, 1_000_000, 0)
             .into_iter()
-            .map(|(_, r)| (SimTime::from_secs(tl.low_phase_start), r)),
+            .map(move |(_, r)| (start, r)),
     );
     driver.schedule_trace(1, producer_trace(tl, seed));
 
@@ -249,11 +254,12 @@ pub fn run_with_informer(tl: &Timeline, config: LlmInformerConfig, seed: u64) ->
         crate::fig07_long_prompt::CONTEXT_BUDGET,
     );
     let mut driver = Driver::new();
+    let start = SimTime::from_secs(tl.low_phase_start);
     driver.schedule_trace(
         0,
         long_prompt_trace(1, 1_000_000, 0)
             .into_iter()
-            .map(|(_, r)| (SimTime::from_secs(tl.low_phase_start), r)),
+            .map(move |(_, r)| (start, r)),
     );
     driver.schedule_trace(1, producer_trace(tl, seed));
     let mut engines: Vec<&mut dyn Engine> = vec![&mut consumer, &mut producer];

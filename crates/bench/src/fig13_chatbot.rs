@@ -61,6 +61,9 @@ fn run_closed_loop(
     let mut horizon = SimTime::ZERO;
 
     loop {
+        // Users re-prompt in user order, not time order, and the driver
+        // takes a trace in time order.
+        wave.sort_by_key(|&(at, _)| at);
         driver.schedule_trace(0, wave.clone());
         let wave_max = wave.iter().map(|(t, _)| *t).max().unwrap_or(horizon);
         horizon = wave_max + SimDuration::from_secs(3_600);

@@ -453,15 +453,14 @@ impl FuzzInput for GatewayFuzzPoint {
     fn run(&self) -> FuzzOutcome<Self> {
         use aqua_engines::vllm::PreemptionPolicy;
         use aqua_sim::link::bytes::gib;
-        use aqua_workloads::tenants::tenant_trace;
+        use aqua_workloads::tenants::tenant_stream;
 
         let tracer = crate::trace::tracer();
         let auditor = Auditor::with_tracer(tracer.clone());
         let rate = 2.0 * self.load as f64;
-        let mix = tenant_trace(rate, self.count * self.load, self.seed);
+        let mix = tenant_stream(rate, self.count * self.load, self.seed);
         let expected: std::collections::BTreeMap<u64, u64> = mix
-            .trace
-            .iter()
+            .clone()
             .map(|(_, r)| (r.id.0, r.output_tokens))
             .collect();
 

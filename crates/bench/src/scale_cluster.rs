@@ -43,7 +43,7 @@ use aqua_sim::link::BandwidthModel;
 use aqua_sim::pdes::{lookahead_from_links, Msg};
 use aqua_sim::time::{SimDuration, SimTime};
 use aqua_telemetry::TraceEvent;
-use aqua_workloads::tenants::tenant_trace;
+use aqua_workloads::tenants::tenant_stream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -277,7 +277,7 @@ impl ServerShard {
             (None, None)
         };
         let (engine, driver) = ctx.serving_cell(
-            tenant_trace(
+            tenant_stream(
                 spec.rate,
                 spec.requests_per_server,
                 spec.seed + server as u64,

@@ -41,7 +41,7 @@ use aqua_sim::gpu::GpuId;
 use aqua_sim::link::bytes::gib;
 use aqua_sim::time::{SimDuration, SimTime};
 use aqua_telemetry::SharedTracer;
-use aqua_workloads::tenants::{tenant_trace, TENANT_BATCH, TENANT_CHAT, TENANT_CODE};
+use aqua_workloads::tenants::{tenant_stream, TENANT_BATCH, TENANT_CHAT, TENANT_CODE};
 
 /// The chat tenant's TTFT SLO (seconds). Both the protected gateway's
 /// admission deadline and the goodput judgement use this bound, so the two
@@ -259,7 +259,7 @@ pub fn run_cell_traced(
         )
     });
     let (mut engine, mut driver) = ctx.serving_cell(
-        tenant_trace(rate, cfg.base_count * spec.load, cfg.seed),
+        tenant_stream(rate, cfg.base_count * spec.load, cfg.seed),
         spec.policy,
         GatewayConfig {
             kv_pool_bytes: CELL_POOL_BYTES,

@@ -33,7 +33,7 @@ use aqua_sim::gpu::GpuId;
 use aqua_sim::link::bytes::gib;
 use aqua_sim::time::SimTime;
 use aqua_telemetry::SharedTracer;
-use aqua_workloads::tenants::{tenant_trace, TENANT_CHAT};
+use aqua_workloads::tenants::{tenant_stream, TENANT_CHAT};
 
 /// Experiment parameters.
 #[derive(Debug, Clone)]
@@ -167,7 +167,7 @@ pub(crate) fn run_policy_counted(
         ctx.static_lease(GpuId(1), gib(30));
     }
     let (mut engine, mut driver) = ctx.serving_cell(
-        tenant_trace(cfg.rate, cfg.count, cfg.seed),
+        tenant_stream(cfg.rate, cfg.count, cfg.seed),
         policy,
         GatewayConfig {
             kv_pool_bytes: cfg.pool_bytes,
@@ -282,7 +282,7 @@ mod tests {
     #[test]
     fn every_cell_serves_the_whole_mix() {
         let cfg = ServeExperiment::at_rate(4.0, 32, 7);
-        let expected = tenant_trace(cfg.rate, cfg.count, cfg.seed).trace.len();
+        let expected = tenant_stream(cfg.rate, cfg.count, cfg.seed).len();
         let r = run(&cfg);
         assert_eq!(r.runs.len(), PolicyKind::ALL.len() * 2);
         for run in &r.runs {

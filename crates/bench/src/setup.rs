@@ -25,7 +25,7 @@ use aqua_sim::time::SimTime;
 use aqua_sim::topology::ServerTopology;
 use aqua_sim::transfer::TransferEngine;
 use aqua_telemetry::{Lane, SharedTracer};
-use aqua_workloads::tenants::TenantTrace;
+use aqua_workloads::tenants::TenantStream;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -203,7 +203,8 @@ impl ServerCtx {
     /// The multi-tenant serving cell every gateway study runs: a
     /// Codellama-34B gateway on GPU 0 serving `mix` under `policy`,
     /// journalling into this context's tracer under `scope`, and a driver
-    /// with the mix's trace scheduled on engine 0.
+    /// with the mix scheduled on engine 0. The driver draws the mix one
+    /// arrival at a time, and each request carries its tenant.
     ///
     /// The gateway swaps preempted KV through an AQUA offloader built from
     /// this context exactly when `config.preemption` is `Swap`, so install
@@ -212,7 +213,7 @@ impl ServerCtx {
     /// driver, and `auditor` watches both.
     pub fn serving_cell(
         &self,
-        mix: TenantTrace,
+        mix: TenantStream,
         policy: PolicyKind,
         config: GatewayConfig,
         scope: impl Into<Lane>,
@@ -222,7 +223,6 @@ impl ServerCtx {
         let geom = *zoo::codellama_34b().llm_geometry().unwrap();
         let swap = config.preemption == PreemptionPolicy::Swap;
         let mut gateway = GatewayEngine::new(geom, GpuSpec::a100_80g(), policy, config)
-            .with_tenants(mix.tenant_of)
             .with_tracer(self.tracer.clone(), scope);
         if swap {
             gateway = gateway.with_offloader(self.offloader(OffloadKind::Aqua, GpuId(0)));
@@ -238,7 +238,7 @@ impl ServerCtx {
             gateway = gateway.with_auditor(auditor.clone());
             driver.set_auditor(auditor);
         }
-        driver.schedule_trace(0, mix.trace);
+        driver.schedule_trace(0, mix);
         (gateway, driver)
     }
 
@@ -250,10 +250,11 @@ impl ServerCtx {
     ///
     /// The `GpuCrash` windows on GPU 1 of this context's fault plan take
     /// engine 1 down, and this context's auditor watches the driver too.
-    pub fn donation_cell(
-        &self,
-        trace: impl IntoIterator<Item = (SimTime, InferenceRequest)>,
-    ) -> (FlexGenEngine, GatewayEngine, Driver) {
+    pub fn donation_cell<I>(&self, trace: I) -> (FlexGenEngine, GatewayEngine, Driver)
+    where
+        I: IntoIterator<Item = (SimTime, InferenceRequest)>,
+        I::IntoIter: ExactSizeIterator + 'static,
+    {
         let producer = self.llm_producer_with_informer(
             &zoo::llama2_13b(),
             GpuId(1),

@@ -12,7 +12,7 @@
 //! same holds for the steady decode runs a driver hands the gateway, with
 //! no offloader or with an AQUA offloader whose boundaries they skip as
 //! quiet; a driver queues a trace `Driver::schedule_trace` scheduled one
-//! arrival at a time; a scale run's peak heap grows by at most 112 B per
+//! arrival at a time; a scale run's peak heap grows by at most 32 B per
 //! extra request;
 //! a scale-style server idling out a 40,000 s horizon is never ticked (the
 //! driver fast-forwards its no-op tick rounds yet still counts them); an
@@ -57,7 +57,7 @@ use aqua_sim::time::{SimDuration, SimTime};
 use aqua_sim::topology::ServerTopology;
 use aqua_sim::transfer::{TransferEngine, TransferPlan};
 use aqua_telemetry::{JournalTracer, Lane, TraceEvent, Tracer};
-use aqua_workloads::tenants::tenant_trace;
+use aqua_workloads::tenants::tenant_stream;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use std::hint::black_box;
@@ -312,7 +312,7 @@ fn assert_drained_streams_share_the_clock() {
     let ctx = ServerCtx::two_gpu();
     ctx.static_lease(GpuId(1), gib(30));
     let (mut engine, mut driver) = ctx.serving_cell(
-        tenant_trace(3.0, 64, 42),
+        tenant_stream(3.0, 64, 42),
         PolicyKind::SjfBucket,
         GatewayConfig {
             kv_pool_bytes: gib(1),
@@ -426,11 +426,7 @@ fn scale_peak_bytes(per_server: usize) -> (u64, u64) {
         audited: false,
     };
     let requests = (0..spec.servers)
-        .map(|s| {
-            tenant_trace(spec.rate, per_server, spec.seed + s as u64)
-                .trace
-                .len() as u64
-        })
+        .map(|s| tenant_stream(spec.rate, per_server, spec.seed + s as u64).len() as u64)
         .sum();
     let live = LIVE_BYTES.load(Ordering::SeqCst);
     PEAK_BYTES.store(live, Ordering::SeqCst);
@@ -440,16 +436,17 @@ fn scale_peak_bytes(per_server: usize) -> (u64, u64) {
     (peak, requests)
 }
 
-/// A scale run's memory must not grow with the requests it has served:
-/// the driver queues one arrival per trace, each server drains its
-/// completions every window, and each gateway's iteration clock forgets
-/// what no stream can still read. Between 250 and 1,000 chat requests per
-/// server (8 servers, 0.5 req/s; 3,064 and 12,256 requests across the
-/// three tenants), the peak live heap may grow by at most 112 B per extra
-/// request: the trace itself (48 B a request) and the tenant map stay. A
-/// driver that queued every arrival (64 B a request) and servers that kept
-/// every completed stream and clock entry to the end measured 367 B;
-/// gateways that also kept a ledger entry per request measured 127 B.
+/// A scale run's memory must not grow with the requests it has served or
+/// will serve: the driver draws each server's tenant stream one arrival at
+/// a time, each request carries its tenant (no id-keyed map), each server
+/// drains its completions every window, and each gateway's iteration clock
+/// forgets what no stream can still read. Between 250 and 1,000 chat
+/// requests per server (8 servers, 0.5 req/s; 3,064 and 12,256 requests
+/// across the three tenants), the peak live heap may grow by at most 32 B
+/// per extra request; it measures 8 B. A server that held its whole trace
+/// (48 B a request) and a tenant map measured 98 B; a driver that also
+/// queued every arrival (64 B a request), with servers that kept every
+/// completed stream and clock entry to the end, measured 367 B.
 fn assert_scale_memory_per_request_is_bounded() {
     const SMALL: usize = 250;
     const LARGE: usize = 1_000;
@@ -457,13 +454,13 @@ fn assert_scale_memory_per_request_is_bounded() {
     let (large, many) = scale_peak_bytes(LARGE);
     let per_request = large.saturating_sub(small) as f64 / (many - few) as f64;
     assert!(
-        per_request <= 112.0,
+        per_request <= 32.0,
         "an 8-server scale run's peak heap grew {per_request:.0} B per extra request \
-         (bound 112 B): {small} B for {few} requests, {large} B for {many}"
+         (bound 32 B): {small} B for {few} requests, {large} B for {many}"
     );
     eprintln!(
         "hot_path: 8-server scale run: peak heap {small} B for {few} requests, {large} B \
-         for {many}: {per_request:.0} B per extra request (bound 112 B)"
+         for {many}: {per_request:.0} B per extra request (bound 32 B)"
     );
 }
 
@@ -538,7 +535,8 @@ fn assert_idle_server_is_never_ticked() {
     let mut driver = Driver::new();
     driver.schedule_trace(
         0,
-        (0..REQUESTS).map(|i| {
+        (0..REQUESTS as usize).map(|i| {
+            let i = i as u64;
             let at = SimTime::from_secs(2 * i);
             (at, InferenceRequest::text(i, 512, 64))
         }),

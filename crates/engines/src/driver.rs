@@ -316,13 +316,16 @@ impl Driver {
     /// Schedules a whole trace of `(time, request)` pairs for one engine,
     /// exactly as calling [`Driver::schedule_arrival`] for each pair in
     /// order would, but holding only the trace's next arrival in the event
-    /// queue (see the module doc).
+    /// queue (see the module doc). The trace must be in time order and its
+    /// length exact ([`EventQueue::push_trace`]): a lazy stream is drawn
+    /// one arrival at a time as the run reaches it.
     pub fn schedule_trace<I>(&mut self, engine: usize, trace: I)
     where
         I: IntoIterator<Item = (SimTime, InferenceRequest)>,
+        I::IntoIter: ExactSizeIterator + 'static,
     {
         self.events
-            .push_trace(trace.into_iter().collect(), move |req| Ev(engine, req));
+            .push_trace(trace.into_iter(), move |req| Ev(engine, req));
     }
 
     /// Runs until `end` or until no events remain.
@@ -865,7 +868,8 @@ mod tests {
     #[test]
     fn trace_scheduling() {
         let mut driver = Driver::new();
-        let trace = (0..5).map(|i| {
+        let trace = (0..5u32).map(|i| {
+            let i = u64::from(i);
             (
                 SimTime::from_millis(i * 10),
                 InferenceRequest::text(i, 1, 1),
@@ -903,7 +907,7 @@ mod tests {
         }
         let mut id = 0;
         for (k, (engine, times)) in traces.iter().enumerate() {
-            let trace: Vec<(SimTime, InferenceRequest)> = times
+            let mut trace: Vec<(SimTime, InferenceRequest)> = times
                 .iter()
                 .map(|&t| {
                     id += 1;
@@ -911,6 +915,7 @@ mod tests {
                 })
                 .collect();
             if batched(k) {
+                trace.sort_by_key(|&(at, _)| at);
                 driver.schedule_trace(*engine, trace);
             } else {
                 for (at, req) in trace {
@@ -935,7 +940,8 @@ mod tests {
 
     aqua_sim::check! {
         /// `schedule_trace` is a loop of `schedule_arrival`: over several
-        /// engines, traces out of time order and with ties, single
+        /// engines, traces drawn out of time order (sorted stably by time
+        /// before `schedule_trace`, as its callers must) and with ties, single
         /// arrivals between traces, crash windows that re-queue arrivals
         /// and horizons that cut the run, every engine call, its time,
         /// `processed_events`, `next_seq` and `next_event_time` agree.

@@ -29,6 +29,9 @@ pub struct InferenceRequest {
     pub output_tokens: u64,
     /// Index of the LoRA adapter this request needs, if any.
     pub adapter: Option<usize>,
+    /// The tenant the request belongs to: 0 unless its generator says
+    /// otherwise. The gateway admits and reports by it.
+    pub tenant: u32,
 }
 
 impl InferenceRequest {
@@ -39,6 +42,7 @@ impl InferenceRequest {
             prompt_tokens,
             output_tokens,
             adapter: None,
+            tenant: 0,
         }
     }
 
@@ -49,6 +53,7 @@ impl InferenceRequest {
             prompt_tokens,
             output_tokens,
             adapter: Some(adapter),
+            tenant: 0,
         }
     }
 
@@ -59,6 +64,7 @@ impl InferenceRequest {
             prompt_tokens: 0,
             output_tokens: 1,
             adapter: None,
+            tenant: 0,
         }
     }
 }
@@ -145,6 +151,7 @@ mod tests {
         let r = InferenceRequest::text(1, 100, 50);
         assert_eq!(r.id, RequestId(1));
         assert_eq!(r.adapter, None);
+        assert_eq!(r.tenant, 0);
         let l = InferenceRequest::with_adapter(2, 10, 5, 7);
         assert_eq!(l.adapter, Some(7));
         let i = InferenceRequest::item(3);

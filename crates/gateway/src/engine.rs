@@ -104,8 +104,8 @@ impl Default for GatewayConfig {
 
 impl GatewayConfig {
     /// The paper's vLLM baseline: one FCFS queue with no tenant cap, no
-    /// shedding and no SLOs. Build it with [`PolicyKind::Fcfs`] and no
-    /// tenant map.
+    /// shedding and no SLOs. Build it with [`PolicyKind::Fcfs`] and serve
+    /// it requests of tenant 0, the default.
     pub fn vllm() -> Self {
         GatewayConfig {
             max_outstanding_per_tenant: usize::MAX,
@@ -201,8 +201,10 @@ pub struct GatewayEngine {
     kv: PagedKvCache,
     scheduler: Scheduler,
     admission: AdmissionController,
-    /// Request id → tenant (requests not in the map belong to tenant 0).
-    tenants: BTreeMap<u64, u32>,
+    /// In a debug build, the request id → tenant map of
+    /// [`GatewayEngine::with_tenants`], which each request's own tenant
+    /// must match (0 when unmapped); empty otherwise.
+    tenant_check: BTreeMap<u64, u32>,
     /// Queued sequences, in arrival order (deadline sweeps and crash
     /// marking walk this order — it pins trace-event order). The scheduler
     /// index holds the admission order and each entry's handle here; this
@@ -301,7 +303,7 @@ impl GatewayEngine {
             kv,
             scheduler: Scheduler::new(policy),
             admission,
-            tenants: BTreeMap::new(),
+            tenant_check: BTreeMap::new(),
             pending: SlotArena::new(),
             running: Vec::new(),
             unprefilled_tokens: 0,
@@ -346,9 +348,15 @@ impl GatewayEngine {
         self
     }
 
-    /// Installs the request-id → tenant map (unmapped ids are tenant 0).
+    /// Checks a request-id → tenant map against the requests. Each request
+    /// carries its tenant ([`InferenceRequest::tenant`]), which is what the
+    /// gateway admits and reports by; a debug build asserts at `submit`
+    /// that it equals the map's (0 for an unmapped id), and a release build
+    /// drops the map.
     pub fn with_tenants(mut self, tenants: BTreeMap<u64, u32>) -> Self {
-        self.tenants = tenants;
+        if cfg!(debug_assertions) {
+            self.tenant_check = tenants;
+        }
         self
     }
 
@@ -596,10 +604,6 @@ impl GatewayEngine {
         if self.scheduler.advance(now) {
             self.admit_memo = None;
         }
-    }
-
-    fn tenant_of(&self, id: u64) -> u32 {
-        self.tenants.get(&id).copied().unwrap_or(0)
     }
 
     /// Emits a gauge if its value changed. Callers check
@@ -1401,7 +1405,13 @@ impl Engine for GatewayEngine {
             );
         }
         self.advance_index(now);
-        let tenant = self.tenant_of(req.id.0);
+        let tenant = req.tenant;
+        debug_assert!(
+            self.tenant_check.is_empty()
+                || self.tenant_check.get(&req.id.0).copied().unwrap_or(0) == tenant,
+            "request {} arrived as tenant {tenant}, but the tenant map says otherwise",
+            req.id.0
+        );
         trace!(
             self.tracer,
             TraceEvent::GatewayEnqueued {
@@ -1722,7 +1732,6 @@ mod tests {
     #[test]
     fn tenants_with_free_slots_bypass_a_capped_tenant() {
         let geom = *zoo::mistral_7b().llm_geometry().unwrap();
-        let tenants: BTreeMap<u64, u32> = [(0, 0), (1, 0), (2, 1)].into_iter().collect();
         let mut e = GatewayEngine::new(
             geom,
             GpuSpec::a100_80g(),
@@ -1731,16 +1740,36 @@ mod tests {
                 max_outstanding_per_tenant: 1,
                 ..GatewayConfig::default()
             },
-        )
-        .with_tenants(tenants);
-        for i in 0..3 {
-            e.submit(InferenceRequest::text(i, 64, 8), SimTime::ZERO);
+        );
+        for (i, tenant) in [0, 0, 1].into_iter().enumerate() {
+            let req = InferenceRequest {
+                tenant,
+                ..InferenceRequest::text(i as u64, 64, 8)
+            };
+            e.submit(req, SimTime::ZERO);
         }
         e.step(SimTime::ZERO);
         // Tenant 0's second request is capped, but tenant 1's runs.
         assert_eq!(e.running_count(), 2);
         run_to_completion(&mut e);
         assert_eq!(e.drain_completions().len(), 3);
+    }
+
+    /// `with_tenants` only checks: a map that disagrees with a request's
+    /// own tenant trips it in a debug build.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the tenant map says otherwise")]
+    fn a_tenant_map_that_disagrees_with_the_request_panics() {
+        let geom = *zoo::mistral_7b().llm_geometry().unwrap();
+        let mut e = GatewayEngine::new(
+            geom,
+            GpuSpec::a100_80g(),
+            PolicyKind::Fcfs,
+            GatewayConfig::default(),
+        )
+        .with_tenants(BTreeMap::from([(0, 1)]));
+        e.submit(InferenceRequest::text(0, 64, 8), SimTime::ZERO);
     }
 
     #[test]
@@ -2976,8 +3005,7 @@ mod tests {
                     max_outstanding_per_tenant: 2,
                     ..GatewayConfig::default()
                 },
-            )
-            .with_tenants(BTreeMap::from([(0, 1)]));
+            );
             assert_eq!(e.donate(gib(1)), gib(1));
             e
         };
@@ -2990,7 +3018,11 @@ mod tests {
             .collect();
         // The long job arrives while the first short one is prefilling.
         let long_at = SimTime::from_millis(500);
-        arrivals.insert(1, (long_at, InferenceRequest::text(0, 1_000, 3_000)));
+        let long = InferenceRequest {
+            tenant: 1,
+            ..InferenceRequest::text(0, 1_000, 3_000)
+        };
+        arrivals.insert(1, (long_at, long));
         let mut arrivals = VecDeque::from(arrivals);
         let mut now = SimTime::ZERO;
         loop {
@@ -3177,7 +3209,6 @@ mod tests {
             let plan = FaultPlan::new()
                 .gpu_crash(GpuId(0), SimTime::from_secs(3), SimTime::from_secs(4))
                 .gpu_crash(GpuId(0), SimTime::from_secs(9), SimTime::from_secs(10));
-            let tenants: BTreeMap<u64, u32> = (0..200).map(|id| (id, (id % 3) as u32)).collect();
             let twin = || {
                 GatewayEngine::new(
                     geom,
@@ -3189,7 +3220,6 @@ mod tests {
                         ..GatewayConfig::default()
                     },
                 )
-                .with_tenants(tenants.clone())
                 .with_fault_plan(&plan, GpuId(0))
             };
             let (mut memo, mut popping) = (twin(), twin());
@@ -3197,7 +3227,10 @@ mod tests {
             for (op, arg) in ops {
                 match op {
                     0 | 1 => {
-                        let req = InferenceRequest::text(next_id, arg % 2_500 + 1, arg % 200 + 1);
+                        let req = InferenceRequest {
+                            tenant: (next_id % 3) as u32,
+                            ..InferenceRequest::text(next_id, arg % 2_500 + 1, arg % 200 + 1)
+                        };
                         memo.submit(req.clone(), now);
                         popping.submit(req, now);
                         next_id += 1;

@@ -31,7 +31,6 @@ use aqua_sim::topology::ServerTopology;
 use aqua_sim::transfer::TransferEngine;
 use aqua_telemetry::JournalTracer;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -178,7 +177,6 @@ fn serve(reqs: &[(u64, u64, u64)], f: Features, window_s: u64, per_step: bool) -
     } else {
         SloPolicy::none()
     };
-    let tenants = (0..reqs.len() as u64).map(|id| (id, (id % 3) as u32));
     let mut gateway = GatewayEngine::new(
         geom,
         GpuSpec::a100_80g(),
@@ -197,7 +195,6 @@ fn serve(reqs: &[(u64, u64, u64)], f: Features, window_s: u64, per_step: bool) -
             ..GatewayConfig::default()
         },
     )
-    .with_tenants(tenants.collect())
     .with_tracer(journal.clone(), "gateway:twin")
     .with_offloader(Box::new(DramOffloader::pinned(
         &server,
@@ -216,7 +213,10 @@ fn serve(reqs: &[(u64, u64, u64)], f: Features, window_s: u64, per_step: bool) -
         gateway = gateway.with_informer(Box::new(Donor));
     }
     for (id, &(prompt, output, at_ms)) in reqs.iter().enumerate() {
-        let req = InferenceRequest::text(id as u64, prompt, output);
+        let req = InferenceRequest {
+            tenant: (id % 3) as u32,
+            ..InferenceRequest::text(id as u64, prompt, output)
+        };
         driver.schedule_arrival(0, SimTime::from_millis(at_ms), req);
     }
     // PDES-style windows over the busy span, then one run to drain.
@@ -271,7 +271,6 @@ fn an_aging_promotion_inside_a_steady_run_lands_on_time() {
                 ..GatewayConfig::default()
             },
         )
-        .with_tenants(BTreeMap::from([(0, 1)]))
         .with_tracer(journal.clone(), "gateway:aging");
         // 6 GiB less 1 GiB donated leaves 40,960 tokens.
         assert_eq!(gateway.donate(gib(1)), gib(1));
@@ -280,7 +279,10 @@ fn an_aging_promotion_inside_a_steady_run_lands_on_time() {
             let req = InferenceRequest::text(i, 30_000, 20);
             driver.schedule_arrival(0, SimTime::from_secs(i - 1), req);
         }
-        let long = InferenceRequest::text(0, 1_000, 3_000);
+        let long = InferenceRequest {
+            tenant: 1,
+            ..InferenceRequest::text(0, 1_000, 3_000)
+        };
         driver.schedule_arrival(0, SimTime::from_millis(500), long);
         drive(gateway, &journal, driver, [10_000], per_step)
     };

@@ -14,11 +14,12 @@
 //!
 //! A whole trace goes in through [`EventQueue::push_trace`], which draws its
 //! seqs as one block but queues only its earliest event: the rest wait in
-//! the trace, sorted by key, and popping a trace's event queues its next
-//! one before anything else can read the queue. Since each trace's keys
-//! ascend, the smallest key among the heap's entries is the smallest among
-//! every pending event, so the queue pops exactly what pushing each event
-//! would, while holding about one heap entry per trace.
+//! the trace, which is in time order and so in key order, and popping a
+//! trace's event queues its next one before anything else can read the
+//! queue. Since each trace's keys ascend, the smallest key among the heap's
+//! entries is the smallest among every pending event, so the queue pops
+//! exactly what pushing each event would, while holding about one heap
+//! entry per trace.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -134,34 +135,35 @@ impl<T> EventQueue<T> {
 
     /// Schedules every `(time, event)` of `trace`, each as `wrap(event)`,
     /// to pop exactly as pushing them one by one in order would. The trace
-    /// is sorted stably by time (which leaves a sorted trace as it is) and
-    /// draws the next `trace.len()` seqs at once, its `i`-th event keyed
-    /// with the `i`-th of them. Only its earliest event is queued now;
-    /// popping it queues the next, so a trace costs the queue one entry
-    /// however long it is.
+    /// must already be in time order (a debug build asserts it as the
+    /// events are drawn); a caller whose trace is not sorts it stably by
+    /// time first. It draws the next `trace.len()` seqs at once, its `i`-th
+    /// event keyed with the `i`-th of them, so its length must be exact.
+    /// Only its earliest event is drawn and queued now; popping it queues
+    /// the next, so a trace costs the queue one entry however long it is,
+    /// and a lazy trace is generated as the simulation reaches it.
     ///
     /// The seqs form one block, so an event of the trace orders against
     /// any other event by time and then by which side of the block the
     /// other's seq lies on, never by its place inside the block; among
     /// themselves, one-by-one pushes order the trace's events by time and
-    /// then position, which is the stable sort's order.
+    /// then position, which is the trace's order.
     pub fn push_trace<U: 'static>(
         &mut self,
-        mut trace: Vec<(SimTime, U)>,
+        trace: impl ExactSizeIterator<Item = (SimTime, U)> + 'static,
         wrap: impl Fn(U) -> T + 'static,
     ) where
         T: 'static,
     {
-        trace.sort_by_key(|&(at, _)| at);
         let first = self.next_seq;
         self.next_seq += trace.len() as u64;
         self.pending += trace.len();
-        let rest: Trace<T> = Box::new(
-            trace
-                .into_iter()
-                .zip(first..)
-                .map(move |((at, event), seq)| (at, seq, wrap(event))),
-        );
+        let mut last = SimTime::ZERO;
+        let rest: Trace<T> = Box::new(trace.zip(first..).map(move |((at, event), seq)| {
+            debug_assert!(last <= at, "trace out of time order: {at} after {last}");
+            last = at;
+            (at, seq, wrap(event))
+        }));
         let index = u32::try_from(self.traces.len()).expect("at most 2^32 traces");
         self.traces.push(Some(rest));
         self.queue_next_of(index);
@@ -328,9 +330,7 @@ mod tests {
     fn a_trace_holds_one_heap_entry() {
         let mut q = EventQueue::new();
         q.push_trace(
-            (0..1_000u64)
-                .map(|i| (SimTime::from_nanos(i / 3), i))
-                .collect(),
+            (0..1_000u32).map(|i| (SimTime::from_nanos(u64::from(i / 3)), u64::from(i))),
             |i| i,
         );
         q.push(SimTime::from_nanos(5), u64::MAX);
@@ -346,6 +346,18 @@ mod tests {
         assert_eq!(popped, expected);
         assert!(q.is_empty());
         assert_eq!(q.queued(), 0);
+    }
+
+    /// `push_trace` takes a trace in time order; a debug build catches
+    /// one that is not as its events are drawn.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "trace out of time order")]
+    fn an_unsorted_trace_panics_as_it_is_drawn() {
+        let mut q = EventQueue::new();
+        let trace = [(SimTime::from_nanos(2), 0), (SimTime::from_nanos(1), 1)];
+        q.push_trace(trace.into_iter(), |i| i);
+        while q.pop().is_some() {}
     }
 
     #[test]
@@ -455,9 +467,10 @@ mod tests {
     }
 
     crate::check! {
-        /// Traces (out of time order, too) pushed with `push_trace` among
-        /// single pushes and pops pop exactly what pushing each of their
-        /// events in order would, and draw the same seqs.
+        /// Traces pushed with `push_trace` among single pushes and pops pop
+        /// exactly what pushing each of their events in order would, and
+        /// draw the same seqs; a trace drawn out of time order is sorted
+        /// stably by time first, which leaves the pushes' pop order.
         #[test]
         fn traces_pop_like_their_pushes(
             // (time, op): op 0 pops, op 1 pushes at `time`, op 2 pushes a
@@ -484,7 +497,8 @@ mod tests {
                             trace.push((SimTime::from_nanos(at), id));
                             id += 1;
                         }
-                        q.push_trace(trace, |i| i);
+                        trace.sort_by_key(|&(at, _)| at);
+                        q.push_trace(trace.into_iter(), |i| i);
                     }
                 }
                 assert_eq!(q.next_seq(), oracle.next_seq);

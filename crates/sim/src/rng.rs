@@ -86,6 +86,16 @@ impl StdRng {
         self.index = 0;
     }
 
+    /// Moves to word `word` of the generator's output, counted from the
+    /// seed: the next draw then reads what it would read after `word` words
+    /// had been drawn from a fresh generator. One refill, whatever `word`.
+    pub fn seek(&mut self, word: u64) {
+        let words = BUF_WORDS as u64;
+        self.counter = word / words * (BUF_WORDS / BLOCK_WORDS) as u64;
+        self.refill();
+        self.index = (word % words) as usize;
+    }
+
     /// The next 32 random bits.
     #[inline]
     pub(crate) fn next_u32(&mut self) -> u32 {
@@ -185,6 +195,44 @@ mod tests {
                 15_665_927_001_465_599_799,
             ]
         );
+    }
+
+    /// The next `n` words from `rng`.
+    fn words(rng: &mut StdRng, n: usize) -> Vec<u32> {
+        (0..n).map(|_| rng.next_u32()).collect()
+    }
+
+    #[test]
+    fn seeking_to_a_refill_edge_reads_on_from_there() {
+        for word in [0, 63, 64, 65, 127, 128, 129] {
+            let mut drawn = StdRng::seed_from_u64(9);
+            words(&mut drawn, word);
+            let mut sought = StdRng::seed_from_u64(9);
+            sought.seek(word as u64);
+            assert_eq!(
+                words(&mut sought, 200),
+                words(&mut drawn, 200),
+                "word {word}"
+            );
+        }
+    }
+
+    crate::check! {
+        /// Seeking to word `w` and then drawing equals drawing `w` words and
+        /// then drawing, for a `u64` that straddles a refill too.
+        #[test]
+        fn seek_equals_drawing_that_many_words(
+            seed in 0u64..u64::MAX,
+            word in 0usize..5_000,
+            after in 1usize..300
+        ) {
+            let mut drawn = StdRng::seed_from_u64(seed);
+            words(&mut drawn, word);
+            let mut sought = StdRng::seed_from_u64(seed);
+            sought.seek(word as u64);
+            assert_eq!(sought.next_u64(), drawn.next_u64());
+            assert_eq!(words(&mut sought, after), words(&mut drawn, after));
+        }
     }
 
     #[test]

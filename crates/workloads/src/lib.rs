@@ -7,7 +7,8 @@
 //! statistically equivalent traces from explicit seeds:
 //!
 //! * [`sharegpt`] — interactive chat requests with ShareGPT-like log-normal
-//!   prompt/response lengths and Poisson arrivals at 1–10 req/s.
+//!   prompt/response lengths and Poisson arrivals at 1–10 req/s, drawn one
+//!   request at a time.
 //! * [`longprompt`] — FlexGen's non-interactive long-prompt jobs (8,000
 //!   tokens, the GPT-4 context limit the paper cites).
 //! * [`lora`] — requests that each need one adapter from a pool (30×320 MB
@@ -20,7 +21,8 @@
 //!   process) everything above is built on. No `rand_distr` dependency:
 //!   the transforms are implemented here and unit-tested.
 //! * [`tenants`] — merged multi-tenant mixes (chat + code + batch) for the
-//!   serving gateway in `aqua-gateway`.
+//!   serving gateway in `aqua-gateway`, streamed, each request tagged with
+//!   its tenant.
 
 pub mod chat;
 pub mod items;
@@ -37,8 +39,8 @@ pub mod prelude {
     pub use crate::longprompt::long_prompt_trace;
     pub use crate::lora::{lora_trace, lora_trace_skewed};
     pub use crate::sampling::Sampler;
-    pub use crate::sharegpt::{sharegpt_trace, ShareGptConfig};
-    pub use crate::tenants::{tenant_trace, TenantTrace};
+    pub use crate::sharegpt::{sharegpt_stream, sharegpt_trace, ShareGptConfig, ShareGptStream};
+    pub use crate::tenants::{tenant_stream, tenant_trace, TenantStream, TenantTrace};
 }
 
 pub use prelude::*;

@@ -20,6 +20,14 @@ impl Sampler {
         }
     }
 
+    /// The sampler [`Sampler::new`] gives for `seed` once `word` 32-bit
+    /// words have been drawn from it: each `uniform` draws two.
+    pub(crate) fn at_word(seed: u64, word: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        rng.seek(word);
+        Sampler { rng }
+    }
+
     /// Uniform in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
         self.rng.f64()

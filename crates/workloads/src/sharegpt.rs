@@ -12,7 +12,7 @@
 
 use crate::sampling::Sampler;
 use aqua_engines::request::InferenceRequest;
-use aqua_sim::time::SimTime;
+use aqua_sim::time::{SimDuration, SimTime};
 
 /// Parameters of a ShareGPT-like trace.
 #[derive(Debug, Clone)]
@@ -77,31 +77,90 @@ pub fn sharegpt_trace(
     seed: u64,
     id_base: u64,
 ) -> Vec<(SimTime, InferenceRequest)> {
-    let mut s = Sampler::new(seed);
-    let arrivals = s.poisson_arrivals(SimTime::ZERO, config.rate, config.count);
-    arrivals
-        .into_iter()
-        .enumerate()
-        .map(|(i, at)| {
-            let prompt = s.token_count(
-                config.prompt_mu,
-                config.prompt_sigma,
-                config.prompt_range.0,
-                config.prompt_range.1,
-            );
-            let output = s.token_count(
-                config.output_mu,
-                config.output_sigma,
-                config.output_range.0,
-                config.output_range.1,
-            );
-            (
-                at,
-                InferenceRequest::text(id_base + i as u64, prompt, output),
-            )
-        })
-        .collect()
+    sharegpt_stream(config, seed, id_base).collect()
 }
+
+/// [`sharegpt_trace`] drawn one request at a time, holding two sampler
+/// states instead of the trace.
+///
+/// The trace draws every arrival gap, then each request's prompt and
+/// output length, from one seeded generator. A gap is one `uniform`, two
+/// generator words, so the lengths start at word `2·count`: the stream
+/// reads gaps from a sampler at word 0 and lengths from a second one
+/// sought to word `2·count`, and yields exactly the trace's requests.
+pub fn sharegpt_stream(config: &ShareGptConfig, seed: u64, id_base: u64) -> ShareGptStream {
+    ShareGptStream {
+        config: config.clone(),
+        gaps: Sampler::new(seed),
+        lengths: Sampler::at_word(seed, 2 * config.count as u64),
+        at: SimTime::ZERO,
+        next: 0,
+        id_base,
+        tenant: 0,
+    }
+}
+
+/// The iterator [`sharegpt_stream`] returns: exactly sized, in arrival
+/// order, ids ascending from its base.
+#[derive(Debug, Clone)]
+pub struct ShareGptStream {
+    config: ShareGptConfig,
+    /// Draws the arrival gaps.
+    gaps: Sampler,
+    /// Draws the prompt and output lengths, `2·count` words in.
+    lengths: Sampler,
+    /// The last arrival yielded.
+    at: SimTime,
+    /// Requests yielded so far.
+    next: usize,
+    id_base: u64,
+    tenant: u32,
+}
+
+impl ShareGptStream {
+    /// The stream with every request tagged as `tenant`'s.
+    pub(crate) fn for_tenant(self, tenant: u32) -> Self {
+        ShareGptStream { tenant, ..self }
+    }
+}
+
+impl Iterator for ShareGptStream {
+    type Item = (SimTime, InferenceRequest);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.next == self.config.count {
+            return None;
+        }
+        let c = &self.config;
+        self.at += SimDuration::from_secs_f64(self.gaps.exponential(c.rate));
+        let prompt = self.lengths.token_count(
+            c.prompt_mu,
+            c.prompt_sigma,
+            c.prompt_range.0,
+            c.prompt_range.1,
+        );
+        let output = self.lengths.token_count(
+            c.output_mu,
+            c.output_sigma,
+            c.output_range.0,
+            c.output_range.1,
+        );
+        let id = self.id_base + self.next as u64;
+        self.next += 1;
+        let req = InferenceRequest {
+            tenant: self.tenant,
+            ..InferenceRequest::text(id, prompt, output)
+        };
+        Some((self.at, req))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.config.count - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for ShareGptStream {}
 
 #[cfg(test)]
 mod tests {

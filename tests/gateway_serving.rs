@@ -10,13 +10,13 @@ use aqua::models::zoo;
 use aqua::sim::gpu::GpuSpec;
 use aqua::sim::link::bytes::gib;
 use aqua::sim::time::SimTime;
-use aqua::workloads::tenants::{tenant_trace, TENANT_CHAT};
+use aqua::workloads::tenants::{tenant_stream, TENANT_CHAT};
 
 /// Runs one gateway over the scaled-down tenant mix, optionally freezing
 /// the GPU for `[crash_start, crash_end)` seconds mid-run.
 fn serve(policy: PolicyKind, crash: Option<(u64, u64)>) -> StreamLog {
-    let mix = tenant_trace(2.0, 32, 9);
-    let expected = mix.trace.len();
+    let mix = tenant_stream(2.0, 32, 9);
+    let expected = mix.len();
     let geom = *zoo::codellama_34b().llm_geometry().unwrap();
     let mut engine = GatewayEngine::new(
         geom,
@@ -27,10 +27,9 @@ fn serve(policy: PolicyKind, crash: Option<(u64, u64)>) -> StreamLog {
             max_outstanding_per_tenant: 8,
             ..GatewayConfig::default()
         },
-    )
-    .with_tenants(mix.tenant_of.clone());
+    );
     let mut driver = Driver::new();
-    driver.schedule_trace(0, mix.trace);
+    driver.schedule_trace(0, mix);
     if let Some((start, end)) = crash {
         driver.crash_window(0, SimTime::from_secs(start), SimTime::from_secs(end));
     }

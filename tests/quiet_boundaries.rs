@@ -26,7 +26,7 @@ use aqua::sim::gpu::GpuId;
 use aqua::sim::link::bytes::{gib, mib};
 use aqua::sim::time::{SimDuration, SimTime};
 use aqua::telemetry::{JournalTracer, SharedTracer, TraceEvent};
-use aqua::workloads::tenants::tenant_trace;
+use aqua::workloads::tenants::tenant_stream;
 use aqua_bench::serve_schedulers::ServeExperiment;
 use aqua_bench::setup::{ServerCtx, CELL_MAX_OUTSTANDING, CELL_POOL_BYTES};
 use std::sync::Arc;
@@ -117,7 +117,7 @@ fn swap_cell(
     }
     ctx.static_lease(GpuId(1), gib(30));
     let (gateway, driver) = ctx.serving_cell(
-        tenant_trace(cfg.rate, cfg.count, cfg.seed),
+        tenant_stream(cfg.rate, cfg.count, cfg.seed),
         PolicyKind::SjfBucket,
         GatewayConfig {
             kv_pool_bytes: cfg.pool_bytes,
