@@ -6,9 +6,12 @@
 //! [`crate::serve_schedulers::run_policy`]'s cell and [`run_suite`]), at
 //! the benchmark's sizes. Every count is read from its component's
 //! accessor or from the run's rendered totals, one `workload.name value`
-//! line each. The output is committed as `golden/counters.txt`, so a change
-//! that moves how much work a workload does names each count it moved.
-//! Re-bless with `aqua-repro counters > golden/counters.txt`.
+//! line each, plus the journal digest of each workload that journals (in
+//! 16-digit hex; `repro_suite`'s is the one `aqua-repro all` prints on
+//! stderr). The output is committed as `golden/counters.txt`, so a change
+//! that moves how much work a workload does, or what it journals, names
+//! each line it moved. Re-bless with `aqua-repro counters >
+//! golden/counters.txt`.
 
 use crate::runner::{run_suite, ReproArgs, EXPERIMENTS};
 use crate::scale_cluster::{run_scale, ScaleRun, ScaleSpec};
@@ -50,29 +53,35 @@ fn total(run: &ScaleRun, key: &str) -> u64 {
 /// Runs the four workloads and renders their counts.
 pub fn render() -> Result<String, String> {
     let mut out = String::new();
-    let mut put = |workload: &str, name: &str, value: u64| {
+    let mut put = |workload: &str, name: &str, value: &dyn std::fmt::Display| {
         writeln!(out, "{workload}.{name} {value}").expect("writing to a String");
     };
+    let hex = |digest: u64| format!("{digest:016x}");
     for (workload, overload) in [("scale_calm", false), ("scale_overload", true)] {
         let run = run_scale(&scale_spec(overload));
-        put(workload, "windows", run.windows);
-        put(workload, "messages", run.messages);
-        put(workload, "sim_events", run.sim_events);
-        put(workload, "journal_events", run.journal_events as u64);
-        put(workload, "audit_violations", run.audit_violations as u64);
-        put(workload, "streams", total(&run, "streams"));
-        put(workload, "retries", total(&run, "retries"));
+        put(workload, "windows", &run.windows);
+        put(workload, "messages", &run.messages);
+        put(workload, "sim_events", &run.sim_events);
+        put(workload, "journal_events", &run.journal_events);
+        put(workload, "journal_digest", &hex(run.digest));
+        put(workload, "audit_violations", &run.audit_violations);
+        put(workload, "streams", &total(&run, "streams"));
+        put(workload, "retries", &total(&run, "retries"));
     }
 
     let cfg = ServeExperiment::at_rate(0.3, 37_500, SEED);
     let (run, loops) =
         run_policy_counted(&cfg, PolicyKind::SjfBucket, true, crate::trace::tracer());
-    put("serve_swap", "streams", run.streams.len() as u64);
-    put("serve_swap", "preemptions", run.preemptions);
-    put("serve_swap", "swapped_bytes", run.swapped_bytes);
-    put("serve_swap", "iterations", loops.iterations);
-    put("serve_swap", "steady_iterations", loops.steady_iterations);
-    put("serve_swap", "skipped_boundaries", loops.skipped_boundaries);
+    put("serve_swap", "streams", &run.streams.len());
+    put("serve_swap", "preemptions", &run.preemptions);
+    put("serve_swap", "swapped_bytes", &run.swapped_bytes);
+    put("serve_swap", "iterations", &loops.iterations);
+    put("serve_swap", "steady_iterations", &loops.steady_iterations);
+    put(
+        "serve_swap",
+        "skipped_boundaries",
+        &loops.skipped_boundaries,
+    );
 
     let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     let args = ReproArgs {
@@ -80,8 +89,9 @@ pub fn render() -> Result<String, String> {
         ..ReproArgs::default()
     };
     let suite = run_suite(&names, &args, 1, true, false)?;
-    let points = suite.experiments.iter().map(|e| e.points as u64).sum();
-    put("repro_suite", "points", points);
-    put("repro_suite", "journal_events", suite.total_events as u64);
+    let points: usize = suite.experiments.iter().map(|e| e.points).sum();
+    put("repro_suite", "points", &points);
+    put("repro_suite", "journal_events", &suite.total_events);
+    put("repro_suite", "journal_digest", &hex(suite.combined_digest));
     Ok(out)
 }

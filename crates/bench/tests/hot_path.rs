@@ -175,14 +175,14 @@ fn assert_placer_solve_allocation_bounded() {
 }
 
 /// The decode hot path must be allocation-lean: with an untraced engine
-/// (the gateway in its vLLM configuration; gauges short-circuit), no
-/// offloader, no LoRA adapters and no completions in flight, a
-/// steady-state decode step touches only the SoA sequence arrays, the paged
-/// KV free-list watermark, the sequences' open runs and the gateway's
-/// iteration clock — its sole legitimate heap traffic is the amortized
-/// doubling of a sequence's block table as it crosses block boundaries
-/// (≤ log₂(blocks) reallocations per sequence over its whole life) and of
-/// the clock (≤ log₂(steps) over the gateway's life). Before the SoA/arena rework this path allocated per
+/// (the gateway in its vLLM configuration), no offloader, no LoRA adapters
+/// and no completions in flight, a steady-state decode step touches only
+/// the SoA sequence arrays, the paged KV free-list watermark, the
+/// sequences' open runs and the gateway's iteration clock — its sole
+/// legitimate heap traffic is the amortized doubling of a sequence's block
+/// table as it crosses block boundaries (≤ log₂(blocks) reallocations per
+/// sequence over its whole life) and of the clock (≤ log₂(steps) over the
+/// gateway's life). Before the SoA/arena rework this path allocated per
 /// step via per-sequence map churn and gauge-name formatting.
 fn assert_untraced_decode_step_is_allocation_lean() {
     const SEQS: u64 = 8;
@@ -728,18 +728,27 @@ fn assert_cfs_slice_heap_is_backlog_independent() {
 /// A digest-only journal hashes each event straight from its fields: no
 /// line buffer, no `fmt` into a `String`, no interned label copied. After
 /// a warm-up long enough for each label to find its skip table, 10k emits
-/// each of a gauge (interned name, integral and fractional values, so the
-/// `f64` slow path runs too), a transfer completion and a gateway
-/// completion must leave the allocation counter untouched.
+/// each of a scheduling and a preemption edge (built as the gateway builds
+/// them, from labels it interned once), a transfer completion and a
+/// gateway completion must leave the allocation counter untouched.
 fn assert_digest_only_emit_is_allocation_free() {
     let journal = JournalTracer::digest_only();
-    let gauge = Lane::from("gateway:fcfs:aqua.queue_depth");
     let lane = Lane::from("nvlink-egress:gpu0");
     let gateway = Lane::from("gateway:fcfs:aqua");
+    let policy = Lane::from("fcfs");
+    let preemption = [Lane::from("recompute"), Lane::from("swap")];
     let emit_round = |i: u64| {
-        journal.emit(TraceEvent::Gauge {
-            name: gauge.clone(),
-            value: i as f64 / if i.is_multiple_of(2) { 1.0 } else { 3.0 },
+        journal.emit(TraceEvent::RequestScheduled {
+            gateway: gateway.clone(),
+            policy: policy.clone(),
+            request: i,
+            queue_depth: i % 64,
+            at: SimTime::from_nanos(i),
+        });
+        journal.emit(TraceEvent::RequestPreempted {
+            engine: gateway.clone(),
+            request: i,
+            policy: preemption[usize::from(i.is_multiple_of(2))].clone(),
             at: SimTime::from_nanos(i),
         });
         journal.emit(TraceEvent::TransferCompleted {
@@ -768,12 +777,12 @@ fn assert_digest_only_emit_is_allocation_free() {
     let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
     assert_eq!(
         allocs, 0,
-        "digest-only journal made {allocs} allocations over {EMITS} rounds of three emits"
+        "digest-only journal made {allocs} allocations over {EMITS} rounds of four emits"
     );
     black_box(journal.digest());
     eprintln!(
         "hot_path: digest-only journal: 0 allocations over {} emits",
-        3 * EMITS
+        4 * EMITS
     );
 }
 

@@ -12,7 +12,6 @@
 //!   by ~50% (Figure 1b); over NVLink via AQUA it nearly vanishes.
 
 use crate::driver::Engine;
-use crate::gauges::GaugeCache;
 use crate::kvcache::{PagedKvCache, DEFAULT_BLOCK_TOKENS};
 use crate::northbound::{EngineStats, MemoryElastic};
 use crate::offload::Offloader;
@@ -25,11 +24,6 @@ use aqua_sim::link::bytes::gib;
 use aqua_sim::time::SimTime;
 use aqua_telemetry::{null_tracer, trace, SharedTracer, TraceEvent};
 use std::collections::BTreeMap;
-
-/// The one gauge a traced CFS engine journals, `<scope>.outstanding`, at
-/// position [`OUTSTANDING`].
-const GAUGES: [&str; 1] = ["outstanding"];
-const OUTSTANDING: usize = 0;
 
 /// Configuration of a [`CfsEngine`].
 #[derive(Debug, Clone)]
@@ -127,7 +121,6 @@ pub struct CfsEngine {
     slices: u64,
     tracer: SharedTracer,
     scope: String,
-    gauges: GaugeCache,
 }
 
 impl std::fmt::Debug for CfsEngine {
@@ -164,7 +157,6 @@ impl CfsEngine {
             slices: 0,
             tracer: null_tracer(),
             scope: "cfs".to_owned(),
-            gauges: GaugeCache::new("cfs", &GAUGES),
         }
     }
 
@@ -173,7 +165,6 @@ impl CfsEngine {
     pub fn with_tracer(mut self, tracer: SharedTracer, scope: impl Into<String>) -> Self {
         self.tracer = tracer;
         self.scope = scope.into();
-        self.gauges = GaugeCache::new(&self.scope, &GAUGES);
         self
     }
 
@@ -364,16 +355,6 @@ impl CfsEngine {
                 end: cursor,
             }
         );
-        if self.tracer.enabled() {
-            let outstanding = self.seqs.len() as f64;
-            if let Some(name) = self.gauges.changed(OUTSTANDING, outstanding) {
-                self.tracer.emit(TraceEvent::Gauge {
-                    name: name.clone(),
-                    value: outstanding,
-                    at: cursor,
-                });
-            }
-        }
         cursor
     }
 }
@@ -745,9 +726,6 @@ mod tests {
             }
         }
         assert!(e.swapped_bytes() > 0, "12 sequences over 5 slots page");
-        assert!(events.iter().any(
-            |ev| matches!(ev, TraceEvent::Gauge { name, .. } if name == "cfs:test.outstanding")
-        ));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! indexed through a multiply-shift-hashed `RequestId → slot` map, freed
 //! slots swap-removed), and the pool maintains running `used_blocks` /
 //! `total_tokens` / `full_seqs` counters so the admission checks, decode
-//! headroom checks and gauges the engines issue every decode iteration are
-//! O(1) instead of a scan over every live sequence.
+//! headroom checks and usage reads the engines issue every decode
+//! iteration are O(1) instead of a scan over every live sequence.
 //!
 //! Decode growth is the simulator's hottest path. An engine whose batch is
 //! exactly the pool's live sequences advances all of them with one
@@ -89,7 +89,7 @@ pub struct PagedKvCache {
     seq_tables: Vec<Vec<BlockId>>,
     index: PackedKeyMap<RequestId, usize>,
     /// Running totals maintained by grow/free so the per-iteration
-    /// admission and gauge queries never scan live sequences.
+    /// admission and usage queries never scan live sequences.
     used_blocks: u64,
     total_tokens: u64,
     /// Live sequences whose last block is full (or that hold no block), so

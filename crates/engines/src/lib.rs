@@ -27,7 +27,6 @@
 pub mod cfs;
 pub mod driver;
 pub mod flexgen;
-pub mod gauges;
 pub mod kvcache;
 pub mod northbound;
 pub mod offload;

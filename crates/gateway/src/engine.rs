@@ -30,7 +30,6 @@ use crate::arena::SlotArena;
 use crate::outcome::{DeadlineKind, OutcomeCounts, SloPolicy, MAX_RETRIES, RETRY_BACKOFF};
 use crate::scheduler::{PolicyKind, Pop, QueuedMeta, Scheduler};
 use aqua_engines::driver::Engine;
-use aqua_engines::gauges::GaugeCache;
 use aqua_engines::kvcache::{DecodeGrowth, PagedKvCache, DEFAULT_BLOCK_TOKENS};
 use aqua_engines::northbound::{EngineStats, Informer, MemoryElastic};
 use aqua_engines::offload::Offloader;
@@ -53,14 +52,6 @@ use std::sync::Arc;
 /// KV pool a donating engine always retains: the paper's producer LLM
 /// keeps 5 GB "to stay responsive".
 const DONATION_FLOOR_BYTES: u64 = gib(5);
-
-/// The gauges a traced gateway journals each step, by position in
-/// [`GAUGES`].
-const QUEUE_DEPTH: usize = 0;
-const RUNNING: usize = 1;
-const KV_USED_BYTES: usize = 2;
-/// Gauge suffixes, journalled as `<scope>.<suffix>`.
-const GAUGES: [&str; 3] = ["queue_depth", "running", "kv_used_bytes"];
 
 /// Configuration of a [`GatewayEngine`].
 #[derive(Debug, Clone)]
@@ -270,7 +261,11 @@ pub struct GatewayEngine {
     preemptions: u64,
     tracer: SharedTracer,
     scope: Lane,
-    gauges: GaugeCache,
+    /// The scheduler policy's name, as `request_scheduled` carries it.
+    policy_label: Lane,
+    /// `[recompute, swap]`: the preemption modes `request_preempted`
+    /// carries.
+    preemption_labels: [Lane; 2],
     outcomes: OutcomeCounts,
     /// GpuCrash windows affecting this gateway's GPU, sorted by start.
     crash_windows: Vec<(SimTime, SimTime)>,
@@ -330,7 +325,8 @@ impl GatewayEngine {
             preemptions: 0,
             tracer: null_tracer(),
             scope: Lane::from("gateway"),
-            gauges: GaugeCache::new("gateway", &GAUGES),
+            policy_label: Lane::from(policy.name()),
+            preemption_labels: [Lane::from("recompute"), Lane::from("swap")],
             outcomes: OutcomeCounts::default(),
             crash_windows: Vec::new(),
             next_crash: 0,
@@ -344,7 +340,6 @@ impl GatewayEngine {
     pub fn with_tracer(mut self, tracer: SharedTracer, scope: impl Into<Lane>) -> Self {
         self.tracer = tracer;
         self.scope = scope.into();
-        self.gauges = GaugeCache::new(&self.scope, &GAUGES);
         self
     }
 
@@ -606,19 +601,6 @@ impl GatewayEngine {
         }
     }
 
-    /// Emits a gauge if its value changed. Callers check
-    /// `tracer.enabled()` first, once per step.
-    fn emit_gauge(&mut self, gauge: usize, value: f64, at: SimTime) {
-        let Some(name) = self.gauges.changed(gauge, value) else {
-            return;
-        };
-        self.tracer.emit(TraceEvent::Gauge {
-            name: name.clone(),
-            value,
-            at,
-        });
-    }
-
     /// Processes GpuCrash windows that opened since the last step.
     ///
     /// The driver withholds steps while the window is active, so the first
@@ -810,18 +792,9 @@ impl GatewayEngine {
                 self.tracer,
                 TraceEvent::RequestScheduled {
                     gateway: self.scope.clone(),
-                    policy: self.scheduler.policy().name().to_owned(),
+                    policy: self.policy_label.clone(),
                     request: seq.life.req.id.0,
                     queue_depth: self.pending.len() as u64,
-                    at: now,
-                }
-            );
-            trace!(
-                self.tracer,
-                TraceEvent::RequestAdmitted {
-                    engine: self.scope.to_string(),
-                    request: seq.life.req.id.0,
-                    waiting: self.pending.len() as u64,
                     at: now,
                 }
             );
@@ -997,9 +970,9 @@ impl GatewayEngine {
             trace!(
                 self.tracer,
                 TraceEvent::RequestPreempted {
-                    engine: self.scope.to_string(),
+                    engine: self.scope.clone(),
                     request: victim.life.req.id.0,
-                    policy: if swapping { "swap" } else { "recompute" }.to_owned(),
+                    policy: self.preemption_labels[usize::from(swapping)].clone(),
                     at: now,
                 }
             );
@@ -1062,7 +1035,6 @@ impl GatewayEngine {
         }
         self.admit(now);
         self.make_room_for_decode(now);
-        self.emit_gauges(now);
         if self.running.is_empty() {
             // If the only schedulable work is backing off after a crash
             // retry, tell the driver when it becomes eligible — spinning
@@ -1169,22 +1141,6 @@ impl GatewayEngine {
         end
     }
 
-    /// Journals the three gauges at `now`, if traced.
-    fn emit_gauges(&mut self, now: SimTime) {
-        if self.tracer.enabled() {
-            self.journal_gauges(now, self.kv.used_blocks());
-        }
-    }
-
-    /// Journals the three gauges at `now`, with `kv_blocks` KV blocks in
-    /// use. Callers check `tracer.enabled()` first.
-    fn journal_gauges(&mut self, now: SimTime, kv_blocks: u64) {
-        self.emit_gauge(QUEUE_DEPTH, self.pending.len() as f64, now);
-        self.emit_gauge(RUNNING, self.running.len() as f64, now);
-        let kv_bytes = kv_blocks * self.kv.block_bytes();
-        self.emit_gauge(KV_USED_BYTES, kv_bytes as f64, now);
-    }
-
     /// The decode core of a step: the cost of prefilling the batch's
     /// unprefilled context and decoding one token per sequence, started at
     /// `io_done`; one more KV token for every sequence; and the
@@ -1230,8 +1186,8 @@ impl GatewayEngine {
 
     /// How many decode iterations after the current step can run steady
     /// (see [`steady_run`](Self::steady_run)): none unless every phase of
-    /// [`step_at`](Self::step_at) but the time-guarded ones, the gauges and
-    /// the decode core is a no-op, and then one less than the fewest tokens
+    /// [`step_at`](Self::step_at) but the time-guarded ones and the decode
+    /// core is a no-op, and then one less than the fewest tokens
     /// a running sequence still owes, so that none completes in the run.
     ///
     /// Those phases stay no-ops through the run: no informer runs, no
@@ -1302,24 +1258,23 @@ impl GatewayEngine {
     /// Runs up to `span` ([`steady_span`](Self::steady_span)) decode
     /// iterations back to back, the first starting at `done`, each while
     /// [`Engine::step_run`]'s bounds allow. Each opens like a step, checks
-    /// its guards, journals the gauges and decodes; the other phases of a
-    /// step are no-ops here. An iteration whose guard fails runs the full
-    /// phases instead, which ends the run. Every iteration's closing `advance_index` is quiet but the
-    /// last one's (the next iteration's guard checked a later time), so
-    /// that one runs once, at the end.
+    /// its guards and decodes; the other phases of a step are no-ops here,
+    /// and none journals an edge. An iteration whose guard fails runs the
+    /// full phases instead, which ends the run. Every iteration's closing
+    /// `advance_index` is quiet but the last one's (the next iteration's
+    /// guard checked a later time), so that one runs once, at the end.
     ///
     /// What a step reads from its own state is planned once per run: the
     /// guards time can break ([`steady_until`](Self::steady_until)); the
     /// batch, hence the decode compute term; the context, which grows by
     /// one token per sequence per iteration; the KV blocks each iteration
-    /// takes ([`DecodeGrowth`]), which give the gauge and the headroom
-    /// guard (an iteration fits iff the blocks of the run so far do); and
-    /// whether the tracer journals. While the offloader's boundary is
-    /// quiet it is skipped: nothing in the run calls the offloader or its
-    /// coordinator, so it stays quiet to the run's end. A boundary that
-    /// runs is asked again. The KV growth and the per-sequence token
-    /// bookkeeping are [settled](Self::settle) once per run. Returns like
-    /// `step_run`.
+    /// takes ([`DecodeGrowth`]), which give the headroom guard (an
+    /// iteration fits iff the blocks of the run so far do). While the
+    /// offloader's boundary is quiet it is skipped: nothing in the run
+    /// calls the offloader or its coordinator, so it stays quiet to the
+    /// run's end. A boundary that runs is asked again. The KV growth and
+    /// the per-sequence token bookkeeping are [settled](Self::settle) once
+    /// per run. Returns like `step_run`.
     fn steady_run(
         &mut self,
         mut done: SimTime,
@@ -1331,9 +1286,7 @@ impl GatewayEngine {
         let mut context = self.kv.total_context_tokens();
         self.kv.plan_decode_growth(&mut self.growth);
         let headroom = self.growth.steps_within(self.kv.free_blocks());
-        let used_blocks = self.kv.used_blocks();
         let until = self.steady_until();
-        let traced = self.tracer.enabled();
         let mut quiet = self.boundary_is_quiet();
         let mut tokens = 0;
         loop {
@@ -1350,9 +1303,6 @@ impl GatewayEngine {
             if tokens == headroom || until.is_some_and(|until| now >= until) {
                 self.settle(tokens);
                 return (start, self.step_at(now), tokens + 1);
-            }
-            if traced {
-                self.journal_gauges(now, used_blocks + self.growth.blocks(tokens));
             }
             context += batch;
             let t_decode = cost::llm_decode_step_time_from(&self.geom, &self.gpu, compute, context);
@@ -1852,7 +1802,6 @@ mod tests {
         for expected in [
             "gateway_enqueued",
             "request_scheduled",
-            "request_admitted",
             "first_token_emitted",
             "gateway_completed",
         ] {
@@ -2603,21 +2552,21 @@ mod tests {
         let events = journal.events();
         let admissions = events
             .iter()
-            .filter(|e| matches!(e, TraceEvent::RequestAdmitted { engine, .. } if engine == "vllm:test"))
-            .count();
-        assert!(
-            admissions >= 2,
-            "both requests admitted (plus re-admissions)"
-        );
+            .filter(|e| matches!(e, TraceEvent::RequestScheduled { gateway, .. } if gateway == "vllm:test"))
+            .count() as u64;
         let preempted = events
             .iter()
-            .filter(|e| matches!(e, TraceEvent::RequestPreempted { policy, .. } if policy == "recompute"))
+            .filter(|e| matches!(e, TraceEvent::RequestPreempted { engine, policy, .. } if engine == "vllm:test" && policy == "recompute"))
             .count() as u64;
         assert!(preempted > 0);
         assert_eq!(preempted, e.preemptions());
-        assert!(events.iter().any(
-            |e| matches!(e, TraceEvent::Gauge { name, .. } if name == "vllm:test.queue_depth")
-        ));
+        // Each request is admitted once, and again after each preemption.
+        assert_eq!(admissions, 2 + preempted);
+        // The replayed levels peak at both requests running and end empty.
+        let levels = aqua_telemetry::levels::gateway_levels(&events);
+        assert_eq!(levels.iter().map(|l| l.running).max(), Some(2));
+        let last = levels.last().expect("the gateway journalled its edges");
+        assert_eq!((last.queue_depth, last.running), (0, 0));
     }
 
     /// Every stream's delivery times are the clock entries of its runs, in

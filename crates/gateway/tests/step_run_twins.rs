@@ -6,30 +6,30 @@
 //! does). Each case draws a policy, a preemption mode, a GPU crash
 //! window, SLO deadlines, brownout and a donating informer, and compares
 //! the journal digest, every token time of every stream, the outcome
-//! counts, the gateway's counters and the driver's event count, clock and
-//! next seq. The digest covers each request's fate, which the journal
-//! records under its id.
+//! counts, the gateway's counters, the driver's event count, clock and
+//! next seq, and the KV blocks in use at every window end. The digest
+//! covers each request's fate, which the journal records under its id; the
+//! KV blocks cover a steady run's growth plan, which no journal sees.
+
+mod cases;
 
 use aqua_engines::driver::{Driver, Engine};
-use aqua_engines::northbound::{Informer, MemoryElastic};
+use aqua_engines::northbound::MemoryElastic;
 use aqua_engines::offload::DramOffloader;
 use aqua_engines::request::InferenceRequest;
-use aqua_engines::vllm::PreemptionPolicy;
-use aqua_gateway::admission::{BrownoutConfig, OverloadPolicy};
 use aqua_gateway::engine::{GatewayConfig, GatewayEngine};
-use aqua_gateway::outcome::{SloPolicy, TenantSlo};
 use aqua_gateway::scheduler::PolicyKind;
 use aqua_metrics::requests::RequestRecord;
 use aqua_models::lora::LoraAdapter;
 use aqua_models::zoo;
 use aqua_sim::check::AnyBool;
-use aqua_sim::fault::FaultPlan;
 use aqua_sim::gpu::{GpuId, GpuSpec};
 use aqua_sim::link::bytes::gib;
-use aqua_sim::time::{SimDuration, SimTime};
+use aqua_sim::time::SimTime;
 use aqua_sim::topology::ServerTopology;
 use aqua_sim::transfer::TransferEngine;
 use aqua_telemetry::JournalTracer;
+use cases::Features;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -63,22 +63,6 @@ impl<E: Engine> Engine for PerStep<E> {
     }
 }
 
-/// Donates half the donatable pool while the queue is empty and takes
-/// everything back once requests wait.
-struct Donor;
-
-impl Informer for Donor {
-    fn control(&mut self, engine: &mut dyn MemoryElastic, now: SimTime) -> SimTime {
-        let stats = engine.stats();
-        if stats.pending_requests == 0 {
-            engine.donate(stats.donatable_bytes / 2);
-        } else if stats.donated_bytes > 0 {
-            engine.reclaim(stats.donated_bytes);
-        }
-        now
-    }
-}
-
 /// What one served gateway shows from outside.
 #[derive(Debug, PartialEq)]
 struct Observed {
@@ -88,9 +72,9 @@ struct Observed {
     iterations: u64,
     preemptions: u64,
     lora_cache: (u64, u64),
-    /// `processed_events`, `next_event_time` and `next_seq` after each
-    /// `run` window.
-    clocks: Vec<(u64, Option<SimTime>, u64)>,
+    /// `processed_events`, `next_event_time` and `next_seq` of the
+    /// driver, and the gateway's KV blocks in use, after each `run` window.
+    clocks: Vec<(u64, Option<SimTime>, u64, u64)>,
 }
 
 /// Runs `gateway`, journalling into `journal`, on `driver` to each
@@ -111,6 +95,7 @@ fn drive(
             driver.processed_events(),
             driver.next_event_time(),
             driver.next_seq(),
+            engine.0.kv().used_blocks(),
         ));
     }
     let mut gateway = engine.0;
@@ -126,102 +111,19 @@ fn drive(
     }
 }
 
-/// Where a case's GPU crash lands.
-#[derive(Debug, Clone, Copy)]
-enum Crash {
-    None,
-    /// The driver pauses the gateway over the window, and the gateway's
-    /// fault plan aborts its batch when the window ends.
-    Window,
-    /// Only the gateway knows the plan: it is not paused, and handles the
-    /// crash at its first step inside the window.
-    PlanOnly,
-}
-
-/// The drawn features of one case.
-#[derive(Debug, Clone, Copy)]
-struct Features {
-    policy: PolicyKind,
-    swap: bool,
-    crash: Crash,
-    slo: bool,
-    brownout: bool,
-    informer: bool,
-}
-
-/// Serves `reqs` (`(prompt, output, arrival ms)`) from three capped tenants
-/// on a 6 GiB Mistral-7B pool (large enough to donate from) with an
-/// 8-sequence batch, over `run` windows of `window_s` seconds and a final
-/// drain, bare or behind [`PerStep`]. The crash window is shorter than the
-/// first retry backoff, so retries stay parked while others decode.
+/// Serves `reqs` (`(prompt, output, arrival ms)`) as the case `f` over
+/// `run` windows of `window_s` seconds and a final drain, bare or behind
+/// [`PerStep`].
 fn serve(reqs: &[(u64, u64, u64)], f: Features, window_s: u64, per_step: bool) -> Observed {
-    let geom = *zoo::mistral_7b().llm_geometry().unwrap();
     let journal = Arc::new(JournalTracer::digest_only());
-    let server = ServerTopology::nvlink_pair(GpuSpec::a100_80g());
-    let transfers = Rc::new(RefCell::new(TransferEngine::new()));
-    let (crash_start, crash_end) = (SimTime::from_secs(10), SimTime::from_millis(10_100));
-    let overload = OverloadPolicy {
-        brownout: f.brownout.then(|| BrownoutConfig {
-            enter_depth: 3,
-            exit_depth: 1,
-            capped_tenants: vec![1],
-            capped_outstanding: 1,
-        }),
-        ..OverloadPolicy::default()
-    };
-    let slo = if f.slo {
-        SloPolicy::with_default(TenantSlo {
-            ttft: Some(SimDuration::from_secs(8)),
-            total: Some(SimDuration::from_secs(40)),
-        })
-    } else {
-        SloPolicy::none()
-    };
-    let mut gateway = GatewayEngine::new(
-        geom,
-        GpuSpec::a100_80g(),
-        f.policy,
-        GatewayConfig {
-            max_batch: 8,
-            kv_pool_bytes: gib(6),
-            preemption: if f.swap {
-                PreemptionPolicy::Swap
-            } else {
-                PreemptionPolicy::Recompute
-            },
-            max_outstanding_per_tenant: 4,
-            overload,
-            slo,
-            ..GatewayConfig::default()
-        },
+    let (gateway, driver) = cases::cell(reqs, f, journal.clone());
+    drive(
+        gateway,
+        &journal,
+        driver,
+        cases::window_ends(window_s),
+        per_step,
     )
-    .with_tracer(journal.clone(), "gateway:twin")
-    .with_offloader(Box::new(DramOffloader::pinned(
-        &server,
-        GpuId(0),
-        transfers,
-    )));
-    let mut driver = Driver::new();
-    if !matches!(f.crash, Crash::None) {
-        let plan = FaultPlan::new().gpu_crash(GpuId(0), crash_start, crash_end);
-        gateway = gateway.with_fault_plan(&plan, GpuId(0));
-    }
-    if matches!(f.crash, Crash::Window) {
-        driver.crash_window(0, crash_start, crash_end);
-    }
-    if f.informer {
-        gateway = gateway.with_informer(Box::new(Donor));
-    }
-    for (id, &(prompt, output, at_ms)) in reqs.iter().enumerate() {
-        let req = InferenceRequest {
-            tenant: (id % 3) as u32,
-            ..InferenceRequest::text(id as u64, prompt, output)
-        };
-        driver.schedule_arrival(0, SimTime::from_millis(at_ms), req);
-    }
-    // PDES-style windows over the busy span, then one run to drain.
-    let ends = (1..=1_200 / window_s).map(|w| w * window_s).chain([2_400]);
-    drive(gateway, &journal, driver, ends, per_step)
 }
 
 aqua_sim::check! {
@@ -236,14 +138,7 @@ aqua_sim::check! {
         (slo, brownout, informer) in (0u8..4, AnyBool, 0u8..4),
         window_s in 1u64..1_200,
     ) {
-        let f = Features {
-            policy: PolicyKind::ALL[policy],
-            swap,
-            crash: [Crash::None, Crash::Window, Crash::PlanOnly][crash],
-            slo: slo == 0,
-            brownout,
-            informer: informer == 0,
-        };
+        let f = Features::drawn(policy, swap, crash, slo, brownout, informer);
         let steady = serve(&reqs, f, window_s, false);
         assert!(steady.iterations > 0, "{f:?}");
         assert_eq!(steady, serve(&reqs, f, window_s, true), "{f:?}");

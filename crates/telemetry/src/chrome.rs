@@ -5,16 +5,20 @@
 //! simulated server plus a process for engines and control plane, one thread
 //! (`tid`) per link lane or engine scope, `"X"` duration events for
 //! transfers/slices/window fetches, `"i"` instants for discrete actions and
-//! `"C"` counter tracks for gauges. Timestamps are microseconds of simulated
-//! time; events are sorted so `ts` is monotone within every `tid`. Each
-//! event's name, category, lane and args come from its row of the event
-//! table in [`crate::event`].
+//! `"C"` counter tracks for each gateway's `queue_depth` and `running`.
+//! Timestamps are microseconds of simulated time; events are sorted so `ts`
+//! is monotone within every `tid`. Each event's name, category, lane and
+//! args come from its row of the event table in [`crate::event`]; the
+//! counter tracks are replayed from the gateway edges
+//! ([`gateway_levels`]).
 
 use crate::encode::Field;
 use crate::event::TraceEvent;
 use crate::json::escape_into;
+use crate::levels::gateway_levels;
 use crate::time::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write;
 
 /// The `pid` used for engines, informers and the coordinator (servers get
@@ -24,7 +28,7 @@ const CONTROL_PID: u32 = 0;
 /// One rendered trace event, before sorting. Built by the code the event
 /// table generates ([`TraceEvent`]'s `chrome_entry`).
 pub(crate) struct Entry<'a> {
-    name: &'a str,
+    name: Cow<'a, str>,
     cat: &'static str,
     ph: char,
     pid: u32,
@@ -42,7 +46,7 @@ impl<'a> Entry<'a> {
     /// otherwise.
     pub(crate) fn new(name: &'a str, cat: &'static str, skip: [&'static str; 2]) -> Self {
         Entry {
-            name,
+            name: Cow::Borrowed(name),
             cat,
             ph: 'i',
             pid: CONTROL_PID,
@@ -70,9 +74,15 @@ impl<'a> Entry<'a> {
         self.end = t;
     }
 
-    /// Makes the entry a sample on the counter track.
-    pub(crate) fn counter(&mut self) {
-        self.ph = 'C';
+    /// A sample of `value` at `at` on the control process's counter track
+    /// `name`.
+    fn counter(name: String, at: SimTime, value: u64) -> Self {
+        let mut entry = Entry::new("", "level", ["", ""]);
+        entry.name = Cow::Owned(name);
+        entry.ph = 'C';
+        entry.start(at);
+        entry.arg("value", &value);
+        entry
     }
 
     /// Puts the entry on the lane named `label` within its process.
@@ -126,6 +136,22 @@ impl Lanes {
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
     let mut lanes = Lanes::default();
     let mut entries: Vec<Entry> = events.iter().map(|e| e.chrome_entry(&mut lanes)).collect();
+    // Each gateway's level tracks, one sample wherever a level moves.
+    let levels = gateway_levels(events);
+    let mut last: HashMap<&str, [Option<u64>; 2]> = HashMap::new();
+    for level in &levels {
+        let previous = last.entry(level.gateway.as_str()).or_default();
+        let tracks = [
+            ("queue_depth", level.queue_depth),
+            ("running", level.running),
+        ];
+        for ((track, value), shown) in tracks.into_iter().zip(previous) {
+            if shown.replace(value) != Some(value) {
+                let name = format!("{}.{track}", level.gateway);
+                entries.push(Entry::counter(name, level.at, value));
+            }
+        }
+    }
     let servers: BTreeSet<u32> = entries
         .iter()
         .filter(|e| e.pid != CONTROL_PID)
@@ -153,7 +179,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
 
     for e in &entries {
         out.push_str(",{\"name\":\"");
-        escape_into(&mut out, e.name);
+        escape_into(&mut out, &e.name);
         out.push_str("\",\"cat\":\"");
         out.push_str(e.cat);
         out.push_str("\",\"ph\":\"");
@@ -229,9 +255,10 @@ mod tests {
                 bytes: 1 << 30,
                 at: SimTime::from_millis(3),
             },
-            TraceEvent::Gauge {
-                name: "cfs.outstanding".into(),
-                value: 4.0,
+            TraceEvent::GatewayEnqueued {
+                gateway: "gw".into(),
+                tenant: 0,
+                request: 1,
                 at: SimTime::from_millis(3),
             },
             TraceEvent::TransferCompleted {

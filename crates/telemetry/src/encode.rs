@@ -41,7 +41,6 @@ use crate::json::{escape_byte, escape_into};
 use crate::time::SimTime;
 use crate::tracer::{fnv1a, FNV_PRIME};
 use std::collections::BTreeMap;
-use std::fmt::Write;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -286,53 +285,6 @@ impl Field for SimTime {
     #[inline]
     fn encode<S: Sink>(&self, out: &mut S) {
         self.as_nanos().encode(out);
-    }
-}
-
-/// A fixed stack buffer `fmt` writes into, so no value needs a `String`.
-struct StackText {
-    buf: [u8; 32],
-    len: usize,
-}
-
-impl Write for StackText {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        let end = self.len + s.len();
-        self.buf
-            .get_mut(self.len..end)
-            .ok_or(std::fmt::Error)?
-            .copy_from_slice(s.as_bytes());
-        self.len = end;
-        Ok(())
-    }
-}
-
-/// Finite values are written as `{:?}` writes them; non-finite values map to
-/// `0`, so the line stays valid JSON.
-///
-/// Most gauges are whole numbers (bytes, counts), so a non-negative integral
-/// value below 1e16 takes a fast path: its integer digits plus `.0`. That is
-/// exactly what `{:?}` prints there, because every multiple of ten below 1e16
-/// is itself an `f64`, so no shorter digit string rounds to the value. From
-/// 1e16 on `{:?}` switches to exponent form, and `-0.0` keeps its sign, so
-/// both stay on the slow path, which formats on the stack (the longest
-/// `{:?}` of an `f64`, such as `-2.2250738585072014e-308`, is 24 bytes).
-impl Field for f64 {
-    fn encode<S: Sink>(&self, out: &mut S) {
-        let v = *self;
-        if v.is_sign_positive() && v < 1e16 && v.fract() == 0.0 {
-            (v as u64).encode(out);
-            out.ascii(b".0");
-        } else if v.is_finite() {
-            let mut text = StackText {
-                buf: [0; 32],
-                len: 0,
-            };
-            write!(text, "{v:?}").expect("an f64's {:?} fits in 32 bytes");
-            out.ascii(&text.buf[..text.len]);
-        } else {
-            out.ascii(b"0");
-        }
     }
 }
 

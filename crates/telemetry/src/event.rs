@@ -30,11 +30,11 @@ use crate::time::SimTime;
 use crate::tracer::fnv1a;
 use std::sync::Arc;
 
-/// An interned label: a transfer lane (e.g. `nvlink-egress:gpu0`), a gauge
-/// name or a gateway scope.
+/// An interned label: a transfer lane (e.g. `nvlink-egress:gpu0`), a
+/// gateway scope or a scheduler or preemption policy.
 ///
 /// These fields recur in millions of events, so they are reference-counted:
-/// producers render the label once (per port, gauge or gateway) and clone
+/// producers render the label once (per port or gateway) and clone
 /// the `Arc` per event, instead of calling `to_string()` on the hot path.
 /// The canonical JSON encoding is the plain string, so interning never
 /// changes a journal or its digest; it only lets the digest fold a hot
@@ -183,7 +183,7 @@ macro_rules! chrome_field {
     };
 }
 
-/// A row's Chrome name or track, given as a literal, a field, or `counter`.
+/// A row's Chrome name or track, given as a literal or a field.
 macro_rules! chrome_spec {
     (name $name:literal) => {
         $name
@@ -194,14 +194,8 @@ macro_rules! chrome_spec {
     (key $literal:literal) => {
         ""
     };
-    (key counter) => {
-        ""
-    };
     (key $field:ident) => {
         stringify!($field)
-    };
-    (track $entry:ident $lanes:ident counter) => {
-        $entry.counter()
     };
     (track $entry:ident $lanes:ident $lane:literal) => {
         $entry.lane($lanes, $lane)
@@ -337,9 +331,10 @@ macro_rules! trace_events {
 // followed by the fields in journal byte order. The Chrome name is a literal
 // or the string field that names the event. The track is the field holding
 // the lane label (on the server's process when the row has `server`, else on
-// the control-plane process), a fixed lane literal, or `counter` for a gauge
-// track. Rows with `start`/`end` render as duration events, gauges as
-// counters, everything else as instants.
+// the control-plane process) or a fixed lane literal. Rows with `start`/`end`
+// render as duration events, everything else as instants. The journal holds
+// edges only: a level (a queue depth, a batch size) is replayed from the
+// edges that move it (`crate::levels`), never journalled.
 trace_events! {
     /// One structured event in a run's journal.
     ///
@@ -487,25 +482,15 @@ trace_events! {
             /// Decision time.
             at: SimTime,
         }
-        /// A scheduler admitted a request into the running batch.
-        RequestAdmitted = "request_admitted", chrome("admitted", "event", engine) {
-            /// Engine scope label.
-            engine: String,
-            /// Request id.
-            request: u64,
-            /// Requests still waiting after admission.
-            waiting: u64,
-            /// Admission time.
-            at: SimTime,
-        }
-        /// A scheduler preempted a running request.
+        /// A gateway preempted a running request back into its queue.
         RequestPreempted = "request_preempted", chrome("preempted", "event", engine) {
-            /// Engine scope label.
-            engine: String,
+            /// Gateway scope label, interned by the gateway.
+            engine: Lane,
             /// Request id.
             request: u64,
-            /// Preemption policy, `recompute` or `swap`.
-            policy: String,
+            /// Preemption policy, `recompute` or `swap`, interned by the
+            /// gateway.
+            policy: Lane,
             /// Preemption time.
             at: SimTime,
         }
@@ -534,15 +519,6 @@ trace_events! {
             start: SimTime,
             /// Fetch end time.
             end: SimTime,
-        }
-        /// A sampled gauge (queue depth, free pool bytes, ...).
-        Gauge = "gauge", chrome(name, "gauge", counter) {
-            /// Gauge name, interned by the emitting engine.
-            name: Lane,
-            /// Sampled value.
-            value: f64,
-            /// Sample time.
-            at: SimTime,
         }
         /// A fault window opened (link outage, GPU crash, congestion, ...).
         FaultInjected = "fault_injected", chrome("fault-injected", "fault", "faults") {
@@ -645,8 +621,9 @@ trace_events! {
         RequestScheduled = "request_scheduled", chrome("scheduled", "event", gateway) {
             /// Gateway scope label, interned by the gateway.
             gateway: Lane,
-            /// Scheduler policy name, e.g. `sjf+bucket`.
-            policy: String,
+            /// Scheduler policy name, e.g. `sjf+bucket`, interned by the
+            /// gateway.
+            policy: Lane,
             /// Request id.
             request: u64,
             /// Requests still queued after this pick.
@@ -860,11 +837,6 @@ mod tests {
                 bytes: 42,
                 at: SimTime::from_secs(1),
             },
-            TraceEvent::Gauge {
-                name: "cfs.outstanding".into(),
-                value: 3.5,
-                at: SimTime::ZERO,
-            },
             TraceEvent::CoordinatorCrashed {
                 epoch: 2,
                 lost_leases: 3,
@@ -915,37 +887,5 @@ mod tests {
             v.get("detail").and_then(|v| v.as_str()),
             Some("quote \" slash \\ newline \n")
         );
-    }
-
-    #[test]
-    fn f64_encoding_matches_debug_formatting() {
-        // Every integer below 100,000, every power of two and of ten up to
-        // 1e20, and each one's neighbours one ulp either side: the fast
-        // path's edges (0, 1e16, 2^53 and 2^54) and the slow path around it.
-        let mut values: Vec<f64> = (0..100_000).map(f64::from).collect();
-        let powers = (-20..=66)
-            .map(|e| 2f64.powi(e))
-            .chain((-20..=20).map(|e| 10f64.powi(e)));
-        for p in powers {
-            values.extend([p, p.next_down(), p.next_up()]);
-        }
-        let mut out = String::new();
-        for v in values {
-            for v in [v, -v] {
-                out.clear();
-                v.encode(&mut out);
-                assert_eq!(out, format!("{v:?}"), "bits {:#x}", v.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn non_finite_gauges_stay_valid_json() {
-        let e = TraceEvent::Gauge {
-            name: "bad".into(),
-            value: f64::NAN,
-            at: SimTime::ZERO,
-        };
-        assert!(json::parse(&e.to_json_line()).is_ok());
     }
 }

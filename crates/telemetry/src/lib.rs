@@ -12,8 +12,9 @@
 //!   digest**, so "same seed ⇒ same behaviour" is a single `u64` comparison.
 //! * [`chrome::chrome_trace`] — renders a journal as Chrome/Perfetto
 //!   trace-event JSON (`pid` = server, `tid` = link lane or engine, duration
-//!   events for transfers/slices, counter tracks for gauges) for loading into
-//!   `chrome://tracing` or <https://ui.perfetto.dev>.
+//!   events for transfers/slices, counter tracks for each gateway's queue and
+//!   batch, replayed from its edges by [`levels::gateway_levels`]) for
+//!   loading into `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
 //! The crate sits at the bottom of the workspace dependency graph and also
 //! owns the [`time`] module ([`time::SimTime`] / [`time::SimDuration`]),
@@ -46,6 +47,7 @@ pub mod chrome;
 mod encode;
 pub mod event;
 pub mod json;
+pub mod levels;
 pub mod time;
 pub mod tracer;
 

@@ -39,9 +39,9 @@ pub trait Tracer: fmt::Debug + Send + Sync {
     fn incr(&self, _counter: &str, _delta: u64) {}
 
     /// Sets a named gauge to `value`. Nothing in the workspace keeps
-    /// gauges this way (a traced engine journals each change as a
-    /// [`TraceEvent::Gauge`]), so the default does nothing; the benchmark's
-    /// timing wrapper still forwards it.
+    /// levels this way (the journal holds the edges that move a level, and
+    /// [`crate::levels::gateway_levels`] replays them), so the default does
+    /// nothing; the benchmark's timing wrapper still forwards it.
     fn gauge(&self, _gauge: &str, _value: f64) {}
 }
 

@@ -4,9 +4,9 @@
 //! journal line and to its entry in the Chrome trace. The determinism digests
 //! hash the journal bytes, and most variants never appear in a benchmark
 //! workload, so this table is what proves an encoding change left the bytes
-//! alone. Strings with quotes, backslashes and control characters, a
-//! non-finite gauge, sub-microsecond times and `u64::MAX` cover the escaping
-//! and number formatting paths.
+//! alone. Strings with quotes, backslashes and control characters,
+//! sub-microsecond times and `u64::MAX` cover the escaping and number
+//! formatting paths.
 
 use aqua_telemetry::chrome::chrome_trace;
 use aqua_telemetry::time::SimTime;
@@ -149,16 +149,6 @@ fn rows() -> Vec<(TraceEvent, &'static str, &'static str)> {
             r#"{"name":"informer-decision","cat":"event","ph":"i","s":"t","ts":15000,"pid":0,"tid":1,"args":{"decision":"reclaim-start"}}"#,
         ),
         (
-            TraceEvent::RequestAdmitted {
-                engine: "vllm:baseline".into(),
-                request: 11,
-                waiting: 3,
-                at: t(16_000_014),
-            },
-            r#"{"event":"request_admitted","engine":"vllm:baseline","request":11,"waiting":3,"at":16000014}"#,
-            r#"{"name":"admitted","cat":"event","ph":"i","s":"t","ts":16000,"pid":0,"tid":1,"args":{"request":11,"waiting":3}}"#,
-        ),
-        (
             TraceEvent::RequestPreempted {
                 engine: "vllm:baseline".into(),
                 request: 12,
@@ -189,15 +179,6 @@ fn rows() -> Vec<(TraceEvent, &'static str, &'static str)> {
             },
             r#"{"event":"window_fetched","engine":"flexgen","bytes":999,"start":19000018,"end":19000999}"#,
             r#"{"name":"window-fetch","cat":"scheduler","ph":"X","ts":19000,"pid":0,"tid":1,"dur":0,"args":{"bytes":999}}"#,
-        ),
-        (
-            TraceEvent::Gauge {
-                name: "queue \"depth\"\t".into(),
-                value: f64::NAN,
-                at: t(20_000_019),
-            },
-            r#"{"event":"gauge","name":"queue \"depth\"\t","value":0,"at":20000019}"#,
-            r#"{"name":"queue \"depth\"\t","cat":"gauge","ph":"C","ts":20000,"pid":0,"tid":0,"args":{"value":0}}"#,
         ),
         (
             TraceEvent::FaultInjected {
@@ -457,7 +438,8 @@ fn rows() -> Vec<(TraceEvent, &'static str, &'static str)> {
     ]
 }
 
-/// A journal that reuses lanes across events and servers, out of time order.
+/// A journal that reuses lanes across events and servers, out of time order,
+/// with one gateway's edges, whose levels render as counter tracks.
 fn mixed_journal() -> Vec<TraceEvent> {
     vec![
         TraceEvent::TransferCompleted {
@@ -487,10 +469,18 @@ fn mixed_journal() -> Vec<TraceEvent> {
             bytes: 100,
             at: t(5_000_000),
         },
-        TraceEvent::Gauge {
-            name: "free".into(),
-            value: 3.25,
+        TraceEvent::GatewayEnqueued {
+            gateway: "gw".into(),
+            tenant: 0,
+            request: 9,
             at: t(1_000_000),
+        },
+        TraceEvent::RequestScheduled {
+            gateway: "gw".into(),
+            policy: "fcfs".into(),
+            request: 9,
+            queue_depth: 0,
+            at: t(3_000_000),
         },
         TraceEvent::CoordinatorVerb {
             verb: "grant".into(),
@@ -524,66 +514,22 @@ fn journal_lines_are_pinned() {
     }
 }
 
-/// A gauge sample of `value`.
-fn gauge(value: f64) -> TraceEvent {
-    TraceEvent::Gauge {
-        name: "g".into(),
-        value,
-        at: t(7),
-    }
-}
-
-/// Gauge values on both sides of the integral fast path's edges (zero and
-/// its sign, fractions, 1e16, and even integers past 2^53), and strings
-/// with and without characters to escape, each with its journal line.
-fn number_and_string_cases() -> Vec<(TraceEvent, &'static str)> {
-    vec![
-        (
-            gauge(0.0),
-            r#"{"event":"gauge","name":"g","value":0.0,"at":7}"#,
-        ),
-        (
-            gauge(-0.0),
-            r#"{"event":"gauge","name":"g","value":-0.0,"at":7}"#,
-        ),
-        (
-            gauge(0.5),
-            r#"{"event":"gauge","name":"g","value":0.5,"at":7}"#,
-        ),
-        (
-            gauge(1e15),
-            r#"{"event":"gauge","name":"g","value":1000000000000000.0,"at":7}"#,
-        ),
-        (
-            gauge(9_999_999_999_999_998.0),
-            r#"{"event":"gauge","name":"g","value":9999999999999998.0,"at":7}"#,
-        ),
-        (
-            gauge(1e16),
-            r#"{"event":"gauge","name":"g","value":1e16,"at":7}"#,
-        ),
-        (
-            gauge(1e-5),
-            r#"{"event":"gauge","name":"g","value":1e-5,"at":7}"#,
-        ),
-        (
-            gauge(2f64.powi(53) + 2.0),
-            r#"{"event":"gauge","name":"g","value":9007199254740994.0,"at":7}"#,
-        ),
-        (
-            TraceEvent::CoordinatorVerb {
-                verb: "s0/gpu1 ✓".into(),
-                detail: "s0/gpu1 \\ \"✓\"\u{1}".into(),
-                at: t(7),
-            },
-            r#"{"event":"coordinator_verb","verb":"s0/gpu1 ✓","detail":"s0/gpu1 \\ \"✓\"\u0001","at":7}"#,
-        ),
-    ]
+/// Strings with and without characters to escape, each with its journal
+/// line.
+fn string_cases() -> Vec<(TraceEvent, &'static str)> {
+    vec![(
+        TraceEvent::CoordinatorVerb {
+            verb: "s0/gpu1 ✓".into(),
+            detail: "s0/gpu1 \\ \"✓\"\u{1}".into(),
+            at: t(7),
+        },
+        r#"{"event":"coordinator_verb","verb":"s0/gpu1 ✓","detail":"s0/gpu1 \\ \"✓\"\u0001","at":7}"#,
+    )]
 }
 
 #[test]
-fn number_and_string_encodings_are_pinned() {
-    for (event, line) in number_and_string_cases() {
+fn string_encodings_are_pinned() {
+    for (event, line) in string_cases() {
         assert_eq!(event.to_json_line(), line);
     }
 }
@@ -591,26 +537,16 @@ fn number_and_string_encodings_are_pinned() {
 /// The journal digest folds each event straight from its fields, with
 /// constant prefixes and interned labels skipped by table once they are
 /// hot. From any state it must land exactly where hashing the rendered line
-/// and its newline does: every golden instance, the number and string
-/// cases, non-finite and fractional gauges, and interned labels that need
-/// escaping. Each event is folded from 129 states, enough for every prefix
+/// and its newline does: every golden instance, the string cases, and
+/// interned labels that need escaping. Each event is folded from 129 states, enough for every prefix
 /// and label to turn hot, so both the byte path and the table path run.
 #[test]
 fn digest_fold_matches_the_rendered_line() {
     let extra = [
-        gauge(f64::NAN),
-        gauge(f64::INFINITY),
-        gauge(f64::NEG_INFINITY),
-        gauge(-0.0),
-        gauge(1e16),
-        gauge(0.1),
-        gauge(-2.5),
-        gauge(123.456),
-        gauge(f64::MIN_POSITIVE),
-        gauge(-f64::MAX),
-        TraceEvent::Gauge {
-            name: "scope \"q\"\u{1f}.depth ✓".into(),
-            value: 12.0,
+        TraceEvent::RequestPreempted {
+            engine: "scope \"q\"\u{1f} ✓".into(),
+            request: 3,
+            policy: "swap".into(),
             at: t(u64::MAX),
         },
         TraceEvent::GatewayCompleted {
@@ -623,11 +559,7 @@ fn digest_fold_matches_the_rendered_line() {
     let events = rows()
         .into_iter()
         .map(|(event, ..)| event)
-        .chain(
-            number_and_string_cases()
-                .into_iter()
-                .map(|(event, _)| event),
-        )
+        .chain(string_cases().into_iter().map(|(event, _)| event))
         .chain(mixed_journal())
         .chain(extra);
     for event in events {
@@ -680,12 +612,18 @@ fn chrome_document_is_pinned() {
             r#"{"name":"thread_name","ph":"M","pid":2,"tid":1,"args":{"name":"nvlink-egress:gpu0"}},"#,
             r#"{"name":"thread_name","ph":"M","pid":0,"tid":2,"args":{"name":"s0/gpu1"}},"#,
             r#"{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"nvlink-egress:gpu0"}},"#,
-            r#"{"name":"thread_name","ph":"M","pid":0,"tid":4,"args":{"name":"coordinator"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":4,"args":{"name":"gw"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":5,"args":{"name":"coordinator"}},"#,
             r#"{"name":"donated","cat":"event","ph":"i","s":"t","ts":500,"pid":0,"tid":2,"args":{"bytes":10}},"#,
-            r#"{"name":"free","cat":"gauge","ph":"C","ts":1000,"pid":0,"tid":0,"args":{"value":3.25}},"#,
+            r#"{"name":"gw.queue_depth","cat":"level","ph":"C","ts":1000,"pid":0,"tid":0,"args":{"value":1}},"#,
+            r#"{"name":"gw.running","cat":"level","ph":"C","ts":1000,"pid":0,"tid":0,"args":{"value":0}},"#,
             r#"{"name":"lease-granted","cat":"event","ph":"i","s":"t","ts":1000,"pid":0,"tid":2,"args":{"lease":1,"bytes":10}},"#,
-            r#"{"name":"grant","cat":"event","ph":"i","s":"t","ts":1000,"pid":0,"tid":4,"args":{"detail":"1"}},"#,
+            r#"{"name":"gateway-enqueued","cat":"event","ph":"i","s":"t","ts":1000,"pid":0,"tid":4,"args":{"tenant":0,"request":9}},"#,
+            r#"{"name":"grant","cat":"event","ph":"i","s":"t","ts":1000,"pid":0,"tid":5,"args":{"detail":"1"}},"#,
             r#"{"name":"transfer-enqueued","cat":"transfer","ph":"i","s":"t","ts":2000,"pid":1,"tid":3,"args":{"bytes":100,"chunks":1}},"#,
+            r#"{"name":"gw.queue_depth","cat":"level","ph":"C","ts":3000,"pid":0,"tid":0,"args":{"value":0}},"#,
+            r#"{"name":"gw.running","cat":"level","ph":"C","ts":3000,"pid":0,"tid":0,"args":{"value":1}},"#,
+            r#"{"name":"scheduled","cat":"event","ph":"i","s":"t","ts":3000,"pid":0,"tid":4,"args":{"policy":"fcfs","request":9,"queue_depth":0}},"#,
             r#"{"name":"transfer","cat":"transfer","ph":"X","ts":5000,"pid":2,"tid":1,"dur":2000,"args":{"bytes":100,"chunks":1}},"#,
             r#"{"name":"transfer-started","cat":"transfer","ph":"i","s":"t","ts":5000,"pid":2,"tid":1,"args":{"bytes":100}}]}"#,
         )

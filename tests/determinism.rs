@@ -447,8 +447,7 @@ aqua_sim::check! {
 /// The journal digest is folded from each event's fields, never from its
 /// rendered line, so over whole runs it must still equal the FNV-1a hash of
 /// the JSONL export. The chaos run journals transfers, leases, faults and
-/// failover; a small serving point adds the gauges and the gateway
-/// lifecycle. Both run through the sweep's per-thread `with_tracer` hook.
+/// failover; a small serving point adds the gateway lifecycle. Both run through the sweep's per-thread `with_tracer` hook.
 #[test]
 fn journal_digest_is_the_hash_of_its_jsonl() {
     use aqua::gateway::scheduler::PolicyKind;
@@ -478,7 +477,7 @@ fn journal_digest_is_the_hash_of_its_jsonl() {
         (
             "serve",
             serve,
-            &["gauge", "gateway_enqueued", "gateway_completed"][..],
+            &["gateway_enqueued", "request_scheduled", "gateway_completed"][..],
         ),
     ] {
         let seen: BTreeSet<&str> = journal.events().iter().map(|e| e.name()).collect();

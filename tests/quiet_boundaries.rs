@@ -272,40 +272,13 @@ fn steady_and_quiet_shares_stay_on() {
     );
 }
 
-/// The steady and skipped-boundary shares of the full `serve_swap`
-/// benchmark workload (37,500 chat requests at 0.3 req/s, seed 42,
-/// untraced), with its iteration, steady-iteration, skipped-boundary and
-/// preemption counts pinned. `ci.sh` runs it; well under a second in
-/// release:
-///
-/// ```text
-/// cargo test --release --offline --test quiet_boundaries -- --ignored --nocapture
-/// ```
+/// The `serve_swap` benchmark workload serves this cell at its default
+/// pool and tenant cap, the serving cell's. `golden/counters.txt` pins that
+/// workload's iteration, steady-iteration, skipped-boundary and preemption
+/// counts.
 #[test]
-#[ignore = "the full serve_swap workload; run in release"]
-fn serve_swap_shares() {
+fn serve_swap_uses_the_cell_pool_and_cap() {
     let cfg = ServeExperiment::at_rate(0.3, 37_500, 42);
-    let (mut gateway, mut driver, _ctx) =
-        swap_cell(&cfg, aqua::telemetry::null_tracer(), Loud::default());
     assert_eq!(cfg.pool_bytes, CELL_POOL_BYTES);
     assert_eq!(cfg.max_outstanding, CELL_MAX_OUTSTANDING);
-    driver.run(&mut [&mut gateway], cfg.horizon());
-    let (steady, skipped) = shares(&gateway);
-    eprintln!(
-        "serve_swap: {} iterations, {} steady ({:.1} %), {} boundaries skipped ({:.1} %), \
-         {} preemptions",
-        gateway.iterations(),
-        gateway.steady_iterations(),
-        100.0 * steady,
-        gateway.skipped_boundaries(),
-        100.0 * skipped,
-        gateway.preemptions(),
-    );
-    // The benchmark's shape: a driver or gateway change that moves any of
-    // these counts moves the `serve_swap` workload.
-    assert_eq!(gateway.iterations(), 2_753_745, "iterations");
-    assert_eq!(gateway.steady_iterations(), 2_622_744, "steady iterations");
-    assert_eq!(gateway.skipped_boundaries(), 2_622_791, "skipped");
-    assert_eq!(gateway.preemptions(), 310, "the benchmark's preemptions");
-    assert!(steady > 0.0 && skipped > 0.0);
 }
