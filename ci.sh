@@ -49,8 +49,9 @@ cargo test -q --offline --test chaos_recovery
 # most 1 KiB from a 1k to a 10k backlog, so no slice sorts or copies the
 # backlog (assert_cfs_slice_heap_is_backlog_independent), 10k digest-only
 # journal emits each of a request_scheduled and a request_preempted (with
-# the labels a gateway interns once), a transfer completion and a gateway
-# completion must allocate nothing
+# the labels a gateway interns once), a transfer completion, a gateway
+# completion and a lease_allocated (with the labels an AQUA offloader
+# interns once) must allocate nothing
 # (assert_digest_only_emit_is_allocation_free), and a quiet AQUA iteration
 # boundary, which returns at once on the offloader's boundary_is_quiet,
 # with 64 tracked leases must cost at most 2x one with 1 lease once the

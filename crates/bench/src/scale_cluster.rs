@@ -42,7 +42,7 @@ use aqua_sim::link::bytes::gib;
 use aqua_sim::link::BandwidthModel;
 use aqua_sim::pdes::{lookahead_from_links, Msg};
 use aqua_sim::time::{SimDuration, SimTime};
-use aqua_telemetry::TraceEvent;
+use aqua_telemetry::{Lane, TraceEvent};
 use aqua_workloads::tenants::tenant_stream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -240,6 +240,9 @@ struct ServerShard {
     acks: u64,
     lookahead: SimDuration,
     auditor: Option<SharedAuditor>,
+    /// The `scale/s<n>` consumer and `coordinator-ack` site each ack
+    /// journals, interned once.
+    ack_labels: [Lane; 2],
 }
 
 impl ServerShard {
@@ -318,6 +321,10 @@ impl ServerShard {
             acks: 0,
             lookahead,
             auditor,
+            ack_labels: [
+                Lane::from(format!("scale/s{server}")),
+                Lane::from("coordinator-ack"),
+            ],
         }
     }
 
@@ -363,9 +370,10 @@ impl ServerShard {
             self.run_to(SimTime::from_nanos(
                 msg.deliver_at.as_nanos().saturating_sub(1),
             ));
+            let [consumer, site] = self.ack_labels.clone();
             tracer.emit(TraceEvent::LeaseAllocated {
-                consumer: format!("scale/s{}", self.server),
-                site: "coordinator-ack".into(),
+                consumer,
+                site,
                 bytes: beat,
                 at: msg.deliver_at,
             });

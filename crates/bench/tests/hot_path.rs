@@ -729,14 +729,18 @@ fn assert_cfs_slice_heap_is_backlog_independent() {
 /// line buffer, no `fmt` into a `String`, no interned label copied. After
 /// a warm-up long enough for each label to find its skip table, 10k emits
 /// each of a scheduling and a preemption edge (built as the gateway builds
-/// them, from labels it interned once), a transfer completion and a
-/// gateway completion must leave the allocation counter untouched.
+/// them, from labels it interned once), a transfer completion, a gateway
+/// completion and a lease allocation (built as the AQUA offloader builds
+/// it, from its interned consumer and site labels) must leave the
+/// allocation counter untouched.
 fn assert_digest_only_emit_is_allocation_free() {
     let journal = JournalTracer::digest_only();
     let lane = Lane::from("nvlink-egress:gpu0");
     let gateway = Lane::from("gateway:fcfs:aqua");
     let policy = Lane::from("fcfs");
     let preemption = [Lane::from("recompute"), Lane::from("swap")];
+    let consumer = Lane::from("s0/gpu0");
+    let sites = [Lane::from("dram"), Lane::from("peer:s0/gpu1")];
     let emit_round = |i: u64| {
         journal.emit(TraceEvent::RequestScheduled {
             gateway: gateway.clone(),
@@ -765,6 +769,12 @@ fn assert_digest_only_emit_is_allocation_free() {
             output_tokens: i % 512,
             at: SimTime::from_nanos(3 * i),
         });
+        journal.emit(TraceEvent::LeaseAllocated {
+            consumer: consumer.clone(),
+            site: sites[usize::from(i.is_multiple_of(3))].clone(),
+            bytes: i << 12,
+            at: SimTime::from_nanos(3 * i),
+        });
     };
     for i in 0..1_000 {
         emit_round(i);
@@ -777,12 +787,12 @@ fn assert_digest_only_emit_is_allocation_free() {
     let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
     assert_eq!(
         allocs, 0,
-        "digest-only journal made {allocs} allocations over {EMITS} rounds of four emits"
+        "digest-only journal made {allocs} allocations over {EMITS} rounds of five emits"
     );
     black_box(journal.digest());
     eprintln!(
         "hot_path: digest-only journal: 0 allocations over {} emits",
-        4 * EMITS
+        5 * EMITS
     );
 }
 

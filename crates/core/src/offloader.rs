@@ -25,7 +25,7 @@ use aqua_sim::fault::FaultPlan;
 use aqua_sim::time::{SimDuration, SimTime};
 use aqua_sim::topology::ServerTopology;
 use aqua_sim::transfer::{staging_time, TransferEngine, TransferPlan};
-use aqua_telemetry::{null_tracer, trace, SharedTracer, TraceEvent};
+use aqua_telemetry::{null_tracer, trace, Lane, SharedTracer, TraceEvent};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -92,6 +92,11 @@ pub struct AquaOffloader {
     /// from an allocation that moved the revision.
     quiet_revision: Option<u64>,
     label: String,
+    /// The consumer's journal label, interned once.
+    consumer_label: Lane,
+    /// Interned allocation-site labels, each built on first use: `dram` at
+    /// `None`, `peer:<gpu>` at `Some(gpu)`.
+    sites: BTreeMap<Option<GpuRef>, Lane>,
     tracer: SharedTracer,
     /// aqua-audit: local byte books are checked on every mutation.
     auditor: Option<SharedAuditor>,
@@ -137,6 +142,8 @@ impl AquaOffloader {
             lost_bytes: 0,
             quiet_revision: None,
             label: "aqua".to_owned(),
+            consumer_label: Lane::from(consumer.to_string()),
+            sites: BTreeMap::new(),
             tracer: null_tracer(),
             auditor: None,
         }
@@ -355,18 +362,26 @@ impl AquaOffloader {
     }
 
     /// Journals one allocation on `peer`'s lease, or in host DRAM when
-    /// `peer` is `None`. The site label is built only when the event is
+    /// `peer` is `None`. The site label is built when it is first
     /// journalled.
-    fn trace_allocation(&self, peer: Option<GpuRef>, bytes: u64, at: SimTime) {
-        trace!(
-            self.tracer,
-            TraceEvent::LeaseAllocated {
-                consumer: self.consumer.to_string(),
-                site: peer.map_or_else(|| "dram".to_owned(), |gpu| format!("peer:{gpu}")),
-                bytes,
-                at,
-            }
-        );
+    fn trace_allocation(&mut self, peer: Option<GpuRef>, bytes: u64, at: SimTime) {
+        if !self.tracer.enabled() {
+            return;
+        }
+        let site = self
+            .sites
+            .entry(peer)
+            .or_insert_with(|| match peer {
+                Some(gpu) => Lane::from(format!("peer:{gpu}")),
+                None => Lane::from("dram"),
+            })
+            .clone();
+        self.tracer.emit(TraceEvent::LeaseAllocated {
+            consumer: self.consumer_label.clone(),
+            site,
+            bytes,
+            at,
+        });
     }
 
     /// Returns capacity to a lease (fenced on the epoch the lease was
@@ -616,7 +631,7 @@ impl Offloader for AquaOffloader {
             trace!(
                 self.tracer,
                 TraceEvent::LeaseFreed {
-                    consumer: self.consumer.to_string(),
+                    consumer: self.consumer_label.clone(),
                     lease: lease.id(),
                     bytes: take,
                     at: now,
@@ -736,7 +751,7 @@ impl Offloader for AquaOffloader {
                     trace!(
                         self.tracer,
                         TraceEvent::LeasePromoted {
-                            consumer: self.consumer.to_string(),
+                            consumer: self.consumer_label.clone(),
                             lease: lease.id(),
                             bytes: promote,
                             at: resume,

@@ -22,7 +22,7 @@ use aqua_models::geometry::LlmGeometry;
 use aqua_sim::gpu::GpuSpec;
 use aqua_sim::link::bytes::gib;
 use aqua_sim::time::SimTime;
-use aqua_telemetry::{null_tracer, trace, SharedTracer, TraceEvent};
+use aqua_telemetry::{null_tracer, trace, Lane, SharedTracer, TraceEvent};
 use std::collections::BTreeMap;
 
 /// Configuration of a [`CfsEngine`].
@@ -120,7 +120,7 @@ pub struct CfsEngine {
     swapped_bytes: u64,
     slices: u64,
     tracer: SharedTracer,
-    scope: String,
+    scope: Lane,
 }
 
 impl std::fmt::Debug for CfsEngine {
@@ -156,13 +156,13 @@ impl CfsEngine {
             swapped_bytes: 0,
             slices: 0,
             tracer: null_tracer(),
-            scope: "cfs".to_owned(),
+            scope: Lane::from("cfs"),
         }
     }
 
     /// Attaches a tracer; every slice becomes a [`TraceEvent::SliceFinished`].
     /// `scope` labels this engine's events (e.g. `"cfs:s0/gpu0"`).
-    pub fn with_tracer(mut self, tracer: SharedTracer, scope: impl Into<String>) -> Self {
+    pub fn with_tracer(mut self, tracer: SharedTracer, scope: impl Into<Lane>) -> Self {
         self.tracer = tracer;
         self.scope = scope.into();
         self

@@ -36,7 +36,7 @@ use aqua_models::geometry::LlmGeometry;
 use aqua_sim::gpu::GpuSpec;
 use aqua_sim::link::bytes::gib;
 use aqua_sim::time::SimTime;
-use aqua_telemetry::{null_tracer, trace, SharedTracer, TraceEvent};
+use aqua_telemetry::{null_tracer, trace, Lane, SharedTracer, TraceEvent};
 use std::collections::VecDeque;
 
 /// Decode tokens simulated per driver step. This is part of the modelled
@@ -110,7 +110,7 @@ pub struct FlexGenEngine {
     tokens_generated: u64,
     streamed_bytes: u64,
     tracer: SharedTracer,
-    scope: String,
+    scope: Lane,
 }
 
 impl std::fmt::Debug for FlexGenEngine {
@@ -143,13 +143,13 @@ impl FlexGenEngine {
             tokens_generated: 0,
             streamed_bytes: 0,
             tracer: null_tracer(),
-            scope: "flexgen".to_owned(),
+            scope: Lane::from("flexgen"),
         }
     }
 
     /// Attaches a tracer; every streamed decode chunk becomes a
     /// [`TraceEvent::WindowFetched`]. `scope` labels this engine's events.
-    pub fn with_tracer(mut self, tracer: SharedTracer, scope: impl Into<String>) -> Self {
+    pub fn with_tracer(mut self, tracer: SharedTracer, scope: impl Into<Lane>) -> Self {
         self.tracer = tracer;
         self.scope = scope.into();
         self

@@ -30,11 +30,12 @@ use crate::time::SimTime;
 use crate::tracer::fnv1a;
 use std::sync::Arc;
 
-/// An interned label: a transfer lane (e.g. `nvlink-egress:gpu0`), a
-/// gateway scope or a scheduler or preemption policy.
+/// An interned label: a transfer lane (e.g. `nvlink-egress:gpu0`), an
+/// engine or gateway scope, a scheduler or preemption policy, or a lease
+/// consumer and its allocation site.
 ///
 /// These fields recur in millions of events, so they are reference-counted:
-/// producers render the label once (per port or gateway) and clone
+/// producers render the label once (per port, engine or consumer) and clone
 /// the `Arc` per event, instead of calling `to_string()` on the hot path.
 /// The canonical JSON encoding is the plain string, so interning never
 /// changes a journal or its digest; it only lets the digest fold a hot
@@ -397,10 +398,11 @@ trace_events! {
         }
         /// A consumer carved an allocation out of a lease (or fell back to DRAM).
         LeaseAllocated = "lease_allocated", chrome("lease-allocated", "event", consumer) {
-            /// Consumer GPU label.
-            consumer: String,
-            /// Allocation site, e.g. `peer:s0/gpu1` or `dram`.
-            site: String,
+            /// Consumer GPU label, interned by the consumer.
+            consumer: Lane,
+            /// Allocation site, e.g. `peer:s0/gpu1` or `dram`, interned by
+            /// the consumer.
+            site: Lane,
             /// Allocated bytes.
             bytes: u64,
             /// Allocation time.
@@ -408,8 +410,8 @@ trace_events! {
         }
         /// A consumer returned bytes to a lease.
         LeaseFreed = "lease_freed", chrome("lease-freed", "event", consumer) {
-            /// Consumer GPU label.
-            consumer: String,
+            /// Consumer GPU label, interned by the consumer.
+            consumer: Lane,
             /// Coordinator lease id.
             lease: u64,
             /// Freed bytes.
@@ -419,8 +421,8 @@ trace_events! {
         }
         /// Leased context was promoted from DRAM back onto a producer GPU.
         LeasePromoted = "lease_promoted", chrome("lease-promoted", "event", consumer) {
-            /// Consumer GPU label.
-            consumer: String,
+            /// Consumer GPU label, interned by the consumer.
+            consumer: Lane,
             /// Destination lease id.
             lease: u64,
             /// Promoted bytes.
@@ -496,8 +498,8 @@ trace_events! {
         }
         /// A CFS token slice ran to completion.
         SliceFinished = "slice_finished", chrome("slice", "scheduler", engine) {
-            /// Engine scope label.
-            engine: String,
+            /// Engine scope label, interned by the engine.
+            engine: Lane,
             /// Monotone slice index.
             slice: u64,
             /// Sequences active in the slice.
@@ -511,8 +513,8 @@ trace_events! {
         }
         /// FlexGen streamed a context window through HBM for a decode chunk.
         WindowFetched = "window_fetched", chrome("window-fetch", "scheduler", engine) {
-            /// Engine scope label.
-            engine: String,
+            /// Engine scope label, interned by the engine.
+            engine: Lane,
             /// Bytes fetched for the window.
             bytes: u64,
             /// Fetch start time.
