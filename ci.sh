@@ -62,14 +62,22 @@ cargo test -q --offline --test chaos_recovery
 # (assert_drained_streams_share_the_clock) — all asserted by the hot_path
 # test binary.
 cargo test -q --offline -p aqua-bench --test hot_path
-# Golden stdout of the two long runs outside `all`, whose seed-42 stdout
+# Golden output of the two long runs outside `all`, whose seed-42 stdout
 # the tier-1 test tests/golden.rs pins: fig15_17 (the 8-GPU CFS mirror of
 # Figure 9, among others) and tab_a2 (the one-hour LoRA run) must print
-# exactly their committed files. Re-bless a run that is meant to move with
-# `aqua-repro <run> > golden/<run>.txt`.
+# exactly their committed files, and their stderr summary line (points,
+# jobs, journal events and digest) with its wall time removed must match
+# golden/<run>.stderr. Re-bless a run that is meant to move with
+# `aqua-repro <run> > golden/<run>.txt 2> golden/<run>.stderr`, then remove
+# the ` in <wall>s` field from the .stderr file.
+golden_dir=$(mktemp -d)
 for run in fig15_17 tab_a2; do
-  cargo run --release -q --offline -p aqua-bench --bin aqua-repro -- "$run" | cmp - "golden/$run.txt"
+  cargo run --release -q --offline -p aqua-bench --bin aqua-repro -- "$run" \
+    2> "$golden_dir/$run.stderr" | cmp - "golden/$run.txt"
+  grep '^aqua-repro: ' "$golden_dir/$run.stderr" | sed -E 's/ in [0-9.]+s,/,/' |
+    cmp - "golden/$run.stderr"
 done
+rm -rf "$golden_dir"
 # Golden work counts of the four benchmark workloads (seed 42, one lane, one
 # job, the benchmark's sizes): PDES windows and messages, driver and journal
 # events, streams, retries, preemptions, swapped bytes, the gateway's steady

@@ -746,7 +746,6 @@ fn assert_digest_only_emit_is_allocation_free() {
             gateway: gateway.clone(),
             policy: policy.clone(),
             request: i,
-            queue_depth: i % 64,
             at: SimTime::from_nanos(i),
         });
         journal.emit(TraceEvent::RequestPreempted {
@@ -760,6 +759,7 @@ fn assert_digest_only_emit_is_allocation_free() {
             lane: lane.clone(),
             bytes: i << 20,
             chunks: 1,
+            queued: SimTime::from_nanos(i),
             start: SimTime::from_nanos(i),
             end: SimTime::from_nanos(2 * i),
         });

@@ -794,7 +794,6 @@ impl GatewayEngine {
                     gateway: self.scope.clone(),
                     policy: self.policy_label.clone(),
                     request: seq.life.req.id.0,
-                    queue_depth: self.pending.len() as u64,
                     at: now,
                 }
             );
@@ -1028,7 +1027,6 @@ impl GatewayEngine {
                 TraceEvent::GatewayBrownout {
                     gateway: self.scope.clone(),
                     state: if engaged { "enter" } else { "exit" }.to_owned(),
-                    queue_depth: self.pending.len() as u64,
                     at: now,
                 }
             );

@@ -235,8 +235,9 @@ impl TransferEngine {
         &mut self.ports[slot]
     }
 
-    /// Attaches a tracer; every scheduled transfer emits enqueue/start/
-    /// complete events per port, tagged with `server` as the trace process.
+    /// Attaches a tracer; every booked transfer journals one
+    /// `transfer_completed` per port of its path, carrying its issue, start
+    /// and end times, tagged with `server` as the trace process.
     pub fn set_tracer(&mut self, tracer: SharedTracer, server: u32) {
         self.tracer = tracer;
         self.server = server;
@@ -398,8 +399,8 @@ impl TransferEngine {
     ///
     /// This is the hottest line in the simulator: one dense-slot update per
     /// port per transfer, and — untraced — zero allocations and zero virtual
-    /// tracer calls. Traced runs reuse the per-port interned [`Lane`]
-    /// instead of re-rendering it per transfer.
+    /// tracer calls. Traced runs journal one line per port, reusing the
+    /// port's interned [`Lane`] instead of re-rendering it per transfer.
     fn commit(
         &mut self,
         path: &LinkPath,
@@ -449,24 +450,12 @@ impl TransferEngine {
             stats.busy_time += wire_time;
             if traced {
                 let lane = stats.lane(p).clone();
-                self.tracer.emit(TraceEvent::TransferEnqueued {
-                    server: self.server,
-                    lane: lane.clone(),
-                    bytes,
-                    chunks,
-                    at: now,
-                });
-                self.tracer.emit(TraceEvent::TransferStarted {
-                    server: self.server,
-                    lane: lane.clone(),
-                    bytes,
-                    at: start,
-                });
                 self.tracer.emit(TraceEvent::TransferCompleted {
                     server: self.server,
                     lane,
                     bytes,
                     chunks,
+                    queued: now,
                     start,
                     end,
                 });
@@ -648,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_schedules_journal_per_port_lifecycle() {
+    fn a_queued_transfer_journals_its_wait() {
         use aqua_telemetry::JournalTracer;
         use std::sync::Arc;
 
@@ -657,32 +646,43 @@ mod tests {
         let journal = Arc::new(JournalTracer::new());
         let mut eng = TransferEngine::new();
         eng.set_tracer(journal.clone(), 0);
-        let t = eng.schedule(&path, TransferPlan::scattered(4, mib(16)), SimTime::ZERO);
+        let first = eng.schedule(&path, TransferPlan::scattered(4, mib(16)), SimTime::ZERO);
+        let second = eng.schedule(&path, TransferPlan::coalesced(mib(8)), SimTime::ZERO);
 
-        // enqueue + start + complete for each of the two ports on the path.
-        assert_eq!(journal.len(), 3 * path.ports.len());
-        let events = journal.events();
-        let completed = events
-            .iter()
-            .find_map(|e| match e {
+        // One line per port of the path per transfer, in path order.
+        let booked: Vec<_> = journal
+            .events()
+            .into_iter()
+            .map(|e| match e {
                 TraceEvent::TransferCompleted {
                     lane,
                     bytes,
                     chunks,
+                    queued,
                     start,
                     end,
                     ..
-                } => Some((lane.clone(), *bytes, *chunks, *start, *end)),
-                _ => None,
+                } => (lane.to_string(), bytes, chunks, queued, start, end),
+                other => panic!("unexpected event {other:?}"),
             })
-            .expect("a completion event");
-        assert_eq!(completed.0, "nvlink-egress:gpu0");
-        assert_eq!(completed.1, mib(64));
-        assert_eq!(completed.2, 4);
-        assert_eq!((completed.3, completed.4), (t.start, t.end));
+            .collect();
+        let lines = |t: ScheduledTransfer, bytes, chunks| {
+            path.ports
+                .iter()
+                .map(move |p| (p.to_string(), bytes, chunks, SimTime::ZERO, t.start, t.end))
+        };
+        let expected: Vec<_> = lines(first, mib(64), 4)
+            .chain(lines(second, mib(8), 1))
+            .collect();
+        assert_eq!(booked, expected);
+        assert_eq!(booked[0].0, "nvlink-egress:gpu0");
         for &port in &path.ports {
-            assert_eq!(eng.port_bytes(port), mib(64), "{port}");
+            assert_eq!(eng.port_bytes(port), mib(72), "{port}");
         }
+        // The second transfer waited on the line itself: issued at zero,
+        // on the wire only once the first one left it.
+        assert!(SimTime::ZERO < second.start);
+        assert_eq!(second.start, first.end);
     }
 
     #[test]
@@ -695,38 +695,63 @@ mod tests {
     }
 
     crate::check! {
-        /// Random transfer sequences: time only moves forward, ports are
-        /// exclusive (no two transfers on one port overlap), and the port
-        /// horizon equals the latest completion crossing it.
+        /// Random transfer sequences under a journal: time only moves
+        /// forward, each booking journals exactly one line per port of its
+        /// path carrying the call's issue, start and end times, and the
+        /// journal alone rebuilds every port's timeline: spans on one lane
+        /// never overlap, and the last one ends at the port's horizon.
         #[test]
         fn port_exclusivity_invariant(
             ops in crate::check::vec((0usize..4, 0usize..4, 1u64..(64 << 20), 0u64..1_000_000), 1..60)
         ) {
+            use aqua_telemetry::JournalTracer;
+            use std::collections::HashMap;
+
             let s = ServerTopology::nvswitch(4, GpuSpec::a100_80g());
+            let journal = Arc::new(JournalTracer::new());
             let mut eng = TransferEngine::new();
-            let mut per_port: std::collections::HashMap<crate::topology::PortId, Vec<(SimTime, SimTime)>> =
-                std::collections::HashMap::new();
+            eng.set_tracer(journal.clone(), 0);
             for (a, b, bytes, at) in ops {
                 if a == b {
                     continue;
                 }
                 let path = s.gpu_to_gpu_path(GpuId(a), GpuId(b)).unwrap();
                 let now = SimTime::from_nanos(at);
+                let before = journal.len();
                 let t = eng.schedule(&path, TransferPlan::coalesced(bytes), now);
                 assert!(t.start >= now);
                 assert!(t.end > t.start);
-                for port in &path.ports {
-                    let spans = per_port.entry(*port).or_default();
-                    for (s0, e0) in spans.iter() {
-                        // Non-overlap: the new span starts at or after every
-                        // prior span's end, or ends before it starts.
-                        assert!(t.start >= *e0 || t.end <= *s0);
-                    }
-                    spans.push((t.start, t.end));
-                    let horizon = spans.iter().map(|(_, e)| *e).max().unwrap();
-                    assert_eq!(eng.port_busy_until(*port), horizon);
+                let booked: Vec<_> = journal.events()[before..]
+                    .iter()
+                    .map(|e| match e {
+                        TraceEvent::TransferCompleted { lane, queued, start, end, .. } => {
+                            (lane.to_string(), *queued, *start, *end)
+                        }
+                        other => panic!("unexpected event {other:?}"),
+                    })
+                    .collect();
+                let expected: Vec<_> =
+                    path.ports.iter().map(|p| (p.to_string(), now, t.start, t.end)).collect();
+                assert_eq!(booked, expected);
+            }
+            let mut lanes: HashMap<String, Vec<(SimTime, SimTime)>> = HashMap::new();
+            for event in journal.events() {
+                if let TraceEvent::TransferCompleted { lane, start, end, .. } = event {
+                    lanes.entry(lane.to_string()).or_default().push((start, end));
                 }
             }
+            let ports = (0..4).flat_map(|g| {
+                [PortId::NvlinkEgress(GpuId(g)), PortId::NvlinkIngress(GpuId(g))]
+            });
+            for port in ports {
+                let spans = lanes.remove(&port.to_string()).unwrap_or_default();
+                // Each span starts at or after the one before it on its
+                // lane ends, so no two overlap.
+                assert!(spans.windows(2).all(|w| w[1].0 >= w[0].1), "{port}: {spans:?}");
+                let last = spans.last().map_or(SimTime::ZERO, |&(_, end)| end);
+                assert_eq!(eng.port_busy_until(port), last, "{port}");
+            }
+            assert!(lanes.is_empty(), "lanes off the fabric: {lanes:?}");
         }
     }
 

@@ -226,18 +226,12 @@ mod tests {
 
     fn sample_journal() -> Vec<TraceEvent> {
         vec![
-            TraceEvent::TransferEnqueued {
-                server: 0,
-                lane: "nvlink-egress:gpu0".into(),
-                bytes: 100,
-                chunks: 1,
-                at: SimTime::from_millis(2),
-            },
             TraceEvent::TransferCompleted {
                 server: 0,
                 lane: "nvlink-egress:gpu0".into(),
                 bytes: 100,
                 chunks: 1,
+                queued: SimTime::from_millis(1),
                 start: SimTime::from_millis(2),
                 end: SimTime::from_millis(4),
             },
@@ -266,6 +260,7 @@ mod tests {
                 lane: "nvlink-egress:gpu0".into(),
                 bytes: 50,
                 chunks: 1,
+                queued: SimTime::from_millis(4),
                 start: SimTime::from_millis(4),
                 end: SimTime::from_millis(5),
             },
@@ -325,8 +320,11 @@ mod tests {
             .filter(|e| e.get("name").unwrap().as_str() == Some("transfer"))
             .collect();
         assert_eq!(xfer.len(), 2);
-        // 2ms wire time -> 2000us duration.
+        // 2ms wire time -> 2000us duration; the issue time is an arg, in
+        // journal nanoseconds.
         assert_eq!(xfer[0].get("dur").unwrap().as_u64(), Some(2000));
+        let queued = xfer[0].get("args").unwrap().get("queued").unwrap();
+        assert_eq!(queued.as_u64(), Some(1_000_000));
     }
 
     #[test]

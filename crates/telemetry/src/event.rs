@@ -339,15 +339,18 @@ macro_rules! trace_events {
 trace_events! {
     /// One structured event in a run's journal.
     ///
-    /// Variants group into four families mirroring the stack's layers: transfer
-    /// lifecycle (the simulator's transfer engine), memory/lease movement (HBM
+    /// Variants group into four families mirroring the stack's layers:
+    /// transfers (the simulator's transfer engine), memory/lease movement (HBM
     /// allocators, donation, reclaim), control plane (coordinator verbs, informer
     /// decisions) and scheduler actions (`GatewayEngine` admission and
     /// preemption, CFS slices, FlexGen window fetches).
     #[derive(Debug, Clone, PartialEq)]
     pub enum TraceEvent {
-        /// A transfer plan was queued on a link lane (per egress/ingress port).
-        TransferEnqueued = "transfer_enqueued", chrome("transfer-enqueued", "transfer", lane) {
+        /// A transfer booked on one port of its path: one line per port,
+        /// journalled when the transfer is issued. It waited in the port's
+        /// queue from `queued` to `start` and held the wire from `start` to
+        /// `end`.
+        TransferCompleted = "transfer_completed", chrome("transfer", "transfer", lane) {
             /// Server the lane belongs to.
             server: u32,
             /// Lane label, e.g. `nvlink-egress:gpu0`.
@@ -356,30 +359,8 @@ trace_events! {
             bytes: u64,
             /// Chunk count (1 for a coalesced plan).
             chunks: u64,
-            /// Enqueue time.
-            at: SimTime,
-        }
-        /// A queued transfer reached the head of its lane and started moving.
-        TransferStarted = "transfer_started", chrome("transfer-started", "transfer", lane) {
-            /// Server the lane belongs to.
-            server: u32,
-            /// Lane label.
-            lane: Lane,
-            /// Total payload bytes.
-            bytes: u64,
-            /// Wire start time.
-            at: SimTime,
-        }
-        /// A transfer finished draining through a lane.
-        TransferCompleted = "transfer_completed", chrome("transfer", "transfer", lane) {
-            /// Server the lane belongs to.
-            server: u32,
-            /// Lane label.
-            lane: Lane,
-            /// Total payload bytes.
-            bytes: u64,
-            /// Chunk count (1 for a coalesced plan).
-            chunks: u64,
+            /// Issue time: when the transfer joined the port's queue.
+            queued: SimTime,
             /// Wire start time.
             start: SimTime,
             /// Wire end time.
@@ -628,8 +609,6 @@ trace_events! {
             policy: Lane,
             /// Request id.
             request: u64,
-            /// Requests still queued after this pick.
-            queue_depth: u64,
             /// Scheduling time.
             at: SimTime,
         }
@@ -720,8 +699,6 @@ trace_events! {
             gateway: Lane,
             /// `enter` or `exit`.
             state: String,
-            /// Admission queue depth at the transition.
-            queue_depth: u64,
             /// Transition time.
             at: SimTime,
         }
@@ -830,6 +807,7 @@ mod tests {
                 lane: "nvlink-egress:gpu0".into(),
                 bytes: 1 << 20,
                 chunks: 2,
+                queued: SimTime::ZERO,
                 start: SimTime::from_millis(1),
                 end: SimTime::from_millis(3),
             },

@@ -117,18 +117,17 @@ mod tests {
             request,
             at: t(request),
         };
-        let scheduled = |gateway: &Lane, request, queue_depth| TraceEvent::RequestScheduled {
+        let scheduled = |gateway: &Lane, request| TraceEvent::RequestScheduled {
             gateway: gateway.clone(),
             policy: policy.clone(),
             request,
-            queue_depth,
             at: t(10),
         };
         let events = [
             enqueued(&a, 1),
             enqueued(&a, 2),
             enqueued(&b, 1),
-            scheduled(&a, 1, 1),
+            scheduled(&a, 1),
             TraceEvent::FirstTokenEmitted {
                 gateway: a.clone(),
                 request: 1,
@@ -140,7 +139,7 @@ mod tests {
                 policy: Lane::from("swap"),
                 at: t(12),
             },
-            scheduled(&a, 2, 1),
+            scheduled(&a, 2),
             TraceEvent::RequestCrashAborted {
                 gateway: a.clone(),
                 request: 2,
@@ -159,7 +158,7 @@ mod tests {
                 deadline: "ttft".into(),
                 at: t(14),
             },
-            scheduled(&a, 2, 0),
+            scheduled(&a, 2),
             TraceEvent::GatewayCompleted {
                 gateway: a.clone(),
                 request: 2,
@@ -196,11 +195,5 @@ mod tests {
                 (12, "gw:b", 0, 0),
             ]
         );
-        // At each `request_scheduled`, the replayed queue is the event's.
-        for level in &levels {
-            if let TraceEvent::RequestScheduled { queue_depth, .. } = &events[level.index] {
-                assert_eq!(level.queue_depth, *queue_depth);
-            }
-        }
     }
 }

@@ -22,37 +22,17 @@ fn t(nanos: u64) -> SimTime {
 fn rows() -> Vec<(TraceEvent, &'static str, &'static str)> {
     vec![
         (
-            TraceEvent::TransferEnqueued {
-                server: 1,
-                lane: "nvlink-egress:gpu0".into(),
-                bytes: 4096,
-                chunks: 2,
-                at: t(1_234_567),
-            },
-            r#"{"event":"transfer_enqueued","server":1,"lane":"nvlink-egress:gpu0","bytes":4096,"chunks":2,"at":1234567}"#,
-            r#"{"name":"transfer-enqueued","cat":"transfer","ph":"i","s":"t","ts":1234,"pid":2,"tid":1,"args":{"bytes":4096,"chunks":2}}"#,
-        ),
-        (
-            TraceEvent::TransferStarted {
-                server: 0,
-                lane: "pcie-ingress:gpu3".into(),
-                bytes: 8192,
-                at: t(2_000_001),
-            },
-            r#"{"event":"transfer_started","server":0,"lane":"pcie-ingress:gpu3","bytes":8192,"at":2000001}"#,
-            r#"{"name":"transfer-started","cat":"transfer","ph":"i","s":"t","ts":2000,"pid":1,"tid":1,"args":{"bytes":8192}}"#,
-        ),
-        (
             TraceEvent::TransferCompleted {
                 server: 2,
                 lane: "nvlink-ingress:gpu1".into(),
                 bytes: 1 << 20,
                 chunks: 4,
+                queued: t(1_234_567),
                 start: t(3_000_500),
                 end: t(6_250_999),
             },
-            r#"{"event":"transfer_completed","server":2,"lane":"nvlink-ingress:gpu1","bytes":1048576,"chunks":4,"start":3000500,"end":6250999}"#,
-            r#"{"name":"transfer","cat":"transfer","ph":"X","ts":3000,"pid":3,"tid":1,"dur":3250,"args":{"bytes":1048576,"chunks":4}}"#,
+            r#"{"event":"transfer_completed","server":2,"lane":"nvlink-ingress:gpu1","bytes":1048576,"chunks":4,"queued":1234567,"start":3000500,"end":6250999}"#,
+            r#"{"name":"transfer","cat":"transfer","ph":"X","ts":3000,"pid":3,"tid":1,"dur":3250,"args":{"bytes":1048576,"chunks":4,"queued":1234567}}"#,
         ),
         (
             TraceEvent::LeaseGranted {
@@ -273,11 +253,10 @@ fn rows() -> Vec<(TraceEvent, &'static str, &'static str)> {
                 gateway: "gw".into(),
                 policy: "sjf+bucket".into(),
                 request: 16,
-                queue_depth: 4,
                 at: t(30_000_029),
             },
-            r#"{"event":"request_scheduled","gateway":"gw","policy":"sjf+bucket","request":16,"queue_depth":4,"at":30000029}"#,
-            r#"{"name":"scheduled","cat":"event","ph":"i","s":"t","ts":30000,"pid":0,"tid":1,"args":{"policy":"sjf+bucket","request":16,"queue_depth":4}}"#,
+            r#"{"event":"request_scheduled","gateway":"gw","policy":"sjf+bucket","request":16,"at":30000029}"#,
+            r#"{"name":"scheduled","cat":"event","ph":"i","s":"t","ts":30000,"pid":0,"tid":1,"args":{"policy":"sjf+bucket","request":16}}"#,
         ),
         (
             TraceEvent::FirstTokenEmitted {
@@ -354,11 +333,10 @@ fn rows() -> Vec<(TraceEvent, &'static str, &'static str)> {
             TraceEvent::GatewayBrownout {
                 gateway: "gw".into(),
                 state: "exit".into(),
-                queue_depth: 0,
                 at: t(38_000_037),
             },
-            r#"{"event":"gateway_brownout","gateway":"gw","state":"exit","queue_depth":0,"at":38000037}"#,
-            r#"{"name":"gateway-brownout","cat":"event","ph":"i","s":"t","ts":38000,"pid":0,"tid":1,"args":{"state":"exit","queue_depth":0}}"#,
+            r#"{"event":"gateway_brownout","gateway":"gw","state":"exit","at":38000037}"#,
+            r#"{"name":"gateway-brownout","cat":"event","ph":"i","s":"t","ts":38000,"pid":0,"tid":1,"args":{"state":"exit"}}"#,
         ),
         (
             TraceEvent::CoordinatorCrashed {
@@ -447,6 +425,7 @@ fn mixed_journal() -> Vec<TraceEvent> {
             lane: "nvlink-egress:gpu0".into(),
             bytes: 100,
             chunks: 1,
+            queued: t(4_000_000),
             start: t(5_000_000),
             end: t(7_000_000),
         },
@@ -456,18 +435,23 @@ fn mixed_journal() -> Vec<TraceEvent> {
             bytes: 10,
             at: t(1_000_000),
         },
-        TraceEvent::TransferEnqueued {
+        TraceEvent::TransferCompleted {
             server: 0,
             lane: "nvlink-egress:gpu0".into(),
             bytes: 100,
             chunks: 1,
-            at: t(2_000_000),
+            queued: t(2_000_000),
+            start: t(2_000_000),
+            end: t(3_000_000),
         },
-        TraceEvent::TransferStarted {
+        TraceEvent::TransferCompleted {
             server: 1,
             lane: "nvlink-egress:gpu0".into(),
-            bytes: 100,
-            at: t(5_000_000),
+            bytes: 50,
+            chunks: 1,
+            queued: t(5_000_000),
+            start: t(7_000_000),
+            end: t(8_000_000),
         },
         TraceEvent::GatewayEnqueued {
             gateway: "gw".into(),
@@ -479,7 +463,6 @@ fn mixed_journal() -> Vec<TraceEvent> {
             gateway: "gw".into(),
             policy: "fcfs".into(),
             request: 9,
-            queue_depth: 0,
             at: t(3_000_000),
         },
         TraceEvent::CoordinatorVerb {
@@ -620,12 +603,12 @@ fn chrome_document_is_pinned() {
             r#"{"name":"lease-granted","cat":"event","ph":"i","s":"t","ts":1000,"pid":0,"tid":2,"args":{"lease":1,"bytes":10}},"#,
             r#"{"name":"gateway-enqueued","cat":"event","ph":"i","s":"t","ts":1000,"pid":0,"tid":4,"args":{"tenant":0,"request":9}},"#,
             r#"{"name":"grant","cat":"event","ph":"i","s":"t","ts":1000,"pid":0,"tid":5,"args":{"detail":"1"}},"#,
-            r#"{"name":"transfer-enqueued","cat":"transfer","ph":"i","s":"t","ts":2000,"pid":1,"tid":3,"args":{"bytes":100,"chunks":1}},"#,
+            r#"{"name":"transfer","cat":"transfer","ph":"X","ts":2000,"pid":1,"tid":3,"dur":1000,"args":{"bytes":100,"chunks":1,"queued":2000000}},"#,
             r#"{"name":"gw.queue_depth","cat":"level","ph":"C","ts":3000,"pid":0,"tid":0,"args":{"value":0}},"#,
             r#"{"name":"gw.running","cat":"level","ph":"C","ts":3000,"pid":0,"tid":0,"args":{"value":1}},"#,
-            r#"{"name":"scheduled","cat":"event","ph":"i","s":"t","ts":3000,"pid":0,"tid":4,"args":{"policy":"fcfs","request":9,"queue_depth":0}},"#,
-            r#"{"name":"transfer","cat":"transfer","ph":"X","ts":5000,"pid":2,"tid":1,"dur":2000,"args":{"bytes":100,"chunks":1}},"#,
-            r#"{"name":"transfer-started","cat":"transfer","ph":"i","s":"t","ts":5000,"pid":2,"tid":1,"args":{"bytes":100}}]}"#,
+            r#"{"name":"scheduled","cat":"event","ph":"i","s":"t","ts":3000,"pid":0,"tid":4,"args":{"policy":"fcfs","request":9}},"#,
+            r#"{"name":"transfer","cat":"transfer","ph":"X","ts":5000,"pid":2,"tid":1,"dur":2000,"args":{"bytes":100,"chunks":1,"queued":4000000}},"#,
+            r#"{"name":"transfer","cat":"transfer","ph":"X","ts":7000,"pid":2,"tid":1,"dur":1000,"args":{"bytes":50,"chunks":1,"queued":5000000}}]}"#,
         )
     );
 }
