@@ -68,16 +68,16 @@ cargo test -q --offline -p aqua-bench --test hot_path
 # exactly their committed files, and their stderr summary line (points,
 # jobs, journal events and digest) with its wall time removed must match
 # golden/<run>.stderr. Re-bless a run that is meant to move with
-# `aqua-repro <run> > golden/<run>.txt 2> golden/<run>.stderr`, then remove
-# the ` in <wall>s` field from the .stderr file.
-golden_dir=$(mktemp -d)
+# `aqua-repro <run> 2>&1 > golden/<run>.txt | grep '^aqua-repro: ' |
+#   sed -E 's/ in [0-9.]+s,/,/' > golden/<run>.stderr`, the same filter as
+# below.
+# The run's stdout goes to the first cmp and its stderr, through fd 3, to
+# the filter; pipefail fails the loop if either cmp does.
 for run in fig15_17 tab_a2; do
-  cargo run --release -q --offline -p aqua-bench --bin aqua-repro -- "$run" \
-    2> "$golden_dir/$run.stderr" | cmp - "golden/$run.txt"
-  grep '^aqua-repro: ' "$golden_dir/$run.stderr" | sed -E 's/ in [0-9.]+s,/,/' |
-    cmp - "golden/$run.stderr"
+  { cargo run --release -q --offline -p aqua-bench --bin aqua-repro -- "$run" 2>&3 |
+      cmp - "golden/$run.txt" >&2; } 3>&1 |
+    grep '^aqua-repro: ' | sed -E 's/ in [0-9.]+s,/,/' | cmp - "golden/$run.stderr"
 done
-rm -rf "$golden_dir"
 # Golden work counts of the four benchmark workloads (seed 42, one lane, one
 # job, the benchmark's sizes): PDES windows and messages, driver and journal
 # events, streams, retries, preemptions, swapped bytes, the gateway's steady

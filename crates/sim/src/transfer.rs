@@ -733,6 +733,11 @@ mod tests {
                 let expected: Vec<_> =
                     path.ports.iter().map(|p| (p.to_string(), now, t.start, t.end)).collect();
                 assert_eq!(booked, expected);
+                // Each booked port's horizon is this transfer's end, at
+                // every step, not only at the end of the run.
+                for p in &path.ports {
+                    assert_eq!(eng.port_busy_until(*p), t.end, "{p}");
+                }
             }
             let mut lanes: HashMap<String, Vec<(SimTime, SimTime)>> = HashMap::new();
             for event in journal.events() {
