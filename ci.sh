@@ -104,30 +104,40 @@ for file in json json.jsonl; do
 done
 rm -rf "$trace_dir"
 echo "AQUA_TRACE export is non-empty and identical run to run"
+# The smoke acceptance runs below print a deterministic stdout, which each
+# must match byte for byte against golden/<name>.txt. pipefail fails the
+# step if the run itself fails. Re-bless a run that is meant to move with
+# `aqua-repro <args> > golden/<name>.txt`, the arguments as below, and
+# name each moved line in CHANGES.md.
+smoke() {
+  local name=$1
+  shift
+  cargo run --release -q --offline -p aqua-bench --bin aqua-repro -- "$@" | cmp - "golden/$name.txt"
+}
 # Gateway acceptance: the scheduler-zoo serving study must render
 # byte-identical output and fold identical telemetry digests sequentially
-# vs in parallel. The digests are compared run-against-run inside the
-# process — never against a pinned literal — so the gate survives workload
-# generator changes.
-cargo run --release --offline -p aqua-bench --bin aqua-repro -- serve --smoke --count 64
+# vs in parallel, compared run against run inside the process. --jobs 4 is
+# explicit so that the stdout, which names the job count, does not depend
+# on the host's cores.
+smoke serve_smoke serve --smoke --count 64 --jobs 4
 # Same gate for the overload/crash-recovery study (goodput cells at 1-4x
 # load plus both crash-restore cells).
-cargo run --release --offline -p aqua-bench --bin aqua-repro -- serve --chaos-smoke
+smoke serve_chaos_smoke serve --chaos-smoke --jobs 4
 # Control-plane acceptance: the coordinator crash/partition recovery study
 # must be byte- and digest-identical at 1/4/8 jobs through the sweep, and
 # each faulted cell (crash, partition) run audited must be clean and render
 # the same table and fold the same journal digest as its unaudited run.
-cargo run --release --offline -p aqua-bench --bin aqua-repro -- coord_chaos --smoke
+smoke coord_chaos_smoke coord_chaos --smoke
 # PDES acceptance: a 64-server (512-GPU) scale-cluster run with the crash
 # fault plan and the full audit layer enabled must be byte- and
 # digest-identical at 1, 2 and 4 lanes (the caller alone, the caller plus
 # one worker thread, plus three) with zero audit violations — once at
 # the calm default rate and once oversaturated at 2 req/s with a
 # backlog-building span.
-cargo run --release --offline -p aqua-bench --bin aqua-repro -- scale --smoke
+smoke scale_smoke scale --smoke
 # Audit acceptance, part 1: 32 seeded FaultPlan x workload x topology points
 # under full invariant auditing must report zero violations.
-cargo run --release --offline -p aqua-bench --bin aqua-repro -- fuzz --smoke
+smoke fuzz_smoke fuzz --smoke
 # A planted audit violation must be *caught* (the command exits non-zero),
 # print a shrunk re-runnable reproducer (a line naming `reproduce`) and name
 # its violation (`violation`). `what` names the plant in the messages.
@@ -161,7 +171,7 @@ expect_planted "fencing bypass" "aqua-repro fuzz" double_grant_across_epochs \
 # Audit acceptance, part 3: 16 seeded gateway points (FaultPlan x scheduler
 # policy x load on the serving path) must report zero audit violations AND
 # zero truncated streams.
-cargo run --release --offline -p aqua-bench --bin aqua-repro -- fuzz --gateway --smoke
+smoke fuzz_gateway_smoke fuzz --gateway --smoke
 # Audit acceptance, part 4: a planted skipped-restore must be caught as a
 # token_without_restore, with a gateway reproducer.
 expect_planted "skipped restore" "aqua-repro fuzz --gateway" token_without_restore \
