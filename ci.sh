@@ -28,8 +28,8 @@ cargo test -q --offline --test chaos_recovery
 # Hot-path acceptance: the untraced transfer-schedule path must stay
 # allocation-free, the placer catalog DP allocation-bounded per state, the
 # untraced decode step of the batching core (the gateway engine in its vLLM
-# configuration) limited to amortized block-table and iteration-clock
-# doubling, and the same bound for that engine driven through Driver::run,
+# configuration) limited to amortized iteration-clock doubling (at most
+# log2 of its 512 steps, so per-sequence growth fails it), and the same bound for that engine driven through Driver::run,
 # whose decode runs take the gateway's steady loop
 # (assert_steady_decode_run_is_allocation_lean), and again with an AQUA
 # offloader whose quiet iteration boundaries those runs skip

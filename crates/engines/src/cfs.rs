@@ -206,7 +206,7 @@ impl CfsEngine {
                 break;
             }
             let tokens = entry.prompt_tokens + generated + self.config.slice_tokens;
-            let need = tokens.div_ceil(DEFAULT_BLOCK_TOKENS);
+            let need = self.kv.blocks_for(tokens);
             if blocks + need > self.kv.total_blocks() {
                 assert!(
                     !chosen.is_empty(),
@@ -460,7 +460,7 @@ mod tests {
                     break;
                 }
                 let tokens = e.seqs[i].life.context_tokens() + e.config.slice_tokens;
-                let need = tokens.div_ceil(DEFAULT_BLOCK_TOKENS);
+                let need = e.kv.blocks_for(tokens);
                 if blocks + need > e.kv.total_blocks() {
                     assert!(!chosen.is_empty(), "oracle: no context fits");
                     continue;

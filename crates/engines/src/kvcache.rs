@@ -1,21 +1,21 @@
-//! Paged KV-cache block manager (vLLM's PagedAttention pool).
+//! Paged KV-cache pool (vLLM's PagedAttention pool), counted in blocks.
 //!
 //! vLLM reserves the HBM left after loading model weights as a pool of
-//! fixed-size blocks and maps each sequence's KV cache onto a **block
-//! table** (§2, \[32\]). Three properties matter to AQUA:
+//! fixed-size blocks and maps each sequence's KV cache onto whole blocks
+//! (§2, \[32\]). Two properties matter to AQUA:
 //!
 //! * Admission control: a request is only admitted when enough blocks are
 //!   free for its prompt — otherwise it queues (the source of Figure 1a's
 //!   TTFT spikes).
-//! * Fragmentation: blocks are allocated from a free list, so a sequence's
-//!   table is physically scattered — which is why vLLM's swap path moves
-//!   many small tensors (§5) and why donation needs compaction.
 //! * Elasticity: an LLM producer *donates* free pool capacity to AQUA and
-//!   reclaims it later. §B.1: "This allocation leads to fragmentation of
-//!   the tensor and makes it impossible to selectively free parts of a
-//!   tensor. We solve this problem by copying the scattered allocated
-//!   blocks to a temporary location to free up the reserved memory" — the
-//!   pool models that compaction and accounts the bytes it copies.
+//!   reclaims it later (§B.1).
+//!
+//! Both depend on how many blocks each sequence holds, never on which, so
+//! the pool keeps a token count per sequence and no block identity: no
+//! free list and no block tables. Nothing else reads block identity
+//! either: swap chunk counts follow from the model's layers. §B.1's
+//! compaction copy, which moves scattered live blocks below a donated cut,
+//! is therefore neither modelled nor timed.
 //!
 //! Per-sequence state is stored struct-of-arrays (dense parallel vectors
 //! indexed through a multiply-shift-hashed `RequestId → slot` map, freed
@@ -27,18 +27,20 @@
 //! Decode growth is the simulator's hottest path. An engine whose batch is
 //! exactly the pool's live sequences advances all of them with one
 //! [`PagedKvCache::grow_each_by_one`]: a single pass over the dense arrays,
-//! with no hash probe and no division. [`PagedKvCache::grow_seq`] skips the
-//! division too whenever the growth fits in the sequence's last block.
+//! with no hash probe and no division (each sequence's block count,
+//! `⌈tokens / bt⌉` for `bt` tokens per block, is kept for that).
+//! [`PagedKvCache::grow_seq`] skips the division too whenever the growth
+//! fits in the sequence's last block.
 //!
 //! A run of such steps over an unchanged set of sequences is planned and
 //! taken at once. A sequence's *block phase*, `blocks·bt − tokens` (the
-//! free token slots of its last block, `bt` tokens per block), fixes the
-//! steps at which it takes a block: steps `phase + 1`, `phase + 1 + bt`, …
-//! So [`PagedKvCache::plan_decode_growth`] counts the sequences per phase
+//! free token slots of its last block), fixes the steps at which it takes
+//! a block: steps `phase + 1`, `phase + 1 + bt`, … So
+//! [`PagedKvCache::plan_decode_growth`] counts the sequences per phase
 //! once, after which [`DecodeGrowth`] answers the blocks of any number of
 //! steps, and the most steps the free blocks cover, in O(1) and O(log bt);
 //! [`PagedKvCache::grow_each_by`] then takes `k` steps' blocks in one pass,
-//! handing out exactly the blocks `k` calls of `grow_each_by_one` would.
+//! leaving the pool exactly as `k` calls of `grow_each_by_one` would.
 
 use aqua_models::geometry::LlmGeometry;
 use aqua_sim::hash::PackedKeyMap;
@@ -47,10 +49,6 @@ use crate::request::RequestId;
 
 /// Default tokens per KV block (vLLM's default block size).
 pub const DEFAULT_BLOCK_TOKENS: u64 = 16;
-
-/// Physical index of one KV block within the pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct BlockId(pub u64);
 
 /// A paged KV-cache pool for one model on one GPU.
 ///
@@ -65,7 +63,7 @@ pub struct BlockId(pub u64);
 /// let mut kv = PagedKvCache::new(geom, 1 << 30, 16);
 /// assert!(kv.can_fit_tokens(1000));
 /// kv.grow_seq(RequestId(1), 1000).unwrap();
-/// assert_eq!(kv.block_table(RequestId(1)).unwrap().len(), 63); // ceil(1000/16)
+/// assert_eq!(kv.blocks_of(RequestId(1)), Some(63)); // ceil(1000/16)
 /// kv.free_seq(RequestId(1));
 /// assert_eq!(kv.used_blocks(), 0);
 /// ```
@@ -74,19 +72,14 @@ pub struct PagedKvCache {
     geom: LlmGeometry,
     block_tokens: u64,
     total_blocks: u64,
-    /// Physical blocks never yet allocated (ids `next_fresh..total_blocks`
-    /// conceptually; tracked as a watermark).
-    next_fresh: u64,
-    /// Recycled blocks, LIFO — reuse keeps tables fragmented, like a real
-    /// allocator under churn.
-    free_list: Vec<BlockId>,
     /// Struct-of-arrays per-sequence state: `seq_ids[i]`, `seq_tokens[i]`
-    /// and `seq_tables[i]` describe the same sequence; `index` maps a
-    /// request id to its slot `i`. Frees swap-remove, so iteration order is
-    /// dense and deterministic for a given operation sequence.
+    /// and `seq_blocks[i]` (always `⌈seq_tokens[i] / block_tokens⌉`)
+    /// describe the same sequence; `index` maps a request id to its slot
+    /// `i`. Frees swap-remove, so iteration order is dense and
+    /// deterministic for a given operation sequence.
     seq_ids: Vec<RequestId>,
     seq_tokens: Vec<u64>,
-    seq_tables: Vec<Vec<BlockId>>,
+    seq_blocks: Vec<u64>,
     index: PackedKeyMap<RequestId, usize>,
     /// Running totals maintained by grow/free so the per-iteration
     /// admission and usage queries never scan live sequences.
@@ -95,7 +88,6 @@ pub struct PagedKvCache {
     /// Live sequences whose last block is full (or that hold no block), so
     /// their next token needs a fresh block.
     full_seqs: usize,
-    compacted_bytes: u64,
     /// The buffer of [`PagedKvCache::grow_each_by`]'s plan, allocated by
     /// its first call: empty between calls.
     phase_scratch: Vec<u64>,
@@ -197,18 +189,25 @@ impl PagedKvCache {
             geom,
             block_tokens,
             total_blocks,
-            next_fresh: 0,
-            free_list: Vec::new(),
             seq_ids: Vec::new(),
             seq_tokens: Vec::new(),
-            seq_tables: Vec::new(),
+            seq_blocks: Vec::new(),
             index: PackedKeyMap::default(),
             used_blocks: 0,
             total_tokens: 0,
             full_seqs: 0,
-            compacted_bytes: 0,
             phase_scratch: Vec::new(),
         }
+    }
+
+    /// Tokens per block.
+    pub fn block_tokens(&self) -> u64 {
+        self.block_tokens
+    }
+
+    /// Blocks that `tokens` tokens of one sequence occupy.
+    pub fn blocks_for(&self, tokens: u64) -> u64 {
+        tokens.div_ceil(self.block_tokens)
     }
 
     /// Bytes of one KV block.
@@ -231,6 +230,11 @@ impl PagedKvCache {
         self.total_blocks - self.used_blocks
     }
 
+    /// Tokens the free blocks hold. O(1).
+    pub fn free_tokens(&self) -> u64 {
+        self.free_blocks() * self.block_tokens
+    }
+
     /// Total pool capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.total_blocks * self.block_bytes()
@@ -248,7 +252,7 @@ impl PagedKvCache {
 
     /// Whether `tokens` additional tokens (for a fresh sequence) would fit.
     pub fn can_fit_tokens(&self, tokens: u64) -> bool {
-        tokens.div_ceil(self.block_tokens) <= self.free_blocks()
+        self.blocks_for(tokens) <= self.free_blocks()
     }
 
     /// Number of live sequences.
@@ -268,29 +272,14 @@ impl PagedKvCache {
         self.index.get(&id).map_or(0, |&i| self.seq_tokens[i])
     }
 
-    /// KV bytes currently mapped for a sequence (block-granular).
-    #[cfg(test)]
-    fn bytes_of(&self, id: RequestId) -> u64 {
-        self.index
-            .get(&id)
-            .map_or(0, |&i| self.seq_tables[i].len() as u64)
-            * self.block_bytes()
-    }
-
-    /// The sequence's physical block table (its scatter pattern), if live.
-    pub fn block_table(&self, id: RequestId) -> Option<&[BlockId]> {
-        self.index.get(&id).map(|&i| self.seq_tables[i].as_slice())
+    /// Blocks a sequence holds, if it is live.
+    pub fn blocks_of(&self, id: RequestId) -> Option<u64> {
+        self.index.get(&id).map(|&i| self.seq_blocks[i])
     }
 
     /// Sum of context tokens across all live sequences. O(1).
     pub fn total_context_tokens(&self) -> u64 {
         self.total_tokens
-    }
-
-    /// Bytes copied so far by donation-time compaction (§B.1).
-    #[cfg(test)]
-    fn compacted_bytes(&self) -> u64 {
-        self.compacted_bytes
     }
 
     /// Extends sequence `id` by `tokens`, allocating blocks as needed.
@@ -302,7 +291,7 @@ impl PagedKvCache {
     pub fn grow_seq(&mut self, id: RequestId, tokens: u64) -> Result<(), KvOutOfBlocks> {
         let slot = self.index.get(&id).copied();
         let (have_blocks, have_tokens) = slot
-            .map(|i| (self.seq_tables[i].len() as u64, self.seq_tokens[i]))
+            .map(|i| (self.seq_blocks[i], self.seq_tokens[i]))
             .unwrap_or((0, 0));
         let new_tokens = have_tokens + tokens;
         // Tokens still free in the last block; growth within it needs no
@@ -311,7 +300,7 @@ impl PagedKvCache {
         let needed_blocks = if tokens <= slack {
             have_blocks
         } else {
-            new_tokens.div_ceil(self.block_tokens)
+            self.blocks_for(new_tokens)
         };
         let extra = needed_blocks - have_blocks;
         if extra > self.free_blocks() {
@@ -324,10 +313,7 @@ impl PagedKvCache {
             let i = self.seq_ids.len();
             self.seq_ids.push(id);
             self.seq_tokens.push(0);
-            // Size the table for the final footprint this grow implies, so
-            // one-token decode growth never re-allocates the table.
-            self.seq_tables
-                .push(Vec::with_capacity(needed_blocks as usize));
+            self.seq_blocks.push(0);
             self.index.insert(id, i);
             i
         });
@@ -337,25 +323,15 @@ impl PagedKvCache {
         let is_full = needed_blocks * self.block_tokens == new_tokens;
         self.full_seqs = self.full_seqs + usize::from(is_full) - usize::from(was_full);
         self.seq_tokens[i] = new_tokens;
-        let table = &mut self.seq_tables[i];
-        for _ in 0..extra {
-            // Cannot fail: extra <= free_blocks was checked above.
-            table.push(take_block(&mut self.free_list, &mut self.next_fresh));
-        }
+        self.seq_blocks[i] = needed_blocks;
         self.used_blocks += extra;
         self.total_tokens += tokens;
-        debug_assert!(self.next_fresh <= self.total_blocks);
         Ok(())
     }
 
     /// Extends every live sequence by one token — one decode step of a
     /// batch that is exactly this pool's live sequences — in a single pass
     /// over the dense arrays, with no per-sequence lookup.
-    ///
-    /// Blocks are handed out in pool order, so which physical block a
-    /// sequence receives can differ from a per-sequence
-    /// [`PagedKvCache::grow_seq`] loop in another order; every count, token
-    /// and byte total is the same.
     ///
     /// # Errors
     ///
@@ -371,19 +347,16 @@ impl PagedKvCache {
         }
         let bt = self.block_tokens;
         let mut full = 0;
-        for (tokens, table) in self.seq_tokens.iter_mut().zip(&mut self.seq_tables) {
-            let mut blocks = table.len() as u64;
-            if *tokens == blocks * bt {
-                table.push(take_block(&mut self.free_list, &mut self.next_fresh));
-                blocks += 1;
+        for (tokens, blocks) in self.seq_tokens.iter_mut().zip(&mut self.seq_blocks) {
+            if *tokens == *blocks * bt {
+                *blocks += 1;
             }
             *tokens += 1;
-            full += usize::from(*tokens == blocks * bt);
+            full += usize::from(*tokens == *blocks * bt);
         }
         self.used_blocks += need;
         self.total_tokens += self.seq_ids.len() as u64;
         self.full_seqs = full;
-        debug_assert!(self.next_fresh <= self.total_blocks);
         debug_assert_eq!(self.full_seqs, self.count_full_seqs());
         Ok(())
     }
@@ -397,21 +370,19 @@ impl PagedKvCache {
         plan.seqs = self.seq_ids.len() as u64;
         plan.taken.clear();
         plan.taken.resize(bt as usize + 1, 0);
-        for (tokens, table) in self.seq_tokens.iter().zip(&self.seq_tables) {
-            plan.taken[(table.len() as u64 * bt - tokens) as usize + 1] += 1;
+        for (tokens, blocks) in self.seq_tokens.iter().zip(&self.seq_blocks) {
+            plan.taken[(blocks * bt - tokens) as usize + 1] += 1;
         }
         for r in 1..plan.taken.len() {
             plan.taken[r] += plan.taken[r - 1];
         }
     }
 
-    /// Extends every live sequence by `steps` tokens, exactly as `steps`
-    /// calls of [`PagedKvCache::grow_each_by_one`] would: the same tables,
-    /// counters and free list, with each physical block handed out in the
-    /// same order (step-major, then in pool order). Two passes over the
-    /// live sequences (a plan, then the growth) plus one push per new
-    /// block; the first call allocates the plan's buffer, which later
-    /// calls reuse.
+    /// Extends every live sequence by `steps` tokens, leaving the pool
+    /// exactly as `steps` calls of [`PagedKvCache::grow_each_by_one`]
+    /// would. Two passes over the live sequences: a plan that prices the
+    /// run, then the growth. The first call allocates the plan's buffer,
+    /// which later calls reuse.
     ///
     /// # Errors
     ///
@@ -425,9 +396,6 @@ impl PagedKvCache {
         };
         self.plan_decode_growth(&mut plan);
         let (need, free) = (plan.blocks(steps), self.free_blocks());
-        if need <= free {
-            self.take_run_blocks(steps, need, &mut plan.taken);
-        }
         plan.taken.clear();
         self.phase_scratch = plan.taken;
         if need > free {
@@ -436,47 +404,23 @@ impl PagedKvCache {
                 free,
             });
         }
-        Ok(())
-    }
-
-    /// The pass of [`PagedKvCache::grow_each_by`]: `steps` steps taking
-    /// `need` blocks in all, where `firsts[p]` starts as the blocks a cycle
-    /// takes before its step `p + 1` (a plan's `taken`) and serves as
-    /// phase `p`'s cursor.
-    fn take_run_blocks(&mut self, steps: u64, need: u64, firsts: &mut [u64]) {
         let bt = self.block_tokens;
-        let seqs = self.seq_ids.len() as u64;
-        // The `r`-th block of the run is the one the `r`-th `take_block`
-        // would return: the recycled ones from the top of the free list,
-        // then never-used ids.
-        let recycled = self.free_list.len() as u64;
-        let (free_list, next_fresh) = (&self.free_list, self.next_fresh);
-        let block = |r: u64| match recycled.checked_sub(r + 1) {
-            Some(i) => free_list[i as usize],
-            None => BlockId(next_fresh + r - recycled),
-        };
         let mut full = 0;
-        for (tokens, table) in self.seq_tokens.iter_mut().zip(&mut self.seq_tables) {
-            let phase = table.len() as u64 * bt - *tokens;
+        for (tokens, blocks) in self.seq_tokens.iter_mut().zip(&mut self.seq_blocks) {
+            // A sequence takes a block at steps `phase + 1`, then every
+            // `bt` steps.
+            let phase = *blocks * bt - *tokens;
             if phase < steps {
-                // Its block at step `phase + 1 + c·bt` comes after the
-                // `c·seqs` blocks of earlier cycles, the blocks of earlier
-                // phases and those of earlier sequences of its phase.
-                let first = firsts[phase as usize];
-                firsts[phase as usize] += 1;
-                table.extend((0..=(steps - 1 - phase) / bt).map(|c| block(c * seqs + first)));
+                *blocks += (steps - 1 - phase) / bt + 1;
             }
             *tokens += steps;
-            full += usize::from(*tokens == table.len() as u64 * bt);
+            full += usize::from(*tokens == *blocks * bt);
         }
-        self.free_list
-            .truncate((recycled - need.min(recycled)) as usize);
-        self.next_fresh += need.saturating_sub(recycled);
         self.used_blocks += need;
-        self.total_tokens += steps * seqs;
+        self.total_tokens += steps * self.seq_ids.len() as u64;
         self.full_seqs = full;
-        debug_assert!(self.next_fresh <= self.total_blocks);
         debug_assert_eq!(self.full_seqs, self.count_full_seqs());
+        Ok(())
     }
 
     /// [`PagedKvCache::full_seqs`] recounted from scratch.
@@ -495,60 +439,25 @@ impl PagedKvCache {
         };
         self.seq_ids.swap_remove(i);
         let tokens = self.seq_tokens.swap_remove(i);
-        let table = self.seq_tables.swap_remove(i);
+        let blocks = self.seq_blocks.swap_remove(i);
         if i < self.seq_ids.len() {
             // A tail slot moved into `i`; repoint its index entry.
             self.index.insert(self.seq_ids[i], i);
         }
-        let freed_blocks = table.len() as u64;
-        if freed_blocks * self.block_tokens == tokens {
+        if blocks * self.block_tokens == tokens {
             self.full_seqs -= 1;
         }
-        self.free_list.extend(table);
-        self.used_blocks -= freed_blocks;
+        self.used_blocks -= blocks;
         self.total_tokens -= tokens;
-        freed_blocks * self.block_bytes()
+        blocks * self.block_bytes()
     }
 
     /// Shrinks the pool by up to `bytes` of *free* capacity (donation to
-    /// AQUA). Returns the bytes actually removed.
-    ///
-    /// Donation gives away the physically-highest blocks; live blocks above
-    /// the new watermark are compacted into free slots below it first (the
-    /// §B.1 copy), which this method performs and counts as compacted
-    /// bytes.
+    /// AQUA). Returns the bytes actually removed. Live sequences keep
+    /// their blocks.
     pub fn donate_bytes(&mut self, bytes: u64) -> u64 {
         let donate_blocks = (bytes / self.block_bytes()).min(self.free_blocks());
-        if donate_blocks == 0 {
-            return 0;
-        }
-        let new_total = self.total_blocks - donate_blocks;
-
-        // Free slots below the cut, available as compaction targets.
-        self.free_list.retain(|b| b.0 < new_total);
-        // (Blocks at or above the cut simply leave the pool; fresh-watermark
-        // capacity above the cut leaves implicitly via `total_blocks`.)
-        let mut targets = std::mem::take(&mut self.free_list);
-
-        // Live blocks above the cut must move below it. There are always
-        // enough recycled slots below the cut: live-above-cut blocks only
-        // exist when every id below the cut was minted, and
-        // used <= new_total guarantees enough of those are free.
-        let mut moved = 0u64;
-        for table in self.seq_tables.iter_mut() {
-            for b in table.iter_mut() {
-                if b.0 >= new_total {
-                    *b = targets
-                        .pop()
-                        .expect("donate <= free guarantees compaction targets");
-                    moved += 1;
-                }
-            }
-        }
-        self.free_list = targets;
-        self.compacted_bytes += moved * self.block_bytes();
-        self.total_blocks = new_total;
-        self.next_fresh = self.next_fresh.min(new_total);
+        self.total_blocks -= donate_blocks;
         donate_blocks * self.block_bytes()
     }
 
@@ -566,60 +475,30 @@ impl PagedKvCache {
         }
     }
 
-    /// Debug invariant: block tables are disjoint, within bounds, the free
-    /// list holds no live block, and the O(1) counters (`full_seqs`
-    /// included) match a full rescan.
+    /// Debug invariant: every sequence holds `⌈tokens / bt⌉` blocks, the
+    /// index points at each slot, the O(1) counters (`full_seqs`
+    /// included) match a full rescan, and the used blocks fit the pool.
     #[cfg(test)]
     fn check_invariants(&self) -> bool {
         if self.seq_ids.len() != self.seq_tokens.len()
-            || self.seq_ids.len() != self.seq_tables.len()
+            || self.seq_ids.len() != self.seq_blocks.len()
             || self.seq_ids.len() != self.index.len()
         {
             return false;
         }
-        let mut seen = std::collections::HashSet::new();
-        let mut blocks = 0u64;
-        let mut tokens = 0u64;
         for (i, id) in self.seq_ids.iter().enumerate() {
-            if self.index.get(id) != Some(&i) {
-                return false;
-            }
-            let table = &self.seq_tables[i];
-            if table.len() as u64 != self.seq_tokens[i].div_ceil(self.block_tokens) {
-                return false;
-            }
-            blocks += table.len() as u64;
-            tokens += self.seq_tokens[i];
-            for b in table {
-                if b.0 >= self.total_blocks || !seen.insert(*b) {
-                    return false;
-                }
-            }
-        }
-        if blocks != self.used_blocks
-            || tokens != self.total_tokens
-            || self.full_seqs != self.count_full_seqs()
-            || !self.phase_scratch.is_empty()
-        {
-            return false;
-        }
-        for b in &self.free_list {
-            if b.0 >= self.total_blocks || b.0 >= self.next_fresh || !seen.insert(*b) {
+            if self.index.get(id) != Some(&i)
+                || self.seq_blocks[i] != self.blocks_for(self.seq_tokens[i])
+            {
                 return false;
             }
         }
-        self.used_blocks() <= self.total_blocks
+        self.seq_blocks.iter().sum::<u64>() == self.used_blocks
+            && self.seq_tokens.iter().sum::<u64>() == self.total_tokens
+            && self.full_seqs == self.count_full_seqs()
+            && self.phase_scratch.is_empty()
+            && self.used_blocks <= self.total_blocks
     }
-}
-
-/// Takes one block for a growing table: a recycled one if any (LIFO), else
-/// the next never-used id. Callers check `free_blocks` first.
-fn take_block(free_list: &mut Vec<BlockId>, next_fresh: &mut u64) -> BlockId {
-    free_list.pop().unwrap_or_else(|| {
-        let b = BlockId(*next_fresh);
-        *next_fresh += 1;
-        b
-    })
 }
 
 #[cfg(test)]
@@ -656,7 +535,7 @@ mod tests {
         // Crossing the boundary allocates a third block.
         kv.grow_seq(RequestId(1), 15).unwrap();
         assert_eq!(kv.used_blocks(), 3);
-        assert_eq!(kv.block_table(RequestId(1)).unwrap().len(), 3);
+        assert_eq!(kv.blocks_of(RequestId(1)), Some(3));
         assert!(kv.check_invariants());
     }
 
@@ -683,33 +562,14 @@ mod tests {
     fn free_seq_returns_bytes_and_recycles() {
         let mut kv = cache(40);
         kv.grow_seq(RequestId(9), 100).unwrap();
-        let table_before: Vec<BlockId> = kv.block_table(RequestId(9)).unwrap().to_vec();
         let freed = kv.free_seq(RequestId(9));
         assert_eq!(freed, 7 * kv.block_bytes());
         assert_eq!(kv.free_seq(RequestId(9)), 0, "second free is a no-op");
         assert_eq!(kv.used_blocks(), 0);
-        // Recycled blocks come back for the next sequence (LIFO reuse).
+        assert_eq!(kv.blocks_of(RequestId(9)), None);
+        // The freed blocks serve the next sequence.
         kv.grow_seq(RequestId(10), 100).unwrap();
-        let table_after = kv.block_table(RequestId(10)).unwrap();
-        assert!(table_after.iter().all(|b| table_before.contains(b)));
-    }
-
-    #[test]
-    fn tables_fragment_under_churn() {
-        let mut kv = cache(1);
-        // Interleave three sequences, then free the middle one.
-        for t in 0..6 {
-            for id in 0..3u64 {
-                kv.grow_seq(RequestId(id), 16).unwrap();
-                let _ = t;
-            }
-        }
-        kv.free_seq(RequestId(1));
-        // A new sequence reuses the freed (non-contiguous) blocks.
-        kv.grow_seq(RequestId(7), 96).unwrap();
-        let table = kv.block_table(RequestId(7)).unwrap();
-        let contiguous = table.windows(2).all(|w| w[1].0 == w[0].0 + 1);
-        assert!(!contiguous, "reused blocks are scattered: {table:?}");
+        assert_eq!(kv.free_blocks(), kv.total_blocks() - 7);
         assert!(kv.check_invariants());
     }
 
@@ -723,29 +583,6 @@ mod tests {
         assert_eq!(kv.free_blocks(), 0);
         kv.reclaim_bytes(donated);
         assert_eq!(kv.free_blocks(), 2);
-        assert!(kv.check_invariants());
-    }
-
-    #[test]
-    fn donation_compacts_scattered_live_blocks() {
-        let geom = *zoo::llama2_13b().llm_geometry().unwrap();
-        let mut kv = PagedKvCache::new(geom, kv_pool_of_blocks(&geom, 8), 16);
-        // Fill all 8 blocks across two sequences, free the first -> the
-        // survivor's blocks sit scattered across the address range.
-        kv.grow_seq(RequestId(1), 16 * 4).unwrap();
-        kv.grow_seq(RequestId(2), 16 * 4).unwrap();
-        kv.free_seq(RequestId(1));
-        // Donate half the pool: survivor blocks living in the top half must
-        // be compacted below the cut.
-        let donated = kv.donate_bytes(4 * kv.block_bytes());
-        assert_eq!(donated, 4 * kv.block_bytes());
-        assert_eq!(kv.total_blocks(), 4);
-        assert!(kv.compacted_bytes() > 0, "live top-half blocks moved");
-        let table = kv.block_table(RequestId(2)).unwrap();
-        assert!(
-            table.iter().all(|b| b.0 < 4),
-            "all blocks below the cut: {table:?}"
-        );
         assert!(kv.check_invariants());
     }
 
@@ -781,8 +618,11 @@ mod tests {
 
     aqua_sim::check! {
         /// Arbitrary grow/free/donate/reclaim sequences preserve the block
-        /// invariants: disjoint in-bounds tables sized ceil(tokens/block),
-        /// and the O(1) counters agreeing with a full rescan.
+        /// invariants: every sequence holds ceil(tokens/block) blocks, and
+        /// the O(1) counters agree with a full rescan. A donation, on a pool
+        /// these ops have churned, leaves every live sequence's tokens and
+        /// blocks as they were, and the free blocks fall by exactly the
+        /// blocks it donated.
         #[test]
         fn block_accounting(ops in aqua_sim::check::vec((0u64..8, 1u64..200, 0u8..5), 1..100)) {
             let geom = *zoo::mistral_7b().llm_geometry().unwrap();
@@ -799,7 +639,16 @@ mod tests {
                         donated_total = 0;
                     }
                     2 => {
-                        donated_total += kv.donate_bytes(tokens * kv.block_bytes() / 4);
+                        let live = |kv: &PagedKvCache| {
+                            (0..8)
+                                .map(|s| (kv.used_tokens_of(RequestId(s)), kv.blocks_of(RequestId(s))))
+                                .collect::<Vec<_>>()
+                        };
+                        let (before, free) = (live(&kv), kv.free_blocks());
+                        let donated = kv.donate_bytes(tokens * kv.block_bytes() / 4);
+                        assert_eq!(live(&kv), before);
+                        assert_eq!(free - kv.free_blocks(), donated / kv.block_bytes());
+                        donated_total += donated;
                     }
                     _ => {
                         let _ = kv.grow_seq(id, tokens);
@@ -818,12 +667,11 @@ mod tests {
             }
         }
 
-        /// `grow_each_by(k)` is `k` calls of `grow_each_by_one`, to the
-        /// block: on pools churned by grows and frees (so the free list is
-        /// scattered, and drained in part), the two leave equal pools —
-        /// every table's block ids in order, tokens, `full_seqs`, used and
-        /// free blocks and the free list's order — including at a `k` that
-        /// takes the pool's last free block, and a `k` one of the calls
+        /// `grow_each_by(k)` is `k` calls of `grow_each_by_one`: on pools
+        /// churned by grows and frees (so sequences sit at every block
+        /// phase), the two leave equal pools — every sequence's blocks and
+        /// tokens, `full_seqs`, used and free blocks — including at a `k`
+        /// that takes the pool's last free block, and a `k` one of the calls
         /// would refuse leaves the pool untouched. The run's plan gives the
         /// blocks after every step, and its headroom is the step before the
         /// first that stepping one by one refuses.
@@ -880,10 +728,9 @@ mod tests {
                         one.grow_each_by_one().unwrap();
                     }
                     for s in (0..8).map(RequestId) {
-                        assert_eq!(bulk.block_table(s), one.block_table(s), "{s:?}");
+                        assert_eq!(bulk.blocks_of(s), one.blocks_of(s), "{s:?}");
                         assert_eq!(bulk.used_tokens_of(s), one.used_tokens_of(s));
                     }
-                    assert_eq!(bulk.free_list, one.free_list);
                     assert_eq!(
                         (bulk.full_seqs(), bulk.used_blocks(), bulk.free_blocks()),
                         (one.full_seqs(), one.used_blocks(), one.free_blocks())
@@ -920,7 +767,7 @@ mod tests {
                     1 => {
                         let live: Vec<RequestId> = (0..8)
                             .map(RequestId)
-                            .filter(|&s| kv.block_table(s).is_some())
+                            .filter(|&s| kv.blocks_of(s).is_some())
                             .collect();
                         let before = kv.clone();
                         match kv.grow_each_by_one() {
@@ -944,7 +791,7 @@ mod tests {
                 assert!(twin.check_invariants());
                 let recount = (0..8)
                     .map(RequestId)
-                    .filter(|&s| kv.block_table(s).is_some() && kv.used_tokens_of(s).is_multiple_of(16))
+                    .filter(|&s| kv.blocks_of(s).is_some() && kv.used_tokens_of(s).is_multiple_of(16))
                     .count();
                 assert_eq!(kv.full_seqs(), recount);
                 assert_eq!(twin.full_seqs(), recount);
@@ -952,7 +799,7 @@ mod tests {
                 assert_eq!(kv.total_context_tokens(), twin.total_context_tokens());
                 for s in (0..8).map(RequestId) {
                     assert_eq!(kv.used_tokens_of(s), twin.used_tokens_of(s));
-                    assert_eq!(kv.bytes_of(s), twin.bytes_of(s));
+                    assert_eq!(kv.blocks_of(s), twin.blocks_of(s));
                 }
             }
         }

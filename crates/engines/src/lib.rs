@@ -39,7 +39,7 @@ pub mod prelude {
     pub use crate::cfs::{CfsConfig, CfsEngine};
     pub use crate::driver::{Driver, Engine};
     pub use crate::flexgen::{FlexGenConfig, FlexGenEngine};
-    pub use crate::kvcache::{BlockId, PagedKvCache};
+    pub use crate::kvcache::PagedKvCache;
     pub use crate::northbound::{EngineStats, Informer, MemoryElastic};
     pub use crate::offload::{DramOffloader, OffloadLocation, Offloader};
     pub use crate::producer::{ProducerEngine, ProducerModel};

@@ -758,7 +758,7 @@ impl GatewayEngine {
             let context_limit = if idle {
                 u64::MAX
             } else {
-                self.kv.free_blocks() * DEFAULT_BLOCK_TOKENS
+                self.kv.free_tokens()
             };
             let meta = match self.scheduler.pop_next(&self.admission, context_limit) {
                 Pop::Popped(meta) => meta,
@@ -776,7 +776,7 @@ impl GatewayEngine {
             let adapter = head.req.adapter;
             if !self.kv.can_fit_tokens(needed) {
                 debug_assert!(idle, "a limited pop returns only heads that fit");
-                if needed.div_ceil(DEFAULT_BLOCK_TOKENS) > self.undonated_blocks() {
+                if self.kv.blocks_for(needed) > self.undonated_blocks() {
                     stashed.push(meta);
                     continue;
                 }
@@ -866,7 +866,7 @@ impl GatewayEngine {
                 // Whatever empties the batch clears the memo, so the limit
                 // is the free KV tokens.
                 debug_assert!(!self.running.is_empty());
-                self.kv.free_blocks() * DEFAULT_BLOCK_TOKENS <= memo
+                self.kv.free_tokens() <= memo
             })
     }
 
@@ -995,7 +995,7 @@ impl GatewayEngine {
         self.running.len() == self.kv.seq_count()
             && self.running.iter().all(|s| {
                 let id = s.life.req.id;
-                self.kv.block_table(id).is_some()
+                self.kv.blocks_of(id).is_some()
                     && self.kv.used_tokens_of(id) == s.life.context_tokens()
             })
     }
@@ -1409,7 +1409,7 @@ impl Engine for GatewayEngine {
                 .scheduler
                 .first_context(
                     &self.admission,
-                    self.undonated_blocks() * DEFAULT_BLOCK_TOKENS,
+                    self.undonated_blocks() * self.kv.block_tokens(),
                 )
                 .is_some_and(|ctx| self.kv.can_fit_tokens(ctx + 1))
     }
