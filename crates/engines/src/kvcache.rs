@@ -11,8 +11,8 @@
 //!   reclaims it later (§B.1).
 //!
 //! Both depend on how many blocks each sequence holds, never on which, so
-//! the pool keeps a token count per sequence and no block identity: no
-//! free list and no block tables. Nothing else reads block identity
+//! the pool keeps each sequence's tokens and block count and no block
+//! identity: no free list and no block tables. Nothing else reads block identity
 //! either: swap chunk counts follow from the model's layers. §B.1's
 //! compaction copy, which moves scattered live blocks below a donated cut,
 //! is therefore neither modelled nor timed.
