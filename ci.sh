@@ -62,22 +62,32 @@ cargo test -q --offline --test chaos_recovery
 # (assert_drained_streams_share_the_clock) — all asserted by the hot_path
 # test binary.
 cargo test -q --offline -p aqua-bench --test hot_path
-# Golden output of the two long runs outside `all`, whose seed-42 stdout
-# the tier-1 test tests/golden.rs pins: fig15_17 (the 8-GPU CFS mirror of
-# Figure 9, among others) and tab_a2 (the one-hour LoRA run) must print
-# exactly their committed files, and their stderr summary line (points,
-# jobs, journal events and digest) with its wall time removed must match
-# golden/<run>.stderr. Re-bless a run that is meant to move with
-# `aqua-repro <run> 2>&1 > golden/<run>.txt | grep '^aqua-repro: ' |
-#   sed -E 's/ in [0-9.]+s,/,/' > golden/<run>.stderr`, the same filter as
-# below.
+# Golden output of the runs the docs quote beyond `all` at seed 42 (which
+# the tier-1 test tests/golden.rs pins): the two long runs outside `all`,
+# fig15_17 (the 8-GPU CFS mirror of Figure 9, among others) and tab_a2 (the
+# one-hour LoRA run), `all` at seeds 7 and 1234, and the non-default sizes
+# fig01 --count 300 and fig07 --window 600. Each must print exactly
+# golden/<name>.txt, and its stderr summary line (points, jobs, journal
+# events and digest) with its wall time removed must match
+# golden/<name>.stderr. Re-bless a run that is meant to move with
+# `aqua-repro <args> 2>&1 > golden/<name>.txt | grep '^aqua-repro: ' |
+#   sed -E 's/ in [0-9.]+s,/,/' > golden/<name>.stderr`, the same filter as
+# below, and name each moved line in CHANGES.md.
 # The run's stdout goes to the first cmp and its stderr, through fd 3, to
-# the filter; pipefail fails the loop if either cmp does.
-for run in fig15_17 tab_a2; do
-  { cargo run --release -q --offline -p aqua-bench --bin aqua-repro -- "$run" 2>&3 |
-      cmp - "golden/$run.txt" >&2; } 3>&1 |
-    grep '^aqua-repro: ' | sed -E 's/ in [0-9.]+s,/,/' | cmp - "golden/$run.stderr"
-done
+# the filter; pipefail fails the step if either cmp does.
+golden() {
+  local name=$1
+  shift
+  { cargo run --release -q --offline -p aqua-bench --bin aqua-repro -- "$@" 2>&3 |
+      cmp - "golden/$name.txt" >&2; } 3>&1 |
+    grep '^aqua-repro: ' | sed -E 's/ in [0-9.]+s,/,/' | cmp - "golden/$name.stderr"
+}
+golden fig15_17 fig15_17
+golden tab_a2 tab_a2
+golden all_seed7 all --seed 7
+golden all_seed1234 all --seed 1234
+golden fig01_count300 fig01 --count 300
+golden fig07_window600 fig07 --window 600
 # Golden work counts of the four benchmark workloads (seed 42, one lane, one
 # job, the benchmark's sizes): PDES windows and messages, driver and journal
 # events, streams, retries, preemptions, swapped bytes, the gateway's steady
