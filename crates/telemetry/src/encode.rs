@@ -25,24 +25,18 @@
 //! `K_s`, so the [`Fnv`] sink folds the whole string in one multiply, one
 //! load and one add.
 //!
-//! Two kinds of string get tables: each event's constant prefix
-//! (`{"event":"<name>","<first key>":`), and each interned label's quoted
-//! JSON string. Each such string has a [`Hot`] cell (one per event variant,
-//! one per [`Lane`]) that folds it byte by byte until it has been folded
-//! [`HOT_FOLDS`] times, then asks the one process-wide cache, keyed by the
-//! string's bytes, for its table ([`cached_skip`]). The cache holds at most
-//! [`SKIP_CAP`] tables, so only strings a run actually repeats pay the
-//! table's 2 KiB, and its memory is bounded. Later keys, digits and other
-//! strings are folded byte by byte: a short key's table lookup misses the
-//! cache about as often as it saves steps.
+//! Each event's constant prefix (`{"event":"<name>","<first key>":`, a
+//! quarter of a journal's bytes) has one table, in a `static` of its row's
+//! arm of the generated encoder, built the first time the digest folds that
+//! event. Everything else (keys, digits, and label strings, interned or not)
+//! is folded byte by byte: labels are a seventh of the bytes, and their
+//! tables measured no faster than the loop (DESIGN.md §6).
 
 use crate::event::Lane;
 use crate::json::{escape_byte, escape_into};
 use crate::time::SimTime;
 use crate::tracer::{fnv1a, FNV_PRIME};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// The FNV-1a skip table of one fixed byte string.
 pub(crate) struct Skip {
@@ -74,19 +68,18 @@ impl Skip {
 /// Where an encoder's bytes go. Every byte of a canonical line arrives
 /// through exactly one of these calls.
 pub(crate) trait Sink {
-    /// Appends a constant `text`, whose [`Hot`] cell is `hot`.
-    fn literal(&mut self, text: &'static str, hot: &'static Hot);
+    /// Appends an event's constant prefix `text`, whose skip table `skip`
+    /// is built on first use.
+    fn prefix(&mut self, text: &'static str, skip: &'static OnceLock<Skip>);
     /// Appends ASCII bytes as they are (digits, punctuation, keys).
     fn ascii(&mut self, bytes: &[u8]);
     /// Appends `s` as a quoted JSON string, escaped.
     fn escaped(&mut self, s: &str);
-    /// Appends an interned label as a quoted JSON string, escaped.
-    fn interned(&mut self, label: &Lane);
 }
 
 /// The text sink: the canonical line itself.
 impl Sink for String {
-    fn literal(&mut self, text: &'static str, _hot: &'static Hot) {
+    fn prefix(&mut self, text: &'static str, _skip: &'static OnceLock<Skip>) {
         self.push_str(text);
     }
 
@@ -100,10 +93,6 @@ impl Sink for String {
         escape_into(self, s);
         self.push('"');
     }
-
-    fn interned(&mut self, label: &Lane) {
-        self.escaped(label);
-    }
 }
 
 /// The digest sink: a rolling FNV-1a state the line's bytes fold into.
@@ -111,14 +100,9 @@ impl Sink for String {
 pub(crate) struct Fnv(pub(crate) u64);
 
 impl Sink for Fnv {
-    // One out-of-line copy: inlined, the byte-by-byte fallback would be
-    // unrolled over each constant in every arm of the encoder.
-    #[inline(never)]
-    fn literal(&mut self, text: &'static str, hot: &'static Hot) {
-        self.0 = match hot.skip(|bytes| bytes.push_str(text)) {
-            Some(skip) => skip.fold(self.0),
-            None => fnv1a(self.0, text.as_bytes()),
-        };
+    #[inline]
+    fn prefix(&mut self, text: &'static str, skip: &'static OnceLock<Skip>) {
+        self.0 = skip.get_or_init(|| Skip::new(text.as_bytes())).fold(self.0);
     }
 
     #[inline]
@@ -136,93 +120,6 @@ impl Sink for Fnv {
         }
         self.0 = fnv1a(hash, b"\"");
     }
-
-    #[inline]
-    fn interned(&mut self, label: &Lane) {
-        match label.hot().skip(|bytes| bytes.escaped(label)) {
-            Some(skip) => self.0 = skip.fold(self.0),
-            None => self.escaped(label),
-        }
-    }
-}
-
-/// Folds after which a string asks the cache for its table, so strings
-/// that appear a handful of times never take a slot.
-const HOT_FOLDS: u32 = 64;
-
-/// Tables the cache holds; later strings fold byte by byte. Each table is
-/// 2 KiB, so the cap bounds the cache at 128 KiB.
-const SKIP_CAP: usize = 64;
-
-/// How often one fixed string has been folded, and its table once hot.
-pub(crate) struct Hot {
-    /// Folds so far, counted up to [`HOT_FOLDS`].
-    folds: AtomicU32,
-    /// The table from [`cached_skip`]: `None` when the cache was full.
-    skip: OnceLock<Option<&'static Skip>>,
-}
-
-impl Hot {
-    /// A cell that has folded nothing yet.
-    pub(crate) const fn new() -> Self {
-        Hot {
-            folds: AtomicU32::new(0),
-            skip: OnceLock::new(),
-        }
-    }
-
-    /// The skip table of the string `write` renders, once this cell has
-    /// been asked [`HOT_FOLDS`] times and the cache had or made room for
-    /// it; `None` before, and for good when the cache is full.
-    #[inline]
-    fn skip(&self, write: impl Fn(&mut String)) -> Option<&'static Skip> {
-        match self.skip.get() {
-            Some(&skip) => skip,
-            None => self.warm(&write),
-        }
-    }
-
-    /// Counts one more fold of a string that has no table yet, and looks
-    /// the table up on the [`HOT_FOLDS`]th.
-    #[cold]
-    fn warm(&self, write: &dyn Fn(&mut String)) -> Option<&'static Skip> {
-        // A relaxed load and store, not an atomic add: a lost count only
-        // delays the lookup.
-        let folds = self.folds.load(Ordering::Relaxed) + 1;
-        self.folds.store(folds, Ordering::Relaxed);
-        if folds < HOT_FOLDS {
-            return None;
-        }
-        *self.skip.get_or_init(|| {
-            let mut bytes = String::new();
-            write(&mut bytes);
-            cached_skip(bytes)
-        })
-    }
-}
-
-/// The skip table of `bytes`, from the one process-wide cache keyed by
-/// them: made on the first request while fewer than [`SKIP_CAP`] strings
-/// have one, `None` after. Every [`Hot`] cell of the same string shares it.
-fn cached_skip(bytes: String) -> Option<&'static Skip> {
-    /// The tables, filled in order; a slot's pages stay untouched until
-    /// its table is written.
-    static TABLES: [OnceLock<Skip>; SKIP_CAP] = [const { OnceLock::new() }; SKIP_CAP];
-    /// Each cached string's slot in `TABLES`.
-    static SLOTS: Mutex<BTreeMap<String, usize>> = Mutex::new(BTreeMap::new());
-    let mut slots = SLOTS
-        .lock()
-        .expect("a panicking lookup poisoned the skip-table cache");
-    if let Some(&slot) = slots.get(&bytes) {
-        return TABLES[slot].get();
-    }
-    if slots.len() == SKIP_CAP {
-        return None;
-    }
-    let slot = slots.len();
-    let skip = TABLES[slot].get_or_init(|| Skip::new(bytes.as_bytes()));
-    slots.insert(bytes, slot);
-    Some(skip)
 }
 
 /// A field type of the event table: how its value is written into the
@@ -305,7 +202,7 @@ impl Field for String {
 impl Field for Lane {
     #[inline]
     fn encode<S: Sink>(&self, out: &mut S) {
-        out.interned(self);
+        out.escaped(self);
     }
 }
 
@@ -351,35 +248,6 @@ mod tests {
                     "bytes {bytes:?}, state {hash:#x}"
                 );
             }
-        }
-    }
-
-    /// A label folds byte by byte until it is hot, then by the shared
-    /// table; every fold lands where hashing its rendered string does, and
-    /// a second label with the same text gets the same table.
-    #[test]
-    fn hot_labels_fold_like_their_text() {
-        for text in ["nvlink-egress:gpu0", "scope \"q\"\u{1}\\ ✓", ""] {
-            let mut json = String::new();
-            json.escaped(text);
-            let [label, twin] = [Lane::from(text), Lane::from(text)];
-            for lane in [&label, &twin] {
-                for state in 0..2 * u64::from(HOT_FOLDS) {
-                    let state = state.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    let mut fnv = Fnv(state);
-                    fnv.interned(lane);
-                    assert_eq!(
-                        fnv.0,
-                        fnv1a(state, json.as_bytes()),
-                        "{text:?} from {state:#x}"
-                    );
-                }
-            }
-            let tables = [&label, &twin].map(|lane| lane.hot().skip.get().copied().flatten());
-            let [Some(a), Some(b)] = tables else {
-                panic!("{text:?} never got a table");
-            };
-            assert!(std::ptr::eq(a, b), "{text:?} has two tables");
         }
     }
 

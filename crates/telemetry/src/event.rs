@@ -25,10 +25,10 @@
 //! that journals the event.
 
 use crate::chrome::{Entry, Lanes};
-use crate::encode::{Field, Fnv, Hot, Sink};
+use crate::encode::{Field, Fnv, Sink, Skip};
 use crate::time::SimTime;
 use crate::tracer::fnv1a;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An interned label: a transfer lane (e.g. `nvlink-egress:gpu0`), an
 /// engine or gateway scope, a scheduler or preemption policy, or a lease
@@ -38,80 +38,26 @@ use std::sync::Arc;
 /// producers render the label once (per port, engine or consumer) and clone
 /// the `Arc` per event, instead of calling `to_string()` on the hot path.
 /// The canonical JSON encoding is the plain string, so interning never
-/// changes a journal or its digest; it only lets the digest fold a hot
-/// label's bytes in O(1), through a skip table its clones share.
-#[derive(Clone)]
-pub struct Lane(Arc<Label>);
-
-struct Label {
-    text: Box<str>,
-    /// Counts the label's folds into a digest, and holds its skip table
-    /// once it is hot.
-    hot: Hot,
-}
+/// changes a journal or its digest.
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Lane(Arc<str>);
 
 impl Lane {
     /// The label text.
     pub fn as_str(&self) -> &str {
-        &self.0.text
-    }
-
-    /// The label's [`Hot`] cell, shared by its clones.
-    pub(crate) fn hot(&self) -> &Hot {
-        &self.0.hot
+        &self.0
     }
 }
 
 impl From<&str> for Lane {
     fn from(s: &str) -> Self {
-        Lane::from(Box::<str>::from(s))
+        Lane(Arc::from(s))
     }
 }
 
 impl From<String> for Lane {
     fn from(s: String) -> Self {
-        Lane::from(s.into_boxed_str())
-    }
-}
-
-impl From<Box<str>> for Lane {
-    fn from(text: Box<str>) -> Self {
-        Lane(Arc::new(Label {
-            text,
-            hot: Hot::new(),
-        }))
-    }
-}
-
-impl std::fmt::Debug for Lane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Lane").field(&self.as_str()).finish()
-    }
-}
-
-impl PartialEq for Lane {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_str() == other.as_str()
-    }
-}
-
-impl Eq for Lane {}
-
-impl std::hash::Hash for Lane {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state);
-    }
-}
-
-impl PartialOrd for Lane {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Lane {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_str().cmp(other.as_str())
+        Lane(Arc::from(s))
     }
 }
 
@@ -261,8 +207,8 @@ macro_rules! trace_events {
             /// Field order is fixed per variant and times are integer nanoseconds, so
             /// the output is byte-stable across runs and platforms — the property the
             /// determinism digest relies on. The constant prefix up to the first
-            /// field's value has a [`Hot`] cell, so once the variant is hot the
-            /// digest sink folds it in O(1).
+            /// field's value has one skip table, built the first time the digest
+            /// sink folds it, so that sink folds the prefix in O(1).
             pub(crate) fn encode_into<S: Sink>(&self, out: &mut S) {
                 match self {
                     $(
@@ -270,8 +216,8 @@ macro_rules! trace_events {
                             const PREFIX: &str = concat!(
                                 "{\"event\":\"", $name, "\",\"", stringify!($field0), "\":"
                             );
-                            static PREFIX_HOT: Hot = Hot::new();
-                            out.literal(PREFIX, &PREFIX_HOT);
+                            static PREFIX_SKIP: OnceLock<Skip> = OnceLock::new();
+                            out.prefix(PREFIX, &PREFIX_SKIP);
                             $field0.encode(out);
                             $(
                                 out.ascii(concat!(",\"", stringify!($field), "\":").as_bytes());

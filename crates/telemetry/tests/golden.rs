@@ -517,12 +517,12 @@ fn string_encodings_are_pinned() {
     }
 }
 
-/// The journal digest folds each event straight from its fields, with
-/// constant prefixes and interned labels skipped by table once they are
-/// hot. From any state it must land exactly where hashing the rendered line
-/// and its newline does: every golden instance, the string cases, and
-/// interned labels that need escaping. Each event is folded from 129 states, enough for every prefix
-/// and label to turn hot, so both the byte path and the table path run.
+/// The journal digest folds each event straight from its fields, with its
+/// constant prefix skipped by table. From any state it must land exactly
+/// where hashing the rendered line and its newline does: every golden
+/// instance, the string cases, and interned labels that need escaping. Each
+/// event is folded from 129 states, so its prefix table is read at many low
+/// bytes.
 #[test]
 fn digest_fold_matches_the_rendered_line() {
     let extra = [
