@@ -210,13 +210,6 @@ pub struct GatewayEngine {
     /// Context tokens of the running sequences not yet prefilled: the
     /// prefill work of the next step.
     unprefilled_tokens: u64,
-    /// The context limit of the last admission round, if that round ended
-    /// at a blocked or empty pop with a non-empty batch. Until something
-    /// that can change what a pop sees happens (an enqueue, unqueue or
-    /// retire, a brownout toggle, crash handling, the informer, a donation,
-    /// a reclaim or a move of the index's order — each clears it), a round
-    /// at no higher a limit would end the same way, so it is skipped.
-    admit_memo: Option<u64>,
     /// Scratch for `step`: batch indices of sequences that finished this
     /// iteration, kept across steps so it never re-allocates.
     finished: Vec<usize>,
@@ -302,7 +295,6 @@ impl GatewayEngine {
             pending: SlotArena::new(),
             running: Vec::new(),
             unprefilled_tokens: 0,
-            admit_memo: None,
             finished: Vec::new(),
             growth: DecodeGrowth::default(),
             clock: IterationClock::default(),
@@ -547,7 +539,6 @@ impl GatewayEngine {
 
     /// Releases a sequence's admission slot and KV commitment estimate.
     fn retire(&mut self, seq: &GateSeq) {
-        self.admit_memo = None;
         // Only an admitted sequence has a run.
         if let Some(run) = seq.runs.first() {
             self.release_first_run(run.first);
@@ -576,7 +567,6 @@ impl GatewayEngine {
     /// into the scheduler index (fresh enqueue, or cap-exempt re-queue for
     /// already-admitted work).
     fn enqueue_pending(&mut self, seq: GateSeq) {
-        self.admit_memo = None;
         let meta = Self::meta_of(&seq, 0);
         let handle = self.pending.push_back(seq);
         self.scheduler.insert(QueuedMeta { handle, ..meta });
@@ -586,19 +576,10 @@ impl GatewayEngine {
     /// scheduler index (for paths other than `pop_next`, which already
     /// took its entry out of the index).
     fn unqueue_pending(&mut self, handle: u32) -> GateSeq {
-        self.admit_memo = None;
         let seq = self.pending.remove(handle);
         let removed = self.scheduler.remove(&Self::meta_of(&seq, handle));
         debug_assert!(removed, "pending entries are always indexed");
         seq
-    }
-
-    /// Brings the scheduler index's order up to `now`; an order that moved
-    /// voids the admission memo.
-    fn advance_index(&mut self, now: SimTime) {
-        if self.scheduler.advance(now) {
-            self.admit_memo = None;
-        }
     }
 
     /// Processes GpuCrash windows that opened since the last step.
@@ -621,7 +602,6 @@ impl GatewayEngine {
     }
 
     fn on_gpu_crash(&mut self, now: SimTime) {
-        self.admit_memo = None;
         self.unprefilled_tokens = 0;
         for mut victim in std::mem::take(&mut self.running) {
             let id = victim.life.req.id.0;
@@ -741,12 +721,6 @@ impl GatewayEngine {
     /// every eligible entry per decode iteration, which turned saturated
     /// million-request traces quadratic.
     fn admit(&mut self, now: SimTime) {
-        if self.admit_is_noop() {
-            return;
-        }
-        // The limit of the pop that ends this round, if it was blocked or
-        // empty.
-        let mut ended_at: Option<u64> = None;
         // Idle-engine skips that can never fit sit out the rest of the
         // round here (matching the sort-based walk, which never revisits a
         // skipped entry) and rejoin the index afterwards.
@@ -762,10 +736,7 @@ impl GatewayEngine {
             };
             let meta = match self.scheduler.pop_next(&self.admission, context_limit) {
                 Pop::Popped(meta) => meta,
-                Pop::Blocked | Pop::Empty => {
-                    ended_at = Some(context_limit);
-                    break;
-                }
+                Pop::Blocked | Pop::Empty => break,
             };
             let head = &self
                 .pending
@@ -847,7 +818,6 @@ impl GatewayEngine {
             }
             self.running.push(seq);
         }
-        self.admit_memo = ended_at.filter(|_| stashed.is_empty() && !self.running.is_empty());
         // Reinsert skipped picks. Keys recompute identically (the index's
         // time and ratio have not moved), so the index order is as if they
         // never left.
@@ -856,18 +826,17 @@ impl GatewayEngine {
         }
     }
 
-    /// Whether [`admit`](Self::admit) would return at once: the batch is
-    /// full, the queue is empty, or the admission memo proves the round
-    /// would end where the last one did.
+    /// Whether [`admit`](Self::admit) would change nothing: the batch is
+    /// full, the queue is empty, or the batch is non-empty and the head
+    /// the round's first pop would see does not fit the free KV tokens.
     fn admit_is_noop(&self) -> bool {
         self.running.len() >= self.config.max_batch
             || self.pending.is_empty()
-            || self.admit_memo.is_some_and(|memo| {
-                // Whatever empties the batch clears the memo, so the limit
-                // is the free KV tokens.
-                debug_assert!(!self.running.is_empty());
-                self.kv.free_tokens() <= memo
-            })
+            || !self.running.is_empty()
+                && self
+                    .scheduler
+                    .head_context(&self.admission)
+                    .is_none_or(|ctx| ctx >= self.kv.free_tokens())
     }
 
     /// KV blocks the pool would hold with every donation returned.
@@ -942,7 +911,6 @@ impl GatewayEngine {
         let Some(mut informer) = self.informer.take() else {
             return now;
         };
-        self.admit_memo = None;
         let resume = informer.control(self, now);
         self.informer = Some(informer);
         resume.max(now)
@@ -1017,11 +985,10 @@ impl GatewayEngine {
     /// iteration and its per-sequence bookkeeping. Returns the iteration's
     /// end.
     fn step_at(&mut self, now: SimTime) -> SimTime {
-        self.advance_index(now);
+        self.scheduler.advance(now);
         self.handle_crashes(now);
         self.enforce_deadlines(now);
         if let Some(engaged) = self.admission.update_brownout(self.pending.len()) {
-            self.admit_memo = None;
             trace!(
                 self.tracer,
                 TraceEvent::GatewayBrownout {
@@ -1040,7 +1007,7 @@ impl GatewayEngine {
             // is at `now`, so the parked set holds only strictly-future
             // deadlines.)
             let resume = self.scheduler.next_parked().unwrap_or(now);
-            self.advance_index(resume);
+            self.scheduler.advance(resume);
             return resume;
         }
 
@@ -1135,7 +1102,7 @@ impl GatewayEngine {
         // Completions may have moved the learned ratio and promotions may
         // have fallen due during the step: applying them here lets
         // `has_work` read the order the next step pops in.
-        self.advance_index(end);
+        self.scheduler.advance(end);
         end
     }
 
@@ -1195,8 +1162,9 @@ impl GatewayEngine {
     /// the same step, whose audit clears the debt, and a pending sequence
     /// delivers no token in the run; the queue depth and brownout state
     /// stay put, so the brownout check stays idle; and `admit` stays a
-    /// no-op because the batch and queue keep their sizes and decode only
-    /// takes free blocks, which keeps the memo's bound. A sequence with
+    /// no-op because the batch and queue keep their sizes, the index's
+    /// order stays put, and decode only takes free blocks, so a head that
+    /// did not fit still does not. A sequence with
     /// its first token still to come, or with an adapter to keep warm,
     /// would make its iterations differ.
     fn steady_span(&self) -> u64 {
@@ -1208,8 +1176,7 @@ impl GatewayEngine {
             && self
                 .admission
                 .brownout_transition(self.pending.len())
-                .is_none()
-            && self.admit_is_noop();
+                .is_none();
         if !steady {
             return 0;
         }
@@ -1217,7 +1184,8 @@ impl GatewayEngine {
             self.running.iter().all(|s| !s.needs_restore),
             "every step pays or audits the restores of its batch"
         );
-        self.running
+        let span = self
+            .running
             .iter()
             .map(|s| match (s.life.generated, s.life.req.adapter) {
                 (1.., None) => s
@@ -1228,7 +1196,13 @@ impl GatewayEngine {
                 _ => 0,
             })
             .min()
-            .unwrap_or(0)
+            .unwrap_or(0);
+        // Asked last: the index query is the dearest condition.
+        if span > 0 && self.admit_is_noop() {
+            span
+        } else {
+            0
+        }
     }
 
     /// The first time at which time alone breaks a steady iteration
@@ -1259,7 +1233,7 @@ impl GatewayEngine {
     /// its guards and decodes; the other phases of a step are no-ops here,
     /// and none journals an edge. An iteration whose guard fails runs the
     /// full phases instead, which ends the run. Every iteration's closing
-    /// `advance_index` is quiet but the last one's (the next iteration's
+    /// index advance is quiet but the last one's (the next iteration's
     /// guard checked a later time), so that one runs once, at the end.
     ///
     /// What a step reads from its own state is planned once per run: the
@@ -1309,7 +1283,7 @@ impl GatewayEngine {
             tokens += 1;
             if tokens == span || !(start < done && done <= limit) {
                 self.settle(tokens);
-                self.advance_index(done);
+                self.scheduler.advance(done);
                 return (start, done, tokens);
             }
         }
@@ -1352,7 +1326,7 @@ impl Engine for GatewayEngine {
                 req.id.0
             );
         }
-        self.advance_index(now);
+        self.scheduler.advance(now);
         let tenant = req.tenant;
         debug_assert!(
             self.tenant_check.is_empty()
@@ -1447,7 +1421,7 @@ impl Engine for GatewayEngine {
     }
 
     fn tick(&mut self, now: SimTime) {
-        self.advance_index(now);
+        self.scheduler.advance(now);
         let _ = self.run_informer(now);
     }
 
@@ -1496,7 +1470,6 @@ impl MemoryElastic for GatewayEngine {
             .kv
             .capacity_bytes()
             .saturating_sub(DONATION_FLOOR_BYTES.max(self.kv.used_bytes()));
-        self.admit_memo = None;
         let granted = self.kv.donate_bytes(bytes.min(max_donation));
         self.donated_bytes += granted;
         granted
@@ -1507,7 +1480,6 @@ impl MemoryElastic for GatewayEngine {
         // a partial reclaim loses no capacity.
         let block = self.kv.block_bytes();
         let bytes = bytes.min(self.donated_bytes) / block * block;
-        self.admit_memo = None;
         self.kv.reclaim_bytes(bytes);
         self.donated_bytes -= bytes;
     }
@@ -2075,12 +2047,11 @@ mod tests {
     }
 
     #[test]
-    fn admission_memo_wakes_for_a_due_backoff() {
+    fn a_blocked_head_admits_a_backoff_once_it_falls_due() {
         // After a crash, request 0 waits out its retry backoff while
         // request 1 decodes and request 2 (larger than the pool) blocks
-        // the queue, so every round in between skips its pop on the memo.
-        // The round at which the backoff falls due must pop again and
-        // readmit request 0.
+        // the queue, so every round in between admits nothing. The round
+        // at which the backoff falls due must readmit request 0.
         let plan =
             FaultPlan::new().gpu_crash(GpuId(0), SimTime::from_secs(1), SimTime::from_secs(2));
         let mut e = engine(PolicyKind::Fcfs, 512).with_fault_plan(&plan, GpuId(0));
@@ -2094,10 +2065,7 @@ mod tests {
         e.submit(InferenceRequest::text(2, 512 * 16, 10), now);
         now = e.step(now);
         assert_eq!((e.running_count(), e.queue_depth()), (1, 2));
-        assert!(
-            e.admit_memo.is_some(),
-            "the round ended at the blocked head"
-        );
+        assert!(e.admit_is_noop(), "the blocked head stops admission");
         let due = crash + RETRY_BACKOFF.backoff_for(1);
         while now < due {
             now = e.step(now);
@@ -2915,48 +2883,26 @@ mod tests {
         e.step(now);
     }
 
-    /// Steps `memo` and its twin `popping`, whose admission memo is
-    /// cleared first so it pops every round, at `now`: both must end at the
-    /// same time with the same batch, queue and preemptions. Returns when
-    /// the next step starts.
-    fn step_twins(memo: &mut GatewayEngine, popping: &mut GatewayEngine, now: SimTime) -> SimTime {
-        popping.admit_memo = None;
-        let end = memo.step(now);
-        assert_eq!(end, popping.step(now), "step end at {now}");
-        assert_eq!(
-            memo.running_count(),
-            popping.running_count(),
-            "batch at {now}"
-        );
-        assert_eq!(memo.queue_depth(), popping.queue_depth(), "queue at {now}");
-        assert_eq!(memo.preemptions(), popping.preemptions());
-        end.max(now + SimDuration::from_millis(1))
-    }
-
     #[test]
     fn aging_promotion_admits_the_starved_job_under_donation() {
         // 6 GiB pool with 1 GiB donated leaves 40,960 tokens: one 30,000-
         // token short job fits beside the 1,000-token long job, but two
         // short jobs never fit together. A short job arrives every second
         // for two minutes, so under SJF the long job (tenant 1) waits
-        // behind them until its 60 s promotion, and the blocked short head
-        // keeps an admission memo set across that instant.
+        // behind them until its 60 s promotion, and a blocked short head
+        // stops admission across that instant.
         let geom = *zoo::mistral_7b().llm_geometry().unwrap();
-        let twin = || {
-            let mut e = GatewayEngine::new(
-                geom,
-                GpuSpec::a100_80g(),
-                PolicyKind::SjfAging,
-                GatewayConfig {
-                    kv_pool_bytes: gib(6),
-                    max_outstanding_per_tenant: 2,
-                    ..GatewayConfig::default()
-                },
-            );
-            assert_eq!(e.donate(gib(1)), gib(1));
-            e
-        };
-        let (mut memo, mut popping) = (twin(), twin());
+        let mut e = GatewayEngine::new(
+            geom,
+            GpuSpec::a100_80g(),
+            PolicyKind::SjfAging,
+            GatewayConfig {
+                kv_pool_bytes: gib(6),
+                max_outstanding_per_tenant: 2,
+                ..GatewayConfig::default()
+            },
+        );
+        assert_eq!(e.donate(gib(1)), gib(1));
         let mut arrivals: Vec<(SimTime, InferenceRequest)> = (1..=120)
             .map(|i| {
                 let at = SimTime::from_secs(i - 1);
@@ -2978,21 +2924,17 @@ mod tests {
                     arrivals.push_front((at, req));
                     break;
                 }
-                memo.submit(req.clone(), at);
-                popping.submit(req, at);
+                e.submit(req, at);
             }
-            assert_eq!(memo.has_work(), popping.has_work());
-            if memo.has_work() {
-                now = step_twins(&mut memo, &mut popping, now);
+            if e.has_work() {
+                now = e.step(now).max(now + SimDuration::from_millis(1));
             } else if let Some(&(at, _)) = arrivals.front() {
                 now = at;
             } else {
                 break;
             }
         }
-        let streams = memo.drain_streams();
-        assert_eq!(streams, popping.drain_streams());
-        let recs = records(&streams);
+        let recs = records(&e.drain_streams());
         assert_eq!(recs.len(), 121);
         let long = recs.iter().find(|r| r.id == 0).unwrap();
         assert!(
@@ -3137,64 +3079,6 @@ mod tests {
                     _ => e.reclaim(geom.kv_bytes(arg)),
                 }
             }
-        }
-    }
-
-    aqua_sim::check! {
-        // The admission memo is exact: against a twin that pops every
-        // round, every step ends at the same time with the same batch,
-        // queue and preemptions, and the streams are identical, across
-        // random arrivals from three capped tenants, donations, reclaims
-        // and two GPU crashes (whose retries park on backoffs), for every
-        // policy.
-        #[test]
-        fn admission_memo_matches_popping_every_round(
-            ops in aqua_sim::check::vec((0u8..8, 1u64..100_000), 1..200),
-            policy_idx in 0usize..5,
-        ) {
-            let geom = *zoo::mistral_7b().llm_geometry().unwrap();
-            let plan = FaultPlan::new()
-                .gpu_crash(GpuId(0), SimTime::from_secs(3), SimTime::from_secs(4))
-                .gpu_crash(GpuId(0), SimTime::from_secs(9), SimTime::from_secs(10));
-            let twin = || {
-                GatewayEngine::new(
-                    geom,
-                    GpuSpec::a100_80g(),
-                    PolicyKind::ALL[policy_idx],
-                    GatewayConfig {
-                        kv_pool_bytes: gib(1),
-                        max_outstanding_per_tenant: 2,
-                        ..GatewayConfig::default()
-                    },
-                )
-                .with_fault_plan(&plan, GpuId(0))
-            };
-            let (mut memo, mut popping) = (twin(), twin());
-            let (mut now, mut next_id) = (SimTime::ZERO, 0);
-            for (op, arg) in ops {
-                match op {
-                    0 | 1 => {
-                        let req = InferenceRequest {
-                            tenant: (next_id % 3) as u32,
-                            ..InferenceRequest::text(next_id, arg % 2_500 + 1, arg % 200 + 1)
-                        };
-                        memo.submit(req.clone(), now);
-                        popping.submit(req, now);
-                        next_id += 1;
-                    }
-                    2 => {
-                        let bytes = geom.kv_bytes(arg % 4_096);
-                        assert_eq!(memo.donate(bytes), popping.donate(bytes));
-                    }
-                    3 => {
-                        let bytes = geom.kv_bytes(arg % 4_096);
-                        memo.reclaim(bytes);
-                        popping.reclaim(bytes);
-                    }
-                    _ => now = step_twins(&mut memo, &mut popping, now),
-                }
-            }
-            assert_eq!(memo.drain_streams(), popping.drain_streams());
         }
     }
 }

@@ -32,6 +32,7 @@
 //! | `pop_next`        | O(t + log r)                                           |
 //! | `remove`          | O(log r + log ring)                                    |
 //! | `advance`         | O(log n) per expired backoff or promotion; an Orca re-key, once per drift of the learned ratio, O(n log r) |
+//! | `head_context`    | O(t + log r)                                           |
 //! | `first_context`   | O(t + entries skipped)                                 |
 //!
 //! The index reproduces the order of the sort-based reference policies in
@@ -188,6 +189,12 @@ impl Rings {
         m
     }
 
+    /// The entry with the least key.
+    fn front(&self) -> Option<(SchedKey, &QueuedMeta)> {
+        let (&prefix, ring) = self.rings.first_key_value()?;
+        ring.front().map(|m| (SchedKey::new(prefix, m), m))
+    }
+
     /// Removes the entry with the least key.
     fn pop_first(&mut self) -> Option<QueuedMeta> {
         let mut first = self.rings.first_entry()?;
@@ -338,17 +345,14 @@ impl Scheduler {
     /// Brings the order up to `now`: re-keys every entry if the learned
     /// ratio moved, files the parked entries whose backoff has expired, and
     /// promotes the `sjf+aging` entries that have waited long enough.
-    /// Returns whether the order moved.
-    pub fn advance(&mut self, now: SimTime) -> bool {
+    pub fn advance(&mut self, now: SimTime) {
         self.now = self.now.max(now);
-        let mut moved = false;
         if self.ratio.to_bits() != self.keyed_ratio.to_bits() {
             // Only Orca learns, and it never promotes, so `promotions`
             // holds no key this changes.
             self.keyed_ratio = self.ratio;
             let (policy, now, ratio) = (self.policy, self.now, self.ratio);
             for q in std::iter::once(&mut self.readmit).chain(self.fresh.values_mut()) {
-                moved |= q.len > 0;
                 q.rekey(|m| policy.prefix(m, now, ratio));
             }
         }
@@ -358,7 +362,6 @@ impl Scheduler {
             }
             let m = due.remove();
             self.file(m);
-            moved = true;
         }
         while let Some(due) = self.promotions.first_entry() {
             if due.key().0 > self.now {
@@ -371,9 +374,7 @@ impl Scheduler {
                 .remove(key)
                 .expect("every promotion deadline tracks a filed, un-aged entry");
             q.insert(policy.prefix(&m, now, ratio), m);
-            moved = true;
         }
-        moved
     }
 
     /// The earliest time to which [`advance`](Scheduler::advance) would
@@ -419,7 +420,7 @@ impl Scheduler {
     /// cap headroom — the gateway records the admission against `caps`
     /// itself.
     pub fn pop_next(&mut self, caps: &AdmissionController, context_limit: u64) -> Pop {
-        let Some((key, m, queue)) = self.best(caps, |q| q.iter().next()) else {
+        let Some((key, m, queue)) = self.best(caps, Rings::front) else {
             return Pop::Empty;
         };
         if m.context_tokens() >= context_limit {
@@ -451,6 +452,13 @@ impl Scheduler {
             q.iter().find(|(_, m)| m.context_tokens() < context_limit)
         })
         .map(|(_, m, _)| m.context_tokens())
+    }
+
+    /// [`QueuedMeta::context_tokens`] of the head
+    /// [`pop_next`](Scheduler::pop_next) would see, if any.
+    pub fn head_context(&self, caps: &AdmissionController) -> Option<u64> {
+        self.best(caps, Rings::front)
+            .map(|(_, m, _)| m.context_tokens())
     }
 
     /// Feedback hook: a request with `prompt` prompt tokens finished after
@@ -851,14 +859,19 @@ mod tests {
         s.insert(meta(2, 1, 10));
         // Before the threshold the short job wins; after it, the starved
         // long job has been promoted past it.
-        assert!(!s.advance(SimTime::from_secs(30)), "no promotion is due");
+        assert!(
+            s.next_move() > Some(SimTime::from_secs(30)),
+            "no promotion is due"
+        );
+        s.advance(SimTime::from_secs(30));
         assert_eq!(pop(&mut s, &caps).unwrap().id, 2);
         s.advance(SimTime::from_secs(31));
         s.insert(meta(3, 31, 10));
         assert!(
-            s.advance(SimTime::from_secs(61)),
+            s.next_move() <= Some(SimTime::from_secs(61)),
             "the promotion moves the order"
         );
+        s.advance(SimTime::from_secs(61));
         assert_eq!(s.first_context(&caps, u64::MAX), Some(100));
         assert_eq!(pop(&mut s, &caps).unwrap().id, 1);
         assert_eq!(pop(&mut s, &caps).unwrap().id, 3);
@@ -898,10 +911,8 @@ mod tests {
         for _ in 0..100 {
             s.observe_completion(1000, 1);
         }
-        assert!(
-            s.advance(SimTime::from_secs(2)),
-            "the re-key moves the order"
-        );
+        assert_eq!(s.next_move(), Some(SimTime::ZERO), "the re-key is due");
+        s.advance(SimTime::from_secs(2));
         assert_eq!(pop(&mut s, &caps).unwrap().id, 2);
         assert_eq!(pop(&mut s, &caps).unwrap().id, 1);
     }
@@ -954,10 +965,12 @@ mod tests {
         s.advance(SimTime::from_secs(2));
         s.insert(requeued(meta(7, 0, 50), 5, SimTime::from_secs(10)));
         assert_eq!(s.len(), 1);
-        assert!(
-            !s.advance(SimTime::from_secs(9)),
-            "the backoff has not expired"
+        assert_eq!(
+            s.next_move(),
+            Some(SimTime::from_secs(10)),
+            "the backoff expires at 10 s"
         );
+        s.advance(SimTime::from_secs(9));
         assert!(pop(&mut s, &caps).is_none());
         assert_eq!(
             s.next_parked(),
@@ -969,10 +982,7 @@ mod tests {
             None,
             "but is not in the order"
         );
-        assert!(
-            s.advance(SimTime::from_secs(10)),
-            "the expired backoff moves the order"
-        );
+        s.advance(SimTime::from_secs(10));
         assert_eq!(s.next_parked(), None);
         assert_eq!(s.first_context(&caps, u64::MAX), Some(105));
         assert_eq!(pop(&mut s, &caps).unwrap().id, 7);
@@ -994,8 +1004,8 @@ mod tests {
         assert!(s.remove(&parked));
         assert!(!s.remove(&parked));
         assert_eq!(s.len(), 0);
-        // Past every promotion deadline: the removals took theirs too.
-        assert!(!s.advance(SimTime::from_secs(70)));
+        // The removals took their promotion deadlines too.
+        assert_eq!(s.next_move(), None);
         assert!(pop(&mut s, &caps).is_none());
     }
 
@@ -1028,6 +1038,12 @@ mod tests {
                 .map(QueuedMeta::context_tokens)
                 .find(|&c| c < limit),
             "{}: first_context {at}",
+            index.policy()
+        );
+        assert_eq!(
+            index.head_context(caps),
+            order.first().map(QueuedMeta::context_tokens),
+            "{}: head_context {at}",
             index.policy()
         );
     }

@@ -147,8 +147,8 @@ aqua_sim::check! {
 
 /// An `sjf+aging` promotion that falls due inside a steady run: a short job
 /// arrives every second for two minutes, two never fit the pool together,
-/// so each decodes alone with the next one blocked and the admission memo
-/// set, while the long job waits for its 60 s promotion. The run must stop
+/// so each decodes alone with the next one blocked, which stops admission,
+/// while the long job waits for its 60 s promotion. The run must stop
 /// where the promotion lands, and the promoted job must be admitted at the
 /// same step as when stepping one call at a time.
 #[test]
