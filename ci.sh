@@ -187,27 +187,50 @@ smoke fuzz_gateway_smoke fuzz --gateway --smoke
 expect_planted "skipped restore" "aqua-repro fuzz --gateway" token_without_restore \
   fuzz --gateway --points 2 --plant
 # Public-surface guard: every `pub fn`, `pub const NAME` and `pub static
-# NAME` under crates/*/src must be named in some other .rs file of the
+# NAME` under crates/*/src must be used in some other .rs file of the
 # workspace or the frozen benchmark (a lib.rs re-export counts), or in a
 # `$crate::` path of its own file's exported macros, which callers expand.
 # Anything else is private, `pub(crate)` or `#[cfg(test)]`, where rustc's
-# dead_code lint guards it.
+# dead_code lint guards it. A use is a whole-word mention in code, in a
+# doc comment's fenced example (doctests compile it) or in an intra-doc
+# link (rustdoc resolves it). Comment prose, string and char literals and
+# the name of a `fn` definition are no use: code_only strips them from a
+# file before the search.
+code_only() {
+  perl -0777 -pe '
+    my $in_example = 0;
+    s{//([/!]?)([^\n]*)|/\*.*?\*/|\br(#*)".*?"\3|"(?:[^"\\]|\\.)*"|\x27(?:[^\x27\\]|\\.)\x27}{
+      if (!defined $1) { q("") }
+      elsif ($1 eq "") { "" }
+      elsif ($2 =~ /^\s*```/) { $in_example = !$in_example; "" }
+      elsif ($in_example) { $2 }
+      else { join " ", grep defined, $2 =~ /\[`([\w:]+)(?:\(\))?`\](?!\()|\]\(([\w:]+)(?:\(\))?\)/g }
+    }gse;
+    s/\bfn\s+\w+/fn/g;
+  ' "$1"
+}
 surface_dirs=(crates src tests examples benchmark/src)
+uses_dir=$(mktemp -d)
+while read -r file; do
+  mkdir -p "$uses_dir/$(dirname "$file")"
+  code_only "$file" > "$uses_dir/$file"
+done < <(find "${surface_dirs[@]}" -name '*.rs')
 surface_offenders=$(
   grep -rHoP --include='*.rs' '^\s*pub ((const )?(unsafe )?fn|const|static) \K\w+' crates/*/src | sort -u |
     while IFS=: read -r file name; do
-      others=$(grep -rlw --include='*.rs' -- "$name" "${surface_dirs[@]}" | grep -vxF "$file" || true)
+      others=$(grep -rlw -- "$name" "$uses_dir" | grep -vxF "$uses_dir/$file" || true)
       [ -n "$others" ] && continue
       grep -qP "\\\$crate::[\w:]*\b$name\b" "$file" && continue
       echo "  $file: pub $name"
     done
 )
+rm -rf "$uses_dir"
 if [ -n "$surface_offenders" ]; then
-  echo "FAIL: pub fns, consts and statics named only in their own file (make them private, pub(crate) or #[cfg(test)]):" >&2
+  echo "FAIL: pub fns, consts and statics used only in their own file (make them private, pub(crate) or #[cfg(test)]):" >&2
   echo "$surface_offenders" >&2
   exit 1
 fi
-echo "every pub fn, const and static is named outside its own file"
+echo "every pub fn, const and static is used outside its own file"
 # Dependency guard: an aqua-* crate under a manifest's [dependencies] must be
 # named (as aqua_*) on a non-comment line of that crate's src/, and every
 # [dev-dependencies] entry somewhere in the crate (tests, examples or a

@@ -175,7 +175,7 @@ pub struct ConsumerOutcome {
 impl ConsumerOutcome {
     /// AQUA's improvement factor (higher is better for tokens; for latency
     /// metrics the ratio is baseline/aqua, also higher-is-better).
-    pub fn factor(&self) -> f64 {
+    fn factor(&self) -> f64 {
         match self.kind {
             ConsumerKind::LongPrompt => self.aqua / self.baseline,
             ConsumerKind::Lora | ConsumerKind::Cfs => self.baseline / self.aqua,

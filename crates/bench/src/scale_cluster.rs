@@ -111,7 +111,7 @@ impl ScaleSpec {
     /// Whether arrivals outpace a server's rough service capacity
     /// (~1 req/s for the zoo model on this testbed), i.e. backlog grows
     /// for the length of the trace instead of draining between arrivals.
-    pub fn oversaturated(&self) -> bool {
+    fn oversaturated(&self) -> bool {
         self.rate > 1.0
     }
 

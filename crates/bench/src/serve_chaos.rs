@@ -98,7 +98,7 @@ impl ChaosExperiment {
     /// engine serves chat. The KV-cost budget and deep-queue watermark are
     /// backstops against pathological commitment; both are sized to stay
     /// inert at 1× load.
-    pub fn protection(&self) -> OverloadPolicy {
+    fn protection(&self) -> OverloadPolicy {
         OverloadPolicy {
             queue_watermark: Some(6 * self.base_count),
             kv_commit_bytes: Some(8 * CELL_POOL_BYTES),
@@ -114,7 +114,7 @@ impl ChaosExperiment {
     /// The protected mode's admission deadlines: chat requests that can no
     /// longer meet [`CHAT_SLO_TTFT_S`] are cancelled instead of consuming
     /// capacity on an already-missed SLO.
-    pub fn deadlines(&self) -> SloPolicy {
+    fn deadlines(&self) -> SloPolicy {
         SloPolicy::none().tenant(
             TENANT_CHAT,
             TenantSlo {
@@ -143,7 +143,7 @@ pub struct CellSpec {
 
 impl CellSpec {
     /// The protected front door at `load`.
-    pub fn protected(load: usize) -> Self {
+    fn protected(load: usize) -> Self {
         CellSpec {
             policy: PolicyKind::SjfBucket,
             offload: true,

@@ -189,11 +189,6 @@ impl CfsEngine {
         self.seqs.len()
     }
 
-    /// Offload-backend label (for reports).
-    pub fn offloader_label(&self) -> &str {
-        self.offloader.label()
-    }
-
     /// Picks the fair active set: least-generated first, bounded by KV pool
     /// capacity (context plus slice growth) and `max_active`. A context that
     /// does not fit beside the ones already picked is skipped, not waited

@@ -166,11 +166,6 @@ impl FlexGenEngine {
         self.streamed_bytes
     }
 
-    /// Offload-backend label (for reports).
-    pub fn offloader_label(&self) -> &str {
-        self.offloader.label()
-    }
-
     /// Whether a request of this shape must stream its context.
     fn must_stream(&self, req: &InferenceRequest) -> bool {
         let max_ctx = req.prompt_tokens + req.output_tokens;

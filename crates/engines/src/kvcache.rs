@@ -466,15 +466,6 @@ impl PagedKvCache {
         self.total_blocks += bytes / self.block_bytes();
     }
 
-    /// Pool utilisation in `[0, 1]` (0 for an empty pool).
-    pub fn utilization(&self) -> f64 {
-        if self.total_blocks == 0 {
-            0.0
-        } else {
-            self.used_blocks() as f64 / self.total_blocks as f64
-        }
-    }
-
     /// Debug invariant: every sequence holds `⌈tokens / bt⌉` blocks, the
     /// index points at each slot, the O(1) counters (`full_seqs`
     /// included) match a full rescan, and the used blocks fit the pool.
@@ -519,7 +510,6 @@ mod tests {
         assert_eq!(kv.block_bytes(), 819_200 * 16);
         assert!(kv.total_blocks() > 3000);
         assert_eq!(kv.used_blocks(), 0);
-        assert_eq!(kv.utilization(), 0.0);
     }
 
     #[test]

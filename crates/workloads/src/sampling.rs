@@ -29,7 +29,7 @@ impl Sampler {
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn uniform(&mut self) -> f64 {
+    fn uniform(&mut self) -> f64 {
         self.rng.f64()
     }
 
