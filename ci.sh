@@ -91,7 +91,8 @@ golden fig07_window600 fig07 --window 600
 # Golden work counts of the four benchmark workloads (seed 42, one lane, one
 # job, the benchmark's sizes): PDES windows and messages, driver and journal
 # events, streams, retries, preemptions, swapped bytes, the gateway's steady
-# and quiet-boundary counts, and the suite's points and journal events. A
+# and quiet-boundary counts and scheduler-key comparisons, and the suite's
+# points and journal events. A
 # change that moves one names it and its cause; re-bless with
 # `aqua-repro counters > golden/counters.txt`.
 cargo run --release -q --offline -p aqua-bench --bin aqua-repro -- counters | cmp - golden/counters.txt

@@ -8,7 +8,9 @@
 //! accessor or from the run's rendered totals, one `workload.name value`
 //! line each, plus the journal digest of each workload that journals (in
 //! 16-digit hex; `repro_suite`'s is the one `aqua-repro all` prints on
-//! stderr). The output is committed as `golden/counters.txt`, so a change
+//! stderr). A gateway workload's `sched_comparisons` is the difference of
+//! [`sched_comparisons`] around its run: the counter is per thread, and at
+//! one lane every shard runs on the calling thread. The output is committed as `golden/counters.txt`, so a change
 //! that moves how much work a workload does, or what it journals, names
 //! each line it moved. Re-bless with `aqua-repro counters >
 //! golden/counters.txt`.
@@ -16,7 +18,7 @@
 use crate::runner::{run_suite, ReproArgs, EXPERIMENTS};
 use crate::scale_cluster::{run_scale, ScaleRun, ScaleSpec};
 use crate::serve_schedulers::{run_policy_counted, ServeExperiment};
-use aqua_gateway::scheduler::PolicyKind;
+use aqua_gateway::scheduler::{sched_comparisons, PolicyKind};
 use std::fmt::Write;
 
 /// The seed every counted workload runs at.
@@ -58,7 +60,9 @@ pub fn render() -> Result<String, String> {
     };
     let hex = |digest: u64| format!("{digest:016x}");
     for (workload, overload) in [("scale_calm", false), ("scale_overload", true)] {
+        let comparisons = sched_comparisons();
         let run = run_scale(&scale_spec(overload));
+        let comparisons = sched_comparisons() - comparisons;
         put(workload, "windows", &run.windows);
         put(workload, "messages", &run.messages);
         put(workload, "sim_events", &run.sim_events);
@@ -67,11 +71,14 @@ pub fn render() -> Result<String, String> {
         put(workload, "audit_violations", &run.audit_violations);
         put(workload, "streams", &total(&run, "streams"));
         put(workload, "retries", &total(&run, "retries"));
+        put(workload, "sched_comparisons", &comparisons);
     }
 
     let cfg = ServeExperiment::at_rate(0.3, 37_500, SEED);
+    let comparisons = sched_comparisons();
     let (run, loops) =
         run_policy_counted(&cfg, PolicyKind::SjfBucket, true, crate::trace::tracer());
+    let comparisons = sched_comparisons() - comparisons;
     put("serve_swap", "streams", &run.streams.len());
     put("serve_swap", "preemptions", &run.preemptions);
     put("serve_swap", "swapped_bytes", &run.swapped_bytes);
@@ -82,6 +89,7 @@ pub fn render() -> Result<String, String> {
         "skipped_boundaries",
         &loops.skipped_boundaries,
     );
+    put("serve_swap", "sched_comparisons", &comparisons);
 
     let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     let args = ReproArgs {
