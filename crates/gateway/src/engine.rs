@@ -1918,6 +1918,64 @@ mod tests {
         assert!(!e.has_work());
     }
 
+    /// Queued requests that miss their deadlines in one step time out in
+    /// the order they entered the queue, whatever the admission order: a
+    /// preempted request re-enters at the back although it arrived first,
+    /// and fresh requests keep their submission order across tenants.
+    #[test]
+    fn same_step_timeouts_journal_in_queue_entry_order() {
+        use crate::outcome::{SloPolicy, TenantSlo};
+        use aqua_telemetry::JournalTracer;
+
+        let journal = Arc::new(JournalTracer::new());
+        let geom = *zoo::mistral_7b().llm_geometry().unwrap();
+        let mut e = GatewayEngine::new(
+            geom,
+            GpuSpec::a100_80g(),
+            PolicyKind::Fcfs,
+            GatewayConfig {
+                kv_pool_bytes: pool_of_blocks(2),
+                slo: SloPolicy::with_default(TenantSlo::interactive(
+                    SimDuration::from_secs(10),
+                    SimDuration::from_secs(10),
+                )),
+                ..GatewayConfig::default()
+            },
+        )
+        .with_tracer(journal.clone(), "gw:order");
+        // Request 0 takes both blocks; the fresh requests (tenant 2, then
+        // 1, then 2) queue behind it, each too big for what is left.
+        e.submit(InferenceRequest::text(0, 20, 100), SimTime::ZERO);
+        let mut now = e.step(SimTime::ZERO);
+        for (id, tenant) in [(1, 2), (2, 1), (3, 2)] {
+            e.submit(
+                InferenceRequest {
+                    tenant,
+                    ..InferenceRequest::text(id, 20, 100)
+                },
+                now,
+            );
+        }
+        // Request 0 fills its blocks and is preempted to the back.
+        while e.preemptions() == 0 {
+            now = e.step(now);
+        }
+        assert_eq!((e.running_count(), e.queue_depth()), (0, 4));
+        e.step(SimTime::from_secs(100));
+        let timed_out: Vec<(u64, String)> = fates(&journal)
+            .into_iter()
+            .filter(|f| f.0 == "request_timed_out")
+            .map(|(_, id, kind)| (id, kind))
+            .collect();
+        let (ttft, total) = (DeadlineKind::Ttft.label(), DeadlineKind::Total.label());
+        assert_eq!(
+            timed_out,
+            [(1, ttft), (2, ttft), (3, ttft), (0, total)].map(|(id, k)| (id, k.to_owned()))
+        );
+        assert_eq!(e.queue_depth(), 0);
+        assert_counts_match_journal(&e, &journal, 4);
+    }
+
     #[test]
     fn crash_recovery_retries_and_restores() {
         use aqua_engines::driver::Driver;
