@@ -45,9 +45,12 @@ cargo test -q --offline --test chaos_recovery
 # pop from 1k (assert_out_of_order_fill_pops_stay_logarithmic, best of five
 # batches), one gateway admission step must do backlog-independent work
 # (allocations and scheduler-key comparisons flat from a 1k to a 10k
-# backlog, all five policies), one CFS slice's heap peak must rise by at
-# most 1 KiB from a 1k to a 10k backlog, so no slice sorts or copies the
-# backlog (assert_cfs_slice_heap_is_backlog_independent), 10k digest-only
+# backlog, all five policies), a gateway's live heap may grow by at most
+# 256 B per queued request from a 1k to a 10k backlog, so a second copy of
+# each queued request fails it (assert_queued_request_heap_is_bounded), one
+# CFS slice's heap peak must rise by at most 1 KiB from a 1k to a 10k
+# backlog, so no slice sorts or copies the backlog
+# (assert_cfs_slice_heap_is_backlog_independent), 10k digest-only
 # journal emits each of a request_scheduled and a request_preempted (with
 # the labels a gateway interns once), a transfer completion, a gateway
 # completion and a lease_allocated (with the labels an AQUA offloader

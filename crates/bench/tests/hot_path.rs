@@ -2,7 +2,7 @@
 //! gateway's scheduler-key comparison counter and, for two cost ratios,
 //! the wall clock.
 //!
-//! Thirteen guarantees: the untraced transfer-schedule path performs zero
+//! Fourteen guarantees: the untraced transfer-schedule path performs zero
 //! heap allocations per transfer — the budget behind Figure 11's sub-5%
 //! producer overhead (it allocated up to four strings per transfer before
 //! lane interning and the dense `PortStats` table); the placer's catalog
@@ -19,8 +19,10 @@
 //! time; one gateway admission round does work independent of backlog
 //! depth (the incremental scheduler indices, checked for every policy via
 //! allocation and key-comparison counters at backlogs of 1,000 vs 10,000);
-//! a CFS slice's heap peak does not grow with its backlog (the fair
-//! index, at the same two depths);
+//! a queued request holds at most 256 B of gateway heap, at the same two
+//! depths (it is stored once, in the scheduler index); a CFS slice's
+//! heap peak does not grow with its backlog (the fair index, at the same
+//! two depths);
 //! a digest-only journal emit allocates nothing (the event is hashed
 //! from its fields, interned labels and all); a quiet AQUA iteration
 //! boundary costs the same with 64 tracked leases as with one (its lease
@@ -614,10 +616,8 @@ fn assert_out_of_order_fill_pops_stay_logarithmic() {
     );
 }
 
-/// One gateway `step()` (an admission round of `max_batch` picks plus a
-/// decode iteration) with `backlog` queued requests: returns the heap
-/// allocations and scheduler key comparisons it performed.
-fn gateway_admit_work(policy: PolicyKind, backlog: u64) -> (u64, u64) {
+/// A gateway with `backlog` requests queued and none admitted yet.
+fn backlogged_gateway(policy: PolicyKind, backlog: u64) -> GatewayEngine {
     let geom = *zoo::mistral_7b().llm_geometry().unwrap();
     let mut e = GatewayEngine::new(
         geom,
@@ -634,6 +634,14 @@ fn gateway_admit_work(policy: PolicyKind, backlog: u64) -> (u64, u64) {
     for i in 0..backlog {
         e.submit(InferenceRequest::text(i, 100, 8), SimTime::from_nanos(i));
     }
+    e
+}
+
+/// One gateway `step()` (an admission round of `max_batch` picks plus a
+/// decode iteration) with `backlog` queued requests: returns the heap
+/// allocations and scheduler key comparisons it performed.
+fn gateway_admit_work(policy: PolicyKind, backlog: u64) -> (u64, u64) {
+    let mut e = backlogged_gateway(policy, backlog);
     let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
     let comps_before = sched_comparisons();
     black_box(e.step(SimTime::from_millis(1)));
@@ -673,6 +681,37 @@ fn assert_gateway_admit_is_backlog_independent() {
              {comps_small} -> {comps_big} key comparisons"
         );
     }
+}
+
+/// Live heap bytes of a gateway holding `backlog` queued requests.
+fn queued_gateway_bytes(backlog: u64) -> u64 {
+    let before = LIVE_BYTES.load(Ordering::SeqCst);
+    let e = backlogged_gateway(PolicyKind::Fcfs, backlog);
+    let bytes = LIVE_BYTES.load(Ordering::SeqCst).wrapping_sub(before);
+    assert_eq!(e.queue_depth() as u64, backlog);
+    bytes
+}
+
+/// A queued request is stored once, in the scheduler index: from a 1,000
+/// to a 10,000 request backlog, the gateway's live heap may grow by at
+/// most 256 B per extra request, capacity doubling included (218 B: the
+/// sequence in its ring). Keeping each sequence in a slot arena and a
+/// copy of its queue metadata, with a handle back, in the index cost
+/// 327 B.
+fn assert_queued_request_heap_is_bounded() {
+    const BOUND: u64 = 256;
+    let small = queued_gateway_bytes(1_000);
+    let big = queued_gateway_bytes(10_000);
+    let per_request = big.saturating_sub(small) / 9_000;
+    assert!(
+        per_request <= BOUND,
+        "a queued request holds {per_request} B of gateway heap ({small} B at a 1k \
+         backlog, {big} B at 10k; bound {BOUND} B): is it stored twice?"
+    );
+    eprintln!(
+        "hot_path: queued gateway heap: {small} B at a 1k backlog, {big} B at 10k, \
+         {per_request} B per queued request (bound {BOUND} B)"
+    );
 }
 
 /// Peak live heap bytes, over what was live before it, of one CFS slice
@@ -868,6 +907,7 @@ fn main() {
     assert_idle_server_is_never_ticked();
     assert_out_of_order_fill_pops_stay_logarithmic();
     assert_gateway_admit_is_backlog_independent();
+    assert_queued_request_heap_is_bounded();
     assert_cfs_slice_heap_is_backlog_independent();
     assert_digest_only_emit_is_allocation_free();
     assert_quiet_boundary_is_flat();

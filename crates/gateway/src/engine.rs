@@ -26,9 +26,8 @@
 //! any offload backend.
 
 use crate::admission::{AdmissionController, OverloadPolicy};
-use crate::arena::SlotArena;
 use crate::outcome::{DeadlineKind, OutcomeCounts, SloPolicy, MAX_RETRIES, RETRY_BACKOFF};
-use crate::scheduler::{PolicyKind, Pop, QueuedMeta, Scheduler};
+use crate::scheduler::{PolicyKind, Pop, Queued, Scheduler};
 use aqua_engines::driver::Engine;
 use aqua_engines::kvcache::{DecodeGrowth, PagedKvCache, DEFAULT_BLOCK_TOKENS};
 use aqua_engines::northbound::{EngineStats, Informer, MemoryElastic};
@@ -128,9 +127,43 @@ struct GateSeq {
     /// restore event before delivering another token: the gateway's one
     /// record of a restore debt.
     needs_restore: bool,
+    /// The gateway's enqueue count when the sequence last entered the
+    /// queue: its place in queue-entry order, which deadline timeouts of
+    /// one step are journalled in.
+    queued: u64,
+}
+
+impl Queued for GateSeq {
+    fn id(&self) -> u64 {
+        self.life.req.id.0
+    }
+    fn capped_by(&self) -> Option<u32> {
+        self.runs.is_empty().then_some(self.tenant)
+    }
+    fn enqueued(&self) -> SimTime {
+        self.life.arrival
+    }
+    fn prompt_tokens(&self) -> u64 {
+        self.life.req.prompt_tokens
+    }
+    fn output_tokens(&self) -> u64 {
+        self.life.req.output_tokens
+    }
+    fn generated(&self) -> u64 {
+        self.life.generated
+    }
+    fn eligible_after(&self) -> SimTime {
+        self.eligible_after
+    }
 }
 
 impl GateSeq {
+    /// The deadline of `slo` the sequence has missed at `now`, if any.
+    fn missed(&self, slo: &SloPolicy, now: SimTime) -> Option<DeadlineKind> {
+        slo.of(self.tenant)
+            .missed(self.life.arrival, self.life.generated, now)
+    }
+
     /// Extends the open run by `tokens` tokens already counted in
     /// `life.generated`.
     fn extend_run(&mut self, tokens: u32) {
@@ -190,17 +223,16 @@ pub struct GatewayEngine {
     /// after `new`, so `enforce_deadlines` need not ask every step).
     has_deadlines: bool,
     kv: PagedKvCache,
-    scheduler: Scheduler,
+    /// The admission index, and the one store of the queued sequences.
+    scheduler: Scheduler<GateSeq>,
+    /// Sequences queued so far, re-queues included: the next
+    /// [`GateSeq::queued`] stamp.
+    enqueues: u64,
     admission: AdmissionController,
     /// In a debug build, the request id → tenant map of
     /// [`GatewayEngine::with_tenants`], which each request's own tenant
     /// must match (0 when unmapped); empty otherwise.
     tenant_check: BTreeMap<u64, u32>,
-    /// Queued sequences, in arrival order (deadline sweeps and crash
-    /// marking walk this order — it pins trace-event order). The scheduler
-    /// index holds the admission order and each entry's handle here; this
-    /// arena holds the state.
-    pending: SlotArena<GateSeq>,
     /// Admitted batch. `Vec` doubles as the youngest-first preemption
     /// index: the last element is the most recent admission, so victim
     /// selection is an O(1) `pop`. Its sequences are exactly the KV pool's
@@ -229,7 +261,7 @@ pub struct GatewayEngine {
     /// Completed streams not yet drained.
     delivered: Vec<Delivered>,
     /// The first run's clock index of every running sequence and every
-    /// pending one that has a run, with its multiplicity. Runs only move
+    /// queued one that has a run, with its multiplicity. Runs only move
     /// forwards, so the smallest key, the pin, is the oldest clock entry a
     /// later stream can read once the completed ones are drained.
     first_runs: BTreeMap<u32, u32>,
@@ -271,7 +303,7 @@ impl std::fmt::Debug for GatewayEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GatewayEngine")
             .field("policy", &self.scheduler.policy().name())
-            .field("pending", &self.pending.len())
+            .field("pending", &self.scheduler.len())
             .field("running", &self.running.len())
             .field("iterations", &self.iterations)
             .finish()
@@ -290,9 +322,9 @@ impl GatewayEngine {
             gpu,
             kv,
             scheduler: Scheduler::new(policy),
+            enqueues: 0,
             admission,
             tenant_check: BTreeMap::new(),
-            pending: SlotArena::new(),
             running: Vec::new(),
             unprefilled_tokens: 0,
             finished: Vec::new(),
@@ -424,7 +456,7 @@ impl GatewayEngine {
 
     /// Requests queued for admission.
     pub fn queue_depth(&self) -> usize {
-        self.pending.len()
+        self.scheduler.len()
     }
 
     /// Sequences currently being decoded.
@@ -495,7 +527,7 @@ impl GatewayEngine {
     fn recount_first_runs(&self) -> BTreeMap<u32, u32> {
         let mut counts = BTreeMap::new();
         let runs = (self.running.iter().map(|s| s.runs.as_slice()))
-            .chain(self.pending.iter().map(|(_, s)| s.runs.as_slice()));
+            .chain(self.scheduler.iter().map(|s| s.runs.as_slice()));
         for run in runs.filter_map(<[Run]>::first) {
             *counts.entry(run.first).or_default() += 1;
         }
@@ -548,38 +580,13 @@ impl GatewayEngine {
         self.admission.release_bytes(est);
     }
 
-    /// The scheduler's view of the queued sequence at `handle`.
-    fn meta_of(seq: &GateSeq, handle: u32) -> QueuedMeta {
-        QueuedMeta {
-            id: seq.life.req.id.0,
-            tenant: seq.tenant,
-            enqueued: seq.life.arrival,
-            prompt_tokens: seq.life.req.prompt_tokens,
-            output_tokens: seq.life.req.output_tokens,
-            generated: seq.life.generated,
-            admitted_once: !seq.runs.is_empty(),
-            eligible_after: seq.eligible_after,
-            handle,
-        }
-    }
-
-    /// Inserts `seq` into the pending arena and mirrors the transition
-    /// into the scheduler index (fresh enqueue, or cap-exempt re-queue for
-    /// already-admitted work).
-    fn enqueue_pending(&mut self, seq: GateSeq) {
-        let meta = Self::meta_of(&seq, 0);
-        let handle = self.pending.push_back(seq);
-        self.scheduler.insert(QueuedMeta { handle, ..meta });
-    }
-
-    /// Removes the pending entry at `handle` from the arena and the
-    /// scheduler index (for paths other than `pop_next`, which already
-    /// took its entry out of the index).
-    fn unqueue_pending(&mut self, handle: u32) -> GateSeq {
-        let seq = self.pending.remove(handle);
-        let removed = self.scheduler.remove(&Self::meta_of(&seq, handle));
-        debug_assert!(removed, "pending entries are always indexed");
-        seq
+    /// Queues `seq` behind every queued sequence (a fresh arrival, or a
+    /// cap-exempt re-queue of admitted work): stamps its place in
+    /// queue-entry order and files it in the index.
+    fn enqueue(&mut self, mut seq: GateSeq) {
+        seq.queued = self.enqueues;
+        self.enqueues += 1;
+        self.scheduler.insert(seq);
     }
 
     /// Processes GpuCrash windows that opened since the last step.
@@ -638,16 +645,15 @@ impl GatewayEngine {
                 // Re-queue as an event: the scheduler parks the victim on
                 // its backoff deadline and files it when due, instead of
                 // the engine re-filtering `eligible_after` every step.
-                self.enqueue_pending(victim);
+                self.enqueue(victim);
             }
         }
-        // Swap-preempted pending sequences survived — their KV was captured
+        // Swap-preempted queued sequences survived — their KV was captured
         // into the offload store at preemption time — but they are still
         // crashed sequences: their readmission must journal a swap restore.
         // (`needs_restore` is not part of the scheduler key, so this walk
         // needs no index updates.)
-        for handle in self.pending.handles() {
-            let seq = self.pending.get_mut(handle).expect("handles are live");
+        for seq in self.scheduler.iter_mut() {
             if seq.swapped {
                 seq.needs_restore = true;
             }
@@ -662,19 +668,17 @@ impl GatewayEngine {
         if !self.has_deadlines {
             return;
         }
-        for handle in self.pending.handles() {
-            let seq = self.pending.get(handle).expect("handles are live");
-            let slo = self.config.slo.of(seq.tenant);
-            if let Some(kind) = slo.missed(seq.life.arrival, seq.life.generated, now) {
-                let seq = self.unqueue_pending(handle);
-                self.timeout_seq(seq, kind, now);
-            }
+        let slo = &self.config.slo;
+        let mut missed = self.scheduler.sweep(|seq| seq.missed(slo, now));
+        // The sweep walks the index's order; the journal keeps the order
+        // the sequences entered the queue in, re-queues included.
+        missed.sort_unstable_by_key(|(_, seq)| seq.queued);
+        for (kind, seq) in missed {
+            self.timeout_seq(seq, kind, now);
         }
         let mut i = 0;
         while i < self.running.len() {
-            let seq = &self.running[i];
-            let slo = self.config.slo.of(seq.tenant);
-            if let Some(kind) = slo.missed(seq.life.arrival, seq.life.generated, now) {
+            if let Some(kind) = self.running[i].missed(&self.config.slo, now) {
                 let seq = self.running.remove(i);
                 if !seq.prefilled {
                     self.unprefilled_tokens -= seq.life.context_tokens();
@@ -724,7 +728,7 @@ impl GatewayEngine {
         // Idle-engine skips that can never fit sit out the rest of the
         // round here (matching the sort-based walk, which never revisits a
         // skipped entry) and rejoin the index afterwards.
-        let mut stashed: Vec<QueuedMeta> = Vec::new();
+        let mut stashed: Vec<GateSeq> = Vec::new();
         while self.running.len() < self.config.max_batch {
             // A head fits if its context plus its first decoded token fits
             // the free blocks. An idle engine pops any head (see above).
@@ -734,31 +738,24 @@ impl GatewayEngine {
             } else {
                 self.kv.free_tokens()
             };
-            let meta = match self.scheduler.pop_next(&self.admission, context_limit) {
-                Pop::Popped(meta) => meta,
+            let mut seq = match self.scheduler.pop_next(&self.admission, context_limit) {
+                Pop::Popped(seq) => seq,
                 Pop::Blocked | Pop::Empty => break,
             };
-            let head = &self
-                .pending
-                .get(meta.handle)
-                .expect("scheduled handles come from the pending queue")
-                .life;
-            let needed = head.context_tokens() + 1;
-            let adapter = head.req.adapter;
+            let needed = seq.life.context_tokens() + 1;
             if !self.kv.can_fit_tokens(needed) {
                 debug_assert!(idle, "a limited pop returns only heads that fit");
                 if self.kv.blocks_for(needed) > self.undonated_blocks() {
-                    stashed.push(meta);
+                    stashed.push(seq);
                     continue;
                 }
-                self.scheduler.insert(meta);
+                self.scheduler.insert(seq);
                 break;
             }
-            if !self.adapter_admissible(adapter) {
-                self.scheduler.insert(meta);
+            if !self.adapter_admissible(seq.life.req.adapter) {
+                self.scheduler.insert(seq);
                 break;
             }
-            let mut seq = self.pending.remove(meta.handle);
             trace!(
                 self.tracer,
                 TraceEvent::RequestScheduled {
@@ -821,8 +818,8 @@ impl GatewayEngine {
         // Reinsert skipped picks. Keys recompute identically (the index's
         // time and ratio have not moved), so the index order is as if they
         // never left.
-        for meta in stashed {
-            self.scheduler.insert(meta);
+        for seq in stashed {
+            self.scheduler.insert(seq);
         }
     }
 
@@ -831,7 +828,7 @@ impl GatewayEngine {
     /// the round's first pop would see does not fit the free KV tokens.
     fn admit_is_noop(&self) -> bool {
         self.running.len() >= self.config.max_batch
-            || self.pending.is_empty()
+            || self.scheduler.is_empty()
             || !self.running.is_empty()
                 && self
                     .scheduler
@@ -953,7 +950,7 @@ impl GatewayEngine {
             }
             // Preempted work was admitted before, so it re-queues
             // cap-exempt with no backoff (immediately re-admissible).
-            self.enqueue_pending(victim);
+            self.enqueue(victim);
         }
     }
 
@@ -988,7 +985,7 @@ impl GatewayEngine {
         self.scheduler.advance(now);
         self.handle_crashes(now);
         self.enforce_deadlines(now);
-        if let Some(engaged) = self.admission.update_brownout(self.pending.len()) {
+        if let Some(engaged) = self.admission.update_brownout(self.queue_depth()) {
             trace!(
                 self.tracer,
                 TraceEvent::GatewayBrownout {
@@ -1175,7 +1172,7 @@ impl GatewayEngine {
             && self.unprefilled_tokens == 0
             && self
                 .admission
-                .brownout_transition(self.pending.len())
+                .brownout_transition(self.queue_depth())
                 .is_none();
         if !steady {
             return 0;
@@ -1344,7 +1341,7 @@ impl Engine for GatewayEngine {
             }
         );
         let est = self.est_bytes(&req);
-        if let Some(reason) = self.admission.shed_reason(tenant, self.pending.len(), est) {
+        if let Some(reason) = self.admission.shed_reason(tenant, self.queue_depth(), est) {
             trace!(
                 self.tracer,
                 TraceEvent::RequestShed {
@@ -1360,7 +1357,7 @@ impl Engine for GatewayEngine {
         }
         self.admission.commit_bytes(est);
         let life = SeqLifecycle::new(req, now);
-        self.enqueue_pending(GateSeq {
+        self.enqueue(GateSeq {
             life,
             tenant,
             runs: Vec::new(),
@@ -1369,6 +1366,7 @@ impl Engine for GatewayEngine {
             attempts: 0,
             eligible_after: SimTime::ZERO,
             needs_restore: false,
+            queued: 0,
         });
     }
 
@@ -1456,7 +1454,7 @@ impl MemoryElastic for GatewayEngine {
                 .saturating_sub(DONATION_FLOOR_BYTES),
         );
         EngineStats {
-            pending_requests: self.pending.len(),
+            pending_requests: self.queue_depth(),
             running_requests: self.running.len(),
             context_used_bytes: self.kv.used_bytes(),
             context_reserved_bytes: self.kv.capacity_bytes(),

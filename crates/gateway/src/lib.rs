@@ -8,7 +8,9 @@
 //! * [`scheduler`] — the decode admission index, [`scheduler::Scheduler`],
 //!   one container for a zoo of five policies that differ only in their
 //!   priority key: FCFS, pure SJF, SJF + length-bucketing, SJF +
-//!   starvation-aging and an Orca-style remaining-length predictor.
+//!   starvation-aging and an Orca-style remaining-length predictor. It is
+//!   also the one store of the gateway's queued sequences, whose keys it
+//!   reads through [`scheduler::Queued`].
 //! * [`admission`] — per-tenant outstanding-request caps, so one tenant's
 //!   backlog (e.g. batch long-prompt jobs) cannot monopolize the engine,
 //!   plus opt-in overload protection: queue-depth watermarks, KV-cost
@@ -32,7 +34,6 @@
 //! with AQUA offloading on and off under memory pressure.
 
 pub mod admission;
-pub mod arena;
 pub mod engine;
 pub mod outcome;
 pub mod scheduler;
@@ -42,7 +43,7 @@ pub mod prelude {
     pub use crate::admission::{AdmissionController, BrownoutConfig, OverloadPolicy};
     pub use crate::engine::{GatewayConfig, GatewayEngine};
     pub use crate::outcome::{DeadlineKind, OutcomeCounts, ShedReason, SloPolicy, TenantSlo};
-    pub use crate::scheduler::{PolicyKind, QueuedMeta, Scheduler};
+    pub use crate::scheduler::{PolicyKind, Queued, Scheduler};
 }
 
 pub use prelude::*;

@@ -16,21 +16,23 @@
 //! So one container serves all five: a FIFO ring per prefix, in prefix
 //! order, each ring in `(enqueued, id)` order. The [`Scheduler`] keeps one
 //! such queue per tenant for fresh arrivals (cap-gated), one for
-//! re-admitted work (cap-exempt) and a parked set for crash-retry backoffs.
-//! The gateway mirrors every queue transition into it
-//! ([`insert`](Scheduler::insert) / [`remove`](Scheduler::remove)), passes
-//! it every time it acts at ([`advance`](Scheduler::advance), which applies
-//! expired backoffs, due aging promotions and Orca re-keys) and asks for
-//! the single next request to admit ([`pop_next`](Scheduler::pop_next),
-//! which leaves a head that does not fit the KV budget in place). With `t`
+//! re-admitted work (cap-exempt) and a parked set for crash-retry backoffs,
+//! and it is the one store of the queued requests. The gateway files each
+//! of its sequences into it ([`insert`](Scheduler::insert)), takes the ones
+//! that miss a deadline back out in one walk ([`sweep`](Scheduler::sweep)),
+//! passes it every time it acts at ([`advance`](Scheduler::advance), which
+//! applies expired backoffs, due aging promotions and Orca re-keys) and
+//! asks for the single next request to admit
+//! ([`pop_next`](Scheduler::pop_next), which hands back the sequence, or
+//! leaves a head that does not fit the KV budget in place). With `t`
 //! tenants holding queued work, `r` occupied prefixes in a queue and `n`
-//! queued requests, no cost depends on how deep a ring is:
+//! queued requests, no cost but the sweep's depends on how deep a ring is:
 //!
 //! | operation         | cost                                                   |
 //! |-------------------|--------------------------------------------------------|
 //! | `insert`          | O(log r), O(1) in its ring (arrivals come in key order) |
 //! | `pop_next`        | O(t + log r)                                           |
-//! | `remove`          | O(log r + log ring)                                    |
+//! | `sweep`           | O(n), plus O(ring) per request it takes                |
 //! | `advance`         | O(log n) per expired backoff or promotion; an Orca re-key, once per drift of the learned ratio, O(n log r) |
 //! | `head_context`    | O(t + log r)                                           |
 //! | `first_context`   | O(t + entries skipped)                                 |
@@ -53,43 +55,76 @@ const AGING_PROMOTE: SimDuration = SimDuration::from_secs(60);
 /// Weight of each completion in Orca's output/prompt EWMA.
 const ORCA_ALPHA: f64 = 0.1;
 
-/// Queue metadata a scheduler is allowed to see for one waiting request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueuedMeta {
+/// What the index reads of a queued request. None of it may change while
+/// the request is indexed; the rest of the caller's payload may.
+pub trait Queued {
     /// Request id.
-    pub id: u64,
-    /// Tenant the request belongs to.
-    pub tenant: u32,
+    fn id(&self) -> u64;
+    /// The tenant whose outstanding-request cap gates the request, or
+    /// `None` if it was admitted before (preemption or crash retry): it
+    /// then holds its tenant's cap slot, so it is never cap-gated.
+    fn capped_by(&self) -> Option<u32>;
     /// When the request entered the gateway queue.
-    pub enqueued: SimTime,
+    fn enqueued(&self) -> SimTime;
     /// Prompt length in tokens.
-    pub prompt_tokens: u64,
+    fn prompt_tokens(&self) -> u64;
     /// Declared output length in tokens (the simulator's oracle; real
     /// servers must predict this — see the test-only `oracle::OrcaPredict`).
-    pub output_tokens: u64,
+    fn output_tokens(&self) -> u64;
     /// Tokens already generated before a preemption returned the request to
     /// the queue (0 for first-time admission).
-    pub generated: u64,
-    /// The request was admitted before (preemption or crash retry): it
-    /// holds its tenant's cap slot, so it is never cap-gated.
-    pub admitted_once: bool,
+    fn generated(&self) -> u64;
     /// Crash-retry backoff: the request is parked until this time.
-    pub eligible_after: SimTime,
-    /// The gateway's handle for the request's state, handed back by
-    /// [`Scheduler::pop_next`].
-    pub handle: u32,
-}
+    fn eligible_after(&self) -> SimTime;
 
-impl QueuedMeta {
     /// Declared output tokens still to generate.
     fn remaining(&self) -> u64 {
-        self.output_tokens.saturating_sub(self.generated)
+        self.output_tokens().saturating_sub(self.generated())
     }
 
     /// KV context tokens this request occupies when admitted (prompt plus
     /// already-generated output) — constant while the request is queued.
-    pub fn context_tokens(&self) -> u64 {
-        self.prompt_tokens + self.generated
+    fn context_tokens(&self) -> u64 {
+        self.prompt_tokens() + self.generated()
+    }
+}
+
+/// A bare queued request: the scheduler tests' payload.
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QueuedMeta {
+    pub id: u64,
+    pub tenant: u32,
+    pub enqueued: SimTime,
+    pub prompt_tokens: u64,
+    pub output_tokens: u64,
+    pub generated: u64,
+    pub admitted_once: bool,
+    pub eligible_after: SimTime,
+}
+
+#[cfg(test)]
+impl Queued for QueuedMeta {
+    fn id(&self) -> u64 {
+        self.id
+    }
+    fn capped_by(&self) -> Option<u32> {
+        (!self.admitted_once).then_some(self.tenant)
+    }
+    fn enqueued(&self) -> SimTime {
+        self.enqueued
+    }
+    fn prompt_tokens(&self) -> u64 {
+        self.prompt_tokens
+    }
+    fn output_tokens(&self) -> u64 {
+        self.output_tokens
+    }
+    fn generated(&self) -> u64 {
+        self.generated
+    }
+    fn eligible_after(&self) -> SimTime {
+        self.eligible_after
     }
 }
 
@@ -119,11 +154,11 @@ struct SchedKey {
 }
 
 impl SchedKey {
-    fn new(prefix: Prefix, m: &QueuedMeta) -> Self {
+    fn new(prefix: Prefix, m: &impl Queued) -> Self {
         SchedKey {
             prefix,
-            enqueued: m.enqueued,
-            id: m.id,
+            enqueued: m.enqueued(),
+            id: m.id(),
         }
     }
 }
@@ -143,25 +178,32 @@ impl PartialOrd for SchedKey {
 
 /// Predicted remaining output tokens at `ratio` — the exact `oracle`
 /// formula, shared so keys and the reference agree bit-for-bit.
-fn orca_predict(ratio: f64, m: &QueuedMeta) -> u64 {
-    let total = (ratio * m.prompt_tokens.max(1) as f64).max(1.0) as u64;
-    total.saturating_sub(m.generated).max(1)
+fn orca_predict(ratio: f64, m: &impl Queued) -> u64 {
+    let total = (ratio * m.prompt_tokens().max(1) as f64).max(1.0) as u64;
+    total.saturating_sub(m.generated()).max(1)
 }
 
 /// One queue of the index: a FIFO ring per prefix, in prefix order, each
 /// ring in `(enqueued, id)` order, so the first ring's front holds the
 /// queue's least key. Empty rings are dropped.
-#[derive(Debug, Default)]
-struct Rings {
-    rings: BTreeMap<Prefix, VecDeque<QueuedMeta>>,
-    len: usize,
+#[derive(Debug)]
+struct Rings<T> {
+    rings: BTreeMap<Prefix, VecDeque<T>>,
 }
 
-impl Rings {
+impl<T> Default for Rings<T> {
+    fn default() -> Self {
+        Rings {
+            rings: BTreeMap::new(),
+        }
+    }
+}
+
+impl<T: Queued> Rings<T> {
     /// Files `m` under `prefix`: O(1) at either end of its ring (the
     /// common case — arrivals carry nondecreasing `(enqueued, id)`), a
     /// binary-search insert for the rare out-of-order key.
-    fn insert(&mut self, prefix: Prefix, m: QueuedMeta) {
+    fn insert(&mut self, prefix: Prefix, m: T) {
         let key = SchedKey::new(prefix, &m);
         let ring = self.rings.entry(prefix).or_default();
         if ring.back().is_none_or(|b| SchedKey::new(prefix, b) < key) {
@@ -172,11 +214,10 @@ impl Rings {
             let at = ring.partition_point(|e| SchedKey::new(prefix, e) < key);
             ring.insert(at, m);
         }
-        self.len += 1;
     }
 
     /// Removes the entry filed under `key`, if any.
-    fn remove(&mut self, key: SchedKey) -> Option<QueuedMeta> {
+    fn remove(&mut self, key: SchedKey) -> Option<T> {
         let ring = self.rings.get_mut(&key.prefix)?;
         let at = ring
             .binary_search_by(|e| SchedKey::new(key.prefix, e).cmp(&key))
@@ -185,45 +226,45 @@ impl Rings {
         if ring.is_empty() {
             self.rings.remove(&key.prefix);
         }
-        self.len -= 1;
         m
     }
 
     /// The entry with the least key.
-    fn front(&self) -> Option<(SchedKey, &QueuedMeta)> {
+    fn front(&self) -> Option<(SchedKey, &T)> {
         let (&prefix, ring) = self.rings.first_key_value()?;
         ring.front().map(|m| (SchedKey::new(prefix, m), m))
     }
 
     /// Removes the entry with the least key.
-    fn pop_first(&mut self) -> Option<QueuedMeta> {
+    fn pop_first(&mut self) -> Option<T> {
         let mut first = self.rings.first_entry()?;
         let m = first.get_mut().pop_front();
         if first.get().is_empty() {
             first.remove();
         }
-        self.len -= 1;
         m
     }
 
     /// The entries with their keys, in key order.
-    fn iter(&self) -> impl Iterator<Item = (SchedKey, &QueuedMeta)> {
+    fn iter(&self) -> impl Iterator<Item = (SchedKey, &T)> {
         self.rings
             .iter()
             .flat_map(|(&p, ring)| ring.iter().map(move |m| (SchedKey::new(p, m), m)))
     }
 
     /// Refiles every entry under the prefix `prefix` gives it.
-    fn rekey(&mut self, prefix: impl Fn(&QueuedMeta) -> Prefix) {
+    fn rekey(&mut self, prefix: impl Fn(&T) -> Prefix) {
         for m in std::mem::take(self).rings.into_values().flatten() {
             self.insert(prefix(&m), m);
         }
     }
 }
 
-/// The one incremental admission index, for every policy: per-tenant
-/// queues for cap-gated fresh arrivals, one queue for re-admitted
-/// (cap-exempt) work, and a parked set for crash-retry backoffs.
+/// The one incremental admission index, for every policy, and the one
+/// store of the queued requests it orders: per-tenant queues for cap-gated
+/// fresh arrivals, one queue for re-admitted (cap-exempt) work, and a
+/// parked set for crash-retry backoffs. It files whole payloads (the
+/// gateway's sequences) and reads their keys through [`Queued`].
 /// [`pop_next`](Scheduler::pop_next) takes the key-minimum over the front
 /// of each queue whose tenant has cap headroom — O(tenants · log prefixes),
 /// never O(backlog) — which reproduces the oracle's sort-the-eligible-set
@@ -244,16 +285,18 @@ impl Rings {
 /// the re-admit queue and bypass cap gating exactly like the oracle's
 /// `admitted_once` test.
 #[derive(Debug)]
-pub struct Scheduler {
+pub struct Scheduler<T> {
     policy: PolicyKind,
-    fresh: BTreeMap<u32, Rings>,
-    readmit: Rings,
-    /// Crash-retry backoffs: `(eligible_after, id)` → meta.
-    parked: BTreeMap<(SimTime, u64), QueuedMeta>,
+    fresh: BTreeMap<u32, Rings<T>>,
+    readmit: Rings<T>,
+    /// Crash-retry backoffs: `(eligible_after, id)` → request.
+    parked: BTreeMap<(SimTime, u64), T>,
     /// Promotion deadlines of un-aged `sjf+aging` entries: `(enqueued +
     /// 60 s, id)` → the entry's key and queue (`None` is the re-admit
     /// queue).
     promotions: BTreeMap<(SimTime, u64), (SchedKey, Option<u32>)>,
+    /// Requests indexed, parked ones included.
+    len: usize,
     /// The latest time passed to `advance`.
     now: SimTime,
     /// Orca EWMA of output/prompt across completions (warm-start 1.0).
@@ -262,7 +305,7 @@ pub struct Scheduler {
     keyed_ratio: f64,
 }
 
-impl Scheduler {
+impl<T: Queued> Scheduler<T> {
     /// An empty index ordering by `policy`.
     pub fn new(policy: PolicyKind) -> Self {
         Scheduler {
@@ -271,6 +314,7 @@ impl Scheduler {
             readmit: Rings::default(),
             parked: BTreeMap::new(),
             promotions: BTreeMap::new(),
+            len: 0,
             now: SimTime::ZERO,
             ratio: 1.0,
             keyed_ratio: 1.0,
@@ -283,19 +327,16 @@ impl Scheduler {
     }
 
     /// Requests currently indexed, parked ones included.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        let fresh: usize = self.fresh.values().map(|q| q.len).sum();
-        fresh + self.readmit.len + self.parked.len()
+    pub fn len(&self) -> usize {
+        self.len
     }
 
-    /// The queue `m` files into: its tenant's, unless it was admitted
-    /// before (`None`, the re-admit queue).
-    fn queue_of(m: &QueuedMeta) -> Option<u32> {
-        (!m.admitted_once).then_some(m.tenant)
+    /// Whether no request is indexed, parked or not.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
-    fn queue_mut(&mut self, queue: Option<u32>) -> &mut Rings {
+    fn queue_mut(&mut self, queue: Option<u32>) -> &mut Rings<T> {
         match queue {
             None => &mut self.readmit,
             Some(tenant) => self.fresh.entry(tenant).or_default(),
@@ -303,43 +344,75 @@ impl Scheduler {
     }
 
     /// The key `m` files under at the index's time and keyed ratio.
-    fn key(&self, m: &QueuedMeta) -> SchedKey {
+    fn key(&self, m: &T) -> SchedKey {
         SchedKey::new(self.policy.prefix(m, self.now, self.keyed_ratio), m)
     }
 
     /// Adds a queued request: parked while its backoff lasts, else filed in
     /// its queue.
-    pub fn insert(&mut self, m: QueuedMeta) {
-        if m.eligible_after > self.now {
-            self.parked.insert((m.eligible_after, m.id), m);
+    pub fn insert(&mut self, m: T) {
+        self.len += 1;
+        if m.eligible_after() > self.now {
+            self.parked.insert((m.eligible_after(), m.id()), m);
         } else {
             self.file(m);
         }
     }
 
-    fn file(&mut self, m: QueuedMeta) {
+    fn file(&mut self, m: T) {
         let key = self.key(&m);
-        let queue = Self::queue_of(&m);
+        let queue = m.capped_by();
         if let Some(due) = self.policy.promotion(&m, key.prefix) {
-            self.promotions.insert((due, m.id), (key, queue));
+            self.promotions.insert((due, m.id()), (key, queue));
         }
         self.queue_mut(queue).insert(key.prefix, m);
     }
 
-    /// Removes a queued request that left for good (deadline timeout);
-    /// returns whether it was indexed.
-    pub fn remove(&mut self, m: &QueuedMeta) -> bool {
-        self.parked.remove(&(m.eligible_after, m.id)).is_some() || {
-            let key = self.key(m);
-            if let Some(due) = self.policy.promotion(m, key.prefix) {
-                self.promotions.remove(&(due, m.id));
-            }
-            let queue = match Self::queue_of(m) {
-                None => Some(&mut self.readmit),
-                Some(tenant) => self.fresh.get_mut(&tenant),
-            };
-            queue.and_then(|q| q.remove(key)).is_some()
+    /// Removes every indexed request, parked ones included, for which
+    /// `take` returns `Some` (a deadline timeout: it leaves for good), and
+    /// returns each with what `take` returned, in no particular order. One
+    /// walk over the index; it allocates only once it takes a request.
+    pub fn sweep<K>(&mut self, mut take: impl FnMut(&T) -> Option<K>) -> Vec<(K, T)> {
+        let mut taken = Vec::new();
+        let (policy, promotions) = (self.policy, &mut self.promotions);
+        for q in std::iter::once(&mut self.readmit).chain(self.fresh.values_mut()) {
+            q.rings.retain(|&prefix, ring| {
+                let mut i = 0;
+                while i < ring.len() {
+                    let Some(k) = take(&ring[i]) else {
+                        i += 1;
+                        continue;
+                    };
+                    if let Some(due) = policy.promotion(&ring[i], prefix) {
+                        promotions.remove(&(due, ring[i].id()));
+                    }
+                    taken.extend(ring.remove(i).map(|m| (k, m)));
+                }
+                !ring.is_empty()
+            });
         }
+        let parked: Vec<_> = (self.parked.iter())
+            .filter_map(|(&at, m)| Some((at, take(m)?)))
+            .collect();
+        for (at, k) in parked {
+            taken.extend(self.parked.remove(&at).map(|m| (k, m)));
+        }
+        self.len -= taken.len();
+        taken
+    }
+
+    /// Every indexed request, parked ones included, in no particular
+    /// order, to change what [`Queued`] does not read.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        let queues = std::iter::once(&mut self.readmit).chain(self.fresh.values_mut());
+        (queues.flat_map(|q| q.rings.values_mut().flatten())).chain(self.parked.values_mut())
+    }
+
+    /// Every indexed request, parked ones included, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        let queues = std::iter::once(&self.readmit).chain(self.fresh.values());
+        (queues.flat_map(|q| q.rings.values().flatten())).chain(self.parked.values())
     }
 
     /// Brings the order up to `now`: re-keys every entry if the learned
@@ -395,11 +468,11 @@ impl Scheduler {
     fn best<'a>(
         &'a self,
         caps: &AdmissionController,
-        pick: impl Fn(&'a Rings) -> Option<(SchedKey, &'a QueuedMeta)>,
-    ) -> Option<(SchedKey, &'a QueuedMeta, Option<u32>)> {
+        pick: impl Fn(&'a Rings<T>) -> Option<(SchedKey, &'a T)>,
+    ) -> Option<(SchedKey, &'a T, Option<u32>)> {
         let mut best = pick(&self.readmit).map(|(k, m)| (k, m, None));
         for (&tenant, q) in &self.fresh {
-            if q.len == 0 || !caps.eligible(tenant) {
+            if q.rings.is_empty() || !caps.eligible(tenant) {
                 continue;
             }
             if let Some((k, m)) = pick(q) {
@@ -412,14 +485,14 @@ impl Scheduler {
     }
 
     /// Selects the eligible request the policy ranks first and removes it
-    /// only if its [`QueuedMeta::context_tokens`] is below `context_limit`
+    /// only if its [`Queued::context_tokens`] is below `context_limit`
     /// (the gateway passes the free KV tokens, since an admission also
     /// needs room for its first decoded token; `u64::MAX` pops
     /// unconditionally). A head at or above the limit is reported as
     /// [`Pop::Blocked`] and stays indexed where it was. Does not consume
     /// cap headroom — the gateway records the admission against `caps`
     /// itself.
-    pub fn pop_next(&mut self, caps: &AdmissionController, context_limit: u64) -> Pop {
+    pub fn pop_next(&mut self, caps: &AdmissionController, context_limit: u64) -> Pop<T> {
         let Some((key, m, queue)) = self.best(caps, Rings::front) else {
             return Pop::Empty;
         };
@@ -431,8 +504,9 @@ impl Scheduler {
             .pop_first()
             .expect("`best` read this queue's front, so it is non-empty");
         if let Some(due) = self.policy.promotion(&m, key.prefix) {
-            self.promotions.remove(&(due, m.id));
+            self.promotions.remove(&(due, m.id()));
         }
+        self.len -= 1;
         Pop::Popped(m)
     }
 
@@ -442,7 +516,7 @@ impl Scheduler {
         self.parked.first_key_value().map(|((due, _), _)| *due)
     }
 
-    /// [`QueuedMeta::context_tokens`] of the first request, in the order
+    /// [`Queued::context_tokens`] of the first request, in the order
     /// `pop_next` uses, whose tenant has cap headroom and whose context is
     /// below `context_limit`: the head `pop_next` would reach if every
     /// entry at or above the limit were skipped. Parked requests are not
@@ -454,7 +528,7 @@ impl Scheduler {
         .map(|(_, m, _)| m.context_tokens())
     }
 
-    /// [`QueuedMeta::context_tokens`] of the head
+    /// [`Queued::context_tokens`] of the head
     /// [`pop_next`](Scheduler::pop_next) would see, if any.
     pub fn head_context(&self, caps: &AdmissionController) -> Option<u64> {
         self.best(caps, Rings::front)
@@ -475,9 +549,9 @@ impl Scheduler {
 
 /// The result of one [`Scheduler::pop_next`].
 #[derive(Debug, PartialEq, Eq)]
-pub enum Pop {
+pub enum Pop<T> {
     /// The head fit the context limit and left the index.
-    Popped(QueuedMeta),
+    Popped(T),
     /// The head does not fit the context limit; the index is unchanged.
     Blocked,
     /// No queued request is eligible.
@@ -690,12 +764,12 @@ impl PolicyKind {
     ];
 
     /// The prefix `m` files under at `now`, given Orca's learned `ratio`.
-    fn prefix(self, m: &QueuedMeta, now: SimTime, ratio: f64) -> Prefix {
+    fn prefix(self, m: &impl Queued, now: SimTime, ratio: f64) -> Prefix {
         match self {
             PolicyKind::Fcfs => (0, 0),
             PolicyKind::Sjf => (0, m.remaining()),
             PolicyKind::SjfBucket => (0, m.remaining() / SJF_BUCKET),
-            PolicyKind::SjfAging if now.duration_since(m.enqueued) >= AGING_PROMOTE => (0, 0),
+            PolicyKind::SjfAging if now.duration_since(m.enqueued()) >= AGING_PROMOTE => (0, 0),
             PolicyKind::SjfAging => (1, m.remaining()),
             PolicyKind::Orca => (0, orca_predict(ratio, m)),
         }
@@ -703,8 +777,8 @@ impl PolicyKind {
 
     /// When `m`, filed under `prefix`, moves to the promoted prefix: only
     /// an un-aged `sjf+aging` entry (class 1) ever does.
-    fn promotion(self, m: &QueuedMeta, prefix: Prefix) -> Option<SimTime> {
-        (self == PolicyKind::SjfAging && prefix.0 == 1).then(|| m.enqueued + AGING_PROMOTE)
+    fn promotion(self, m: &impl Queued, prefix: Prefix) -> Option<SimTime> {
+        (self == PolicyKind::SjfAging && prefix.0 == 1).then(|| m.enqueued() + AGING_PROMOTE)
     }
 
     /// Instantiates the sort-based `oracle` reference for this policy.
@@ -756,7 +830,6 @@ mod tests {
             generated: 0,
             admitted_once: false,
             eligible_after: SimTime::ZERO,
-            handle: id as u32,
         }
     }
 
@@ -773,7 +846,7 @@ mod tests {
     }
 
     /// Pops the head whatever its context (no KV limit).
-    fn pop(s: &mut Scheduler, caps: &AdmissionController) -> Option<QueuedMeta> {
+    fn pop(s: &mut Scheduler<QueuedMeta>, caps: &AdmissionController) -> Option<QueuedMeta> {
         match s.pop_next(caps, u64::MAX) {
             Pop::Popped(m) => Some(m),
             Pop::Blocked => unreachable!("nothing blocks an unlimited pop"),
@@ -785,7 +858,7 @@ mod tests {
     /// effectively uncapped controller.
     fn drain_order(policy: PolicyKind, queue: &[QueuedMeta], now: SimTime) -> Vec<u64> {
         let caps = AdmissionController::new(usize::MAX >> 1);
-        let mut s = Scheduler::new(policy);
+        let mut s = Scheduler::<QueuedMeta>::new(policy);
         for m in queue {
             s.advance(m.enqueued.min(now));
             s.insert(m.clone());
@@ -989,22 +1062,25 @@ mod tests {
     }
 
     #[test]
-    fn remove_finds_entries_in_every_region() {
+    fn sweep_takes_entries_from_every_region() {
         let caps = AdmissionController::new(8);
         let mut s = Scheduler::new(PolicyKind::SjfAging);
         let fresh = meta(1, 0, 10);
+        let kept = meta(4, 0, 10);
         let readmit = requeued(meta(2, 0, 10), 0, SimTime::ZERO);
         let parked = requeued(meta(3, 0, 10), 0, SimTime::from_secs(9));
-        for m in [&fresh, &readmit, &parked] {
+        for m in [&fresh, &kept, &readmit, &parked] {
             s.insert(m.clone());
         }
-        assert_eq!(s.len(), 3);
-        assert!(s.remove(&fresh));
-        assert!(s.remove(&readmit));
-        assert!(s.remove(&parked));
-        assert!(!s.remove(&parked));
-        assert_eq!(s.len(), 0);
-        // The removals took their promotion deadlines too.
+        assert_eq!(s.len(), 4);
+        let mut taken = s.sweep(|m| (m.id != 4).then_some(m.id));
+        taken.sort_by_key(|&(id, _)| id);
+        assert_eq!(taken, [(1, fresh), (2, readmit), (3, parked)]);
+        assert_eq!(s.len(), 1);
+        assert!(s.sweep(|m| (m.id != 4).then_some(())).is_empty());
+        // The sweep took their promotion deadlines too.
+        assert_eq!(s.sweep(|m| Some(m.id)), [(4, kept)]);
+        assert!(s.is_empty());
         assert_eq!(s.next_move(), None);
         assert!(pop(&mut s, &caps).is_none());
     }
@@ -1021,7 +1097,7 @@ mod tests {
     /// `first_context` at `limit` is the context of the first eligible
     /// request, in oracle order at `now`, whose context is below `limit`.
     fn assert_first_context(
-        index: &Scheduler,
+        index: &Scheduler<QueuedMeta>,
         oracle: &mut dyn oracle::SortScheduler,
         live: &[QueuedMeta],
         caps: &AdmissionController,
@@ -1067,7 +1143,7 @@ mod tests {
         cap: usize,
         blocked_every: usize,
     ) {
-        let mut index = Scheduler::new(policy);
+        let mut index = Scheduler::<QueuedMeta>::new(policy);
         let mut oracle = policy.build_oracle();
         let mut live: Vec<QueuedMeta> = Vec::new();
         let mut now = SimTime::ZERO;
@@ -1086,7 +1162,6 @@ mod tests {
                 generated: 0,
                 admitted_once: false,
                 eligible_after: SimTime::ZERO,
-                handle: next_id as u32,
             };
             match kind % 4 {
                 // Fresh arrival.
@@ -1126,13 +1201,14 @@ mod tests {
                         "after a completion",
                     );
                 }
-                // Deadline-style removal of a random live entry.
+                // Deadline-style sweep of a random live entry.
                 _ => {
                     if !live.is_empty() {
                         let e = live.remove((a as usize) % live.len());
-                        assert!(
-                            index.remove(&e),
-                            "{policy}: indexed entry must be removable"
+                        assert_eq!(
+                            index.sweep(|m| (m.id == e.id).then_some(())),
+                            [((), e)],
+                            "{policy}: the sweep takes exactly the indexed entry"
                         );
                     }
                 }
@@ -1202,7 +1278,6 @@ mod tests {
                 "{policy}: admission order diverged from the oracle"
             );
             let Some(m) = got else { break };
-            assert_eq!(m.handle, m.id as u32, "{policy}: the handle rides along");
 
             let at = live.iter().position(|e| e.id == m.id).unwrap();
             let e = live.remove(at);
