@@ -353,6 +353,16 @@ impl AquaOffloader {
             .end
     }
 
+    /// Swaps `bytes` out to host DRAM over the consumer's PCIe link from
+    /// `start`, counting and journalling the DRAM allocation at `now`;
+    /// returns when the copy lands.
+    fn swap_to_dram(&mut self, bytes: u64, start: SimTime, now: SimTime) -> SimTime {
+        let end = self.pcie_to_host(self.consumer, bytes, start);
+        self.dram_bytes += bytes;
+        self.trace_allocation(None, bytes, now);
+        end
+    }
+
     fn pcie_from_host(&mut self, to: GpuRef, bytes: u64, start: SimTime) -> SimTime {
         let path = self.server.host_to_gpu_path(to.gpu);
         self.transfers
@@ -548,18 +558,12 @@ impl Offloader for AquaOffloader {
         if !self.coordinator.reachable(self.consumer.gpu, now) {
             self.unreachable_since.get_or_insert(now);
             self.enter_degraded(now);
-            let end = self.pcie_to_host(self.consumer, bytes, start);
-            self.dram_bytes += bytes;
-            self.trace_allocation(None, bytes, now);
-            return end;
+            return self.swap_to_dram(bytes, start, now);
         }
         // Degraded mode: a recent fabric failure pins new allocations to
         // DRAM so every swap does not re-probe a dead link.
         if self.is_degraded() {
-            let end = self.pcie_to_host(self.consumer, bytes, start);
-            self.dram_bytes += bytes;
-            self.trace_allocation(None, bytes, now);
-            return end;
+            return self.swap_to_dram(bytes, start, now);
         }
         // Rung 1 — lease affinity: keep growing context on the producer
         // that already holds it (1:1 pairing; avoids fanning one consumer's
@@ -596,17 +600,9 @@ impl Offloader for AquaOffloader {
                 self.note_failover(&format!("peer:{gpu}"), "dram", bytes, now);
                 // Rung 3 — host DRAM, and stay there for a while.
                 self.enter_degraded(now);
-                let end = self.pcie_to_host(self.consumer, bytes, start);
-                self.dram_bytes += bytes;
-                self.trace_allocation(None, bytes, now);
-                end
+                self.swap_to_dram(bytes, start, now)
             }
-            AllocationSite::Dram => {
-                let end = self.pcie_to_host(self.consumer, bytes, start);
-                self.dram_bytes += bytes;
-                self.trace_allocation(None, bytes, now);
-                end
-            }
+            AllocationSite::Dram => self.swap_to_dram(bytes, start, now),
         }
     }
 
